@@ -1,10 +1,10 @@
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: test torture chaos lockdep bench bench-recovery bench-read-path \
-	bench-lint bench-trace bench-batch bench-scale bench-concurrency \
-	bench-concurrency-smoke bench-lockdep bench-rewrite lint typecheck \
-	simcheck
+.PHONY: test torture chaos chaos-loop lockdep bench bench-recovery \
+	bench-read-path bench-lint bench-trace bench-batch bench-scale \
+	bench-concurrency bench-concurrency-smoke bench-lockdep bench-rewrite \
+	bench-e2e bench-e2e-smoke profile-analytic lint typecheck simcheck
 
 test:
 	python -m pytest -x -q
@@ -44,6 +44,15 @@ torture:
 # Runs with runtime lockdep on: any lock-order violation fails the lane.
 chaos:
 	REPRO_LOCKDEP=1 python -m pytest -q -m chaos tests/test_chaos.py
+
+# The tier-1 chaos scenarios twenty times over: they assert invariants
+# and a constructed deadlock, never scheduler luck, so every round must
+# pass.
+chaos-loop:
+	for round in $$(seq 1 20); do \
+		python -m pytest -q -p no:cacheprovider tests/test_chaos.py \
+			|| exit 1; \
+	done
 
 # Runtime lock-order validation lane: lockdep unit tests plus the
 # lock-heavy suites (sessions/mvcc/server) under REPRO_LOCKDEP=1.
@@ -103,3 +112,18 @@ bench-lockdep:
 # rewrite/materialization).
 bench-rewrite:
 	python benchmarks/make_report.py --rewrite
+
+# The end-to-end benchmark BENCHMARK.json declares (benchmarks/e2e/):
+# four workloads, both passes, results under benchmarks/e2e/out/.
+bench-e2e:
+	python3 benchmarks/e2e/run.py
+
+# Its smoke test: every workload at a tenth of the data emits exactly
+# the declared metric names (~20 s; the numbers mean nothing).
+bench-e2e-smoke:
+	python -m pytest benchmarks/e2e -q
+
+# Where a warm analytic round spends its time: cProfile of three
+# scale_queries rounds at 10 000 entities, top 25 by self time.
+profile-analytic:
+	python tools/profile_analytic.py

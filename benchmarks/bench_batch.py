@@ -27,6 +27,7 @@ import time
 from repro import parse_dml
 from repro.dml.query_tree import TYPE3
 from repro.engine import operators as ops
+from repro.engine.expressions import compile_selection
 from repro.optimizer.physical_plan import lower_plan
 from repro.workloads import build_university
 from repro.workloads.university import UNIVERSITY_QUERIES
@@ -51,23 +52,21 @@ class _RecursiveSpine(ops.Operator):
     def __init__(self, physical, where):
         super().__init__(None)
         self.physical = physical
-        self.where = where
+        self.selection = None if where is None else compile_selection(
+            where, physical.exists_nodes, physical.slots, physical.width)
 
     def run(self, ctx):
         spine = self.physical.spine
-        exists_nodes = self.physical.exists_nodes
         plan = self.physical.plan
         slots = ctx.slots
         accessor = ctx.accessor
-        evaluator = ctx.evaluator
-        where = self.where
+        selection = self.selection
         row = [ops.UNBOUND] * ctx.width
         env = {}
 
         def recurse(index):
             if index == len(spine):
-                if ops.selection_holds(evaluator, accessor, where,
-                                       exists_nodes, env):
+                if ops.selection_holds(ctx, selection, row):
                     yield self._emit([list(row)])
                 return
             node = spine[index]

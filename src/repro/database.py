@@ -213,8 +213,8 @@ class Database:
             return result
 
     def _statement_executor(self) -> QueryExecutor:
-        """A private executor for one snapshot Retrieve: fresh accessor
-        and evaluator memo shards, so rows read at one snapshot's epoch
+        """A private executor for one snapshot Retrieve: a fresh accessor
+        memo shard, so rows read at one snapshot's epoch
         can never be served to a query pinned at another."""
         return QueryExecutor(self.store, self.qualifier,
                              batch_size=self.executor.batch_size,

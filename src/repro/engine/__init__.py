@@ -2,8 +2,9 @@
 
 * :mod:`repro.engine.access` — entity access helpers and range-variable
   domains (including the dummy-instance rule for TYPE 3 variables);
-* :mod:`repro.engine.expressions` — 3-valued expression evaluation,
-  aggregates with delimited scope, quantifiers, ISA, pattern matching;
+* :mod:`repro.engine.expressions` — 3-valued expression evaluation
+  compiled to set-at-a-time column functions: aggregates with delimited
+  scope, quantifiers, ISA, pattern matching;
 * :mod:`repro.engine.executor` — the nested-loop semantics program of
   §4.5 over the labelled query tree;
 * :mod:`repro.engine.output` — fully tabular and fully structured output;

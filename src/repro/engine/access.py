@@ -39,38 +39,84 @@ class EntityAccessor:
     """Role-aware attribute and relationship access for the engine.
 
     Reads are memoized per store epoch: the Mapper's read cache bumps its
-    ``epoch`` on every invalidation, so one integer compare per access
-    decides whether the memos are still current.  Repeated qualification
-    paths (``Name of Advisor of Student``) therefore decode each record
-    once per query — and stay warm across read-only queries.
+    ``epoch`` on every invalidation, so one integer compare per *batch
+    call* decides whether the memos are still current.  Repeated
+    qualification paths (``Name of Advisor of Student``) therefore decode
+    each record once per query — and stay warm across read-only queries.
+
+    Memo hits, misses and domain enumerations are tallied in plain ints
+    on the accessor (one accessor per executor or morsel worker, so no
+    lock) and folded into the store's shared ``PerfCounters`` by
+    :meth:`flush` — once per statement, and per worker at the morsel
+    barrier.
     """
 
     def __init__(self, store: MapperStore):
         self.store = store
         self.schema = store.schema
         self.perf = store.perf
+        self.memo_hits = 0
+        self.memo_misses = 0
+        self.domain_enumerations = 0
         self._memo_epoch = -1
-        self._dva_memo = {}      # (id(attr), surrogate) -> value
-        self._mv_memo = {}       # (id(attr), surrogate) -> tuple
-        self._eva_memo = {}      # (id(eva), surrogate) -> tuple
-        self._domain_memo = {}   # (node.id, parent instance) -> tuple
+        #: one memo per (kind, attribute/EVA/node identity), each mapping
+        #: an instance to its value ("dva"), its value tuple ("mv"), its
+        #: target tuple ("eva") or its domain tuple ("domain")
+        self._memos = {}
+        self._memo_entries = 0
 
     def begin_query(self) -> None:
         """Hook for the executor at query start: revalidate the memos."""
         self._sync()
 
+    def flush(self) -> None:
+        """Fold this accessor's tallies into the shared counters."""
+        for name in ("memo_hits", "memo_misses", "domain_enumerations"):
+            amount = getattr(self, name)
+            if amount:
+                self.perf.bump(name, amount)
+                setattr(self, name, 0)
+
     def _sync(self) -> None:
         """Drop every memo when the store has mutated since the last read
         (or when the memos have grown past :data:`MEMO_LIMIT`)."""
         epoch = self.store.read_cache.epoch
-        if epoch != self._memo_epoch or (
-                len(self._dva_memo) + len(self._mv_memo)
-                + len(self._eva_memo) + len(self._domain_memo) > MEMO_LIMIT):
-            self._dva_memo.clear()
-            self._mv_memo.clear()
-            self._eva_memo.clear()
-            self._domain_memo.clear()
+        if epoch != self._memo_epoch or self._memo_entries > MEMO_LIMIT:
+            self._memos.clear()
+            self._memo_entries = 0
             self._memo_epoch = epoch
+
+    def _lookup(self, kind, key_id, instances, absent):
+        """Memo probe shared by the batched readers.
+
+        Returns the cached entry per instance — ``absent`` for dummy and
+        null instances, ``None`` where a read is still owed — then
+        ``pending``, the distinct uncached instances mapped to the
+        positions awaiting them, and the memo to record them in.
+        Accounts one hit per cached or repeated instance and one miss
+        per pending one: the totals of reading the column one instance
+        at a time."""
+        memo = self._memos.get((kind, key_id))
+        if memo is None:
+            memo = self._memos[(kind, key_id)] = {}
+        found = list(map(memo.get, instances))
+        pending = {}
+        hits = len(found)
+        for position, entry in enumerate(found):
+            if entry is None:
+                instance = instances[position]
+                if instance is DUMMY or instance is NULL or instance is None:
+                    found[position] = absent
+                    hits -= 1
+                elif instance in pending:
+                    pending[instance].append(position)
+                else:
+                    pending[instance] = [position]
+                    hits -= 1
+        self.memo_hits += hits
+        self.memo_misses += len(pending)
+        self._memo_entries += len(pending)
+        return found, pending, memo
 
     # -- Attribute access -----------------------------------------------------------
 
@@ -80,191 +126,86 @@ class EntityAccessor:
         Returns NULL for the dummy instance and for entities that do not
         currently hold the attribute's declaring role.
         """
-        if surrogate is DUMMY or is_null(surrogate):
-            return NULL
-        if attr.is_surrogate:
-            return surrogate
-        self._sync()
-        key = (id(attr), surrogate)
-        try:
-            value = self._dva_memo[key]
-        except KeyError:
-            pass
-        else:
-            self.perf.bump("memo_hits")
-            return value
-        self.perf.bump("memo_misses")
-        if not self.store.has_role(surrogate, attr.owner_name):
-            value = NULL
-        else:
-            value = self.store.read_dva(surrogate, attr)
-        if not isinstance(value, list):
-            # List values (MV subroles) are mutable; leave them unmemoized.
-            self._dva_memo[key] = value
-        return value
+        return self.dva_batch(attr, [surrogate])[0]
 
     def dva_batch(self, attr, instances) -> List:
-        """Batched :meth:`dva` over a column of instances.
-
-        Exactly one memo hit *or* miss is accounted per non-dummy
-        instance — the same totals as per-instance calls, aggregated
-        into at most two counter bumps — and the records behind all the
-        misses decode through one :meth:`MapperStore.fetch_many` call.
-        Attributes outside the batched shape (subroles, surrogates, MV)
-        fall back to per-instance reads.
-        """
+        """:meth:`dva` over a column of instances: one epoch check, and
+        the records behind all the misses decode through one
+        :meth:`MapperStore.fetch_many` call (subroles, MV and
+        entity-valued attributes read one by one)."""
         if attr.is_surrogate:
             return [NULL if inst is DUMMY or is_null(inst) else inst
                     for inst in instances]
-        if attr.is_subrole or attr.multi_valued or attr.is_eva:
-            return [self.dva(inst, attr) for inst in instances]
         self._sync()
-        memo = self._dva_memo
-        attr_id = id(attr)
-        values = [NULL] * len(instances)
-        hits = misses = 0
-        pending = {}                 # surrogate -> positions awaiting value
-        for position, instance in enumerate(instances):
-            if instance is DUMMY or is_null(instance):
-                continue
-            key = (attr_id, instance)
-            if key in memo:
-                hits += 1
-                values[position] = memo[key]
-            elif instance in pending:
-                # Second occurrence in this batch: the sequential path
-                # would find the memo filled by now — a hit.
-                hits += 1
-                pending[instance].append(position)
-            else:
-                misses += 1
-                pending[instance] = [position]
-        if hits:
-            self.perf.bump("memo_hits", hits)
-        if misses:
-            self.perf.bump("memo_misses", misses)
+        values, pending, memo = self._lookup("dva", id(attr), instances,
+                                             NULL)
         if pending:
             store = self.store
             owner = attr.owner_name
             holders = [surrogate for surrogate in pending
                        if store.has_role(surrogate, owner)]
-            records = store.fetch_many(owner, holders) if holders else {}
+            if attr.is_subrole or attr.multi_valued or attr.is_eva:
+                resolved = {surrogate: store.read_dva(surrogate, attr)
+                            for surrogate in holders}
+            else:
+                records = store.fetch_many(owner, holders) if holders else {}
+                resolved = {surrogate: record[1].get(attr.name, NULL)
+                            for surrogate, record in records.items()}
             for surrogate, positions in pending.items():
-                record = records.get(surrogate)
-                if record is None:
-                    value = NULL
+                value = resolved.get(surrogate, NULL)
+                if isinstance(value, list):
+                    # List values (MV subroles) are mutable; leave them
+                    # unmemoized, so every read of one is a miss.
+                    self.memo_hits -= len(positions) - 1
+                    self.memo_misses += len(positions) - 1
                 else:
-                    value = record[1].get(attr.name, NULL)
-                if not isinstance(value, list):
-                    memo[(attr_id, surrogate)] = value
+                    memo[surrogate] = value
                 for position in positions:
                     values[position] = value
         return values
 
-    def mv_values(self, surrogate, attr) -> List:
+    def _mv_values(self, surrogate, attr) -> tuple:
         """The value multiset of an MV DVA (empty for dummy / missing role)."""
-        if surrogate is DUMMY or is_null(surrogate):
-            return []
-        self._sync()
-        key = (id(attr), surrogate)
-        cached = self._mv_memo.get(key)
-        if cached is not None:
-            self.perf.bump("memo_hits")
-            return list(cached)
-        self.perf.bump("memo_misses")
-        if not self.store.has_role(surrogate, attr.owner_name):
-            values = []
-        else:
-            values = self.store.read_dva(surrogate, attr)
-        self._mv_memo[key] = tuple(values)
-        return values
-
-    def eva_targets(self, surrogate, eva) -> List[int]:
-        """Target surrogates of an EVA (empty for dummy / missing role).
-
-        An EVA declared ``ordered by <attr>`` (paper §6: system-maintained
-        ordering) returns its targets sorted by that range-class DVA,
-        nulls first; ties fall back to surrogate order.
-        """
-        if surrogate is DUMMY or is_null(surrogate):
-            return []
-        self._sync()
-        key = (id(eva), surrogate)
-        cached = self._eva_memo.get(key)
-        if cached is not None:
-            self.perf.bump("memo_hits")
-            return list(cached)
-        self.perf.bump("memo_misses")
-        targets = self._eva_targets_uncached(surrogate, eva)
-        self._eva_memo[key] = tuple(targets)
-        return targets
-
-    def eva_targets_batch(self, sources, eva) -> List[List[int]]:
-        """Batched :meth:`eva_targets` over a column of source entities.
-
-        Memo hit/miss totals match per-source calls; misses traverse the
-        store through one :meth:`MapperStore.traverse_eva_batch` call
-        (``ordered by`` EVAs fall back to the per-source path, which owns
-        the range-class sort)."""
-        self._sync()
-        memo = self._eva_memo
-        eva_id = id(eva)
-        results: List = [None] * len(sources)
-        hits = misses = 0
-        pending = {}                 # source -> positions awaiting targets
-        for position, source in enumerate(sources):
-            if source is DUMMY or is_null(source):
-                results[position] = []
-                continue
-            cached = memo.get((eva_id, source))
-            if cached is not None:
-                hits += 1
-                results[position] = list(cached)
-            elif source in pending:
-                hits += 1
-                pending[source].append(position)
-            else:
-                misses += 1
-                pending[source] = [position]
-        if hits:
-            self.perf.bump("memo_hits", hits)
-        if misses:
-            self.perf.bump("memo_misses", misses)
+        values, pending, memo = self._lookup("mv", id(attr), [surrogate], ())
         if pending:
-            if eva.options.ordered_by is not None:
-                resolved = {source: self._eva_targets_uncached(source, eva)
-                            for source in pending}
-            else:
-                store = self.store
-                owner = eva.owner_name
-                holders = [source for source in pending
-                           if store.has_role(source, owner)]
-                traversed = (store.traverse_eva_batch(holders, eva)
-                             if holders else {})
-                resolved = {source: traversed.get(source, [])
-                            for source in pending}
-            for source, targets in resolved.items():
-                memo[(eva_id, source)] = tuple(targets)
-                for position in pending[source]:
-                    results[position] = list(targets)
+            values[0] = memo[surrogate] = tuple(
+                self.store.read_dva(surrogate, attr)
+                if self.store.has_role(surrogate, attr.owner_name) else ())
+        return values[0]
+
+    def eva_targets_batch(self, sources, eva) -> List[tuple]:
+        """Target surrogates of an EVA per source entity (empty for dummy
+        / missing role), as shared tuples the caller must not mutate.
+
+        Misses traverse the store through one
+        :meth:`MapperStore.traverse_eva_batch` call.  An EVA declared
+        ``ordered by <attr>`` (paper §6: system-maintained ordering)
+        returns its targets sorted by that range-class DVA, nulls first;
+        ties fall back to surrogate order."""
+        self._sync()
+        results, pending, memo = self._lookup("eva", id(eva), sources, ())
+        if pending:
+            store = self.store
+            holders = [source for source in pending
+                       if store.has_role(source, eva.owner_name)]
+            traversed = (store.traverse_eva_batch(holders, eva)
+                         if holders else {})
+            for source, positions in pending.items():
+                targets = traversed.get(source, ())
+                if eva.options.ordered_by is not None and len(targets) > 1:
+                    targets = self._ordered(eva, targets)
+                targets = memo[source] = tuple(targets)
+                for position in positions:
+                    results[position] = targets
         return results
 
-    def _eva_targets_uncached(self, surrogate, eva) -> List[int]:
-        if not self.store.has_role(surrogate, eva.owner_name):
-            return []
-        targets = self.store.eva_targets(surrogate, eva)
-        order_attr_name = eva.options.ordered_by
-        if order_attr_name is not None and len(targets) > 1:
-            order_attr = self.schema.get_class(
-                eva.range_class_name).attribute(order_attr_name)
-
-            def key(target):
-                value = self.dva(target, order_attr)
-                if is_null(value):
-                    return (0, 0, target)
-                return (1, value, target)
-            targets = sorted(targets, key=key)
-        return targets
+    def _ordered(self, eva, targets) -> List[int]:
+        order_attr = self.schema.get_class(
+            eva.range_class_name).attribute(eva.options.ordered_by)
+        values = dict(zip(targets, self.dva_batch(order_attr, targets)))
+        return sorted(targets, key=lambda target: (
+            (0, 0, target) if is_null(values[target])
+            else (1, values[target], target)))
 
     def has_role(self, surrogate, class_name: str):
         if surrogate is DUMMY or is_null(surrogate):
@@ -291,13 +232,11 @@ class EntityAccessor:
                 return list(served)
 
         def hop(entities):
-            current = list(entities)
             for eva in chain:
-                step = []
-                for entity in current:
-                    step.extend(self.eva_targets(entity, eva))
-                current = step
-            return current
+                entities = [target for targets
+                            in self.eva_targets_batch(entities, eva)
+                            for target in targets]
+            return entities
 
         results: List[Tuple[int, int]] = []
         visited = {surrogate}
@@ -324,94 +263,49 @@ class EntityAccessor:
         """The domain of a non-root query-tree node given its parent's
         instance in ``env`` (paper §4.5: "every other domain is defined
         based on an attribute and a given instance of the range variable of
-        its parent node").
+        its parent node") — :meth:`node_domains_batch` for one binding."""
+        return self.node_domains_batch(node, [env[node.parent.id]])[0]
+
+    def node_domains_batch(self, node, parent_instances) -> List[tuple]:
+        """The domain of ``node`` per parent instance (the parent node's
+        slot values, no env dicts).
 
         Results are materialized as tuples keyed by (node, parent
         instance): within one query the same subtree domain — notably a
         hoisted TYPE 2 existential re-entered per outer row — is
-        enumerated once.  Callers must not mutate the result.
-        """
-        parent_instance = env[node.parent.id]
+        enumerated once.  Callers must not mutate the result.  Plain
+        (non-transitive) EVA nodes resolve their misses through
+        :meth:`eva_targets_batch`."""
         self._sync()
-        key = (getattr(node, "domain_key", node.id), parent_instance)
-        cached = self._domain_memo.get(key)
-        if cached is not None:
-            self.perf.bump("memo_hits")
-            return cached
-        self.perf.bump("memo_misses")
-        self.perf.bump("domain_enumerations")
-        trace = self.store.trace
-        if trace is not None and trace.enabled:
-            trace.count("engine.domain_enumerations")
-        domain = tuple(self._node_domain_uncached(node, parent_instance))
-        self._domain_memo[key] = domain
-        return domain
-
-    def node_domains_batch(self, node, parent_instances) -> List[tuple]:
-        """Batched :meth:`node_domain` over a column of parent instances.
-
-        The caller passes the parent node's slot values directly (no env
-        dicts).  Hit/miss, ``domain_enumerations`` and trace totals match
-        per-instance calls; plain (non-transitive) EVA nodes resolve their
-        misses through :meth:`eva_targets_batch`, everything else falls
-        back to the per-instance enumerator."""
-        self._sync()
-        memo = self._domain_memo
-        node_id = getattr(node, "domain_key", node.id)
-        domains: List = [None] * len(parent_instances)
-        hits = 0
-        pending = {}           # parent instance -> positions awaiting domain
-        for position, parent_instance in enumerate(parent_instances):
-            cached = memo.get((node_id, parent_instance))
-            if cached is not None:
-                hits += 1
-                domains[position] = cached
-            elif parent_instance in pending:
-                hits += 1
-                pending[parent_instance].append(position)
-            else:
-                pending[parent_instance] = [position]
-        if hits:
-            self.perf.bump("memo_hits", hits)
-        misses = len(pending)
-        if misses:
-            self.perf.bump("memo_misses", misses)
-            self.perf.bump("domain_enumerations", misses)
+        domains, pending, memo = self._lookup(
+            "domain", getattr(node, "domain_key", node.id),
+            parent_instances, ())
+        if pending:
+            self.domain_enumerations += len(pending)
             trace = self.store.trace
             if trace is not None and trace.enabled:
-                trace.count("engine.domain_enumerations", misses)
-            missed = list(pending)
-            if node.kind == "eva" and not node.transitive:
-                sources = [self._unwrap(node.parent, instance)
-                           for instance in missed]
-                resolved = self.eva_targets_batch(sources, node.eva)
+                trace.count("engine.domain_enumerations", len(pending))
+            sources = [self._unwrap(node.parent, instance)
+                       for instance in pending]
+            if node.kind == "mvdva":
+                resolved = [self._mv_values(source, node.mv_attr)
+                            for source in sources]
+            elif node.transitive:
+                resolved = [tuple(self.transitive(
+                    source, node.transitive_evas or node.eva))
+                    for source in sources]
             else:
-                resolved = [self._node_domain_uncached(node, instance)
-                            for instance in missed]
-            for parent_instance, targets in zip(missed, resolved):
-                domain = tuple(targets)
-                memo[(node_id, parent_instance)] = domain
-                for position in pending[parent_instance]:
+                # Role conversion (``as_class``) does not narrow the
+                # domain: the variable still ranges over all targets, and
+                # attribute access through the converted view yields NULL
+                # for entities lacking the role.
+                resolved = self.eva_targets_batch(sources, node.eva)
+            for (parent_instance, positions), domain in zip(pending.items(),
+                                                            resolved):
+                memo[parent_instance] = domain
+                for position in positions:
                     domains[position] = domain
         return domains
-
-    def _node_domain_uncached(self, node, parent_instance) -> List:
-        if node.kind == "eva":
-            source = self._unwrap(node.parent, parent_instance)
-            if node.transitive:
-                return self.transitive(source,
-                                       node.transitive_evas or node.eva)
-            targets = self.eva_targets(source, node.eva)
-            if node.as_class:
-                # Role conversion: the variable still ranges over all
-                # targets; attribute access through the converted view
-                # yields NULL for entities lacking the role.
-                return targets
-            return targets
-        if node.kind == "mvdva":
-            source = self._unwrap(node.parent, parent_instance)
-            return self.mv_values(source, node.mv_attr)
-        raise ValueError(f"cannot enumerate domain of {node!r}")
 
     def root_domain(self, node) -> Iterator[int]:
         return self.class_extent(node.class_name)
@@ -421,11 +315,5 @@ class EntityAccessor:
         """Instance value of a node (transitive instances are (value, level))."""
         if node is not None and node.kind == "eva" and node.transitive \
                 and isinstance(instance, tuple):
-            return instance[0]
-        return instance
-
-    @staticmethod
-    def instance_value(node, instance):
-        if node.kind == "eva" and node.transitive and isinstance(instance, tuple):
             return instance[0]
         return instance

@@ -53,6 +53,10 @@ class _CompiledConstraint:
         self.expression = parse_expression(constraint.assertion_text)
         self.tree: QueryTree = qualifier.resolve_selection(
             constraint.class_name, self.expression)
+        # Imported lazily: the lowering module imports this package.
+        from repro.optimizer.physical_plan import compile_predicate
+        #: the assertion compiled once, shared by every session's executor
+        self.predicate = compile_predicate(self.tree, self.expression)
         self.terms: Set[tuple] = {("class", constraint.class_name)}
         self._collect_terms(self.expression)
         #: every traversal node of the assertion (main tree and scoped),
@@ -189,6 +193,12 @@ class ConstraintManager:
     def _check(self, keys: Set[tuple], entities: Set[int],
                executor=None) -> None:
         executor = executor if executor is not None else self.executor
+        try:
+            self._check_all(keys, entities, executor)
+        finally:
+            executor.accessor.flush()
+
+    def _check_all(self, keys, entities, executor) -> None:
         for compiled in self.compiled:
             if not compiled.triggered_by(keys):
                 with self._state_lock:
@@ -201,10 +211,11 @@ class ConstraintManager:
                     continue
                 with self._state_lock:
                     self.checks_run += 1
-                holds = executor.predicate_holds(
-                    compiled.tree, compiled.expression, surrogate)
-                if not holds and not self._unknown(compiled, surrogate,
-                                                   executor):
+                # Only a *false* assertion is a violation: UNKNOWN (nulls)
+                # passes, as in SQL CHECK.  An existential assertion (TYPE
+                # 2 subtrees) is false when no binding satisfies it.
+                if executor.predicate_holds(compiled.predicate,
+                                            surrogate) is False:
                     raise ConstraintViolation(
                         compiled.constraint.name,
                         compiled.constraint.else_message)
@@ -249,22 +260,6 @@ class ConstraintManager:
                 candidates.update(self.store.scan_class(perspective))
                 break
         return candidates
-
-    def _unknown(self, compiled: _CompiledConstraint, surrogate: int,
-                 executor=None) -> bool:
-        """True when the assertion is UNKNOWN (nulls) rather than false —
-        unknown passes, as in SQL CHECK."""
-        executor = executor if executor is not None else self.executor
-        root = compiled.tree.roots[0]
-        env = {root.id: surrogate}
-        # With TYPE 2 subtrees, existential failure counts as false only if
-        # some assignment was possible; re-evaluate the bare truth value
-        # when the tree is flat.
-        if any(root.children.values()):
-            return False
-        truth = executor.evaluator.truth(compiled.expression, env)
-        from repro.types.tvl import UNKNOWN
-        return truth is UNKNOWN
 
     def statistics(self) -> Dict[str, int]:
         return {"constraints": len(self.compiled),

@@ -36,7 +36,6 @@ from repro.dml.ast import Aggregate, Literal, Path, RetrieveQuery
 from repro.dml.qualification import Qualifier
 from repro.dml.query_tree import QTNode, QueryTree
 from repro.engine.access import EntityAccessor
-from repro.engine.expressions import ExpressionEvaluator
 from repro.engine.operators import (
     DEFAULT_BATCH_SIZE,
     ExecContext,
@@ -62,7 +61,6 @@ class QueryExecutor:
         self.schema = store.schema
         self.qualifier = qualifier or Qualifier(store.schema)
         self.accessor = EntityAccessor(store)
-        self.evaluator = ExpressionEvaluator(self.accessor)
         self.batch_size = validate_batch_size(batch_size)
         self.parallelism = validate_parallelism(parallelism)
 
@@ -108,12 +106,16 @@ class QueryExecutor:
         structured_mode = query.mode == "structure"
         rows: List[tuple] = []
         snapshots = []
-        for batch in physical.root.run(ctx):
-            for out_row in batch:
-                if not out_row.duplicate:
-                    rows.append(out_row.values)
-                if structured_mode:
-                    snapshots.append((out_row.snapshot, out_row.values))
+        try:
+            for batch in physical.root.run(ctx):
+                for out_row in batch:
+                    if not out_row.duplicate:
+                        rows.append(out_row.values)
+                    if structured_mode:
+                        snapshots.append((out_row.snapshot, out_row.values))
+        finally:
+            # A statement that raises still accounts the reads it made.
+            self.accessor.flush()
 
         columns = [item.label or item.expression.describe()
                    for item in query.targets]
@@ -192,8 +194,11 @@ class QueryExecutor:
         ctx = ExecContext(self, physical)
         slot = physical.slots[root.id]
         selected: List[int] = []
-        for batch in physical.root.run(ctx):
-            selected.extend(row[slot] for row in batch)
+        try:
+            for batch in physical.root.run(ctx):
+                selected.extend(row[slot] for row in batch)
+        finally:
+            self.accessor.flush()
         return selected
 
     def _selection_domain(self, root: QTNode, where):
@@ -218,14 +223,12 @@ class QueryExecutor:
                     include_low, include_high))
         return None
 
-    def predicate_holds(self, tree: QueryTree, where, surrogate) -> bool:
-        """Evaluate a pre-resolved single-perspective predicate for one
-        entity (VERIFY assertions)."""
-        from repro.optimizer.physical_plan import exists_subtrees
-        root = tree.roots[0]
-        env = {root.id: surrogate}
-        return selection_holds(self.evaluator, self.accessor, where,
-                               exists_subtrees([root]), env)
+    def predicate_holds(self, predicate, surrogate):
+        """Evaluate a compiled single-perspective predicate
+        (``physical_plan.compile_predicate``; VERIFY assertions) for one
+        entity, as a one-row batch.  The caller flushes the accessor's
+        tallies when its sweep over entities is done."""
+        return selection_holds(ExecContext(self), predicate, [surrogate])
 
     # -- Output helpers ----------------------------------------------------------------
 

@@ -1,18 +1,27 @@
-"""Expression evaluation with 3-valued logic (paper §4.9).
+"""Set-at-a-time expression evaluation with 3-valued logic (paper §4.9).
 
-The evaluator works against an environment mapping query-tree node ids to
-current instances.  Values are Python scalars, :data:`NULL`, or entity
-surrogates (for entity-ended paths); truth values are True/False/UNKNOWN.
+A resolved DML expression is compiled *once per plan* into a column
+function ``fn(ctx, rows) -> list`` — one value per slot row — by plain
+closure composition: operator dispatch, literal coercion (``like``
+patterns, date/time literals) and the decision whether an operand can be
+NULL/UNKNOWN all happen here, at compile time, never per row.  Values are
+Python scalars, :data:`NULL`, or entity surrogates (for entity-ended
+paths); truth values are True/False/UNKNOWN.  Compiled functions capture
+no accessor: they read through ``ctx``, so morsel workers share them.
 
-Aggregate functions and quantifiers enumerate their own scoped subtrees
-(binding broken, §4.4) through the shared scope-enumeration helper.
+Aggregates, quantifiers, derived attributes and the main-scope TYPE 2
+subtrees enumerate their own scoped nodes (binding broken, §4.4) by
+*scope expansion*: a batch of parent rows is flattened, a bounded chunk
+at a time, into rows extended with ``[owner index, instance...]``; the
+argument evaluates as a column over the chunk and is segment-reduced by
+owner.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from decimal import Decimal
-from typing import Dict, Iterable, List
 
 from repro.errors import ExecutionError, TypeMismatchError
 from repro.dml.ast import (
@@ -25,272 +34,257 @@ from repro.dml.ast import (
     Quantified,
     Unary,
 )
-from repro.engine.access import DUMMY, EntityAccessor
+from repro.engine.access import DUMMY
 from repro.types.dates import SimDate, SimTime
-from repro.types.tvl import NULL, UNKNOWN, is_null, tvl_and, tvl_not, tvl_or
+from repro.types.domain import DateType, TimeType
+from repro.types.tvl import NULL, UNKNOWN
+
+#: a scope expands at most this many bindings per ``batch_size`` row
+#: before the chunk is evaluated and reduced
+CHUNK_FACTOR = 16
+
+_COMPARATORS = {"=": operator.eq, "neq": operator.ne, "<": operator.lt,
+                "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_MIRRORED = {"=": "=", "neq": "neq", "<": ">", "<=": ">=", ">": "<",
+             ">=": "<="}
+COMPARISON_OPS = tuple(_COMPARATORS) + ("like",)
 
 
-class ExpressionEvaluator:
-    """Evaluates resolved DML expressions in a node environment."""
+# ------------------------------------------------------------------ compiler
 
-    def __init__(self, accessor: EntityAccessor):
-        self.accessor = accessor
+def compile_value(expression, slots, width):
+    """Compile a resolved expression to ``fn(ctx, rows) -> values``.
 
-    # -- Scope enumeration ---------------------------------------------------------
-
-    def enumerate_scope(self, nodes, env: Dict) -> Iterable[Dict]:
-        """Enumerate assignments of the scoped ``nodes`` (parents first),
-        yielding the shared mutated ``env``.  Consumers must finish with
-        the env before advancing the generator."""
-        if not nodes:
-            yield env
-            return
-
-        def recurse(index: int):
-            if index == len(nodes):
-                yield env
-                return
-            node = nodes[index]
-            if node.kind == "root":
-                domain = self.accessor.root_domain(node)
-            else:
-                domain = self.accessor.node_domain(node, env)
-            for instance in domain:
-                env[node.id] = instance
-                yield from recurse(index + 1)
-            env.pop(node.id, None)
-
-        yield from recurse(0)
-
-    # -- Evaluation --------------------------------------------------------------------
-
-    def value(self, expression, env: Dict):
-        """Evaluate an expression to a value (which may be NULL/UNKNOWN)."""
-        if isinstance(expression, Literal):
-            return expression.value
-        if isinstance(expression, Path):
-            return self._path_value(expression, env)
-        if isinstance(expression, Unary):
-            return self._unary(expression, env)
-        if isinstance(expression, Binary):
-            return self._binary(expression, env)
-        if isinstance(expression, IsaTest):
-            return self._isa(expression, env)
-        if isinstance(expression, Aggregate):
-            return self._aggregate(expression, env)
-        if isinstance(expression, FunctionCall):
-            return self._function(expression, env)
-        if isinstance(expression, Quantified):
-            raise ExecutionError(
-                "a quantifier may only appear as a comparison operand")
-        raise ExecutionError(f"cannot evaluate {expression!r}")
-
-    def truth(self, expression, env: Dict):
-        """Evaluate an expression as a 3-valued truth value."""
-        result = self.value(expression, env)
-        if result is UNKNOWN or is_null(result):
-            return UNKNOWN
-        if isinstance(result, bool):
-            return result
-        described = (expression.describe()
-                     if hasattr(expression, "describe") else repr(expression))
-        raise TypeMismatchError(f"expression {described!r} is not boolean")
-
-    def is_true(self, expression, env: Dict) -> bool:
-        return self.truth(expression, env) is True
-
-    # -- Paths ------------------------------------------------------------------------
-
-    def _path_value(self, path: Path, env: Dict):
-        node = path.value_node
-        if node.id not in env:
-            raise ExecutionError(
-                f"range variable for {path.describe()!r} is not bound")
-        instance = self.accessor.instance_value(node, env[node.id])
-        if getattr(path, "derived", None) is not None:
-            return self._derived_value(path, instance, env)
-        if path.terminal_attr is None:
-            # Entity-ended (or MV-DVA value) path.
-            if instance is DUMMY:
-                return NULL
-            return instance
-        return self.accessor.dva(instance, path.terminal_attr)
-
-    def _derived_value(self, path: Path, instance, env: Dict):
-        """Evaluate a derived attribute (paper §6) for one entity.
-
-        The derived expression was resolved in a scope anchored at the
-        path's value node; its value must be functionally determined by
-        the entity (multiple distinct instances are an error)."""
-        if instance is DUMMY or is_null(instance):
-            return NULL
-        values = []
-        for _ in self.enumerate_scope(path.derived_scope_nodes, env):
-            values.append(self.value(path.derived_expr, env))
-        if not values:
-            return NULL
-        first = values[0]
-        for other in values[1:]:
-            if other != first:
-                raise ExecutionError(
-                    f"derived attribute {path.derived.name!r} is not "
-                    f"single-valued for entity {instance}")
-        return NULL if first is UNKNOWN else first
-
-    def _isa(self, test: IsaTest, env: Dict):
-        entity = self._path_value(test.entity, env)
-        if is_null(entity):
-            return UNKNOWN
-        result = self.accessor.has_role(entity, test.class_name)
-        return UNKNOWN if result is None else result
-
-    # -- Operators ---------------------------------------------------------------------
-
-    def _unary(self, expression: Unary, env: Dict):
-        if expression.op == "not":
-            return tvl_not(self.truth(expression.operand, env))
-        operand = self.value(expression.operand, env)
-        if is_null(operand):
-            return NULL
-        return -operand
-
-    def _binary(self, expression: Binary, env: Dict):
-        op = expression.op
-        if op == "and":
-            return tvl_and(self.truth(expression.left, env),
-                           self.truth(expression.right, env))
-        if op == "or":
-            return tvl_or(self.truth(expression.left, env),
-                          self.truth(expression.right, env))
-
-        if isinstance(expression.right, Quantified):
-            return self._quantified_comparison(expression, env)
-
-        left = self.value(expression.left, env)
-        right = self.value(expression.right, env)
-        if op in ("+", "-", "*", "/"):
-            return self._arithmetic(op, left, right)
-        return _compare(op, left, right)
-
-    def _arithmetic(self, op: str, left, right):
-        if is_null(left) or is_null(right) or left is UNKNOWN or right is UNKNOWN:
-            return NULL
-        left, right = _numeric_pair(left, right)
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if right == 0:
-                return NULL
-            if isinstance(left, int) and isinstance(right, int):
-                return left / right if left % right else left // right
-            return left / right
-        raise ExecutionError(f"unknown arithmetic operator {op!r}")
-
-    def _quantified_comparison(self, expression: Binary, env: Dict):
-        """``x <op> some/all/no(inner)`` — fold the comparison over the
-        quantified operand's scope (Kleene semantics; empty set: SOME is
-        false, ALL and NO are true)."""
-        quantified: Quantified = expression.right
-        left = self.value(expression.left, env)
-        op = expression.op
-        exists = False
-        result_some = False
-        result_all = True
-        for _ in self.enumerate_scope(quantified.scope_nodes, env):
-            exists = True
-            right = self.value(quantified.argument, env)
-            outcome = _compare(op, left, right)
-            result_some = tvl_or(result_some, outcome)
-            result_all = tvl_and(result_all, outcome)
-            if quantified.quantifier == "some" and result_some is True:
-                break
-            if quantified.quantifier == "all" and result_all is False:
-                break
-            if quantified.quantifier == "no" and result_some is True:
-                break
-        if quantified.quantifier == "some":
-            return result_some if exists else False
-        if quantified.quantifier == "all":
-            return result_all if exists else True
-        if quantified.quantifier == "no":
-            return tvl_not(result_some) if exists else True
+    ``slots`` maps the ids of the bound query-tree nodes to row indices
+    and ``width`` is the length of the rows the function will be given
+    (scope expansion appends its own slots past it).
+    """
+    if isinstance(expression, Literal):
+        value = expression.value
+        return lambda ctx, rows: [value] * len(rows)
+    if isinstance(expression, Path):
+        if getattr(expression, "derived", None) is not None:
+            return _compile_derived(expression, slots, width)
+        return path_column(expression, slots)
+    if isinstance(expression, Unary):
+        return _compile_unary(expression, slots, width)
+    if isinstance(expression, Binary):
+        return _compile_binary(expression, slots, width)
+    if isinstance(expression, IsaTest):
+        return _compile_isa(expression, slots)
+    if isinstance(expression, Aggregate):
+        return _compile_aggregate(expression, slots, width)
+    if isinstance(expression, FunctionCall):
+        return _compile_function(expression, slots, width)
+    if isinstance(expression, Quantified):
         raise ExecutionError(
-            f"unknown quantifier {quantified.quantifier!r}")
-
-    # -- Aggregates --------------------------------------------------------------------
-
-    def _aggregate(self, aggregate: Aggregate, env: Dict):
-        """Aggregate over the construct's own scope (paper §4.6).
-
-        Nulls are skipped; COUNT of an empty scope is 0, the others are
-        NULL.  DISTINCT reduces the multiset to a set first.
-        """
-        values: List = []
-        for _ in self.enumerate_scope(aggregate.scope_nodes, env):
-            value = self.value(aggregate.argument, env)
-            if not is_null(value) and value is not UNKNOWN:
-                values.append(value)
-        if aggregate.distinct:
-            seen = set()
-            unique = []
-            for value in values:
-                if value not in seen:
-                    seen.add(value)
-                    unique.append(value)
-            values = unique
-        func = aggregate.func
-        if func == "count":
-            return len(values)
-        if func == "sum":
-            # SUM of an empty scope is 0, not null: the paper's V1
-            # ("sum(credits of courses-enrolled) >= 12") must fail for a
-            # student with no courses at all.
-            return _sum(values) if values else 0
-        if not values:
-            return NULL
-        if func == "avg":
-            total = _sum(values)
-            count = len(values)
-            if isinstance(total, int):
-                return total / count if total % count else total // count
-            return total / count
-        if func == "min":
-            return min(values)
-        if func == "max":
-            return max(values)
-        raise ExecutionError(f"unknown aggregate {func!r}")
-
-    # -- Functions ---------------------------------------------------------------------
-
-    def _function(self, call: FunctionCall, env: Dict):
-        args = [self.value(a, env) for a in call.args]
-        if any(is_null(a) or a is UNKNOWN for a in args):
-            return NULL
-        name = call.name
-        if name == "abs":
-            return abs(args[0])
-        if name == "length":
-            return len(args[0])
-        if name == "upper":
-            return str(args[0]).upper()
-        if name == "lower":
-            return str(args[0]).lower()
-        if name in ("year", "month", "day"):
-            date = args[0]
-            if not isinstance(date, SimDate):
-                raise TypeMismatchError(f"{name}() needs a date")
-            return getattr(date, name)
-        raise ExecutionError(f"unknown function {name!r}")
+            "a quantifier may only appear as a comparison operand")
+    raise ExecutionError(f"cannot evaluate {expression!r}")
 
 
-# ---------------------------------------------------------------- comparisons
+def compile_truth(expression, slots, width):
+    """Compile an expression to a column of 3-valued truth values."""
+    values = compile_value(expression, slots, width)
+    if _is_boolean(expression):
+        return values
+    described = (expression.describe() if hasattr(expression, "describe")
+                 else repr(expression))
 
-_TYPE_ORDER = {bool: 0, int: 1, float: 1, Decimal: 1, str: 2,
-               SimDate: 3, SimTime: 4}
+    def truth(ctx, rows):
+        out = []
+        for value in values(ctx, rows):
+            if value is UNKNOWN or value is NULL or value is None:
+                value = UNKNOWN
+            elif not isinstance(value, bool):
+                raise TypeMismatchError(
+                    f"expression {described!r} is not boolean")
+            out.append(value)
+        return out
+    return truth
+
+
+def compile_selection(where, exists_nodes, slots, width):
+    """Compile the "such that for some Xm+1..Xn" clause (§4.5) to
+    ``fn(ctx, rows) -> keep flags``: a row is kept iff the selection is
+    *true* for some binding of the TYPE 2 ``exists_nodes`` (for the row
+    itself when there are none).  Per-node EXPLAIN ANALYZE counts go to
+    ``ctx.stats``."""
+    if not exists_nodes:
+        truth = compile_truth(where, slots, width)
+        return lambda ctx, rows: [value is True
+                                  for value in truth(ctx, rows)]
+    expand, inner, inner_width = _compile_scope(exists_nodes, slots, width)
+    truth = compile_truth(where, inner, inner_width)
+
+    def selection(ctx, rows):
+        keep = [False] * len(rows)
+        for chunk in expand(ctx, rows, keep, ctx.stats):
+            for row, value in zip(chunk, truth(ctx, chunk)):
+                if value is True:
+                    keep[row[width]] = True
+        return keep
+    return selection
+
+
+def compile_single_valued(expression, scope_nodes, slots, width, conflict):
+    """Compile an expression that must be functionally determined by the
+    row (derived attributes, assignment values): NULL over an empty
+    scope, ``raise conflict(row)`` when the bindings disagree."""
+    groups = _compile_groups(expression, scope_nodes, slots, width, False)
+
+    def single(ctx, rows):
+        out = []
+        for row, values in zip(rows, groups(ctx, rows)):
+            first = values[0] if values else NULL
+            for other in values:
+                if other != first:
+                    raise conflict(row)
+            out.append(NULL if first is UNKNOWN else first)
+        return out
+    return single
+
+
+def _is_boolean(expression) -> bool:
+    """True when the compiled column can only hold True/False/UNKNOWN."""
+    if isinstance(expression, Binary):
+        return expression.op in COMPARISON_OPS + ("and", "or")
+    if isinstance(expression, Unary):
+        return expression.op == "not"
+    return isinstance(expression, IsaTest)
+
+
+# --------------------------------------------------------------------- paths
+
+def _bound_slot(path, slots) -> int:
+    node = path.value_node
+    if node is None or node.id not in slots:
+        raise ExecutionError(
+            f"range variable for {path.describe()!r} is not bound")
+    return slots[node.id]
+
+
+def path_column(path, slots):
+    """Batched reader for a plain Path over a bound slot: one value per
+    row, DVA columns read through the accessor's batched path."""
+    slot = _bound_slot(path, slots)
+    attr = path.terminal_attr
+    node = path.value_node
+    if node.kind == "eva" and node.transitive:
+        def instances_of(rows):
+            return [row[slot][0] if isinstance(row[slot], tuple)
+                    else row[slot] for row in rows]
+    else:
+        def instances_of(rows):
+            return [row[slot] for row in rows]
+    if attr is None:
+        # Entity-ended (or MV-DVA value) path.
+        return lambda ctx, rows: [NULL if instance is DUMMY else instance
+                                  for instance in instances_of(rows)]
+    return lambda ctx, rows: ctx.accessor.dva_batch(attr, instances_of(rows))
+
+
+def _compile_derived(path, slots, width):
+    """A derived attribute (paper §6): its expression was resolved in a
+    scope anchored at the path's value node and must be functionally
+    determined by the entity."""
+    slot = _bound_slot(path, slots)
+
+    def conflict(row):
+        entity = row[slot][0] if isinstance(row[slot], tuple) else row[slot]
+        return ExecutionError(
+            f"derived attribute {path.derived.name!r} is not "
+            f"single-valued for entity {entity}")
+    single = compile_single_valued(path.derived_expr,
+                                   path.derived_scope_nodes, slots, width,
+                                   conflict)
+
+    def derived(ctx, rows):
+        absent = [row[slot] is DUMMY or row[slot] is NULL
+                  or row[slot] is None for row in rows]
+        values = iter(single(ctx, [row for row, gone in zip(rows, absent)
+                                   if not gone]))
+        return [NULL if gone else next(values) for gone in absent]
+    return derived
+
+
+def _compile_isa(test, slots):
+    entities = path_column(test.entity, slots)
+    class_name = test.class_name
+
+    def isa(ctx, rows):
+        has_role = ctx.store.has_role
+        return [UNKNOWN if entity is NULL or entity is None
+                else has_role(entity, class_name)
+                for entity in entities(ctx, rows)]
+    return isa
+
+
+# ----------------------------------------------------------------- operators
+
+def _compile_unary(expression, slots, width):
+    if expression.op == "not":
+        truth = compile_truth(expression.operand, slots, width)
+        return lambda ctx, rows: [UNKNOWN if value is UNKNOWN else not value
+                                  for value in truth(ctx, rows)]
+    operand = compile_value(expression.operand, slots, width)
+    return lambda ctx, rows: [NULL if value is NULL or value is None
+                              else -value for value in operand(ctx, rows)]
+
+
+def _compile_binary(expression, slots, width):
+    op = expression.op
+    if op in ("and", "or"):
+        left = compile_truth(expression.left, slots, width)
+        right = compile_truth(expression.right, slots, width)
+        connective = _kleene_and if op == "and" else _kleene_or
+        return lambda ctx, rows: connective(left(ctx, rows),
+                                            right(ctx, rows))
+    if isinstance(expression.right, Quantified):
+        return _compile_quantified(expression, slots, width)
+    left = compile_value(expression.left, slots, width)
+    right = compile_value(expression.right, slots, width)
+    if op in _ARITHMETIC:
+        apply = _ARITHMETIC[op]
+
+        def arithmetic(ctx, rows):
+            return [_arithmetic(apply, a, b)
+                    for a, b in zip(left(ctx, rows), right(ctx, rows))]
+        return arithmetic
+    kernel = _comparison_kernel(op, expression.left, expression.right)
+    return lambda ctx, rows: kernel(left(ctx, rows), right(ctx, rows))
+
+
+def _kleene_and(lefts, rights):
+    return [False if a is False or b is False
+            else UNKNOWN if a is UNKNOWN or b is UNKNOWN else True
+            for a, b in zip(lefts, rights)]
+
+
+def _kleene_or(lefts, rights):
+    return [True if a is True or b is True
+            else UNKNOWN if a is UNKNOWN or b is UNKNOWN else False
+            for a, b in zip(lefts, rights)]
+
+
+def _divide(left, right):
+    if right == 0:
+        return NULL
+    if isinstance(left, int) and isinstance(right, int):
+        return left / right if left % right else left // right
+    return left / right
+
+
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": _divide}
+
+
+def _arithmetic(apply, left, right):
+    if (left is NULL or left is None or left is UNKNOWN
+            or right is NULL or right is None or right is UNKNOWN):
+        return NULL
+    if type(left) is not int or type(right) is not int:
+        left, right = _numeric_pair(left, right)
+    return apply(left, right)
 
 
 def _numeric_pair(left, right):
@@ -304,31 +298,59 @@ def _numeric_pair(left, right):
     return left, right
 
 
+_FUNCTIONS = {
+    "abs": abs,
+    "length": len,
+    "upper": lambda value: str(value).upper(),
+    "lower": lambda value: str(value).lower(),
+}
+
+
+def _compile_function(call, slots, width):
+    name = call.name
+    if name in ("year", "month", "day"):
+        def apply(date):
+            if not isinstance(date, SimDate):
+                raise TypeMismatchError(f"{name}() needs a date")
+            return getattr(date, name)
+    elif name in _FUNCTIONS:
+        apply = _FUNCTIONS[name]
+    else:
+        raise ExecutionError(f"unknown function {name!r}")
+    columns = [compile_value(arg, slots, width) for arg in call.args]
+
+    def function(ctx, rows):
+        out = []
+        for args in zip(*(column(ctx, rows) for column in columns)):
+            if any(arg is NULL or arg is None or arg is UNKNOWN
+                   for arg in args):
+                out.append(NULL)
+            else:
+                out.append(apply(args[0]))
+        return out
+    return function
+
+
+# --------------------------------------------------------------- comparisons
+
 def _compare(op: str, left, right):
-    """3-valued comparison; NULL/UNKNOWN operands yield UNKNOWN."""
-    if is_null(left) or is_null(right) or left is UNKNOWN or right is UNKNOWN:
+    """3-valued comparison of one pair; NULL/UNKNOWN operands yield
+    UNKNOWN."""
+    if (left is NULL or left is None or left is UNKNOWN
+            or right is NULL or right is None or right is UNKNOWN):
         return UNKNOWN
     if op == "like":
-        return _like(left, right)
-    left, right = _comparable_pair(left, right)
-    if op == "=":
-        return left == right
-    if op == "neq":
-        return left != right
+        if not isinstance(left, str) or not isinstance(right, str):
+            raise TypeMismatchError("LIKE needs string operands")
+        return re.fullmatch(_like_regex(right), left, re.DOTALL) is not None
+    if type(left) is not type(right):
+        left, right = _comparable_pair(left, right)
     try:
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
+        return _COMPARATORS[op](left, right)
     except TypeError as exc:
         raise TypeMismatchError(
             f"cannot compare {type(left).__name__} with "
             f"{type(right).__name__}") from exc
-    raise ExecutionError(f"unknown comparison operator {op!r}")
 
 
 def _comparable_pair(left, right):
@@ -345,24 +367,258 @@ def _comparable_pair(left, right):
         return left, SimTime.parse(right)
     if isinstance(left, str) and isinstance(right, SimTime):
         return SimTime.parse(left), right
-    if isinstance(left, str) and isinstance(right, str):
-        # SIM identifiers and symbolic values compare case-insensitively;
-        # string data compares exactly.  We follow string-data semantics.
-        return left, right
     return left, right
 
 
-def _like(value, pattern):
-    """SQL-flavoured pattern match: % = any run, _ = one character."""
-    if not isinstance(value, str) or not isinstance(pattern, str):
-        raise TypeMismatchError("LIKE needs string operands")
-    regex = re.escape(pattern).replace("%", ".*").replace("_", ".")
-    return re.fullmatch(regex, value, re.DOTALL) is not None
+def _like_regex(pattern: str) -> str:
+    """SQL-flavoured pattern: % = any run, _ = one character."""
+    return re.escape(pattern).replace("%", ".*").replace("_", ".")
 
+
+def _constant(literal, other):
+    """The value of a literal comparison operand when the comparison can
+    run without per-pair coercion, else None.  A string literal facing a
+    date/time attribute is parsed here, once (a malformed one raises
+    before the first row)."""
+    value = literal.value
+    attr = other.terminal_attr if (
+        isinstance(other, Path)
+        and getattr(other, "derived", None) is None) else None
+    if type(value) is str:
+        if attr is None:
+            return None             # the column's type is not known here
+        if isinstance(attr.data_type, DateType):
+            return SimDate.parse(value)
+        if isinstance(attr.data_type, TimeType):
+            return SimTime.parse(value)
+        return value
+    if type(value) in (int, bool) and not _is_boolean(other):
+        return value
+    return None
+
+
+def _comparison_kernel(op, left, right):
+    """``kernel(lefts, rights) -> outcomes`` for ``left <op> right``,
+    specialised on the operator and on a literal operand."""
+    if op not in COMPARISON_OPS:
+        raise ExecutionError(f"unknown comparison operator {op!r}")
+
+    def general(lefts, rights):
+        return [_compare(op, a, b) for a, b in zip(lefts, rights)]
+
+    if op == "like":
+        if not (isinstance(right, Literal) and type(right.value) is str):
+            return general
+        match = re.compile(_like_regex(right.value), re.DOTALL).fullmatch
+
+        def like(lefts, rights):
+            out = []
+            for value in lefts:
+                if value is NULL or value is None or value is UNKNOWN:
+                    out.append(UNKNOWN)
+                elif not isinstance(value, str):
+                    raise TypeMismatchError("LIKE needs string operands")
+                else:
+                    out.append(match(value) is not None)
+            return out
+        return like
+
+    if isinstance(right, Literal):
+        constant, mirrored = _constant(right, left), False
+    elif isinstance(left, Literal):
+        constant, mirrored = _constant(left, right), True
+    else:
+        return general
+    if constant is None:
+        return general
+    apply = _COMPARATORS[_MIRRORED[op] if mirrored else op]
+
+    def against_constant(lefts, rights):
+        try:
+            return [UNKNOWN if value is NULL or value is None
+                    else apply(value, constant)
+                    for value in (rights if mirrored else lefts)]
+        except TypeError:
+            return general(lefts, rights)    # raises the typed error
+    return against_constant
+
+
+# ----------------------------------------------------------- scope expansion
+
+def _compile_scope(nodes, slots, width):
+    """Scope expansion over ``nodes`` (parents first).
+
+    Returns ``(expand, inner slots, inner width)``.  ``expand(ctx, rows,
+    decided=None, stats=None)`` yields chunks of bindings: each a row
+    extended with its owner's index in ``rows`` (at ``width``) and one
+    instance per scope node.  A chunk holds at most ``CHUNK_FACTOR *
+    ctx.batch_size`` bindings; a domain larger than that is sliced.
+    Owners flagged in ``decided`` by the consumer are not expanded any
+    further; ``stats`` collects per-node [rows entered, instances bound].
+    """
+    inner = dict(slots)
+    steps = []
+    for node in nodes:
+        parent_slot = None
+        if node.kind != "root":
+            parent_slot = inner.get(node.parent.id)
+            if parent_slot is None:
+                raise ExecutionError(
+                    f"range variable {node.parent.describe()!r} of "
+                    f"{node.describe()!r} is not bound")
+        inner[node.id] = width + 1 + len(steps)
+        steps.append((node, parent_slot))
+
+    def walk(ctx, rows, level, decided, stats):
+        if decided is not None:
+            rows = [row for row in rows if not decided[row[width]]]
+        if not rows:
+            return
+        if level == len(steps):
+            yield rows
+            return
+        node, parent_slot = steps[level]
+        if parent_slot is None:
+            domains = [tuple(ctx.accessor.root_domain(node))] * len(rows)
+        else:
+            domains = ctx.accessor.node_domains_batch(
+                node, [row[parent_slot] for row in rows])
+        entry = [0, 0] if stats is None else stats.setdefault(node.id,
+                                                              [0, 0])
+        entry[0] += len(rows)
+        limit = ctx.batch_size * CHUNK_FACTOR
+        if sum(map(len, domains)) <= limit:
+            out = [row + [instance] for row, domain in zip(rows, domains)
+                   for instance in domain]
+            entry[1] += len(out)
+            yield from walk(ctx, out, level + 1, decided, stats)
+            return
+        out = []
+        for row, domain in zip(rows, domains):
+            for start in range(0, len(domain), limit):
+                piece = domain[start:start + limit]
+                if out and len(out) + len(piece) > limit:
+                    yield from walk(ctx, out, level + 1, decided, stats)
+                    out = []
+                if decided is not None and decided[row[width]]:
+                    break
+                entry[1] += len(piece)
+                out.extend([row + [instance] for instance in piece])
+        yield from walk(ctx, out, level + 1, decided, stats)
+
+    def expand(ctx, rows, decided=None, stats=None):
+        owned = [row + [index] for index, row in enumerate(rows)]
+        return walk(ctx, owned, 0, decided, stats)
+
+    return expand, inner, width + 1 + len(steps)
+
+
+def _compile_groups(argument, scope_nodes, slots, width, skip_nulls):
+    """``fn(ctx, rows) -> [values per row]``: the argument evaluated over
+    every binding of the scope, grouped by owning row."""
+    expand, inner, inner_width = _compile_scope(scope_nodes, slots, width)
+    values = compile_value(argument, inner, inner_width)
+
+    def groups(ctx, rows):
+        grouped = [[] for _ in rows]
+        for chunk in expand(ctx, rows):
+            for row, value in zip(chunk, values(ctx, chunk)):
+                if skip_nulls and (value is NULL or value is None
+                                   or value is UNKNOWN):
+                    continue
+                grouped[row[width]].append(value)
+        return grouped
+    return groups
+
+
+def _compile_quantified(expression, slots, width):
+    """``x <op> some/all/no(inner)`` — fold the comparison over the
+    quantified operand's scope (Kleene semantics; empty set: SOME is
+    false, ALL and NO are true).  The left operand evaluates once per
+    row; an owner stops expanding once its outcome is decided."""
+    quantified = expression.right
+    quantifier = quantified.quantifier
+    if quantifier not in ("some", "all", "no"):
+        raise ExecutionError(f"unknown quantifier {quantifier!r}")
+    left = compile_value(expression.left, slots, width)
+    expand, inner, inner_width = _compile_scope(quantified.scope_nodes,
+                                                slots, width)
+    argument = compile_value(quantified.argument, inner, inner_width)
+    kernel = _comparison_kernel(expression.op, expression.left,
+                                quantified.argument)
+    # SOME is true (and NO false) on the first true outcome; ALL is false
+    # on the first false one.  Short of that, any UNKNOWN outcome makes
+    # the fold UNKNOWN, and the rest is the empty-scope answer.
+    decisive = quantifier != "all"
+    verdict, default = (True, False) if quantifier == "some" \
+        else (False, True)
+
+    def quantified_comparison(ctx, rows):
+        lefts = left(ctx, rows)
+        decided = [False] * len(rows)
+        unknown = [False] * len(rows)
+        for chunk in expand(ctx, rows, decided):
+            outcomes = kernel([lefts[row[width]] for row in chunk],
+                              argument(ctx, chunk))
+            for row, outcome in zip(chunk, outcomes):
+                if outcome is decisive:
+                    decided[row[width]] = True
+                elif outcome is UNKNOWN:
+                    unknown[row[width]] = True
+        return [verdict if hit else UNKNOWN if maybe else default
+                for hit, maybe in zip(decided, unknown)]
+    return quantified_comparison
+
+
+# ---------------------------------------------------------------- aggregates
 
 def _sum(values):
-    total = values[0]
-    for value in values[1:]:
-        left, right = _numeric_pair(total, value)
-        total = left + right
+    values = iter(values)
+    total = next(values)
+    for value in values:
+        if type(total) is int and type(value) is int:
+            total += value
+        else:
+            left, right = _numeric_pair(total, value)
+            total = left + right
     return total
+
+
+def _avg(values):
+    total = _sum(values)
+    count = len(values)
+    if isinstance(total, int):
+        return total / count if total % count else total // count
+    return total / count
+
+
+#: reducers over the non-null values of a non-empty scope
+_AGGREGATES = {"count": len, "sum": _sum, "avg": _avg, "min": min,
+               "max": max}
+
+
+def _compile_aggregate(aggregate, slots, width):
+    """Aggregate over the construct's own scope (paper §4.6).
+
+    Nulls are skipped; COUNT of an empty scope is 0 and so is SUM (the
+    paper's V1, "sum(credits of courses-enrolled) >= 12", must fail for a
+    student with no courses at all), the others are NULL.  DISTINCT
+    reduces the multiset to a set first.
+    """
+    func = aggregate.func
+    if func not in _AGGREGATES:
+        raise ExecutionError(f"unknown aggregate {func!r}")
+    reduce = _AGGREGATES[func]
+    empty = 0 if func in ("count", "sum") else NULL
+    distinct = aggregate.distinct
+    groups = _compile_groups(aggregate.argument, aggregate.scope_nodes,
+                             slots, width, True)
+
+    def aggregated(ctx, rows):
+        out = []
+        for values in groups(ctx, rows):
+            if distinct:
+                values = list(dict.fromkeys(values))
+            out.append(reduce(values) if values else empty)
+        return out
+    return aggregated

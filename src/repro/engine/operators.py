@@ -17,28 +17,28 @@ of slot rows from its child instead of single tuples:
   DVA, one batched accessor call per input batch;
 * :class:`OuterTraverse` — TYPE 3 directed outer join: an empty domain
   yields the all-null dummy instance instead of dropping the row;
-* :class:`Filter` — 3VL predicate over a batch (with a vectorized path
-  for plain DVA-vs-literal comparisons);
+* :class:`Filter` — 3VL predicate over a batch;
 * :class:`Semi` / :class:`AntiSemi` — TYPE 2 SOME/NO existential
-  subtrees as semijoins on the current binding;
+  subtrees as semijoins on the current binding, their scopes expanded
+  a chunk of bindings at a time;
 * :class:`Aggregate`, :class:`Project`, :class:`Sort`,
   :class:`Distinct` — target evaluation and result shaping.
 
 A *slot row* is a plain list, one slot per enumeration-spine node (in
 planned DF order) plus one per precomputed aggregate; unbound slots hold
-the :data:`UNBOUND` sentinel.  Environments (node id -> instance) are
-materialized per row only where the expression evaluator is actually
-needed — the batched fast paths never build them.
+the :data:`UNBOUND` sentinel.  Every expression an operator evaluates
+arrives already compiled (:mod:`repro.engine.expressions`) as a column
+function over a batch of slot rows.
 """
 
 from __future__ import annotations
 
+import copy
 from decimal import Decimal
-from typing import Dict, List, Optional
+from itertools import compress, islice
+from typing import List, Optional
 
-from repro.dml.ast import Binary, Literal, Path
 from repro.engine.access import DUMMY
-from repro.engine.expressions import _compare
 from repro.errors import SimError
 from repro.types.dates import SimDate, SimTime
 from repro.types.tvl import NULL, UNKNOWN, is_null
@@ -60,9 +60,6 @@ MIN_BATCH_SIZE = 1
 MAX_BATCH_SIZE = 65536
 DEFAULT_BATCH_SIZE = 64
 
-#: comparison operators the batched fast paths share with ``_compare``
-_COMPARISON_OPS = ("=", "neq", "<", "<=", ">", ">=", "like")
-
 
 def validate_batch_size(value) -> int:
     """Bounds-checked batch size (the ``Database`` / IQF ``.set`` knob)."""
@@ -75,47 +72,32 @@ def validate_batch_size(value) -> int:
 
 
 class ExecContext:
-    """Per-execution state shared by every operator of one physical DAG."""
+    """Per-execution state shared by every operator of one physical DAG
+    and read by the compiled expressions it runs.  Without a physical
+    plan (one-row evaluation of a compiled predicate or assignment
+    value) there is no slot layout to carry."""
 
-    __slots__ = ("executor", "accessor", "evaluator", "store", "stats",
-                 "batch_size", "slots", "width", "_slot_items")
+    __slots__ = ("executor", "accessor", "store", "stats", "batch_size",
+                 "slots", "width")
 
-    def __init__(self, executor, physical, stats=None):
+    def __init__(self, executor, physical=None, stats=None):
         self.executor = executor
         self.accessor = executor.accessor
-        self.evaluator = executor.evaluator
         self.store = executor.store
         self.stats = stats
         self.batch_size = executor.batch_size
-        self.slots = physical.slots
-        self.width = physical.width
-        self._slot_items = tuple(physical.slots.items())
+        self.slots = physical.slots if physical is not None else {}
+        self.width = physical.width if physical is not None else 0
 
-    def spawn_worker(self, accessor, evaluator, stats) -> "ExecContext":
+    def spawn_worker(self, accessor, stats) -> "ExecContext":
         """A per-worker view for morsel-parallel segments: same slot
-        layout and batching, but the worker's own accessor/evaluator (the
-        per-query memos are sharded, not locked) and its own stats dict
-        (merged at the barrier)."""
-        clone = object.__new__(ExecContext)
-        clone.executor = self.executor
+        layout and batching, but the worker's own accessor (the per-query
+        memos are sharded, not locked) and its own stats dict (merged at
+        the barrier)."""
+        clone = copy.copy(self)
         clone.accessor = accessor
-        clone.evaluator = evaluator
-        clone.store = self.store
         clone.stats = stats
-        clone.batch_size = self.batch_size
-        clone.slots = self.slots
-        clone.width = self.width
-        clone._slot_items = self._slot_items
         return clone
-
-    def env_of(self, row) -> Dict:
-        """Node environment for one row (evaluator-facing view)."""
-        env = {}
-        for node_id, slot in self._slot_items:
-            instance = row[slot]
-            if instance is not UNBOUND:
-                env[node_id] = instance
-        return env
 
 
 class OutRow:
@@ -215,18 +197,13 @@ class Scan(Operator):
             if stats is not None:
                 entry = stats.setdefault(self.node.id, [0, 0])
                 entry[0] += 1
-            width = ctx.width
-            out = []
-            for instance in self._open(ctx):
+            before = [UNBOUND] * slot
+            after = [UNBOUND] * (ctx.width - slot - 1)
+            instances = iter(self._open(ctx))
+            while out := [before + [instance] + after
+                          for instance in islice(instances, size)]:
                 if entry is not None:
-                    entry[1] += 1
-                row = [UNBOUND] * width
-                row[slot] = instance
-                out.append(row)
-                if len(out) >= size:
-                    yield self._emit(out)
-                    out = []
-            if out:
+                    entry[1] += len(out)
                 yield self._emit(out)
             return
         domain = None
@@ -316,94 +293,51 @@ class OuterTraverse(EVATraverse):
 
 
 class Filter(Operator):
-    """3VL predicate over a batch.  Plain ``<path> <op> <literal>``
-    comparisons on spine DVAs read the whole column through the batched
-    DVA path; everything else goes through the expression evaluator."""
+    """3VL predicate over a batch: keeps the rows whose compiled
+    selection (``fn(ctx, rows) -> keep flags``) holds."""
 
     name = "Filter"
 
-    def __init__(self, where, child, slots=None):
+    def __init__(self, where, child, predicate):
         super().__init__(child)
         self.where = where
-        self._fast = (comparison_fast_path(where, slots)
-                      if slots is not None else None)
+        self.predicate = predicate
 
     def detail(self) -> str:
         return self.where.describe()
 
     def run(self, ctx: ExecContext):
-        fast = self._fast
-        where = self.where
-        evaluator = ctx.evaluator
+        predicate = self.predicate
         for batch in self.child.run(ctx):
             self.rows_in += len(batch)
-            if fast is not None:
-                out = fast(ctx, batch)
-            else:
-                out = [row for row in batch
-                       if evaluator.is_true(where, ctx.env_of(row))]
+            out = list(compress(batch, predicate(ctx, batch)))
             if out:
                 yield self._emit(out)
 
 
-class Semi(Operator):
+class Semi(Filter):
     """TYPE 2 existential semijoin: a row survives iff some binding of
-    the off-spine subtree nodes satisfies the test (§4.5 "such that for
-    some Xm+1 ... Xn").
+    the off-spine ``nodes`` satisfies the test (§4.5 "such that for some
+    Xm+1 ... Xn").
 
-    Two forms share the operator: the *predicate* form re-evaluates the
-    full WHERE clause per binding (main-scope TYPE 2 subtrees), and the
-    *comparison* form folds ``<left> <op> some(<argument>)`` over the
-    quantifier's own scope, the left operand evaluated once per row.
+    Two shapes share the operator: main-scope TYPE 2 subtrees, where the
+    whole WHERE clause is evaluated per binding, and a top-level
+    ``<left> <op> some(<argument>)`` folded over the quantifier's own
+    scope.  Either way the predicate expands the scope a chunk of
+    bindings at a time and stops expanding a row once it has a witness.
     """
 
     name = "Semi"
 
-    def __init__(self, nodes, child, where=None, comparison=None):
-        super().__init__(child)
+    def __init__(self, nodes, where, child, predicate):
+        super().__init__(where, child, predicate)
         self.nodes = list(nodes)
-        self.where = where
-        self.comparison = comparison    # (op, left expr, argument expr)
 
     def detail(self) -> str:
         return ", ".join(node.describe() for node in self.nodes)
 
-    def run(self, ctx: ExecContext):
-        stats = ctx.stats
-        for batch in self.child.run(ctx):
-            self.rows_in += len(batch)
-            out = [row for row in batch if self._keep(ctx, row, stats)]
-            if out:
-                yield self._emit(out)
 
-    def _keep(self, ctx: ExecContext, row, stats) -> bool:
-        env = ctx.env_of(row)
-        if self.comparison is None:
-            return exists_probe(ctx.evaluator, ctx.accessor, self.nodes, 0,
-                                self.where, env, stats)
-        op, left_expr, argument = self.comparison
-        left = ctx.evaluator.value(left_expr, env)
-        return self._some(ctx, env, 0, op, left, argument)
-
-    def _some(self, ctx, env, index, op, left, argument) -> bool:
-        if index == len(self.nodes):
-            return _compare(op, left,
-                            ctx.evaluator.value(argument, env)) is True
-        node = self.nodes[index]
-        if node.kind == "root":
-            domain = ctx.accessor.root_domain(node)
-        else:
-            domain = ctx.accessor.node_domain(node, env)
-        for instance in domain:
-            env[node.id] = instance
-            if self._some(ctx, env, index + 1, op, left, argument):
-                env.pop(node.id, None)
-                return True
-        env.pop(node.id, None)
-        return False
-
-
-class AntiSemi(Operator):
+class AntiSemi(Semi):
     """NO-quantifier comparison as an anti-semijoin: a row survives iff
     *no* scope binding compares true — and none compares UNKNOWN (3VL:
     ``no`` negates ``some``, so an UNKNOWN witness makes the whole test
@@ -411,162 +345,77 @@ class AntiSemi(Operator):
 
     name = "AntiSemi"
 
-    def __init__(self, nodes, child, comparison):
-        super().__init__(child)
-        self.nodes = list(nodes)
-        self.comparison = comparison    # (op, left expr, argument expr)
-
-    def detail(self) -> str:
-        return ", ".join(node.describe() for node in self.nodes)
-
-    def run(self, ctx: ExecContext):
-        for batch in self.child.run(ctx):
-            self.rows_in += len(batch)
-            out = [row for row in batch if self._keep(ctx, row)]
-            if out:
-                yield self._emit(out)
-
-    def _keep(self, ctx: ExecContext, row) -> bool:
-        op, left_expr, argument = self.comparison
-        env = ctx.env_of(row)
-        left = ctx.evaluator.value(left_expr, env)
-        verdict = self._scan(ctx, env, 0, op, left, argument)
-        return verdict is not False and verdict is not UNKNOWN
-
-    def _scan(self, ctx, env, index, op, left, argument):
-        """False on a true witness (reject, early exit), UNKNOWN when any
-        binding compared UNKNOWN, None when every binding was false."""
-        if index == len(self.nodes):
-            outcome = _compare(op, left,
-                               ctx.evaluator.value(argument, env))
-            if outcome is True:
-                return False
-            return UNKNOWN if outcome is UNKNOWN else None
-        node = self.nodes[index]
-        if node.kind == "root":
-            domain = ctx.accessor.root_domain(node)
-        else:
-            domain = ctx.accessor.node_domain(node, env)
-        saw_unknown = False
-        for instance in domain:
-            env[node.id] = instance
-            verdict = self._scan(ctx, env, index + 1, op, left, argument)
-            if verdict is False:
-                env.pop(node.id, None)
-                return False
-            if verdict is UNKNOWN:
-                saw_unknown = True
-        env.pop(node.id, None)
-        return UNKNOWN if saw_unknown else None
-
 
 class Aggregate(Operator):
-    """Evaluates aggregate target/order expressions once per row into
-    dedicated extra slots, ahead of projection (scoped enumeration per
-    §4.6 happens inside the evaluator)."""
+    """Evaluates aggregate target/order expressions once per batch into
+    dedicated extra slots, ahead of projection (the §4.6 scope expansion
+    happens inside the compiled column)."""
 
     name = "Aggregate"
 
     def __init__(self, items, child):
         super().__init__(child)
-        self.items = list(items)        # [(Aggregate expr, slot)]
+        self.items = list(items)        # [(Aggregate expr, column, slot)]
 
     def detail(self) -> str:
-        return ", ".join(expr.describe() for expr, _ in self.items)
+        return ", ".join(expr.describe() for expr, _, _ in self.items)
 
     def run(self, ctx: ExecContext):
-        evaluator = ctx.evaluator
         items = self.items
         for batch in self.child.run(ctx):
             self.rows_in += len(batch)
-            for row in batch:
-                env = ctx.env_of(row)
-                for expr, slot in items:
-                    row[slot] = evaluator.value(expr, env)
+            for _, column, slot in items:
+                for row, value in zip(batch, column(ctx, batch)):
+                    row[slot] = value
             yield self._emit(batch)
 
 
 class Project(Operator):
     """Target-list evaluation into :class:`OutRow` batches.
 
-    Plain Path targets whose value node sits on the spine read their
-    column through the batched DVA path; aggregate targets read their
-    precomputed slot; everything else evaluates per row.  Order keys,
-    the §5.1 restore key and structured-output snapshots are attached
-    here so the downstream operators never need node environments.
+    ``targets`` and ``order`` are compiled columns (aggregate targets
+    read their precomputed slot).  Order keys, the §5.1 restore key and
+    structured-output snapshots are attached here so the downstream
+    operators never look at slot rows.
     """
 
     name = "Project"
 
-    def __init__(self, query, original_nodes, reordered, structured,
-                 slots, agg_slots, child):
+    def __init__(self, query, original_slots, reordered, structured,
+                 targets, order, child):
         super().__init__(child)
         self.query = query
         self.reordered = reordered
         self.structured = structured
-        self.original_slots = [slots[node.id] for node in original_nodes]
-        self.targets = [self._lower_expr(item.expression, slots, agg_slots)
-                        for item in query.targets]
-        self.order = [(self._lower_expr(order.expression, slots, agg_slots),
-                       order.descending)
-                      for order in (query.order_by or [])]
-        self._needs_env = (any(kind == "eval" for kind, _ in self.targets)
-                           or any(kind == "eval"
-                                  for (kind, _), _ in self.order))
-
-    @staticmethod
-    def _lower_expr(expression, slots, agg_slots):
-        slot = agg_slots.get(id(expression))
-        if slot is not None:
-            return ("slot", slot)
-        if isinstance(expression, Path):
-            column = path_column(expression, slots)
-            if column is not None:
-                return ("column", column)
-        return ("eval", expression)
+        self.original_slots = original_slots
+        self.targets = targets          # [column]
+        self.order = order              # [(column, descending)]
 
     def detail(self) -> str:
         return ", ".join(item.label or item.expression.describe()
                          for item in self.query.targets)
 
     def run(self, ctx: ExecContext):
-        evaluator = ctx.evaluator
         for batch in self.child.run(ctx):
             self.rows_in += len(batch)
-            envs = None
-            if self._needs_env:
-                envs = [ctx.env_of(row) for row in batch]
-            columns = [self._column(ctx, batch, envs, plan)
-                       for plan in self.targets]
-            order_columns = [self._column(ctx, batch, envs, plan)
-                             for plan, _ in self.order]
-            out = []
-            for i, row in enumerate(batch):
-                values = tuple(column[i] for column in columns)
-                out_row = OutRow(values)
-                if self.order:
-                    out_row.order_key = tuple(
-                        _sort_key(column[i], descending)
-                        for column, (_, descending)
-                        in zip(order_columns, self.order))
-                if self.reordered:
-                    out_row.restore_key = tuple(
-                        _instance_key(row[slot])
-                        for slot in self.original_slots)
-                if self.structured:
-                    out_row.snapshot = tuple(row[slot]
-                                             for slot in self.original_slots)
-                out.append(out_row)
+            columns = [[_render(value) for value in column(ctx, batch)]
+                       for column in self.targets]
+            out = [OutRow(values) for values in zip(*columns)]
+            if self.order:
+                keys = [[_sort_key(_render(value), descending)
+                         for value in column(ctx, batch)]
+                        for column, descending in self.order]
+                for out_row, key in zip(out, zip(*keys)):
+                    out_row.order_key = key
+            if self.reordered or self.structured:
+                for out_row, row in zip(out, batch):
+                    picked = [row[slot] for slot in self.original_slots]
+                    if self.reordered:
+                        out_row.restore_key = tuple(
+                            _instance_key(instance) for instance in picked)
+                    if self.structured:
+                        out_row.snapshot = tuple(picked)
             yield self._emit(out)
-
-    def _column(self, ctx, batch, envs, plan):
-        kind, payload = plan
-        if kind == "slot":
-            return [_render(row[payload]) for row in batch]
-        if kind == "column":
-            return [_render(value) for value in payload(ctx, batch)]
-        evaluator = ctx.evaluator
-        return [_render(evaluator.value(payload, env)) for env in envs]
 
 
 class Sort(Operator):
@@ -639,111 +488,11 @@ class Distinct(Operator):
 
 # ------------------------------------------------------------ probe helpers
 
-def exists_probe(evaluator, accessor, nodes, index, where, env,
-                 stats=None) -> bool:
-    """Existential enumeration of TYPE 2 subtree nodes, earliest exit on
-    the first witness; ``stats`` (tracing only) maps node id -> [loop
-    entries, instances bound], matching EXPLAIN ANALYZE's contract."""
-    if index == len(nodes):
-        return evaluator.is_true(where, env)
-    node = nodes[index]
-    if stats is None:
-        for instance in accessor.node_domain(node, env):
-            env[node.id] = instance
-            if exists_probe(evaluator, accessor, nodes, index + 1, where,
-                            env):
-                env.pop(node.id, None)
-                return True
-    else:
-        entry = stats.setdefault(node.id, [0, 0])
-        entry[0] += 1
-        for instance in accessor.node_domain(node, env):
-            entry[1] += 1
-            env[node.id] = instance
-            if exists_probe(evaluator, accessor, nodes, index + 1, where,
-                            env, stats):
-                env.pop(node.id, None)
-                return True
-    env.pop(node.id, None)
-    return False
-
-
-def selection_holds(evaluator, accessor, where, exists_nodes, env,
-                    stats=None) -> bool:
-    """The "such that for some Xm+1..Xn" clause for one binding (shared
-    by :class:`Semi`, ``select_entities`` and VERIFY's predicate path)."""
-    if where is None:
-        return True
-    if not exists_nodes:
-        return evaluator.is_true(where, env)
-    return exists_probe(evaluator, accessor, exists_nodes, 0, where, env,
-                        stats)
-
-
-# ----------------------------------------------------------- batched columns
-
-def path_column(path, slots):
-    """Batched reader for a plain Path over a spine slot, or None when
-    the path needs the general evaluator (derived attributes, off-spine
-    value nodes).  The reader returns one value per row, reading DVA
-    columns through the accessor's batched path."""
-    if getattr(path, "derived", None) is not None:
-        return None
-    node = path.value_node
-    if node is None or node.id not in slots:
-        return None
-    slot = slots[node.id]
-    attr = path.terminal_attr
-    transitive = node.kind == "eva" and node.transitive
-
-    def read(ctx, batch):
-        instances = []
-        for row in batch:
-            instance = row[slot]
-            if transitive and isinstance(instance, tuple):
-                instance = instance[0]
-            instances.append(instance)
-        if attr is None:
-            return [NULL if instance is DUMMY else instance
-                    for instance in instances]
-        return ctx.accessor.dva_batch(attr, instances)
-
-    return read
-
-
-def comparison_fast_path(where, slots):
-    """Vectorized row filter for ``<path> <op> <literal>`` (either
-    order) over a spine DVA, or None when the shape does not apply.
-    Semantics are exactly ``_compare`` — the same 3VL comparison the
-    evaluator would run per row."""
-    if not isinstance(where, Binary) or where.op not in _COMPARISON_OPS:
-        return None
-    op = where.op
-    left, right = where.left, where.right
-    swapped = False
-    if isinstance(left, Literal) and isinstance(right, Path):
-        left, right = right, left
-        swapped = True
-    if not (isinstance(left, Path) and isinstance(right, Literal)):
-        return None
-    column = path_column(left, slots)
-    if column is None:
-        return None
-    literal = right.value
-
-    def run(ctx, batch):
-        values = column(ctx, batch)
-        out = []
-        for row, value in zip(batch, values):
-            if swapped:
-                outcome = _compare(op, literal, value)
-            else:
-                outcome = _compare(op, value, literal)
-            if outcome is True:
-                out.append(row)
-        return out
-
-    return run
+def selection_holds(ctx: ExecContext, selection, row) -> bool:
+    """The "such that for some Xm+1..Xn" clause for one binding: a
+    compiled selection run on a one-row batch (VERIFY's predicate path
+    and tuple-at-a-time baselines)."""
+    return selection is None or selection(ctx, [row])[0]
 
 
 # ------------------------------------------------------------- row rendering

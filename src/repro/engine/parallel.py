@@ -11,9 +11,11 @@ Execution partitions the root Scan's materialized domain into *morsels*
 (contiguous runs of root instances, à la Leis et al.'s morsel-driven
 model) and drives one cloned segment pipeline per worker thread over
 them.  Each worker owns a private :class:`~repro.engine.access.
-EntityAccessor` and expression evaluator — the per-query memos are
-sharded rather than locked — while the layers underneath (read cache,
-buffer pool, indexes, perf counters) are shared and thread-safe.
+EntityAccessor` — the per-query memos and their hit/miss tallies are
+sharded rather than locked, and folded into the shared counters at the
+barrier — while the compiled expressions (which read through the
+context they are handed) and the layers underneath (read cache, buffer
+pool, indexes) are shared and thread-safe.
 
 Determinism: morsels are numbered in root-enumeration order and their
 result rows are concatenated in that order at the barrier, so the merged
@@ -30,12 +32,12 @@ bench_scale.py``.
 
 from __future__ import annotations
 
+import copy
 import threading
 from typing import List, Optional
 
 from repro.engine import operators as ops
 from repro.engine.access import EntityAccessor
-from repro.engine.expressions import ExpressionEvaluator
 from repro.errors import SimError
 
 MIN_PARALLELISM = 1
@@ -66,16 +68,15 @@ def validate_parallelism(value) -> int:
 
 class _WorkerState:
     """One worker thread's private execution state: a cloned segment
-    pipeline plus sharded accessor/evaluator and a local stats dict."""
+    pipeline plus a sharded accessor and a local stats dict."""
 
     __slots__ = ("ctx", "sink", "leaf", "stats", "morsels")
 
     def __init__(self, parent_ctx: ops.ExecContext, segment: ops.Operator):
         accessor = EntityAccessor(parent_ctx.store)
         accessor.begin_query()
-        evaluator = ExpressionEvaluator(accessor)
         self.stats = {} if parent_ctx.stats is not None else None
-        self.ctx = parent_ctx.spawn_worker(accessor, evaluator, self.stats)
+        self.ctx = parent_ctx.spawn_worker(accessor, self.stats)
         self.sink = _clone_segment(segment)
         self.leaf = self.sink.chain()[0]
         self.morsels = 0
@@ -83,31 +84,18 @@ class _WorkerState:
 
 def _clone_segment(operator: Optional[ops.Operator]) -> Optional[ops.Operator]:
     """A fresh instance chain of the parallel segment.  Clones share the
-    immutable pieces (nodes, predicates, compiled fast paths) but carry
-    their own batch/row counters, so per-worker attribution merges back
-    without double-counting."""
+    immutable pieces (nodes, compiled predicates) but carry their own
+    batch/row counters, so per-worker attribution merges back without
+    double-counting."""
     if operator is None:
         return None
-    child = _clone_segment(operator.child)
-    if isinstance(operator, ops.Scan):
-        return ops.Scan(operator.node, plan=operator.plan,
-                        access=operator.access, child=child,
-                        domain=operator.domain_override)
-    if isinstance(operator, ops.OuterTraverse):
-        return ops.OuterTraverse(operator.node, child)
-    if isinstance(operator, ops.EVATraverse):
-        return ops.EVATraverse(operator.node, child)
-    if isinstance(operator, ops.Filter):
-        clone = ops.Filter(operator.where, child, None)
-        clone._fast = operator._fast
-        return clone
-    if isinstance(operator, ops.Semi):
-        return ops.Semi(operator.nodes, child, where=operator.where,
-                        comparison=operator.comparison)
-    if isinstance(operator, ops.AntiSemi):
-        return ops.AntiSemi(operator.nodes, child, operator.comparison)
-    raise SimError(f"operator {operator.name} cannot run below the "
-                   f"parallel barrier")
+    if operator.name not in PARALLEL_SAFE_OPS:
+        raise SimError(f"operator {operator.name} cannot run below the "
+                       f"parallel barrier")
+    clone = copy.copy(operator)
+    clone.child = _clone_segment(operator.child)
+    clone.batches = clone.rows_in = clone.rows_out = 0
+    return clone
 
 
 class Parallel(ops.Operator):
@@ -156,13 +144,18 @@ class Parallel(ops.Operator):
         self.rows_in += len(domain)
 
         states: List[_WorkerState] = []
-        if len(morsels) <= 1 or self.parallelism <= 1 \
-                or len(domain) < MIN_PARALLEL_DOMAIN:
-            state = _WorkerState(ctx, self.child)
-            states.append(state)
-            results = [self._run_morsel(state, morsel) for morsel in morsels]
-        else:
-            results = self._run_pool(ctx, morsels, states)
+        try:
+            if len(morsels) <= 1 or self.parallelism <= 1 \
+                    or len(domain) < MIN_PARALLEL_DOMAIN:
+                state = _WorkerState(ctx, self.child)
+                states.append(state)
+                results = [self._run_morsel(state, morsel)
+                           for morsel in morsels]
+            else:
+                results = self._run_pool(ctx, morsels, states)
+        finally:
+            for state in states:
+                state.ctx.accessor.flush()
         self.workers_used = len(states)
 
         self._merge(ctx, states)

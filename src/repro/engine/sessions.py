@@ -557,7 +557,7 @@ class Session:
         database = self.database
         store = database.store
         txn = self._ensure_transaction()
-        # Per-statement executor and engine: no shared memo/evaluator
+        # Per-statement executor and engine: no shared memo
         # state between concurrent statements, and — unlike the old
         # store-wide write mutex — no statement-scope serialization at
         # all.  Store mutators latch the one unit they write.

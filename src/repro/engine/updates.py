@@ -30,13 +30,16 @@ from repro.dml.ast import (
     DeleteStatement,
     EntitySelector,
     InsertStatement,
+    Literal,
     ModifyStatement,
     Path,
 )
 from repro.dml.query_tree import QueryTree
 from repro.engine.executor import QueryExecutor
+from repro.engine.expressions import compile_single_valued
+from repro.engine.operators import ExecContext
 from repro.naming import canon
-from repro.types.tvl import NULL, UNKNOWN, is_null
+from repro.types.tvl import is_null
 
 
 class _Touches:
@@ -70,8 +73,10 @@ class UpdateEngine:
         self.store = executor.store
         self.schema = executor.schema
         self.qualifier = executor.qualifier
-        self.evaluator = executor.evaluator
         self.constraints = constraints  # ConstraintManager or None
+        #: assignment values compiled for the running statement, by
+        #: expression identity (its AST outlives every entry)
+        self._compiled_rhs: Dict[int, object] = {}
 
     # -- Dispatch ---------------------------------------------------------------
 
@@ -93,6 +98,7 @@ class UpdateEngine:
         if self.store.history is not None:
             self.store.history.tick()   # one logical instant per statement
         touches = _Touches()
+        self._compiled_rhs.clear()
         try:
             if isinstance(statement, InsertStatement):
                 count = self._insert(statement, touches)
@@ -118,6 +124,8 @@ class UpdateEngine:
                 # it mask the original.
                 raise exc
             raise
+        finally:
+            self.executor.accessor.flush()
         if own_transaction:
             transactions.commit()
         return count
@@ -446,21 +454,21 @@ class UpdateEngine:
         if isinstance(expression, EntitySelector):
             raise IntegrityError(
                 "WITH selectors only apply to entity-valued attributes")
-        tree = QueryTree()
-        root = tree.add_root(canon(class_name), canon(class_name))
-        scope_nodes = self.qualifier.resolve_anchored(tree, root, expression)
-        env = {root.id: surrogate}
-        values = []
-        for _ in self.evaluator.enumerate_scope(scope_nodes, env):
-            values.append(self.evaluator.value(expression, env))
-        if not values:
-            return NULL
-        first = values[0]
-        for other in values[1:]:
-            if other != first:
-                raise IntegrityError(
-                    "assignment expression yields multiple distinct values")
-        return NULL if first is UNKNOWN else first
+        if isinstance(expression, Literal):
+            return expression.value
+        compiled = self._compiled_rhs.get(id(expression))
+        if compiled is None:
+            tree = QueryTree()
+            root = tree.add_root(canon(class_name), canon(class_name))
+            scope_nodes = self.qualifier.resolve_anchored(tree, root,
+                                                          expression)
+            compiled = self._compiled_rhs[id(expression)] = \
+                compile_single_valued(
+                    expression, scope_nodes, {root.id: 0}, 1,
+                    lambda row: IntegrityError(
+                        "assignment expression yields multiple distinct "
+                        "values"))
+        return compiled(ExecContext(self.executor), [[surrogate]])[0]
 
     # -- DELETE ---------------------------------------------------------------------
 

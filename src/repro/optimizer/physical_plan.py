@@ -19,6 +19,9 @@ plus the §4.5 TYPE labels into the executable pipeline of
 
 The slot layout (node id -> row index) assigns one slot per spine node
 in planned DF order plus one per precomputed aggregate expression.
+Lowering is also where every qualified expression is compiled, once per
+plan, into the column function its operator runs
+(:mod:`repro.engine.expressions`).
 """
 
 from __future__ import annotations
@@ -30,6 +33,12 @@ from repro.dml.ast import Binary, Literal, Path, Quantified, \
     RetrieveQuery, Unary
 from repro.dml.query_tree import TYPE2, TYPE3, QTNode, QueryTree
 from repro.engine import operators as ops
+from repro.engine.expressions import (
+    COMPARISON_OPS,
+    compile_selection,
+    compile_truth,
+    compile_value,
+)
 
 
 class PhysicalPlan:
@@ -103,20 +112,17 @@ def exists_subtrees(loop_nodes: List[QTNode]) -> List[QTNode]:
 
 
 def _quantifier_comparison(where):
-    """``(quantifier, scope nodes, (op, left, argument))`` when the WHERE
-    clause is exactly a top-level SOME/NO quantified comparison whose
-    scope actually enumerates something; None otherwise."""
-    if not isinstance(where, Binary) or where.op not in ops._COMPARISON_OPS:
+    """The quantified operand when the WHERE clause is exactly a
+    top-level SOME/NO quantified comparison whose scope actually
+    enumerates something; None otherwise."""
+    if not isinstance(where, Binary) or where.op not in COMPARISON_OPS:
         return None
     quantified = where.right
-    if not isinstance(quantified, Quantified):
-        return None
-    if quantified.quantifier not in ("some", "no"):
-        return None
-    if not quantified.scope_nodes:
-        return None
-    return (quantified.quantifier, list(quantified.scope_nodes),
-            (where.op, where.left, quantified.argument))
+    if (isinstance(quantified, Quantified)
+            and quantified.quantifier in ("some", "no")
+            and quantified.scope_nodes):
+        return quantified
+    return None
 
 
 def _pushdown_slot(where, slots):
@@ -156,21 +162,20 @@ def _pushdown_slot(where, slots):
     return highest if highest >= 0 else None
 
 
-def _lower_selection_ops(operator, where, exists_nodes, slots):
+def _lower_selection_ops(operator, where, exists_nodes, predicate):
     """Selection stage shared by queries and the update-path selection:
     Semi for main-scope TYPE 2 subtrees, Semi/AntiSemi for top-level
-    SOME/NO quantified comparisons, Filter for everything else."""
+    SOME/NO quantified comparisons, Filter for everything else — all
+    running the one compiled ``predicate``."""
     if where is None:
         return operator
     if exists_nodes:
-        return ops.Semi(exists_nodes, operator, where=where)
-    quantifier = _quantifier_comparison(where)
-    if quantifier is not None:
-        kind, scope_nodes, comparison = quantifier
-        if kind == "some":
-            return ops.Semi(scope_nodes, operator, comparison=comparison)
-        return ops.AntiSemi(scope_nodes, operator, comparison)
-    return ops.Filter(where, operator, slots)
+        return ops.Semi(exists_nodes, where, operator, predicate)
+    quantified = _quantifier_comparison(where)
+    if quantified is not None:
+        probe = ops.Semi if quantified.quantifier == "some" else ops.AntiSemi
+        return probe(quantified.scope_nodes, where, operator, predicate)
+    return ops.Filter(where, operator, predicate)
 
 
 def lower_plan(query: RetrieveQuery, tree: QueryTree, plan,
@@ -195,11 +200,24 @@ def lower_plan(query: RetrieveQuery, tree: QueryTree, plan,
     for node in loop_nodes:
         slots[node.id] = len(slots)
 
+    # Aggregate expressions appearing directly as targets or order keys
+    # evaluate once per row into dedicated extra slots.
+    width = len(slots)
+    agg_slots: Dict[int, int] = {}
+    aggregates = []
+    for item in [*query.targets, *(query.order_by or [])]:
+        if isinstance(item.expression, AggregateExpr):
+            agg_slots[id(item.expression)] = width
+            aggregates.append((item.expression, width))
+            width += 1
+
     exists_nodes = exists_subtrees(loop_nodes)
-    pushdown = None
-    if (query.where is not None and not exists_nodes
-            and _quantifier_comparison(query.where) is None):
-        pushdown = _pushdown_slot(query.where, slots)
+    pushdown = predicate = None
+    if query.where is not None:
+        predicate = compile_selection(query.where, exists_nodes, slots,
+                                      width)
+        if not exists_nodes and _quantifier_comparison(query.where) is None:
+            pushdown = _pushdown_slot(query.where, slots)
 
     operator: Optional[ops.Operator] = None
     pushed = False
@@ -216,12 +234,12 @@ def lower_plan(query: RetrieveQuery, tree: QueryTree, plan,
         if pushdown == index:
             # Predicate pushdown: every slot the WHERE clause reads is
             # bound here, so prune before the remaining fan-out.
-            operator = ops.Filter(query.where, operator, slots)
+            operator = ops.Filter(query.where, operator, predicate)
             pushed = True
 
     operator = _lower_selection_ops(operator,
                                     None if pushed else query.where,
-                                    exists_nodes, slots)
+                                    exists_nodes, predicate)
 
     # The selection stage above is the parallel-safe segment; when the
     # executor allows workers, the Parallel barrier wraps it here, and
@@ -232,24 +250,23 @@ def lower_plan(query: RetrieveQuery, tree: QueryTree, plan,
         from repro.engine.parallel import Parallel
         operator = Parallel(operator, parallelism)
 
-    # Aggregate expressions appearing directly as targets or order keys
-    # evaluate once per row into dedicated extra slots.
-    width = len(slots)
-    agg_slots: Dict[int, int] = {}
-    agg_items = []
-    expressions = [item.expression for item in query.targets]
-    expressions.extend(order.expression for order in (query.order_by or []))
-    for expression in expressions:
-        if isinstance(expression, AggregateExpr):
-            agg_slots[id(expression)] = width
-            agg_items.append((expression, width))
-            width += 1
-    if agg_items:
-        operator = ops.Aggregate(agg_items, operator)
+    def column(expression):
+        slot = agg_slots.get(id(expression))
+        if slot is None:
+            return compile_value(expression, slots, width)
+        return lambda ctx, rows: [row[slot] for row in rows]
+
+    if aggregates:
+        operator = ops.Aggregate(
+            [(expression, compile_value(expression, slots, width), slot)
+             for expression, slot in aggregates], operator)
 
     structured = query.mode == "structure"
-    operator = ops.Project(query, original_nodes, reordered, structured,
-                           slots, agg_slots, operator)
+    operator = ops.Project(
+        query, [slots[node.id] for node in original_nodes], reordered,
+        structured, [column(item.expression) for item in query.targets],
+        [(column(order.expression), order.descending)
+         for order in (query.order_by or [])], operator)
     needs_order = bool(query.order_by)
     if reordered or needs_order:
         operator = ops.Sort(reordered, needs_order, operator)
@@ -261,13 +278,28 @@ def lower_plan(query: RetrieveQuery, tree: QueryTree, plan,
 
 
 def lower_selection(tree: QueryTree, where, domain=None) -> PhysicalPlan:
-    """Lower a single-perspective selection (MODIFY/DELETE/VERIFY path):
-    a root Scan — over explicit index/range ``domain`` candidates when
-    given — followed by the shared selection stage.  The driver reads
-    surviving surrogates straight out of the root slot."""
+    """Lower a single-perspective selection (MODIFY/DELETE path): a root
+    Scan — over explicit index/range ``domain`` candidates when given —
+    followed by the shared selection stage.  The driver reads surviving
+    surrogates straight out of the root slot."""
     root = tree.roots[0]
     slots = {root.id: 0}
     operator: ops.Operator = ops.Scan(root, domain=domain)
     exists_nodes = exists_subtrees([root])
-    operator = _lower_selection_ops(operator, where, exists_nodes, slots)
+    if where is not None:
+        operator = _lower_selection_ops(
+            operator, where, exists_nodes,
+            compile_selection(where, exists_nodes, slots, 1))
     return PhysicalPlan(operator, slots, 1, [root], exists_nodes, None)
+
+
+def compile_predicate(tree: QueryTree, where):
+    """Compile a pre-resolved single-perspective predicate (a VERIFY
+    assertion) for rows holding just the entity: ``fn(ctx, rows)``
+    returns the assertion's 3-valued truth per row — or, when TYPE 2
+    subtrees make it existential, whether some binding satisfies it."""
+    root = tree.roots[0]
+    exists_nodes = exists_subtrees([root])
+    if exists_nodes:
+        return compile_selection(where, exists_nodes, {root.id: 0}, 1)
+    return compile_truth(where, {root.id: 0}, 1)

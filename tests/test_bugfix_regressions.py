@@ -188,3 +188,24 @@ class TestPerfCounterConcurrency:
         # lost to the old unsynchronized read-modify-write.
         assert (counters["memo_hits"]
                 + counters["memo_misses"]) == 4 * 20 * 10
+
+    def test_failing_statement_still_flushes_its_tallies(self):
+        """Memo hits/misses are tallied on the accessor and flushed once
+        per statement; a statement that raises half way must not strand
+        what it had counted."""
+        database = Database(UNIVERSITY_DDL, constraint_mode="off")
+        for i in range(10):
+            database.execute(f'Insert course(course-no := {100 + i},'
+                             f' title := "C{i}", credits := 3)')
+        database.perf.reset()
+        from repro import parse_dml
+        with pytest.raises(TypeMismatchError):
+            # Straight to the executor (the linter would refuse this
+            # statically): reads all 10 credits as one column, then
+            # fails comparing them.
+            database.executor.execute(parse_dml(
+                'From course Retrieve title Where credits < "three"'))
+        counters = database.perf.as_dict()
+        assert counters["memo_hits"] + counters["memo_misses"] == 10
+        accessor = database.executor.accessor
+        assert (accessor.memo_hits, accessor.memo_misses) == (0, 0)

@@ -3,12 +3,18 @@ injection, verified against a committed-prefix oracle.
 
 Each writer thread runs two-statement transactions over two classes in
 a *seeded random order*, so lock acquisition order differs between
-sessions and deadlocks are guaranteed under load.  Every transaction
-that commits records its deltas in a thread-local ledger; at the end
-the database must equal the initial state plus exactly the committed
-ledgers — no lost updates, no phantom effects from aborted victims.
-Transient storage faults (repeat 2, below the retry policy's 4
-attempts) fire during the run and must be absorbed invisibly.
+sessions and the mix is deadlock-prone.  Every transaction that commits
+records its deltas in a thread-local ledger; at the end the database
+must equal the initial state plus exactly the committed ledgers — no
+lost updates, no phantom effects from aborted victims.  Transient
+storage faults (repeat 2, below the retry policy's 4 attempts) fire
+during the run and must be absorbed invisibly.
+
+Whether a fleet actually deadlocks is up to the scheduler, so the fleets
+assert invariants only (oracle, checker, nobody left waiting, every
+transaction committed or aborted, lockdep clean).  That deadlocks are
+detected and resolved is shown by construction instead: two sessions, a
+barrier between their first and second lock, opposite class order.
 
 The unmarked test is the fast tier-1 smoke; ``-m chaos`` selects the
 heavier seeded soak (the CI chaos lane / ``make chaos``).
@@ -21,7 +27,7 @@ import pytest
 
 from repro import Database
 from repro.engine import lockdep
-from repro.engine.sessions import LockConflict, Session
+from repro.engine.sessions import DeadlockError, LockConflict, Session
 
 
 @pytest.fixture(autouse=True)
@@ -61,9 +67,9 @@ class Writer(threading.Thread):
     def __init__(self, db, seed, transactions, lock_timeout=5.0,
                  entity_locks=False):
         super().__init__(name=f"chaos-writer-{seed}")
-        # entity_locks defaults OFF here: the deadlock-certainty these
-        # scenarios assert comes from class-granularity conflicts; the
-        # entity-granular path has its own scenarios below.
+        # entity_locks defaults OFF here: these scenarios contend on
+        # class-granularity locks; the entity-granular path has its own
+        # scenarios below.
         self.session = Session(db, lock_timeout=lock_timeout,
                                entity_locks=entity_locks)
         self.rng = random.Random(seed)
@@ -206,13 +212,57 @@ class TestChaosSmoke:
         run_chaos(db, writers, readers=2)
         assert_committed_prefix(db, writers)
         stats = db._lock_manager.statistics()
-        # Opposite-order two-class transactions across 8 sessions make
-        # deadlocks effectively certain at this volume.
-        assert stats["deadlocks"] > 0
         assert stats["waiting_now"] == 0
         total_commits = sum(len(w.committed) // 2 for w in writers)
         total_aborts = sum(w.aborted for w in writers)
         assert total_commits + total_aborts == 8 * 12
+
+    @pytest.mark.parametrize("entity_locks", [False, True])
+    def test_constructed_deadlock_dooms_the_youngest(self, entity_locks):
+        """Two sessions take their first lock, meet at a barrier, then
+        ask for the other's: a certain 2-cycle, whatever the scheduler
+        does.  Exactly one DeadlockError, the victim is the youngest
+        session, the survivor commits, and only its writes remain — at
+        class granularity and on (class, entity) keys alike."""
+        db = build_bank(accounts=1)
+        sessions = [Session(db, lock_timeout=30.0, entity_locks=entity_locks)
+                    for _ in range(2)]
+        barrier = threading.Barrier(2, timeout=10.0)
+        outcomes = {}
+
+        def run(session, first, second):
+            try:
+                session.execute(first)
+                barrier.wait()
+                session.execute(second)
+                session.commit()
+                outcomes[session.session_id] = "committed"
+            except DeadlockError:
+                session.abort()
+                outcomes[session.session_id] = "deadlock"
+            except Exception as exc:  # pragma: no cover — fail the test
+                session.abort()
+                outcomes[session.session_id] = exc
+
+        account = "Modify account(balance := balance + 1) Where nbr = 1"
+        audit = "Modify audit(total := total + 1) Where nbr = 1"
+        threads = [
+            threading.Thread(target=run, args=(sessions[0], account, audit)),
+            threading.Thread(target=run, args=(sessions[1], audit, account)),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+        assert not any(thread.is_alive() for thread in threads)
+        older, younger = sorted(s.session_id for s in sessions)
+        assert outcomes == {older: "committed", younger: "deadlock"}
+        stats = db._lock_manager.statistics()
+        assert stats["deadlocks"] == 1
+        assert stats["waiting_now"] == 0
+        assert db.query("From account Retrieve balance").scalar() == 1
+        assert db.query("From audit Retrieve total").scalar() == 1
+        assert db.check().ok
 
     def test_snapshot_readers_never_blocked(self):
         """Readers alongside the full writer fleet finish with the
@@ -242,10 +292,11 @@ class TestChaosSmoke:
         # not full of empty per-entity husks.
         assert stats["tracked_keys"] == 0
 
-    def test_same_entity_contention_still_deadlocks(self):
+    def test_same_entity_contention_keeps_the_oracle(self):
         """Entity-granular sessions hammering the SAME entities in
-        opposite class orders reproduce the legacy deadlock shape —
-        victim selection and the oracle work over two-level keys."""
+        opposite class orders: whatever mix of waits, deadlock victims
+        and commits the scheduler produces, the oracle holds over
+        two-level keys and nobody is left waiting."""
         db = build_bank(accounts=1)
         writers = [Writer(db, seed=200 + i, transactions=12,
                           entity_locks=True) for i in range(8)]
@@ -254,7 +305,6 @@ class TestChaosSmoke:
         run_chaos(db, writers, accounts=1)
         assert_committed_prefix(db, writers, accounts=1)
         stats = db._lock_manager.statistics()
-        assert stats["deadlocks"] > 0
         assert stats["waiting_now"] == 0
         total_commits = sum(len(w.committed) // 2 for w in writers)
         total_aborts = sum(w.aborted for w in writers)
@@ -271,8 +321,6 @@ class TestChaosSoak:
                    for i in range(8)]
         rounds = run_chaos(db, writers, readers=2, fault_every=25)
         assert_committed_prefix(db, writers)
-        stats = db._lock_manager.statistics()
-        assert stats["deadlocks"] > 0
         # Transient faults actually fired and were absorbed: no writer
         # surfaced a storage error and the oracle still holds.
         assert db.perf.transient_retries >= 1

@@ -129,20 +129,28 @@ class TestBatchSizeInvariance:
             assert subject.query(text).rows == reference.query(text).rows, \
                 text
 
-    def test_memo_totals_do_not_depend_on_batch_size(self):
+    @pytest.mark.parametrize("query", [
+        "From student Retrieve name, title of courses-enrolled",
+        # TYPE 2: each student's scope fits one expansion chunk even at
+        # batch size 2, so chunking never changes what is evaluated.
+        "From student Retrieve name Where credits of courses-enrolled > 3",
+        "From student Retrieve name, sum(credits of courses-enrolled)",
+    ])
+    def test_memo_totals_do_not_depend_on_batch_size(self, query):
         small = build_university(seed=11)
         small.executor.batch_size = 2
         large = build_university(seed=11)
         large.executor.batch_size = 1024
-        query = "From student Retrieve name, title of courses-enrolled"
         for database in (small, large):
             database.query(query)     # warm both equally
         counters = []
         for database in (small, large):
             perf = database.query(query).perf
             counters.append((perf.memo_hits, perf.memo_misses,
+                             perf.domain_enumerations,
                              perf.records_decoded))
         assert counters[0] == counters[1]
+        assert counters[0][0] > 0
 
 
 class TestBatchedReads:
