@@ -45,12 +45,14 @@ torture:
 chaos:
 	REPRO_LOCKDEP=1 python -m pytest -q -m chaos tests/test_chaos.py
 
-# The tier-1 chaos scenarios twenty times over: they assert invariants
-# and a constructed deadlock, never scheduler luck, so every round must
-# pass.
+# The tier-1 chaos scenarios and the forced-interleaving cache-fill
+# tests twenty times over: they assert invariants, a constructed
+# deadlock and a constructed stale fill, never scheduler luck, so every
+# round must pass.
 chaos-loop:
 	for round in $$(seq 1 20); do \
 		python -m pytest -q -p no:cacheprovider tests/test_chaos.py \
+			tests/test_read_cache.py::TestValidatedFills \
 			|| exit 1; \
 	done
 

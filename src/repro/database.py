@@ -37,6 +37,10 @@ from repro.schema.ddl_parser import parse_ddl
 from repro.schema.schema import Schema
 
 
+#: the root span of a statement nobody is tracing: enters to None
+_NO_SPAN = contextlib.nullcontext()
+
+
 @dataclass
 class CompiledStatement:
     """A statement taken through the static pipeline without executing.
@@ -99,28 +103,17 @@ class Database:
         Returns a :class:`ResultSet` for Retrieve and the affected-entity
         count for updates.
         """
-        trace = self.store.trace
-        if trace is None or not trace.enabled:
+        with self._statement_scope(statement) as root:
             if isinstance(statement, str):
-                statement = parse_dml(statement)
-            if isinstance(statement, RetrieveQuery):
-                return self._run_retrieve(statement)
-            self._lint_update(statement)
-            return self.updates.execute(statement)
-        text = statement if isinstance(statement, str) else repr(statement)
-        with self._statement_scope(trace, text) as root:
-            if isinstance(statement, str):
-                with trace.span("parse", layer="parser"):
-                    statement = parse_dml(statement)
+                statement = self._spanned("parse", "parser",
+                                          parse_dml, statement)
             if isinstance(statement, RetrieveQuery):
                 result = self._run_retrieve(statement)
                 if root is not None:
                     result.trace = root
                 return result
-            with trace.span("lint", layer="analysis"):
-                self._lint_update(statement)
-            with trace.span("update", layer="engine"):
-                return self.updates.execute(statement)
+            self._spanned("lint", "analysis", self._lint_update, statement)
+            return self._run_update(statement)
 
     def query(self, text: str) -> ResultSet:
         """Run a Retrieve statement and return its result set."""
@@ -129,15 +122,31 @@ class Database:
             raise SimError("query() takes a Retrieve statement")
         return self._run_retrieve(statement)
 
-    @contextlib.contextmanager
-    def _statement_scope(self, trace, text: str):
-        """Open one statement root span unless one is already open (the
-        Session path enters through _run_retrieve/updates directly).  The
-        root is closed however the statement ends — success, integrity
-        failure, or injected storage fault — so no span ever leaks."""
+    def _spanned(self, name: str, layer: str, function, *args, **kwargs):
+        """``function(*args, **kwargs)``, inside a trace span when
+        tracing is on."""
+        trace = self.store.trace
+        if trace is None or not trace.enabled:
+            return function(*args, **kwargs)
+        with trace.span(name, layer=layer):
+            return function(*args, **kwargs)
+
+    def _statement_scope(self, statement):
+        """Open one statement root span (yielded) unless tracing is off
+        or a root is already open — :meth:`execute` opens it around the
+        parse, a Session enters at _run_retrieve/_run_update."""
+        trace = self.store.trace
         if trace is None or not trace.enabled or trace.open_spans():
-            yield None
-            return
+            return _NO_SPAN
+        return self._traced_statement(
+            trace, statement if isinstance(statement, str)
+            else repr(statement))
+
+    @contextlib.contextmanager
+    def _traced_statement(self, trace, text: str):
+        """The root is closed however the statement ends — success,
+        integrity failure, or injected storage fault — so no span ever
+        leaks."""
         root = trace.begin_statement(text)
         error = None
         try:
@@ -156,7 +165,6 @@ class Database:
         error-severity diagnostics; returns the compiled artifacts plus
         every diagnostic (warnings and notes included) otherwise.
         """
-        from repro.analysis import raise_for_errors
         if isinstance(statement, str):
             statement = parse_dml(statement)
         if not isinstance(statement, RetrieveQuery):
@@ -167,42 +175,21 @@ class Database:
         plan = None
         if self.use_optimizer:
             plan = self.optimizer.choose_plan(statement, tree)
-        from repro.analysis import verify_plan
-        verdict = verify_plan(self.schema, tree, plan)
-        raise_for_errors(verdict)
-        diagnostics.extend(verdict)
+        diagnostics.extend(self._verify(tree, plan))
         return CompiledStatement(statement, tree, plan, diagnostics)
 
     def _run_retrieve(self, query: RetrieveQuery,
                       executor: Optional[QueryExecutor] = None) -> ResultSet:
-        from repro.analysis import raise_for_errors, verify_plan
-        trace = self.store.trace
-        if trace is None or not trace.enabled:
-            tree = self.qualifier.resolve_retrieve(query)
-            diagnostics = self._lint_retrieve(query)
+        with self._statement_scope(query) as root:
+            tree = self._spanned("qualify", "qualifier",
+                                 self.qualifier.resolve_retrieve, query)
+            diagnostics = self._spanned("lint", "analysis",
+                                        self._lint_retrieve, query)
             plan = None
             if self.use_optimizer:
                 plan = self.optimizer.choose_plan(query, tree)
-            # Fail closed: a plan that breaks the structural contract
-            # between the labelled tree and the enumeration must never run.
-            verdict = verify_plan(self.schema, tree, plan)
-            raise_for_errors(verdict)
-            diagnostics.extend(verdict)
-            result = (executor or self.executor).run(query, tree, plan)
-            result.diagnostics = diagnostics
-            return result
-        with self._statement_scope(trace, repr(query)) as root:
-            with trace.span("qualify", layer="qualifier"):
-                tree = self.qualifier.resolve_retrieve(query)
-            with trace.span("lint", layer="analysis"):
-                diagnostics = self._lint_retrieve(query)
-            plan = None
-            if self.use_optimizer:
-                plan = self.optimizer.choose_plan(query, tree)
-            with trace.span("verify", layer="analysis"):
-                verdict = verify_plan(self.schema, tree, plan)
-                raise_for_errors(verdict)
-                diagnostics.extend(verdict)
+            diagnostics.extend(self._spanned("verify", "analysis",
+                                             self._verify, tree, plan))
             result = (executor or self.executor).run(query, tree, plan)
             result.diagnostics = diagnostics
             if root is not None:
@@ -212,6 +199,18 @@ class Database:
                 self.optimizer.observe_execution(tree, result.node_stats)
             return result
 
+    def _run_update(self, statement, executor: Optional[QueryExecutor] = None,
+                    restrict_to=None) -> int:
+        """Execute an update the caller has already linted
+        (:meth:`_lint_update`) — a Session lints before it takes locks,
+        so a rejected statement never waits.  ``executor``: a private
+        one for a concurrent statement (see _statement_executor)."""
+        engine = (self.updates if executor is None
+                  else UpdateEngine(executor, self.constraints))
+        with self._statement_scope(statement):
+            return self._spanned("update", "engine", engine.execute,
+                                 statement, restrict_to=restrict_to)
+
     def _statement_executor(self) -> QueryExecutor:
         """A private executor for one snapshot Retrieve: a fresh accessor
         memo shard, so rows read at one snapshot's epoch
@@ -219,6 +218,14 @@ class Database:
         return QueryExecutor(self.store, self.qualifier,
                              batch_size=self.executor.batch_size,
                              parallelism=self.executor.parallelism)
+
+    def _verify(self, tree, plan) -> List:
+        """Fail closed: a plan that breaks the structural contract
+        between the labelled tree and the enumeration must never run."""
+        from repro.analysis import raise_for_errors, verify_plan
+        verdict = verify_plan(self.schema, tree, plan)
+        raise_for_errors(verdict)
+        return verdict
 
     def _lint_retrieve(self, query: RetrieveQuery) -> List:
         """Type-check a resolved Retrieve; raises on error severity and

@@ -59,9 +59,7 @@ Example::
 
 from __future__ import annotations
 
-import itertools
 import random
-import threading
 import time
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -73,7 +71,6 @@ from repro.dml.ast import (
 )
 from repro.dml.parser import parse_dml
 from repro.engine.lockdep import RankedCondition, RankedLock
-from repro.engine.updates import UpdateEngine
 from repro.errors import SimError
 
 
@@ -418,13 +415,6 @@ class LockManager:
             }
 
 
-#: guards the lazy re-creation of a database's session-id counter and
-#: lock manager (only reachable for Database-like objects built without
-#: __init__'s eager wiring, e.g. test doubles) — two racing first
-#: Sessions must not each install their own LockManager
-_FALLBACK_INIT_LOCK = threading.Lock()
-
-
 class Session:
     """One client's transactional view of a shared database.
 
@@ -458,19 +448,9 @@ class Session:
                  lock_timeout: Optional[float] = None,
                  max_deadlock_retries: int = 3,
                  entity_locks: bool = True):
-        counter = getattr(database, "_session_ids", None)
-        locks = getattr(database, "_lock_manager", None)
-        if counter is None or locks is None:
-            with _FALLBACK_INIT_LOCK:
-                counter = getattr(database, "_session_ids", None)
-                if counter is None:
-                    counter = database._session_ids = itertools.count(1)
-                locks = getattr(database, "_lock_manager", None)
-                if locks is None:
-                    locks = database._lock_manager = LockManager()
-        self.session_id = next(counter)
+        self.session_id = next(database._session_ids)
         self.database = database
-        self.locks: LockManager = locks
+        self.locks: LockManager = database._lock_manager
         self.mvcc = mvcc
         self.lock_timeout = lock_timeout
         self.max_deadlock_retries = max_deadlock_retries
@@ -489,7 +469,11 @@ class Session:
         """Run one DML statement.  ``timeout`` bounds this statement's
         lock waits (overriding the session's ``lock_timeout``)."""
         statement = parse_dml(text) if isinstance(text, str) else text
-        if self.mvcc and isinstance(statement, RetrieveQuery):
+        if not isinstance(statement, RetrieveQuery):
+            # Static checks come before any lock: a statement that is
+            # going to be rejected must never wait for one.
+            self.database._lint_update(statement)
+        elif self.mvcc:
             return self._snapshot_retrieve(statement)
         return self._locked_statement(statement, timeout)
 
@@ -555,21 +539,19 @@ class Session:
             self.locks.rollback(self.session_id, acquired)
             raise
         database = self.database
-        store = database.store
         txn = self._ensure_transaction()
-        # Per-statement executor and engine: no shared memo
-        # state between concurrent statements, and — unlike the old
-        # store-wide write mutex — no statement-scope serialization at
-        # all.  Store mutators latch the one unit they write.
+        # Per-statement executor (and, for updates, engine): no shared
+        # memo state between concurrent statements, and no statement-
+        # scope serialization at all — store mutators latch the one
+        # unit they write.
         executor = database._statement_executor()
-        with store.transactions.activate(txn):
+        with database.store.transactions.activate(txn):
             if isinstance(statement, RetrieveQuery):
                 result = database._run_retrieve(statement,
                                                 executor=executor)
             else:
-                engine = UpdateEngine(executor,
-                                      constraints=database.constraints)
-                result = engine.execute(statement, restrict_to=restrict)
+                result = database._run_update(statement, executor=executor,
+                                              restrict_to=restrict)
         self._statements_in_txn += 1
         return result
 

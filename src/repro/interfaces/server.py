@@ -247,14 +247,23 @@ class SimServer:
                 line = raw.strip()
                 if not line:
                     continue
-                response = self._handle(session, line)
-                if response is None:  # client said goodbye
-                    break
-                payload = (json.dumps(response) + "\n").encode("utf-8")
+                # In flight until the reply is on the wire: stop() must
+                # not close the socket between a statement and its rows.
+                with self._drained:
+                    self._inflight += 1
                 try:
-                    sock.sendall(payload)
-                except OSError:
-                    break
+                    response = self._handle(session, line)
+                    if response is None:  # client said goodbye
+                        break
+                    payload = (json.dumps(response) + "\n").encode("utf-8")
+                    try:
+                        sock.sendall(payload)
+                    except OSError:
+                        break
+                finally:
+                    with self._drained:
+                        self._inflight -= 1
+                        self._drained.notify_all()
         finally:
             reader.close()
             try:
@@ -296,15 +305,8 @@ class SimServer:
         if self._stopping.is_set():
             raise ServerOverloaded("server is shutting down")
         timeout = request.get("timeout", self.statement_timeout)
-        with self._drained:
-            self._inflight += 1
-        try:
-            with self._gate:
-                result = session.execute(request["text"], timeout=timeout)
-        finally:
-            with self._drained:
-                self._inflight -= 1
-                self._drained.notify_all()
+        with self._gate:
+            result = session.execute(request["text"], timeout=timeout)
         with self._conn_lock:
             self.statements += 1
         if hasattr(result, "rows") and hasattr(result, "columns"):

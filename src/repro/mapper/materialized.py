@@ -251,11 +251,7 @@ class MaterializationManager:
         forward: Dict[int, tuple] = {}
         reverse: Dict[int, tuple] = {}
         for source in list(store.scan_class(canonical.owner_name)):
-            if info.self_inverse:
-                targets = (store._traverse(info, source, forward=True)
-                           + store._traverse(info, source, forward=False))
-            else:
-                targets = store._traverse(info, source, forward=True)
+            targets = store._traverse_side(info, True, source)
             if targets:
                 forward[source] = tuple(targets)
                 for target in targets:

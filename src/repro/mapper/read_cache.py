@@ -16,9 +16,14 @@ block substrate:
 
 Correctness rests on strict invalidation: every Mapper mutation drops the
 affected entries, and so does every transaction-undo closure — abort must
-invalidate, not just commit.  Each invalidation bumps ``epoch``; the
-engine's query-scoped memoization validates against that epoch, so one
-integer compare decides whether memoized values are still current.
+invalidate, not just commit.  Each invalidation bumps ``epoch`` inside
+the critical section that drops the entries, and every fill is
+*validated*: the reader captures ``epoch`` before its physical read and
+``put_*`` discards the entry when the epoch has moved since.  Together
+they keep one invariant — the cache only ever holds what a physical read
+would return right now — without knowing which locks the reader holds.
+The engine's query-scoped memoization validates against the same epoch,
+so one integer compare decides whether memoized values are still current.
 """
 
 from __future__ import annotations
@@ -83,10 +88,14 @@ class ReadCache:
         return entry
 
     def put_record(self, class_name: str, surrogate: int, rid,
-                   values: Dict) -> None:
+                   values: Dict, epoch: int) -> None:
+        """Cache a decoded record read since ``epoch`` was captured;
+        dropped when anything was invalidated in between."""
         if not self.enabled:
             return
         with self._lock:
+            if epoch != self.epoch:
+                return
             self._records[(class_name, surrogate)] = (rid, values)
             if len(self._records) > self.record_capacity:
                 self._records.popitem(last=False)
@@ -136,10 +145,12 @@ class ReadCache:
         return entry
 
     def put_role(self, class_name: str, surrogate: int,
-                 rid: Optional[object]) -> None:
+                 rid: Optional[object], epoch: int) -> None:
         if not self.enabled:
             return
         with self._lock:
+            if epoch != self.epoch:
+                return
             self._roles[(class_name, surrogate)] = rid
             if len(self._roles) > self.role_capacity:
                 self._roles.popitem(last=False)
@@ -193,15 +204,21 @@ class ReadCache:
         return found, missing
 
     def put_fanout(self, rel_id: int, side: bool, surrogate: int,
-                   targets: tuple) -> None:
+                   targets: tuple, epoch: int) -> None:
         if not self.enabled:
             return
         with self._lock:
+            if epoch != self.epoch:
+                return
             self._fanout[(rel_id, side, surrogate)] = targets
             if len(self._fanout) > self.fanout_capacity:
                 self._fanout.popitem(last=False)
 
     # ------------------------------------------------------------- invalidation
+
+    # Every invalidation bumps the epoch in the same critical section
+    # that drops the entries: a fill that read before the drop can then
+    # never land after it (put_* compares epochs under the same lock).
 
     def note_write(self) -> None:
         """Record a mutation that has no cached representation here (e.g.
@@ -213,14 +230,16 @@ class ReadCache:
     def invalidate_record(self, class_name: str, surrogate: int) -> None:
         with self._lock:
             self._records.pop((class_name, surrogate), None)
-        self.note_write()
+            self.epoch += 1
+        self.perf.bump("invalidations")
 
     def invalidate_role(self, class_name: str, surrogate: int) -> None:
         """A role appeared or disappeared: drop membership and record."""
         with self._lock:
             self._roles.pop((class_name, surrogate), None)
             self._records.pop((class_name, surrogate), None)
-        self.note_write()
+            self.epoch += 1
+        self.perf.bump("invalidations")
 
     def invalidate_eva(self, rel_id: int, *surrogates: int) -> None:
         """A relationship instance changed: drop both traversal directions
@@ -229,7 +248,8 @@ class ReadCache:
             for surrogate in surrogates:
                 self._fanout.pop((rel_id, True, surrogate), None)
                 self._fanout.pop((rel_id, False, surrogate), None)
-        self.note_write()
+            self.epoch += 1
+        self.perf.bump("invalidations")
 
     def clear(self) -> None:
         """Drop everything (cold-cache benchmarks, crash recovery, and
@@ -238,7 +258,8 @@ class ReadCache:
             self._records.clear()
             self._roles.clear()
             self._fanout.clear()
-        self.note_write()
+            self.epoch += 1
+        self.perf.bump("invalidations")
         trace = self.trace
         if trace is not None and trace.enabled:
             trace.event("cache_clear", epoch=self.epoch)

@@ -63,6 +63,13 @@ def _in_range(value, low, high, include_low: bool, include_high: bool) -> bool:
     return True
 
 
+class _PinnedSnapshot(threading.local):
+    """This thread's pinned Snapshot.  With a class-level default the
+    unpinned read is a plain attribute load, not a caught AttributeError."""
+
+    snap = None
+
+
 class _EvaInfo:
     """Runtime bookkeeping for one canonical EVA pair."""
 
@@ -111,15 +118,11 @@ class MapperStore:
         self.luc_schema: LUCSchema = translate_schema(schema)
         self.disk = Disk()
         self.wal = WriteAheadLog()
-        self.pool = BufferPool(self.disk, self.design.pool_capacity)
-        self.pool.wal = self.wal
-        self.transactions = TransactionManager(self.pool, wal=self.wal)
         #: read-path counters shared with the engine and the optimizer
         self.perf = PerfCounters()
         #: bounded retry-with-backoff for transient device faults; applied
         #: to every buffer-pool disk access, WAL force, and recovery I/O
         self.retry = RetryPolicy(perf=self.perf)
-        self.pool.retry = self.retry
         self.wal.retry = self.retry
         #: optional fault injector (see install_faults)
         self.faults: Optional[FaultInjector] = None
@@ -136,16 +139,11 @@ class MapperStore:
         #: named materialized derived relations; attached lazily by the
         #: first declaration so undeclared stores pay one None test
         self.materialized: Optional[MaterializationManager] = None
-        # Rollback surgery (abort or statement-level rollback_to) restores
-        # state through raw file/index operations; the hook guarantees no
-        # cached or materialized state survives it.
-        self.transactions.invalidation_hooks.append(self.writes.rollback)
         #: MVCC version chains backing snapshot Retrieves (versions.py);
         #: staging stays off — zero overhead, zero extra I/O — until a
         #: Session calls enable_mvcc()
         self.versions = VersionManager()
-        self.transactions.commit_hooks.append(self.versions.commit)
-        self.transactions.abort_hooks.append(self.versions.abort)
+        self._new_pool_and_transactions()
         #: the commit critical section (rank 36): Session.commit takes
         #: this latch around commit_detached so the MVCC epoch bump
         #: (versions.commit), the data-page flush, and the WAL commit
@@ -159,8 +157,7 @@ class MapperStore:
         #: guards the surrogate counter (rank 38): concurrent inserts to
         #: unrelated classes are otherwise free to race the allocator.
         self._surrogate_mutex = ranked_lock("store.surrogates")
-        # this thread's pinned Snapshot, if a snapshot Retrieve is running
-        self._snapshots = threading.local()
+        self._snapshots = _PinnedSnapshot()
 
         self._file_counter = 0
         self._format_counter = 0
@@ -171,6 +168,9 @@ class MapperStore:
         self._surrogate_index: Dict[str, object] = {}
         self._unique_index: Dict[Tuple[str, str], HashIndex] = {}
         self._value_index: Dict[Tuple[str, str], HashIndex] = {}
+        #: class -> [(attr, index)] over both dicts above, for the role
+        #: mutators that maintain every index of one class
+        self._class_indexes: Dict[str, List[Tuple[str, object]]] = {}
 
         self._mvdva_file: Dict[Tuple[str, str], RecordFile] = {}
         self._mvdva_format: Dict[Tuple[str, str], int] = {}
@@ -189,6 +189,22 @@ class MapperStore:
         self._build_layout()
 
     # ------------------------------------------------------------------ layout
+
+    def _new_pool_and_transactions(self, start_after: int = 0) -> None:
+        """The buffer pool and the transaction manager with every hook
+        the store hangs on them — at open, and afresh after a crash."""
+        self.pool = BufferPool(self.disk, self.design.pool_capacity)
+        self.pool.wal = self.wal
+        self.pool.retry = self.retry
+        self.pool.trace = self.trace
+        self.transactions = TransactionManager(
+            self.pool, wal=self.wal, start_after=start_after)
+        # Rollback surgery (abort or statement-level rollback_to) restores
+        # state through raw file/index operations; the hook guarantees no
+        # cached or materialized state survives it.
+        self.transactions.invalidation_hooks.append(self.writes.rollback)
+        self.transactions.commit_hooks.append(self.versions.commit)
+        self.transactions.abort_hooks.append(self.versions.abort)
 
     def _new_file(self, name: str) -> RecordFile:
         self._file_counter += 1
@@ -209,19 +225,17 @@ class MapperStore:
     def _build_layout(self) -> None:
         # Storage units for classes.
         for base in self.schema.base_classes():
-            shared_name = f"unit--{base.name}"
             shared_file = None
             for class_name in [base.name] + self.schema.graph.descendants(base.name):
-                sim_class = self.schema.get_class(class_name)
                 if self.design.class_in_shared_unit(class_name):
                     if shared_file is None:
-                        shared_file = self._new_file(shared_name)
+                        shared_file = self._new_file(f"unit--{base.name}")
                     self._class_file[class_name] = shared_file
                 else:
                     self._class_file[class_name] = self._new_file(
                         f"unit--{class_name}")
 
-        # Record formats, MV DVA units, and per-class indexes.
+        # Record formats and MV DVA units.
         for sim_class in self.schema.classes():
             class_name = sim_class.name
             fields = {"surrogate": _SURROGATE_WIDTH}
@@ -250,31 +264,55 @@ class MapperStore:
                 seen.add(key)
                 self._build_eva(canonical)
 
-        # Now freeze class formats and create indexes.
+        # Now freeze class formats.
         for sim_class in self.schema.classes():
             class_name = sim_class.name
-            record_file = self._class_file[class_name]
-            format_id = self._new_format(
-                record_file, f"rec--{class_name}", sim_class._scratch_fields)
-            self._class_format[class_name] = format_id
+            self._class_format[class_name] = self._new_format(
+                self._class_file[class_name], f"rec--{class_name}",
+                sim_class._scratch_fields)
             del sim_class._scratch_fields
+        self._build_indexes()
 
-            kind = self.design.surrogate_key_kind.value
+    def _build_indexes(self) -> None:
+        """(Re)create every volatile index, empty, and zero the counters
+        kept beside them.  Layout and crash recovery both come through
+        here, so they can never disagree about an index's name or kind."""
+        kind = self.design.surrogate_key_kind.value
+        for sim_class in self.schema.classes():
+            class_name = sim_class.name
             self._surrogate_index[class_name] = make_index(
-                kind if kind != "direct" else "direct",
-                f"surr--{class_name}", unique=True)
-
+                kind, f"surr--{class_name}", unique=True)
             for attr in sim_class.immediate_attributes.values():
-                if attr.is_eva or attr.is_subrole or attr.is_surrogate:
-                    continue
-                if attr.options.unique:
+                if (attr.options.unique and not attr.is_eva
+                        and not attr.is_subrole and not attr.is_surrogate):
                     self._unique_index[(class_name, attr.name)] = HashIndex(
                         f"uniq--{class_name}--{attr.name}", unique=True)
-        for class_name, attr_name in self.design.value_indexes():
-            if (class_name, attr_name) not in self._unique_index:
-                self._value_index[(class_name, attr_name)] = make_index(
-                    self.design.value_index_kind(class_name, attr_name),
-                    f"val--{class_name}--{attr_name}")
+        for key in self.design.value_indexes():
+            if key not in self._unique_index:
+                self._value_index[key] = make_index(
+                    self.design.value_index_kind(*key),
+                    f"val--{key[0]}--{key[1]}")
+        self._class_indexes = {name: [] for name in self._class_file}
+        for group in (self._unique_index, self._value_index):
+            for (class_name, attr_name), index in group.items():
+                self._class_indexes[class_name].append((attr_name, index))
+        for class_name, attr_name in self._mvdva_file:
+            self._mvdva_index[(class_name, attr_name)] = HashIndex(
+                f"mvidx--{class_name}--{attr_name}")
+        self._mvdva_seq = {}
+        for info in self._eva_info.values():
+            info.instance_count = 0
+            if info.fk_field is not None:
+                info.fk_reverse = HashIndex(
+                    f"fkrev--{info.fk_eva.owner_name}--{info.fk_eva.name}")
+            elif info.ptr_field is not None:
+                info.ptr_reverse = HashIndex(
+                    f"ptrrev--{info.canonical.owner_name}"
+                    f"--{info.canonical.name}")
+            else:
+                prefix = f"{info.canonical.owner_name}--{info.canonical.name}"
+                info.forward = HashIndex(f"fwd--{prefix}")
+                info.reverse = HashIndex(f"rev--{prefix}")
 
     def _build_mvdva_unit(self, class_name: str, attr) -> None:
         key = (class_name, attr.name)
@@ -287,7 +325,6 @@ class MapperStore:
         self._mvdva_file[key] = record_file
         self._mvdva_format[key] = self._new_format(
             record_file, f"mvrec--{class_name}--{attr.name}", fields)
-        self._mvdva_index[key] = HashIndex(f"mvidx--{class_name}--{attr.name}")
 
     def _build_eva(self, canonical: EntityValuedAttribute) -> None:
         mapping = self.design.eva_mapping(canonical)
@@ -304,15 +341,11 @@ class MapperStore:
             info.fk_field = f"fk--{holder.name}"
             holder_class = self.schema.get_class(holder.owner_name)
             holder_class._scratch_fields[info.fk_field] = _SURROGATE_WIDTH
-            info.fk_reverse = HashIndex(
-                f"fkrev--{holder.owner_name}--{holder.name}")
         elif mapping is EvaMapping.POINTER:
             info.ptr_field = f"ptr--{canonical.name}"
             slots = canonical.options.max_cardinality or 8
             width = _POINTER_WIDTH * (slots if canonical.multi_valued else 1)
             owner_class._scratch_fields[info.ptr_field] = width
-            info.ptr_reverse = HashIndex(
-                f"ptrrev--{canonical.owner_name}--{canonical.name}")
         else:
             rel_fields = {"surr1": _SURROGATE_WIDTH, "rel": 2,
                           "surr2": _SURROGATE_WIDTH}
@@ -337,9 +370,6 @@ class MapperStore:
                                                 0.35)
                 info.format_id = self._new_format(
                     info.file, f"eva--{canonical.name}", rel_fields)
-            prefix = f"{canonical.owner_name}--{canonical.name}"
-            info.forward = HashIndex(f"fwd--{prefix}")
-            info.reverse = HashIndex(f"rev--{prefix}")
 
         self._eva_info[(canonical.owner_name, canonical.name)] = info
 
@@ -386,26 +416,134 @@ class MapperStore:
 
     def current_snapshot(self):
         """The Snapshot pinned on this thread, or None (physical reads)."""
-        return getattr(self._snapshots, "snap", None)
+        return self._snapshots.snap
 
     @contextmanager
     def snapshot_scope(self, snap):
         """Route this thread's reads through ``snap`` for the duration of
         the block (nestable; morsel workers re-enter the query's scope)."""
-        previous = getattr(self._snapshots, "snap", None)
+        previous = self._snapshots.snap
         self._snapshots.snap = snap
         try:
             yield snap
         finally:
             self._snapshots.snap = previous
 
-    # -- pre-image staging (writer side) -----------------------------------------
+    # -- the read protocol -------------------------------------------------------
     #
-    # Every mutator stages the logical read unit it is about to change
-    # BEFORE touching it.  That ordering is what makes the lock-free
-    # reader's double-check protocol sound: probe versions, read
-    # physical, re-probe — a concurrent mutation is always visible to
-    # the second probe.
+    # Every read of versioned state is ``_read`` over one of three
+    # physical primitives — ``_role_record``, ``_mv_values``, ``_fanout``
+    # — and the writers' pre-image staging (``_stage``) calls the same
+    # primitives, so whoever asks, a unit is read by one piece of code.
+
+    def _read(self, key: tuple, primitive, *args):
+        """What ``primitive(*args)`` reads, as of this thread's view.
+
+        With no snapshot pinned that is the primitive's own answer.
+        Under a snapshot: probe the version map; on a miss read, then
+        probe again.  Writers stage a unit's pre-image BEFORE mutating
+        it, so a mutation racing the read is always visible to the
+        second probe, and two misses prove that what was read is the
+        snapshot's state.  A hit returns the staged pre-image — the
+        primitive's own return value, captured by the writer."""
+        snap = self.current_snapshot()
+        if snap is None:
+            return primitive(*args)
+        hit, pre = self.versions.lookup(snap, key)
+        if not hit:
+            value = error = None
+            try:
+                value = primitive(*args)
+            except Exception as exc:    # a racing writer reshaped the unit
+                error = exc
+            hit, pre = self.versions.lookup(snap, key)
+            if not hit:
+                if error is not None:
+                    raise error
+                return value
+        return pre
+
+    def _batch_probe(self, probe, *args):
+        """``(found, missing, probed)`` for a batched cache probe whose
+        last argument is the surrogates.  Under a snapshot nothing is
+        probed (``probed`` implies "no snapshot pinned"): a cached value
+        may only be served between its own key's two version probes."""
+        if self.current_snapshot() is None:
+            return probe(*args) + (True,)
+        return {}, args[-1], False
+
+    def _role_record(self, class_name: str, surrogate: int,
+                     decode: bool = True, probed: bool = False):
+        """Primitive: the entity's role record, ``(rid, values)``, or
+        :data:`ABSENT` when it does not hold the role.  ``decode=False``
+        answers membership only (``values`` is None, the unit is not
+        read); ``probed``: the caller's batch probe already missed the
+        record cache.  ``class_name`` must be canonical.  Like every
+        fill, the two here are validated against the epoch captured
+        before the first read they depend on."""
+        cache = self.read_cache
+        epoch = cache.epoch
+        if decode and not probed:
+            cached = cache.get_record(class_name, surrogate)
+            if cached is not None:
+                return cached
+        rid = cache.get_role(class_name, surrogate)
+        if rid is MISSING:
+            rid = self._surrogate_index[class_name].lookup_one(surrogate)
+            cache.put_role(class_name, surrogate, rid, epoch)
+        if rid is None:
+            return ABSENT
+        if not decode:
+            return rid, None
+        _, values = self._class_file[class_name].read(rid)
+        self.perf.bump("records_decoded")
+        trace = self.trace
+        if trace is not None and trace.enabled:
+            trace.count("mapper.records_decoded")
+            trace.count(f"mapper.decoded[{class_name}]")
+        cache.put_record(class_name, surrogate, rid, values, epoch)
+        return rid, values
+
+    def _mv_values(self, class_name: str, attr_name: str,
+                   surrogate: int) -> tuple:
+        """Primitive: a separate-unit MV DVA's values, in insertion
+        order (never cached)."""
+        key = (class_name, attr_name)
+        record_file = self._mvdva_file[key]
+        rows = []
+        for rid in self._mvdva_index[key].lookup(surrogate):
+            _, record = record_file.read(rid)
+            rows.append((record["seq"], record["value"]))
+        rows.sort(key=lambda pair: pair[0])
+        return tuple(value for _, value in rows)
+
+    def _fanout(self, info: _EvaInfo, side: bool, surrogate: int,
+                probed: bool = False) -> tuple:
+        """Primitive: one side of an EVA's fan-out, whatever its
+        physical mapping — fan-out cache, then a fresh join
+        materialization, then the traversal itself."""
+        cache = self.read_cache
+        epoch = cache.epoch
+        if not probed:
+            cached = cache.get_fanout(info.rel_id, side, surrogate)
+            if cached is not None:
+                return cached
+        # FOREIGN_KEY and POINTER traversals read the holder's record
+        # through this thread's view (a holder deleted after the pin must
+        # still traverse), so under a snapshot the result may describe
+        # the snapshot's epoch, not physical state: returned, not cached.
+        # Materializations likewise track the latest state only.
+        latest = probed or self.current_snapshot() is None
+        if latest and self.materialized is not None:
+            served = self.materialized.serve_eva(info.rel_id, side, surrogate)
+            if served is not None:
+                return served
+        targets = tuple(self._traverse_side(info, side, surrogate))
+        if latest:
+            cache.put_fanout(info.rel_id, side, surrogate, targets, epoch)
+        return targets
+
+    # -- pre-image staging (writer side) -----------------------------------------
 
     def _staging_txn(self):
         """The transaction id to stage under, or ``_STAGE_SKIP``.
@@ -416,124 +554,62 @@ class MapperStore:
         if not self.versions.enabled:
             return _STAGE_SKIP
         txn_id, rolling_back = self.transactions.txn_context()
-        if rolling_back:
-            return _STAGE_SKIP
-        return txn_id
+        return _STAGE_SKIP if rolling_back else txn_id
 
-    def _stage_record(self, class_name: str, surrogate: int) -> None:
+    def _stage(self, key: tuple, class_name: str, primitive, *args) -> None:
+        """Stage ``key``'s pre-image — what its primitive reads now —
+        ahead of this transaction's first mutation of the unit.  That
+        ordering is what makes ``_read``'s second probe sufficient."""
         txn_id = self._staging_txn()
-        if txn_id is _STAGE_SKIP:
+        if txn_id is _STAGE_SKIP or self.versions.is_staged(key):
             return
-        key = ("rec", class_name, surrogate)
-        if self.versions.is_staged(key):
-            return
-        rid = self._surrogate_index[class_name].lookup_one(surrogate)
-        if rid is None:
-            pre = ABSENT
-        else:
-            _, values = self._class_file[class_name].read(rid)
-            pre = (rid, dict(values))
-        self.versions.stage(txn_id, key, pre, class_name)
+        self.versions.stage(txn_id, key, primitive(*args), class_name)
 
-    def _stage_member(self, class_name: str, surrogate: int,
-                      adding: bool) -> None:
-        txn_id = self._staging_txn()
-        if txn_id is _STAGE_SKIP:
-            return
-        self.versions.stage_member(txn_id, class_name, surrogate, adding)
+    def _stage_record(self, class_name: str, surrogate: int,
+                      adding: Optional[bool] = None) -> None:
+        """Stage a role record and, when the role itself is about to
+        appear (``adding``) or disappear, the class-membership delta."""
+        self._stage(("rec", class_name, surrogate), class_name,
+                    self._role_record, class_name, surrogate)
+        if adding is not None:
+            txn_id = self._staging_txn()
+            if txn_id is not _STAGE_SKIP:
+                self.versions.stage_member(txn_id, class_name, surrogate,
+                                           adding)
 
     def _stage_mv(self, class_name: str, attr_name: str,
                   surrogate: int) -> None:
-        txn_id = self._staging_txn()
-        if txn_id is _STAGE_SKIP:
-            return
-        key = ("mv", class_name, attr_name, surrogate)
-        if self.versions.is_staged(key):
-            return
-        pre = tuple(self._mvdva_values_physical(surrogate, class_name,
-                                                attr_name))
-        self.versions.stage(txn_id, key, pre, class_name)
+        self._stage(("mv", class_name, attr_name, surrogate), class_name,
+                    self._mv_values, class_name, attr_name, surrogate)
 
     def _stage_fan(self, info: _EvaInfo, domain_surr: int,
                    range_surr: int) -> None:
         """Stage the fan-out pre-images an include/exclude is about to
         change — one key per affected (side, surrogate)."""
-        txn_id = self._staging_txn()
-        if txn_id is _STAGE_SKIP:
-            return
         canonical = info.canonical
         if info.self_inverse:
             # Self-inverse EVAs serve both directions from one cache side.
-            for surr in {domain_surr, range_surr}:
-                self._stage_one_fan(txn_id, info, True, surr,
-                                    canonical.owner_name)
-            return
-        self._stage_one_fan(txn_id, info, True, domain_surr,
-                            canonical.owner_name)
-        self._stage_one_fan(txn_id, info, False, range_surr,
-                            canonical.range_class_name)
-
-    def _stage_one_fan(self, txn_id, info: _EvaInfo, side: bool,
-                       surrogate: int, class_name: str) -> None:
-        key = ("fan", info.rel_id, side, surrogate)
-        if self.versions.is_staged(key):
-            return
-        try:
-            if info.self_inverse:
-                pre = tuple(self._traverse(info, surrogate, forward=True)
-                            + self._traverse(info, surrogate, forward=False))
-            else:
-                pre = tuple(self._traverse(info, surrogate, forward=side))
-        except IntegrityError:
-            # The entity has no record on the side that holds the key
-            # (e.g. EXCLUDE against a missing role): its fan cannot
-            # change, so there is nothing to stage.
-            return
-        self.versions.stage(txn_id, key, pre, class_name)
+            affected = {(True, domain_surr, canonical.owner_name),
+                        (True, range_surr, canonical.owner_name)}
+        else:
+            affected = ((True, domain_surr, canonical.owner_name),
+                        (False, range_surr, canonical.range_class_name))
+        for side, surrogate, class_name in affected:
+            try:
+                self._stage(("fan", info.rel_id, side, surrogate), class_name,
+                            self._fanout, info, side, surrogate)
+            except IntegrityError:
+                # The entity has no record on the side that holds the key
+                # (e.g. EXCLUDE against a missing role): its fan cannot
+                # change, so there is nothing to stage.
+                pass
 
     # ------------------------------------------------------------------- roles
 
     def has_role(self, surrogate: int, class_name: str) -> bool:
-        return self._role_rid(surrogate, canon(class_name)) is not None
-
-    def _role_rid(self, surrogate: int, class_name: str):
-        """RID of the entity's role record (None when the role is absent),
-        through the role cache.  ``class_name`` must be canonical."""
-        snap = self.current_snapshot()
-        if snap is not None:
-            return self._role_rid_snapshot(snap, surrogate, class_name)
-        rid = self.read_cache.get_role(class_name, surrogate)
-        if rid is not MISSING:
-            return rid
-        rid = self._surrogate_index[class_name].lookup_one(surrogate)
-        self.read_cache.put_role(class_name, surrogate, rid)
-        return rid
-
-    def _role_rid_snapshot(self, snap, surrogate: int, class_name: str):
-        """Snapshot-correct role RID, lock-free.  The shared cache may be
-        read (a version miss proves physical state IS snapshot state) but
-        never written — a snapshot result must not outlive its epoch in a
-        cache writers invalidate by physical state."""
-        key = ("rec", class_name, surrogate)
-        versions = self.versions
-        hit, pre = versions.lookup(snap, key)
-        if not hit:
-            rid = error = None
-            try:
-                cached = self.read_cache.get_role(class_name, surrogate)
-                if cached is not MISSING:
-                    rid = cached
-                else:
-                    rid = self._surrogate_index[class_name].lookup_one(
-                        surrogate)
-            except Exception as exc:    # racing writer reshaped the index
-                error = exc
-            hit, pre = versions.lookup(snap, key)
-            if not hit:
-                if error is not None:
-                    raise error
-                return rid
-        return None if pre is ABSENT else pre[0]
+        class_name = canon(class_name)
+        return self._read(("rec", class_name, surrogate), self._role_record,
+                          class_name, surrogate, False) is not ABSENT
 
     def roles_of(self, surrogate: int, base_class: str) -> List[str]:
         """All classes in the hierarchy where the entity currently has a
@@ -560,8 +636,7 @@ class MapperStore:
             if not self.has_role(surrogate, super_name):
                 raise IntegrityError(
                     f"entity {surrogate} lacks superclass role {super_name!r}")
-        self._stage_record(class_name, surrogate)   # pre-image: ABSENT
-        self._stage_member(class_name, surrogate, adding=True)
+        self._stage_record(class_name, surrogate, adding=True)
 
         record_file = self._class_file[class_name]
         format_id = self._class_format[class_name]
@@ -596,19 +671,13 @@ class MapperStore:
                                                 canon(field_name),
                                                 NULL, value)
 
-            for (cls, attr_name), unique_index in self._unique_index.items():
-                if cls != class_name:
-                    continue
+            for attr_name, index in self._class_indexes[class_name]:
                 value = record.get(attr_name)
-                if not is_null(value):
-                    self._unique_insert(unique_index, value, rid,
-                                        class_name, attr_name)
-            for (cls, attr_name), value_index in self._value_index.items():
-                if cls != class_name:
-                    continue
-                value = record.get(attr_name)
-                if not is_null(value):
-                    value_index.insert(value, rid)
+                if (index.unique and not is_null(value)
+                        and index.lookup_one(value) is not None):
+                    raise UniquenessViolation(
+                        f"{class_name}.{attr_name} = {value!r} already used")
+            self._index_record(class_name, record, rid)
 
         def undo():
             self._drop_role_record(surrogate, class_name)
@@ -667,8 +736,7 @@ class MapperStore:
 
     def _drop_role_record(self, surrogate: int, class_name: str
                           ) -> Tuple[RID, int, Dict[str, object]]:
-        self._stage_record(class_name, surrogate)
-        self._stage_member(class_name, surrogate, adding=False)
+        self._stage_record(class_name, surrogate, adding=False)
         record_file = self._class_file[class_name]
         index = self._surrogate_index[class_name]
         with record_file.latch:
@@ -679,13 +747,18 @@ class MapperStore:
             record = record_file.delete(rid)
             index.delete(surrogate, rid)
             self.writes.role_changed(class_name, surrogate)
-            for (cls, attr_name), unique_index in self._unique_index.items():
-                if cls == class_name and not is_null(record.get(attr_name)):
-                    unique_index.delete(record[attr_name], rid)
-            for (cls, attr_name), value_index in self._value_index.items():
-                if cls == class_name and not is_null(record.get(attr_name)):
-                    value_index.delete(record[attr_name], rid)
+            for attr_name, index in self._class_indexes[class_name]:
+                if not is_null(record.get(attr_name)):
+                    index.delete(record[attr_name], rid)
         return rid, self._class_format[class_name], record
+
+    def _index_record(self, class_name: str, record: Dict[str, object],
+                      rid: RID) -> None:
+        """Enter a role record into every unique and value index of its
+        class (NULLs are not indexed)."""
+        for attr_name, index in self._class_indexes[class_name]:
+            if not is_null(record.get(attr_name)):
+                index.insert(record[attr_name], rid)
 
     def _restore_role_record(self, surrogate: int, class_name: str, rid: RID,
                              format_id: int, record: Dict[str, object]) -> None:
@@ -696,12 +769,7 @@ class MapperStore:
             record_file.undelete(rid, format_id, record)
             self._surrogate_index[class_name].insert(surrogate, rid)
             self.writes.role_changed(class_name, surrogate)
-            for (cls, attr_name), unique_index in self._unique_index.items():
-                if cls == class_name and not is_null(record.get(attr_name)):
-                    unique_index.insert(record[attr_name], rid)
-            for (cls, attr_name), value_index in self._value_index.items():
-                if cls == class_name and not is_null(record.get(attr_name)):
-                    value_index.insert(record[attr_name], rid)
+            self._index_record(class_name, record, rid)
 
     def insert_entity(self, class_name: str,
                       values: Optional[Dict[str, object]] = None) -> int:
@@ -751,99 +819,31 @@ class MapperStore:
 
     def record_of(self, surrogate: int, class_name: str
                   ) -> Tuple[RID, Dict[str, object]]:
-        class_name = canon(class_name)
-        snap = self.current_snapshot()
-        if snap is not None:
-            return self._record_of_snapshot(snap, surrogate, class_name)
-        cached = self.read_cache.get_record(class_name, surrogate)
-        if cached is not None:
-            return cached
-        rid = self._role_rid(surrogate, class_name)
-        if rid is None:
-            raise IntegrityError(
-                f"entity {surrogate} has no role {class_name!r}")
-        _, values = self._class_file[class_name].read(rid)
-        self.perf.bump("records_decoded")
-        trace = self.trace
-        if trace is not None and trace.enabled:
-            trace.count("mapper.records_decoded")
-            trace.count(f"mapper.decoded[{class_name}]")
-        self.read_cache.put_record(class_name, surrogate, rid, values)
-        return rid, values
+        """The entity's decoded role record.  The values dict is shared
+        with the cache or a version chain: read-only."""
+        return self._record(canon(class_name), surrogate)
 
-    def _record_of_snapshot(self, snap, surrogate: int, class_name: str
-                            ) -> Tuple[RID, Dict[str, object]]:
-        """Snapshot-correct decoded record, lock-free (double-check
-        protocol; see the staging section).  The returned dict is a copy
-        when served from a version chain, so callers can't corrupt it."""
-        key = ("rec", class_name, surrogate)
-        versions = self.versions
-        hit, pre = versions.lookup(snap, key)
-        if not hit:
-            result = error = None
-            try:
-                cached = self.read_cache.get_record(class_name, surrogate)
-                if cached is not None:
-                    result = cached
-                else:
-                    rid = self._role_rid_snapshot(snap, surrogate,
-                                                  class_name)
-                    if rid is None:
-                        error = IntegrityError(
-                            f"entity {surrogate} has no role "
-                            f"{class_name!r}")
-                    else:
-                        _, values = self._class_file[class_name].read(rid)
-                        self.perf.bump("records_decoded")
-                        result = (rid, values)
-            except Exception as exc:    # racing writer moved the record
-                error = exc
-            hit, pre = versions.lookup(snap, key)
-            if not hit:
-                if error is not None:
-                    raise error
-                return result
-        if pre is ABSENT:
+    def _record(self, class_name: str, surrogate: int,
+                probed: bool = False) -> Tuple[RID, Dict[str, object]]:
+        entry = self._read(("rec", class_name, surrogate), self._role_record,
+                           class_name, surrogate, True, probed)
+        if entry is ABSENT:
             raise IntegrityError(
                 f"entity {surrogate} has no role {class_name!r}")
-        return pre[0], dict(pre[1])
+        return entry
 
     def fetch_many(self, class_name: str, surrogates
                    ) -> Dict[int, Tuple[RID, Dict[str, object]]]:
         """Batched :meth:`record_of`: decoded records for every surrogate
         (each must hold the role).  Cache traffic and decode counters
-        match per-surrogate calls exactly, but the cache probe and the
-        counter bumps aggregate over the whole batch — the operator
-        algebra's amortized decode path."""
+        match per-surrogate calls exactly, but one cache probe covers
+        the whole batch — the operator algebra's amortized decode path."""
         class_name = canon(class_name)
-        snap = self.current_snapshot()
-        if snap is not None:
-            return {surrogate: self._record_of_snapshot(snap, surrogate,
-                                                        class_name)
-                    for surrogate in surrogates}
-        found, missing = self.read_cache.get_record_batch(class_name,
-                                                          surrogates)
-        if not missing:
-            return found
-        record_file = self._class_file[class_name]
-        decoded = 0
+        found, missing, probed = self._batch_probe(
+            self.read_cache.get_record_batch, class_name, surrogates)
         for surrogate in missing:
-            if surrogate in found:      # duplicate within the batch
-                continue
-            rid = self._role_rid(surrogate, class_name)
-            if rid is None:
-                raise IntegrityError(
-                    f"entity {surrogate} has no role {class_name!r}")
-            _, values = record_file.read(rid)
-            decoded += 1
-            self.read_cache.put_record(class_name, surrogate, rid, values)
-            found[surrogate] = (rid, values)
-        if decoded:
-            self.perf.bump("records_decoded", decoded)
-            trace = self.trace
-            if trace is not None and trace.enabled:
-                trace.count("mapper.records_decoded", decoded)
-                trace.count(f"mapper.decoded[{class_name}]", decoded)
+            if surrogate not in found:      # duplicate within the batch
+                found[surrogate] = self._record(class_name, surrogate, probed)
         return found
 
     def read_dva(self, surrogate: int, attr):
@@ -860,7 +860,8 @@ class MapperStore:
             _, record = self.record_of(surrogate, owner)
             stored = record.get(attr.name, NULL)
             return [] if is_null(stored) else list(stored)
-        return self._mvdva_values(surrogate, owner, attr.name)
+        return list(self._read(("mv", owner, attr.name, surrogate),
+                               self._mv_values, owner, attr.name, surrogate))
 
     def _read_subrole(self, surrogate: int, attr):
         roles = [name for name in attr.subclass_names
@@ -923,48 +924,7 @@ class MapperStore:
                               maintain_indexes=maintain_indexes)
         self.transactions.record_undo(undo)
 
-    def _unique_insert(self, index: HashIndex, value, rid: RID,
-                       class_name: str, attr_name: str) -> None:
-        if index.lookup_one(value) is not None:
-            raise UniquenessViolation(
-                f"{class_name}.{attr_name} = {value!r} already used")
-        index.insert(value, rid)
-
     # -- separate-unit MV DVAs ---------------------------------------------------
-
-    def _mvdva_values(self, surrogate: int, class_name: str,
-                      attr_name: str) -> List[object]:
-        snap = self.current_snapshot()
-        if snap is None:
-            return self._mvdva_values_physical(surrogate, class_name,
-                                               attr_name)
-        key = ("mv", class_name, attr_name, surrogate)
-        versions = self.versions
-        hit, pre = versions.lookup(snap, key)
-        if not hit:
-            values = error = None
-            try:
-                values = self._mvdva_values_physical(surrogate, class_name,
-                                                     attr_name)
-            except Exception as exc:    # racing writer reshaped the unit
-                error = exc
-            hit, pre = versions.lookup(snap, key)
-            if not hit:
-                if error is not None:
-                    raise error
-                return values
-        return list(pre)
-
-    def _mvdva_values_physical(self, surrogate: int, class_name: str,
-                               attr_name: str) -> List[object]:
-        key = (class_name, attr_name)
-        record_file = self._mvdva_file[key]
-        rows = []
-        for rid in self._mvdva_index[key].lookup(surrogate):
-            _, record = record_file.read(rid)
-            rows.append((record["seq"], record["value"]))
-        rows.sort(key=lambda pair: pair[0])
-        return [value for _, value in rows]
 
     def mv_include(self, surrogate: int, attr, value) -> None:
         """INCLUDE one value into an MV DVA."""
@@ -1001,23 +961,26 @@ class MapperStore:
             for rid in self._mvdva_index[key].lookup(surrogate):
                 _, record = record_file.read(rid)
                 if record["value"] == value:
-                    record_file.delete(rid)
-                    self._mvdva_index[key].delete(surrogate, rid)
-                    seq = record["seq"]
-
-                    def undo():
-                        # Abort replay runs outside any statement-level
-                        # latching, so the closure latches the unit itself.
-                        with record_file.latch:
-                            record_file.undelete(
-                                rid, self._mvdva_format[key],
-                                {"owner": surrogate, "seq": seq,
-                                 "value": value})
-                            self._mvdva_index[key].insert(surrogate, rid)
-                    self.transactions.record_undo(undo)
+                    self._mvdva_drop(key, surrogate, rid, record)
                     self.writes.note_write()
                     return True
         return False
+
+    def _mvdva_drop(self, key: Tuple[str, str], surrogate: int, rid: RID,
+                    record: Dict[str, object]) -> None:
+        """Delete one MV value record (the caller holds the unit's
+        latch); an abort puts it back at the same RID."""
+        record_file = self._mvdva_file[key]
+        record_file.delete(rid)
+        self._mvdva_index[key].delete(surrogate, rid)
+
+        def undo():
+            # Abort replay runs outside any statement-level latching,
+            # so the closure latches the unit itself.
+            with record_file.latch:
+                record_file.undelete(rid, self._mvdva_format[key], record)
+                self._mvdva_index[key].insert(surrogate, rid)
+        self.transactions.record_undo(undo)
 
     def _mvdva_append(self, surrogate: int, class_name: str, attr_name: str,
                       value) -> None:
@@ -1050,18 +1013,8 @@ class MapperStore:
         with record_file.latch:
             self._stage_mv(class_name, attr_name, surrogate)
             for rid in list(self._mvdva_index[key].lookup(surrogate)):
-                _, record = record_file.read(rid)
-                record_file.delete(rid)
-                self._mvdva_index[key].delete(surrogate, rid)
-                seq, value = record["seq"], record["value"]
-
-                def undo(rid=rid, seq=seq, value=value):
-                    with record_file.latch:
-                        record_file.undelete(
-                            rid, self._mvdva_format[key],
-                            {"owner": surrogate, "seq": seq, "value": value})
-                        self._mvdva_index[key].insert(surrogate, rid)
-                self.transactions.record_undo(undo)
+                self._mvdva_drop(key, surrogate, rid,
+                                 record_file.read(rid)[1])
 
     # ------------------------------------------- materialized derived relations
 
@@ -1083,55 +1036,16 @@ class MapperStore:
         responsibility of traversing a relationship, no matter how it is
         physically mapped" (§5.1).
         """
-        info = self.eva_info(eva)
-        canonical = info.canonical
-        side = bool(info.self_inverse or eva is canonical)
-        snap = self.current_snapshot()
-        if snap is not None:
-            return self._eva_targets_snapshot(snap, info, side, surrogate)
-        cached = self.read_cache.get_fanout(info.rel_id, side, surrogate)
-        if cached is not None:
-            return list(cached)
-        if self.materialized is not None:
-            served = self.materialized.serve_eva(info.rel_id, side, surrogate)
-            if served is not None:
-                return list(served)
-        if info.self_inverse:
-            targets = (self._traverse(info, surrogate, forward=True)
-                       + self._traverse(info, surrogate, forward=False))
-        else:
-            targets = self._traverse(info, surrogate, forward=side)
-        self.read_cache.put_fanout(info.rel_id, side, surrogate,
-                                   tuple(targets))
-        return targets
+        info, side = self._eva_side(eva)
+        return list(self._read(("fan", info.rel_id, side, surrogate),
+                               self._fanout, info, side, surrogate))
 
-    def _eva_targets_snapshot(self, snap, info: _EvaInfo, side: bool,
-                              surrogate: int) -> List[int]:
-        """Snapshot-correct fan-out, lock-free (double-check protocol)."""
-        key = ("fan", info.rel_id, side, surrogate)
-        versions = self.versions
-        hit, pre = versions.lookup(snap, key)
-        if not hit:
-            targets = error = None
-            try:
-                cached = self.read_cache.get_fanout(info.rel_id, side,
-                                                    surrogate)
-                if cached is not None:
-                    targets = list(cached)
-                elif info.self_inverse:
-                    targets = (self._traverse(info, surrogate, forward=True)
-                               + self._traverse(info, surrogate,
-                                                forward=False))
-                else:
-                    targets = self._traverse(info, surrogate, forward=side)
-            except Exception as exc:    # racing writer reshaped the unit
-                error = exc
-            hit, pre = versions.lookup(snap, key)
-            if not hit:
-                if error is not None:
-                    raise error
-                return targets
-        return list(pre)
+    def _eva_side(self, eva: EntityValuedAttribute
+                  ) -> Tuple[_EvaInfo, bool]:
+        """The pair's bookkeeping and which of its cache sides ``eva``
+        reads (a self-inverse EVA has only the one)."""
+        info = self.eva_info(eva)
+        return info, bool(info.self_inverse or eva is info.canonical)
 
     def traverse_eva_batch(self, surrogates, eva: EntityValuedAttribute
                            ) -> Dict[int, List[int]]:
@@ -1139,36 +1053,27 @@ class MapperStore:
         fan-out cache probe covers the whole batch, misses traverse the
         physical mapping individually.  Per-surrogate cache counters are
         identical to individual calls, aggregated into two bumps."""
-        info = self.eva_info(eva)
-        canonical = info.canonical
-        side = bool(info.self_inverse or eva is canonical)
-        snap = self.current_snapshot()
-        if snap is not None:
-            return {surrogate: self._eva_targets_snapshot(snap, info, side,
-                                                          surrogate)
-                    for surrogate in surrogates}
-        found, missing = self.read_cache.get_fanout_batch(info.rel_id, side,
-                                                          surrogates)
+        info, side = self._eva_side(eva)
+        found, missing, probed = self._batch_probe(
+            self.read_cache.get_fanout_batch, info.rel_id, side, surrogates)
         results = {surrogate: list(targets)
                    for surrogate, targets in found.items()}
-        mats = self.materialized
         for surrogate in missing:
-            if surrogate in results:    # duplicate within the batch
-                continue
-            if mats is not None:
-                served = mats.serve_eva(info.rel_id, side, surrogate)
-                if served is not None:
-                    results[surrogate] = list(served)
-                    continue
-            if info.self_inverse:
-                targets = (self._traverse(info, surrogate, forward=True)
-                           + self._traverse(info, surrogate, forward=False))
-            else:
-                targets = self._traverse(info, surrogate, forward=side)
-            self.read_cache.put_fanout(info.rel_id, side, surrogate,
-                                       tuple(targets))
-            results[surrogate] = targets
+            if surrogate not in results:    # duplicate within the batch
+                results[surrogate] = list(self._read(
+                    ("fan", info.rel_id, side, surrogate),
+                    self._fanout, info, side, surrogate, probed))
         return results
+
+    def _traverse_side(self, info: _EvaInfo, side: bool,
+                       surrogate: int) -> List[int]:
+        """Physical traversal of one cache side.  A self-inverse EVA
+        (SPOUSE) stores each instance once, in whichever orientation it
+        was included, so its single side is both directions."""
+        if info.self_inverse:
+            return (self._traverse(info, surrogate, forward=True)
+                    + self._traverse(info, surrogate, forward=False))
+        return self._traverse(info, surrogate, forward=side)
 
     def _traverse(self, info: _EvaInfo, surrogate: int,
                   forward: bool) -> List[int]:
@@ -1184,7 +1089,8 @@ class MapperStore:
                                            info.fk_eva.owner_name)
                 value = record.get(info.fk_field, NULL)
                 return [] if is_null(value) else [value]
-            return self._fk_owners(info, surrogate)
+            return self._surrogates_at(info.fk_eva.owner_name,
+                                       info.fk_reverse.lookup(surrogate))
         if mapping is EvaMapping.POINTER:
             if forward:
                 _, record = self.record_of(surrogate,
@@ -1199,7 +1105,8 @@ class MapperStore:
                     self.pool.get(range_file.file_id, block)
                     targets.append(target_surr)
                 return targets
-            return self._ptr_owners(info, surrogate)
+            return self._surrogates_at(info.canonical.owner_name,
+                                       info.ptr_reverse.lookup(surrogate))
         # Structure-based mappings.
         index = info.forward if forward else info.reverse
         out_field = "surr2" if forward else "surr1"
@@ -1209,29 +1116,19 @@ class MapperStore:
             results.append(record[out_field])
         return results
 
-    def _fk_owners(self, info: _EvaInfo, target: int) -> List[int]:
-        owners = []
-        for rid in info.fk_reverse.lookup(target):
-            _, record = self._class_file[info.fk_eva.owner_name].read(rid)
-            owners.append(record["surrogate"])
-        return owners
-
-    def _ptr_owners(self, info: _EvaInfo, target: int) -> List[int]:
-        owners = []
-        for rid in info.ptr_reverse.lookup(target):
-            _, record = self._class_file[info.canonical.owner_name].read(rid)
-            owners.append(record["surrogate"])
-        return owners
+    def _surrogates_at(self, class_name: str, rids) -> List[int]:
+        """Surrogates of the ``class_name`` records at ``rids`` (what an
+        index over the class's records selected)."""
+        record_file = self._class_file[class_name]
+        return [record_file.read(rid)[1]["surrogate"] for rid in rids]
 
     def eva_include(self, surrogate: int, eva: EntityValuedAttribute,
                     target: int) -> None:
         """Add one relationship instance (from ``eva``'s side of the pair)."""
-        info = self.eva_info(eva)
+        info, side = self._eva_side(eva)
         canonical = info.canonical
-        if eva is canonical or info.self_inverse:
-            domain_surr, range_surr = surrogate, target
-        else:
-            domain_surr, range_surr = target, surrogate
+        domain_surr, range_surr = ((surrogate, target) if side
+                                   else (target, surrogate))
         self._require_role(domain_surr, canonical.owner_name)
         self._require_role(range_surr, canonical.range_class_name)
         self._stage_fan(info, domain_surr, range_surr)
@@ -1287,47 +1184,34 @@ class MapperStore:
                     info.file.delete(rid)
                     info.forward.delete((info.rel_id, domain_surr), rid)
                     info.reverse.delete((info.rel_id, range_surr), rid)
-                    info.instance_count -= 1
             self.transactions.record_undo(undo)
-        info.instance_count += 1
+        self._count_instances(info, +1)
         self.writes.eva_changed(info.rel_id, domain_surr, range_surr,
                                 added=True)
         if self.history is not None:
             self.history.record_include(surrogate, eva.name, target)
-            if eva.inverse is not eva:
-                self.history.record_include(target, eva.inverse.name,
-                                            surrogate)
-            else:
-                self.history.record_include(target, eva.name, surrogate)
+            self.history.record_include(target, eva.inverse.name, surrogate)
 
     def eva_exclude(self, surrogate: int, eva: EntityValuedAttribute,
                     target: int) -> bool:
         """Remove one relationship instance; returns True when one existed."""
-        info = self.eva_info(eva)
-        canonical = info.canonical
-        if eva is canonical or info.self_inverse:
-            domain_surr, range_surr = surrogate, target
-        else:
-            domain_surr, range_surr = target, surrogate
+        info, side = self._eva_side(eva)
+        domain_surr, range_surr = ((surrogate, target) if side
+                                   else (target, surrogate))
         self._stage_fan(info, domain_surr, range_surr)
-        if info.self_inverse:
-            # Try both orientations.
-            removed = (self._exclude_oriented(info, surrogate, target)
-                       or self._exclude_oriented(info, target, surrogate))
-        elif eva is canonical:
-            removed = self._exclude_oriented(info, surrogate, target)
-        else:
-            removed = self._exclude_oriented(info, target, surrogate)
+        # A self-inverse instance is stored in whichever orientation it
+        # was included.
+        removed = (self._exclude_oriented(info, domain_surr, range_surr)
+                   or (info.self_inverse and self._exclude_oriented(
+                       info, range_surr, domain_surr)))
         if removed:
+            self._count_instances(info, -1)
             self.writes.eva_changed(info.rel_id, domain_surr, range_surr,
                                     added=False)
-        if removed and self.history is not None:
-            self.history.record_exclude(surrogate, eva.name, target)
-            if eva.inverse is not eva:
+            if self.history is not None:
+                self.history.record_exclude(surrogate, eva.name, target)
                 self.history.record_exclude(target, eva.inverse.name,
                                             surrogate)
-            else:
-                self.history.record_exclude(target, eva.name, surrogate)
         return removed
 
     def _exclude_oriented(self, info: _EvaInfo, domain_surr: int,
@@ -1351,7 +1235,6 @@ class MapperStore:
             info.fk_reverse.delete(other_surr, rid)
             self.transactions.record_undo(
                 lambda: info.fk_reverse.insert(other_surr, rid))
-            info.instance_count -= 1
             return True
         if mapping is EvaMapping.POINTER:
             try:
@@ -1373,7 +1256,6 @@ class MapperStore:
             info.ptr_reverse.delete(range_surr, owner_rid)
             self.transactions.record_undo(
                 lambda: info.ptr_reverse.insert(range_surr, owner_rid))
-            info.instance_count -= 1
             return True
         with info.file.latch:
             for rid in info.forward.lookup((info.rel_id, domain_surr)):
@@ -1383,7 +1265,6 @@ class MapperStore:
                 info.file.delete(rid)
                 info.forward.delete((info.rel_id, domain_surr), rid)
                 info.reverse.delete((info.rel_id, range_surr), rid)
-                info.instance_count -= 1
 
                 def undo():
                     # Restore at the SAME RID: a compensation that
@@ -1397,10 +1278,17 @@ class MapperStore:
                                             "surr2": range_surr})
                         info.forward.insert((info.rel_id, domain_surr), rid)
                         info.reverse.insert((info.rel_id, range_surr), rid)
-                        info.instance_count += 1
                 self.transactions.record_undo(undo)
                 return True
         return False
+
+    def _count_instances(self, info: _EvaInfo, delta: int) -> None:
+        """Adjust the pair's instance count; an abort takes it back."""
+        info.instance_count += delta
+
+        def undo():
+            info.instance_count -= delta
+        self.transactions.record_undo(undo)
 
     def _require_role(self, surrogate: int, class_name: str) -> None:
         if not self.has_role(surrogate, class_name):
@@ -1430,68 +1318,46 @@ class MapperStore:
             except Exception:   # a racing writer reshaped the unit; retry
                 physical = [record["surrogate"]
                             for _, _, record in record_file.scan(format_id)]
-            for surrogate in self.versions.visible_members(snap, class_name,
-                                                           physical):
-                yield surrogate
+            yield from self.versions.visible_members(snap, class_name,
+                                                     physical)
             return
         for _, _, record in record_file.scan(format_id):
             yield record["surrogate"]
 
     def class_count(self, class_name: str) -> int:
         class_name = canon(class_name)
+        if self._indexes_exact((class_name,)):
+            return self._surrogate_index[class_name].entries
+        return sum(1 for _ in self.scan_class(class_name))
+
+    def _indexes_exact(self, classes) -> bool:
+        """Indexes describe the latest state only: they answer this
+        thread's view when no snapshot is pinned, or while no other
+        transaction has touched ``classes`` since it was."""
         snap = self.current_snapshot()
-        if snap is not None \
-                and not self.versions.class_clean(snap, (class_name,)):
-            return sum(1 for _ in self.scan_class(class_name))
-        return self._surrogate_index[class_name].entries
+        return snap is None or self.versions.class_clean(snap, classes)
+
+    def _dva_index(self, class_name: str, attr_name: str):
+        """``(class, owner class, attribute, index)`` for a DVA as seen
+        from ``class_name``; ``index`` is its unique or value index, or
+        None."""
+        class_name = canon(class_name)
+        attr = self.schema.get_class(class_name).attribute(attr_name)
+        owner = canon(attr.owner_name)
+        return class_name, owner, attr, (
+            self._unique_index.get((owner, attr.name))
+            or self._value_index.get((owner, attr.name)))
 
     def find_by_dva(self, class_name: str, attr_name: str, value
                     ) -> List[int]:
         """Entities of ``class_name`` whose DVA equals ``value``; uses a
         unique or value index when one exists, else scans the class."""
-        class_name = canon(class_name)
-        sim_class = self.schema.get_class(class_name)
-        attr = sim_class.attribute(attr_name)
-        owner = canon(attr.owner_name)
-        snap = self.current_snapshot()
-        if snap is not None:
-            classes = ((owner,) if owner == class_name
-                       else (owner, class_name))
-            if self.versions.class_clean(snap, classes):
-                # Index fast path with a post-hoc clean re-check: a writer
-                # dirtying the class mid-probe forces the versioned scan.
-                try:
-                    result = self._find_by_dva_physical(class_name, owner,
-                                                        attr, value)
-                except Exception:
-                    result = None
-                if result is not None \
-                        and self.versions.class_clean(snap, classes):
-                    return result
-            return [surrogate for surrogate in self.scan_class(class_name)
-                    if self.read_dva(surrogate, attr) == value]
-        return self._find_by_dva_physical(class_name, owner, attr, value)
-
-    def _find_by_dva_physical(self, class_name: str, owner: str, attr,
-                              value) -> List[int]:
-        index = (self._unique_index.get((owner, attr.name))
-                 or self._value_index.get((owner, attr.name)))
-        if index is not None:
-            record_file = self._class_file[owner]
-            surrogates = []
-            for rid in index.lookup(value):
-                _, record = record_file.read(rid)
-                surrogates.append(record["surrogate"])
-            # Restrict to the queried class when it differs from the owner.
-            if owner != class_name:
-                surrogates = [s for s in surrogates
-                              if self.has_role(s, class_name)]
-            return surrogates
-        results = []
-        for surrogate in self.scan_class(class_name):
-            if self.read_dva(surrogate, attr) == value:
-                results.append(surrogate)
-        return results
+        class_name, owner, attr, index = self._dva_index(class_name,
+                                                         attr_name)
+        return self._find(
+            class_name, owner, attr,
+            None if index is None else lambda: index.lookup(value),
+            lambda stored: stored == value)
 
     def find_by_dva_range(self, class_name: str, attr_name: str,
                           low=None, high=None, include_low: bool = True,
@@ -1499,60 +1365,50 @@ class MapperStore:
         """Entities of ``class_name`` whose DVA falls inside the given
         bounds, served by an *ordered* value index (NULLs never match a
         range; an open bound is None)."""
-        class_name = canon(class_name)
-        sim_class = self.schema.get_class(class_name)
-        attr = sim_class.attribute(attr_name)
-        owner = canon(attr.owner_name)
-        index = self._value_index.get((owner, attr.name))
+        class_name, owner, attr, index = self._dva_index(class_name,
+                                                         attr_name)
         if index is None or index.kind != "ordered":
             raise CatalogError(
                 f"no ordered index on {class_name}.{attr_name}")
-        snap = self.current_snapshot()
-        if snap is not None:
-            classes = ((owner,) if owner == class_name
-                       else (owner, class_name))
-            if self.versions.class_clean(snap, classes):
-                try:
-                    result = self._range_physical(class_name, owner, index,
-                                                  low, high, include_low,
-                                                  include_high)
-                except Exception:
-                    result = None
-                if result is not None \
-                        and self.versions.class_clean(snap, classes):
-                    return result
-            return [surrogate for surrogate in self.scan_class(class_name)
-                    if _in_range(self.read_dva(surrogate, attr), low, high,
-                                 include_low, include_high)]
-        return self._range_physical(class_name, owner, index, low, high,
-                                    include_low, include_high)
+        return self._find(
+            class_name, owner, attr,
+            lambda: (rid for _key, rid in index.range(
+                low, high, include_low, include_high)),
+            lambda stored: _in_range(stored, low, high, include_low,
+                                     include_high))
 
-    def _range_physical(self, class_name: str, owner: str, index, low, high,
-                        include_low: bool, include_high: bool) -> List[int]:
-        record_file = self._class_file[owner]
-        surrogates = []
-        for _key, rid in index.range(low, high, include_low, include_high):
-            _, record = record_file.read(rid)
-            surrogates.append(record["surrogate"])
-        if owner != class_name:
-            surrogates = [s for s in surrogates
-                          if self.has_role(s, class_name)]
-        return surrogates
+    def _find(self, class_name: str, owner: str, attr, probe,
+              matches) -> List[int]:
+        """Entities of ``class_name`` whose ``attr`` value ``matches``.
+        ``probe()`` yields the RIDs an index on the owner class selects
+        (None: no index).
+
+        The index answers only while ``_indexes_exact`` holds before
+        AND after the probe, like ``_read``'s two version probes;
+        otherwise the versioned scan filters by the versioned value."""
+        classes = (owner,) if owner == class_name else (owner, class_name)
+        if probe is not None and self._indexes_exact(classes):
+            found = error = None
+            try:
+                found = self._surrogates_at(owner, probe())
+                if owner != class_name:
+                    found = [s for s in found if self.has_role(s, class_name)]
+            except Exception as exc:    # a racing writer reshaped the index
+                error = exc
+            if self._indexes_exact(classes):
+                if error is not None:
+                    raise error
+                return found
+        return [surrogate for surrogate in self.scan_class(class_name)
+                if matches(self.read_dva(surrogate, attr))]
 
     def has_index_on(self, class_name: str, attr_name: str) -> bool:
-        sim_class = self.schema.get_class(canon(class_name))
-        attr = sim_class.attribute(attr_name)
-        owner = canon(attr.owner_name)
-        return ((owner, attr.name) in self._unique_index
-                or (owner, attr.name) in self._value_index)
+        return self._dva_index(class_name, attr_name)[3] is not None
 
     def has_ordered_index_on(self, class_name: str, attr_name: str) -> bool:
         """True when an *ordered* value index can serve range predicates
         on this DVA (the ``select_entities`` range fast path)."""
-        sim_class = self.schema.get_class(canon(class_name))
-        attr = sim_class.attribute(attr_name)
-        owner = canon(attr.owner_name)
-        index = self._value_index.get((owner, attr.name))
+        index = self._dva_index(class_name, attr_name)[3]
         return index is not None and index.kind == "ordered"
 
     # -------------------------------------------------------------- statistics
@@ -1647,49 +1503,20 @@ class MapperStore:
         simulator's equivalent and also validates that the disk image is
         self-describing.)"""
         self.writes.rollback()
-        self.pool = BufferPool(self.disk, self.design.pool_capacity)
-        self.pool.wal = self.wal
-        self.pool.retry = self.retry
         # Seed the fresh manager's id counter past any id the durable log
         # still mentions, so post-recovery transactions can't collide with
         # logged ones during the window before the checkpoint truncates.
         logged = [r.txn_id for r in self.wal.durable_records()
                   if r.txn_id is not None]
-        self.transactions = TransactionManager(
-            self.pool, wal=self.wal, start_after=max(logged, default=0))
-        self.transactions.invalidation_hooks.append(self.writes.rollback)
+        self._new_pool_and_transactions(start_after=max(logged, default=0))
         # Versions and snapshots are volatile; the epoch stays monotonic.
         self.versions.reset()
-        self.transactions.commit_hooks.append(self.versions.commit)
-        self.transactions.abort_hooks.append(self.versions.abort)
         for record_file in self._files.values():
             record_file.pool = self.pool
             record_file.txn_context = self.transactions.txn_context
             record_file.rebuild_metadata(self.disk, retry=self.retry)
 
-        kind = self.design.surrogate_key_kind.value
-        for class_name in self._surrogate_index:
-            self._surrogate_index[class_name] = make_index(
-                kind, f"surr--{class_name}", unique=True)
-        for key in self._unique_index:
-            self._unique_index[key] = HashIndex(
-                f"uniq--{key[0]}--{key[1]}", unique=True)
-        for key in self._value_index:
-            self._value_index[key] = make_index(
-                self.design.value_index_kind(key[0], key[1]),
-                f"val--{key[0]}--{key[1]}")
-        for key in self._mvdva_index:
-            self._mvdva_index[key] = HashIndex(f"mvidx--{key[0]}--{key[1]}")
-        self._mvdva_seq = {}
-        for info in self._eva_info.values():
-            info.instance_count = 0
-            if info.forward is not None:
-                info.forward = HashIndex(info.forward.name)
-                info.reverse = HashIndex(info.reverse.name)
-            if info.fk_reverse is not None:
-                info.fk_reverse = HashIndex(info.fk_reverse.name)
-            if info.ptr_reverse is not None:
-                info.ptr_reverse = HashIndex(info.ptr_reverse.name)
+        self._build_indexes()
 
         max_surrogate = 0
         for class_name, record_file in self._class_file.items():
@@ -1698,12 +1525,7 @@ class MapperStore:
                 surrogate = record["surrogate"]
                 max_surrogate = max(max_surrogate, surrogate)
                 self._surrogate_index[class_name].insert(surrogate, rid)
-                for (cls, attr_name), index in self._unique_index.items():
-                    if cls == class_name and not is_null(record.get(attr_name)):
-                        index.insert(record[attr_name], rid)
-                for (cls, attr_name), index in self._value_index.items():
-                    if cls == class_name and not is_null(record.get(attr_name)):
-                        index.insert(record[attr_name], rid)
+                self._index_record(class_name, record, rid)
 
         for info in self._eva_info.values():
             if info.fk_field is not None:

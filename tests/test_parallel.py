@@ -261,9 +261,10 @@ class TestThreadSafetyHammer:
                     surrogate = (seed * 7 + step) % 60
                     cache.get_record("student", surrogate)
                     cache.put_record("student", surrogate, None,
-                                     {"step": step})
+                                     {"step": step}, cache.epoch)
                     cache.get_fanout(1, True, surrogate)
-                    cache.put_fanout(1, True, surrogate, (surrogate,))
+                    cache.put_fanout(1, True, surrogate, (surrogate,),
+                                     cache.epoch)
                     if step % 50 == 0:
                         cache.invalidate_record("student", surrogate)
             except BaseException as exc:      # pragma: no cover

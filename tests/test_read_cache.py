@@ -8,10 +8,13 @@ affected entries.  Each test warms the caches with a query *before*
 mutating, so a missed invalidation would surface as a wrong answer.
 """
 
+import contextlib
+import threading
+
 import pytest
 
 from repro import Database
-from repro.errors import SimError
+from repro.errors import IntegrityError, SimError
 from repro.types.tvl import NULL
 from repro.mapper.read_cache import MISSING, ReadCache
 from repro.perf import PerfCounters
@@ -42,46 +45,72 @@ def names(db):
                     " name of major-department").rows
 
 
+def assert_cache_matches_physical(store):
+    """The read cache's invariant: every cached role, record and
+    fan-out equals what a physical read returns right now."""
+    cache = store.read_cache
+    with cache._lock:
+        roles = dict(cache._roles)
+        records = dict(cache._records)
+        fanout = dict(cache._fanout)
+    infos = {info.rel_id: info for info in store._eva_info.values()}
+    for (class_name, surrogate), rid in roles.items():
+        assert rid == store._surrogate_index[class_name].lookup_one(
+            surrogate), ("role", class_name, surrogate)
+    for (class_name, surrogate), (rid, values) in records.items():
+        assert rid == store._surrogate_index[class_name].lookup_one(
+            surrogate), ("record rid", class_name, surrogate)
+        assert values == store._class_file[class_name].read(rid)[1], \
+            ("record", class_name, surrogate)
+    for (rel_id, side, surrogate), targets in fanout.items():
+        try:
+            physical = tuple(store._traverse_side(infos[rel_id], side,
+                                                  surrogate))
+        except IntegrityError:      # lost the role that held the key:
+            physical = ()           # an empty fan-out may outlive it
+        assert targets == physical, ("fanout", rel_id, side, surrogate)
+
+
 # ---------------------------------------------------------------- unit level
 
 
 class TestReadCacheUnit:
     def test_record_lru_eviction(self):
         cache = ReadCache(PerfCounters(), record_capacity=2)
-        cache.put_record("a", 1, "rid1", {"x": 1})
-        cache.put_record("a", 2, "rid2", {"x": 2})
-        cache.put_record("a", 3, "rid3", {"x": 3})
+        cache.put_record("a", 1, "rid1", {"x": 1}, cache.epoch)
+        cache.put_record("a", 2, "rid2", {"x": 2}, cache.epoch)
+        cache.put_record("a", 3, "rid3", {"x": 3}, cache.epoch)
         assert cache.get_record("a", 1) is None          # evicted
         assert cache.get_record("a", 3) == ("rid3", {"x": 3})
 
     def test_lru_recency_updated_on_hit(self):
         cache = ReadCache(PerfCounters(), record_capacity=2)
-        cache.put_record("a", 1, "rid1", {})
-        cache.put_record("a", 2, "rid2", {})
+        cache.put_record("a", 1, "rid1", {}, cache.epoch)
+        cache.put_record("a", 2, "rid2", {}, cache.epoch)
         cache.get_record("a", 1)                         # 1 is now recent
-        cache.put_record("a", 3, "rid3", {})
+        cache.put_record("a", 3, "rid3", {}, cache.epoch)
         assert cache.get_record("a", 2) is None          # 2 was the LRU
         assert cache.get_record("a", 1) is not None
 
     def test_role_negative_caching(self):
         cache = ReadCache(PerfCounters())
         assert cache.get_role("a", 1) is MISSING
-        cache.put_role("a", 1, None)
+        cache.put_role("a", 1, None, cache.epoch)
         assert cache.get_role("a", 1) is None            # cached negative
         cache.invalidate_role("a", 1)
         assert cache.get_role("a", 1) is MISSING
 
     def test_invalidate_role_drops_record_too(self):
         cache = ReadCache(PerfCounters())
-        cache.put_record("a", 1, "rid", {})
+        cache.put_record("a", 1, "rid", {}, cache.epoch)
         cache.invalidate_role("a", 1)
         assert cache.get_record("a", 1) is None
 
     def test_invalidate_eva_drops_both_sides_of_each_endpoint(self):
         cache = ReadCache(PerfCounters())
         for side in (True, False):
-            cache.put_fanout(7, side, 1, (2,))
-            cache.put_fanout(7, side, 2, (1,))
+            cache.put_fanout(7, side, 1, (2,), cache.epoch)
+            cache.put_fanout(7, side, 2, (1,), cache.epoch)
         cache.invalidate_eva(7, 1, 2)
         for side in (True, False):
             assert cache.get_fanout(7, side, 1) is None
@@ -105,12 +134,140 @@ class TestReadCacheUnit:
     def test_disabled_cache_stores_nothing(self):
         cache = ReadCache(PerfCounters())
         cache.enabled = False
-        cache.put_record("a", 1, "rid", {})
-        cache.put_role("a", 1, None)
-        cache.put_fanout(7, True, 1, (2,))
+        cache.put_record("a", 1, "rid", {}, cache.epoch)
+        cache.put_role("a", 1, None, cache.epoch)
+        cache.put_fanout(7, True, 1, (2,), cache.epoch)
         assert cache.get_record("a", 1) is None
         assert cache.get_role("a", 1) is MISSING
         assert cache.get_fanout(7, True, 1) is None
+
+
+# ------------------------------------------------- forced-interleaving fills
+
+
+@contextlib.contextmanager
+def parked_after(target, method_name):
+    """Wrap ``target.method_name`` so that the first call made off the
+    main thread, AFTER the real call has returned, sets ``parked`` and
+    waits for ``resume``: the caller then holds a value it read before
+    whatever the main thread does in between."""
+    real = getattr(target, method_name)
+    parked, resume = threading.Event(), threading.Event()
+    main = threading.get_ident()
+
+    def wrapper(*args, **kwargs):
+        result = real(*args, **kwargs)
+        if threading.get_ident() != main and not parked.is_set():
+            parked.set()
+            assert resume.wait(10.0), "reader never released"
+        return result
+
+    setattr(target, method_name, wrapper)
+    try:
+        yield parked, resume
+    finally:
+        resume.set()
+        delattr(target, method_name)    # the instance shadow only
+
+
+def race(read, parked, resume, write):
+    """Run ``read`` on a thread until it parks, run ``write`` here,
+    release the reader; returns what ``read`` returned."""
+    outcome = {}
+
+    def reader():
+        try:
+            outcome["value"] = read()
+        except BaseException as exc:    # surfaced below
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=reader)
+    thread.start()
+    try:
+        assert parked.wait(10.0), "reader never reached its physical read"
+        write()
+    finally:
+        resume.set()
+        thread.join(10.0)
+    assert not thread.is_alive()
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+class TestValidatedFills:
+    """A reader that holds no lock reads a unit, a writer then mutates
+    and invalidates it, and only then does the reader reach its cache
+    fill.  The interleaving is forced (no sleeps, no scheduler luck):
+    the late fill must be dropped, or the next lock holder reads a
+    value that is no longer — or never was — committed."""
+
+    @pytest.fixture()
+    def student(self, db):
+        store = db.store
+        surrogate = store.find_by_dva("student", "soc-sec-no", 456887766)[0]
+        store.read_cache.clear()
+        return surrogate
+
+    def test_record_fill_racing_a_write_is_dropped(self, db, student):
+        store = db.store
+        name = db.schema.get_class("person").attribute("name")
+        with parked_after(store.class_file("person"), "read") as gates:
+            seen = race(lambda: store.record_of(student, "person"), *gates,
+                        write=lambda: store.write_dva(student, name, "Jack"))
+        assert seen[1]["name"] == "John Doe"     # what it read, unshared
+        assert store.record_of(student, "person")[1]["name"] == "Jack"
+        assert_cache_matches_physical(store)
+        assert db.check().ok
+
+    def test_role_fill_racing_a_drop_is_dropped(self, db, student):
+        store = db.store
+        index = store._surrogate_index["student"]
+        with parked_after(index, "lookup_one") as gates:
+            seen = race(lambda: store.has_role(student, "student"), *gates,
+                        write=lambda: store.remove_role(student, "student"))
+        assert seen is True
+        assert store.has_role(student, "student") is False
+        assert_cache_matches_physical(store)
+        assert db.check().ok
+
+    def test_fanout_fill_racing_an_include_is_dropped(self, db, student):
+        store = db.store
+        enrolled = db.schema.get_class("student").attribute(
+            "courses-enrolled")
+        course = store.find_by_dva("course", "course-no", 101)[0]
+        with parked_after(store, "_traverse") as gates:
+            seen = race(lambda: store.eva_targets(student, enrolled), *gates,
+                        write=lambda: store.eva_include(student, enrolled,
+                                                        course))
+        assert seen == []
+        assert store.eva_targets(student, enrolled) == [course]
+        assert_cache_matches_physical(store)
+        assert db.check().ok
+
+    def test_snapshot_reader_keeps_its_view_and_fills_nothing_stale(
+            self, db, student):
+        store = db.store
+        name = db.schema.get_class("person").attribute("name")
+        snap = store.begin_snapshot()
+
+        def read():
+            with store.snapshot_scope(snap):
+                return store.record_of(student, "person")
+
+        try:
+            with parked_after(store.class_file("person"), "read") as gates:
+                seen = race(read, *gates,
+                            write=lambda: store.write_dva(student, name,
+                                                          "Jack"))
+        finally:
+            store.end_snapshot(snap)
+        # The second version probe caught the write: the snapshot still
+        # sees its own epoch, the latest view sees the write.
+        assert seen[1]["name"] == "John Doe"
+        assert store.record_of(student, "person")[1]["name"] == "Jack"
+        assert_cache_matches_physical(store)
+        assert db.check().ok
 
 
 # ----------------------------------------------------- auto-commit mutations

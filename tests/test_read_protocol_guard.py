@@ -1,0 +1,141 @@
+"""Structural guards on the Mapper's read path (AST-based, like
+``tools/dev_lint.py``): the snapshot/physical twins and the unvalidated
+cache fill must not grow back.
+
+* ``versions.lookup`` is called from ONE function under
+  ``src/repro/mapper/`` — the read protocol (``MapperStore._read``);
+* every ``ReadCache.put_*`` call site passes the epoch its reader
+  captured before reading, as a local name — never ``cache.epoch`` read
+  at the put itself, which would validate nothing;
+* every ``ReadCache`` critical section that drops entries also bumps
+  ``epoch``, so no fill can slip between the drop and the bump.
+"""
+
+from __future__ import annotations
+
+import ast
+import os
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+MAPPER = os.path.join(REPO_ROOT, "src", "repro", "mapper")
+
+#: put method -> positional argument count when the epoch is included
+PUT_ARITY = {"put_record": 5, "put_role": 4, "put_fanout": 5}
+
+
+def _functions(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+
+
+def _calls(node: ast.AST, attr: str):
+    for child in ast.walk(node):
+        if (isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == attr):
+            yield child
+
+
+def _name(node: ast.AST) -> str:
+    return node.attr if isinstance(node, ast.Attribute) else \
+        getattr(node, "id", "")
+
+
+def version_lookup_callers(source: str) -> list:
+    """Names of the functions that call ``<...>versions.lookup(...)``."""
+    return [function.name for function in _functions(ast.parse(source))
+            if any(_name(call.func.value) == "versions"
+                   for call in _calls(function, "lookup"))]
+
+
+def unvalidated_puts(source: str) -> list:
+    """``(line, method)`` of every put_* call that omits the epoch or
+    does not pass a captured local for it."""
+    findings = []
+    for method, arity in PUT_ARITY.items():
+        for call in _calls(ast.parse(source), method):
+            epoch = next((k.value for k in call.keywords
+                          if k.arg == "epoch"), None)
+            if epoch is None and len(call.args) == arity:
+                epoch = call.args[-1]
+            if not isinstance(epoch, ast.Name):
+                findings.append((call.lineno, method))
+    return sorted(findings)
+
+
+def drops_without_bump(source: str) -> list:
+    """Lines of ``with self._lock:`` blocks that pop or clear a cache
+    map without ``self.epoch += 1`` in the same block."""
+    findings = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.With):
+            continue
+        drops = any(_name(call.func.value) in ("_records", "_roles",
+                                               "_fanout")
+                    for attr in ("pop", "clear")
+                    for call in _calls(node, attr))
+        bumps = any(isinstance(child, ast.AugAssign)
+                    and _name(child.target) == "epoch"
+                    for child in ast.walk(node))
+        if drops and not bumps:
+            findings.append(node.lineno)
+    return findings
+
+
+def _sources(root: str):
+    for directory, _dirs, files in sorted(os.walk(root)):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(directory, name)
+                with open(path) as handle:
+                    yield os.path.relpath(path, root), handle.read()
+
+
+class TestTheGuardsFire:
+    def test_second_lookup_caller_is_reported(self):
+        source = ("def _read(self, snap, key):\n"
+                  "    return self.versions.lookup(snap, key)\n"
+                  "def _record_of_snapshot(self, snap, key):\n"
+                  "    versions = self.versions\n"
+                  "    return versions.lookup(snap, key)\n"
+                  "def unrelated(self, index):\n"
+                  "    return index.lookup(3)\n")
+        assert version_lookup_callers(source) == ["_read",
+                                                  "_record_of_snapshot"]
+
+    def test_put_without_captured_epoch_is_reported(self):
+        source = ("def f(cache, epoch):\n"
+                  "    cache.put_role('a', 1, None, epoch)\n"
+                  "    cache.put_record('a', 1, 'rid', {}, epoch=epoch)\n"
+                  "    cache.put_role('a', 1, None)\n"
+                  "    cache.put_fanout(7, True, 1, (), cache.epoch)\n")
+        assert unvalidated_puts(source) == [(4, "put_role"),
+                                            (5, "put_fanout")]
+
+    def test_drop_outside_the_bump_section_is_reported(self):
+        source = ("def invalidate(self, key):\n"
+                  "    with self._lock:\n"
+                  "        self._records.pop(key, None)\n"
+                  "    self.epoch += 1\n"
+                  "def clear(self):\n"
+                  "    with self._lock:\n"
+                  "        self._roles.clear()\n"
+                  "        self.epoch += 1\n")
+        assert drops_without_bump(source) == [2]
+
+
+class TestMapperSweep:
+    def test_one_function_probes_the_version_map(self):
+        callers = [(name, function) for name, source in _sources(MAPPER)
+                   for function in version_lookup_callers(source)]
+        assert callers == [("store.py", "_read")]
+
+    def test_every_cache_fill_is_validated(self):
+        assert {name: unvalidated_puts(source)
+                for name, source in _sources(os.path.dirname(MAPPER))
+                if unvalidated_puts(source)} == {}
+
+    def test_every_invalidation_bumps_inside_its_critical_section(self):
+        with open(os.path.join(MAPPER, "read_cache.py")) as handle:
+            assert drops_without_bump(handle.read()) == []

@@ -10,7 +10,7 @@ import pytest
 
 from repro import Database
 from repro.engine.sessions import Session
-from repro.errors import ServerOverloaded
+from repro.errors import ServerOverloaded, StaticUpdateError
 from repro.interfaces.server import ServerError, SimClient
 from repro.workloads import UNIVERSITY_DDL
 
@@ -34,6 +34,41 @@ def server(db):
 def connect(server, **kwargs):
     host, port = server.address
     return SimClient(host, port, **kwargs)
+
+
+class TestOneStatementPipeline:
+    """A statement is checked the same way whichever door it came in
+    by: ``Database.execute``, a ``Session``, or a ``SimClient``."""
+
+    REJECTED = [
+        ('Modify person(no-such-attr := 3) Where name = "x"', "SIM120"),
+        ("Insert nosuchclass(name := 1)", "SIM126"),
+    ]
+
+    @pytest.mark.parametrize("text, code", REJECTED)
+    def test_static_rejection_is_the_same_through_every_door(
+            self, db, server, text, code):
+        session = Session(db)
+        for run in (db.execute, session.execute):
+            with pytest.raises(StaticUpdateError) as raised:
+                run(text)
+            assert raised.value.diagnostic_code == code
+        assert session.holdings() == {}
+        with connect(server) as client:
+            with pytest.raises(ServerError) as raised:
+                client.execute(text)
+        assert raised.value.remote_type == "StaticUpdateError"
+        assert f"[{code}]" in str(raised.value)
+
+    def test_rejected_statement_never_waits_for_a_lock(self, db):
+        holder = Session(db)
+        holder.execute('Modify person(name := "y") Where name = "x"')
+        started = time.monotonic()
+        with pytest.raises(StaticUpdateError):
+            Session(db, lock_timeout=30.0).execute(
+                'Modify person(no-such-attr := 3) Where name = "x"')
+        assert time.monotonic() - started < 5.0
+        holder.abort()
 
 
 class TestProtocol:
@@ -195,17 +230,39 @@ class TestShutdown:
         local.execute('Modify course(credits := 2) Where title = "Algebra"')
         local.commit()
 
-    def test_stop_drains_in_flight_statement(self, db):
+    def test_stop_drains_in_flight_statement(self, db, monkeypatch):
+        """stop() is called only once the statement is provably inside
+        Session.execute, and must let it finish and deliver its rows."""
+        in_flight, stopping = threading.Event(), threading.Event()
+        real_execute = Session.execute
+
+        def held_execute(session, text, timeout=None):
+            in_flight.set()
+            assert stopping.wait(10.0)
+            return real_execute(session, text, timeout)
+
+        monkeypatch.setattr(Session, "execute", held_execute)
         server = db.serve()
         client = connect(server)
-        done = {}
+        outcome = {}
 
-        def slow_statement():
-            done["result"] = client.query("From course Retrieve title").rows
+        def statement():
+            try:
+                outcome["rows"] = client.query(
+                    "From course Retrieve title").rows
+            except BaseException as exc:
+                outcome["error"] = exc
 
-        thread = threading.Thread(target=slow_statement)
+        thread = threading.Thread(target=statement)
         thread.start()
-        server.stop()
+        assert in_flight.wait(10.0)
+        stopper = threading.Thread(target=server.stop)
+        stopper.start()
+        # The drain is now waiting on the held statement; let it run.
+        assert server._stopping.wait(10.0)
+        stopping.set()
         thread.join(timeout=10.0)
-        assert not thread.is_alive()
+        stopper.join(timeout=10.0)
+        assert not thread.is_alive() and not stopper.is_alive()
+        assert outcome == {"rows": [("Algebra",)]}
         client.close()

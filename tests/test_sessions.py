@@ -699,15 +699,12 @@ class TestSatelliteRegressions:
         earliest_end = min(end for _, end in intervals)
         assert latest_start < earliest_end
 
-    def test_lazy_init_race_installs_one_lock_manager(self):
-        """S2: concurrent first Sessions over a bare database-like
-        object (no eager wiring) must agree on ONE LockManager and
+    def test_concurrent_first_sessions_share_one_lock_manager(self):
+        """S2: Database wires its LockManager and session-id counter
+        eagerly, so concurrent first Sessions agree on ONE manager and
         mint unique session ids."""
-        class Bare:
-            pass
-
         for _ in range(20):
-            bare = Bare()
+            database = Database(UNIVERSITY_DDL)
             managers = []
             ids = []
             state_lock = threading.Lock()
@@ -715,7 +712,7 @@ class TestSatelliteRegressions:
 
             def construct():
                 barrier.wait()
-                session = Session(bare, mvcc=False)
+                session = Session(database, mvcc=False)
                 with state_lock:
                     managers.append(session.locks)
                     ids.append(session.session_id)
@@ -728,7 +725,7 @@ class TestSatelliteRegressions:
                 thread.join(timeout=10.0)
             assert len(managers) == 8
             assert all(m is managers[0] for m in managers)
-            assert managers[0] is bare._lock_manager
+            assert managers[0] is database._lock_manager
             assert sorted(ids) == list(range(1, 9))
 
 
