@@ -4,7 +4,8 @@ export PYTHONPATH
 .PHONY: test torture chaos chaos-loop lockdep bench bench-recovery \
 	bench-read-path bench-lint bench-trace bench-batch bench-scale \
 	bench-concurrency bench-concurrency-smoke bench-lockdep bench-rewrite \
-	bench-e2e bench-e2e-smoke profile-analytic lint typecheck simcheck
+	bench-e2e bench-e2e-smoke profile-analytic profile-oltp lint \
+	typecheck simcheck
 
 test:
 	python -m pytest -x -q
@@ -45,22 +46,26 @@ torture:
 chaos:
 	REPRO_LOCKDEP=1 python -m pytest -q -m chaos tests/test_chaos.py
 
-# The tier-1 chaos scenarios and the forced-interleaving cache-fill
-# tests twenty times over: they assert invariants, a constructed
-# deadlock and a constructed stale fill, never scheduler luck, so every
-# round must pass.
+# The tier-1 chaos scenarios, the forced-interleaving cache-fill tests
+# and the plan cache's shared-entry sessions twenty times over: they
+# assert invariants, a constructed deadlock and a constructed stale
+# fill, never scheduler luck, so every round must pass.
 chaos-loop:
 	for round in $$(seq 1 20); do \
 		python -m pytest -q -p no:cacheprovider tests/test_chaos.py \
 			tests/test_read_cache.py::TestValidatedFills \
+			tests/test_plan_cache.py::test_sessions_share_entries_but_never_per_run_state \
 			|| exit 1; \
 	done
 
 # Runtime lock-order validation lane: lockdep unit tests plus the
-# lock-heavy suites (sessions/mvcc/server) under REPRO_LOCKDEP=1.
+# lock-heavy suites (sessions/mvcc/server) and the plan cache — the one
+# structure every session shares that takes no lock — under
+# REPRO_LOCKDEP=1.
 lockdep:
 	REPRO_LOCKDEP=1 python -m pytest -q tests/test_lockdep.py \
-		tests/test_sessions.py tests/test_mvcc.py tests/test_server.py
+		tests/test_sessions.py tests/test_mvcc.py tests/test_server.py \
+		tests/test_plan_cache.py
 
 bench:
 	python -m pytest -q benchmarks/ --benchmark-only
@@ -129,3 +134,9 @@ bench-e2e-smoke:
 # scale_queries rounds at 10 000 entities, top 25 by self time.
 profile-analytic:
 	python tools/profile_analytic.py
+
+# Where an OLTP operation spends its time: cProfile of 3 000 warm
+# oltp_session operations, the statement front end row by row, then the
+# top 25 by self time.
+profile-oltp:
+	python tools/profile_oltp.py

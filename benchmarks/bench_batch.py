@@ -74,7 +74,7 @@ class _RecursiveSpine(ops.Operator):
             if node.kind == "root":
                 domain = None
                 if plan is not None:
-                    domain = plan.root_iterator(node, ctx.executor)
+                    domain = plan.root_iterator(node, ctx)
                 if domain is None:
                     domain = accessor.root_domain(node)
             else:

@@ -63,9 +63,12 @@ def measure_trace(students: int = 40, repeats: int = 7) -> dict:
         enabled_wall = min(enabled_wall, time.perf_counter() - started)
         detach_tracing(db.store)
 
-    # One final enabled sweep to characterize what tracing captures.
+    # One final enabled sweep to characterize what tracing captures —
+    # of statements compiled afresh (a plan-cache hit has no qualifier,
+    # optimizer or analysis spans to show).
     recorder = attach_tracing(db.store)
     recorder.clear()
+    db.plan_cache.clear()
     _sweep(db)
     span_counts = [sum(1 for _ in root.walk())
                    for root in recorder.statements]

@@ -33,6 +33,7 @@ from repro.dml.ast import (
     Quantified,
     RetrieveQuery,
     Unary,
+    pin_literals,
 )
 from repro.schema.schema import Schema
 
@@ -239,15 +240,10 @@ class _QueryLinter:
             if (attr_side.data_type is not None
                     and isinstance(literal_expr, Literal)
                     and not isinstance(literal_expr.value, bool)):
-                try:
-                    attr_side.data_type.validate(literal_expr.value)
-                except TypeMismatchError:
-                    self.sink.emit(
-                        "SIM113",
-                        f"literal {literal_expr.describe()} is outside the "
-                        f"declared domain of {attr_side.describe()}; the "
-                        f"comparison can never be true",
-                        _span_of(literal_expr))
+                literal_expr.check(_outside_domain(
+                    "SIM113", attr_side.data_type,
+                    f"{attr_side.describe()}; the comparison can never "
+                    f"be true"), self.sink)
 
     def _require_boolean(self, expression) -> None:
         inferred = self._infer(expression)
@@ -294,6 +290,7 @@ class _QueryLinter:
     def _aggregate_type(self, aggregate: Aggregate) -> _Type:
         argument = self._infer(aggregate.argument)
         if not aggregate.scope_nodes and not _varies(aggregate.argument):
+            pin_literals(aggregate.argument)
             self.sink.emit(
                 "SIM116",
                 f"aggregate {aggregate.func}({aggregate.argument.describe()})"
@@ -329,6 +326,7 @@ class _QueryLinter:
     def _quantified_type(self, quantified: Quantified) -> _Type:
         inferred = self._infer(quantified.argument)
         if not quantified.scope_nodes and not _varies(quantified.argument):
+            pin_literals(quantified.argument)
             self.sink.emit(
                 "SIM115",
                 f"quantifier {quantified.quantifier}"
@@ -369,6 +367,23 @@ class _QueryLinter:
         if call.name in ("upper", "lower"):
             return _Type("value", "string", label=f"{call.name}(...)")
         return _Type("value", "number", label=f"{call.name}(...)")
+
+
+def _outside_domain(code: str, data_type, of_what: str,
+                    with_reason: bool = False):
+    """A value-dependent rule for :meth:`Literal.check`: ``code`` when the
+    literal's value is outside ``data_type``'s declared domain — the
+    same statement shape is clean for one literal and flagged for the
+    next, so it runs against each one."""
+    def rule(value, span, sink):
+        try:
+            data_type.validate(value)
+        except TypeMismatchError as exc:
+            reason = f": {exc}" if with_reason else ""
+            sink.emit(code, f"literal {Literal(value).describe()} is "
+                            f"outside the declared domain of {of_what}"
+                            f"{reason}", span)
+    return rule
 
 
 def _varies(expression) -> bool:
@@ -478,14 +493,9 @@ def _lint_assignment(schema: Schema, sim_class, assignment, sink) -> None:
         elif (isinstance(value, Literal) and assignment.op == "set"
               and getattr(attr, "data_type", None) is not None
               and not isinstance(value.value, bool)):
-            try:
-                attr.data_type.validate(value.value)
-            except TypeMismatchError as exc:
-                sink.emit("SIM127",
-                          f"literal {value.describe()} is outside the "
-                          f"declared domain of {sim_class.name}."
-                          f"{attr.name}: {exc}",
-                          Span(value.line, value.column) or span)
+            value.check(_outside_domain(
+                "SIM127", attr.data_type, f"{sim_class.name}.{attr.name}",
+                with_reason=True), sink)
 
 
 def _check_selector_range(schema: Schema, eva, selector, span, sink) -> None:

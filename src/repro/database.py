@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import Optional, Union
 
 from repro.dml.ast import RetrieveQuery
 from repro.dml.parser import parse_dml
@@ -28,32 +27,21 @@ from repro.dml.qualification import Qualifier
 from repro.engine.constraints import ConstraintManager
 from repro.engine.executor import QueryExecutor
 from repro.engine.output import ResultSet
-from repro.engine.sessions import LockManager
+from repro.engine.sessions import LockManager, lock_footprint
 from repro.engine.updates import UpdateEngine
 from repro.errors import SimError
 from repro.mapper.physical import PhysicalDesign
 from repro.mapper.store import MapperStore
+from repro.optimizer.strategies import Optimizer
+from repro.plan_cache import CompiledStatement, PlanCache
 from repro.schema.ddl_parser import parse_ddl
 from repro.schema.schema import Schema
+
+__all__ = ["CompiledStatement", "Database"]
 
 
 #: the root span of a statement nobody is tracing: enters to None
 _NO_SPAN = contextlib.nullcontext()
-
-
-@dataclass
-class CompiledStatement:
-    """A statement taken through the static pipeline without executing.
-
-    ``diagnostics`` holds everything the analyzers reported (the compile
-    itself raises on error severity); ``tree`` and ``plan`` are populated
-    for Retrieve statements only.
-    """
-
-    statement: object
-    tree: object = None
-    plan: object = None
-    diagnostics: List = field(default_factory=list)
 
 
 class Database:
@@ -89,9 +77,10 @@ class Database:
         #: semantic rewrite pass (optimizer/rewrite.py); off reproduces
         #: the legacy planner byte for byte
         self.rewrite = rewrite
-        self._optimizer = None
-        # Concurrency plumbing, created eagerly so two threads opening
-        # their first Session can never race to install it.
+        # Shared by every session, so created eagerly: two threads
+        # running their first statement can never race to install them.
+        self.optimizer = Optimizer(self)
+        self.plan_cache = PlanCache(self)
         self._lock_manager = LockManager()
         self._session_ids = itertools.count(1)
 
@@ -103,24 +92,23 @@ class Database:
         Returns a :class:`ResultSet` for Retrieve and the affected-entity
         count for updates.
         """
-        with self._statement_scope(statement) as root:
-            if isinstance(statement, str):
-                statement = self._spanned("parse", "parser",
-                                          parse_dml, statement)
-            if isinstance(statement, RetrieveQuery):
-                result = self._run_retrieve(statement)
-                if root is not None:
-                    result.trace = root
-                return result
-            self._spanned("lint", "analysis", self._lint_update, statement)
-            return self._run_update(statement)
+        return self._execute(statement)
 
     def query(self, text: str) -> ResultSet:
         """Run a Retrieve statement and return its result set."""
-        statement = parse_dml(text) if isinstance(text, str) else text
-        if not isinstance(statement, RetrieveQuery):
-            raise SimError("query() takes a Retrieve statement")
-        return self._run_retrieve(statement)
+        return self._execute(text, retrieve_only=True)
+
+    def _execute(self, statement, retrieve_only: bool = False):
+        with self._statement_scope(statement) as root:
+            compiled = self._compile(statement, parse_dml)
+            if not isinstance(compiled.statement, RetrieveQuery):
+                if retrieve_only:
+                    raise SimError("query() takes a Retrieve statement")
+                return self._run_update(compiled)
+            result = self._run_retrieve(compiled)
+            if root is not None:
+                result.trace = root
+            return result
 
     def _spanned(self, name: str, layer: str, function, *args, **kwargs):
         """``function(*args, **kwargs)``, inside a trace span when
@@ -133,8 +121,8 @@ class Database:
 
     def _statement_scope(self, statement):
         """Open one statement root span (yielded) unless tracing is off
-        or a root is already open — :meth:`execute` opens it around the
-        parse, a Session enters at _run_retrieve/_run_update."""
+        or a root is already open; every front door — :meth:`execute`,
+        :meth:`query`, ``Session.execute`` — opens it around the compile."""
         trace = self.store.trace
         if trace is None or not trace.enabled or trace.open_spans():
             return _NO_SPAN
@@ -159,57 +147,103 @@ class Database:
 
     def compile(self, statement: Union[str, object]) -> CompiledStatement:
         """Take a statement through the full static pipeline — parse,
-        qualify, lint, plan, verify — without executing it.
+        qualify, lint, plan, verify, lower — without executing it.
 
         Raises the same typed exceptions :meth:`execute` would for
-        error-severity diagnostics; returns the compiled artifacts plus
-        every diagnostic (warnings and notes included) otherwise.
+        error-severity diagnostics; returns the plan-cache entry bound
+        to this text — the compiled artifacts plus every diagnostic
+        (warnings and notes included) — otherwise.  The artifacts are
+        shared with every statement of the same shape: read, don't edit.
         """
-        if isinstance(statement, str):
-            statement = parse_dml(statement)
+        return self._compile(statement, parse_dml)
+
+    def _compile(self, statement, parse) -> CompiledStatement:
+        """The one way a statement becomes executable: through the plan
+        cache.  ``parse`` is the calling module's ``parse_dml`` (each
+        front door resolves its own at call time): ``parse(text, cache)``
+        compiles on a miss only.  An already-parsed statement has no
+        text to key on and compiles every time."""
+        trace = self.store.trace
+        traced = trace is not None and trace.enabled
+        with (trace.span("compile", layer="parser") if traced
+              else _NO_SPAN) as span:
+            if isinstance(statement, str):
+                compiled = parse(statement, self.plan_cache)
+            else:
+                compiled = self._compile_statement(statement).bind(
+                    None, None, "uncacheable")
+            if span is not None:
+                span.attrs["cache"] = compiled.cache
+                if compiled.plan is not None and compiled.cache != "miss":
+                    # The fill's optimize span said this; a hit has none.
+                    span.attrs.update(compiled.plan.trace_attrs)
+            return compiled
+
+    def _compile_statement(self, statement) -> CompiledStatement:
+        """Qualify, lint, plan, verify and lower a parsed statement —
+        what a plan-cache miss runs, once per statement shape.  Lint and
+        both verifiers fail closed: error severity raises, and nothing
+        that raised is ever cached."""
+        from repro.analysis import (lint_retrieve, lint_update,
+                                    raise_for_errors, verify_plan)
+
+        def checked(name, analyzer, *args):
+            diagnostics = self._spanned(name, "analysis", analyzer,
+                                        self.schema, *args)
+            raise_for_errors(diagnostics)
+            return diagnostics
+
         if not isinstance(statement, RetrieveQuery):
-            diagnostics = self._lint_update(statement)
-            return CompiledStatement(statement, diagnostics=diagnostics)
-        tree = self.qualifier.resolve_retrieve(statement)
-        diagnostics = self._lint_retrieve(statement)
+            diagnostics = checked("lint", lint_update, statement)
+            self.updates.prepare(statement)
+            classes, entity_lockable = lock_footprint(self.schema, statement)
+            return CompiledStatement(
+                statement, diagnostics=diagnostics, lock_classes=classes,
+                entity_lockable=entity_lockable)
+        tree = self._spanned("qualify", "qualifier",
+                             self.qualifier.resolve_retrieve, statement)
+        diagnostics = checked("lint", lint_retrieve, statement)
         plan = None
+        cardinalities = ()
         if self.use_optimizer:
             plan = self.optimizer.choose_plan(statement, tree)
-        diagnostics.extend(self._verify(tree, plan))
-        return CompiledStatement(statement, tree, plan, diagnostics)
+            cardinalities = tuple(
+                (root.class_name,
+                 self.store.latest_class_count(root.class_name))
+                for root in tree.roots)
+        diagnostics += checked("verify", verify_plan, tree, plan)
+        return CompiledStatement(
+            statement, tree, plan, diagnostics,
+            physical=self.executor.lower(statement, tree, plan),
+            cardinalities=cardinalities,
+            lock_classes=tuple(sorted({node.class_name
+                                       for node in tree.all_nodes()
+                                       if node.class_name})))
 
-    def _run_retrieve(self, query: RetrieveQuery,
+    def _run_retrieve(self, compiled: CompiledStatement,
                       executor: Optional[QueryExecutor] = None) -> ResultSet:
-        with self._statement_scope(query) as root:
-            tree = self._spanned("qualify", "qualifier",
-                                 self.qualifier.resolve_retrieve, query)
-            diagnostics = self._spanned("lint", "analysis",
-                                        self._lint_retrieve, query)
-            plan = None
-            if self.use_optimizer:
-                plan = self.optimizer.choose_plan(query, tree)
-            diagnostics.extend(self._spanned("verify", "analysis",
-                                             self._verify, tree, plan))
-            result = (executor or self.executor).run(query, tree, plan)
-            result.diagnostics = diagnostics
-            if root is not None:
-                result.trace = root
-            if result.node_stats and self.use_optimizer:
-                # Close the loop: traced actuals refine future estimates.
-                self.optimizer.observe_execution(tree, result.node_stats)
-            return result
+        result = (executor or self.executor).run(
+            compiled.statement, compiled.tree, compiled.plan,
+            compiled.physical, compiled.params)
+        result.diagnostics = compiled.diagnostics
+        if result.node_stats and compiled.plan is not None:
+            # Close the loop: traced actuals refine future estimates.
+            self.optimizer.observe_execution(compiled.tree,
+                                             result.node_stats)
+        return result
 
-    def _run_update(self, statement, executor: Optional[QueryExecutor] = None,
+    def _run_update(self, compiled: CompiledStatement,
+                    executor: Optional[QueryExecutor] = None,
                     restrict_to=None) -> int:
-        """Execute an update the caller has already linted
-        (:meth:`_lint_update`) — a Session lints before it takes locks,
-        so a rejected statement never waits.  ``executor``: a private
-        one for a concurrent statement (see _statement_executor)."""
+        """Execute a compiled update — linted by the compile, which a
+        Session runs before it takes locks, so a rejected statement
+        never waits.  ``executor``: a private one for a concurrent
+        statement (see _statement_executor)."""
         engine = (self.updates if executor is None
                   else UpdateEngine(executor, self.constraints))
-        with self._statement_scope(statement):
-            return self._spanned("update", "engine", engine.execute,
-                                 statement, restrict_to=restrict_to)
+        return self._spanned("update", "engine", engine.execute,
+                             compiled.statement, restrict_to=restrict_to,
+                             params=compiled.params)
 
     def _statement_executor(self) -> QueryExecutor:
         """A private executor for one snapshot Retrieve: a fresh accessor
@@ -219,28 +253,6 @@ class Database:
                              batch_size=self.executor.batch_size,
                              parallelism=self.executor.parallelism)
 
-    def _verify(self, tree, plan) -> List:
-        """Fail closed: a plan that breaks the structural contract
-        between the labelled tree and the enumeration must never run."""
-        from repro.analysis import raise_for_errors, verify_plan
-        verdict = verify_plan(self.schema, tree, plan)
-        raise_for_errors(verdict)
-        return verdict
-
-    def _lint_retrieve(self, query: RetrieveQuery) -> List:
-        """Type-check a resolved Retrieve; raises on error severity and
-        returns the surviving (warning/info) diagnostics."""
-        from repro.analysis import lint_retrieve, raise_for_errors
-        diagnostics = lint_retrieve(self.schema, query)
-        raise_for_errors(diagnostics)
-        return diagnostics
-
-    def _lint_update(self, statement) -> List:
-        from repro.analysis import lint_update, raise_for_errors
-        diagnostics = lint_update(self.schema, statement)
-        raise_for_errors(diagnostics)
-        return diagnostics
-
     def explain(self, text: str) -> str:
         """The optimizer's strategy report for a Retrieve statement."""
         query = parse_dml(text) if isinstance(text, str) else text
@@ -249,19 +261,13 @@ class Database:
         tree = self.qualifier.resolve_retrieve(query)
         return self.optimizer.explain(query, tree)
 
-    @property
-    def optimizer(self):
-        if self._optimizer is None:
-            from repro.optimizer.strategies import Optimizer
-            self._optimizer = Optimizer(self)
-        return self._optimizer
-
     def analyze(self):
         """Collect optimizer statistics (the ANALYZE pass; paper §5.1's
         "statistical optimization").  Returns the TableStatistics."""
         from repro.optimizer.statistics import analyze
         statistics = analyze(self.store)
         self.optimizer.table_statistics = statistics
+        self.plan_cache.clear()     # plans costed without them are stale
         return statistics
 
     # -- Transactions ---------------------------------------------------------------
@@ -338,6 +344,7 @@ class Database:
     def reset_io_stats(self) -> None:
         self.store.reset_io_stats()
         self.store.perf.reset()
+        self.store.perf.plan_cache_entries = len(self.plan_cache)
 
     # -- Tracing / EXPLAIN ANALYZE ---------------------------------------------------
 
@@ -391,14 +398,19 @@ class Database:
         ``"closure"`` (the transitive closure of an EVA hop chain).
         See :mod:`repro.mapper.materialized`."""
         manager = self.store.attach_materializations()
-        return manager.declare(name, kind, class_name, eva_names)
+        declared = manager.declare(name, kind, class_name, eva_names)
+        self.plan_cache.clear()
+        return declared
 
     def refresh_materialization(self, name: str):
         """Recompute one materialization from current physical state."""
-        return self.store.attach_materializations().refresh(name)
+        refreshed = self.store.attach_materializations().refresh(name)
+        self.plan_cache.clear()
+        return refreshed
 
     def drop_materialization(self, name: str) -> None:
         self.store.attach_materializations().drop(name)
+        self.plan_cache.clear()
 
     def list_materializations(self):
         """All declared materializations, sorted by name."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+from repro.lexer import Span
 from repro.naming import canon
 
 
@@ -97,8 +98,36 @@ class Path(Expression):
         traversal node, or the anchor when the chain has no traversals)."""
         return self.chain_nodes[-1] if self.chain_nodes else self.anchor_node
 
-    def describe(self) -> str:
+    def describe(self, params=None) -> str:
         return " of ".join(step.describe() for step in self.steps)
+
+
+class Lifted:
+    """The literals of one statement, lifted to plan-cache parameters:
+    its compiled artefacts read literal ``slot`` of the *running*
+    execution from ``ctx.params[slot]``, not from the AST, so statements
+    differing only in literal values share them (:mod:`repro.plan_cache`).
+    Compile stages record here what still depends on a value: ``pinned``
+    slots (a stage read the value, so it joins the cache key; a slot is
+    pinned until a Literal claims it), ``checks`` — ``(slot, rule(value,
+    span, sink))``, value-dependent lint re-run against every binding —
+    and ``conversions`` — ``(slot, convert)``, parse-once preparations
+    (dates, ``like`` patterns) whose results extend ``params`` at binding
+    time, so a malformed literal still fails before the first row."""
+
+    def __init__(self, tokens, sites):
+        self.tokens = tokens        # the fill's token list
+        self.sites = sites          # slot -> index of its token
+        self.pinned = set(range(len(sites)))
+        self.checks: List[tuple] = []
+        self.conversions: List[tuple] = []
+
+    def bind(self, values) -> list:
+        """The ``params`` of one execution from its literal values."""
+        params = list(values)
+        for slot, convert in self.conversions:
+            params.append(convert(params[slot]))
+        return params
 
 
 @dataclass
@@ -108,10 +137,56 @@ class Literal(Expression):
     line: int = 0
     column: int = 0
 
-    def describe(self) -> str:
-        if isinstance(self.value, str):
-            return f'"{self.value}"'
-        return str(self.value)
+    def __post_init__(self):
+        #: set by the parser on a plan-cache miss (:meth:`lift`); None
+        #: means an inline constant, read from the AST
+        self.lifted: Optional[Lifted] = None
+        self.slot: Optional[int] = None
+
+    def lift(self, lifted: Lifted, slot: int) -> None:
+        self.lifted, self.slot = lifted, slot
+        lifted.pinned.discard(slot)
+
+    def pin(self) -> None:
+        """A compile stage read this value: it joins the cache key."""
+        if self.lifted is not None:
+            self.lifted.pinned.add(self.slot)
+
+    def bound(self, params):
+        """The value for the execution binding ``params`` (as written
+        when the literal is inline or the statement runs unbound)."""
+        if params is None or self.lifted is None:
+            return self.value
+        return params[self.slot]
+
+    def reader(self, convert=None):
+        """``fn(ctx) -> value`` for compiled columns, through ``convert``
+        when given — applied once: here for an inline literal, at each
+        binding for a lifted one."""
+        lifted = self.lifted
+        if lifted is None:
+            value = self.value if convert is None else convert(self.value)
+            return lambda ctx: value
+        index = self.slot
+        if convert is not None:
+            index = len(lifted.sites) + len(lifted.conversions)
+            lifted.conversions.append((self.slot, convert))
+
+        return lambda ctx: ctx.params[index]
+
+    def check(self, rule, sink) -> None:
+        """Apply a value-dependent lint ``rule(value, span, sink)``: now
+        for an inline literal, against every binding for a lifted one."""
+        if self.lifted is None:
+            rule(self.value, Span(self.line, self.column), sink)
+        else:
+            self.lifted.checks.append((self.slot, rule))
+
+    def describe(self, params=None) -> str:
+        value = self.bound(params)
+        if isinstance(value, str):
+            return f'"{value}"'
+        return str(value)
 
 
 @dataclass
@@ -123,8 +198,9 @@ class Binary(Expression):
     left: Expression
     right: Expression
 
-    def describe(self) -> str:
-        return f"({self.left.describe()} {self.op} {self.right.describe()})"
+    def describe(self, params=None) -> str:
+        return (f"({self.left.describe(params)} {self.op} "
+                f"{self.right.describe(params)})")
 
 
 @dataclass
@@ -134,8 +210,8 @@ class Unary(Expression):
     op: str
     operand: Expression
 
-    def describe(self) -> str:
-        return f"({self.op} {self.operand.describe()})"
+    def describe(self, params=None) -> str:
+        return f"({self.op} {self.operand.describe(params)})"
 
 
 @dataclass
@@ -161,8 +237,8 @@ class Aggregate(Expression):
         self.scope_id: Optional[int] = None
         self.scope_nodes: List = []
 
-    def describe(self) -> str:
-        inner = self.argument.describe()
+    def describe(self, params=None) -> str:
+        inner = self.argument.describe(params)
         distinct = "distinct " if self.distinct else ""
         text = f"{self.func}({distinct}{inner})"
         if self.outer:
@@ -186,8 +262,8 @@ class Quantified(Expression):
         self.scope_id: Optional[int] = None
         self.scope_nodes: List = []
 
-    def describe(self) -> str:
-        return f"{self.quantifier}({self.argument.describe()})"
+    def describe(self, params=None) -> str:
+        return f"{self.quantifier}({self.argument.describe(params)})"
 
 
 @dataclass
@@ -200,7 +276,7 @@ class IsaTest(Expression):
     def __post_init__(self):
         self.class_name = canon(self.class_name)
 
-    def describe(self) -> str:
+    def describe(self, params=None) -> str:
         return f"({self.entity.describe()} isa {self.class_name})"
 
 
@@ -215,9 +291,21 @@ class FunctionCall(Expression):
     def __post_init__(self):
         self.name = self.name.lower()
 
-    def describe(self) -> str:
-        inner = ", ".join(a.describe() for a in self.args)
+    def describe(self, params=None) -> str:
+        inner = ", ".join(a.describe(params) for a in self.args)
         return f"{self.name}({inner})"
+
+
+def pin_literals(expression) -> None:
+    """Pin every literal inside ``expression``: a compile stage is about
+    to spell their values out (a column label, a diagnostic)."""
+    if isinstance(expression, Literal):
+        expression.pin()
+    for name in ("left", "right", "operand", "argument"):
+        if isinstance(getattr(expression, name, None), Expression):
+            pin_literals(getattr(expression, name))
+    for arg in getattr(expression, "args", ()):
+        pin_literals(arg)
 
 
 # ---------------------------------------------------------------- statements

@@ -36,6 +36,7 @@ aggregate only when followed by ``(``, etc.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from typing import List
 
 from repro.errors import DMLSyntaxError
@@ -46,6 +47,7 @@ from repro.lexer import (
     STRING,
     SYMBOL,
     TokenStream,
+    lift_literals,
     tokenize,
 )
 from repro.dml.ast import (
@@ -57,6 +59,7 @@ from repro.dml.ast import (
     FunctionCall,
     InsertStatement,
     IsaTest,
+    Lifted,
     Literal,
     ModifyStatement,
     OrderItem,
@@ -82,26 +85,44 @@ _CLAUSE_WORDS = frozenset((
 ))
 
 
-def parse_dml(text: str):
-    """Parse one DML statement; returns a statement AST node."""
-    parser = _DMLParser(text)
-    statement = parser.parse_statement()
-    parser.expect_done()
-    return statement
+def parse_dml(text: str, cache=None):
+    """Parse one DML statement; returns a statement AST node.
+
+    With a plan ``cache`` (:class:`repro.plan_cache.PlanCache`) the
+    result is the statement *compiled and bound* instead: the token
+    stream with its literals lifted to typed slots is the cache key, and
+    only a miss is parsed (its literals claiming their tokens' slots).
+    """
+    tokens = tokenize(text, DMLSyntaxError)
+    if cache is None:
+        return _DMLParser(tokens).parse_dml()
+    shape, values, sites = lift_literals(tokens)
+
+    def parse():
+        parser = _DMLParser(tokens, sites)
+        return parser.parse_dml(), parser.lifted
+    return cache.bind(shape, values, tokens, parse)
 
 
 def parse_expression(text: str):
     """Parse a standalone selection expression (used for VERIFY assertions)."""
-    parser = _DMLParser(text)
+    parser = _DMLParser(tokenize(text, DMLSyntaxError))
     expression = parser.parse_expr()
     parser.expect_done()
     return expression
 
 
 class _DMLParser:
-    def __init__(self, text: str):
-        self.stream = TokenStream(tokenize(text, DMLSyntaxError),
-                                  DMLSyntaxError)
+    def __init__(self, tokens, sites=None):
+        self.stream = TokenStream(tokens, DMLSyntaxError)
+        #: plan-cache miss: token index -> slot, and the statement's Lifted
+        self._slots = {site: slot for slot, site in enumerate(sites or ())}
+        self.lifted = None if sites is None else Lifted(tokens, sites)
+
+    def parse_dml(self):
+        statement = self.parse_statement()
+        self.expect_done()
+        return statement
 
     # -- Statements --------------------------------------------------------------
 
@@ -351,20 +372,23 @@ class _DMLParser:
             return Unary("-", self._unary())
         return self._primary()
 
+    def _literal(self, value) -> Literal:
+        """Consume the current token as a literal (claiming its slot)."""
+        slot = self._slots.get(self.stream.save())
+        token = self.stream.advance()
+        literal = Literal(value, line=token.line, column=token.column)
+        if slot is not None:
+            literal.lift(self.lifted, slot)
+        return literal
+
     def _primary(self):
         token = self.stream.current
         if token.kind == NUMBER:
-            self.stream.advance()
-            return Literal(int(token.value), line=token.line,
-                           column=token.column)
+            return self._literal(int(token.value))
         if token.kind == DECIMAL:
-            self.stream.advance()
-            from decimal import Decimal
-            return Literal(Decimal(token.value), line=token.line,
-                           column=token.column)
+            return self._literal(Decimal(token.value))
         if token.kind == STRING:
-            self.stream.advance()
-            return Literal(token.value, line=token.line, column=token.column)
+            return self._literal(token.value)
         if token.kind == SYMBOL and token.value == "(":
             self.stream.advance()
             inner = self.parse_expr()
@@ -393,9 +417,7 @@ class _DMLParser:
             self.stream.expect_symbol(")")
             return FunctionCall(name, args)
         if word in ("true", "false"):
-            self.stream.advance()
-            return Literal(word == "true", line=token.line,
-                           column=token.column)
+            return self._literal(word == "true")
         return self._path()
 
     def _aggregate(self) -> Aggregate:

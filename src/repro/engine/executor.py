@@ -70,9 +70,25 @@ class QueryExecutor:
         tree = self.qualifier.resolve_retrieve(query)
         return self.run(query, tree, plan)
 
-    def run(self, query: RetrieveQuery, tree: QueryTree, plan=None
-            ) -> ResultSet:
+    def lower(self, query: RetrieveQuery, tree: QueryTree, plan=None):
+        """Lower a resolved Retrieve to its operator DAG — a template:
+        :meth:`run` executes ``fresh()`` instances of it — and verify it.
+        Fail closed: a DAG that breaks the structural contract between
+        the labelled tree and the operators (SIM205-208) must never run."""
+        # Imported lazily: the lowering module imports the operator
+        # algebra from this package, so a module-level import here would
+        # be circular for entry points that load the optimizer first.
+        from repro.optimizer.physical_plan import lower_plan
+        physical = lower_plan(query, tree, plan, self)
+        raise_for_errors(verify_physical(self.schema, tree, physical))
+        return physical
+
+    def run(self, query: RetrieveQuery, tree: QueryTree, plan=None,
+            physical=None, params=None) -> ResultSet:
         """Execute a query whose tree is already resolved (optimizer path).
+
+        ``physical`` is a compiled statement's lowered template (lowered
+        here when absent), ``params`` the literals this execution binds.
 
         With tracing attached and enabled, the run is wrapped in an
         ``execute`` span carrying per-node EXPLAIN ANALYZE counters
@@ -82,27 +98,20 @@ class QueryExecutor:
         """
         trace = self.store.trace
         if trace is None or not trace.enabled:
-            return self._run(query, tree, plan, None, None)
+            return self._run(query, tree, plan, physical, params, None, None)
         with trace.span("execute", layer="executor") as span:
-            stats: Dict[int, List[int]] = {}
-            result = self._run(query, tree, plan, span, stats)
-            return result
+            return self._run(query, tree, plan, physical, params, span, {})
 
-    def _run(self, query: RetrieveQuery, tree: QueryTree, plan,
-             span, stats) -> ResultSet:
-        # Imported lazily: the lowering module imports the operator
-        # algebra from this package, so a module-level import here would
-        # be circular for entry points that load the optimizer first.
-        from repro.optimizer.physical_plan import lower_plan
+    def _run(self, query: RetrieveQuery, tree: QueryTree, plan, physical,
+             params, span, stats) -> ResultSet:
         self.accessor.begin_query()
         perf_before = self.store.perf.snapshot()
+        if physical is None:
+            physical = self.lower(query, tree, plan)
+        # Per-run operator counters are never shared between executions.
+        physical = physical.fresh()
 
-        physical = lower_plan(query, tree, plan, self)
-        # Fail closed: a DAG that breaks the structural contract between
-        # the labelled tree and the operators must never run.
-        raise_for_errors(verify_physical(self.schema, tree, physical))
-
-        ctx = ExecContext(self, physical, stats)
+        ctx = ExecContext(self, physical, stats, params)
         structured_mode = query.mode == "structure"
         rows: List[tuple] = []
         snapshots = []
@@ -117,8 +126,7 @@ class QueryExecutor:
             # A statement that raises still accounts the reads it made.
             self.accessor.flush()
 
-        columns = [item.label or item.expression.describe()
-                   for item in query.targets]
+        columns = list(physical.columns)
         original_nodes: List[QTNode] = []
         for root in tree.roots:
             original_nodes.extend(tree.loop_nodes(root))
@@ -142,7 +150,7 @@ class QueryExecutor:
         if span is not None:
             span.attrs["output_rows"] = len(rows)
             span.attrs["nodes"] = self._node_records(tree, plan, stats)
-            span.attrs["operators"] = physical.operator_records()
+            span.attrs["operators"] = physical.operator_records(params)
             result.node_stats = stats
         return result
 
@@ -174,7 +182,8 @@ class QueryExecutor:
             visit(root, 0)
         return records
 
-    def select_entities(self, class_name: str, where) -> List[int]:
+    def select_entities(self, class_name: str, where, params=None
+                        ) -> List[int]:
         """Entities of ``class_name`` satisfying ``where`` (update/VERIFY
         path: single perspective, existential TYPE 2 semantics).
 
@@ -184,15 +193,21 @@ class QueryExecutor:
         scan (sorted by surrogate, matching the optimizer's
         semantics-preservation rule for index paths).  The selection runs
         through the same operator algebra as queries: a root Scan feeding
-        the shared Filter/Semi/AntiSemi stage."""
-        from repro.optimizer.physical_plan import lower_selection
+        the shared Filter/Semi/AntiSemi stage, compiled once per ``where``
+        (:meth:`prepare_selection`) and probed with this execution's
+        ``params``."""
         self.accessor.begin_query()
-        tree = self.qualifier.resolve_selection(class_name, where)
-        root = tree.roots[0]
-        domain = self._selection_domain(root, where)
-        physical = lower_selection(tree, where, domain)
-        ctx = ExecContext(self, physical)
-        slot = physical.slots[root.id]
+        prepared = getattr(where, "selection", None)
+        if prepared is None or prepared[0] != class_name:
+            prepared = self.prepare_selection(class_name, where)
+        _, template, probe = prepared
+        physical = template.fresh()
+        if probe is not None:
+            self.store.perf.bump("index_selections")
+            physical.operators[0].domain_override = sorted(
+                probe(self.store, params))
+        ctx = ExecContext(self, physical, params=params)
+        slot = physical.slots[physical.spine[0].id]
         selected: List[int] = []
         try:
             for batch in physical.root.run(ctx):
@@ -201,26 +216,41 @@ class QueryExecutor:
             self.accessor.flush()
         return selected
 
-    def _selection_domain(self, root: QTNode, where):
-        """Index candidates for a selection scan, or None for the full
-        class extent: the first equality conjunct on an indexed DVA wins,
-        then the first range conjunct on an ordered-indexed DVA."""
+    def prepare_selection(self, class_name: str, where):
+        """Resolve and lower a selection: ``(class, operator template,
+        index probe or None)``, kept on the ``where`` expression its
+        resolution annotates anyway.  A statement's compile calls this so
+        that executions — concurrent ones too — only read the AST."""
+        from repro.optimizer.physical_plan import lower_selection
+        tree = self.qualifier.resolve_selection(class_name, where)
+        prepared = (class_name, lower_selection(tree, where),
+                    self._selection_probe(tree.roots[0], where))
+        if where is not None:
+            where.selection = prepared
+        return prepared
+
+    def _selection_probe(self, root: QTNode, where):
+        """``probe(store, params) -> index candidates`` for a selection
+        scan, or None for the full class extent: the first equality
+        conjunct on an indexed DVA wins, then the first range conjunct
+        on an ordered-indexed DVA."""
         if where is None:
             return None
         from repro.optimizer.strategies import (equality_conjuncts,
                                                 range_conjuncts)
-        for attr_name, value in equality_conjuncts(where, root):
-            if self.store.has_index_on(root.class_name, attr_name):
-                self.store.perf.bump("index_selections")
-                return sorted(self.store.find_by_dva(
-                    root.class_name, attr_name, value))
+        class_name = root.class_name
+        for attr_name, literal in equality_conjuncts(where, root):
+            if self.store.has_index_on(class_name, attr_name):
+                return lambda store, params: store.find_by_dva(
+                    class_name, attr_name, literal.bound(params))
         for attr_name, low, high, include_low, include_high \
                 in range_conjuncts(where, root):
-            if self.store.has_ordered_index_on(root.class_name, attr_name):
-                self.store.perf.bump("index_selections")
-                return sorted(self.store.find_by_dva_range(
-                    root.class_name, attr_name, low, high,
-                    include_low, include_high))
+            if self.store.has_ordered_index_on(class_name, attr_name):
+                return lambda store, params: store.find_by_dva_range(
+                    class_name, attr_name,
+                    None if low is None else low.bound(params),
+                    None if high is None else high.bound(params),
+                    include_low, include_high)
         return None
 
     def predicate_holds(self, predicate, surrogate):

@@ -33,6 +33,7 @@ from repro.dml.ast import (
     Path,
     Quantified,
     Unary,
+    pin_literals,
 )
 from repro.engine.access import DUMMY
 from repro.types.dates import SimDate, SimTime
@@ -60,8 +61,8 @@ def compile_value(expression, slots, width):
     (scope expansion appends its own slots past it).
     """
     if isinstance(expression, Literal):
-        value = expression.value
-        return lambda ctx, rows: [value] * len(rows)
+        read = expression.reader()
+        return lambda ctx, rows: [read(ctx)] * len(rows)
     if isinstance(expression, Path):
         if getattr(expression, "derived", None) is not None:
             return _compile_derived(expression, slots, width)
@@ -89,6 +90,7 @@ def compile_truth(expression, slots, width):
         return values
     described = (expression.describe() if hasattr(expression, "describe")
                  else repr(expression))
+    pin_literals(expression)    # the error message spells them out
 
     def truth(ctx, rows):
         out = []
@@ -251,7 +253,7 @@ def _compile_binary(expression, slots, width):
                     for a, b in zip(left(ctx, rows), right(ctx, rows))]
         return arithmetic
     kernel = _comparison_kernel(op, expression.left, expression.right)
-    return lambda ctx, rows: kernel(left(ctx, rows), right(ctx, rows))
+    return lambda ctx, rows: kernel(ctx, left(ctx, rows), right(ctx, rows))
 
 
 def _kleene_and(lefts, rights):
@@ -376,10 +378,10 @@ def _like_regex(pattern: str) -> str:
 
 
 def _constant(literal, other):
-    """The value of a literal comparison operand when the comparison can
-    run without per-pair coercion, else None.  A string literal facing a
-    date/time attribute is parsed here, once (a malformed one raises
-    before the first row)."""
+    """A reader (``fn(ctx) -> value``) of a literal comparison operand
+    when the comparison can run without per-pair coercion, else None.
+    A string literal facing a date/time attribute is parsed once per
+    execution, before its first row (a malformed one raises there)."""
     value = literal.value
     attr = other.terminal_attr if (
         isinstance(other, Path)
@@ -388,30 +390,33 @@ def _constant(literal, other):
         if attr is None:
             return None             # the column's type is not known here
         if isinstance(attr.data_type, DateType):
-            return SimDate.parse(value)
+            return literal.reader(SimDate.parse)
         if isinstance(attr.data_type, TimeType):
-            return SimTime.parse(value)
-        return value
+            return literal.reader(SimTime.parse)
+        return literal.reader()
     if type(value) in (int, bool) and not _is_boolean(other):
-        return value
+        return literal.reader()
     return None
 
 
 def _comparison_kernel(op, left, right):
-    """``kernel(lefts, rights) -> outcomes`` for ``left <op> right``,
-    specialised on the operator and on a literal operand."""
+    """``kernel(ctx, lefts, rights) -> outcomes`` for ``left <op>
+    right``, specialised on the operator and on a literal operand (only
+    on its type: the value is read per execution)."""
     if op not in COMPARISON_OPS:
         raise ExecutionError(f"unknown comparison operator {op!r}")
 
-    def general(lefts, rights):
+    def general(ctx, lefts, rights):
         return [_compare(op, a, b) for a, b in zip(lefts, rights)]
 
     if op == "like":
         if not (isinstance(right, Literal) and type(right.value) is str):
             return general
-        match = re.compile(_like_regex(right.value), re.DOTALL).fullmatch
+        matcher = right.reader(lambda pattern: re.compile(
+            _like_regex(pattern), re.DOTALL).fullmatch)
 
-        def like(lefts, rights):
+        def like(ctx, lefts, rights):
+            match = matcher(ctx)
             out = []
             for value in lefts:
                 if value is NULL or value is None or value is UNKNOWN:
@@ -424,22 +429,23 @@ def _comparison_kernel(op, left, right):
         return like
 
     if isinstance(right, Literal):
-        constant, mirrored = _constant(right, left), False
+        read, mirrored = _constant(right, left), False
     elif isinstance(left, Literal):
-        constant, mirrored = _constant(left, right), True
+        read, mirrored = _constant(left, right), True
     else:
         return general
-    if constant is None:
+    if read is None:
         return general
     apply = _COMPARATORS[_MIRRORED[op] if mirrored else op]
 
-    def against_constant(lefts, rights):
+    def against_constant(ctx, lefts, rights):
+        constant = read(ctx)
         try:
             return [UNKNOWN if value is NULL or value is None
                     else apply(value, constant)
                     for value in (rights if mirrored else lefts)]
         except TypeError:
-            return general(lefts, rights)    # raises the typed error
+            return general(ctx, lefts, rights)    # raises the typed error
     return against_constant
 
 
@@ -558,7 +564,7 @@ def _compile_quantified(expression, slots, width):
         decided = [False] * len(rows)
         unknown = [False] * len(rows)
         for chunk in expand(ctx, rows, decided):
-            outcomes = kernel([lefts[row[width]] for row in chunk],
+            outcomes = kernel(ctx, [lefts[row[width]] for row in chunk],
                               argument(ctx, chunk))
             for row, outcome in zip(chunk, outcomes):
                 if outcome is decisive:

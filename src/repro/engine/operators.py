@@ -75,16 +75,18 @@ class ExecContext:
     """Per-execution state shared by every operator of one physical DAG
     and read by the compiled expressions it runs.  Without a physical
     plan (one-row evaluation of a compiled predicate or assignment
-    value) there is no slot layout to carry."""
+    value) there is no slot layout to carry.  ``params``: the literals
+    this execution binds to a cached statement's slots (None: as written)."""
 
     __slots__ = ("executor", "accessor", "store", "stats", "batch_size",
-                 "slots", "width")
+                 "slots", "width", "params")
 
-    def __init__(self, executor, physical=None, stats=None):
+    def __init__(self, executor, physical=None, stats=None, params=None):
         self.executor = executor
         self.accessor = executor.accessor
         self.store = executor.store
         self.stats = stats
+        self.params = params
         self.batch_size = executor.batch_size
         self.slots = physical.slots if physical is not None else {}
         self.width = physical.width if physical is not None else 0
@@ -131,7 +133,20 @@ class Operator:
     def run(self, ctx: ExecContext):
         raise NotImplementedError
 
-    def detail(self) -> str:
+    def fresh(self) -> "Operator":
+        """A new instance chain of this pipeline: the copies share the
+        immutable pieces (nodes, compiled columns) and own their
+        counters, so executions of one cached template — and the morsel
+        workers of one execution — never count into each other."""
+        clone = copy.copy(self)
+        if self.child is not None:
+            clone.child = self.child.fresh()
+        clone.batches = clone.rows_in = clone.rows_out = 0
+        return clone
+
+    def detail(self, params=None) -> str:
+        """What the operator works on (lifted literals as ``params``
+        bound them)."""
         return ""
 
     def describe(self) -> str:
@@ -172,7 +187,7 @@ class Scan(Operator):
         self.access = access
         self.domain_override = domain
 
-    def detail(self) -> str:
+    def detail(self, params=None) -> str:
         if self.domain_override is not None:
             return f"{self.node.describe()}, candidates"
         if self.access is not None and self.access.kind != "scan":
@@ -183,7 +198,7 @@ class Scan(Operator):
         if self.domain_override is not None:
             return self.domain_override
         if self.plan is not None:
-            iterator = self.plan.root_iterator(self.node, ctx.executor)
+            iterator = self.plan.root_iterator(self.node, ctx)
             if iterator is not None:
                 return iterator
         return ctx.accessor.root_domain(self.node)
@@ -239,7 +254,7 @@ class EVATraverse(Operator):
         super().__init__(child)
         self.node = node
 
-    def detail(self) -> str:
+    def detail(self, params=None) -> str:
         return self.node.describe()
 
     def run(self, ctx: ExecContext):
@@ -303,8 +318,8 @@ class Filter(Operator):
         self.where = where
         self.predicate = predicate
 
-    def detail(self) -> str:
-        return self.where.describe()
+    def detail(self, params=None) -> str:
+        return self.where.describe(params)
 
     def run(self, ctx: ExecContext):
         predicate = self.predicate
@@ -333,7 +348,7 @@ class Semi(Filter):
         super().__init__(where, child, predicate)
         self.nodes = list(nodes)
 
-    def detail(self) -> str:
+    def detail(self, params=None) -> str:
         return ", ".join(node.describe() for node in self.nodes)
 
 
@@ -357,8 +372,8 @@ class Aggregate(Operator):
         super().__init__(child)
         self.items = list(items)        # [(Aggregate expr, column, slot)]
 
-    def detail(self) -> str:
-        return ", ".join(expr.describe() for expr, _, _ in self.items)
+    def detail(self, params=None) -> str:
+        return ", ".join(expr.describe(params) for expr, _, _ in self.items)
 
     def run(self, ctx: ExecContext):
         items = self.items
@@ -381,19 +396,18 @@ class Project(Operator):
 
     name = "Project"
 
-    def __init__(self, query, original_slots, reordered, structured,
+    def __init__(self, columns, original_slots, reordered, structured,
                  targets, order, child):
         super().__init__(child)
-        self.query = query
+        self.columns = columns          # result column labels
         self.reordered = reordered
         self.structured = structured
         self.original_slots = original_slots
         self.targets = targets          # [column]
         self.order = order              # [(column, descending)]
 
-    def detail(self) -> str:
-        return ", ".join(item.label or item.expression.describe()
-                         for item in self.query.targets)
+    def detail(self, params=None) -> str:
+        return ", ".join(self.columns)
 
     def run(self, ctx: ExecContext):
         for batch in self.child.run(ctx):
@@ -430,7 +444,7 @@ class Sort(Operator):
         self.restore = restore
         self.order = order
 
-    def detail(self) -> str:
+    def detail(self, params=None) -> str:
         parts = []
         if self.restore:
             parts.append("restore perspective order")

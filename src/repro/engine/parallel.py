@@ -32,9 +32,8 @@ bench_scale.py``.
 
 from __future__ import annotations
 
-import copy
 import threading
-from typing import List, Optional
+from typing import List
 
 from repro.engine import operators as ops
 from repro.engine.access import EntityAccessor
@@ -43,11 +42,6 @@ from repro.errors import SimError
 MIN_PARALLELISM = 1
 MAX_PARALLELISM = 64
 DEFAULT_PARALLELISM = 1
-
-#: operator names allowed below the Parallel barrier (order-insensitive
-#: per-row work); everything else must stay above it
-PARALLEL_SAFE_OPS = ("Scan", "EVATraverse", "OuterTraverse", "Filter",
-                     "Semi", "AntiSemi")
 
 #: domains smaller than this run serially even when workers are allowed —
 #: thread + clone setup would dominate the work.  Deliberately small: a
@@ -77,25 +71,12 @@ class _WorkerState:
         accessor.begin_query()
         self.stats = {} if parent_ctx.stats is not None else None
         self.ctx = parent_ctx.spawn_worker(accessor, self.stats)
-        self.sink = _clone_segment(segment)
+        # A fresh instance chain (verify_physical, SIM208, has already
+        # checked that only order-insensitive operators sit below the
+        # barrier): per-worker counters merge back without double-counting.
+        self.sink = segment.fresh()
         self.leaf = self.sink.chain()[0]
         self.morsels = 0
-
-
-def _clone_segment(operator: Optional[ops.Operator]) -> Optional[ops.Operator]:
-    """A fresh instance chain of the parallel segment.  Clones share the
-    immutable pieces (nodes, compiled predicates) but carry their own
-    batch/row counters, so per-worker attribution merges back without
-    double-counting."""
-    if operator is None:
-        return None
-    if operator.name not in PARALLEL_SAFE_OPS:
-        raise SimError(f"operator {operator.name} cannot run below the "
-                       f"parallel barrier")
-    clone = copy.copy(operator)
-    clone.child = _clone_segment(operator.child)
-    clone.batches = clone.rows_in = clone.rows_out = 0
-    return clone
 
 
 class Parallel(ops.Operator):
@@ -117,7 +98,7 @@ class Parallel(ops.Operator):
         self.workers_used = 0
         self.morsels = 0
 
-    def detail(self) -> str:
+    def detail(self, params=None) -> str:
         return f"workers<={self.parallelism}"
 
     # -- Morsel geometry ---------------------------------------------------------

@@ -415,6 +415,50 @@ class LockManager:
             }
 
 
+def lock_footprint(schema, statement) -> Tuple[tuple, bool]:
+    """What an update statement must lock, from its AST alone — computed
+    once per compiled statement.  Returns ``(classes, entity_lockable)``:
+    the classes to lock exclusively, sorted, and whether a qualified
+    Modify/Delete may instead take IX on its class and X on just the
+    entities its qualification names."""
+    def partners(class_name, assignments) -> set:
+        """Range classes of the EVAs an assignment list writes."""
+        sim_class = schema.get_class(class_name)
+        return {sim_class.attribute(a.attribute).range_class_name
+                for a in assignments
+                if sim_class.has_attribute(a.attribute)
+                and sim_class.attribute(a.attribute).is_eva}
+
+    class_name = statement.class_name
+    entity_lockable = False
+    if isinstance(statement, InsertStatement):
+        # Inserts create entities the qualification cannot name yet
+        # (a phantom by construction): always class-exclusive.
+        base = schema.get_class(class_name).base_class_name
+        touched = {base, class_name,
+                   *schema.graph.insertion_path(base, class_name)}
+        touched |= partners(class_name, statement.assignments)
+    elif isinstance(statement, ModifyStatement):
+        written = partners(class_name, statement.assignments)
+        entity_lockable = statement.where is not None and not written
+        touched = {class_name} | written
+    elif isinstance(statement, DeleteStatement):
+        # Deletion cascades to subclass roles and drops every EVA
+        # instance of the removed roles: entity granularity is only
+        # safe when there is nothing to cascade into.
+        descendants = schema.graph.descendants(class_name)
+        entity_lockable = (
+            statement.where is not None and not descendants
+            and not schema.get_class(class_name).immediate_evas())
+        touched = {class_name, *descendants}
+        for cascaded in list(touched):
+            for eva in schema.get_class(cascaded).immediate_evas():
+                touched.add(eva.range_class_name)
+    else:
+        raise SimError(f"cannot lock for {statement!r}")
+    return tuple(sorted(touched)), entity_lockable
+
+
 class Session:
     """One client's transactional view of a shared database.
 
@@ -468,19 +512,24 @@ class Session:
     def execute(self, text, timeout: Optional[float] = None):
         """Run one DML statement.  ``timeout`` bounds this statement's
         lock waits (overriding the session's ``lock_timeout``)."""
-        statement = parse_dml(text) if isinstance(text, str) else text
-        if not isinstance(statement, RetrieveQuery):
-            # Static checks come before any lock: a statement that is
-            # going to be rejected must never wait for one.
-            self.database._lint_update(statement)
-        elif self.mvcc:
-            return self._snapshot_retrieve(statement)
-        return self._locked_statement(statement, timeout)
+        database = self.database
+        with database._statement_scope(text) as root:
+            # The compile (lint included) comes before any lock: a
+            # statement that is going to be rejected must never wait.
+            compiled = database._compile(text, parse_dml)
+            retrieve = isinstance(compiled.statement, RetrieveQuery)
+            if retrieve and self.mvcc:
+                result = self._snapshot_retrieve(compiled)
+            else:
+                result = self._locked_statement(compiled, timeout)
+            if retrieve and root is not None:
+                result.trace = root
+            return result
 
     def query(self, text, timeout: Optional[float] = None):
         return self.execute(text, timeout)
 
-    def _snapshot_retrieve(self, query: RetrieveQuery):
+    def _snapshot_retrieve(self, compiled):
         """Lock-free Retrieve at a pinned commit epoch.  Runs on a
         private executor so per-query memo shards can never leak rows
         across snapshots."""
@@ -493,15 +542,15 @@ class Session:
         try:
             with store.snapshot_scope(snap):
                 return database._run_retrieve(
-                    query, executor=database._statement_executor())
+                    compiled, executor=database._statement_executor())
         finally:
             store.end_snapshot(snap)
 
-    def _locked_statement(self, statement, timeout: Optional[float]):
+    def _locked_statement(self, compiled, timeout: Optional[float]):
         attempt = 0
         while True:
             try:
-                return self._execute_locked(statement, timeout)
+                return self._execute_locked(compiled, timeout)
             except DeadlockError as exc:
                 if not getattr(exc, "retryable", False) \
                         or attempt >= self.max_deadlock_retries:
@@ -516,7 +565,7 @@ class Session:
         base = min(0.002 * (2 ** (attempt - 1)), 0.05)
         return base * (0.5 + self._retry_rng.random())
 
-    def _execute_locked(self, statement, timeout: Optional[float]):
+    def _execute_locked(self, compiled, timeout: Optional[float]):
         if timeout is None:
             timeout = self.lock_timeout
         # "Fresh" = this statement would open the transaction, so a
@@ -525,7 +574,7 @@ class Session:
         fresh = self._transaction is None or not self._transaction.active
         acquired: List[tuple] = []
         try:
-            restrict = self._lock_for(statement, acquired, timeout)
+            restrict = self._lock_for(compiled, acquired, timeout)
         except DeadlockError as exc:
             # Victim protocol: abort the WHOLE transaction — the cycle
             # is waiting for locks this session already holds.
@@ -546,11 +595,10 @@ class Session:
         # unit they write.
         executor = database._statement_executor()
         with database.store.transactions.activate(txn):
-            if isinstance(statement, RetrieveQuery):
-                result = database._run_retrieve(statement,
-                                                executor=executor)
+            if isinstance(compiled.statement, RetrieveQuery):
+                result = database._run_retrieve(compiled, executor=executor)
             else:
-                result = database._run_update(statement, executor=executor,
+                result = database._run_update(compiled, executor=executor,
                                               restrict_to=restrict)
         self._statements_in_txn += 1
         return result
@@ -625,66 +673,27 @@ class Session:
             self._statements_in_txn = 0
         return self._transaction
 
-    def _lock_for(self, statement, acquired: List[tuple],
+    def _lock_for(self, compiled, acquired: List[tuple],
                   timeout: Optional[float]) -> Optional[List[int]]:
-        """Acquire this statement's locks; appends ``(key, grant,
-        previous_mode)`` records to ``acquired`` for partial rollback.
+        """Acquire this statement's locks — its compiled footprint
+        (:func:`lock_footprint`); appends ``(key, grant, previous_mode)``
+        records to ``acquired`` for partial rollback.
 
         Returns the list of entity-locked surrogates when the statement
         locked at entity granularity (execution must restrict itself to
-        them), else None (class-level exclusive fallback).
+        them), else None (class-level locks).
         """
-        schema = self.database.schema
-        if isinstance(statement, RetrieveQuery):
-            for class_name in self._retrieve_classes(statement):
-                acquired.append(
-                    (class_name,) + self.locks.acquire(
-                        self.session_id, class_name, "S", timeout))
-            return None
-        if isinstance(statement, InsertStatement):
-            # Inserts create entities the qualification cannot name yet
-            # (a phantom by construction): always class-exclusive.
-            base = schema.get_class(statement.class_name).base_class_name
-            touched = {base, statement.class_name,
-                       *schema.graph.insertion_path(base,
-                                                    statement.class_name)}
-            touched |= self._assignment_partners(statement.class_name,
-                                                 statement.assignments)
-        elif isinstance(statement, ModifyStatement):
-            if (self.entity_locks and statement.where is not None
-                    and not self._assignment_partners(
-                        statement.class_name, statement.assignments)):
-                return self._lock_entities(statement.class_name,
-                                           statement.where, acquired,
-                                           timeout)
-            touched = {statement.class_name}
-            touched |= self._assignment_partners(statement.class_name,
-                                                 statement.assignments)
-        elif isinstance(statement, DeleteStatement):
-            # Deletion cascades to subclass roles and drops every EVA
-            # instance of the removed roles: entity granularity is only
-            # safe when there is nothing to cascade into.
-            if (self.entity_locks and statement.where is not None
-                    and not schema.graph.descendants(statement.class_name)
-                    and not schema.get_class(
-                        statement.class_name).immediate_evas()):
-                return self._lock_entities(statement.class_name,
-                                           statement.where, acquired,
-                                           timeout)
-            touched = {statement.class_name}
-            touched.update(schema.graph.descendants(statement.class_name))
-            for class_name in list(touched):
-                for eva in schema.get_class(class_name).immediate_evas():
-                    touched.add(eva.range_class_name)
-        else:
-            raise SimError(f"cannot lock for {statement!r}")
-        for class_name in sorted(touched):
+        statement = compiled.statement
+        mode = "S" if isinstance(statement, RetrieveQuery) else "X"
+        if mode == "X" and self.entity_locks and compiled.entity_lockable:
+            return self._lock_entities(compiled, acquired, timeout)
+        for class_name in compiled.lock_classes:
             acquired.append(
                 (class_name,) + self.locks.acquire(
-                    self.session_id, class_name, "X", timeout))
+                    self.session_id, class_name, mode, timeout))
         return None
 
-    def _lock_entities(self, class_name: str, where, acquired: List[tuple],
+    def _lock_entities(self, compiled, acquired: List[tuple],
                        timeout: Optional[float]) -> List[int]:
         """IX on the class, X on each entity the qualification names.
 
@@ -692,7 +701,13 @@ class Session:
         a hint; the caller re-selects under the locks and intersects.
         Surrogates are locked in sorted order, so two sessions after
         overlapping entity sets collide in a deterministic order."""
-        targets = self._resolve_targets(class_name, where)
+        statement = compiled.statement
+        class_name = statement.class_name
+        # A private executor keeps memo state off the shared one; the
+        # read takes no latch (record slots are replaced copy-on-write,
+        # never mutated in place).
+        targets = sorted(self.database._statement_executor().select_entities(
+            class_name, statement.where, compiled.params))
         acquired.append(
             (class_name,) + self.locks.acquire(
                 self.session_id, class_name, "IX", timeout))
@@ -702,40 +717,6 @@ class Session:
                 (key,) + self.locks.acquire(
                     self.session_id, key, "X", timeout))
         return targets
-
-    def _resolve_targets(self, class_name: str, where) -> List[int]:
-        """Pre-lock qualification: which entities would this statement
-        touch right now?  A private executor keeps memo state off the
-        shared one; the read takes no latch (record slots are replaced
-        copy-on-write, never mutated in place)."""
-        executor = self.database._statement_executor()
-        return sorted(executor.select_entities(class_name, where))
-
-    def _assignment_partners(self, class_name: str, assignments) -> set:
-        """Range classes of the EVAs an assignment list writes."""
-        schema = self.database.schema
-        sim_class = schema.get_class(class_name)
-        partners = set()
-        for assignment in assignments:
-            if not sim_class.has_attribute(assignment.attribute):
-                continue
-            attr = sim_class.attribute(assignment.attribute)
-            if attr.is_eva:
-                partners.add(attr.range_class_name)
-        return partners
-
-    def _retrieve_classes(self, query: RetrieveQuery) -> List[str]:
-        tree = self.database.qualifier.resolve_retrieve(query)
-        classes = set()
-
-        def visit(node):
-            if node.class_name:
-                classes.add(node.class_name)
-            for child in node.children.values():
-                visit(child)
-        for root in tree.roots:
-            visit(root)
-        return sorted(classes)
 
     def __repr__(self):
         state = "open" if self._transaction and self._transaction.active \

@@ -74,13 +74,64 @@ class UpdateEngine:
         self.schema = executor.schema
         self.qualifier = executor.qualifier
         self.constraints = constraints  # ConstraintManager or None
-        #: assignment values compiled for the running statement, by
-        #: expression identity (its AST outlives every entry)
-        self._compiled_rhs: Dict[int, object] = {}
+        #: the running statement's bound literal values (None: as written)
+        self._params = None
+
+    # -- Compile-once artefacts ---------------------------------------------------
+
+    def prepare(self, statement) -> None:
+        """Compile what every execution of ``statement`` reuses — its
+        selections and scalar assignment values — onto the AST, which
+        resolution annotates in place anyway.  Run once, by the
+        statement's compile (or the first :meth:`execute` of a hand-built
+        one), so that executing never edits an AST the plan cache shares
+        between sessions."""
+        if getattr(statement, "prepared", False):
+            return
+        sim_class = self.schema.get_class(statement.class_name)
+        if isinstance(statement, InsertStatement):
+            selections = [(statement.from_class, statement.from_where)]
+        else:
+            selections = [(sim_class.name, statement.where)]
+        for assignment in getattr(statement, "assignments", ()):
+            if not sim_class.has_attribute(assignment.attribute):
+                continue            # execution reports it
+            attr = sim_class.attribute(assignment.attribute)
+            value = assignment.value
+            if isinstance(value, EntitySelector):
+                # EXCLUDE names the EVA itself: it selects range members.
+                own = assignment.op == "exclude" and value.name == attr.name
+                selections.append((attr.range_class_name if own and attr.is_eva
+                                   else value.name, value.where))
+            elif not attr.is_eva and not isinstance(value, Literal):
+                # A Modify reads the entity through the statement's
+                # class; inserts and MV operations through the owner's.
+                scalar_modify = (isinstance(statement, ModifyStatement)
+                                 and not attr.multi_valued)
+                value.compiled = self._compile_rhs(
+                    sim_class.name if scalar_modify else attr.owner_name,
+                    value)
+        for class_name, where in selections:
+            if where is not None and self.schema.has_class(class_name or ""):
+                self.executor.prepare_selection(class_name, where)
+        statement.prepared = True
+
+    def _compile_rhs(self, class_name: str, expression):
+        """Compile an assignment value, resolved in a fresh scope
+        anchored at the entity (so ``salary := 1.1 * salary`` reads the
+        entity's own salary); a multi-instance value is an error unless
+        all instances agree."""
+        tree = QueryTree()
+        root = tree.add_root(canon(class_name), canon(class_name))
+        scope_nodes = self.qualifier.resolve_anchored(tree, root, expression)
+        return compile_single_valued(
+            expression, scope_nodes, {root.id: 0}, 1,
+            lambda row: IntegrityError(
+                "assignment expression yields multiple distinct values"))
 
     # -- Dispatch ---------------------------------------------------------------
 
-    def execute(self, statement, restrict_to=None) -> int:
+    def execute(self, statement, restrict_to=None, params=None) -> int:
         """Run one update statement; returns the number of affected
         entities.  Atomic per statement.
 
@@ -88,8 +139,11 @@ class UpdateEngine:
         entity-locked for this statement: MODIFY/DELETE only touch the
         selected entities that are also in the set, shielding writes from
         entities whose membership changed between lock resolution and
-        execution (see :mod:`repro.engine.sessions`).
+        execution (see :mod:`repro.engine.sessions`).  ``params`` — the
+        literal values this execution binds to a cached statement's slots.
         """
+        self.prepare(statement)
+        self._params = params
         transactions = self.store.transactions
         own_transaction = not transactions.in_transaction()
         if own_transaction:
@@ -98,7 +152,6 @@ class UpdateEngine:
         if self.store.history is not None:
             self.store.history.tick()   # one logical instant per statement
         touches = _Touches()
-        self._compiled_rhs.clear()
         try:
             if isinstance(statement, InsertStatement):
                 count = self._insert(statement, touches)
@@ -151,8 +204,8 @@ class UpdateEngine:
             raise IntegrityError(
                 f"{from_class.name!r} is not an ancestor of "
                 f"{sim_class.name!r}")
-        selected = self.executor.select_entities(from_class.name,
-                                                 statement.from_where)
+        selected = self.executor.select_entities(
+            from_class.name, statement.from_where, self._params)
         chain_all = self.schema.graph.insertion_path(from_class.name,
                                                      sim_class.name)
         count = 0
@@ -188,7 +241,7 @@ class UpdateEngine:
                 eva_assignments.append((assignment, attr))
                 continue
             value = self._scalar_rhs(attr.owner_name, surrogate,
-                                     assignment.value, inserting=True)
+                                     assignment.value)
             if attr.multi_valued:
                 values = value if isinstance(value, (list, tuple)) else [value]
                 validated = [attr.data_type.validate(v) for v in values]
@@ -247,8 +300,8 @@ class UpdateEngine:
     def _modify(self, statement: ModifyStatement, touches: _Touches,
                 restrict_to=None) -> int:
         sim_class = self.schema.get_class(statement.class_name)
-        selected = self.executor.select_entities(sim_class.name,
-                                                 statement.where)
+        selected = self.executor.select_entities(
+            sim_class.name, statement.where, self._params)
         if restrict_to is not None:
             allowed = set(restrict_to)
             selected = [s for s in selected if s in allowed]
@@ -433,7 +486,7 @@ class UpdateEngine:
             if selector.where is None:
                 return list(candidates)
             matched = set(self.executor.select_entities(
-                range_class.name, selector.where))
+                range_class.name, selector.where, self._params))
             return [c for c in candidates if c in matched]
         if selector.name != range_class.name and \
                 not self.schema.graph.is_ancestor(range_class.name,
@@ -441,42 +494,30 @@ class UpdateEngine:
             raise IntegrityError(
                 f"selector class {selector.name!r} is not the range class "
                 f"of EVA {eva.name!r} ({range_class.name!r})")
-        return self.executor.select_entities(selector.name, selector.where)
+        return self.executor.select_entities(selector.name, selector.where,
+                                             self._params)
 
-    def _scalar_rhs(self, class_name: str, surrogate: int, expression,
-                    inserting: bool = False):
-        """Evaluate an assignment RHS for one entity.
-
-        The expression is resolved in a fresh scope anchored at the entity
-        (so ``salary := 1.1 * salary`` reads the entity's own salary); a
-        multi-instance RHS is an error unless all instances agree.
-        """
+    def _scalar_rhs(self, class_name: str, surrogate: int, expression):
+        """Evaluate an assignment's scalar value for one entity of
+        ``class_name`` (see :meth:`_compile_rhs`)."""
         if isinstance(expression, EntitySelector):
             raise IntegrityError(
                 "WITH selectors only apply to entity-valued attributes")
         if isinstance(expression, Literal):
-            return expression.value
-        compiled = self._compiled_rhs.get(id(expression))
-        if compiled is None:
-            tree = QueryTree()
-            root = tree.add_root(canon(class_name), canon(class_name))
-            scope_nodes = self.qualifier.resolve_anchored(tree, root,
-                                                          expression)
-            compiled = self._compiled_rhs[id(expression)] = \
-                compile_single_valued(
-                    expression, scope_nodes, {root.id: 0}, 1,
-                    lambda row: IntegrityError(
-                        "assignment expression yields multiple distinct "
-                        "values"))
-        return compiled(ExecContext(self.executor), [[surrogate]])[0]
+            return expression.bound(self._params)
+        compiled = getattr(expression, "compiled", None)
+        if compiled is None:        # an attribute prepare() did not know
+            compiled = self._compile_rhs(class_name, expression)
+        ctx = ExecContext(self.executor, params=self._params)
+        return compiled(ctx, [[surrogate]])[0]
 
     # -- DELETE ---------------------------------------------------------------------
 
     def _delete(self, statement: DeleteStatement, touches: _Touches,
                 restrict_to=None) -> int:
         sim_class = self.schema.get_class(statement.class_name)
-        selected = self.executor.select_entities(sim_class.name,
-                                                 statement.where)
+        selected = self.executor.select_entities(
+            sim_class.name, statement.where, self._params)
         if restrict_to is not None:
             allowed = set(restrict_to)
             selected = [s for s in selected if s in allowed]

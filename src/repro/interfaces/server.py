@@ -321,6 +321,9 @@ class SimServer:
         with self._conn_lock:
             open_connections = len(self._connections)
         return {
+            **{name: count
+               for name, count in self.database.perf.as_dict().items()
+               if name.startswith("plan_cache_")},
             "address": list(self.address),
             "connections_served": self.connections_served,
             "open_connections": open_connections,

@@ -15,7 +15,8 @@ Comments are ``(* ... *)`` as in the paper's §7 schema listing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from decimal import Decimal
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import DMLSyntaxError
 
@@ -211,6 +212,41 @@ def tokenize(text: str,
 
     tokens.append(Token(EOF, "", line, column(i)))
     return tokens
+
+
+#: literal token kind -> the type its value is lifted as
+_LIFTED_TYPES = {NUMBER: int, DECIMAL: Decimal, STRING: str}
+
+
+def lift_literals(tokens: List[Token]) -> Tuple[tuple, list, List[int]]:
+    """The plan cache's view of a token stream: ``(shape, values,
+    sites)``.  ``shape`` is the stream with every number, string and
+    boolean literal replaced by its *type* and identifiers lower-cased,
+    so statements differing only in literal values share it — ``= 5``,
+    ``= 5.0`` and ``= "5"`` do not; ``values`` are the lifted literals
+    in slot order, ``sites[slot]`` the index of each one's token.
+    ``true``/``false`` lift wherever they appear: a slot no parsed
+    literal claims stays part of the key (:class:`repro.dml.ast.Lifted`).
+    """
+    shape: list = []
+    values: list = []
+    sites: List[int] = []
+    for index, token in enumerate(tokens):
+        value = token.value
+        lifted = _LIFTED_TYPES.get(token.kind)
+        if token.kind == IDENT:
+            value = value.lower()
+            if value == "true" or value == "false":
+                lifted, value = bool, value == "true"
+        elif lifted is not None and lifted is not str:
+            value = lifted(value)
+        if lifted is None:
+            shape.append(value)
+        else:
+            shape.append(lifted)
+            values.append(value)
+            sites.append(index)
+    return tuple(shape), values, sites
 
 
 class TokenStream:

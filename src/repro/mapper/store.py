@@ -1330,6 +1330,13 @@ class MapperStore:
             return self._surrogate_index[class_name].entries
         return sum(1 for _ in self.scan_class(class_name))
 
+    def latest_class_count(self, class_name: str) -> int:
+        """Entities holding the role in the *latest* state, in O(1) from
+        the surrogate index.  For estimates (cost model, plan-cache
+        drift), which must never fall back to :meth:`class_count`'s
+        versioned scan beside another session's open write."""
+        return self._surrogate_index[canon(class_name)].entries
+
     def _indexes_exact(self, classes) -> bool:
         """Indexes describe the latest state only: they answer this
         thread's view when no snapshot is pinned, or while no other
@@ -1417,10 +1424,10 @@ class MapperStore:
         return self.eva_info(eva).instance_count
 
     def avg_fanout(self, eva: EntityValuedAttribute) -> float:
-        """Average number of targets per source entity for this EVA side."""
+        """Average number of targets per source entity for this EVA side
+        (an estimate: latest counts, never a scan)."""
         info = self.eva_info(eva)
-        side_class = canon(eva.owner_name)
-        population = max(1, self.class_count(side_class))
+        population = max(1, self.latest_class_count(eva.owner_name))
         return info.instance_count / population
 
     def blocking_factor(self, class_name: str) -> int:

@@ -46,7 +46,9 @@ class CostModel:
     # -- Base statistics ---------------------------------------------------------
 
     def class_cardinality(self, class_name: str) -> int:
-        return self.store.class_count(class_name)
+        """Entities in the class, from the latest O(1) index count: an
+        estimate never pays for (or needs) a snapshot-exact scan."""
+        return self.store.latest_class_count(class_name)
 
     def class_blocks(self, class_name: str) -> int:
         """Blocks a full extent scan of the class touches.
@@ -143,19 +145,20 @@ class CostModel:
         return max(0.5, blocks * min(1.0, pruned / total))
 
     def index_lookup_cost(self, class_name: str, attr_name: str,
-                          unique: bool, value=None) -> Tuple[float, float]:
-        """(cost, expected matches) of an equality index lookup."""
+                          unique: bool, literal=None) -> Tuple[float, float]:
+        """(cost, expected matches) of an equality index lookup of the
+        query Literal ``literal``."""
         cardinality = max(1, self.class_cardinality(class_name))
         if unique:
             matches = 1.0
         else:
             matches = max(1.0, cardinality * self.equality_selectivity(
-                class_name, attr_name, value))
+                class_name, attr_name, literal))
         probe = 1.0
         return probe + matches * 1.0, matches
 
     def equality_selectivity(self, class_name: str, attr_name: str,
-                             value=None) -> float:
+                             literal=None) -> float:
         sim_class = self.schema.get_class(class_name)
         attr = sim_class.attribute(attr_name)
         if attr.options.unique:
@@ -164,7 +167,10 @@ class CostModel:
             collected = self.statistics.attribute(attr.owner_name,
                                                   attr.name)
             if collected is not None and collected.row_count:
-                return collected.equality_selectivity(value)
+                if literal is None:
+                    return collected.equality_selectivity()
+                literal.pin()   # its value is read: it joins the cache key
+                return collected.equality_selectivity(literal.value)
         return DEFAULT_EQ_SELECTIVITY
 
     def sort_cost(self, record_count: float) -> float:

@@ -26,11 +26,12 @@ plan, into the column function its operator runs
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, List, Optional
 
 from repro.dml.ast import Aggregate as AggregateExpr
 from repro.dml.ast import Binary, Literal, Path, Quantified, \
-    RetrieveQuery, Unary
+    RetrieveQuery, Unary, pin_literals
 from repro.dml.query_tree import TYPE2, TYPE3, QTNode, QueryTree
 from repro.engine import operators as ops
 from repro.engine.expressions import (
@@ -46,20 +47,28 @@ class PhysicalPlan:
 
     def __init__(self, root: ops.Operator, slots: Dict[int, int],
                  width: int, spine: List[QTNode],
-                 exists_nodes: List[QTNode], plan=None):
+                 exists_nodes: List[QTNode], plan=None, columns=()):
         self.root = root                  # sink operator
         self.slots = slots                # node id -> slot index
         self.width = width                # row width incl. aggregate slots
         self.spine = spine                # enumerated nodes, planned order
         self.exists_nodes = exists_nodes  # off-spine TYPE 2 probe nodes
         self.plan = plan
+        self.columns = columns            # result column labels
+
+    def fresh(self) -> "PhysicalPlan":
+        """This pipeline for one execution: the same layout over a new
+        operator instance chain (per-run counters never mix)."""
+        clone = copy.copy(self)
+        clone.root = self.root.fresh()
+        return clone
 
     @property
     def operators(self) -> List[ops.Operator]:
         """The pipeline, innermost (leaf) first."""
         return self.root.chain()
 
-    def operator_records(self) -> List[Dict]:
+    def operator_records(self, params=None) -> List[Dict]:
         """Per-operator EXPLAIN ANALYZE records, pipeline order."""
         estimates = getattr(self.plan, "node_estimates", None) or {}
         records = []
@@ -67,7 +76,7 @@ class PhysicalPlan:
             node = operator.node
             record = {
                 "op": operator.name,
-                "detail": operator.detail(),
+                "detail": operator.detail(params),
                 "label": (f"TYPE {node.label}"
                           if node is not None and node.label else None),
                 "batches": operator.batches,
@@ -261,9 +270,15 @@ def lower_plan(query: RetrieveQuery, tree: QueryTree, plan,
             [(expression, compile_value(expression, slots, width), slot)
              for expression, slot in aggregates], operator)
 
+    # A label spells out its target's literals: pinned into the cache key.
+    for item in query.targets:
+        pin_literals(item.expression)
+    columns = [item.label or item.expression.describe()
+               for item in query.targets]
+
     structured = query.mode == "structure"
     operator = ops.Project(
-        query, [slots[node.id] for node in original_nodes], reordered,
+        columns, [slots[node.id] for node in original_nodes], reordered,
         structured, [column(item.expression) for item in query.targets],
         [(column(order.expression), order.descending)
          for order in (query.order_by or [])], operator)
@@ -274,17 +289,17 @@ def lower_plan(query: RetrieveQuery, tree: QueryTree, plan,
         operator = ops.Distinct(operator)
 
     return PhysicalPlan(operator, slots, width, loop_nodes, exists_nodes,
-                        plan)
+                        plan, columns)
 
 
-def lower_selection(tree: QueryTree, where, domain=None) -> PhysicalPlan:
+def lower_selection(tree: QueryTree, where) -> PhysicalPlan:
     """Lower a single-perspective selection (MODIFY/DELETE path): a root
-    Scan — over explicit index/range ``domain`` candidates when given —
-    followed by the shared selection stage.  The driver reads surviving
-    surrogates straight out of the root slot."""
+    Scan — the driver narrows it to index/range candidates per execution
+    — followed by the shared selection stage.  The driver reads
+    surviving surrogates straight out of the root slot."""
     root = tree.roots[0]
     slots = {root.id: 0}
-    operator: ops.Operator = ops.Scan(root, domain=domain)
+    operator: ops.Operator = ops.Scan(root)
     exists_nodes = exists_subtrees([root])
     if where is not None:
         operator = _lower_selection_ops(

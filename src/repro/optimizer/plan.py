@@ -48,6 +48,13 @@ class AccessPath:
     flip_class: Optional[str] = None
     #: for "empty": ("disjoint", other) or ("contradiction", pos, neg)
     proof: Optional[Tuple] = None
+    #: the Literal ``value`` was written as: a cached plan probes with
+    #: each execution's binding of it
+    literal: object = None
+
+    def bound_value(self, params):
+        return (self.value if self.literal is None
+                else self.literal.bound(params))
 
     def describe(self) -> str:
         if self.kind == "scan":
@@ -89,13 +96,17 @@ class Plan:
     #: statement ("none" when the rewrite phase ran but found nothing;
     #: None when the phase was disabled)
     rewrite: Optional[str] = None
+    #: what the ``optimize`` trace span says about the winning strategy
+    #: (and the ``compile`` span of a plan-cache hit repeats)
+    trace_attrs: Dict[str, object] = field(default_factory=dict)
 
-    def root_iterator(self, node: QTNode, executor):
-        """Domain iterator for a root node, or None for the default scan."""
+    def root_iterator(self, node: QTNode, ctx):
+        """Domain iterator for a root node in the execution ``ctx``, or
+        None for the default scan."""
         access = self.root_access.get(node.var_name)
         if access is None or access.kind == "scan":
             return None
-        store = executor.store
+        store = ctx.store
         if access.kind == "empty":
             return iter(())
         if access.kind == "subclass":
@@ -104,7 +115,7 @@ class Plan:
             return iter(sorted(surrogates))
         if access.kind == "eva_flip":
             matches = store.find_by_dva(access.flip_class, access.attr_name,
-                                        access.value)
+                                        access.bound_value(ctx.params))
             candidates = set()
             inverse = access.eva.inverse
             for target in matches:
@@ -113,7 +124,7 @@ class Plan:
                         candidates.add(source)
             return iter(sorted(candidates))
         surrogates = store.find_by_dva(access.class_name, access.attr_name,
-                                       access.value)
+                                       access.bound_value(ctx.params))
         # Re-sort by surrogate: preserves the perspective-implied ordering
         # the index lookup broke (the plan's cost includes this sort).
         return iter(sorted(surrogates))

@@ -58,7 +58,7 @@ class FlipHint:
     eva: object                 # the EVA traversed root -> target
     target_class: str           # the chain node's (possibly converted) class
     attr_name: str              # indexed DVA on the target class
-    value: object               # the literal compared against
+    literal: Literal            # the literal compared against
 
     def describe(self) -> str:
         return (f"flip({self.eva.name}<-{self.target_class}."
@@ -150,7 +150,7 @@ def _flip_conjuncts(where, root: QTNode, store) -> List[FlipHint]:
         if not store.has_index_on(node.class_name, attr_name):
             return
         flips.append(FlipHint(node.eva, node.class_name, attr_name,
-                              literal.value))
+                              literal))
 
     def walk(expression):
         if isinstance(expression, Binary):
@@ -194,7 +194,7 @@ def _root_hint(store, schema, query: RetrieveQuery, root: QTNode) -> RootHint:
         # root-class membership per candidate entity, so any same-
         # hierarchy class is sound (cross-branch classes like a TA's
         # second superclass included).
-        hint.subclass = min(candidates, key=store.class_count)
+        hint.subclass = min(candidates, key=store.latest_class_count)
     hint.flips = _flip_conjuncts(query.where, root, store)
     return hint
 

@@ -21,13 +21,16 @@ from repro.optimizer.cost import CostModel
 from repro.optimizer.plan import AccessPath, Plan
 from repro.optimizer.query_graph import build_query_graph
 from repro.optimizer.rewrite import RootHint, rewrite_query
+from repro.plan_cache import DRIFT_FACTOR
 
 
-def equality_conjuncts(where, root: QTNode) -> List[Tuple[str, object]]:
+def equality_conjuncts(where, root: QTNode) -> List[Tuple[str, Literal]]:
     """Top-level AND-ed conjuncts ``<root attr> = <literal>`` of a WHERE
-    clause.  Shared by the optimizer's access-path enumeration and the
-    executor's update/VERIFY selection fast path."""
-    conjuncts: List[Tuple[str, object]] = []
+    clause, as ``(attribute, Literal node)``: callers probe with the
+    value *bound for their execution*.  Shared by the optimizer's
+    access-path enumeration and the executor's update/VERIFY selection
+    fast path."""
+    conjuncts: List[Tuple[str, Literal]] = []
 
     def walk(expression):
         if isinstance(expression, Binary):
@@ -45,7 +48,7 @@ def equality_conjuncts(where, root: QTNode) -> List[Tuple[str, object]]:
                             and not path_side.chain_nodes
                             and path_side.terminal_attr is not None):
                         conjuncts.append((path_side.terminal_attr.name,
-                                          literal_side.value))
+                                          literal_side))
 
     if where is not None:
         walk(where)
@@ -62,10 +65,10 @@ _FLIPPED = {">": "<", ">=": "<=", "<": ">", "<=": ">="}
 def range_conjuncts(where, root: QTNode
                     ) -> List[Tuple[str, object, object, bool, bool]]:
     """Top-level AND-ed range bounds on root attributes, folded per
-    attribute into ``(attr, low, high, include_low, include_high)``
-    (either bound may be None).  Bounds may be loose — the selection
-    stage re-checks the full predicate — so only the first lower and
-    first upper bound per attribute are kept."""
+    attribute into ``(attr, low, high, include_low, include_high)`` —
+    the bounds are Literal nodes, and either may be None.  Bounds may be
+    loose — the selection stage re-checks the full predicate — so only
+    the first lower and first upper bound per attribute are kept."""
     bounds: Dict[str, List] = {}
 
     def note(attr_name, op, value):
@@ -88,13 +91,13 @@ def range_conjuncts(where, root: QTNode
                         and left.anchor_node is root
                         and not left.chain_nodes
                         and left.terminal_attr is not None):
-                    note(left.terminal_attr.name, expression.op, right.value)
+                    note(left.terminal_attr.name, expression.op, right)
                 elif (isinstance(left, Literal) and isinstance(right, Path)
                         and right.anchor_node is root
                         and not right.chain_nodes
                         and right.terminal_attr is not None):
                     note(right.terminal_attr.name,
-                         _FLIPPED[expression.op], left.value)
+                         _FLIPPED[expression.op], left)
 
     if where is not None:
         walk(where)
@@ -114,10 +117,8 @@ class Optimizer:
         #: (owner, attr) -> [observation count, fan-out sum]; fed by
         #: observe_execution from traced EXPLAIN ANALYZE actuals
         self._fanout_observations = {}
-        self._considered = 0
-        #: human-readable summary of the last statement's semantic
-        #: rewrites (None when the phase was disabled)
-        self._last_rewrite = None
+        #: (owner, attr) -> the learned mean cached plans were costed with
+        self._planned_fanout = {}
 
     # -- Public API ---------------------------------------------------------------
 
@@ -126,19 +127,20 @@ class Optimizer:
         if trace is not None and trace.enabled:
             with trace.span("optimize", layer="optimizer") as span:
                 plan = self._choose_plan(query, tree)
-                span.attrs["strategy"] = plan.description
-                span.attrs["estimated_cost"] = round(plan.estimated_cost, 2)
-                span.attrs["strategies_considered"] = self._considered
-                if self._last_rewrite is not None:
-                    span.attrs["rewrite"] = self._last_rewrite
+                span.attrs.update(plan.trace_attrs)
                 return plan
         return self._choose_plan(query, tree)
 
     def _choose_plan(self, query: RetrieveQuery, tree: QueryTree) -> Plan:
         cost_model = self._cost_model()
         strategies = self.enumerate_strategies(query, tree, cost_model)
-        self._considered = len(strategies)
         plan = min(strategies, key=lambda p: p.estimated_cost)
+        plan.trace_attrs = {
+            "strategy": plan.description,
+            "estimated_cost": round(plan.estimated_cost, 2),
+            "strategies_considered": len(strategies)}
+        if plan.rewrite is not None:
+            plan.trace_attrs["rewrite"] = plan.rewrite
         self._annotate_estimates(tree, plan, cost_model)
         return plan
 
@@ -164,11 +166,15 @@ class Optimizer:
         whose parent bound at least one instance contributes an observed
         mean fan-out, which future cost models prefer over the store's
         static average (paper §5.1's "statistical optimization", closed
-        into a feedback loop)."""
+        into a feedback loop).  A mean that is new, or moved past the
+        plan cache's drift factor since cached plans were costed with it,
+        moves the plan epoch."""
         if not node_stats:
             return
+        drifted = False
 
         def visit(node):
+            nonlocal drifted
             parent_stats = node_stats.get(node.id)
             for child in node.children.values():
                 child_stats = node_stats.get(child.id)
@@ -185,10 +191,19 @@ class Optimizer:
                         fanout = max(fanout, 1.0) if child_stats[1] else 0.0
                     self._fanout_observations[key] = (count + 1,
                                                       total + fanout)
+                    mean = (total + fanout) / (count + 1)
+                    planned = self._planned_fanout.get(key)
+                    if planned is None or not (
+                            planned / DRIFT_FACTOR <= mean
+                            <= planned * DRIFT_FACTOR):
+                        self._planned_fanout[key] = mean
+                        drifted = True
                 visit(child)
 
         for root in tree.roots:
             visit(root)
+        if drifted:
+            self.database.plan_cache.clear()
 
     # -- Per-node estimates (EXPLAIN ANALYZE's "est" column) ------------------------
 
@@ -285,10 +300,8 @@ class Optimizer:
         the legacy enumeration (description None).
         """
         if not getattr(self.database, "rewrite", True):
-            self._last_rewrite = None
             return {}, None
         result = rewrite_query(self.store, self.schema, query, tree)
-        self._last_rewrite = result.describe()
         perf = self.store.perf
         if perf is not None:
             perf.bump("rewrite_statements")
@@ -304,7 +317,7 @@ class Optimizer:
                     perf.bump("rewrite_exists_reorders")
                 elif tag.startswith("factor"):
                     perf.bump("rewrite_traversal_factorings")
-        return result.hints, self._last_rewrite
+        return result.hints, result.describe()
 
     def _nested_cost(self, order, access_of, cost_model: CostModel) -> float:
         """Cost of the nested cross-product loops in the given order.
@@ -343,17 +356,17 @@ class Optimizer:
             estimated_cost=cost_model.scan_cost(class_name),
             estimated_rows=float(cardinality),
             preserves_order=True)]
-        for attr_name, value in self._equality_conjuncts(query, root):
+        for attr_name, literal in equality_conjuncts(query.where, root):
             if not self.store.has_index_on(class_name, attr_name):
                 continue
             attr = self.schema.get_class(class_name).attribute(attr_name)
             lookup_cost, matches = cost_model.index_lookup_cost(
-                class_name, attr_name, attr.options.unique, value)
+                class_name, attr_name, attr.options.unique, literal)
             alternatives.append(AccessPath(
-                "index", class_name, attr_name, value,
+                "index", class_name, attr_name, literal.value,
                 estimated_cost=lookup_cost,
                 estimated_rows=matches,
-                preserves_order=False))
+                preserves_order=False, literal=literal))
         if hint is not None and hint.subclass is not None:
             pruned = float(cost_model.class_cardinality(hint.subclass))
             alternatives.append(AccessPath(
@@ -369,22 +382,18 @@ class Optimizer:
                     flip.target_class).attribute(flip.attr_name)
                 lookup_cost, matches = cost_model.index_lookup_cost(
                     flip.target_class, flip.attr_name,
-                    flip_attr.options.unique, flip.value)
+                    flip_attr.options.unique, flip.literal)
                 inverse = flip.eva.inverse
                 back_cost = cost_model.traversal_cost(inverse, matches, False)
                 fanout = max(cost_model.eva_fanout(inverse), 0.0)
                 alternatives.append(AccessPath(
                     "eva_flip", class_name,
-                    attr_name=flip.attr_name, value=flip.value,
+                    attr_name=flip.attr_name, value=flip.literal.value,
                     estimated_cost=lookup_cost + back_cost,
                     estimated_rows=max(matches * fanout, 1.0),
-                    preserves_order=False,
+                    preserves_order=False, literal=flip.literal,
                     eva=flip.eva, flip_class=flip.target_class))
         return alternatives
-
-    def _equality_conjuncts(self, query: RetrieveQuery, root: QTNode
-                            ) -> List[Tuple[str, object]]:
-        return equality_conjuncts(query.where, root)
 
     def _subtree_cost(self, node: QTNode, rows: float,
                       cost_model: CostModel) -> float:

@@ -54,6 +54,10 @@ COUNTER_FIELDS = (
     "rewrite_traversal_factorings",  # shared-domain-key groups assigned
     "materialized_hits",      # traversals served from a materialization
     "materialized_misses",    # probes that found a stale/uncovered mat
+    "plan_cache_hits",        # statements run from a cached compiled plan
+    "plan_cache_misses",      # statements compiled (and verified) afresh
+    "plan_cache_invalidations",  # plan-epoch moves (cache cleared)
+    "plan_cache_entries",     # gauge: compiled statement shapes held now
 )
 
 

@@ -1,0 +1,169 @@
+"""The plan cache: compile a statement once per *shape*, run it many times.
+
+Parse → qualify → lint → plan → verify → lower depends on the statement
+and the schema, not on the literal in ``Where employee-nbr = 1017``
+(paper Figure 1, §5.1).  The key is the lexer's token stream with every
+literal lifted to a typed slot (:func:`repro.lexer.lift_literals`) plus
+the knobs that shape a plan; the value is a :class:`CompiledStatement`
+every later statement of the shape *binds* its own literals to.
+docs/INTERNALS.md ("Plan cache") gives the rules that keep a hit exact
+and why nothing here takes a lock: the tables are dicts touched by
+single atomic operations, a fill stores into the tables it looked up in
+(a concurrent ``clear`` rebinds them, dropping it), and an entry is
+never edited once stored.
+"""
+
+from __future__ import annotations
+
+import copy
+import dataclasses
+from dataclasses import dataclass, field
+from typing import List, Optional
+
+from repro.analysis.diagnostics import DiagnosticSink
+
+#: entries kept; the oldest are dropped past it
+CAPACITY = 512
+#: a hit whose root classes (or a learned fan-out) grew or shrank by
+#: more than this factor since its plan was costed moves the plan epoch
+DRIFT_FACTOR = 2.0
+
+
+@dataclass
+class CompiledStatement:
+    """A statement taken through the static pipeline — the plan cache's
+    entry, and what :meth:`Database.compile` returns.
+
+    ``diagnostics`` holds what the analyzers reported (error severity
+    raises instead); ``tree``, ``plan`` and ``physical`` — the lowered
+    operator DAG, a template each execution runs a ``fresh()`` instance
+    of — are set for Retrieve only.  A *bound* copy (:meth:`bind`)
+    carries one execution's ``params``, that statement's own diagnostics
+    and ``cache``: ``hit``, ``pinned``, ``miss`` or ``uncacheable``.
+    """
+
+    statement: object
+    tree: object = None
+    plan: object = None
+    diagnostics: List = field(default_factory=list)
+    physical: object = None
+    #: classes a 2PL session locks (S for a Retrieve, X for an update),
+    #: and whether a qualified update may lock single entities instead
+    lock_classes: tuple = ()
+    entity_lockable: bool = False
+    #: ``(class, entity count)`` pairs the plan was costed against
+    cardinalities: tuple = ()
+    #: the fill's :class:`~repro.dml.ast.Lifted` literals
+    lifted: object = None
+    params: Optional[list] = None
+    cache: str = "uncacheable"
+
+    def bind(self, values, tokens, cache: str) -> "CompiledStatement":
+        """This entry for one execution of a statement of its shape:
+        conversions and value-dependent lint run against *this* text's
+        literals, spans point into *this* text."""
+        bound = copy.copy(self)
+        bound.cache = cache
+        diagnostics = self.diagnostics
+        lifted = self.lifted
+        if lifted is not None:
+            bound.params = lifted.bind(values)
+            if diagnostics and tokens is not lifted.tokens:
+                diagnostics = self._rebased(tokens)
+            if lifted.checks:
+                sink = DiagnosticSink()
+                for slot, rule in lifted.checks:
+                    rule(values[slot], tokens[lifted.sites[slot]].span, sink)
+                if sink:
+                    # Lint's findings sort among themselves; what survives
+                    # of the verifiers' verdict is INFO and stays last.
+                    sink.extend(diagnostics)
+                    diagnostics = sink.sorted()
+        bound.diagnostics = list(diagnostics)
+        return bound
+
+    def _rebased(self, tokens) -> List:
+        """The fill's diagnostics re-anchored to another text of the
+        same shape: token *i* there is token *i* here."""
+        index = {(token.line, token.column): position
+                 for position, token in enumerate(self.lifted.tokens)}
+        rebased = []
+        for diagnostic in self.diagnostics:
+            span = diagnostic.span
+            if (span.line, span.column) in index:
+                diagnostic = dataclasses.replace(
+                    diagnostic,
+                    span=tokens[index[span.line, span.column]].span)
+            rebased.append(diagnostic)
+        return rebased
+
+
+class PlanCache:
+    """One database's bounded statement-shape → plan map."""
+
+    def __init__(self, database):
+        self.database = database
+        #: bumped by every :meth:`clear`
+        self.epoch = 0
+        #: (entries: (key, *pinned values) -> entry, oldest first;
+        #:  pins: key -> the pinned slots of that shape), rebound as one
+        self._tables = ({}, {})
+
+    def __len__(self) -> int:
+        return len(self._tables[0])
+
+    def clear(self) -> None:
+        """Move the plan epoch: every statement compiles, and is
+        verified, afresh."""
+        self.epoch += 1
+        self._tables = ({}, {})
+        perf = self.database.store.perf
+        perf.bump("plan_cache_invalidations")
+        perf.plan_cache_entries = 0
+
+    def bind(self, shape, values, tokens, parse) -> CompiledStatement:
+        """The compiled statement for one submitted text, bound to its
+        literals — ``parse_dml(text, cache)`` ends here.  ``parse()``
+        yields ``(statement, lifted)`` and runs on a miss only; a
+        statement that raises while compiling or binding is not stored."""
+        database = self.database
+        perf = database.store.perf
+        executor = database.executor
+        key = (shape, database.use_optimizer, database.rewrite,
+               executor.batch_size, executor.parallelism)
+        entries, pins = self._tables
+        pinned = pins.get(key)
+        if pinned is not None:
+            entry = entries.get((key, *[values[slot] for slot in pinned]))
+            if entry is not None:
+                if not self._drifted(entry):
+                    perf.bump("plan_cache_hits")
+                    return entry.bind(values, tokens,
+                                      "pinned" if pinned else "hit")
+                self.clear()
+                entries, pins = self._tables
+        perf.bump("plan_cache_misses")
+        statement, lifted = parse()
+        entry = database._compile_statement(statement)
+        entry.lifted = lifted
+        bound = entry.bind(values, tokens, "miss")
+        pins[key] = pinned = tuple(sorted(lifted.pinned))
+        entries[(key, *[values[slot] for slot in pinned])] = entry
+        # list() and pop() are single atomic operations; iterating the
+        # dict itself could meet another thread's store.
+        for stale in list(entries)[:-CAPACITY]:
+            entries.pop(stale, None)
+            pins.pop(stale[0], None)
+        perf.plan_cache_entries = len(entries)
+        return bound
+
+    def _drifted(self, entry: CompiledStatement) -> bool:
+        """Has a class the plan was costed against grown or shrunk past
+        :data:`DRIFT_FACTOR`?  Latest O(1) index counts: a staleness
+        test needs no snapshot-exact answer."""
+        count_of = self.database.store.latest_class_count
+        for class_name, then in entry.cardinalities:
+            now = count_of(class_name)
+            if now > DRIFT_FACTOR * max(then, 1) or now * DRIFT_FACTOR < then:
+                return True
+        return False

@@ -125,11 +125,10 @@ class TestSnapshotReads:
     def test_snapshot_pins_epoch_across_concurrent_commit(self, db):
         """A snapshot opened before a commit keeps reading the old epoch
         even after the commit lands."""
-        from repro.dml.parser import parse_dml
         store = db.store
         store.enable_mvcc()
-        query = parse_dml('From course Retrieve credits'
-                          ' Where title = "Algebra"')
+        query = db.compile('From course Retrieve credits'
+                           ' Where title = "Algebra"')
         snap = store.begin_snapshot(None)
         try:
             writer = Session(db)
@@ -144,6 +143,44 @@ class TestSnapshotReads:
             store.end_snapshot(snap)
         assert Session(db).query('From course Retrieve credits'
                                  ' Where title = "Algebra"').scalar() == 9
+
+
+class TestEstimatesNeverScan:
+    def test_planning_beside_an_open_writer_scans_nothing(self, monkeypatch):
+        """The cost model reads latest O(1) index counts, never
+        ``class_count``'s snapshot-exact fallback: a snapshot point read
+        beside another session's open write scans the class at most
+        once — the ``find_by_dva`` fallback — whether its plan is being
+        compiled (cold) or reused (warm).  It was 8 scans per statement
+        when every estimate paid one."""
+        from repro.mapper.store import MapperStore
+        from repro.workloads import build_university
+        db = build_university(departments=3, instructors=6, students=14,
+                              courses=9, seed=11)
+        text = ("From instructor Retrieve name, salary, name of "
+                "assigned-department Where employee-nbr = {}")
+        before = {key: Session(db).query(text.format(key)).rows
+                  for key in (1001, 1002)}
+        scans = []
+        real_scan = MapperStore.scan_class
+
+        def counting_scan(self, class_name):
+            scans.append(class_name)
+            return real_scan(self, class_name)
+        monkeypatch.setattr(MapperStore, "scan_class", counting_scan)
+
+        writer, reader = Session(db), Session(db)
+        writer.execute("Modify instructor(salary := 1)"
+                       " Where employee-nbr = 1003")
+        db.plan_cache.clear()
+        for key, counter in ((1001, "plan_cache_misses"),
+                             (1002, "plan_cache_hits")):
+            del scans[:]
+            count = db.perf.as_dict()[counter]
+            assert reader.query(text.format(key)).rows == before[key]
+            assert db.perf.as_dict()[counter] == count + 1
+            assert len(scans) <= 1, (counter, scans)
+        writer.abort()
 
 
 class TestVersionManager:
