@@ -5,10 +5,18 @@ export PYTHONPATH
 	bench-read-path bench-lint bench-trace bench-batch bench-scale \
 	bench-concurrency bench-concurrency-smoke bench-lockdep bench-rewrite \
 	bench-e2e bench-e2e-smoke profile-analytic profile-oltp lint \
-	typecheck simcheck
+	typecheck simcheck loc
 
 test:
 	python -m pytest -x -q
+
+# The two sizes every CHANGES.md / ROADMAP entry quotes (house rule: net
+# src/repro LOC goes down or the PR says why not).
+loc:
+	@find src/repro -name '*.py' | xargs cat | wc -l \
+		| xargs printf 'src/repro/**/*.py  %s lines\n'
+	@wc -l < src/repro/mapper/store.py \
+		| xargs printf 'mapper/store.py    %s lines\n'
 
 # Static analysis lanes.  ruff adds style checks when installed
 # (configured in pyproject.toml); tools/dev_lint.py (AST hygiene +
@@ -59,13 +67,14 @@ chaos-loop:
 	done
 
 # Runtime lock-order validation lane: lockdep unit tests plus the
-# lock-heavy suites (sessions/mvcc/server) and the plan cache — the one
-# structure every session shares that takes no lock — under
-# REPRO_LOCKDEP=1.
+# lock-heavy suites (sessions/mvcc/server), the plan cache — the one
+# structure every session shares that takes no lock — and the temporal
+# suite (an as-of pin on one thread beside a committing Session on
+# another) under REPRO_LOCKDEP=1.
 lockdep:
 	REPRO_LOCKDEP=1 python -m pytest -q tests/test_lockdep.py \
 		tests/test_sessions.py tests/test_mvcc.py tests/test_server.py \
-		tests/test_plan_cache.py
+		tests/test_plan_cache.py tests/test_history.py
 
 bench:
 	python -m pytest -q benchmarks/ --benchmark-only

@@ -1,10 +1,13 @@
-"""Temporal data (paper §6): tracking and querying attribute history.
+"""Temporal data (paper §6): reading the past through the commit epoch.
 
 The paper lists "temporal data" among SIM's work-in-progress extensions.
-Opened with ``track_history=True``, a database journals every attribute
-and role change against a logical clock (one tick per update statement),
-so past states can be reconstructed: salaries before a raise, a student's
-course list mid-semester, or when an entity acquired a role.
+Opened with ``track_history=True``, a database keeps every committed
+version of every record, MV DVA and relationship fan-out, and its clock
+is the commit epoch: one step per committed transaction that changed
+anything.  The state as of any epoch is then an ordinary Mapper read
+pinned to it — salaries before a raise, a student's course list
+mid-semester, when an entity acquired a role — and what never committed
+leaves no trace.
 
 Run:  python examples/time_travel.py
 """
@@ -17,12 +20,16 @@ def main():
     db = Database(UNIVERSITY_DDL, constraint_mode="off",
                   track_history=True)
 
-    # --- Build up state over several logical instants ----------------------
-    db.execute('Insert department(dept-nbr := 100, name := "Physics")')
-    db.execute('Insert course(course-no := 101, title := "Mechanics",'
-               ' credits := 6)')
-    db.execute('Insert course(course-no := 102, title := "Optics",'
-               ' credits := 6)')
+    # --- One explicit transaction is one epoch ------------------------------
+    with db.transaction():
+        db.execute('Insert department(dept-nbr := 100, name := "Physics")')
+        db.execute('Insert course(course-no := 101, title := "Mechanics",'
+                   ' credits := 6)')
+        db.execute('Insert course(course-no := 102, title := "Optics",'
+                   ' credits := 6)')
+    print(f"t{db.clock}: catalogue loaded (three Inserts, one commit)")
+
+    # --- An auto-committed statement is one epoch ---------------------------
     db.execute('Insert instructor(name := "Prof", soc-sec-no := 1,'
                ' employee-nbr := 1001, salary := 50000)')
     hired_at = db.clock
@@ -32,6 +39,14 @@ def main():
                ' Where name = "Prof"')
     first_raise = db.clock
     print(f"t{first_raise}: first raise")
+
+    # --- What aborts never happened -----------------------------------------
+    db.begin()
+    db.execute('Modify instructor(salary := 10 * salary)'
+               ' Where name = "Prof"')
+    db.abort()
+    print(f"t{db.clock}: a tenfold raise was aborted (the clock did not move)")
+
     db.execute('Modify instructor(salary := 1.2 * salary)'
                ' Where name = "Prof"')
     print(f"t{db.clock}: second raise")
@@ -40,8 +55,8 @@ def main():
                     ' Where name = "Prof"').scalar()
 
     print("\nSalary history:")
-    for event in db.attribute_history(prof, "salary"):
-        print("  ", event.describe())
+    for step in db.attribute_history(prof, "instructor", "salary"):
+        print("  ", step.describe())
     print("salary as hired:  ",
           db.value_as_of(prof, "instructor", "salary", hired_at))
     print("after first raise:",
@@ -71,21 +86,29 @@ def main():
         return ", ".join(by_surrogate[s] for s in sorted(surrogates))
 
     print("\nSam's enrolment over time:")
-    for tick, label in [(enrolled_at, "at enrolment"),
-                        (both_at, "after adding Optics"),
-                        (db.clock, "after dropping Mechanics")]:
-        values = db.value_as_of(sam, "student", "courses-enrolled", tick)
-        print(f"  t{tick} ({label}): {titles(values)}")
+    for epoch, label in [(enrolled_at, "at enrolment"),
+                         (both_at, "after adding Optics"),
+                         (db.clock, "after dropping Mechanics")]:
+        values = db.value_as_of(sam, "student", "courses-enrolled", epoch)
+        print(f"  t{epoch} ({label}): {titles(values)}")
+    print("the same relationship, read from the course's side:")
+    mechanics = db.query('From course Retrieve course'
+                         ' Where title = "Mechanics"').scalar()
+    for step in db.attribute_history(mechanics, "course",
+                                     "students-enrolled"):
+        print("  ", step.describe())
 
     # --- Role history -------------------------------------------------------
     db.execute('Insert instructor From person Where name = "Sam"'
                ' (employee-nbr := 1002)')
-    print("\nSam's roles:")
-    for event in db.role_history(sam):
-        print("  ", event.describe())
+    print("\nSam's roles, version by version:")
+    for step in db.role_history(sam):
+        print("  ", step.describe())
     print("was Sam an instructor at enrolment time?",
           db.had_role_at(sam, "instructor", enrolled_at))
     print("and now?", db.had_role_at(sam, "instructor", db.clock))
+    print("Sam's subroles (a system-maintained attribute) at enrolment:",
+          db.value_as_of(sam, "person", "profession", enrolled_at))
 
 
 if __name__ == "__main__":

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import List, Optional, Union
 
 from repro.dml.ast import RetrieveQuery
 from repro.dml.parser import parse_dml
@@ -36,12 +37,26 @@ from repro.optimizer.strategies import Optimizer
 from repro.plan_cache import CompiledStatement, PlanCache
 from repro.schema.ddl_parser import parse_ddl
 from repro.schema.schema import Schema
+from repro.types.tvl import NULL
 
-__all__ = ["CompiledStatement", "Database"]
+__all__ = ["CompiledStatement", "Database", "Transition"]
 
 
 #: the root span of a statement nobody is tracing: enters to None
 _NO_SPAN = contextlib.nullcontext()
+
+
+@dataclass(frozen=True)
+class Transition:
+    """One step of a derived history: the commit at ``epoch`` took the
+    value from ``old`` to ``new`` (collections and role sets as tuples)."""
+
+    epoch: int
+    old: object
+    new: object
+
+    def describe(self) -> str:
+        return f"t{self.epoch}: {self.old!r} -> {self.new!r}"
 
 
 class Database:
@@ -418,58 +433,81 @@ class Database:
             return []
         return self.store.materialized.list()
 
-    # -- Temporal history (paper §6) ------------------------------------------------
+    # -- Temporal data (paper §6): reads pinned to a commit epoch ----------------------
 
     @property
     def clock(self) -> int:
-        """The logical clock (ticks once per update statement) when
-        history tracking is on."""
+        """The commit epoch, the one time axis: it steps once per
+        committed transaction that changed anything (an auto-committed
+        update statement is one such transaction)."""
         self._require_history()
-        return self.store.history.clock
-
-    def attribute_history(self, surrogate: int, attr_name: str):
-        """All recorded changes of one entity's attribute, oldest first."""
-        self._require_history()
-        return self.store.history.attribute_history(surrogate, attr_name)
-
-    def role_history(self, surrogate: int):
-        self._require_history()
-        return self.store.history.role_history(surrogate)
+        return self.store.versions.epoch
 
     def value_as_of(self, surrogate: int, class_name: str, attr_name: str,
-                    tick: int):
-        """An attribute's value as it stood at the end of statement
-        ``tick`` — a single value for DVAs, a list for MV DVAs and EVAs."""
+                    epoch: int):
+        """An attribute's value as committed at ``epoch`` — a single
+        value for DVAs, a list for MV DVAs and EVAs; NULL or empty while
+        the entity did not hold the attribute's class."""
         self._require_history()
         attr = self.schema.get_class(class_name).attribute(attr_name)
-        journal = self.store.history
-        if attr.is_eva:
-            current = (self.store.eva_targets(surrogate, attr)
-                       if self.store.has_role(surrogate, attr.owner_name)
-                       else [])
-            return journal.collection_as_of(surrogate, attr.name, tick,
-                                            current)
-        if attr.multi_valued:
-            current = (self.store.read_dva(surrogate, attr)
-                       if self.store.has_role(surrogate, attr.owner_name)
-                       else [])
-            return journal.collection_as_of(surrogate, attr.name, tick,
-                                            current)
-        from repro.types.tvl import NULL
-        current = (self.store.read_dva(surrogate, attr)
-                   if self.store.has_role(surrogate, attr.owner_name)
-                   else NULL)
-        return journal.scalar_as_of(surrogate, attr.name, tick, current)
+        with self.store.as_of(epoch):
+            return self._read_attribute(surrogate, attr)
 
     def had_role_at(self, surrogate: int, class_name: str,
-                    tick: int) -> bool:
+                    epoch: int) -> bool:
         self._require_history()
-        return self.store.history.had_role_at(
-            surrogate, class_name, tick,
-            self.store.has_role(surrogate, class_name))
+        with self.store.as_of(epoch):
+            return self.store.has_role(surrogate, class_name)
+
+    def attribute_history(self, surrogate: int, class_name: str,
+                          attr_name: str) -> List[Transition]:
+        """Every committed change of one entity's attribute, oldest
+        first; a collection's history is a sequence of its versions."""
+        self._require_history()
+        attr = self.schema.get_class(class_name).attribute(attr_name)
+        return self._transitions(
+            surrogate, lambda: self._read_attribute(surrogate, attr))
+
+    def role_history(self, surrogate: int) -> List[Transition]:
+        """The entity's set of roles, version by version."""
+        self._require_history()
+        return self._transitions(
+            surrogate, lambda: [name for name in self.schema.class_names()
+                                if self.store.has_role(surrogate, name)])
+
+    def _read_attribute(self, surrogate: int, attr):
+        """Whatever the Mapper's read protocol serves for ``attr`` in
+        this thread's view."""
+        store = self.store
+        if not store.has_role(surrogate, attr.owner_name):
+            return [] if attr.is_eva or attr.multi_valued else NULL
+        if attr.is_eva:
+            return store.eva_targets(surrogate, attr)
+        return store.read_dva(surrogate, attr)
+
+    def _transitions(self, surrogate: int, read) -> List[Transition]:
+        """Derive a history from the version chains: ``read()`` pinned
+        just before the first commit that changed the entity and at
+        every such commit since; the steps where its answer moved.
+        (Between two of those epochs no unit of the entity changed, so
+        one read per epoch is enough.)"""
+        def pinned(epoch):
+            with self.store.as_of(epoch):
+                value = read()
+            return tuple(value) if isinstance(value, list) else value
+
+        steps: List[Transition] = []
+        epochs = self.store.change_epochs(surrogate)
+        old = pinned(epochs[0] - 1) if epochs else None
+        for epoch in epochs:
+            new = pinned(epoch)
+            if new != old:
+                steps.append(Transition(epoch, old, new))
+            old = new
+        return steps
 
     def _require_history(self):
-        if self.store.history is None:
+        if not self.store.versions.retain:
             raise SimError(
                 "history tracking is off; open the database with "
                 "track_history=True")

@@ -149,8 +149,6 @@ class UpdateEngine:
         if own_transaction:
             transactions.begin()
         savepoint = transactions.current.savepoint()
-        if self.store.history is not None:
-            self.store.history.tick()   # one logical instant per statement
         touches = _Touches()
         try:
             if isinstance(statement, InsertStatement):

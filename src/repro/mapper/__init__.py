@@ -37,7 +37,6 @@ from repro.mapper.cursors import (
     open_luc_cursor,
     open_relationship_cursor,
 )
-from repro.mapper.history import ChangeEvent, HistoryJournal
 
 __all__ = [
     "LUC",
@@ -54,6 +53,4 @@ __all__ = [
     "RelationshipCursor",
     "open_luc_cursor",
     "open_relationship_cursor",
-    "ChangeEvent",
-    "HistoryJournal",
 ]

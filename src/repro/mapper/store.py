@@ -19,7 +19,6 @@ from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import CatalogError, IntegrityError, UniquenessViolation
-from repro.mapper.history import HistoryJournal
 from repro.mapper.luc import LUCSchema
 from repro.mapper.materialized import MaterializationManager
 from repro.mapper.read_cache import MISSING, ReadCache
@@ -183,8 +182,6 @@ class MapperStore:
 
         self._next_surrogate = 1
         self._rel_counter = 0
-        #: optional temporal change journal (paper §6); see enable_history
-        self.history: Optional[HistoryJournal] = None
 
         self._build_layout()
 
@@ -390,12 +387,6 @@ class MapperStore:
     def class_file(self, class_name: str) -> RecordFile:
         return self._class_file[canon(class_name)]
 
-    def enable_history(self) -> HistoryJournal:
-        """Turn on the temporal change journal (paper §6)."""
-        if self.history is None:
-            self.history = HistoryJournal()
-        return self.history
-
     # ---------------------------------------------------------- MVCC snapshots
 
     def enable_mvcc(self) -> None:
@@ -413,6 +404,29 @@ class MapperStore:
 
     def end_snapshot(self, snap) -> None:
         self.versions.end_snapshot(snap)
+
+    def enable_history(self) -> None:
+        """Temporal data (paper §6): stage pre-images and never prune
+        them, so every commit epoch from here on stays readable through
+        :meth:`as_of`.  Like the chains themselves the history is
+        volatile: a crash loses it."""
+        self.enable_mvcc()
+        self.versions.retain = True
+
+    def as_of(self, epoch: int):
+        """Route this thread's reads through the state committed at
+        ``epoch`` — the read protocol under a pin, nothing else."""
+        return self.snapshot_scope(self.versions.pin(epoch))
+
+    def change_epochs(self, surrogate: int) -> List[int]:
+        """The commit epochs at which any read unit of this entity — a
+        role record, a separate-unit MV DVA, a side of an EVA — changed."""
+        keys = [("rec", name, surrogate) for name in self._class_file]
+        keys += [("mv", owner, name, surrogate)
+                 for owner, name in self._mvdva_file]
+        keys += [("fan", info.rel_id, side, surrogate)
+                 for info in self._eva_info.values() for side in (True, False)]
+        return self.versions.change_epochs(keys)
 
     def current_snapshot(self):
         """The Snapshot pinned on this thread, or None (physical reads)."""
@@ -636,8 +650,6 @@ class MapperStore:
             if not self.has_role(surrogate, super_name):
                 raise IntegrityError(
                     f"entity {surrogate} lacks superclass role {super_name!r}")
-        self._stage_record(class_name, surrogate, adding=True)
-
         record_file = self._class_file[class_name]
         format_id = self._class_format[class_name]
         record = {name: NULL
@@ -652,31 +664,20 @@ class MapperStore:
 
         near = self._cluster_anchor(surrogate, sim_class)
         with record_file.latch:
-            rid = record_file.insert(format_id, record, near=near)
-            index = self._surrogate_index[class_name]
-            index.insert(surrogate, rid)
-            # The role check above cached a negative membership; drop it
-            # now, before the unique-index checks below can raise.
-            self.writes.role_changed(class_name, surrogate)
-            if self.history is not None:
-                self.history.record_role(surrogate, class_name,
-                                         acquired=True)
-                # Initial DVA values arrive with the role record, not
-                # through write_dva; journal them as NULL -> value.
-                for field_name, value in (values or {}).items():
-                    if field_name.startswith(("fk--", "ptr--")):
-                        continue
-                    if not is_null(value):
-                        self.history.record_set(surrogate,
-                                                canon(field_name),
-                                                NULL, value)
-
+            # Check, then mutate (as _write_field does): when a unique
+            # value is taken nothing has been staged or stored, so there
+            # is nothing for the statement's rollback to miss.
             for attr_name, index in self._class_indexes[class_name]:
                 value = record.get(attr_name)
                 if (index.unique and not is_null(value)
                         and index.lookup_one(value) is not None):
                     raise UniquenessViolation(
                         f"{class_name}.{attr_name} = {value!r} already used")
+            self._stage_record(class_name, surrogate, adding=True)
+            rid = record_file.insert(format_id, record, near=near)
+            self._surrogate_index[class_name].insert(surrogate, rid)
+            # The role check above cached a negative membership.
+            self.writes.role_changed(class_name, surrogate)
             self._index_record(class_name, record, rid)
 
         def undo():
@@ -726,8 +727,6 @@ class MapperStore:
                     is MvDvaMapping.SEPARATE_UNIT):
                 self._mvdva_clear(surrogate, class_name, attr.name)
         rid, format_id, record = self._drop_role_record(surrogate, class_name)
-        if self.history is not None:
-            self.history.record_role(surrogate, class_name, acquired=False)
 
         def undo():
             self._restore_role_record(surrogate, class_name, rid, format_id,
@@ -876,9 +875,6 @@ class MapperStore:
             raise IntegrityError(
                 f"attribute {attr.name!r} is system-maintained and read-only")
         owner = canon(attr.owner_name)
-        if self.history is not None:
-            old = self.read_dva(surrogate, attr)
-            self.history.record_set(surrogate, attr.name, old, value)
         if attr.multi_valued:
             if self.design.mv_dva_mapping(attr) is MvDvaMapping.ARRAY:
                 self._write_field(surrogate, owner, attr.name,
@@ -929,8 +925,6 @@ class MapperStore:
     def mv_include(self, surrogate: int, attr, value) -> None:
         """INCLUDE one value into an MV DVA."""
         owner = canon(attr.owner_name)
-        if self.history is not None:
-            self.history.record_include(surrogate, attr.name, value)
         if self.design.mv_dva_mapping(attr) is MvDvaMapping.ARRAY:
             current = self.read_dva(surrogate, attr)
             current.append(value)
@@ -940,12 +934,6 @@ class MapperStore:
 
     def mv_exclude(self, surrogate: int, attr, value) -> bool:
         """EXCLUDE one occurrence of ``value``; returns True when found."""
-        removed = self._mv_exclude_inner(surrogate, attr, value)
-        if removed and self.history is not None:
-            self.history.record_exclude(surrogate, attr.name, value)
-        return removed
-
-    def _mv_exclude_inner(self, surrogate: int, attr, value) -> bool:
         owner = canon(attr.owner_name)
         if self.design.mv_dva_mapping(attr) is MvDvaMapping.ARRAY:
             current = self.read_dva(surrogate, attr)
@@ -1188,9 +1176,6 @@ class MapperStore:
         self._count_instances(info, +1)
         self.writes.eva_changed(info.rel_id, domain_surr, range_surr,
                                 added=True)
-        if self.history is not None:
-            self.history.record_include(surrogate, eva.name, target)
-            self.history.record_include(target, eva.inverse.name, surrogate)
 
     def eva_exclude(self, surrogate: int, eva: EntityValuedAttribute,
                     target: int) -> bool:
@@ -1208,10 +1193,6 @@ class MapperStore:
             self._count_instances(info, -1)
             self.writes.eva_changed(info.rel_id, domain_surr, range_surr,
                                     added=False)
-            if self.history is not None:
-                self.history.record_exclude(surrogate, eva.name, target)
-                self.history.record_exclude(target, eva.inverse.name,
-                                            surrogate)
         return removed
 
     def _exclude_oriented(self, info: _EvaInfo, domain_surr: int,

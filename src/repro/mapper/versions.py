@@ -37,12 +37,19 @@ Chains are pruned to the oldest active snapshot's epoch: a reader at
 ``S`` only ever selects entries with epoch ``> S``, so once no snapshot
 is older than an entry it is unreachable and dropped; with no snapshots
 open at all the chains empty out entirely.
+
+Unless the chains are *retained* (``retain``, the paper's §6 "temporal
+data"): then nothing is pruned, the commit epoch is the database's one
+clock, and the state as of any retained epoch is an ordinary read under
+:meth:`VersionManager.pin`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.errors import SimError
 from repro.storage.latch import ranked_lock
 
 
@@ -87,6 +94,8 @@ class VersionManager:
     def __init__(self):
         self._mutex = ranked_lock("mapper.versions")
         self.enabled = False
+        #: keep every committed version (``MapperStore.enable_history``)
+        self.retain = False
         #: commit counter; bumped once per committed transaction that
         #: staged anything
         self.epoch = 0
@@ -131,6 +140,16 @@ class VersionManager:
             else:
                 self._active[snap.epoch] = count
             self._prune()
+
+    def pin(self, epoch: int) -> Snapshot:
+        """An as-of view of retained history.  Retention, not
+        ``_active``, keeps its versions alive: it is neither registered
+        nor counted, and there is nothing to end."""
+        if epoch < self._pruned_to:
+            raise SimError(
+                f"epoch {epoch} is older than the retained history, which "
+                f"starts at {self._pruned_to} (pruned, or lost in a crash)")
+        return Snapshot(epoch)
 
     # -- Writer side: staging ----------------------------------------------------
 
@@ -253,9 +272,12 @@ class VersionManager:
                 return (False, None)
             chain = self._chains.get(key)
             if chain is not None:
-                for epoch, pre_image in chain:
-                    if epoch > snap.epoch:
-                        return (True, pre_image)
+                # Epochs ascend, and a 1-tuple sorts before every entry
+                # with the same epoch without comparing pre-images: the
+                # first entry with epoch > S, in O(log history).
+                at = bisect_left(chain, (snap.epoch + 1,))
+                if at < len(chain):
+                    return (True, chain[at][1])
             if pending is not None:
                 return (True, pending[1])
             return (False, None)
@@ -279,8 +301,9 @@ class VersionManager:
             chain = self._member_chains.get(class_name)
             if chain is not None:
                 for epoch, added, removed in reversed(chain):
-                    if epoch > snap.epoch:
-                        steps.append((added, removed))
+                    if epoch <= snap.epoch:
+                        break       # epochs ascend: the rest is older
+                    steps.append((added, removed))
         if not steps:
             return list(physical)
         visible = set(physical)
@@ -305,11 +328,20 @@ class VersionManager:
                     return False
             return True
 
+    def change_epochs(self, keys) -> List[int]:
+        """The commit epochs, ascending, at which any of ``keys``
+        changed, as far back as the chains reach."""
+        with self._mutex:
+            return sorted({epoch for key in keys
+                           for epoch, _ in self._chains.get(key, ())})
+
     # -- Maintenance -------------------------------------------------------------
 
     def _prune(self) -> None:  # noqa: SIM303 — every caller holds _mutex
         """Drop chain entries no active snapshot can reach (epoch <= the
         oldest pinned epoch; a reader at S only selects entries > S)."""
+        if self.retain:
+            return
         floor = min(self._active) if self._active else self.epoch
         if floor <= self._pruned_to:
             return

@@ -103,7 +103,7 @@ def save_database(database, path: str) -> None:
         "constraint_mode": database.constraints.mode,
         "use_optimizer": database.use_optimizer,
         "rewrite": database.rewrite,
-        "track_history": store.history is not None,
+        "track_history": store.versions.retain,
         # Declarations only: content is recomputed on open (a restart).
         "materializations": (store.materialized.specs()
                              if store.materialized is not None else []),

@@ -15,7 +15,9 @@ of EVA mapping x MV DVA mapping x hierarchy mapping this suite drives
     dirty-class fallback here;
 (c) the open transaction reads its own writes;
 (d) once everything has committed or aborted, the read cache equals a
-    fresh physical read and the consistency checker is clean.
+    fresh physical read and the consistency checker is clean;
+(e) with the version chains retained, ``as_of(E)`` reads exactly the
+    state that was latest at ``E``, for every committed epoch ``E``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import itertools
 
 import pytest
 
-from repro import parse_ddl
+from repro import SimError, parse_ddl
 from repro.mapper import (
     EvaMapping,
     HierarchyMapping,
@@ -190,28 +192,47 @@ class World:
             else:
                 transactions.abort_detached(txn)
 
-    def committed_batch(self):
+    # Five kinds of committed change; ``committed_batch`` is all of them.
+
+    def insert_batch(self):
+        self.store.insert_entity("person", {"name": "New", "ssn": 300,
+                                            "age": 20, "phones": [7]})
+        self.store.insert_entity("worker", {"name": "W1", "ssn": 301,
+                                            "age": 31, "badge": 9})
+
+    def modify_batch(self):
         store, a = self.store, self.attrs
-        p, w = self.people, self.workers
-        store.insert_entity("person", {"name": "New", "ssn": 300,
-                                       "age": 20, "phones": [7]})
-        store.insert_entity("worker", {"name": "W1", "ssn": 301, "age": 31,
-                                       "badge": 9})
-        store.write_dva(p[0], a["name"], "Renamed")
-        store.write_dva(p[1], a["age"], 77)          # moves in the index
-        store.write_dva(w[1], a["ssn"], 999)         # moves in the index
-        store.write_dva(w[2], a["phones"], [5, 6, 7])
-        store.mv_include(p[2], a["phones"], 42)
-        store.mv_exclude(p[3], a["phones"], 3)
-        store.eva_exclude(p[0], a["spouse"], w[0])
-        store.eva_include(w[0], a["spouse"], p[3])
-        store.eva_exclude(w[0], a["employer"], self.companies[0])
-        store.eva_include(w[0], a["employer"], self.companies[1])
-        store.eva_include(w[3], a["employer"], self.companies[0])
-        store.eva_exclude(w[1], a["skills"], self.skills[1])
-        store.eva_include(w[3], a["skills"], self.skills[0])
-        store.remove_role(w[2], "worker")            # cascades its EVAs
-        store.remove_role(p[2], "person")
+        store.write_dva(self.people[0], a["name"], "Renamed")
+        store.write_dva(self.people[1], a["age"], 77)    # moves in the index
+        store.write_dva(self.workers[1], a["ssn"], 999)  # moves in the index
+        store.write_dva(self.workers[2], a["phones"], [5, 6, 7])
+
+    def exclude_batch(self):
+        store, a = self.store, self.attrs
+        store.mv_exclude(self.people[3], a["phones"], 3)
+        store.eva_exclude(self.people[0], a["spouse"], self.workers[0])
+        store.eva_exclude(self.workers[0], a["employer"], self.companies[0])
+        store.eva_exclude(self.workers[1], a["skills"], self.skills[1])
+
+    def include_batch(self):
+        store, a = self.store, self.attrs
+        store.mv_include(self.people[2], a["phones"], 42)
+        store.eva_include(self.workers[0], a["spouse"], self.people[3])
+        store.eva_include(self.workers[0], a["employer"], self.companies[1])
+        store.eva_include(self.workers[3], a["employer"], self.companies[0])
+        store.eva_include(self.workers[3], a["skills"], self.skills[0])
+
+    def delete_batch(self):
+        self.store.remove_role(self.workers[2], "worker")  # cascades its EVAs
+        self.store.remove_role(self.people[2], "person")
+
+    def batches(self):
+        return (self.insert_batch, self.modify_batch, self.exclude_batch,
+                self.include_batch, self.delete_batch)
+
+    def committed_batch(self):
+        for batch in self.batches():
+            batch()
 
     def open_batch(self):
         store, a = self.store, self.attrs
@@ -280,4 +301,45 @@ def test_pinned_snapshot_survives_writes_it_must_not_see(store, outcome):
         assert_cache_matches_physical(store)
     finally:
         store.end_snapshot(pinned)
+    assert store.check().ok
+    # This store never called enable_history(): with no snapshot open the
+    # chains drain, and what they held can no longer be asked for.
+    assert store.versions.statistics()["chained_keys"] == 0
+    with pytest.raises(SimError, match="older than the retained"):
+        store.as_of(pinned.epoch)
+
+
+def test_every_retained_epoch_reads_back_as_it_was(store):
+    """(e) with the chains retained (``enable_history``) the state after
+    each committed batch stays readable: ``as_of(E)`` is the read
+    protocol pinned at ``E`` and must return exactly what every public
+    read returned when ``E`` was the latest epoch — whatever committed,
+    aborted or is still open since."""
+    store.enable_history()
+    world = World(store)
+    versions = store.versions
+    seen = {versions.epoch: world.observe()}
+    for number, batch in enumerate(world.batches()):
+        world.in_transaction(batch)
+        assert versions.epoch not in seen     # one transaction, one epoch
+        seen[versions.epoch] = world.observe()
+        if number == 1:
+            world.in_transaction(world.open_batch, finish="abort")
+            assert versions.epoch in seen     # an abort is not an event
+            assert world.observe() == seen[versions.epoch]
+    txn = world.in_transaction(world.open_batch, finish=None)
+    with store.transactions.activate(txn):
+        assert world.observe() != seen[versions.epoch]
+
+    assert len(seen) == 6
+    opened = versions.statistics()["snapshots_opened"]
+    for epoch, state in seen.items():
+        with store.as_of(epoch):
+            assert world.observe() == state, epoch
+    assert versions.statistics()["snapshots_opened"] == opened
+    assert versions.statistics()["active_snapshots"] == 0
+
+    world.finish(txn, "abort")
+    assert world.observe() == seen[versions.epoch]
+    assert_cache_matches_physical(store)
     assert store.check().ok

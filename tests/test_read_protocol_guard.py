@@ -1,6 +1,6 @@
 """Structural guards on the Mapper's read path (AST-based, like
-``tools/dev_lint.py``): the snapshot/physical twins and the unvalidated
-cache fill must not grow back.
+``tools/dev_lint.py``): the snapshot/physical twins, the unvalidated
+cache fill and the second time axis must not grow back.
 
 * ``versions.lookup`` is called from ONE function under
   ``src/repro/mapper/`` — the read protocol (``MapperStore._read``);
@@ -8,7 +8,11 @@ cache fill must not grow back.
   captured before reading, as a local name — never ``cache.epoch`` read
   at the put itself, which would validate nothing;
 * every ``ReadCache`` critical section that drops entries also bumps
-  ``epoch``, so no fill can slip between the drop and the bump.
+  ``epoch``, so no fill can slip between the drop and the bump;
+* the past is read from the version chains: there is no
+  ``mapper/history.py``, and neither the store nor the update engine
+  touches anything called ``.history`` (the journal's hook on the write
+  path) — ``enable_history`` sets a retention flag and that is all.
 """
 
 from __future__ import annotations
@@ -62,6 +66,13 @@ def unvalidated_puts(source: str) -> list:
             if not isinstance(epoch, ast.Name):
                 findings.append((call.lineno, method))
     return sorted(findings)
+
+
+def history_references(source: str) -> list:
+    """Lines that read or write an attribute named ``history``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute)
+                  and node.attr == "history")
 
 
 def drops_without_bump(source: str) -> list:
@@ -125,6 +136,15 @@ class TestTheGuardsFire:
         assert drops_without_bump(source) == [2]
 
 
+    def test_a_journal_hook_is_reported(self):
+        source = ("def enable_history(self):\n"
+                  "    self.versions.retain = True\n"
+                  "def write_dva(self, surrogate, attr, value):\n"
+                  "    if self.history is not None:\n"
+                  "        self.store.history.tick()\n")
+        assert history_references(source) == [4, 5]
+
+
 class TestMapperSweep:
     def test_one_function_probes_the_version_map(self):
         callers = [(name, function) for name, source in _sources(MAPPER)
@@ -139,3 +159,11 @@ class TestMapperSweep:
     def test_every_invalidation_bumps_inside_its_critical_section(self):
         with open(os.path.join(MAPPER, "read_cache.py")) as handle:
             assert drops_without_bump(handle.read()) == []
+
+    def test_the_version_chains_are_the_only_time_axis(self):
+        assert not os.path.exists(os.path.join(MAPPER, "history.py"))
+        for path in (os.path.join(MAPPER, "store.py"),
+                     os.path.join(os.path.dirname(MAPPER), "engine",
+                                  "updates.py")):
+            with open(path) as handle:
+                assert history_references(handle.read()) == [], path

@@ -12,7 +12,7 @@ from decimal import Decimal
 from repro import ConstraintViolation, Database
 from repro.interfaces import HostSession, QueryBuilder
 from repro.interfaces.builder import attr, path
-from repro.types.tvl import is_null
+from repro.types.tvl import NULL, is_null
 from repro.workloads import UNIVERSITY_DDL
 
 TERM_DDL = UNIVERSITY_DDL + """
@@ -106,8 +106,16 @@ class TestTermLifecycle:
         before = db.clock
         db.execute('Modify instructor(salary := salary + 1000)'
                    ' Where name = "Newton"')
+        assert db.clock == before + 1
         assert db.value_as_of(newton, "instructor", "salary", before) == \
             Decimal("70000.00")
+        # the whole term was loaded by one transaction: one epoch, one
+        # transition, whatever happened inside it
+        history = db.attribute_history(newton, "instructor", "salary")
+        assert [(step.old, step.new) for step in history[-2:]] == [
+            (NULL, Decimal("70000.00")),
+            (Decimal("70000.00"), Decimal("71000.00"))]
+        assert history[-1].epoch == db.clock
 
     def test_optimizer_used_for_selective_lookup(self, db):
         report = db.explain("From student Retrieve name"

@@ -52,6 +52,47 @@ class TestInsert:
                        ' employee-nbr := 1001)')
         assert len(db.query("From person Retrieve soc-sec-no")) == 1
 
+    @pytest.mark.parametrize("path", ["auto-commit", "transaction",
+                                      "session"])
+    def test_duplicate_unique_key_stores_nothing(self, empty_university,
+                                                 path):
+        """``add_role`` probes the unique indexes before it stores the
+        record: a refused Insert leaves no record behind for the
+        statement's rollback to miss."""
+        db = empty_university
+        first = ('Insert course(course-no := 5000, title := "Kept",'
+                 ' credits := 3)')
+        duplicate = ('Insert course(course-no := 5000, title := "Refused",'
+                     ' credits := 4)')
+        db.execute(first)
+        if path == "auto-commit":
+            with pytest.raises(UniquenessViolation):
+                db.execute(duplicate)
+        elif path == "transaction":
+            with db.transaction():
+                # an earlier statement of the transaction must survive
+                db.execute('Insert course(course-no := 5001,'
+                           ' title := "Earlier", credits := 2)')
+                with pytest.raises(UniquenessViolation):
+                    db.execute(duplicate)
+        else:
+            with db.session() as session:
+                session.execute('Insert course(course-no := 5001,'
+                                ' title := "Earlier", credits := 2)')
+                with pytest.raises(UniquenessViolation):
+                    session.execute(duplicate)
+        titles = ["Kept"] if path == "auto-commit" else ["Earlier", "Kept"]
+        assert db.store.class_count("course") == len(titles)
+        assert sorted(db.query("From course Retrieve title").column(0)) == \
+            titles
+        assert db.check().ok, db.check().summary()
+        # the key is free again once its holder is gone
+        assert db.execute('Delete course Where course-no = 5000') == 1
+        db.execute(duplicate)
+        assert db.query('From course Retrieve title'
+                        ' Where course-no = 5000').column(0) == ["Refused"]
+        assert db.check().ok
+
     def test_insert_from_extends_roles(self, small_university):
         db = small_university
         db.execute('Insert instructor From person Where name = "John Doe"'
