@@ -146,8 +146,9 @@ class SimServer:
         self._stopping = threading.Event()
         self._accept_thread: Optional[threading.Thread] = None
         self._conn_lock = RankedLock("server.connections")
-        self._connections: Dict[int, Tuple[socket.socket, Session]] = {}
-        self._conn_threads: List[threading.Thread] = []
+        #: open connections only: a handler drops its entry on the way out
+        self._connections: Dict[int, Tuple[socket.socket, Session,
+                                           threading.Thread]] = {}
         self._next_conn = 0
         self._inflight = 0
         self._drained = RankedCondition(self._conn_lock)
@@ -192,11 +193,10 @@ class SimServer:
         with self._drained:
             self._drained.wait_for(lambda: self._inflight == 0,
                                    timeout=drain_timeout)
-            threads = list(self._conn_threads)
             conns = list(self._connections.values())
         # Wake every parked reader; its handler aborts the session on
         # the way out, so no lock outlives the server.
-        for sock, _session in conns:
+        for sock, _session, _thread in conns:
             try:
                 sock.shutdown(socket.SHUT_RDWR)
             except OSError:
@@ -205,7 +205,7 @@ class SimServer:
                 sock.close()
             except OSError:
                 pass
-        for thread in threads:
+        for _sock, _session, thread in conns:
             thread.join(timeout=max(1.0, drain_timeout))
 
     def __enter__(self):
@@ -230,12 +230,11 @@ class SimServer:
                 self._next_conn += 1
                 conn_id = self._next_conn
                 session = Session(self.database, **self.session_kwargs)
-                self._connections[conn_id] = (sock, session)
                 thread = threading.Thread(
                     target=self._serve_connection,
                     args=(conn_id, sock, session),
                     name=f"sim-server-conn-{conn_id}", daemon=True)
-                self._conn_threads.append(thread)
+                self._connections[conn_id] = (sock, session, thread)
                 self.connections_served += 1
             thread.start()
 
@@ -323,7 +322,7 @@ class SimServer:
         return {
             **{name: count
                for name, count in self.database.perf.as_dict().items()
-               if name.startswith("plan_cache_")},
+               if name.startswith(("plan_cache_", "snapshot_find_"))},
             "address": list(self.address),
             "connections_served": self.connections_served,
             "open_connections": open_connections,

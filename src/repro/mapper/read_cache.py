@@ -24,6 +24,10 @@ they keep one invariant — the cache only ever holds what a physical read
 would return right now — without knowing which locks the reader holds.
 The engine's query-scoped memoization validates against the same epoch,
 so one integer compare decides whether memoized values are still current.
+
+A lookup takes no lock (one ``get``), and a hit promotes its entry in
+the LRU only when the lock is free: readers never wait for each other
+here.  Fills and invalidations hold the lock, as the invariant needs.
 """
 
 from __future__ import annotations
@@ -61,9 +65,30 @@ class ReadCache:
         # One lock over all three LRUs: concurrent morsel workers probe
         # and promote entries, and OrderedDict.move_to_end racing a
         # popitem corrupts the linked order (KeyErrors, lost entries).
+        # Fills, invalidations and promotions hold it; the lookup itself
+        # is one ``get`` and takes none, and a hit promotes only when
+        # the lock is free (``_promote``).
         # Re-entrant because invalidation paths may nest through clear().
         # Rank 20 in the declared hierarchy (analysis/lock_order.py).
         self._lock = ranked_lock("mapper.read_cache")
+
+    def _promote(self, lru: OrderedDict, keys) -> None:
+        """Mark the entries just hit as most recently used — unless
+        another thread is in the cache right now.  A hit must never
+        wait: a statement hits some thirty times, and two threads that
+        meet on a lock that often hand it back and forth through the
+        operating system at every acquisition (docs/INTERNALS.md §11).
+        A skipped promotion costs an entry a little of its age."""
+        lock = self._lock
+        if lock.acquire(False):  # noqa: SIM300 — try-lock; finally releases
+            try:
+                for key in keys:
+                    try:
+                        lru.move_to_end(key)
+                    except KeyError:    # dropped since the lookup
+                        pass
+            finally:
+                lock.release()
 
     # ------------------------------------------------------------------ lookups
 
@@ -72,10 +97,10 @@ class ReadCache:
         callers must treat it as read-only (every write path invalidates)."""
         if not self.enabled:
             return None
-        with self._lock:
-            entry = self._records.get((class_name, surrogate))
-            if entry is not None:
-                self._records.move_to_end((class_name, surrogate))
+        key = (class_name, surrogate)
+        entry = self._records.get(key)
+        if entry is not None:
+            self._promote(self._records, (key,))
         trace = self.trace
         if entry is None:
             self.perf.bump("record_cache_misses")
@@ -111,14 +136,17 @@ class ReadCache:
             return found, list(surrogates)
         missing = []
         records = self._records
-        with self._lock:
-            for surrogate in surrogates:
-                entry = records.get((class_name, surrogate))
-                if entry is None:
-                    missing.append(surrogate)
-                else:
-                    records.move_to_end((class_name, surrogate))
-                    found[surrogate] = entry
+        hits = []
+        for surrogate in surrogates:
+            key = (class_name, surrogate)
+            entry = records.get(key)
+            if entry is None:
+                missing.append(surrogate)
+            else:
+                found[surrogate] = entry
+                hits.append(key)
+        if hits:
+            self._promote(records, hits)
         trace = self.trace
         if found:
             self.perf.bump("record_cache_hits", len(found))
@@ -134,10 +162,10 @@ class ReadCache:
         """Cached rid (``None`` = cached negative) or :data:`MISSING`."""
         if not self.enabled:
             return MISSING
-        with self._lock:
-            entry = self._roles.get((class_name, surrogate), MISSING)
-            if entry is not MISSING:
-                self._roles.move_to_end((class_name, surrogate))
+        key = (class_name, surrogate)
+        entry = self._roles.get(key, MISSING)
+        if entry is not MISSING:
+            self._promote(self._roles, (key,))
         if entry is MISSING:
             self.perf.bump("role_cache_misses")
             return MISSING
@@ -159,10 +187,10 @@ class ReadCache:
         """Cached target tuple or None (an empty result caches as ``()``)."""
         if not self.enabled:
             return None
-        with self._lock:
-            targets = self._fanout.get((rel_id, side, surrogate))
-            if targets is not None:
-                self._fanout.move_to_end((rel_id, side, surrogate))
+        key = (rel_id, side, surrogate)
+        targets = self._fanout.get(key)
+        if targets is not None:
+            self._promote(self._fanout, (key,))
         trace = self.trace
         if targets is None:
             self.perf.bump("fanout_cache_misses")
@@ -184,14 +212,17 @@ class ReadCache:
             return found, list(surrogates)
         missing = []
         fanout = self._fanout
-        with self._lock:
-            for surrogate in surrogates:
-                targets = fanout.get((rel_id, side, surrogate))
-                if targets is None:
-                    missing.append(surrogate)
-                else:
-                    fanout.move_to_end((rel_id, side, surrogate))
-                    found[surrogate] = targets
+        hits = []
+        for surrogate in surrogates:
+            key = (rel_id, side, surrogate)
+            targets = fanout.get(key)
+            if targets is None:
+                missing.append(surrogate)
+            else:
+                found[surrogate] = targets
+                hits.append(key)
+        if hits:
+            self._promote(fanout, hits)
         trace = self.trace
         if found:
             self.perf.bump("fanout_cache_hits", len(found))

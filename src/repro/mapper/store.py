@@ -15,7 +15,7 @@ statement or transaction abort restores records and indexes alike.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import CatalogError, IntegrityError, UniquenessViolation
@@ -46,6 +46,11 @@ _SURROGATE_WIDTH = 6
 #: returned by ``_staging_txn`` when pre-image staging must be skipped
 #: (MVCC off, or the mutation is undo compensation during rollback)
 _STAGE_SKIP = object()
+
+#: index probes a snapshot find tries (the first unlatched, when no
+#: writer is in sight) before it scans: ``snapshot_find_scans``
+_PROBE_ATTEMPTS = 2
+_NO_LATCH = nullcontext()
 
 
 def _in_range(value, low, high, include_low: bool, include_high: bool) -> bool:
@@ -570,20 +575,20 @@ class MapperStore:
         txn_id, rolling_back = self.transactions.txn_context()
         return _STAGE_SKIP if rolling_back else txn_id
 
-    def _stage(self, key: tuple, class_name: str, primitive, *args) -> None:
+    def _stage(self, key: tuple, primitive, *args) -> None:
         """Stage ``key``'s pre-image — what its primitive reads now —
         ahead of this transaction's first mutation of the unit.  That
         ordering is what makes ``_read``'s second probe sufficient."""
         txn_id = self._staging_txn()
         if txn_id is _STAGE_SKIP or self.versions.is_staged(key):
             return
-        self.versions.stage(txn_id, key, primitive(*args), class_name)
+        self.versions.stage(txn_id, key, primitive(*args))
 
     def _stage_record(self, class_name: str, surrogate: int,
                       adding: Optional[bool] = None) -> None:
         """Stage a role record and, when the role itself is about to
         appear (``adding``) or disappear, the class-membership delta."""
-        self._stage(("rec", class_name, surrogate), class_name,
+        self._stage(("rec", class_name, surrogate),
                     self._role_record, class_name, surrogate)
         if adding is not None:
             txn_id = self._staging_txn()
@@ -593,24 +598,18 @@ class MapperStore:
 
     def _stage_mv(self, class_name: str, attr_name: str,
                   surrogate: int) -> None:
-        self._stage(("mv", class_name, attr_name, surrogate), class_name,
+        self._stage(("mv", class_name, attr_name, surrogate),
                     self._mv_values, class_name, attr_name, surrogate)
 
     def _stage_fan(self, info: _EvaInfo, domain_surr: int,
                    range_surr: int) -> None:
         """Stage the fan-out pre-images an include/exclude is about to
         change — one key per affected (side, surrogate)."""
-        canonical = info.canonical
-        if info.self_inverse:
-            # Self-inverse EVAs serve both directions from one cache side.
-            affected = {(True, domain_surr, canonical.owner_name),
-                        (True, range_surr, canonical.owner_name)}
-        else:
-            affected = ((True, domain_surr, canonical.owner_name),
-                        (False, range_surr, canonical.range_class_name))
-        for side, surrogate, class_name in affected:
+        # Self-inverse EVAs serve both directions from one cache side.
+        for side, surrogate in dict.fromkeys((
+                (True, domain_surr), (info.self_inverse, range_surr))):
             try:
-                self._stage(("fan", info.rel_id, side, surrogate), class_name,
+                self._stage(("fan", info.rel_id, side, surrogate),
                             self._fanout, info, side, surrogate)
             except IntegrityError:
                 # The entity has no record on the side that holds the key
@@ -1306,24 +1305,30 @@ class MapperStore:
             yield record["surrogate"]
 
     def class_count(self, class_name: str) -> int:
+        """Entities holding the role in this thread's view: the
+        surrogate index's entry count, and under a snapshot that count
+        corrected by the records changed since the pin (``versions.
+        changed``) — those the index holds leave it, those the snapshot
+        still sees come back.  O(changes), never a scan."""
         class_name = canon(class_name)
-        if self._indexes_exact((class_name,)):
-            return self._surrogate_index[class_name].entries
-        return sum(1 for _ in self.scan_class(class_name))
+        index = self._surrogate_index[class_name]
+        snap = self.current_snapshot()
+        if snap is None:
+            return index.entries
+        # Role writers stage, then mutate the index under the unit latch
+        # (an abort restores it there before its pre-images go): inside,
+        # ``changed`` covers all the index differs from the snapshot by.
+        with self._class_file[class_name].latch:
+            changed = self.versions.changed(snap, (class_name,))
+            count = index.entries - sum(
+                index.lookup_one(s) is not None for s in changed)
+        return count + sum(self.has_role(s, class_name) for s in changed)
 
     def latest_class_count(self, class_name: str) -> int:
         """Entities holding the role in the *latest* state, in O(1) from
-        the surrogate index.  For estimates (cost model, plan-cache
-        drift), which must never fall back to :meth:`class_count`'s
-        versioned scan beside another session's open write."""
+        the surrogate index — for estimates (cost model, plan-cache
+        drift), which want no snapshot's exact answer."""
         return self._surrogate_index[canon(class_name)].entries
-
-    def _indexes_exact(self, classes) -> bool:
-        """Indexes describe the latest state only: they answer this
-        thread's view when no snapshot is pinned, or while no other
-        transaction has touched ``classes`` since it was."""
-        snap = self.current_snapshot()
-        return snap is None or self.versions.class_clean(snap, classes)
 
     def _dva_index(self, class_name: str, attr_name: str):
         """``(class, owner class, attribute, index)`` for a DVA as seen
@@ -1369,24 +1374,46 @@ class MapperStore:
               matches) -> List[int]:
         """Entities of ``class_name`` whose ``attr`` value ``matches``.
         ``probe()`` yields the RIDs an index on the owner class selects
-        (None: no index).
+        (None: no index, the class is scanned).
 
-        The index answers only while ``_indexes_exact`` holds before
-        AND after the probe, like ``_read``'s two version probes;
-        otherwise the versioned scan filters by the versioned value."""
+        Indexes hold the latest state only, but each of their entries
+        derives from a role record and moves only inside a record write
+        that staged the record first, under the owner's unit latch — so
+        ONE physical state of the index is wrong only about the records
+        ``versions.changed`` names.  In ``_read``'s shape: read that
+        set, probe, read it again.  Empty both times, the unlatched
+        probe is exact.  A probe that ran unlatched beside a writer is
+        not one state (an ordered index shifts under a range probe and
+        loses a neighbour nobody changed): it is taken again under the
+        latch, set read included.  Then the candidates are the probe's
+        surrogates in probe order, then the changed ones in surrogate
+        order, and the versioned read of each decides."""
+        snap = self.current_snapshot()
         classes = (owner,) if owner == class_name else (owner, class_name)
-        if probe is not None and self._indexes_exact(classes):
-            found = error = None
+        for attempt in range(0 if probe is None else _PROBE_ATTEMPTS):
+            changed = self.versions.changed(snap, classes)
+            latched = bool(changed) or attempt > 0
             try:
-                found = self._surrogates_at(owner, probe())
-                if owner != class_name:
-                    found = [s for s in found if self.has_role(s, class_name)]
-            except Exception as exc:    # a racing writer reshaped the index
-                error = exc
-            if self._indexes_exact(classes):
-                if error is not None:
-                    raise error
-                return found
+                with (self._class_file[owner].latch if latched
+                      else _NO_LATCH):
+                    found = self._surrogates_at(owner, probe())
+                    after = self.versions.changed(snap, classes)
+            except Exception:       # reshaped under an unlatched probe?
+                if not (changed or self.versions.changed(snap, classes)):
+                    raise
+                continue
+            if not (changed or after):
+                return found if owner == class_name else [
+                    s for s in found if self.has_role(s, class_name)]
+            if not latched:         # a writer came: maybe a torn probe
+                continue
+            self.perf.bump("snapshot_find_overlays")
+            found = list(dict.fromkeys(found))
+            found += sorted((changed | after).difference(found))
+            return [s for s in found if self.has_role(s, class_name)
+                    and matches(self.read_dva(s, attr))]
+        if probe is not None:       # last resort: failed under the latch
+            self.perf.bump("snapshot_find_scans")
         return [surrogate for surrogate in self.scan_class(class_name)
                 if matches(self.read_dva(surrogate, attr))]
 

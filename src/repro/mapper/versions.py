@@ -23,6 +23,17 @@ Class membership (``scan_class``) is versioned as per-class deltas:
 each commit's added/removed surrogate sets are chained by epoch, and a
 snapshot reader folds the chain backwards over the physical extent.
 
+Indexes are not versioned at all.  Every unique, value and ordered DVA
+index entry derives from a role record, and is only ever maintained
+inside a record write that staged that record's pre-image first — so
+the ``rec`` chains are already the index-delta log, and all an
+index-served read needs is to find them *by class*: :meth:`changed` is
+the set of surrogates whose record in a class differs, or may differ,
+from what a snapshot sees — all that ONE physical state of an index
+gets wrong, so beside a writer the reader probes under the unit latch
+and re-reads exactly those through the versioned read (``MapperStore.
+_find``).  Writers pay one append per staged record for it.
+
 Visibility rule: a reader at epoch ``S`` takes the pre-image of the
 *earliest* committed change with epoch ``> S`` (the value as it stood at
 ``S``); failing that, the pre-image of another transaction's pending
@@ -31,7 +42,14 @@ writes read physical (read-your-own-writes).
 
 Writers stage BEFORE mutating, so a lock-free reader can double-check:
 probe the version map, read physical on a miss, then re-probe — a
-concurrent mutation is caught by the second probe.
+concurrent mutation is caught by the second probe.  The probe's miss —
+the answer for every key no writer has touched — takes no mutex either
+(:meth:`VersionManager.lookup`, :meth:`VersionManager.changed`): a key
+is looked for among the pending entries first and the committed ones
+second, and a commit chains it before it unpends it, so a staged key is
+never in neither.  Readers probe some fifty times per statement; two
+threads meeting on a mutex that often hand it back and forth through
+the operating system until one of them blocks on I/O.
 
 Chains are pruned to the oldest active snapshot's epoch: a reader at
 ``S`` only ever selects entries with epoch ``> S``, so once no snapshot
@@ -83,7 +101,9 @@ class Snapshot:
 
 
 class VersionManager:
-    """Pending pre-images + committed version chains, under one mutex.
+    """Pending pre-images + committed version chains, under one mutex
+    — which a reader takes only for a key or class a writer has touched
+    (module docstring).
 
     ``enabled`` gates all staging: the plain single-threaded execution
     paths do zero extra I/O (pre-image staging reads records), which
@@ -99,8 +119,8 @@ class VersionManager:
         #: commit counter; bumped once per committed transaction that
         #: staged anything
         self.epoch = 0
-        # pending (uncommitted) pre-images: key -> (txn_id, pre, class)
-        self._pending: Dict[tuple, Tuple[Optional[int], object, str]] = {}
+        # pending (uncommitted) pre-images: key -> (txn_id, pre)
+        self._pending: Dict[tuple, Tuple[Optional[int], object]] = {}
         self._txn_keys: Dict[Optional[int], List[tuple]] = {}
         # committed chains: key -> [(epoch, pre_image)] ascending
         self._chains: Dict[tuple, List[Tuple[int, object]]] = {}
@@ -110,10 +130,11 @@ class VersionManager:
                                    Dict[str, Tuple[set, set]]] = {}
         self._member_chains: Dict[str,
                                   List[Tuple[int, frozenset, frozenset]]] = {}
-        # per-class dirtiness for the index fast-path clean check
-        self._class_pending: Dict[str, Set[Optional[int]]] = {}
-        self._txn_classes: Dict[Optional[int], Set[str]] = {}
-        self._class_epoch: Dict[str, int] = {}
+        # the ``rec`` keys again, by class (``changed``): pending
+        # class -> {surrogate: txn}; committed class -> [(epoch,
+        # surrogate)] ascending, pruned with the chains
+        self._rec_pending: Dict[str, Dict[int, Optional[int]]] = {}
+        self._rec_changes: Dict[str, List[Tuple[int, int]]] = {}
         # active snapshots by pinned epoch (for chain GC)
         self._active: Dict[int, int] = {}
         self._pruned_to = 0
@@ -160,8 +181,7 @@ class VersionManager:
         pre-image."""
         return key in self._pending
 
-    def stage(self, txn_id: Optional[int], key: tuple, pre_image,
-              class_name: str) -> None:
+    def stage(self, txn_id: Optional[int], key: tuple, pre_image) -> None:
         """Record ``key``'s pre-image before its first mutation by
         ``txn_id`` (first write wins).  A ``txn_id`` of None is an
         auto-committed Mapper-level mutation: it becomes a committed
@@ -169,16 +189,20 @@ class VersionManager:
         with self._mutex:
             if txn_id is None:
                 self.epoch += 1
-                self._chains.setdefault(key, []).append(
-                    (self.epoch, pre_image))
-                self._class_epoch[class_name] = self.epoch
+                self._chain(key, self.epoch, pre_image)
                 self._prune()
                 return
             if key in self._pending:
                 return
-            self._pending[key] = (txn_id, pre_image, class_name)
+            self._pending[key] = (txn_id, pre_image)
             self._txn_keys.setdefault(txn_id, []).append(key)
-            self._mark_class(txn_id, class_name)
+            if key[0] == "rec":
+                self._rec_pending.setdefault(key[1], {})[key[2]] = txn_id
+
+    def _chain(self, key: tuple, epoch: int, pre_image) -> None:
+        self._chains.setdefault(key, []).append((epoch, pre_image))
+        if key[0] == "rec":
+            self._rec_changes.setdefault(key[1], []).append((epoch, key[2]))
 
     def stage_member(self, txn_id: Optional[int], class_name: str,
                      surrogate: int, adding: bool) -> None:
@@ -190,7 +214,6 @@ class VersionManager:
                 removed = frozenset() if adding else frozenset((surrogate,))
                 self._member_chains.setdefault(class_name, []).append(
                     (self.epoch, added, removed))
-                self._class_epoch[class_name] = self.epoch
                 self._prune()
                 return
             per_class = self._member_pending.setdefault(txn_id, {})
@@ -205,11 +228,6 @@ class VersionManager:
                     added.discard(surrogate)
                 else:
                     removed.add(surrogate)
-            self._mark_class(txn_id, class_name)
-
-    def _mark_class(self, txn_id: Optional[int], class_name: str) -> None:
-        self._class_pending.setdefault(class_name, set()).add(txn_id)
-        self._txn_classes.setdefault(txn_id, set()).add(class_name)
 
     # -- Writer side: transaction outcome ----------------------------------------
 
@@ -221,21 +239,20 @@ class VersionManager:
         with self._mutex:
             keys = self._txn_keys.pop(txn_id, None)
             members = self._member_pending.pop(txn_id, None)
-            self._clear_class_marks(txn_id)
             if not keys and not members:
                 return
             self.epoch += 1
             epoch = self.epoch
             self.commits += 1
             for key in keys or ():
-                _, pre_image, class_name = self._pending.pop(key)
-                self._chains.setdefault(key, []).append((epoch, pre_image))
-                self._class_epoch[class_name] = epoch
+                # chained, THEN unpended: the lock-free miss looks at
+                # the pending entries first
+                self._chain(key, epoch, self._pending[key][1])
+                self._unpend(key)
             for class_name, (added, removed) in (members or {}).items():
                 if added or removed:
                     self._member_chains.setdefault(class_name, []).append(
                         (epoch, frozenset(added), frozenset(removed)))
-                    self._class_epoch[class_name] = epoch
             self._prune()
 
     def abort(self, txn_id: int) -> None:
@@ -243,17 +260,13 @@ class VersionManager:
         restored the physical state they described)."""
         with self._mutex:
             for key in self._txn_keys.pop(txn_id, ()):
-                self._pending.pop(key, None)
+                self._unpend(key)
             self._member_pending.pop(txn_id, None)
-            self._clear_class_marks(txn_id)
 
-    def _clear_class_marks(self, txn_id: Optional[int]) -> None:
-        for class_name in self._txn_classes.pop(txn_id, ()):
-            holders = self._class_pending.get(class_name)
-            if holders is not None:
-                holders.discard(txn_id)
-                if not holders:
-                    del self._class_pending[class_name]
+    def _unpend(self, key: tuple) -> None:
+        if key[0] == "rec":
+            del self._rec_pending[key[1]][key[2]]
+        del self._pending[key]
 
     # -- Reader side -------------------------------------------------------------
 
@@ -265,6 +278,8 @@ class VersionManager:
         write) — or that the reader owns the pending write and should
         read its own mutation physically.
         """
+        if key not in self._pending and key not in self._chains:
+            return (False, None)        # untouched: no mutex (module doc)
         with self._mutex:
             pending = self._pending.get(key)
             if (pending is not None and snap.txn_id is not None
@@ -315,18 +330,35 @@ class VersionManager:
         result.extend(sorted(visible - physical_set))
         return result
 
-    def class_clean(self, snap: Snapshot, class_names) -> bool:
-        """True when physical index paths over these classes are exact
-        for ``snap``: no other transaction has pending writes in them
-        and no commit after the snapshot's epoch touched them."""
+    def changed(self, snap: Optional[Snapshot], class_names) -> Set[int]:
+        """The surrogates whose role record in any of these classes has
+        another transaction's pending pre-image or a chain entry newer
+        than ``snap`` — everything the latest state of the class (its
+        indexes included) may show differently from the snapshot.
+        Empty (as it is with nothing pinned): physical index paths over
+        the classes are exact."""
+        found: Set[int] = set()
+        if snap is None:
+            return found
+        for class_name in class_names:
+            if self._rec_pending.get(class_name):
+                break
+            newest = self._rec_changes.get(class_name, ())[-1:]
+            if newest and newest[0][0] > snap.epoch:
+                break
+        else:
+            return found                # no writer in sight: no mutex
         with self._mutex:
             for class_name in class_names:
-                holders = self._class_pending.get(class_name)
-                if holders and any(t != snap.txn_id for t in holders):
-                    return False
-                if self._class_epoch.get(class_name, 0) > snap.epoch:
-                    return False
-            return True
+                pending = self._rec_pending.get(class_name)
+                if pending:
+                    found.update(surrogate for surrogate, txn_id
+                                 in pending.items() if txn_id != snap.txn_id)
+                changes = self._rec_changes.get(class_name)
+                if changes and changes[-1][0] > snap.epoch:
+                    at = bisect_left(changes, (snap.epoch + 1,))
+                    found.update(s for _, s in changes[at:])
+        return found
 
     def change_epochs(self, keys) -> List[int]:
         """The commit epochs, ascending, at which any of ``keys``
@@ -359,6 +391,8 @@ class VersionManager:
                 self._member_chains[class_name] = chain
             else:
                 del self._member_chains[class_name]
+        for changes in self._rec_changes.values():
+            del changes[:bisect_left(changes, (floor + 1,))]
 
     def reset(self) -> None:
         """Crash path: all snapshots and versions are volatile state.
@@ -370,9 +404,8 @@ class VersionManager:
             self._chains.clear()
             self._member_pending.clear()
             self._member_chains.clear()
-            self._class_pending.clear()
-            self._txn_classes.clear()
-            self._class_epoch.clear()
+            self._rec_pending.clear()
+            self._rec_changes.clear()
             self._active.clear()
             self._pruned_to = self.epoch
 

@@ -58,6 +58,8 @@ COUNTER_FIELDS = (
     "plan_cache_misses",      # statements compiled (and verified) afresh
     "plan_cache_invalidations",  # plan-epoch moves (cache cleared)
     "plan_cache_entries",     # gauge: compiled statement shapes held now
+    "snapshot_find_overlays",  # snapshot finds: index probe + changed records
+    "snapshot_find_scans",    # snapshot finds that scanned despite an index
 )
 
 

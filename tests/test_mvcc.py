@@ -14,6 +14,7 @@ import pytest
 
 from repro import Database
 from repro.engine.sessions import Session
+from repro.mapper.versions import VersionManager
 from repro.workloads import UNIVERSITY_DDL
 
 
@@ -147,12 +148,12 @@ class TestSnapshotReads:
 
 class TestEstimatesNeverScan:
     def test_planning_beside_an_open_writer_scans_nothing(self, monkeypatch):
-        """The cost model reads latest O(1) index counts, never
-        ``class_count``'s snapshot-exact fallback: a snapshot point read
-        beside another session's open write scans the class at most
-        once — the ``find_by_dva`` fallback — whether its plan is being
-        compiled (cold) or reused (warm).  It was 8 scans per statement
-        when every estimate paid one."""
+        """The cost model reads latest O(1) index counts and the point
+        read itself keeps its index (probe + changed records): a
+        snapshot point read beside another session's open write scans
+        no class at all, whether its plan is being compiled (cold) or
+        reused (warm).  It was 8 scans per statement when every
+        estimate paid one, and 1 while ``find_by_dva`` fell back."""
         from repro.mapper.store import MapperStore
         from repro.workloads import build_university
         db = build_university(departments=3, instructors=6, students=14,
@@ -179,7 +180,9 @@ class TestEstimatesNeverScan:
             count = db.perf.as_dict()[counter]
             assert reader.query(text.format(key)).rows == before[key]
             assert db.perf.as_dict()[counter] == count + 1
-            assert len(scans) <= 1, (counter, scans)
+            assert scans == [], counter
+        assert db.perf.snapshot_find_overlays >= 2
+        assert db.perf.snapshot_find_scans == 0
         writer.abort()
 
 
@@ -222,6 +225,29 @@ class TestVersionManager:
         writer.execute('Modify course(credits := 7) Where title = "Algebra"')
         writer.commit()
         assert store.versions.statistics()["chained_keys"] == 0
+
+    def test_a_committing_key_is_never_in_neither_table(self):
+        """``lookup`` and ``changed`` answer a miss without the mutex —
+        pending entries looked at first, committed ones second — so a
+        commit has to chain a key before it unpends it.  Probed from
+        inside the commit (the mutex is re-entrant) before each of its
+        steps, the pre-image is found every time."""
+        versions = VersionManager()
+        snap = versions.begin_snapshot()
+        for key in (("rec", "course", 7), ("mv", "course", "tags", 7)):
+            versions.stage(1, key, "before")
+        seen = []
+
+        def probing(step):
+            def wrapped(key, *args):
+                seen.append((versions.lookup(snap, key),
+                             versions.changed(snap, ("course",))))
+                return step(key, *args)
+            return wrapped
+        versions._chain = probing(versions._chain)
+        versions._unpend = probing(versions._unpend)
+        versions.commit(1)
+        assert seen == [((True, "before"), {7})] * 4
 
     def test_reader_under_parallel_morsels_sees_snapshot(self, db):
         """Snapshot scope propagates to morsel worker threads."""

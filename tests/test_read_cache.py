@@ -92,6 +92,42 @@ class TestReadCacheUnit:
         assert cache.get_record("a", 2) is None          # 2 was the LRU
         assert cache.get_record("a", 1) is not None
 
+    def test_a_hit_never_waits_for_the_lock(self):
+        """With another thread inside the cache every lookup still
+        answers at once — it only leaves the LRU order alone — and a
+        promotion whose entry was dropped after the lookup is a no-op."""
+        cache = ReadCache(PerfCounters(), record_capacity=2)
+        cache.put_record("a", 1, "rid1", {}, cache.epoch)
+        cache.put_record("a", 2, "rid2", {}, cache.epoch)
+        cache.put_role("a", 1, "rid1", cache.epoch)
+        cache.put_fanout(7, True, 1, (2,), cache.epoch)
+        inside, leave = threading.Event(), threading.Event()
+
+        def occupant():
+            with cache._lock:
+                inside.set()
+                leave.wait(10)
+        holder = threading.Thread(target=occupant)
+        holder.start()
+        assert inside.wait(10)
+        answers = []
+        reader = threading.Thread(target=lambda: answers.extend((
+            cache.get_record("a", 1), cache.get_record_batch("a", [1, 9]),
+            cache.get_role("a", 1), cache.get_fanout(7, True, 1),
+            cache.get_fanout_batch(7, True, [1, 9]))))
+        reader.start()
+        reader.join(5)
+        waited = reader.is_alive()
+        leave.set()
+        holder.join()
+        reader.join()
+        assert not waited
+        assert answers == [("rid1", {}), ({1: ("rid1", {})}, [9]), "rid1",
+                           (2,), ({1: (2,)}, [9])]
+        cache.put_record("a", 3, "rid3", {}, cache.epoch)
+        assert cache.get_record("a", 1) is None     # unpromoted: the LRU
+        cache._promote(cache._records, [("a", 1)])  # gone: nothing raised
+
     def test_role_negative_caching(self):
         cache = ReadCache(PerfCounters())
         assert cache.get_role("a", 1) is MISSING

@@ -11,20 +11,31 @@ of EVA mapping x MV DVA mapping x hierarchy mapping this suite drives
 (b) a snapshot pinned before a batch of committed inserts / modifies /
     includes / excludes / deletes, plus one transaction still open,
     reads exactly the state saved before the batch — index-served
-    finds included, through the index fast path in (a) and through the
-    dirty-class fallback here;
+    finds included, by the bare probe in (a) and by probe + changed
+    records here;
 (c) the open transaction reads its own writes;
 (d) once everything has committed or aborted, the read cache equals a
     fresh physical read and the consistency checker is clean;
 (e) with the version chains retained, ``as_of(E)`` reads exactly the
-    state that was latest at ``E``, for every committed epoch ``E``.
+    state that was latest at ``E``, for every committed epoch ``E``;
+(f) a find on an indexed attribute stays index-served beside writers:
+    pinned before a committed, an aborted and a still-open transaction
+    (or ``as_of`` the epoch before them) it returns the saved answer
+    without one ``scan_class`` call, in an order that no writer's
+    timing decides — also when the writer is forced in between the
+    reader's two ``versions.changed`` reads.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
+import threading
+import time
 
 import pytest
+
+from repro.mapper.store import MapperStore
 
 from repro import SimError, parse_ddl
 from repro.mapper import (
@@ -34,7 +45,11 @@ from repro.mapper import (
     MvDvaMapping,
     PhysicalDesign,
 )
-from tests.test_read_cache import assert_cache_matches_physical
+from tests.test_read_cache import (
+    assert_cache_matches_physical,
+    parked_after,
+    race,
+)
 
 DDL = """
 Class Person (
@@ -167,6 +182,25 @@ class World:
                     store.find_by_dva_range(cls, "age", low, high))
         return seen
 
+    def finds(self):
+        """Every find an index serves (unique ``ssn`` / ``badge``,
+        ordered ``age``; ``worker`` reaches the first and last through
+        its superclass's index), each sorted: beside a writer the
+        overlay's order rule applies, which has a test of its own."""
+        store = self.store
+        seen = {("badge", badge): store.find_by_dva("worker", "badge", badge)
+                for badge in (0, 1, 2, 9, 10, 60, 61)}
+        for cls in ("person", "worker"):
+            for ssn in (100, 101, 102, 200, 201, 202, 300, 301, 310, 311,
+                        800, 801, 900, 901):
+                seen[cls, "ssn", ssn] = store.find_by_dva(cls, "ssn", ssn)
+            for age in (20, 21, 30, 31, 77):
+                seen[cls, "age", age] = store.find_by_dva(cls, "age", age)
+            for low, high in ((None, 25), (21, 32), (31, None)):
+                seen[cls, "range", low, high] = store.find_by_dva_range(
+                    cls, "age", low, high)
+        return {key: sorted(found) for key, found in seen.items()}
+
     def observe_at(self, snap):
         with self.store.snapshot_scope(snap):
             return self.observe()
@@ -252,7 +286,7 @@ def test_snapshot_at_the_current_epoch_equals_latest(store):
     snap = store.begin_snapshot()
     try:
         # Nothing has been written since the pin: indexes may answer.
-        assert store.versions.class_clean(snap, CLASSES)
+        assert store.versions.changed(snap, CLASSES) == set()
         assert world.observe_at(snap) == latest
     finally:
         store.end_snapshot(snap)
@@ -271,9 +305,10 @@ def test_pinned_snapshot_survives_writes_it_must_not_see(store, outcome):
         assert committed != before
         txn = world.in_transaction(world.open_batch, finish=None)
 
-        # (b) the pinned view is the saved pre-state; the touched classes
-        # are dirty for it, so index-served finds take the fallback.
-        assert not store.versions.class_clean(pinned, ("person",))
+        # (b) the pinned view is the saved pre-state; records of the
+        # touched classes have changed for it, so index-served finds
+        # re-read those through the version chains.
+        assert store.versions.changed(pinned, ("person",))
         assert world.observe_at(pinned) == before
 
         # a view pinned now sees the committed batch, not the open one
@@ -343,3 +378,391 @@ def test_every_retained_epoch_reads_back_as_it_was(store):
     assert world.observe() == seen[versions.epoch]
     assert_cache_matches_physical(store)
     assert store.check().ok
+
+
+# ------------------------------------------ (f) finds beside writers: no scan
+#
+# One kind of change per function, on the ``k``-th person/worker, so that
+# a committed (k=0), a still-open (k=1) and an aborted (k=2) transaction
+# can each make it on entities of their own — and, in ``CHANGES`` order,
+# one after the other on the same ones.
+
+
+def key_changed_away(world, k):
+    a = world.attrs
+    world.store.write_dva(world.people[k], a["age"], 77)
+    world.store.write_dva(world.workers[k], a["ssn"], 900 + k)
+
+
+def key_changed_to_a_probed_value(world, k):
+    a = world.attrs
+    world.store.write_dva(world.people[k], a["age"], 30)
+    world.store.write_dva(world.workers[k], a["age"], 20)
+    world.store.write_dva(world.workers[k], a["badge"], 60 + k)
+
+
+def unique_key_moved_to_another_entity(world, k):
+    ssn = world.attrs["ssn"]
+    world.store.write_dva(world.people[k], ssn, 800 + k)
+    world.store.write_dva(world.workers[k], ssn, 100 + k)
+
+
+def inserted(world, k):
+    world.store.insert_entity("person", {"name": "New", "ssn": 300 + k,
+                                         "age": 20})
+    world.store.insert_entity("worker", {"name": "New", "ssn": 310 + k,
+                                         "age": 31, "badge": 9 + k})
+
+
+def deleted(world, k):
+    world.store.remove_role(world.workers[k], "person")    # both roles
+    world.store.remove_role(world.people[k], "person")
+
+
+def subclass_role_changed_under_a_superclass_index(world, k):
+    """``worker`` finds by ``ssn``/``age`` probe person's index and
+    filter by role: here only the role changes, person's records (and
+    so its indexes) do not."""
+    world.store.remove_role(world.workers[k], "worker")
+    world.store.add_role(world.people[k], "worker", {"badge": 60 + k})
+
+
+CHANGES = [key_changed_away, key_changed_to_a_probed_value,
+           unique_key_moved_to_another_entity, inserted,
+           subclass_role_changed_under_a_superclass_index, deleted]
+
+
+@pytest.fixture()
+def scans(monkeypatch):
+    """Every ``scan_class`` call from here on, by class name."""
+    calls = []
+    real_scan = MapperStore.scan_class
+
+    def counting_scan(self, class_name):
+        calls.append(class_name)
+        return real_scan(self, class_name)
+    monkeypatch.setattr(MapperStore, "scan_class", counting_scan)
+    return calls
+
+
+@pytest.mark.parametrize("change", CHANGES, ids=lambda change: change.__name__)
+def test_pinned_find_beside_writers_never_scans(store, change, scans):
+    world = World(store)
+    before = world.finds()
+    pinned = store.begin_snapshot()
+    try:
+        world.in_transaction(lambda: change(world, 0))
+        world.in_transaction(lambda: change(world, 2), finish="abort")
+        committed = world.finds()
+        assert committed != before
+        txn = world.in_transaction(lambda: change(world, 1), finish=None)
+        assert scans == []                   # latest finds never did scan
+
+        with store.snapshot_scope(pinned):
+            assert world.finds() == before
+        assert store.perf.snapshot_find_overlays > 0
+        world.finish(txn, "abort")
+        with store.snapshot_scope(pinned):
+            assert world.finds() == before
+        assert scans == []
+        assert store.perf.snapshot_find_scans == 0
+    finally:
+        store.end_snapshot(pinned)
+    assert store.check().ok
+
+
+def test_as_of_find_beside_writers_never_scans(store, scans):
+    """The same under ``as_of``: every epoch between the changes, read
+    back beside all of them committed, aborted and open once more."""
+    store.enable_history()
+    world = World(store)
+    seen = {store.versions.epoch: world.finds()}
+    for change in CHANGES:
+        world.in_transaction(lambda: change(world, 0))
+        world.in_transaction(lambda: change(world, 2), finish="abort")
+        seen[store.versions.epoch] = world.finds()
+    assert len({repr(finds) for finds in seen.values()}) == len(CHANGES) + 1
+
+    def every_change():
+        for change in CHANGES:
+            change(world, 1)
+    txn = world.in_transaction(every_change, finish=None)
+    for epoch, finds in seen.items():
+        with store.as_of(epoch):
+            assert world.finds() == finds, epoch
+    assert scans == []
+    assert store.perf.snapshot_find_overlays > 0
+    assert store.perf.snapshot_find_scans == 0
+    world.finish(txn, "abort")
+    assert store.check().ok
+
+
+def test_find_order_is_decided_by_the_snapshot_not_by_writers(store):
+    """Index survivors in probe order, then matches only the changed
+    records supply, in surrogate order — so a writer that leaves the
+    matching entities' keys alone cannot reorder a pinned find, however
+    it is timed (the scan fallback this replaces answered in physical
+    order whenever a writer happened to be open)."""
+    world = World(store)
+    a, people, workers = world.attrs, world.people, world.workers
+    store.write_dva(people[0], a["age"], 50)    # key order != physical order
+    store.write_dva(workers[3], a["age"], 21)
+
+    def finds():
+        return [store.find_by_dva("person", "age", 21),
+                store.find_by_dva_range("person", "age", None, 60),
+                store.find_by_dva_range("worker", "age", 21, 50)]
+
+    pinned = store.begin_snapshot()
+    try:
+        with store.snapshot_scope(pinned):
+            quiet = finds()
+        assert quiet[0] == [people[1], workers[3]]
+        assert quiet[1][-1] == people[0] and quiet[1] != sorted(quiet[1])
+
+        def bystander():
+            store.write_dva(people[1], a["name"], "Renamed")
+            store.write_dva(workers[0], a["badge"], 70)
+            store.insert_entity("person", {"name": "New", "ssn": 300,
+                                           "age": 21})
+        txn = world.in_transaction(bystander, finish=None)
+        with store.snapshot_scope(pinned):
+            assert finds() == quiet
+        world.finish(txn, "commit")
+        with store.snapshot_scope(pinned):
+            assert finds() == quiet
+
+        # Entities whose own key has left the probed range are no longer
+        # where the index would have listed them: they follow, by
+        # surrogate.
+        def movers():
+            store.write_dva(workers[3], a["age"], 90)
+            store.write_dva(people[1], a["age"], 91)
+        world.in_transaction(movers)
+        with store.snapshot_scope(pinned):
+            moved = finds()
+        assert moved[0] == sorted(quiet[0])
+        assert moved[1] == [s for s in quiet[1]
+                            if s not in (people[1], workers[3])] \
+            + [people[1], workers[3]]
+        assert sorted(moved[2]) == sorted(quiet[2])
+    finally:
+        store.end_snapshot(pinned)
+
+
+class TestFindBesideARacingWriter:
+    """The writer runs — stage, mutate, commit or not — at a chosen
+    point INSIDE the reader's find: once between the first
+    ``versions.changed`` read and the index probe, once between the
+    probe and the second read.  Forced (``parked_after``), never
+    scheduler luck: a find that trusted either half alone would return
+    the writer's state."""
+
+    @pytest.fixture()
+    def world(self):
+        return World(build(*CONFIGS[0]))
+
+    @staticmethod
+    def racing(world, park, method, write):
+        """What a find and ``World.finds`` return under a snapshot
+        pinned now, when ``write`` runs as the first ``park.method``
+        call of the reading thread returns."""
+        store = world.store
+        pinned = store.begin_snapshot()
+
+        def read():
+            with store.snapshot_scope(pinned):
+                first = store.find_by_dva("person", "ssn", 101)
+                return first, world.finds()
+
+        try:
+            with parked_after(park, method) as gates:
+                return race(read, *gates, write=write)
+        finally:
+            store.end_snapshot(pinned)
+
+    @staticmethod
+    def writes(world):      # people[1] gives up ssn 101, workers[1] takes it
+        unique_key_moved_to_another_entity(world, 1)
+        world.store.write_dva(world.people[2], world.attrs["age"], 77)
+        world.store.remove_role(world.workers[3], "person")
+
+    @pytest.mark.parametrize("finish", ["commit", None])
+    @pytest.mark.parametrize("point", ["before the probe", "after the probe"])
+    def test_writer_inside_the_find(self, world, scans, point, finish):
+        store = world.store
+        before = world.finds()
+        index = store._unique_index["person", "ssn"]
+        park, method = ((store.versions, "changed")
+                        if point == "before the probe" else (index, "lookup"))
+        first, rest = self.racing(
+            world, park, method, lambda: world.in_transaction(
+                lambda: self.writes(world), finish=finish))
+        assert first == [world.people[1]]
+        assert rest == before
+        assert scans == []
+        assert store.perf.snapshot_find_overlays >= 1
+        assert store.perf.snapshot_find_scans == 0
+
+    def test_writer_that_aborts_before_the_probe(self, world, scans):
+        """The first ``changed`` read names the open writer's records;
+        by the probe the abort has put them back and taken its
+        pre-images away.  (It cannot come any later: with a writer in
+        the class the probe and the second read run under the unit
+        latch, which the abort's undo needs.)"""
+        store = world.store
+        before = world.finds()
+        txn = world.in_transaction(lambda: self.writes(world), finish=None)
+        first, rest = self.racing(
+            world, store.versions, "changed",
+            lambda: world.finish(txn, "abort"))
+        assert first == [world.people[1]]
+        assert rest == before
+        assert scans == []
+
+    @pytest.mark.parametrize("finish", ["commit", None])
+    def test_writer_that_shifts_the_index_under_a_range_probe(
+            self, world, scans, finish):
+        """An ordered index is two parallel lists read by position: a
+        writer that empties a LOWER key's bucket shifts them, and a
+        range probe already past that position skips a neighbour no
+        writer touched — one ``changed`` cannot name.  The reader parks
+        after its first record read, mid-range; the probe it resumes is
+        torn, so it must be thrown away and taken again as one physical
+        state."""
+        store, age = world.store, world.attrs["age"]
+        pinned = store.begin_snapshot()
+
+        def read():
+            with store.snapshot_scope(pinned):
+                return store.find_by_dva_range("person", "age", None, 60)
+
+        def write():    # ages 20 21 22 … lose their first key
+            world.in_transaction(
+                lambda: store.write_dva(world.people[0], age, 99),
+                finish=finish)
+
+        try:
+            quiet = read()
+            with parked_after(store._class_file["person"], "read") as gates:
+                raced = race(read, *gates, write=write)
+        finally:
+            store.end_snapshot(pinned)
+        # All eight; the one whose key moved follows the survivors.
+        assert quiet[0] == world.people[0] and len(quiet) == 8
+        assert raced == quiet[1:] + quiet[:1]
+        assert scans == []
+        assert store.perf.snapshot_find_overlays == 1
+        assert store.perf.snapshot_find_scans == 0
+
+    def test_probe_beside_a_writer_in_sight_holds_the_unit_latch(
+            self, world, scans):
+        """With a change to the class already pending there is no
+        unlatched first try: parked mid-range, the reader owns the latch
+        every index move needs, so nothing can shift under it."""
+        store, age = world.store, world.attrs["age"]
+        latch = store._class_file["person"].latch
+        txn = world.in_transaction(
+            lambda: store.write_dva(world.people[0], age, 99), finish=None)
+        pinned = store.begin_snapshot()
+        held = []
+
+        def read():
+            with store.snapshot_scope(pinned):
+                return store.find_by_dva_range("person", "age", None, 60)
+
+        def write():
+            held.append(not latch.acquire(blocking=False))
+
+        try:
+            with parked_after(store._class_file["person"], "read") as gates:
+                raced = race(read, *gates, write=write)
+        finally:
+            store.end_snapshot(pinned)
+        assert held == [True]
+        assert raced[-1] == world.people[0] and len(raced) == 8
+        assert latch.acquire(blocking=False)
+        latch.release()
+        world.finish(txn, "abort")
+        assert scans == []
+
+    def test_readers_beside_a_committing_writer_never_see_half_a_swap(
+            self, world):
+        """The scheduler-driven form, time-boxed: one writer keeps
+        swapping two people's unique keys (three index moves a
+        transaction), more readers than cores pin and probe both keys.
+        Whatever the interleaving, a pinned view holds each key exactly
+        once, on different people."""
+        store, ssn = world.store, world.attrs["ssn"]
+        a, b = world.people[0], world.people[1]
+        stop, failures = threading.Event(), []
+
+        def swap():
+            mine, theirs = store.read_dva(a, ssn), store.read_dva(b, ssn)
+            store.write_dva(a, ssn, 999)
+            store.write_dva(b, ssn, mine)
+            store.write_dva(a, ssn, theirs)
+
+        def write():
+            while not stop.is_set():
+                world.in_transaction(swap)
+
+        def read():
+            while not stop.is_set():
+                pinned = store.begin_snapshot()
+                try:
+                    with store.snapshot_scope(pinned):
+                        for _ in range(3):
+                            found = (store.find_by_dva("person", "ssn", 100),
+                                     store.find_by_dva("person", "ssn", 101),
+                                     store.find_by_dva("person", "ssn", 999))
+                            if (sorted(found[0] + found[1]) != [a, b]
+                                    or found[2]):
+                                failures.append(found)
+                except Exception as exc:    # surfaced below
+                    failures.append(exc)
+                finally:
+                    store.end_snapshot(pinned)
+
+        threads = [threading.Thread(target=write)] \
+            + [threading.Thread(target=read) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            time.sleep(0.3)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(10.0)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert store.perf.snapshot_find_overlays > 0
+        assert store.perf.snapshot_find_scans == 0
+        assert store.check().ok
+
+    def test_probe_that_keeps_failing_falls_back_to_one_counted_scan(
+            self, world, scans, monkeypatch):
+        store = world.store
+        before = world.finds()
+        world.in_transaction(lambda: key_changed_away(world, 0), finish=None)
+
+        def torn(rids):
+            raise KeyError("slot reused under the reader")
+        pinned = store.begin_snapshot()
+        try:
+            with store.snapshot_scope(pinned):
+                monkeypatch.setattr(store, "_surrogates_at",
+                                    lambda owner, rids: torn(rids))
+                assert store.find_by_dva("person", "age", 20) \
+                    == before["person", "age", 20]
+                assert scans == ["person"]
+                assert store.perf.snapshot_find_scans == 1
+                # With no writer in the class there is nobody to blame
+                # the failure on: it is the caller's to see.
+                with pytest.raises(KeyError):
+                    store.find_by_dva("worker", "badge", 0)
+        finally:
+            store.end_snapshot(pinned)

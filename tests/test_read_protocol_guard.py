@@ -9,6 +9,11 @@ cache fill and the second time axis must not grow back.
   at the put itself, which would validate nothing;
 * every ``ReadCache`` critical section that drops entries also bumps
   ``epoch``, so no fill can slip between the drop and the bump;
+* indexes beside writers have ONE mechanism — probe plus the records
+  ``versions.changed`` names: the clean/dirty class check it replaced
+  (``class_clean``, ``_indexes_exact``) is not spelled anywhere under
+  ``src/repro``, and ``_find`` reaches ``scan_class`` in one place, after
+  its probe loop (no index, or every probe raced — counted);
 * the past is read from the version chains: there is no
   ``mapper/history.py``, and neither the store nor the update engine
   touches anything called ``.history`` (the journal's hook on the write
@@ -75,6 +80,22 @@ def history_references(source: str) -> list:
                   and node.attr == "history")
 
 
+def scans_in_find(source: str) -> list:
+    """``"loop"`` / ``"tail"`` for every ``scan_class`` call inside a
+    function named ``_find``: within its probe loop, or after it."""
+    places = []
+    for function in _functions(ast.parse(source)):
+        if function.name != "_find":
+            continue
+        loops = [node for node in ast.walk(function)
+                 if isinstance(node, (ast.For, ast.While))]
+        for call in sorted(_calls(function, "scan_class"),
+                           key=lambda call: call.lineno):
+            inside = any(call in ast.walk(loop) for loop in loops)
+            places.append("loop" if inside else "tail")
+    return places
+
+
 def drops_without_bump(source: str) -> list:
     """Lines of ``with self._lock:`` blocks that pop or clear a cache
     map without ``self.epoch += 1`` in the same block."""
@@ -136,6 +157,15 @@ class TestTheGuardsFire:
         assert drops_without_bump(source) == [2]
 
 
+    def test_a_scan_inside_the_probe_loop_is_reported(self):
+        source = ("def _find(self, probe):\n"
+                  "    for _attempt in range(3):\n"
+                  "        if self.dirty():\n"
+                  "            return list(self.scan_class('a'))\n"
+                  "        return probe()\n"
+                  "    return list(self.scan_class('a'))\n")
+        assert scans_in_find(source) == ["loop", "tail"]
+
     def test_a_journal_hook_is_reported(self):
         source = ("def enable_history(self):\n"
                   "    self.versions.retain = True\n"
@@ -159,6 +189,21 @@ class TestMapperSweep:
     def test_every_invalidation_bumps_inside_its_critical_section(self):
         with open(os.path.join(MAPPER, "read_cache.py")) as handle:
             assert drops_without_bump(handle.read()) == []
+
+    def test_indexes_beside_writers_have_one_mechanism(self):
+        for name, source in _sources(os.path.dirname(MAPPER)):
+            assert "class_clean" not in source, name
+            assert "_indexes_exact" not in source, name
+        with open(os.path.join(MAPPER, "store.py")) as handle:
+            source = handle.read()
+        assert scans_in_find(source) == ["tail"]
+        find = next(function for function in _functions(ast.parse(source))
+                    if function.name == "_find")
+        assert sorted(call.args[0].value for call in _calls(find, "bump")) \
+            == ["snapshot_find_overlays", "snapshot_find_scans"]
+        count = next(function for function in _functions(ast.parse(source))
+                     if function.name == "class_count")
+        assert list(_calls(count, "scan_class")) == []
 
     def test_the_version_chains_are_the_only_time_axis(self):
         assert not os.path.exists(os.path.join(MAPPER, "history.py"))

@@ -146,6 +146,22 @@ class TestConcurrency:
         assert errors == []
         assert server.statistics()["connections_served"] == 4
 
+    def test_closed_connections_leave_no_bookkeeping_behind(self, server):
+        for _ in range(50):
+            with connect(server) as client:
+                assert client.ping()
+        # A handler drops its own entries on the way out — after the
+        # client's close() has returned, so give the last ones a moment.
+        deadline = time.monotonic() + 10.0
+        while server._connections and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert server.statistics()["connections_served"] == 50
+        assert server.statistics()["open_connections"] == 0
+        # ... and nothing else on the server kept one entry per connection
+        # (it used to keep every connection's Thread until stop()).
+        assert [name for name, value in vars(server).items()
+                if isinstance(value, (list, dict, set)) and value] == []
+
     def test_disconnect_aborts_and_releases_locks(self, db, server):
         client = connect(server)
         client.execute('Modify course(credits := 9) Where title = "Algebra"')
