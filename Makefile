@@ -10,13 +10,15 @@ export PYTHONPATH
 test:
 	python -m pytest -x -q
 
-# The two sizes every CHANGES.md / ROADMAP entry quotes (house rule: net
+# The sizes every CHANGES.md / ROADMAP entry quotes (house rule: net
 # src/repro LOC goes down or the PR says why not).
 loc:
 	@find src/repro -name '*.py' | xargs cat | wc -l \
 		| xargs printf 'src/repro/**/*.py  %s lines\n'
 	@wc -l < src/repro/mapper/store.py \
 		| xargs printf 'mapper/store.py    %s lines\n'
+	@wc -l < src/repro/mapper/read_cache.py \
+		| xargs printf 'mapper/read_cache.py %s lines\n'
 
 # Static analysis lanes.  ruff adds style checks when installed
 # (configured in pyproject.toml); tools/dev_lint.py (AST hygiene +
@@ -55,16 +57,21 @@ chaos:
 	REPRO_LOCKDEP=1 python -m pytest -q -m chaos tests/test_chaos.py
 
 # The tier-1 chaos scenarios, the forced-interleaving cache-fill tests,
-# the writer forced inside a snapshot find and the plan cache's
-# shared-entry sessions twenty times over: they assert invariants, a
-# constructed deadlock, a constructed stale fill and a constructed
-# stale probe, never scheduler luck, so every round must pass.
+# the writer forced inside a snapshot find, the plan cache's
+# shared-entry sessions, two traced sessions (and two traced server
+# connections) switched every 0.1 ms and a statement forced inside
+# another's run twenty times over: they assert invariants, a
+# constructed deadlock, a constructed stale fill, a constructed stale
+# probe, one span tree per statement and one tally per statement, never
+# scheduler luck, so every round must pass.
 chaos-loop:
 	for round in $$(seq 1 20); do \
 		python -m pytest -q -p no:cacheprovider tests/test_chaos.py \
 			tests/test_read_cache.py::TestValidatedFills \
 			tests/test_read_protocol.py::TestFindBesideARacingWriter \
 			tests/test_plan_cache.py::test_sessions_share_entries_but_never_per_run_state \
+			tests/test_trace.py::TestTracingBesideASecondSession \
+			tests/test_read_cache.py::TestPerfAccounting \
 			|| exit 1; \
 	done
 
@@ -72,13 +79,17 @@ chaos-loop:
 # lock-heavy suites (sessions/mvcc/server), the plan cache — the one
 # structure every session shares that takes no lock — the temporal
 # suite (an as-of pin on one thread beside a committing Session on
-# another) and the read protocol over every mapping (a snapshot find
-# beside a writer probes under a unit latch) under REPRO_LOCKDEP=1.
+# another), the read protocol over every mapping (a snapshot find
+# beside a writer probes under a unit latch) and the two statement-
+# accounting thread tests (a statement folds its tally under the
+# counters' plain lock, holding no ranked one) under REPRO_LOCKDEP=1.
 lockdep:
 	REPRO_LOCKDEP=1 python -m pytest -q tests/test_lockdep.py \
 		tests/test_sessions.py tests/test_mvcc.py tests/test_server.py \
 		tests/test_plan_cache.py tests/test_history.py \
-		tests/test_read_protocol.py
+		tests/test_read_protocol.py \
+		tests/test_trace.py::TestTracingBesideASecondSession \
+		tests/test_read_cache.py::TestPerfAccounting
 
 bench:
 	python -m pytest -q benchmarks/ --benchmark-only

@@ -40,9 +40,10 @@ def perf_delta(db, operation: Callable[[], object]) -> Dict[str, int]:
     """Run ``operation`` and return the read-path counter delta (cache
     hits/misses, records decoded...) — the attribution numbers behind a
     claimed cache speedup."""
-    before = db.perf.snapshot()
+    before = db.perf.as_dict()
     operation()
-    return db.perf.delta(before).as_dict()
+    return {name: count - before[name]
+            for name, count in db.perf.as_dict().items()}
 
 
 def attach(benchmark, **info) -> None:

@@ -46,6 +46,39 @@ __all__ = ["CompiledStatement", "Database", "Transition"]
 _NO_SPAN = contextlib.nullcontext()
 
 
+class _StatementScope:
+    """``with`` this around one statement: what the statement counts
+    (:mod:`repro.perf`) is folded into the store's totals when it ends,
+    in one lock acquisition.  With tracing on — and no span already
+    open on this thread — the scope is the statement's root span, which
+    ``with`` binds; it is closed however the statement ends (success,
+    integrity failure, injected storage fault), so no span ever leaks."""
+
+    __slots__ = ("store", "statement", "trace", "frame")
+
+    def __init__(self, store, statement):
+        self.store = store
+        self.statement = statement
+
+    def __enter__(self):
+        trace = self.trace = self.store.trace
+        if trace is None or not trace.enabled or trace.open_spans():
+            self.frame = self.store.perf.open()
+            return None
+        self.frame = None
+        statement = self.statement
+        return trace.begin_statement(
+            statement if isinstance(statement, str) else repr(statement))
+
+    def __exit__(self, exc_type, exc, traceback):
+        if self.frame is not None:
+            self.store.perf.close(self.frame)
+        else:
+            self.trace.end_statement(
+                None if exc is None else f"{exc_type.__name__}: {exc}")
+        return False
+
+
 @dataclass(frozen=True)
 class Transition:
     """One step of a derived history: the commit at ``epoch`` took the
@@ -134,31 +167,11 @@ class Database:
         with trace.span(name, layer=layer):
             return function(*args, **kwargs)
 
-    def _statement_scope(self, statement):
-        """Open one statement root span (yielded) unless tracing is off
-        or a root is already open; every front door — :meth:`execute`,
-        :meth:`query`, ``Session.execute`` — opens it around the compile."""
-        trace = self.store.trace
-        if trace is None or not trace.enabled or trace.open_spans():
-            return _NO_SPAN
-        return self._traced_statement(
-            trace, statement if isinstance(statement, str)
-            else repr(statement))
-
-    @contextlib.contextmanager
-    def _traced_statement(self, trace, text: str):
-        """The root is closed however the statement ends — success,
-        integrity failure, or injected storage fault — so no span ever
-        leaks."""
-        root = trace.begin_statement(text)
-        error = None
-        try:
-            yield root
-        except BaseException as exc:
-            error = f"{type(exc).__name__}: {exc}"
-            raise
-        finally:
-            trace.end_statement(error)
+    def _statement_scope(self, statement) -> "_StatementScope":
+        """One statement's accounting scope, opened by every front door
+        — :meth:`execute`, :meth:`query`, ``Session.execute`` — around
+        the compile."""
+        return _StatementScope(self.store, statement)
 
     def compile(self, statement: Union[str, object]) -> CompiledStatement:
         """Take a statement through the full static pipeline — parse,
@@ -359,7 +372,6 @@ class Database:
     def reset_io_stats(self) -> None:
         self.store.reset_io_stats()
         self.store.perf.reset()
-        self.store.perf.plan_cache_entries = len(self.plan_cache)
 
     # -- Tracing / EXPLAIN ANALYZE ---------------------------------------------------
 

@@ -43,21 +43,12 @@ class EntityAccessor:
     call* decides whether the memos are still current.  Repeated
     qualification paths (``Name of Advisor of Student``) therefore decode
     each record once per query — and stay warm across read-only queries.
-
-    Memo hits, misses and domain enumerations are tallied in plain ints
-    on the accessor (one accessor per executor or morsel worker, so no
-    lock) and folded into the store's shared ``PerfCounters`` by
-    :meth:`flush` — once per statement, and per worker at the morsel
-    barrier.
     """
 
     def __init__(self, store: MapperStore):
         self.store = store
         self.schema = store.schema
         self.perf = store.perf
-        self.memo_hits = 0
-        self.memo_misses = 0
-        self.domain_enumerations = 0
         self._memo_epoch = -1
         #: one memo per (kind, attribute/EVA/node identity), each mapping
         #: an instance to its value ("dva"), its value tuple ("mv"), its
@@ -68,14 +59,6 @@ class EntityAccessor:
     def begin_query(self) -> None:
         """Hook for the executor at query start: revalidate the memos."""
         self._sync()
-
-    def flush(self) -> None:
-        """Fold this accessor's tallies into the shared counters."""
-        for name in ("memo_hits", "memo_misses", "domain_enumerations"):
-            amount = getattr(self, name)
-            if amount:
-                self.perf.bump(name, amount)
-                setattr(self, name, 0)
 
     def _sync(self) -> None:
         """Drop every memo when the store has mutated since the last read
@@ -113,9 +96,11 @@ class EntityAccessor:
                 else:
                     pending[instance] = [position]
                     hits -= 1
-        self.memo_hits += hits
-        self.memo_misses += len(pending)
-        self._memo_entries += len(pending)
+        if hits:
+            self.perf.bump("memo_hits", hits)
+        if pending:
+            self.perf.bump("memo_misses", len(pending))
+            self._memo_entries += len(pending)
         return found, pending, memo
 
     # -- Attribute access -----------------------------------------------------------
@@ -156,8 +141,8 @@ class EntityAccessor:
                 if isinstance(value, list):
                     # List values (MV subroles) are mutable; leave them
                     # unmemoized, so every read of one is a miss.
-                    self.memo_hits -= len(positions) - 1
-                    self.memo_misses += len(positions) - 1
+                    self.perf.bump("memo_hits", 1 - len(positions))
+                    self.perf.bump("memo_misses", len(positions) - 1)
                 else:
                     memo[surrogate] = value
                 for position in positions:
@@ -281,10 +266,7 @@ class EntityAccessor:
             "domain", getattr(node, "domain_key", node.id),
             parent_instances, ())
         if pending:
-            self.domain_enumerations += len(pending)
-            trace = self.store.trace
-            if trace is not None and trace.enabled:
-                trace.count("engine.domain_enumerations", len(pending))
+            self.perf.bump("domain_enumerations", len(pending))
             sources = [self._unwrap(node.parent, instance)
                        for instance in pending]
             if node.kind == "mvdva":

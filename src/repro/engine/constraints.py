@@ -193,12 +193,6 @@ class ConstraintManager:
     def _check(self, keys: Set[tuple], entities: Set[int],
                executor=None) -> None:
         executor = executor if executor is not None else self.executor
-        try:
-            self._check_all(keys, entities, executor)
-        finally:
-            executor.accessor.flush()
-
-    def _check_all(self, keys, entities, executor) -> None:
         for compiled in self.compiled:
             if not compiled.triggered_by(keys):
                 with self._state_lock:

@@ -90,22 +90,34 @@ class QueryExecutor:
         ``physical`` is a compiled statement's lowered template (lowered
         here when absent), ``params`` the literals this execution binds.
 
-        With tracing attached and enabled, the run is wrapped in an
-        ``execute`` span carrying per-node EXPLAIN ANALYZE counters
-        (§4.5 TYPE label, loop entries, instances bound) plus one record
-        per physical operator — otherwise the only added work is this
-        None test.
+        The run counts into a frame of its own, which — closed — is
+        ``ResultSet.perf``: the events of this run on this thread and
+        its morsel workers, nobody else's.  With tracing attached and
+        enabled, the run is also wrapped in an ``execute`` span
+        carrying per-node EXPLAIN ANALYZE counters (§4.5 TYPE label,
+        loop entries, instances bound) plus one record per physical
+        operator — otherwise tracing adds only this None test.
         """
         trace = self.store.trace
-        if trace is None or not trace.enabled:
-            return self._run(query, tree, plan, physical, params, None, None)
-        with trace.span("execute", layer="executor") as span:
-            return self._run(query, tree, plan, physical, params, span, {})
+        perf = self.store.perf
+        frame = perf.open()
+        try:
+            if trace is None or not trace.enabled:
+                result = self._run(query, tree, plan, physical, params,
+                                   None, None)
+            else:
+                with trace.span("execute", layer="executor") as span:
+                    result = self._run(query, tree, plan, physical, params,
+                                       span, {})
+        finally:
+            # A run that raises still accounts the reads it made.
+            perf.close(frame)
+        result.perf = frame
+        return result
 
     def _run(self, query: RetrieveQuery, tree: QueryTree, plan, physical,
              params, span, stats) -> ResultSet:
         self.accessor.begin_query()
-        perf_before = self.store.perf.snapshot()
         if physical is None:
             physical = self.lower(query, tree, plan)
         # Per-run operator counters are never shared between executions.
@@ -115,16 +127,12 @@ class QueryExecutor:
         structured_mode = query.mode == "structure"
         rows: List[tuple] = []
         snapshots = []
-        try:
-            for batch in physical.root.run(ctx):
-                for out_row in batch:
-                    if not out_row.duplicate:
-                        rows.append(out_row.values)
-                    if structured_mode:
-                        snapshots.append((out_row.snapshot, out_row.values))
-        finally:
-            # A statement that raises still accounts the reads it made.
-            self.accessor.flush()
+        for batch in physical.root.run(ctx):
+            for out_row in batch:
+                if not out_row.duplicate:
+                    rows.append(out_row.values)
+                if structured_mode:
+                    snapshots.append((out_row.snapshot, out_row.values))
 
         columns = list(physical.columns)
         original_nodes: List[QTNode] = []
@@ -139,14 +147,16 @@ class QueryExecutor:
                                           columns, snapshots)
             formats = [node.describe() for node in original_nodes]
 
+        # The operators' own actuals (EXPLAIN ANALYZE reads them per
+        # operator), summed once per run: selection pipelines share the
+        # operators and are not counted.
         perf = self.store.perf
         operators = physical.operators
         perf.bump("batches_dispatched",
                   sum(operator.batches for operator in operators))
         perf.bump("batch_rows",
                   sum(operator.rows_out for operator in operators))
-        result = ResultSet(columns, rows, structured, formats,
-                           perf=perf.delta(perf_before))
+        result = ResultSet(columns, rows, structured, formats)
         if span is not None:
             span.attrs["output_rows"] = len(rows)
             span.attrs["nodes"] = self._node_records(tree, plan, stats)
@@ -196,7 +206,6 @@ class QueryExecutor:
         the shared Filter/Semi/AntiSemi stage, compiled once per ``where``
         (:meth:`prepare_selection`) and probed with this execution's
         ``params``."""
-        self.accessor.begin_query()
         prepared = getattr(where, "selection", None)
         if prepared is None or prepared[0] != class_name:
             prepared = self.prepare_selection(class_name, where)
@@ -209,11 +218,8 @@ class QueryExecutor:
         ctx = ExecContext(self, physical, params=params)
         slot = physical.slots[physical.spine[0].id]
         selected: List[int] = []
-        try:
-            for batch in physical.root.run(ctx):
-                selected.extend(row[slot] for row in batch)
-        finally:
-            self.accessor.flush()
+        for batch in physical.root.run(ctx):
+            selected.extend(row[slot] for row in batch)
         return selected
 
     def prepare_selection(self, class_name: str, where):
@@ -256,8 +262,7 @@ class QueryExecutor:
     def predicate_holds(self, predicate, surrogate):
         """Evaluate a compiled single-perspective predicate
         (``physical_plan.compile_predicate``; VERIFY assertions) for one
-        entity, as a one-row batch.  The caller flushes the accessor's
-        tallies when its sweep over entities is done."""
+        entity, as a one-row batch."""
         return selection_holds(ExecContext(self), predicate, [surrogate])
 
     # -- Output helpers ----------------------------------------------------------------

@@ -36,13 +36,13 @@ class ResultSet:
 
     def __init__(self, columns: Sequence[str], rows: List[tuple],
                  structured: Optional[List[StructuredRecord]] = None,
-                 formats: Optional[List[str]] = None, perf=None):
+                 formats: Optional[List[str]] = None):
         self.columns = list(columns)
         self.rows = rows
         self._structured = structured
         self.formats = formats or []
-        #: read-path counter delta for this query (PerfCounters or None)
-        self.perf = perf
+        #: what this query's run counted (:class:`repro.perf.Tally`)
+        self.perf = None
         #: non-error static-analysis diagnostics (warnings/notes) the
         #: front end attached — see :mod:`repro.analysis`
         self.diagnostics: List = []

@@ -11,11 +11,12 @@ Execution partitions the root Scan's materialized domain into *morsels*
 (contiguous runs of root instances, à la Leis et al.'s morsel-driven
 model) and drives one cloned segment pipeline per worker thread over
 them.  Each worker owns a private :class:`~repro.engine.access.
-EntityAccessor` — the per-query memos and their hit/miss tallies are
-sharded rather than locked, and folded into the shared counters at the
-barrier — while the compiled expressions (which read through the
-context they are handed) and the layers underneath (read cache, buffer
-pool, indexes) are shared and thread-safe.
+EntityAccessor` — the per-query memos are sharded rather than locked —
+and counts into a :class:`~repro.perf.Frame` of its own, which the
+dispatching thread collects at the barrier; the compiled expressions
+(which read through the context they are handed) and the layers
+underneath (read cache, buffer pool, indexes) are shared and
+thread-safe.
 
 Determinism: morsels are numbered in root-enumeration order and their
 result rows are concatenated in that order at the barrier, so the merged
@@ -62,9 +63,10 @@ def validate_parallelism(value) -> int:
 
 class _WorkerState:
     """One worker thread's private execution state: a cloned segment
-    pipeline plus a sharded accessor and a local stats dict."""
+    pipeline plus a sharded accessor, a local stats dict and — on a
+    pool thread — the frame the worker counts into."""
 
-    __slots__ = ("ctx", "sink", "leaf", "stats", "morsels")
+    __slots__ = ("ctx", "sink", "leaf", "stats", "morsels", "frame")
 
     def __init__(self, parent_ctx: ops.ExecContext, segment: ops.Operator):
         accessor = EntityAccessor(parent_ctx.store)
@@ -125,18 +127,14 @@ class Parallel(ops.Operator):
         self.rows_in += len(domain)
 
         states: List[_WorkerState] = []
-        try:
-            if len(morsels) <= 1 or self.parallelism <= 1 \
-                    or len(domain) < MIN_PARALLEL_DOMAIN:
-                state = _WorkerState(ctx, self.child)
-                states.append(state)
-                results = [self._run_morsel(state, morsel)
-                           for morsel in morsels]
-            else:
-                results = self._run_pool(ctx, morsels, states)
-        finally:
-            for state in states:
-                state.ctx.accessor.flush()
+        if len(morsels) <= 1 or self.parallelism <= 1 \
+                or len(domain) < MIN_PARALLEL_DOMAIN:
+            state = _WorkerState(ctx, self.child)
+            states.append(state)
+            results = [self._run_morsel(state, morsel)
+                       for morsel in morsels]
+        else:
+            results = self._run_pool(ctx, morsels, states)
         self.workers_used = len(states)
 
         self._merge(ctx, states)
@@ -161,11 +159,17 @@ class Parallel(ops.Operator):
         store = ctx.store
         snap = store.current_snapshot() \
             if hasattr(store, "current_snapshot") else None
+        # Each worker counts into a frame of its own, built on this
+        # thread's innermost one — which collects them at the barrier.
+        perf = store.perf
+        home = perf.frame()
 
         def task(morsel):
             state = getattr(local, "state", None)
             if state is None:
                 state = _WorkerState(ctx, self.child)
+                # Never closed here: this thread ends with the pool.
+                state.frame = perf.open(under=home)
                 local.state = state
                 with states_lock:
                     states.append(state)
@@ -175,12 +179,19 @@ class Parallel(ops.Operator):
                 return self._run_morsel(state, morsel)
 
         pool_size = min(self.parallelism, len(morsels))
-        with ThreadPoolExecutor(max_workers=pool_size,
-                                thread_name_prefix="sim-morsel") as pool:
-            futures = [pool.submit(task, morsel) for morsel in morsels]
-            # Collect in submission (= root-enumeration) order: the merge
-            # is deterministic no matter which worker finished first.
-            return [future.result() for future in futures]
+        try:
+            with ThreadPoolExecutor(max_workers=pool_size,
+                                    thread_name_prefix="sim-morsel") as pool:
+                futures = [pool.submit(task, morsel) for morsel in morsels]
+                # Collect in submission (= root-enumeration) order: the
+                # merge is deterministic no matter which worker finished
+                # first.
+                return [future.result() for future in futures]
+        finally:
+            # The pool has drained: no worker counts any more, and a
+            # statement that raised still accounts the reads it made.
+            for state in states:
+                perf.close(state.frame)
 
     @staticmethod
     def _run_morsel(state: _WorkerState, morsel) -> List:

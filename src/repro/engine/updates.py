@@ -175,8 +175,6 @@ class UpdateEngine:
                 # it mask the original.
                 raise exc
             raise
-        finally:
-            self.executor.accessor.flush()
         if own_transaction:
             transactions.commit()
         return count

@@ -52,6 +52,11 @@ from repro.engine.sessions import Session
 from repro.errors import ServerOverloaded, SimError
 from repro.types.tvl import is_null
 
+#: the store counters :meth:`SimServer.statistics` serves
+SERVED_COUNTERS = (
+    "plan_cache_hits", "plan_cache_misses", "plan_cache_invalidations",
+    "plan_cache_entries", "snapshot_find_overlays", "snapshot_find_scans")
+
 
 def _jsonable(value):
     """A JSON-safe rendering of one result cell.  Nulls (UNKNOWN) map to
@@ -319,10 +324,9 @@ class SimServer:
     def statistics(self) -> Dict[str, Any]:
         with self._conn_lock:
             open_connections = len(self._connections)
+        counts = self.database.perf.as_dict()
         return {
-            **{name: count
-               for name, count in self.database.perf.as_dict().items()
-               if name.startswith(("plan_cache_", "snapshot_find_"))},
+            **{name: counts[name] for name in SERVED_COUNTERS},
             "address": list(self.address),
             "connections_served": self.connections_served,
             "open_connections": open_connections,

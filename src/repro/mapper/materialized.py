@@ -299,13 +299,13 @@ class MaterializationManager:
             return None
         with self._lock:
             if not mat.fresh:
-                self._miss()
+                self.perf.bump("materialized_misses")
                 return None
             if mat.self_inverse or side:
                 targets = mat.forward.get(surrogate, ())
             else:
                 targets = mat.reverse.get(surrogate, ())
-        self._hit()
+        self.perf.bump("materialized_hits")
         return targets
 
     def serve_closure(self, evas, surrogate: int) -> Optional[tuple]:
@@ -322,7 +322,7 @@ class MaterializationManager:
             return None
         with self._lock:
             if not mat.fresh:
-                self._miss()
+                self.perf.bump("materialized_misses")
                 self._refresh_closure(mat)
                 mat.fresh = True
                 mat.refreshes += 1
@@ -330,22 +330,10 @@ class MaterializationManager:
         if pairs is None:
             # Entity outside the anchor extent at refresh time (e.g. just
             # inserted): fall back to direct evaluation.
-            self._miss()
+            self.perf.bump("materialized_misses")
             return None
-        self._hit()
-        return pairs
-
-    def _hit(self) -> None:
         self.perf.bump("materialized_hits")
-        trace = self.store.trace
-        if trace is not None and trace.enabled:
-            trace.count("mapper.materialized_hits")
-
-    def _miss(self) -> None:
-        self.perf.bump("materialized_misses")
-        trace = self.store.trace
-        if trace is not None and trace.enabled:
-            trace.count("mapper.materialized_misses")
+        return pairs
 
     @contextlib.contextmanager
     def disabled(self):

@@ -25,9 +25,11 @@ would return right now — without knowing which locks the reader holds.
 The engine's query-scoped memoization validates against the same epoch,
 so one integer compare decides whether memoized values are still current.
 
-A lookup takes no lock (one ``get``), and a hit promotes its entry in
-the LRU only when the lock is free: readers never wait for each other
-here.  Fills and invalidations hold the lock, as the invariant needs.
+A lookup takes no lock (one ``get``) and counts without one (inside a
+statement ``perf.bump`` adds to the calling thread's own frame), and a
+hit promotes its entry in the LRU only when the lock is free: readers
+never wait for each other here.  Fills and invalidations hold the lock,
+as the invariant needs.
 """
 
 from __future__ import annotations
@@ -42,6 +44,18 @@ from repro.storage.latch import ranked_lock
 MISSING = object()
 
 
+class _LRU(OrderedDict):
+    """One of the cache's three keyed LRUs: the entries, their bound,
+    the counters a lookup counts and what a miss returns."""
+
+    def __init__(self, capacity: int, hits: str, misses: str, absent=None):
+        super().__init__()
+        self.capacity = capacity
+        self.hits = hits
+        self.misses = misses
+        self.absent = absent
+
+
 class ReadCache:
     """Decoded-record, role-membership and EVA fan-out caches."""
 
@@ -50,27 +64,29 @@ class ReadCache:
                  fanout_capacity: int = 8192):
         self.perf = perf
         self.enabled = True
-        #: optional trace recorder (repro.trace.attach_tracing)
+        #: optional trace recorder (repro.trace.attach_tracing): events
         self.trace = None
         #: bumped on every invalidation; validates engine-level memos
         self.epoch = 0
-        self.record_capacity = record_capacity
-        self.role_capacity = role_capacity
-        self.fanout_capacity = fanout_capacity
-        self._records: "OrderedDict[Tuple[str, int], Tuple[object, Dict]]" \
-            = OrderedDict()
-        self._roles: "OrderedDict[Tuple[str, int], object]" = OrderedDict()
-        self._fanout: "OrderedDict[Tuple[int, bool, int], tuple]" \
-            = OrderedDict()
+        #: ``(class, surrogate) -> (rid, values)``
+        self._records = _LRU(record_capacity, "record_cache_hits",
+                             "record_cache_misses")
+        #: ``(class, surrogate) -> rid or None`` (a cached negative)
+        self._roles = _LRU(role_capacity, "role_cache_hits",
+                           "role_cache_misses", MISSING)
+        #: ``(rel_id, side, surrogate) -> targets tuple``
+        self._fanout = _LRU(fanout_capacity, "fanout_cache_hits",
+                            "fanout_cache_misses")
         # One lock over all three LRUs: concurrent morsel workers probe
         # and promote entries, and OrderedDict.move_to_end racing a
         # popitem corrupts the linked order (KeyErrors, lost entries).
-        # Fills, invalidations and promotions hold it; the lookup itself
-        # is one ``get`` and takes none, and a hit promotes only when
-        # the lock is free (``_promote``).
         # Re-entrant because invalidation paths may nest through clear().
         # Rank 20 in the declared hierarchy (analysis/lock_order.py).
         self._lock = ranked_lock("mapper.read_cache")
+
+    record_capacity = property(lambda self: self._records.capacity)
+    role_capacity = property(lambda self: self._roles.capacity)
+    fanout_capacity = property(lambda self: self._fanout.capacity)
 
     def _promote(self, lru: OrderedDict, keys) -> None:
         """Mark the entries just hit as most recently used — unless
@@ -90,160 +106,88 @@ class ReadCache:
             finally:
                 lock.release()
 
-    # ------------------------------------------------------------------ lookups
+    # ------------------------------------------------- the one keyed LRU, thrice
 
-    def get_record(self, class_name: str, surrogate: int):
-        """Cached ``(rid, values)`` or None.  The values dict is shared —
-        callers must treat it as read-only (every write path invalidates)."""
+    def _lookup(self, lru: _LRU, key):
+        """The entry cached under ``key``, or ``lru.absent``."""
         if not self.enabled:
-            return None
-        key = (class_name, surrogate)
-        entry = self._records.get(key)
-        if entry is not None:
-            self._promote(self._records, (key,))
-        trace = self.trace
-        if entry is None:
-            self.perf.bump("record_cache_misses")
-            if trace is not None and trace.enabled:
-                trace.count("mapper.record_cache_misses")
-            return None
-        self.perf.bump("record_cache_hits")
-        if trace is not None and trace.enabled:
-            trace.count("mapper.record_cache_hits")
+            return lru.absent
+        entry = lru.get(key, MISSING)
+        if entry is MISSING:
+            self.perf.bump(lru.misses)
+            return lru.absent
+        self._promote(lru, (key,))
+        self.perf.bump(lru.hits)
         return entry
 
-    def put_record(self, class_name: str, surrogate: int, rid,
-                   values: Dict, epoch: int) -> None:
-        """Cache a decoded record read since ``epoch`` was captured;
-        dropped when anything was invalidated in between."""
-        if not self.enabled:
-            return
-        with self._lock:
-            if epoch != self.epoch:
-                return
-            self._records[(class_name, surrogate)] = (rid, values)
-            if len(self._records) > self.record_capacity:
-                self._records.popitem(last=False)
-
-    def get_record_batch(self, class_name: str, surrogates):
-        """Batched record lookup: ``(found, missing)`` where ``found``
-        maps surrogate -> (rid, values) and ``missing`` lists the rest in
-        input order.  Counter totals match per-surrogate ``get_record``
-        calls exactly, but hit/miss bumps aggregate into two lock
-        acquisitions instead of one per surrogate."""
-        found: Dict[int, tuple] = {}
+    def _lookup_many(self, lru: _LRU, prefix: tuple, surrogates):
+        """Batched lookup of the keys ``prefix + (surrogate,)``:
+        ``(found, missing)`` where ``found`` maps surrogate -> entry and
+        ``missing`` lists the rest in input order.  Counter totals match
+        per-surrogate lookups exactly, aggregated into two bumps."""
+        found: Dict[int, object] = {}
         if not self.enabled:
             return found, list(surrogates)
         missing = []
-        records = self._records
         hits = []
         for surrogate in surrogates:
-            key = (class_name, surrogate)
-            entry = records.get(key)
-            if entry is None:
+            key = prefix + (surrogate,)
+            entry = lru.get(key, MISSING)
+            if entry is MISSING:
                 missing.append(surrogate)
             else:
                 found[surrogate] = entry
                 hits.append(key)
         if hits:
-            self._promote(records, hits)
-        trace = self.trace
-        if found:
-            self.perf.bump("record_cache_hits", len(found))
-            if trace is not None and trace.enabled:
-                trace.count("mapper.record_cache_hits", len(found))
+            self._promote(lru, hits)
+            self.perf.bump(lru.hits, len(found))
         if missing:
-            self.perf.bump("record_cache_misses", len(missing))
-            if trace is not None and trace.enabled:
-                trace.count("mapper.record_cache_misses", len(missing))
+            self.perf.bump(lru.misses, len(missing))
         return found, missing
+
+    def _fill(self, lru: _LRU, key, entry, epoch: int) -> None:
+        """Cache what was read since ``epoch`` was captured; dropped
+        when anything was invalidated in between."""
+        if not self.enabled:
+            return
+        with self._lock:
+            if epoch != self.epoch:
+                return
+            lru[key] = entry
+            if len(lru) > lru.capacity:
+                lru.popitem(last=False)
+
+    def get_record(self, class_name: str, surrogate: int):
+        """Cached ``(rid, values)`` or None.  The values dict is shared —
+        callers must treat it as read-only (every write path invalidates)."""
+        return self._lookup(self._records, (class_name, surrogate))
+
+    def get_record_batch(self, class_name: str, surrogates):
+        return self._lookup_many(self._records, (class_name,), surrogates)
+
+    def put_record(self, class_name: str, surrogate: int, rid,
+                   values: Dict, epoch: int) -> None:
+        self._fill(self._records, (class_name, surrogate), (rid, values),
+                   epoch)
 
     def get_role(self, class_name: str, surrogate: int):
         """Cached rid (``None`` = cached negative) or :data:`MISSING`."""
-        if not self.enabled:
-            return MISSING
-        key = (class_name, surrogate)
-        entry = self._roles.get(key, MISSING)
-        if entry is not MISSING:
-            self._promote(self._roles, (key,))
-        if entry is MISSING:
-            self.perf.bump("role_cache_misses")
-            return MISSING
-        self.perf.bump("role_cache_hits")
-        return entry
+        return self._lookup(self._roles, (class_name, surrogate))
 
     def put_role(self, class_name: str, surrogate: int,
                  rid: Optional[object], epoch: int) -> None:
-        if not self.enabled:
-            return
-        with self._lock:
-            if epoch != self.epoch:
-                return
-            self._roles[(class_name, surrogate)] = rid
-            if len(self._roles) > self.role_capacity:
-                self._roles.popitem(last=False)
+        self._fill(self._roles, (class_name, surrogate), rid, epoch)
 
     def get_fanout(self, rel_id: int, side: bool, surrogate: int):
         """Cached target tuple or None (an empty result caches as ``()``)."""
-        if not self.enabled:
-            return None
-        key = (rel_id, side, surrogate)
-        targets = self._fanout.get(key)
-        if targets is not None:
-            self._promote(self._fanout, (key,))
-        trace = self.trace
-        if targets is None:
-            self.perf.bump("fanout_cache_misses")
-            if trace is not None and trace.enabled:
-                trace.count("mapper.fanout_cache_misses")
-            return None
-        self.perf.bump("fanout_cache_hits")
-        if trace is not None and trace.enabled:
-            trace.count("mapper.fanout_cache_hits")
-        return targets
+        return self._lookup(self._fanout, (rel_id, side, surrogate))
 
     def get_fanout_batch(self, rel_id: int, side: bool, surrogates):
-        """Batched fan-out lookup: ``(found, missing)`` where ``found``
-        maps surrogate -> target tuple and ``missing`` lists the rest in
-        input order.  Same counter totals as per-surrogate lookups,
-        aggregated into two bumps."""
-        found: Dict[int, tuple] = {}
-        if not self.enabled:
-            return found, list(surrogates)
-        missing = []
-        fanout = self._fanout
-        hits = []
-        for surrogate in surrogates:
-            key = (rel_id, side, surrogate)
-            targets = fanout.get(key)
-            if targets is None:
-                missing.append(surrogate)
-            else:
-                found[surrogate] = targets
-                hits.append(key)
-        if hits:
-            self._promote(fanout, hits)
-        trace = self.trace
-        if found:
-            self.perf.bump("fanout_cache_hits", len(found))
-            if trace is not None and trace.enabled:
-                trace.count("mapper.fanout_cache_hits", len(found))
-        if missing:
-            self.perf.bump("fanout_cache_misses", len(missing))
-            if trace is not None and trace.enabled:
-                trace.count("mapper.fanout_cache_misses", len(missing))
-        return found, missing
+        return self._lookup_many(self._fanout, (rel_id, side), surrogates)
 
     def put_fanout(self, rel_id: int, side: bool, surrogate: int,
                    targets: tuple, epoch: int) -> None:
-        if not self.enabled:
-            return
-        with self._lock:
-            if epoch != self.epoch:
-                return
-            self._fanout[(rel_id, side, surrogate)] = targets
-            if len(self._fanout) > self.fanout_capacity:
-                self._fanout.popitem(last=False)
+        self._fill(self._fanout, (rel_id, side, surrogate), targets, epoch)
 
     # ------------------------------------------------------------- invalidation
 

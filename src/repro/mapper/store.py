@@ -518,7 +518,6 @@ class MapperStore:
         self.perf.bump("records_decoded")
         trace = self.trace
         if trace is not None and trace.enabled:
-            trace.count("mapper.records_decoded")
             trace.count(f"mapper.decoded[{class_name}]")
         cache.put_record(class_name, surrogate, rid, values, epoch)
         return rid, values

@@ -10,13 +10,22 @@ claims a cache win can report the hit rate that produced it, and the
 optimizer's cost model reads the observed hit rate to discount
 cached-access costs (its "learned" §5.1 parameter).
 
-Increments go through :meth:`PerfCounters.bump`, which holds a lock: the
-2PL lock manager (:mod:`repro.engine.sessions`) allows statements from
-several sessions to interleave, and nothing stops a host program from
-driving those sessions from threads — a bare read-modify-write of a
-counter attribute would lose updates.  ``snapshot``/``delta`` (taken
-under the same lock) support per-query accounting: the executor attaches
-a delta to every ``ResultSet``.
+The statement is the unit of accounting.  Every layer counts an event
+with one call, :meth:`PerfCounters.bump`, and the call decides whom the
+event is charged to: the innermost :class:`Frame` open on the calling
+thread — a statement, a Retrieve's run inside it, a trace span, a
+morsel worker — which takes no lock, because no other thread counts
+into it.  A closing frame hands what it counted up to the frame that
+encloses it; the outermost one folds into the store's totals, in one
+lock acquisition per statement, and that is when a statement's events
+become visible in ``db.perf``.  A count is kept once, where it arises,
+and inherited upward: ``ResultSet.perf`` *is* the run's closed frame,
+and a trace span's ``counts`` are what was counted while it was the
+innermost open span.  With no frame open (a direct Mapper call, a
+commit) ``bump`` adds to the totals under the lock: the 2PL lock
+manager (:mod:`repro.engine.sessions`) lets statements from several
+sessions interleave, and a bare read-modify-write of a shared counter
+would lose updates.
 
 :class:`TraceHistograms` aggregates the tracing subsystem's distribution
 metrics — latency per Figure-1 layer and rows per query-tree node — in
@@ -26,79 +35,71 @@ power-of-two buckets (see :mod:`repro.trace`).
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
-#: every counter, in reporting order
-COUNTER_FIELDS = (
-    "record_cache_hits",      # decoded-record cache
-    "record_cache_misses",
-    "role_cache_hits",        # has_role / surrogate-rid cache
-    "role_cache_misses",
-    "fanout_cache_hits",      # EVA fan-out cache
-    "fanout_cache_misses",
-    "memo_hits",              # engine-level query-scoped memoization
-    "memo_misses",
-    "records_decoded",        # physical records decoded into dicts
-    "domain_enumerations",    # node domains actually enumerated
-    "index_selections",       # update/VERIFY selections served by an index
-    "invalidations",          # cache invalidation events (incl. undo paths)
-    "transient_retries",      # transient I/O faults absorbed by retry
-    "transient_giveups",      # transient faults that exhausted the policy
-    "batches_dispatched",     # operator batches that flowed between operators
-    "batch_rows",             # slot rows carried by those batches
-    "rewrite_statements",     # statements run through the semantic rewriter
-    "rewrite_subclass_prunes",  # subclass-extent prunings offered
-    "rewrite_empty_extents",  # provably-empty short-circuits (SIM400)
-    "rewrite_eva_flips",      # EVA-inverse direction flips offered
-    "rewrite_exists_reorders",  # TYPE 2 sibling reorderings applied
-    "rewrite_traversal_factorings",  # shared-domain-key groups assigned
-    "materialized_hits",      # traversals served from a materialization
-    "materialized_misses",    # probes that found a stale/uncovered mat
-    "plan_cache_hits",        # statements run from a cached compiled plan
-    "plan_cache_misses",      # statements compiled (and verified) afresh
-    "plan_cache_invalidations",  # plan-epoch moves (cache cleared)
-    "plan_cache_entries",     # gauge: compiled statement shapes held now
-    "snapshot_find_overlays",  # snapshot finds: index probe + changed records
-    "snapshot_find_scans",    # snapshot finds that scanned despite an index
+#: every counter in reporting order, with the layer it arises in
+_COUNTERS = (
+    ("mapper", "record_cache_hits"),      # decoded-record cache
+    ("mapper", "record_cache_misses"),
+    ("mapper", "role_cache_hits"),        # has_role / surrogate-rid cache
+    ("mapper", "role_cache_misses"),
+    ("mapper", "fanout_cache_hits"),      # EVA fan-out cache
+    ("mapper", "fanout_cache_misses"),
+    ("engine", "memo_hits"),              # query-scoped memoization
+    ("engine", "memo_misses"),
+    ("mapper", "records_decoded"),        # records decoded into dicts
+    ("engine", "domain_enumerations"),    # node domains actually enumerated
+    ("engine", "index_selections"),       # selections served by an index
+    ("mapper", "invalidations"),          # cache invalidations (incl. undo)
+    ("storage", "transient_retries"),     # I/O faults absorbed by retry
+    ("storage", "transient_giveups"),     # faults that exhausted the policy
+    ("engine", "batches_dispatched"),     # batches passed between operators
+    ("engine", "batch_rows"),             # slot rows carried by those batches
+    ("optimizer", "rewrite_statements"),  # statements through the rewriter
+    ("optimizer", "rewrite_subclass_prunes"),  # subclass-extent prunings
+    ("optimizer", "rewrite_empty_extents"),  # provably empty (SIM400)
+    ("optimizer", "rewrite_eva_flips"),   # EVA-inverse direction flips offered
+    ("optimizer", "rewrite_exists_reorders"),  # TYPE 2 sibling reorderings
+    ("optimizer", "rewrite_traversal_factorings"),  # shared-domain-key groups
+    ("mapper", "materialized_hits"),      # traversals a materialization served
+    ("mapper", "materialized_misses"),    # probes that found it stale/uncovered
+    ("driver", "plan_cache_hits"),        # statements run from a cached plan
+    ("driver", "plan_cache_misses"),      # statements compiled afresh
+    ("driver", "plan_cache_invalidations"),  # plan-epoch moves (cache cleared)
+    ("driver", "plan_cache_entries"),     # gauge: statement shapes held now
+    ("mapper", "snapshot_find_overlays"),  # index probe + changed records
+    ("mapper", "snapshot_find_scans"),    # scanned despite an index
 )
+COUNTER_FIELDS = tuple(name for _, name in _COUNTERS)
+#: set, never counted: a reset keeps them and no frame ever holds one
+GAUGE_FIELDS = ("plan_cache_entries",)
+#: the name a trace span shows a counter under: ``<layer>.<counter>``
+SPAN_NAMES = {name: f"{layer}.{name}" for layer, name in _COUNTERS}
 
 
-class PerfCounters:
-    """Counters for one store's read path.  Increment via :meth:`bump`;
-    all reads and writes of the counter set are lock-protected so
-    concurrently driven sessions cannot lose updates."""
+def _add(into: Dict[str, int], counts: Dict[str, int]) -> None:
+    for name, amount in counts.items():
+        into[name] = into.get(name, 0) + amount
 
-    __slots__ = COUNTER_FIELDS + ("_lock",)
+
+class Tally:
+    """Event counts by :data:`COUNTER_FIELDS` name (a field never
+    counted reads 0): the read side of what one statement counted
+    (``ResultSet.perf``) and of a store's totals."""
+
+    __slots__ = ("_counts",)
 
     def __init__(self, **initial: int):
-        self._lock = threading.Lock()
-        for name in COUNTER_FIELDS:
-            setattr(self, name, initial.get(name, 0))
+        self._counts: Dict[str, int] = initial
 
-    def bump(self, name: str, amount: int = 1) -> None:
-        """Atomically add ``amount`` to one counter."""
-        with self._lock:
-            setattr(self, name, getattr(self, name) + amount)
-
-    # -- Arithmetic -------------------------------------------------------------
-
-    def snapshot(self) -> "PerfCounters":
-        return PerfCounters(**self.as_dict())
-
-    def delta(self, earlier: "PerfCounters") -> "PerfCounters":
-        mine = self.as_dict()
-        theirs = earlier.as_dict()
-        return PerfCounters(**{
-            name: mine[name] - theirs[name] for name in COUNTER_FIELDS})
-
-    def reset(self) -> None:
-        with self._lock:
-            for name in COUNTER_FIELDS:
-                setattr(self, name, 0)
+    def __getattr__(self, name: str) -> int:
+        if name in SPAN_NAMES:
+            return self._counts.get(name, 0)
+        raise AttributeError(name)
 
     def as_dict(self) -> Dict[str, int]:
-        with self._lock:
-            return {name: getattr(self, name) for name in COUNTER_FIELDS}
+        counts = self._counts
+        return {name: counts.get(name, 0) for name in COUNTER_FIELDS}
 
     # -- Derived rates ----------------------------------------------------------
 
@@ -133,7 +134,105 @@ class PerfCounters:
         counts = self.as_dict()
         inner = ", ".join(f"{name}={counts[name]}"
                           for name in COUNTER_FIELDS if counts[name])
-        return f"PerfCounters({inner})"
+        return f"{type(self).__name__}({inner})"
+
+
+class Frame(Tally):
+    """One open accounting scope on one thread.  ``_counts`` holds what
+    was counted while this frame was the innermost one *of its span*,
+    ``inherited`` what the spans closed beneath it handed up — kept
+    apart so a span's counts stay its own.  Once closed, ``_counts`` is
+    the frame's whole total.  A frame opened without a span works under
+    its parent's (``span``: where events go and child spans attach)."""
+
+    __slots__ = ("inherited", "parent", "span", "owns_span")
+
+    def __init__(self, parent: Optional["Frame"] = None, span=None):
+        self._counts = {}
+        self.inherited: Dict[str, int] = {}
+        self.parent = parent
+        self.owns_span = span is not None
+        self.span = span if span is not None or parent is None \
+            else parent.span
+
+
+class _Innermost(threading.local):
+    """Per thread: the innermost open frame, None outside a statement."""
+    frame: Optional[Frame] = None
+
+
+class PerfCounters(Tally):
+    """One store's totals, and the per-thread frames that feed them.
+    Count via :meth:`bump`; totals are read and written under the lock,
+    so concurrently driven sessions cannot lose updates."""
+
+    __slots__ = ("_lock", "_thread")
+
+    def __init__(self, **initial: int):
+        super().__init__(**initial)
+        self._lock = threading.Lock()
+        self._thread = _Innermost()
+
+    def bump(self, name: str, amount: int = 1) -> None:
+        """Count ``amount`` events: into the calling thread's innermost
+        frame (no lock), or with none open into the totals."""
+        frame = self._thread.frame
+        if frame is not None:
+            counts = frame._counts
+            counts[name] = counts.get(name, 0) + amount
+        else:
+            with self._lock:
+                counts = self._counts
+                counts[name] = counts.get(name, 0) + amount
+
+    def set_gauge(self, name: str, value: int) -> None:
+        with self._lock:
+            self._counts[name] = value
+
+    # -- Frames -----------------------------------------------------------------
+
+    def frame(self) -> Optional[Frame]:
+        """The calling thread's innermost open frame."""
+        return self._thread.frame
+
+    def open(self, span=None, under: Optional[Frame] = None) -> Frame:
+        """Open a frame inside the calling thread's innermost one — or,
+        on a thread that has none, on ``under``: a morsel worker's, on
+        the dispatching thread's innermost frame."""
+        thread = self._thread
+        frame = thread.frame = Frame(thread.frame or under, span)
+        return frame
+
+    def close(self, frame: Frame) -> None:
+        """Close a frame whose parent is (or becomes) the calling
+        thread's innermost one — this thread's own innermost frame, or
+        at the barrier a finished worker's — and hand its counts up: a
+        span's to its parent's ``inherited``, a plain frame's to the
+        counts of the span it worked under, the outermost frame's to
+        the totals, the statement's one lock acquisition."""
+        counts, inherited = frame._counts, frame.inherited
+        parent = self._thread.frame = frame.parent
+        if parent is None:
+            with self._lock:
+                _add(self._counts, counts)
+                _add(self._counts, inherited)
+        else:
+            _add(parent.inherited if frame.owns_span else parent._counts,
+                 counts)
+            _add(parent.inherited, inherited)
+        _add(counts, inherited)     # closed: _counts is the whole total
+
+    def reset(self) -> None:
+        with self._lock:
+            counts = self._counts
+            kept = {name: counts[name] for name in GAUGE_FIELDS
+                    if name in counts}
+            counts.clear()
+            counts.update(kept)
+
+    def as_dict(self) -> Dict[str, int]:
+        with self._lock:
+            return super().as_dict()
 
 
 class PowerOfTwoHistogram:
@@ -181,23 +280,27 @@ class TraceHistograms:
       §4.5 TYPE label.
     """
 
-    __slots__ = ("latency", "rows")
+    __slots__ = ("latency", "rows", "_lock")
 
     def __init__(self):
         self.latency: Dict[str, PowerOfTwoHistogram] = {}
         self.rows: Dict[str, PowerOfTwoHistogram] = {}
+        # Spans close on every session's thread.
+        self._lock = threading.Lock()
 
     def observe_latency(self, layer: str, milliseconds: float) -> None:
-        histogram = self.latency.get(layer)
-        if histogram is None:
-            histogram = self.latency[layer] = PowerOfTwoHistogram()
-        histogram.observe(milliseconds * 1000.0)   # microsecond buckets
+        with self._lock:
+            histogram = self.latency.get(layer)
+            if histogram is None:
+                histogram = self.latency[layer] = PowerOfTwoHistogram()
+            histogram.observe(milliseconds * 1000.0)   # microsecond buckets
 
     def observe_rows(self, label: str, rows: int) -> None:
-        histogram = self.rows.get(label)
-        if histogram is None:
-            histogram = self.rows[label] = PowerOfTwoHistogram()
-        histogram.observe(rows)
+        with self._lock:
+            histogram = self.rows.get(label)
+            if histogram is None:
+                histogram = self.rows[label] = PowerOfTwoHistogram()
+            histogram.observe(rows)
 
     def reset(self) -> None:
         self.latency.clear()

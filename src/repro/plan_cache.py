@@ -119,7 +119,7 @@ class PlanCache:
         self._tables = ({}, {})
         perf = self.database.store.perf
         perf.bump("plan_cache_invalidations")
-        perf.plan_cache_entries = 0
+        perf.set_gauge("plan_cache_entries", 0)
 
     def bind(self, shape, values, tokens, parse) -> CompiledStatement:
         """The compiled statement for one submitted text, bound to its
@@ -154,7 +154,7 @@ class PlanCache:
         for stale in list(entries)[:-CAPACITY]:
             entries.pop(stale, None)
             pins.pop(stale[0], None)
-        perf.plan_cache_entries = len(entries)
+        perf.set_gauge("plan_cache_entries", len(entries))
         return bound
 
     def _drifted(self, entry: CompiledStatement) -> bool:

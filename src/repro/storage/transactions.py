@@ -112,16 +112,15 @@ class TransactionManager:
         #: per-manager id counter; ``start_after`` seeds it past ids a
         #: recovered log may still mention
         self._next_txn_id = start_after
-        # Rank 60: only taken in begin()/begin_detached() with no other
-        # lock held; commit bodies are serialized by store.commit_latch
-        # and abort/undo replay by the aborting session's exclusive
-        # locks plus per-unit latches (see analysis/lock_order.py).
+        # Rank 60: only taken with no other lock held, in begin()/
+        # begin_detached() and to count a finished abort; commit bodies
+        # are serialized by store.commit_latch and abort/undo replay by
+        # the aborting session's exclusive locks plus per-unit latches
+        # (see analysis/lock_order.py).
         self._mutex = ranked_lock("storage.transactions")
         self._tls = threading.local()
-        # Plain leaf lock for the commit/abort counters: aborts are no
-        # longer serialized by any store-wide mutex, so the bumps need
-        # their own guard.  Nothing is ever acquired while holding it.
-        self._stats_lock = threading.Lock()
+        #: commit bodies are serialized (store.commit_latch), so a bare
+        #: increment counts them; aborts are not, and count under _mutex
         self.commits = 0
         self.aborts = 0
         #: callbacks fired after any rollback (full abort or partial
@@ -203,8 +202,7 @@ class TransactionManager:
             self._pool.flush()
         if self._wal is not None:
             self._wal.log_commit(transaction.transaction_id)
-        with self._stats_lock:
-            self.commits += 1
+        self.commits += 1
 
     def abort(self) -> None:
         transaction = self._require_active()
@@ -224,7 +222,7 @@ class TransactionManager:
         transaction._abort()
         if self._current is transaction:
             self._current = None
-        with self._stats_lock:
+        with self._mutex:
             self.aborts += 1
         for hook in self.abort_hooks:
             hook(transaction.transaction_id)

@@ -5,12 +5,16 @@ LUC Mapper → DMSII substrate — is recorded as a tree of :class:`Span`
 objects, one tree per statement.  Each span carries wall-clock timing,
 free-form attributes, rare discrete *events* (fault retries, WAL forces,
 cache invalidations) and cheap aggregated *counts* (records decoded,
-cache hits, physical I/O) contributed by the layer that owned the span's
-time.
+cache hits, physical I/O): what the statement counted
+(:mod:`repro.perf`) while the span was the innermost one open.  An open
+span is a :class:`~repro.perf.Frame` on its thread's stack, so threads
+trace side by side and no layer names an event a second time for the
+trace's sake.
 
 The recorder is built to cost nothing when tracing is off:
 
-* layers hold a ``trace`` attribute that is ``None`` by default, so the
+* the layers that record spans, events or counts no totals field has
+  hold a ``trace`` attribute that is ``None`` by default, so the
   hot-path guard is a single ``is not None`` test with no allocation;
 * when a :class:`TraceRecorder` is attached but ``enabled`` is False,
   every entry point returns before allocating anything.
@@ -29,13 +33,12 @@ Three surfaces consume the recording (see ISSUE/PR 4):
 from __future__ import annotations
 
 import json
-import threading
 import time
 from collections import deque
 from contextlib import contextmanager
 from typing import Dict, List, Optional
 
-from repro.perf import TraceHistograms
+from repro.perf import SPAN_NAMES, PerfCounters, TraceHistograms
 
 #: spans deeper than this are recorded but rendered flat (defensive cap)
 _RENDER_DEPTH_CAP = 24
@@ -208,9 +211,12 @@ class TraceRecorder:
     """Collects statement span trees; bounded, with per-layer histograms.
 
     The recorder keeps at most ``capacity`` completed statement roots
-    (oldest dropped) plus a stack of currently open spans.  All entry
-    points short-circuit when ``enabled`` is False, so an attached but
-    disabled recorder costs one attribute load and one truth test.
+    (oldest dropped).  The open spans are not its own state: each is a
+    :class:`~repro.perf.Frame` on the opening thread's stack, so every
+    session thread — and every server connection — grows its own tree.
+    All entry points short-circuit when ``enabled`` is False, so an
+    attached but disabled recorder costs one attribute load and one
+    truth test.
     """
 
     def __init__(self, capacity: int = 256, enabled: bool = True):
@@ -218,45 +224,59 @@ class TraceRecorder:
         self.capacity = capacity
         self.statements: deque = deque(maxlen=capacity)
         self.histograms = TraceHistograms()
-        self._stack: List[Span] = []
-        # Span open/close stays main-thread-only (the stack is not
-        # shareable), but morsel workers *contribute* counts and events
-        # to the span the dispatching thread holds open; the lock keeps
-        # those read-modify-write merges exact.
-        self._count_lock = threading.Lock()
+        #: the counters whose per-thread frames hold the open spans: the
+        #: recorder's own until attach_tracing points it at a store's
+        self.perf = PerfCounters()
 
     # -- Statement lifecycle -----------------------------------------------------
 
     def begin_statement(self, text: str) -> Optional[Span]:
-        """Open a statement root span.  Any still-open statement is
-        force-closed first (a defensive guarantee: no span leaks across
-        statements, however the previous one ended)."""
+        """Open a statement root span.  A statement this thread still
+        has open is force-closed first (a defensive guarantee: no span
+        leaks across statements, however the previous one ended)."""
         if not self.enabled:
             return None
-        if self._stack:
+        if self.current() is not None:
             self.end_statement(error="superseded by next statement")
         root = Span("statement", "driver", text=text)
-        self._stack.append(root)
+        self.perf.open(root)
         return root
 
     def end_statement(self, error: Optional[str] = None) -> Optional[Span]:
-        """Close the statement root (and, defensively, every span still
-        open under it), record it, feed the histograms."""
-        if not self._stack:
+        """Close this thread's statement root (and, defensively, every
+        frame still open under it, inner-out so durations stay nested),
+        record it, feed the histograms."""
+        perf = self.perf
+        frame = perf.frame()
+        if frame is None or frame.span is None:
             return None
         now = time.perf_counter()
-        root = self._stack[0]
-        # Close inner-out so durations stay nested.
-        for span in reversed(self._stack):
-            if span.end is None:
-                span.end = now
+        while True:
+            span, outer = frame.span, frame.parent
+            if frame.owns_span:
                 if error is not None and span.error is None:
                     span.error = error
-                self.histograms.observe_latency(
-                    span.layer, (now - span.start) * 1000.0)
-        self._stack.clear()
-        self.statements.append(root)
-        return root
+                self._finish(span, frame, now)
+            perf.close(frame)
+            if outer is None or outer.span is None:
+                break
+            frame = outer
+        self.statements.append(span)
+        return span
+
+    def _finish(self, span: Span, frame, now: float) -> None:
+        """Stamp a closing span: its end, its layer's latency, and what
+        its frame counted while it was the innermost open span.  Counts
+        with no totals field (``trace.count``) leave the frame here."""
+        span.end = now
+        self.histograms.observe_latency(span.layer,
+                                        (now - span.start) * 1000.0)
+        counts = frame._counts
+        for name in list(counts):
+            shown = SPAN_NAMES.get(name)
+            amount = counts[name] if shown else counts.pop(name)
+            span.counts[shown or name] = \
+                span.counts.get(shown or name, 0) + amount
 
     # -- Spans and events ---------------------------------------------------------
 
@@ -268,63 +288,64 @@ class TraceRecorder:
         if not self.enabled:
             yield None
             return
-        implicit_root = not self._stack
+        parent = self.current()
+        implicit_root = parent is None
         if implicit_root:
-            root = Span("statement", "driver", text=f"<{name}>")
-            self._stack.append(root)
+            parent = self.begin_statement(f"<{name}>")
         span = Span(name, layer, **attrs)
-        self._stack[-1].children.append(span)
-        self._stack.append(span)
+        parent.children.append(span)
+        perf = self.perf
+        frame = perf.open(span)
         try:
             yield span
         except BaseException as exc:
             span.error = f"{type(exc).__name__}: {exc}"
             raise
         finally:
-            span.end = time.perf_counter()
-            self.histograms.observe_latency(layer, span.duration_ms)
-            if self._stack and self._stack[-1] is span:
-                self._stack.pop()
+            if perf.frame() is frame:
+                self._finish(span, frame, time.perf_counter())
+                perf.close(frame)
             if implicit_root:
                 self.end_statement(error=span.error)
 
     def event(self, name: str, **attrs) -> None:
         """A discrete occurrence on the current span (fault retry, WAL
         force, invalidation).  Dropped when no span is open."""
-        if not self.enabled or not self._stack:
-            return
-        record: Dict[str, object] = {"event": name}
-        record.update(attrs)
-        with self._count_lock:
-            if self._stack:
-                self._stack[-1].events.append(record)
+        span = self.current() if self.enabled else None
+        if span is not None:
+            # One append: morsel workers share the dispatcher's span.
+            span.events.append({"event": name, **attrs})
 
     def count(self, name: str, amount: int = 1) -> None:
-        """Aggregate a cheap per-span counter (record decodes, cache
-        hits, physical I/O).  Dropped when no span is open."""
-        if not self.enabled or not self._stack:
-            return
-        with self._count_lock:
-            if not self._stack:
-                return
-            counts = self._stack[-1].counts
+        """Count an event that has no totals field (physical I/O, WAL
+        forces, decodes per class) on the current span.  Dropped when
+        no span is open."""
+        frame = self.perf.frame() if self.enabled else None
+        if frame is not None and frame.span is not None:
+            counts = frame._counts
             counts[name] = counts.get(name, 0) + amount
 
     # -- Introspection -----------------------------------------------------------
 
     def current(self) -> Optional[Span]:
-        return self._stack[-1] if self._stack else None
+        """The calling thread's innermost open span."""
+        frame = self.perf.frame()
+        return frame.span if frame is not None else None
 
     def open_spans(self) -> int:
-        """Number of spans still open — 0 between statements, always."""
-        return len(self._stack)
+        """Spans the calling thread still has open — 0 between
+        statements, always."""
+        frame, spans = self.perf.frame(), 0
+        while frame is not None:
+            spans += frame.owns_span
+            frame = frame.parent
+        return spans
 
     def last(self) -> Optional[Span]:
         return self.statements[-1] if self.statements else None
 
     def clear(self) -> None:
         self.statements.clear()
-        self._stack.clear()
         self.histograms.reset()
 
     # -- Export --------------------------------------------------------------------
@@ -338,7 +359,7 @@ class TraceRecorder:
     def __repr__(self):
         state = "on" if self.enabled else "off"
         return (f"<TraceRecorder {state} statements={len(self.statements)} "
-                f"open={len(self._stack)}>")
+                f"open={self.open_spans()}>")
 
 
 def attach_tracing(store, recorder: Optional[TraceRecorder] = None,
@@ -348,6 +369,7 @@ def attach_tracing(store, recorder: Optional[TraceRecorder] = None,
     I/O) and retry policy (fault events).  Idempotent per store."""
     if recorder is None:
         recorder = TraceRecorder(capacity=capacity)
+    recorder.perf = store.perf
     store.trace = recorder
     store.read_cache.trace = recorder
     store.wal.trace = recorder

@@ -1,0 +1,190 @@
+"""Structural guards on event counting (AST-based, like
+``tests/test_read_protocol_guard.py``): there is one way to count, and
+the second ways must not grow back.
+
+* every name passed to ``<...>perf.bump(...)`` under ``src/repro`` is a
+  literal in ``COUNTER_FIELDS`` — the tallies are dicts, which would
+  take a typo silently where ``__slots__`` used to raise.  The read
+  cache's one keyed-LRU helper counts ``lru.hits`` / ``lru.misses``,
+  so the literals checked there are the ``_LRU(...)`` instantiations';
+* no totals field has a second, span-only name: ``trace.count`` is for
+  events that have no field (``storage.*``, ``mapper.decoded[<class>]``)
+  and a span shows a field's events as what its frame counted;
+* ``PerfCounters`` has no ``snapshot`` / ``delta`` and nothing calls
+  them on a ``perf``; ``EntityAccessor`` has no ``flush`` and nothing
+  calls one on an ``accessor``;
+* one warmed snapshot-session Retrieve of the ``oltp_session``
+  instructor query takes the counter lock exactly once (34 ``bump``s
+  and 3 ``as_dict()`` copies before the statement became the unit of
+  accounting).
+"""
+
+from __future__ import annotations
+
+import ast
+import os
+
+from repro.engine.access import EntityAccessor
+from repro.perf import COUNTER_FIELDS, PerfCounters
+from repro.workloads import build_university
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(REPO_ROOT, "src", "repro")
+
+
+def _calls(tree: ast.AST, attr: str, receiver: str):
+    """Calls of ``<...><receiver>.<attr>(...)``."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == attr):
+            owner = node.func.value
+            name = owner.attr if isinstance(owner, ast.Attribute) \
+                else getattr(owner, "id", "")
+            if name == receiver:
+                yield node
+
+
+def _literal(node) -> str:
+    return node.value if isinstance(node, ast.Constant) \
+        and isinstance(node.value, str) else ""
+
+
+def miscounted_names(source: str) -> list:
+    """``(line, what)`` of every ``perf.bump`` whose counter is not a
+    literal field name (or the LRU helper's ``lru.hits``/``lru.misses``)
+    and of every ``_LRU(...)`` that names a counter no field has."""
+    tree = ast.parse(source)
+    findings = []
+    for call in _calls(tree, "bump", "perf"):
+        name = call.args[0]
+        if isinstance(name, ast.Attribute) and name.attr in ("hits", "misses") \
+                and getattr(name.value, "id", "") == "lru":
+            continue
+        if _literal(name) not in COUNTER_FIELDS:
+            findings.append((call.lineno, ast.unparse(name)))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) \
+                and getattr(node.func, "id", "") == "_LRU":
+            findings += [(node.lineno, ast.unparse(name))
+                         for name in node.args[1:3]
+                         if _literal(name) not in COUNTER_FIELDS]
+    return sorted(findings)
+
+
+def second_names(source: str) -> list:
+    """Lines of ``trace.count("<layer>.<field>")``: a totals field
+    counted a second time, under a second name."""
+    return sorted(
+        call.lineno for call in _calls(ast.parse(source), "count", "trace")
+        if _literal(call.args[0]).rsplit(".", 1)[-1] in COUNTER_FIELDS)
+
+
+def removed_calls(source: str) -> list:
+    """``(line, call)`` of ``perf.snapshot()`` / ``perf.delta()`` /
+    ``accessor.flush()``."""
+    tree = ast.parse(source)
+    return sorted(
+        (call.lineno, f"{receiver}.{attr}")
+        for receiver, attr in (("perf", "snapshot"), ("perf", "delta"),
+                               ("accessor", "flush"))
+        for call in _calls(tree, attr, receiver))
+
+
+def _sources(*roots: str):
+    for root in roots:
+        for directory, _dirs, files in sorted(os.walk(root)):
+            for name in sorted(files):
+                if name.endswith(".py"):
+                    path = os.path.join(directory, name)
+                    with open(path) as handle:
+                        yield os.path.relpath(path, REPO_ROOT), handle.read()
+
+
+class TestTheGuardsFire:
+    def test_a_typo_and_a_computed_name_are_reported(self):
+        source = ("def f(self, perf, lru, report, name):\n"
+                  "    self.perf.bump('records_decoded')\n"
+                  "    perf.bump('record_decoded', 2)\n"
+                  "    self.store.perf.bump(name)\n"
+                  "    self.perf.bump(lru.hits)\n"
+                  "    report.bump('records')\n"
+                  "    _LRU(8, 'role_cache_hits', 'role_cache_miss')\n")
+        assert miscounted_names(source) == [
+            (3, "'record_decoded'"), (4, "name"), (7, "'role_cache_miss'")]
+
+    def test_a_second_name_for_a_field_is_reported(self):
+        source = ("def f(self, trace, class_name):\n"
+                  "    self.perf.bump('records_decoded')\n"
+                  "    trace.count('mapper.records_decoded')\n"
+                  "    trace.count(f'mapper.decoded[{class_name}]')\n"
+                  "    trace.count('storage.physical_reads')\n"
+                  "    'a b'.count('records_decoded')\n")
+        assert second_names(source) == [3]
+
+    def test_the_removed_calls_are_reported(self):
+        source = ("def f(self, db, pool):\n"
+                  "    before = db.perf.snapshot()\n"
+                  "    pool.stats.delta(before)\n"
+                  "    db.perf.delta(before)\n"
+                  "    self.executor.accessor.flush()\n"
+                  "    pool.flush()\n")
+        assert removed_calls(source) == [
+            (2, "perf.snapshot"), (4, "perf.delta"), (5, "accessor.flush")]
+
+
+class TestSweep:
+    def test_every_counted_name_is_a_field(self):
+        assert {name: miscounted_names(source)
+                for name, source in _sources(SRC)
+                if miscounted_names(source)} == {}
+
+    def test_no_field_is_counted_under_a_second_name(self):
+        assert {name: second_names(source)
+                for name, source in _sources(SRC)
+                if second_names(source)} == {}
+        with open(os.path.join(SRC, "mapper", "read_cache.py")) as handle:
+            assert list(_calls(ast.parse(handle.read()), "count",
+                               "trace")) == []
+
+    def test_snapshot_delta_and_flush_are_gone(self):
+        for removed in ("snapshot", "delta"):
+            assert not hasattr(PerfCounters, removed)
+        assert not hasattr(EntityAccessor, "flush")
+        assert {name: removed_calls(source)
+                for name, source in _sources(
+                    SRC, os.path.join(REPO_ROOT, "benchmarks"),
+                    os.path.join(REPO_ROOT, "tools"))
+                if removed_calls(source)} == {}
+
+
+class _CountingLock:
+    def __init__(self, lock):
+        self.lock = lock
+        self.acquisitions = 0
+
+    def __enter__(self):
+        self.acquisitions += 1
+        return self.lock.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self.lock.__exit__(*exc_info)
+
+
+def test_a_statement_takes_the_counter_lock_once():
+    database = build_university(departments=4, instructors=12, students=80,
+                                courses=24, seed=17)
+    session = database.session()
+    text = ("From instructor Retrieve name, salary, name of "
+            "assigned-department Where employee-nbr = 1001")
+    for _ in range(3):      # plan-epoch moves and cache fills
+        session.execute(text)
+    perf = database.perf
+    lock = perf._lock = _CountingLock(perf._lock)
+    try:
+        result = session.execute(text)
+    finally:
+        perf._lock = lock.lock
+    assert len(result.rows) == 1
+    assert sum(result.perf.as_dict().values()) > 10     # it did count
+    assert lock.acquisitions == 1

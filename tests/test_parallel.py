@@ -21,6 +21,7 @@ from repro.engine.parallel import (
 from repro.errors import SimError, StorageError
 from repro.interfaces.iqf import run_script
 from repro.optimizer.physical_plan import lower_plan
+from repro.perf import COUNTER_FIELDS
 from repro.storage.buffer import BufferPool, Disk
 from repro.storage.files import RecordFile
 from repro.storage.records import RecordFormat
@@ -211,16 +212,32 @@ class TestExplainAndCounters:
         # segment exactly once: row totals equal the serial run's.
         assert segment_rows(parallel) == segment_rows(serial)
 
-    def test_result_perf_populated_under_parallelism(self):
-        database = build_university(seed=11)
-        database.executor.parallelism = 4
-        database.executor.batch_size = 4
-        database.cold_cache()
-        result = database.query(
-            "From student Retrieve name, title of courses-enrolled")
-        perf = result.perf
-        assert perf is not None
-        assert perf.records_decoded > 0
+    @pytest.mark.parametrize("batch_size", [1, 3, 64])
+    def test_result_perf_populated_under_parallelism(self, batch_size):
+        """The workers' frames fold into the run's at the barrier, so
+        ``ResultSet.perf`` at four workers is the serial run's, field by
+        field.  (This query reads nothing below the barrier that two
+        morsels share, so the sharded memos cannot move a count.)  The
+        two batch counters describe the pipeline's geometry, which the
+        barrier changes: it is one more operator, re-emitting every
+        segment row, and a morsel boundary cuts a batch short."""
+        text = "From student Retrieve name, title of courses-enrolled"
+        perf = {}
+        for parallelism in (1, 4):
+            database = build_university(seed=11)
+            database.executor.parallelism = parallelism
+            database.executor.batch_size = batch_size
+            database.cold_cache()
+            result = database.query(text)
+            perf[parallelism] = result.perf.as_dict()
+        serial, parallel = perf[1], perf[4]
+        assert serial["records_decoded"] > 0 and serial["memo_hits"] > 0
+        geometry = ("batches_dispatched", "batch_rows")
+        for name in COUNTER_FIELDS:
+            if name not in geometry:
+                assert parallel[name] == serial[name], name
+        assert parallel["batch_rows"] == serial["batch_rows"] + len(result)
+        assert parallel["batches_dispatched"] > serial["batches_dispatched"]
 
 
 class TestThreadSafetyHammer:

@@ -483,6 +483,42 @@ class TestPerfAccounting:
         assert second.perf.overall_hit_rate() > 0.0
         assert second.perf.records_decoded <= first.perf.records_decoded
 
+    def test_result_perf_charges_a_statement_only_with_its_own_events(
+            self, db):
+        """A second thread runs a whole statement between this
+        Retrieve's first read and its last (forced from inside the run,
+        not left to the scheduler): the Retrieve's ``perf`` is what it
+        counts alone, field by field, and the totals hold both."""
+        text = "From student Retrieve name, name of advisor"
+        db.query(text)
+        alone = db.query(text).perf.as_dict()
+        assert alone["memo_hits"] > 0
+        accessor = db.executor.accessor
+        read_column, stranger = accessor.dva_batch, []
+
+        def read_beside_a_stranger(attr, instances):
+            if not stranger:
+                thread = threading.Thread(target=lambda: stranger.append(
+                    db.session().execute("From course Retrieve title")))
+                thread.start()
+                thread.join(30)
+                assert not thread.is_alive()
+            return read_column(attr, instances)
+
+        accessor.dva_batch = read_beside_a_stranger
+        before = db.perf.as_dict()
+        try:
+            beside = db.query(text).perf.as_dict()
+        finally:
+            del accessor.dva_batch
+        theirs = stranger[0].perf.as_dict()
+        assert theirs["memo_misses"] > 0
+        assert beside == alone
+        after = db.perf.as_dict()
+        for name in ("memo_hits", "memo_misses", "record_cache_hits",
+                     "batch_rows"):
+            assert after[name] - before[name] == alone[name] + theirs[name]
+
     def test_statistics_expose_read_path_counters(self, db):
         db.query("From student Retrieve name")
         stats = db.statistics()

@@ -8,11 +8,14 @@ feedback loop into the optimizer.
 """
 
 import json
+import sys
+import threading
 
 import pytest
 
 from repro import Database
 from repro.errors import InjectedCrash, SimError
+from repro.interfaces.server import SimClient
 from repro.trace import TraceRecorder, attach_tracing, detach_tracing
 from repro.workloads import UNIVERSITY_DDL
 from repro.workloads.university import UNIVERSITY_QUERIES, build_university
@@ -143,6 +146,93 @@ class TestNoSpanLeaks:
             database.execute("From nowhere Retrieve nothing at all;;;")
         assert database.trace.open_spans() == 0
         assert database.trace.last().closed
+
+
+class TestTracingBesideASecondSession:
+    """The open spans live on the opening thread's frames, so every
+    session thread — and every server connection — records its own
+    statement trees: the invariant is one root per statement, each with
+    its own children and its own counts, however the threads interleave
+    (they are switched every 0.1 ms here)."""
+
+    STATEMENTS = 30
+    QUERIES = ("From student Retrieve name, name of advisor",
+               "From course Retrieve title, credits")
+
+    def _alone(self, database):
+        """Each query's ``execute`` counts when nothing runs beside it
+        (a Session statement runs on a private executor, so the counts
+        of a warm statement repeat exactly)."""
+        session = database.session()
+        alone = {}
+        for text in self.QUERIES:
+            for _ in range(3):      # plan-epoch moves and cache fills
+                result = session.execute(text)
+            alone[text] = dict(result.trace.find("execute").counts)
+            assert alone[text]
+        database.trace.clear()
+        return alone
+
+    def _race(self, runners):
+        """``runners``: one ``run(text)`` per thread."""
+        start = threading.Barrier(len(runners))
+        failures = []
+
+        def loop(run, text):
+            try:
+                start.wait(10)
+                for _ in range(self.STATEMENTS):
+                    run(text)
+            except BaseException as exc:    # pragma: no cover
+                failures.append(exc)
+
+        threads = [threading.Thread(target=loop, args=pair)
+                   for pair in zip(runners, self.QUERIES)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+
+    def _check(self, database, alone):
+        roots = list(database.trace.statements)
+        assert len(roots) == len(self.QUERIES) * self.STATEMENTS
+        for text in self.QUERIES:
+            mine = [root for root in roots if root.attrs["text"] == text]
+            assert len(mine) == self.STATEMENTS
+            for root in mine:
+                assert root.closed and root.error is None
+                assert [child.name for child in root.children] \
+                    == ["compile", "execute"]
+                assert root.children[0].attrs["cache"] == "hit"
+                assert root.children[1].counts == alone[text]
+        assert database.trace.open_spans() == 0
+
+    def test_two_session_threads_record_their_own_trees(
+            self, traced_university):
+        database = traced_university
+        alone = self._alone(database)
+        self._race([database.session().execute for _ in self.QUERIES])
+        self._check(database, alone)
+
+    def test_two_server_connections_record_their_own_trees(
+            self, traced_university):
+        database = traced_university
+        alone = self._alone(database)
+        with database.serve() as server:
+            clients = [SimClient(*server.address) for _ in self.QUERIES]
+            try:
+                self._race([client.execute for client in clients])
+            finally:
+                for client in clients:
+                    client.close()
+        self._check(database, alone)
 
 
 class TestSurfaces:
