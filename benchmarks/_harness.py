@@ -25,27 +25,6 @@ def cold_io(db, operation: Callable[[], object]) -> Dict[str, int]:
             "writes": stats.physical_writes}
 
 
-def warm_io(db, operation: Callable[[], object]) -> Dict[str, int]:
-    """Run ``operation`` twice (warm the cache) and report the second run."""
-    operation()
-    db.reset_io_stats()
-    operation()
-    stats = db.io_stats
-    return {"logical": stats.logical_reads,
-            "physical": stats.physical_reads,
-            "writes": stats.physical_writes}
-
-
-def perf_delta(db, operation: Callable[[], object]) -> Dict[str, int]:
-    """Run ``operation`` and return the read-path counter delta (cache
-    hits/misses, records decoded...) — the attribution numbers behind a
-    claimed cache speedup."""
-    before = db.perf.as_dict()
-    operation()
-    return {name: count - before[name]
-            for name, count in db.perf.as_dict().items()}
-
-
 def attach(benchmark, **info) -> None:
     """Record experiment numbers on the benchmark's extra_info."""
     for key, value in info.items():

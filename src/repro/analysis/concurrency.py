@@ -27,8 +27,8 @@ driven by the declared lock hierarchy in :mod:`repro.analysis.lock_order`:
     through to stale state.
 
 Findings are ordinary :class:`~repro.analysis.diagnostics.Diagnostic`
-records (``source="concurrency"``), so the CLI, CI lanes, and the E15
-lint benchmark all consume them unchanged.  Suppression: a trailing
+records (``source="concurrency"``), so the CLI and the CI lanes consume
+them unchanged.  Suppression: a trailing
 ``# noqa: SIM30x`` on the offending line; for SIM303 the ``def`` line
 of the enclosing function also works (one escape hatch per
 caller-holds-the-lock helper, not per statement).

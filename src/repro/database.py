@@ -352,7 +352,7 @@ class Database:
     def statistics(self) -> dict:
         stats = dict(self.schema.statistics())
         stats.update(self.constraints.statistics())
-        stats["io"] = repr(self.store.io_stats())
+        stats["io"] = dict(vars(self.store.io_stats()))
         stats["read_path"] = self.store.perf.as_dict()
         stats["storage"] = self.store.storage_statistics()
         stats["locks"] = self._lock_manager.statistics()

@@ -32,7 +32,6 @@ off — an un-checked :class:`RankedLock` is a plain ``RLock`` plus one
 
 from __future__ import annotations
 
-import contextlib
 import os
 import sys
 import threading
@@ -40,7 +39,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 __all__ = [
     "LockOrderViolation", "RankedLock", "RankedCondition",
-    "enable", "disable", "enabled", "forced", "reset",
+    "enable", "disable", "enabled", "reset",
     "violations", "edges",
 ]
 
@@ -96,20 +95,6 @@ def disable() -> None:
     """Turn checking off for locks constructed after this call."""
     global _override
     _override = False
-
-
-@contextlib.contextmanager
-def forced(flag: bool):
-    """Force checking on/off for locks constructed inside the block,
-    restoring the previous override on exit (benchmarks use this to
-    measure instrumented vs. uninstrumented builds back to back)."""
-    global _override
-    previous = _override
-    _override = flag
-    try:
-        yield
-    finally:
-        _override = previous
 
 
 def reset() -> None:

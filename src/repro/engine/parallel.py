@@ -27,8 +27,8 @@ Under CPython's GIL, pure-Python segment work cannot speed up across
 threads; the win is I/O overlap: workers stalled in (modeled or real)
 device reads release the interpreter, so scan-heavy pipelines whose
 working set misses the buffer pool scale with the worker count — the
-classic morsel-parallelism payoff, measured by ``benchmarks/
-bench_scale.py``.
+classic morsel-parallelism payoff (EXPERIMENTS.md E18: last measured
+against a modelled device; row identity is ``tests/test_parallel.py``).
 """
 
 from __future__ import annotations

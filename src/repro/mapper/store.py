@@ -463,24 +463,29 @@ class MapperStore:
         probe again.  Writers stage a unit's pre-image BEFORE mutating
         it, so a mutation racing the read is always visible to the
         second probe, and two misses prove that what was read is the
-        snapshot's state.  A hit returns the staged pre-image — the
-        primitive's own return value, captured by the writer."""
+        snapshot's state — or that its writer aborted, which leaves no
+        entry but moves ``versions.aborts``: then read again.  A hit is
+        the staged pre-image, the primitive's return value at staging."""
         snap = self.current_snapshot()
         if snap is None:
             return primitive(*args)
-        hit, pre = self.versions.lookup(snap, key)
-        if not hit:
+        versions = self.versions
+        while True:
+            aborts = versions.aborts
+            hit, pre = versions.lookup(snap, key)
             value = error = None
-            try:
-                value = primitive(*args)
-            except Exception as exc:    # a racing writer reshaped the unit
-                error = exc
-            hit, pre = self.versions.lookup(snap, key)
             if not hit:
+                try:
+                    value = primitive(*args)
+                except Exception as exc:    # a writer reshaped the unit
+                    error = exc
+                hit, pre = versions.lookup(snap, key)
+            if hit:
+                return pre
+            if versions.aborts == aborts:
                 if error is not None:
                     raise error
                 return value
-        return pre
 
     def _batch_probe(self, probe, *args):
         """``(found, missing, probed)`` for a batched cache probe whose
@@ -1289,17 +1294,21 @@ class MapperStore:
         snap = self.current_snapshot()
         if snap is not None:
             # Scan physically FIRST, then fold the membership deltas:
-            # writers stage before mutating, so any change racing the
-            # scan is already in the fold when we capture it.
-            try:
-                physical = [record["surrogate"]
-                            for _, _, record in record_file.scan(format_id)]
-            except Exception:   # a racing writer reshaped the unit; retry
-                physical = [record["surrogate"]
-                            for _, _, record in record_file.scan(format_id)]
-            yield from self.versions.visible_members(snap, class_name,
-                                                     physical)
-            return
+            # writers stage before mutating, so a change racing the scan
+            # is in the fold — or was aborted meanwhile: scan again.
+            while True:
+                aborts = self.versions.aborts
+                try:
+                    physical = [record["surrogate"] for _, _, record
+                                in record_file.scan(format_id)]
+                except Exception:   # a racing writer reshaped the unit
+                    physical = [record["surrogate"] for _, _, record
+                                in record_file.scan(format_id)]
+                visible = self.versions.visible_members(snap, class_name,
+                                                        physical)
+                if self.versions.aborts == aborts:
+                    yield from visible
+                    return
         for _, _, record in record_file.scan(format_id):
             yield record["surrogate"]
 
@@ -1380,16 +1389,18 @@ class MapperStore:
         that staged the record first, under the owner's unit latch — so
         ONE physical state of the index is wrong only about the records
         ``versions.changed`` names.  In ``_read``'s shape: read that
-        set, probe, read it again.  Empty both times, the unlatched
-        probe is exact.  A probe that ran unlatched beside a writer is
-        not one state (an ordered index shifts under a range probe and
-        loses a neighbour nobody changed): it is taken again under the
-        latch, set read included.  Then the candidates are the probe's
-        surrogates in probe order, then the changed ones in surrogate
-        order, and the versioned read of each decides."""
+        set, probe, read it again.  Empty both times and no abort in
+        between (``_read``), the unlatched probe is exact.  A probe that
+        ran unlatched beside a writer is not one state (an ordered index
+        shifts under a range probe and loses a neighbour nobody
+        changed): it is taken again under the latch, set read included.
+        Then the candidates are the probe's surrogates in probe order,
+        then the changed ones by surrogate; each one's versioned read
+        decides."""
         snap = self.current_snapshot()
         classes = (owner,) if owner == class_name else (owner, class_name)
         for attempt in range(0 if probe is None else _PROBE_ATTEMPTS):
+            aborts = self.versions.aborts
             changed = self.versions.changed(snap, classes)
             latched = bool(changed) or attempt > 0
             try:
@@ -1398,10 +1409,12 @@ class MapperStore:
                     found = self._surrogates_at(owner, probe())
                     after = self.versions.changed(snap, classes)
             except Exception:       # reshaped under an unlatched probe?
-                if not (changed or self.versions.changed(snap, classes)):
+                if not (changed or self.versions.changed(snap, classes)
+                        or self.versions.aborts != aborts):
                     raise
                 continue
-            if not (changed or after):
+            if not (changed or after) and (
+                    latched or self.versions.aborts == aborts):
                 return found if owner == class_name else [
                     s for s in found if self.has_role(s, class_name)]
             if not latched:         # a writer came: maybe a torn probe

@@ -42,7 +42,10 @@ writes read physical (read-your-own-writes).
 
 Writers stage BEFORE mutating, so a lock-free reader can double-check:
 probe the version map, read physical on a miss, then re-probe — a
-concurrent mutation is caught by the second probe.  The probe's miss —
+concurrent mutation is caught by the second probe — unless it was
+*aborted* in between, which leaves nothing to find: an abort counts
+itself (``aborts``) before its first pre-image goes, and a reader whose
+probes both missed reads again when the count moved.  The probe's miss —
 the answer for every key no writer has touched — takes no mutex either
 (:meth:`VersionManager.lookup`, :meth:`VersionManager.changed`): a key
 is looked for among the pending entries first and the committed ones
@@ -119,6 +122,8 @@ class VersionManager:
         #: commit counter; bumped once per committed transaction that
         #: staged anything
         self.epoch = 0
+        #: aborted transactions that had staged anything (module doc)
+        self.aborts = 0
         # pending (uncommitted) pre-images: key -> (txn_id, pre)
         self._pending: Dict[tuple, Tuple[Optional[int], object]] = {}
         self._txn_keys: Dict[Optional[int], List[tuple]] = {}
@@ -259,9 +264,11 @@ class VersionManager:
         """Drop the transaction's pending pre-images (the undo log has
         restored the physical state they described)."""
         with self._mutex:
-            for key in self._txn_keys.pop(txn_id, ()):
+            keys = self._txn_keys.pop(txn_id, ())
+            if self._member_pending.pop(txn_id, None) or keys:
+                self.aborts += 1    # counted first (module doc)
+            for key in keys:
                 self._unpend(key)
-            self._member_pending.pop(txn_id, None)
 
     def _unpend(self, key: tuple) -> None:
         if key[0] == "rec":

@@ -42,11 +42,6 @@ class IOStats:
         self.physical_reads = 0
         self.physical_writes = 0
 
-    def __repr__(self):
-        return (f"IOStats(logical={self.logical_reads}, "
-                f"physical_reads={self.physical_reads}, "
-                f"physical_writes={self.physical_writes})")
-
 
 class Block:
     """One disk block: a list of record slots.

@@ -8,7 +8,7 @@
   generalization chain of configurable depth, for the variable-format vs
   separate-units experiment (E5).
 * :func:`scale_schema` / :func:`populate_scale` / :func:`scale_queries` —
-  the 10^5-10^6-entity workload behind ``benchmarks/bench_scale.py``: a
+  the 10^4-10^6-entity workload of ``benchmarks/e2e``'s analytic cells: a
   long 1:many EVA chain (``tier0 → tier1 → ...``), a heavy many:many EVA
   into a ``part`` class, and a generalization diamond (``asset`` ←
   ``tracked``/``costed`` ← ``part``) so traversal-heavy queries exercise
@@ -144,7 +144,7 @@ def populate_hierarchy_chain(database: Database, depth: int, entities: int,
 
 
 def scale_schema(chain_depth: int = 3) -> Schema:
-    """The BENCH_scale schema: a ``chain_depth``-long 1:many EVA chain
+    """The scale schema: a ``chain_depth``-long 1:many EVA chain
     ``tier0 → tier1 → ...`` (EVA ``feeds``, inverse ``fed-by``), a heavy
     many:many EVA ``links`` between the last tier and ``part``, and a
     generalization diamond ``asset`` ← ``tracked``/``costed`` ← ``part``
@@ -250,14 +250,14 @@ def populate_scale(database: Database, entities: int, chain_depth: int = 3,
 
 
 def scale_queries(chain_depth: int = 3) -> List[str]:
-    """The BENCH_scale query set: chained traversal, many:many probes
+    """The scale query set: chained traversal, many:many probes
     with selection and aggregation, and inherited-DVA reads through the
     generalization diamond.
 
     The selection-form queries (WHERE over a traversal path) do their
     record reads in the parallel-safe pipeline segment; the target-path
     and aggregate forms deliberately keep that work in the serial
-    Project/Aggregate consumers, so the benchmark shows both sides of
+    Project/Aggregate consumers, so the set shows both sides of
     the morsel barrier.
     """
     last = chain_depth - 1

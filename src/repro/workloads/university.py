@@ -79,8 +79,8 @@ Class Department (
 #: The canonical UNIVERSITY workload: one query per major DML form of §4
 #: (retrieval, implicit joins, TYPE 3 target paths, TYPE 2 existentials,
 #: aggregates, quantifiers, ISA tests, AS role conversion, transitive
-#: closure).  The lint sweep and the E15 benchmark iterate this list; all
-#: of them compile without a single simcheck error or warning.
+#: closure).  The lint sweep (``tests/test_analysis.py``) iterates this
+#: list; all of them compile without a single simcheck error or warning.
 UNIVERSITY_QUERIES = [
     "From student Retrieve name, student-nbr",
     "From student Retrieve name, name of advisor",

@@ -23,11 +23,15 @@ of EVA mapping x MV DVA mapping x hierarchy mapping this suite drives
     (or ``as_of`` the epoch before them) it returns the saved answer
     without one ``scan_class`` call, in an order that no writer's
     timing decides — also when the writer is forced in between the
-    reader's two ``versions.changed`` reads.
+    reader's two ``versions.changed`` reads;
+(g) a writer that stages, mutates AND aborts wholly inside one read —
+    between its two version probes, where no chain entry is left to
+    find — is seen by none of ``_read``, ``_find`` and ``scan_class``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import sys
 import threading
@@ -690,9 +694,9 @@ class TestFindBesideARacingWriter:
             self, world):
         """The scheduler-driven form, time-boxed: one writer keeps
         swapping two people's unique keys (three index moves a
-        transaction), more readers than cores pin and probe both keys.
-        Whatever the interleaving, a pinned view holds each key exactly
-        once, on different people."""
+        transaction, committed and aborted in turn), more readers than
+        cores pin and probe both keys.  Whatever the interleaving, a
+        pinned view holds each key exactly once, on different people."""
         store, ssn = world.store, world.attrs["ssn"]
         a, b = world.people[0], world.people[1]
         stop, failures = threading.Event(), []
@@ -704,8 +708,10 @@ class TestFindBesideARacingWriter:
             store.write_dva(a, ssn, theirs)
 
         def write():
-            while not stop.is_set():
-                world.in_transaction(swap)
+            for finish in itertools.cycle(("commit", "abort")):
+                if stop.is_set():
+                    break
+                world.in_transaction(swap, finish=finish)
 
         def read():
             while not stop.is_set():
@@ -766,3 +772,100 @@ class TestFindBesideARacingWriter:
                     store.find_by_dva("worker", "badge", 0)
         finally:
             store.end_snapshot(pinned)
+
+
+class TestWriterThatAbortsBetweenTheProbes:
+    """The writer stages, mutates and aborts INSIDE the reader's
+    physical read: after the first version probe missed, around the one
+    call that reads the mutated unit, before the second probe.  An abort
+    leaves no pending pre-image and no chain entry — both probes miss,
+    and only ``versions.aborts`` says the value in hand was never
+    committed.  Forced from inside the read, each writer step run to
+    completion on a thread of its own."""
+
+    @pytest.fixture()
+    def world(self):
+        return World(build(*CONFIGS[0]))
+
+    @staticmethod
+    def on_a_thread(step):
+        outcome = []
+        thread = threading.Thread(target=lambda: outcome.append(step()))
+        thread.start()
+        thread.join(10.0)
+        assert outcome, "the writer's step blocked or raised"
+        return outcome[0]
+
+    @classmethod
+    @contextlib.contextmanager
+    def aborted_writer_inside(cls, world, target, method_name, write,
+                              result_of=lambda returned: returned):
+        """The first ``target.method_name`` call runs between an open
+        transaction's ``write`` and its abort (``result_of=list`` when
+        it returns a generator: the reading is in the iteration)."""
+        real = getattr(target, method_name)
+        calls = []
+
+        def wrapper(*args, **kwargs):
+            delattr(target, method_name)    # the writer reads it too
+            txn = cls.on_a_thread(
+                lambda: world.in_transaction(write, finish=None))
+            result = result_of(real(*args, **kwargs))
+            cls.on_a_thread(lambda: world.finish(txn, "abort"))
+            calls.append(result)
+            return result
+
+        setattr(target, method_name, wrapper)
+        yield calls
+        assert len(calls) == 1, "the read never reached the parked call"
+
+    def test_read_takes_the_unit_again(self, world):
+        store, name = world.store, world.attrs["name"]
+        person = world.people[1]
+        pinned = store.begin_snapshot()
+        store.read_cache.clear()
+        try:
+            with self.aborted_writer_inside(
+                    world, store._class_file["person"], "read",
+                    lambda: store.write_dva(person, name, "Never")) as read:
+                with store.snapshot_scope(pinned):
+                    assert store.read_dva(person, name) == "P1"
+            assert read[0][1]["name"] == "Never"    # the dirty value was read
+        finally:
+            store.end_snapshot(pinned)
+        assert store.read_dva(person, name) == "P1"
+        assert store.check().ok
+
+    def test_find_takes_the_probe_again_under_the_latch(self, world, scans):
+        store, ssn = world.store, world.attrs["ssn"]
+        person = world.people[1]
+        pinned = store.begin_snapshot()
+        try:
+            with self.aborted_writer_inside(
+                    world, store._unique_index["person", "ssn"], "lookup",
+                    lambda: store.write_dva(person, ssn, 555)) as probed:
+                with store.snapshot_scope(pinned):
+                    assert store.find_by_dva("person", "ssn", 101) == [person]
+            assert list(probed[0]) == []            # the key had moved away
+        finally:
+            store.end_snapshot(pinned)
+        assert scans == []
+        assert store.perf.snapshot_find_scans == 0
+        assert store.check().ok
+
+    def test_scan_takes_the_extent_again(self, world):
+        store = world.store
+        before = list(store.scan_class("person"))
+        pinned = store.begin_snapshot()
+        try:
+            with self.aborted_writer_inside(
+                    world, store._class_file["person"], "scan",
+                    lambda: store.insert_entity("person", {
+                        "name": "Never", "ssn": 555, "age": 1}),
+                    result_of=list) as scanned:
+                with store.snapshot_scope(pinned):
+                    assert list(store.scan_class("person")) == before
+            assert len(scanned[0]) == len(before) + 1   # the phantom was read
+        finally:
+            store.end_snapshot(pinned)
+        assert store.check().ok

@@ -34,6 +34,17 @@ class TestDurability:
         db.simulate_crash()
         assert db.query("From person Retrieve name").rows == [("Keep",)]
 
+    def test_recovery_undoes_the_losers_slots_and_nothing_else(self, db):
+        with db.transaction():
+            db.execute('Insert person(name := "Keep", soc-sec-no := 1)')
+        assert db.simulate_crash()["undone_slots"] == 0
+        db.begin()
+        for k in range(5):
+            db.execute(f'Insert person(soc-sec-no := {k + 2})')
+        db.store.pool.flush()
+        assert db.simulate_crash()["undone_slots"] >= 5
+        assert db.store.class_count("person") == 1
+
     def test_unflushed_inflight_also_gone(self, db):
         db.begin()
         db.execute('Insert person(name := "Volatile", soc-sec-no := 1)')

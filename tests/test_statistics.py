@@ -112,3 +112,16 @@ class TestOptimizerIntegration:
         from repro.interfaces import run_script
         transcript = run_script(db, ".analyze\n")
         assert "analyzed" in transcript
+
+
+class TestDatabaseStatistics:
+    def test_io_is_three_integers_a_json_client_can_read(self, db):
+        import json
+        db.query("From student Retrieve name")
+        statistics = db.statistics()
+        io = statistics["io"]
+        assert set(io) == {"logical_reads", "physical_reads",
+                           "physical_writes"}
+        assert all(type(count) is int for count in io.values())
+        assert io["logical_reads"] == db.io_stats.logical_reads > 0
+        assert json.loads(json.dumps(statistics))["io"] == io

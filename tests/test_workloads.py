@@ -14,6 +14,7 @@ from repro.workloads import (
     populate_fanout,
     populate_hierarchy_chain,
 )
+from repro.workloads.generators import populate_scale, scale_schema
 
 
 class TestUniversityPopulation:
@@ -119,3 +120,13 @@ class TestSyntheticGenerators:
         row = db.query("From level4 Retrieve data0, data4"
                        " Where key0 = 1").rows[0]
         assert "level 0" in row[0] and "level 4" in row[1]
+
+    def test_scale_population_is_the_size_asked_for(self):
+        """What E18's measured database was checked for: tiers growing
+        by the fan-out down the chain, the remainder parts."""
+        db = Database(scale_schema(3), constraint_mode="off")
+        created = populate_scale(db, 600, chain_depth=3)
+        sizes = {name: db.store.class_count(name) for name in created}
+        assert sizes == {name: len(made) for name, made in created.items()}
+        assert sum(sizes.values()) == 600
+        assert sizes["tier0"] * 8 <= sizes["tier1"] < sizes["tier2"]
