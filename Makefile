@@ -15,6 +15,8 @@ loc:
 		| xargs printf 'src/repro/**/*.py  %s lines\n'
 	@wc -l < src/repro/mapper/store.py \
 		| xargs printf 'mapper/store.py    %s lines\n'
+	@wc -l < src/repro/mapper/mappings.py \
+		| xargs printf 'mapper/mappings.py %s lines\n'
 	@wc -l < src/repro/mapper/read_cache.py \
 		| xargs printf 'mapper/read_cache.py %s lines\n'
 	@cat benchmarks/*.py | wc -l \

@@ -41,7 +41,7 @@ def test_e3_luc_translation(benchmark):
 def test_e3_physical_layout(benchmark):
     schema = build_adds_schema()
     store = benchmark(lambda: MapperStore(schema))
-    assert len(store._eva_info) == ADDS_TARGET["eva_inverse_pairs"]
+    assert len(store._evas) == ADDS_TARGET["eva_inverse_pairs"]
 
 
 def test_e3_deep_hierarchy_operations(benchmark):

@@ -27,7 +27,10 @@ would notice.  :func:`check_store` sweeps the physical state and verifies:
 The checker is deliberately white-box (it reads the Mapper's structures
 directly) and runs with the read cache and any materialized derived
 relations disabled — verdicts must come from physical state, never from
-cached decodes or stored derivations.  It mutates nothing.
+cached decodes or stored derivations.  It mutates nothing.  What depends
+on a §5.2 mapping is the mapping object's ``check``
+(:mod:`repro.mapper.mappings`), which re-derives from this sweep's scan
+what recovery's ``rebuild`` is tested against.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from repro.mapper.physical import EvaMapping
 from repro.naming import canon
 from repro.storage.records import RID
 from repro.types.tvl import is_null
@@ -67,6 +69,16 @@ class CheckReport:
     def bump(self, what: str, count: int = 1) -> None:
         self.checked[what] = self.checked.get(what, 0) + count
 
+    def compare_index(self, index, expected) -> int:
+        """Report where ``index``'s (key, rid) entries differ from those a
+        physical scan ``expected``; returns how many it holds."""
+        actual = set(index.items())
+        for key, rid in expected - actual:
+            self.add("index", f"{index.name}: missing entry {key!r} -> {rid}")
+        for key, rid in actual - expected:
+            self.add("index", f"{index.name}: stale entry {key!r} -> {rid}")
+        return len(actual)
+
     def summary(self) -> str:
         ground = ", ".join(f"{k}={v}" for k, v in sorted(self.checked.items()))
         if self.ok:
@@ -93,7 +105,8 @@ def check_store(store, constraints: bool = True) -> CheckReport:
         _check_surrogate_indexes(store, scans, report)
         _check_hierarchy(store, scans, report)
         _check_secondary_indexes(store, scans, report)
-        _check_mvdva(store, scans, report)
+        for mv in store._mvs.values():
+            mv.check(scans, report)
         _check_evas(store, scans, report)
         _check_free_space(store, report)
         if constraints:
@@ -126,19 +139,10 @@ def _scan_classes(store, report) -> Dict[str, Dict[int, Tuple[RID, dict]]]:
 
 def _check_surrogate_indexes(store, scans, report) -> None:
     for class_name, members in scans.items():
-        index = store._surrogate_index[class_name]
-        for surrogate, (rid, _) in members.items():
-            if index.lookup_one(surrogate) != rid:
-                report.add("index",
-                           f"surr--{class_name}: record {surrogate}@{rid} "
-                           f"not indexed (or at wrong rid)")
-        for surrogate, rid in index.items():
-            entry = members.get(surrogate)
-            if entry is None or entry[0] != rid:
-                report.add("index",
-                           f"surr--{class_name}: stale entry "
-                           f"{surrogate} -> {rid}")
-        report.bump("surrogate_index_entries", index.entries)
+        expected = {(surrogate, rid)
+                    for surrogate, (rid, _) in members.items()}
+        report.bump("surrogate_index_entries", report.compare_index(
+            store._surrogate_index[class_name], expected))
 
 
 def _check_hierarchy(store, scans, report) -> None:
@@ -156,152 +160,24 @@ def _check_hierarchy(store, scans, report) -> None:
 
 
 def _check_secondary_indexes(store, scans, report) -> None:
-    groups = (("unique", store._unique_index),
-              ("value", store._value_index))
-    for label, indexes in groups:
+    for indexes in (store._unique_index, store._value_index):
         for (class_name, attr_name), index in indexes.items():
-            members = scans.get(class_name, {})
-            expected = set()
-            for surrogate, (rid, record) in members.items():
-                value = record.get(attr_name)
-                if not is_null(value):
-                    expected.add((value, rid))
-            actual = set(index.items())
-            for value, rid in expected - actual:
-                report.add("index",
-                           f"{label} index {class_name}.{attr_name}: "
-                           f"record value {value!r}@{rid} not indexed")
-            for value, rid in actual - expected:
-                report.add("index",
-                           f"{label} index {class_name}.{attr_name}: "
-                           f"stale entry {value!r} -> {rid}")
-            report.bump("secondary_index_entries", len(actual))
+            expected = {(record[attr_name], rid) for rid, record
+                        in scans.get(class_name, {}).values()
+                        if not is_null(record.get(attr_name))}
+            report.bump("secondary_index_entries",
+                        report.compare_index(index, expected))
 
-
-def _check_mvdva(store, scans, report) -> None:
-    for key, record_file in store._mvdva_file.items():
-        class_name, attr_name = key
-        index = store._mvdva_index[key]
-        members = scans.get(class_name, {})
-        expected = set()
-        for rid, _, record in record_file.scan(store._mvdva_format[key]):
-            owner = record["owner"]
-            expected.add((owner, rid))
-            if owner not in members:
-                report.add("mvdva",
-                           f"{class_name}.{attr_name}: value row {rid} "
-                           f"owned by absent entity {owner}")
-        actual = set(index.items())
-        for owner, rid in expected - actual:
-            report.add("index",
-                       f"mv index {class_name}.{attr_name}: row {rid} of "
-                       f"owner {owner} not indexed")
-        for owner, rid in actual - expected:
-            report.add("index",
-                       f"mv index {class_name}.{attr_name}: stale entry "
-                       f"{owner} -> {rid}")
-        report.bump("mvdva_rows", len(expected))
-
-
-# ---------------------------------------------------------------------- EVAs
 
 def _check_evas(store, scans, report) -> None:
-    for info in store._eva_info.values():
-        canonical = info.canonical
-        owner_class = canon(canonical.owner_name)
-        range_class = canon(canonical.range_class_name)
-        if info.mapping is EvaMapping.FOREIGN_KEY:
-            count = _check_fk_eva(store, info, scans, report)
-        elif info.mapping is EvaMapping.POINTER:
-            count = _check_ptr_eva(store, info, scans, report)
-        else:
-            count = _check_structure_eva(store, info, scans, report,
-                                         owner_class, range_class)
+    for info in store._evas.values():
+        count = info.check(scans, report)
         if info.instance_count != count:
             report.add("eva",
-                       f"{owner_class}.{canonical.name}: instance_count "
-                       f"{info.instance_count} != physical {count}")
+                       f"{info.canonical.owner_name}.{info.canonical.name}: "
+                       f"instance_count {info.instance_count} != physical "
+                       f"{count}")
         report.bump("eva_instances", count)
-
-
-def _check_structure_eva(store, info, scans, report, owner_class,
-                         range_class) -> int:
-    count = 0
-    forward_expected, reverse_expected = set(), set()
-    for rid, _, record in info.file.scan(info.format_id):
-        if record["rel"] != info.rel_id:
-            continue
-        count += 1
-        surr1, surr2 = record["surr1"], record["surr2"]
-        name = f"{owner_class}.{info.canonical.name}"
-        if surr1 not in scans.get(owner_class, {}):
-            report.add("eva", f"{name}: instance ({surr1}, {surr2}) dangles "
-                              f"— {surr1} has no {owner_class!r} role")
-        if surr2 not in scans.get(range_class, {}):
-            report.add("eva", f"{name}: instance ({surr1}, {surr2}) dangles "
-                              f"— {surr2} has no {range_class!r} role")
-        forward_expected.add(((info.rel_id, surr1), rid))
-        reverse_expected.add(((info.rel_id, surr2), rid))
-    _compare_index(info.forward, forward_expected,
-                   f"fwd--{owner_class}--{info.canonical.name}", report)
-    _compare_index(info.reverse, reverse_expected,
-                   f"rev--{owner_class}--{info.canonical.name}", report)
-    return count
-
-
-def _check_fk_eva(store, info, scans, report) -> int:
-    holder_class = canon(info.fk_eva.owner_name)
-    target_class = canon(info.fk_eva.range_class_name)
-    name = f"{holder_class}.{info.fk_eva.name}"
-    count = 0
-    reverse_expected = set()
-    for surrogate, (rid, record) in scans.get(holder_class, {}).items():
-        value = record.get(info.fk_field)
-        if is_null(value):
-            continue
-        count += 1
-        if value not in scans.get(target_class, {}):
-            report.add("eva", f"{name}: entity {surrogate} references "
-                              f"absent {target_class!r} entity {value}")
-        reverse_expected.add((value, rid))
-    _compare_index(info.fk_reverse, reverse_expected,
-                   f"fkrev--{name}", report)
-    return count
-
-
-def _check_ptr_eva(store, info, scans, report) -> int:
-    owner_class = canon(info.canonical.owner_name)
-    range_class = canon(info.canonical.range_class_name)
-    name = f"{owner_class}.{info.canonical.name}"
-    count = 0
-    reverse_expected = set()
-    for surrogate, (rid, record) in scans.get(owner_class, {}).items():
-        stored = record.get(info.ptr_field)
-        if is_null(stored):
-            continue
-        for target_surr, block, slot in stored:
-            count += 1
-            target = scans.get(range_class, {}).get(target_surr)
-            if target is None:
-                report.add("eva", f"{name}: entity {surrogate} points at "
-                                  f"absent {range_class!r} entity "
-                                  f"{target_surr}")
-            elif target[0] != RID(block, slot):
-                report.add("eva", f"{name}: stale absolute address for "
-                                  f"{target_surr} ({RID(block, slot)} vs "
-                                  f"{target[0]})")
-            reverse_expected.add((target_surr, rid))
-    _compare_index(info.ptr_reverse, reverse_expected,
-                   f"ptrrev--{name}", report)
-    return count
-
-
-def _compare_index(index, expected, name, report) -> None:
-    actual = set(index.items())
-    for key, rid in expected - actual:
-        report.add("index", f"{name}: missing entry {key!r} -> {rid}")
-    for key, rid in actual - expected:
-        report.add("index", f"{name}: stale entry {key!r} -> {rid}")
 
 
 # ----------------------------------------------------------------- substrate

@@ -243,7 +243,7 @@ class UpdateEngine:
                 validated = [attr.data_type.validate(v) for v in values]
                 self._check_mv_bounds(attr, validated)
                 dva_values[attr.owner_name][attr.name] = \
-                    self.store._encode_mv(attr, validated)
+                    self.store.mv_info(attr).encode(validated)
             else:
                 dva_values[attr.owner_name][attr.name] = \
                     attr.data_type.validate(value)

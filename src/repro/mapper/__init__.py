@@ -15,7 +15,8 @@ This package provides:
 * physical mapping options — variable-format records for tree
   hierarchies, arrays vs. separate units for MV DVAs, foreign-key /
   common-structure / dedicated / clustered / pointer EVA mappings, and
-  surrogate key kinds (:mod:`repro.mapper.physical`);
+  surrogate key kinds (:mod:`repro.mapper.physical`), each EVA / MV DVA
+  option realized by one storage object (:mod:`repro.mapper.mappings`);
 * the runtime store implementing entity/attribute/relationship operations
   with structural-integrity maintenance over the storage substrate
   (:mod:`repro.mapper.store`).

@@ -251,7 +251,7 @@ class MaterializationManager:
         forward: Dict[int, tuple] = {}
         reverse: Dict[int, tuple] = {}
         for source in list(store.scan_class(canonical.owner_name)):
-            targets = store._traverse_side(info, True, source)
+            targets = info.targets(True, source)
             if targets:
                 forward[source] = tuple(targets)
                 for target in targets:

@@ -20,6 +20,11 @@ default.  A :class:`PhysicalDesign` captures all the choices:
   owner's record).
 * **Surrogate key kind** — ``direct``, ``hash`` or ``ordered``
   (index-sequential).
+
+This module decides; :mod:`repro.mapper.mappings` realizes.  Its class
+tables turn each EVA and MV DVA decision into one storage object that
+every operation asks (``docs/INTERNALS.md`` §2 has the table: mapping →
+class → where an instance lives → first/next cost → what recovery scans).
 """
 
 from __future__ import annotations

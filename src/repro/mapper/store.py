@@ -20,9 +20,15 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import CatalogError, IntegrityError, UniquenessViolation
 from repro.mapper.luc import LUCSchema
+from repro.mapper.mappings import (
+    EVA_MAPPINGS,
+    MV_MAPPINGS,
+    SURROGATE_WIDTH,
+    EvaStorage,
+)
 from repro.mapper.materialized import MaterializationManager
 from repro.mapper.read_cache import MISSING, ReadCache
-from repro.mapper.physical import EvaMapping, MvDvaMapping, PhysicalDesign
+from repro.mapper.physical import PhysicalDesign
 from repro.mapper.writes import ReadCacheSubscriber, WriteNotifier
 from repro.mapper.translate import canonical_eva, translate_schema
 from repro.mapper.versions import ABSENT, VersionManager
@@ -39,9 +45,6 @@ from repro.storage.records import RID, RecordFormat, field_width_for_type
 from repro.storage.transactions import TransactionManager
 from repro.storage.wal import WriteAheadLog, undo_losers
 from repro.types.tvl import NULL, is_null
-
-_POINTER_WIDTH = 12
-_SURROGATE_WIDTH = 6
 
 #: returned by ``_staging_txn`` when pre-image staging must be skipped
 #: (MVCC off, or the mutation is undo compensation during rollback)
@@ -72,35 +75,6 @@ class _PinnedSnapshot(threading.local):
     unpinned read is a plain attribute load, not a caught AttributeError."""
 
     snap = None
-
-
-class _EvaInfo:
-    """Runtime bookkeeping for one canonical EVA pair."""
-
-    def __init__(self, canonical: EntityValuedAttribute, rel_id: int,
-                 mapping: EvaMapping):
-        self.canonical = canonical
-        self.rel_id = rel_id
-        self.mapping = mapping
-        self.instance_count = 0
-        # COMMON / DEDICATED / CLUSTERED:
-        self.file: Optional[RecordFile] = None
-        self.format_id: Optional[int] = None
-        self.forward: Optional[HashIndex] = None   # surr1 -> rel-record RIDs
-        self.reverse: Optional[HashIndex] = None   # surr2 -> rel-record RIDs
-        # FOREIGN_KEY:
-        self.fk_field: Optional[str] = None
-        #: the EVA side whose owner record holds the key (the single-valued
-        #: side; the canonical side for 1:1 pairs)
-        self.fk_eva: Optional[EntityValuedAttribute] = None
-        self.fk_reverse: Optional[HashIndex] = None  # target surr -> holder RID
-        # POINTER:
-        self.ptr_field: Optional[str] = None
-        self.ptr_reverse: Optional[HashIndex] = None  # target surr -> owner surr
-
-    @property
-    def self_inverse(self) -> bool:
-        return self.canonical.inverse is self.canonical
 
 
 class MapperStore:
@@ -175,19 +149,11 @@ class MapperStore:
         #: class -> [(attr, index)] over both dicts above, for the role
         #: mutators that maintain every index of one class
         self._class_indexes: Dict[str, List[Tuple[str, object]]] = {}
-
-        self._mvdva_file: Dict[Tuple[str, str], RecordFile] = {}
-        self._mvdva_format: Dict[Tuple[str, str], int] = {}
-        self._mvdva_index: Dict[Tuple[str, str], HashIndex] = {}
-        self._mvdva_seq: Dict[Tuple[str, str, int], int] = {}
-
-        self._eva_info: Dict[Tuple[str, str], _EvaInfo] = {}
-        self._common_file: Optional[RecordFile] = None
-        self._common_format: Optional[int] = None
-
+        #: (class, attr) -> its MV DVA's storage object (mappings.py)
+        self._mvs: Dict[Tuple[str, str], object] = {}
+        #: canonical (owner, name) -> the EVA pair's storage object
+        self._evas: Dict[Tuple[str, str], EvaStorage] = {}
         self._next_surrogate = 1
-        self._rel_counter = 0
-
         self._build_layout()
 
     # ------------------------------------------------------------------ layout
@@ -240,31 +206,31 @@ class MapperStore:
         # Record formats and MV DVA units.
         for sim_class in self.schema.classes():
             class_name = sim_class.name
-            fields = {"surrogate": _SURROGATE_WIDTH}
+            fields = {"surrogate": SURROGATE_WIDTH}
             for attr in sim_class.immediate_attributes.values():
                 if attr.is_eva or attr.is_subrole or attr.is_surrogate:
                     continue
                 if attr.single_valued:
                     fields[attr.name] = field_width_for_type(attr.data_type)
-                elif self.design.mv_dva_mapping(attr) is MvDvaMapping.ARRAY:
-                    elem = field_width_for_type(attr.data_type)
-                    fields[attr.name] = elem * attr.options.max_cardinality
-                else:
-                    self._build_mvdva_unit(class_name, attr)
+                    continue
+                mv = MV_MAPPINGS[self.design.mv_dva_mapping(attr)](
+                    self, class_name, attr)
+                mv.build(fields)
+                self._mvs[(class_name, attr.name)] = mv
             # Foreign-key / pointer fields are added when EVAs are laid
             # out below, so the format is registered afterwards.
             sim_class._scratch_fields = fields
 
         # EVA structures (may add fields to class formats).
-        seen = set()
         for sim_class in self.schema.classes():
             for eva in sim_class.immediate_evas():
                 canonical = canonical_eva(eva)
                 key = (canonical.owner_name, canonical.name)
-                if key in seen:
-                    continue
-                seen.add(key)
-                self._build_eva(canonical)
+                if key not in self._evas:
+                    self._evas[key] = info = EVA_MAPPINGS[
+                        self.design.eva_mapping(canonical)](
+                            self, canonical, len(self._evas) + 1)
+                    info.build()
 
         # Now freeze class formats.
         for sim_class in self.schema.classes():
@@ -298,82 +264,8 @@ class MapperStore:
         for group in (self._unique_index, self._value_index):
             for (class_name, attr_name), index in group.items():
                 self._class_indexes[class_name].append((attr_name, index))
-        for class_name, attr_name in self._mvdva_file:
-            self._mvdva_index[(class_name, attr_name)] = HashIndex(
-                f"mvidx--{class_name}--{attr_name}")
-        self._mvdva_seq = {}
-        for info in self._eva_info.values():
-            info.instance_count = 0
-            if info.fk_field is not None:
-                info.fk_reverse = HashIndex(
-                    f"fkrev--{info.fk_eva.owner_name}--{info.fk_eva.name}")
-            elif info.ptr_field is not None:
-                info.ptr_reverse = HashIndex(
-                    f"ptrrev--{info.canonical.owner_name}"
-                    f"--{info.canonical.name}")
-            else:
-                prefix = f"{info.canonical.owner_name}--{info.canonical.name}"
-                info.forward = HashIndex(f"fwd--{prefix}")
-                info.reverse = HashIndex(f"rev--{prefix}")
-
-    def _build_mvdva_unit(self, class_name: str, attr) -> None:
-        key = (class_name, attr.name)
-        record_file = self._new_file(f"mv--{class_name}--{attr.name}")
-        fields = {
-            "owner": _SURROGATE_WIDTH,
-            "seq": 4,
-            "value": field_width_for_type(attr.data_type),
-        }
-        self._mvdva_file[key] = record_file
-        self._mvdva_format[key] = self._new_format(
-            record_file, f"mvrec--{class_name}--{attr.name}", fields)
-
-    def _build_eva(self, canonical: EntityValuedAttribute) -> None:
-        mapping = self.design.eva_mapping(canonical)
-        self._rel_counter += 1
-        info = _EvaInfo(canonical, self._rel_counter, mapping)
-        owner_class = self.schema.get_class(canonical.owner_name)
-
-        if mapping is EvaMapping.FOREIGN_KEY:
-            # The key lives on a single-valued side (§5.2: 1:1 EVAs map to
-            # foreign keys; a many:1 side may be chosen by override).
-            holder = (canonical if canonical.single_valued
-                      else canonical.inverse)
-            info.fk_eva = holder
-            info.fk_field = f"fk--{holder.name}"
-            holder_class = self.schema.get_class(holder.owner_name)
-            holder_class._scratch_fields[info.fk_field] = _SURROGATE_WIDTH
-        elif mapping is EvaMapping.POINTER:
-            info.ptr_field = f"ptr--{canonical.name}"
-            slots = canonical.options.max_cardinality or 8
-            width = _POINTER_WIDTH * (slots if canonical.multi_valued else 1)
-            owner_class._scratch_fields[info.ptr_field] = width
-        else:
-            rel_fields = {"surr1": _SURROGATE_WIDTH, "rel": 2,
-                          "surr2": _SURROGATE_WIDTH}
-            if mapping is EvaMapping.COMMON:
-                if self._common_file is None:
-                    self._common_file = self._new_file("common-eva-structure")
-                    self._common_format = self._new_format(
-                        self._common_file, "common-eva", rel_fields)
-                info.file = self._common_file
-                info.format_id = self._common_format
-            elif mapping is EvaMapping.DEDICATED:
-                info.file = self._new_file(
-                    f"eva--{canonical.owner_name}--{canonical.name}")
-                info.format_id = self._new_format(info.file, "eva", rel_fields)
-            elif mapping is EvaMapping.CLUSTERED:
-                # Relationship records live in the domain class's own unit,
-                # placed next to the domain entity's record; the unit holds
-                # back part of each block so late-arriving relationship
-                # records still fit next to their anchors.
-                info.file = self._class_file[canonical.owner_name]
-                info.file.cluster_reserve = max(info.file.cluster_reserve,
-                                                0.35)
-                info.format_id = self._new_format(
-                    info.file, f"eva--{canonical.name}", rel_fields)
-
-        self._eva_info[(canonical.owner_name, canonical.name)] = info
+        for storage in (*self._mvs.values(), *self._evas.values()):
+            storage.new_indexes()
 
     # ------------------------------------------------------------- identities
 
@@ -385,9 +277,14 @@ class MapperStore:
         self.transactions.record_undo(lambda: None)
         return surrogate
 
-    def eva_info(self, eva: EntityValuedAttribute) -> _EvaInfo:
+    def eva_info(self, eva: EntityValuedAttribute) -> EvaStorage:
+        """The pair's storage object (one per pair, for the store's life)."""
         canonical = canonical_eva(eva)
-        return self._eva_info[(canonical.owner_name, canonical.name)]
+        return self._evas[(canonical.owner_name, canonical.name)]
+
+    def mv_info(self, attr):
+        """The MV DVA's storage object (``ArrayMv`` or ``UnitMv``)."""
+        return self._mvs[(canon(attr.owner_name), attr.name)]
 
     def class_file(self, class_name: str) -> RecordFile:
         return self._class_file[canon(class_name)]
@@ -427,10 +324,9 @@ class MapperStore:
         """The commit epochs at which any read unit of this entity — a
         role record, a separate-unit MV DVA, a side of an EVA — changed."""
         keys = [("rec", name, surrogate) for name in self._class_file]
-        keys += [("mv", owner, name, surrogate)
-                 for owner, name in self._mvdva_file]
+        keys += [("mv", owner, name, surrogate) for owner, name in self._mvs]
         keys += [("fan", info.rel_id, side, surrogate)
-                 for info in self._eva_info.values() for side in (True, False)]
+                 for info in self._evas.values() for side in (True, False)]
         return self.versions.change_epochs(keys)
 
     def current_snapshot(self):
@@ -451,9 +347,10 @@ class MapperStore:
     # -- the read protocol -------------------------------------------------------
     #
     # Every read of versioned state is ``_read`` over one of three
-    # physical primitives — ``_role_record``, ``_mv_values``, ``_fanout``
-    # — and the writers' pre-image staging (``_stage``) calls the same
-    # primitives, so whoever asks, a unit is read by one piece of code.
+    # physical primitives — ``_role_record``, ``UnitMv.values``,
+    # ``_fanout`` — and the writers' pre-image staging (``_stage``) calls
+    # the same primitives, so whoever asks, a unit is read by one piece
+    # of code.
 
     def _read(self, key: tuple, primitive, *args):
         """What ``primitive(*args)`` reads, as of this thread's view.
@@ -527,20 +424,7 @@ class MapperStore:
         cache.put_record(class_name, surrogate, rid, values, epoch)
         return rid, values
 
-    def _mv_values(self, class_name: str, attr_name: str,
-                   surrogate: int) -> tuple:
-        """Primitive: a separate-unit MV DVA's values, in insertion
-        order (never cached)."""
-        key = (class_name, attr_name)
-        record_file = self._mvdva_file[key]
-        rows = []
-        for rid in self._mvdva_index[key].lookup(surrogate):
-            _, record = record_file.read(rid)
-            rows.append((record["seq"], record["value"]))
-        rows.sort(key=lambda pair: pair[0])
-        return tuple(value for _, value in rows)
-
-    def _fanout(self, info: _EvaInfo, side: bool, surrogate: int,
+    def _fanout(self, info: EvaStorage, side: bool, surrogate: int,
                 probed: bool = False) -> tuple:
         """Primitive: one side of an EVA's fan-out, whatever its
         physical mapping — fan-out cache, then a fresh join
@@ -561,7 +445,7 @@ class MapperStore:
             served = self.materialized.serve_eva(info.rel_id, side, surrogate)
             if served is not None:
                 return served
-        targets = tuple(self._traverse_side(info, side, surrogate))
+        targets = tuple(info.targets(side, surrogate))
         if latest:
             cache.put_fanout(info.rel_id, side, surrogate, targets, epoch)
         return targets
@@ -600,12 +484,7 @@ class MapperStore:
                 self.versions.stage_member(txn_id, class_name, surrogate,
                                            adding)
 
-    def _stage_mv(self, class_name: str, attr_name: str,
-                  surrogate: int) -> None:
-        self._stage(("mv", class_name, attr_name, surrogate),
-                    self._mv_values, class_name, attr_name, surrogate)
-
-    def _stage_fan(self, info: _EvaInfo, domain_surr: int,
+    def _stage_fan(self, info: EvaStorage, domain_surr: int,
                    range_surr: int) -> None:
         """Stage the fan-out pre-images an include/exclude is about to
         change — one key per affected (side, surrogate)."""
@@ -723,12 +602,11 @@ class MapperStore:
         for eva in sim_class.immediate_evas():
             for target in list(self.eva_targets(surrogate, eva)):
                 self.eva_exclude(surrogate, eva, target)
-        # Drop separate-unit MV DVA values.
-        for attr in sim_class.immediate_attributes.values():
-            if (not attr.is_eva and not attr.is_subrole and attr.multi_valued
-                    and self.design.mv_dva_mapping(attr)
-                    is MvDvaMapping.SEPARATE_UNIT):
-                self._mvdva_clear(surrogate, class_name, attr.name)
+        # Drop MV DVA values stored outside the record.
+        for attr_name in sim_class.immediate_attributes:
+            mv = self._mvs.get((class_name, attr_name))
+            if mv is not None:
+                mv.clear(surrogate)
         rid, format_id, record = self._drop_role_record(surrogate, class_name)
 
         def undo():
@@ -798,24 +676,20 @@ class MapperStore:
                 raise CatalogError(
                     f"attribute {attr_name!r} belongs to {owner!r}, outside "
                     f"the insertion chain {chain}")
-            if (attr.multi_valued and self.design.mv_dva_mapping(attr)
-                    is MvDvaMapping.SEPARATE_UNIT):
-                deferred_mv.append((attr, list(value)))
+            mv = self._mvs.get((owner, attr.name))
+            if mv is None:
+                by_class[owner][attr.name] = value
+            elif mv.in_record:
+                by_class[owner][attr.name] = mv.encode(value)
             else:
-                by_class[owner][attr.name] = self._encode_mv(attr, value)
+                deferred_mv.append((mv, list(value)))
         surrogate = self.new_surrogate()
         for name in chain:
             self.add_role(surrogate, name, by_class[name])
-        for attr, items in deferred_mv:
+        for mv, items in deferred_mv:
             for item in items:
-                self.mv_include(surrogate, attr, item)
+                mv.include(surrogate, item)
         return surrogate
-
-    def _encode_mv(self, attr, value):
-        if (attr.multi_valued
-                and self.design.mv_dva_mapping(attr) is MvDvaMapping.ARRAY):
-            return tuple(value)
-        return value
 
     # ------------------------------------------------------------------ DVAs
 
@@ -858,12 +732,7 @@ class MapperStore:
         if attr.single_valued:
             _, record = self.record_of(surrogate, owner)
             return record.get(attr.name, NULL)
-        if self.design.mv_dva_mapping(attr) is MvDvaMapping.ARRAY:
-            _, record = self.record_of(surrogate, owner)
-            stored = record.get(attr.name, NULL)
-            return [] if is_null(stored) else list(stored)
-        return list(self._read(("mv", owner, attr.name, surrogate),
-                               self._mv_values, owner, attr.name, surrogate))
+        return self._mvs[(owner, attr.name)].read(surrogate)
 
     def _read_subrole(self, surrogate: int, attr):
         roles = [name for name in attr.subclass_names
@@ -877,17 +746,10 @@ class MapperStore:
         if attr.is_subrole or attr.is_surrogate:
             raise IntegrityError(
                 f"attribute {attr.name!r} is system-maintained and read-only")
-        owner = canon(attr.owner_name)
         if attr.multi_valued:
-            if self.design.mv_dva_mapping(attr) is MvDvaMapping.ARRAY:
-                self._write_field(surrogate, owner, attr.name,
-                                  tuple(value) if not is_null(value) else NULL)
-            else:
-                self._mvdva_clear(surrogate, owner, attr.name)
-                for item in (value or []):
-                    self._mvdva_append(surrogate, owner, attr.name, item)
+            self.mv_info(attr).write(surrogate, value)
             return
-        self._write_field(surrogate, owner, attr.name, value,
+        self._write_field(surrogate, canon(attr.owner_name), attr.name, value,
                           maintain_indexes=True)
 
     def _write_field(self, surrogate: int, class_name: str, field: str,
@@ -923,89 +785,13 @@ class MapperStore:
                               maintain_indexes=maintain_indexes)
         self.transactions.record_undo(undo)
 
-    # -- separate-unit MV DVAs ---------------------------------------------------
-
     def mv_include(self, surrogate: int, attr, value) -> None:
         """INCLUDE one value into an MV DVA."""
-        owner = canon(attr.owner_name)
-        if self.design.mv_dva_mapping(attr) is MvDvaMapping.ARRAY:
-            current = self.read_dva(surrogate, attr)
-            current.append(value)
-            self._write_field(surrogate, owner, attr.name, tuple(current))
-        else:
-            self._mvdva_append(surrogate, owner, attr.name, value)
+        self.mv_info(attr).include(surrogate, value)
 
     def mv_exclude(self, surrogate: int, attr, value) -> bool:
         """EXCLUDE one occurrence of ``value``; returns True when found."""
-        owner = canon(attr.owner_name)
-        if self.design.mv_dva_mapping(attr) is MvDvaMapping.ARRAY:
-            current = self.read_dva(surrogate, attr)
-            if value not in current:
-                return False
-            current.remove(value)
-            self._write_field(surrogate, owner, attr.name, tuple(current))
-            return True
-        key = (owner, attr.name)
-        record_file = self._mvdva_file[key]
-        with record_file.latch:
-            self._stage_mv(owner, attr.name, surrogate)
-            for rid in self._mvdva_index[key].lookup(surrogate):
-                _, record = record_file.read(rid)
-                if record["value"] == value:
-                    self._mvdva_drop(key, surrogate, rid, record)
-                    self.writes.note_write()
-                    return True
-        return False
-
-    def _mvdva_drop(self, key: Tuple[str, str], surrogate: int, rid: RID,
-                    record: Dict[str, object]) -> None:
-        """Delete one MV value record (the caller holds the unit's
-        latch); an abort puts it back at the same RID."""
-        record_file = self._mvdva_file[key]
-        record_file.delete(rid)
-        self._mvdva_index[key].delete(surrogate, rid)
-
-        def undo():
-            # Abort replay runs outside any statement-level latching,
-            # so the closure latches the unit itself.
-            with record_file.latch:
-                record_file.undelete(rid, self._mvdva_format[key], record)
-                self._mvdva_index[key].insert(surrogate, rid)
-        self.transactions.record_undo(undo)
-
-    def _mvdva_append(self, surrogate: int, class_name: str, attr_name: str,
-                      value) -> None:
-        key = (class_name, attr_name)
-        record_file = self._mvdva_file[key]
-        with record_file.latch:
-            self._stage_mv(class_name, attr_name, surrogate)
-            seq_key = (class_name, attr_name, surrogate)
-            seq = self._mvdva_seq.get(seq_key, 0) + 1
-            self._mvdva_seq[seq_key] = seq
-            rid = record_file.insert(
-                self._mvdva_format[key],
-                {"owner": surrogate, "seq": seq, "value": value})
-            self._mvdva_index[key].insert(surrogate, rid)
-
-        def undo():
-            with record_file.latch:
-                record_file.delete(rid)
-                self._mvdva_index[key].delete(surrogate, rid)
-        self.transactions.record_undo(undo)
-        # Separate-unit MV values are not cached here, but engine memos
-        # validated against the epoch must still expire.
-        self.writes.note_write()
-
-    def _mvdva_clear(self, surrogate: int, class_name: str,
-                     attr_name: str) -> None:
-        key = (class_name, attr_name)
-        self.writes.note_write()
-        record_file = self._mvdva_file[key]
-        with record_file.latch:
-            self._stage_mv(class_name, attr_name, surrogate)
-            for rid in list(self._mvdva_index[key].lookup(surrogate)):
-                self._mvdva_drop(key, surrogate, rid,
-                                 record_file.read(rid)[1])
+        return self.mv_info(attr).exclude(surrogate, value)
 
     # ------------------------------------------- materialized derived relations
 
@@ -1032,7 +818,7 @@ class MapperStore:
                                self._fanout, info, side, surrogate))
 
     def _eva_side(self, eva: EntityValuedAttribute
-                  ) -> Tuple[_EvaInfo, bool]:
+                  ) -> Tuple[EvaStorage, bool]:
         """The pair's bookkeeping and which of its cache sides ``eva``
         reads (a self-inverse EVA has only the one)."""
         info = self.eva_info(eva)
@@ -1056,57 +842,6 @@ class MapperStore:
                     self._fanout, info, side, surrogate, probed))
         return results
 
-    def _traverse_side(self, info: _EvaInfo, side: bool,
-                       surrogate: int) -> List[int]:
-        """Physical traversal of one cache side.  A self-inverse EVA
-        (SPOUSE) stores each instance once, in whichever orientation it
-        was included, so its single side is both directions."""
-        if info.self_inverse:
-            return (self._traverse(info, surrogate, forward=True)
-                    + self._traverse(info, surrogate, forward=False))
-        return self._traverse(info, surrogate, forward=side)
-
-    def _traverse(self, info: _EvaInfo, surrogate: int,
-                  forward: bool) -> List[int]:
-        mapping = info.mapping
-        if mapping is EvaMapping.FOREIGN_KEY:
-            # "forward" means the canonical direction; the key may be held
-            # on either side.  Plain side-identity comparison would break
-            # on self-inverse EVAs (SPOUSE), where both sides are the same
-            # object: forward reads the field, reverse uses the index.
-            reads_field = forward == (info.fk_eva is info.canonical)
-            if reads_field:
-                _, record = self.record_of(surrogate,
-                                           info.fk_eva.owner_name)
-                value = record.get(info.fk_field, NULL)
-                return [] if is_null(value) else [value]
-            return self._surrogates_at(info.fk_eva.owner_name,
-                                       info.fk_reverse.lookup(surrogate))
-        if mapping is EvaMapping.POINTER:
-            if forward:
-                _, record = self.record_of(surrogate,
-                                           info.canonical.owner_name)
-                stored = record.get(info.ptr_field, NULL)
-                if is_null(stored):
-                    return []
-                targets = []
-                range_file = self._class_file[info.canonical.range_class_name]
-                for target_surr, block, slot in stored:
-                    # Absolute address: fetch the target block directly.
-                    self.pool.get(range_file.file_id, block)
-                    targets.append(target_surr)
-                return targets
-            return self._surrogates_at(info.canonical.owner_name,
-                                       info.ptr_reverse.lookup(surrogate))
-        # Structure-based mappings.
-        index = info.forward if forward else info.reverse
-        out_field = "surr2" if forward else "surr1"
-        results: List[int] = []
-        for rid in index.lookup((info.rel_id, surrogate)):
-            _, record = info.file.read(rid)
-            results.append(record[out_field])
-        return results
-
     def _surrogates_at(self, class_name: str, rids) -> List[int]:
         """Surrogates of the ``class_name`` records at ``rids`` (what an
         index over the class's records selected)."""
@@ -1117,68 +852,13 @@ class MapperStore:
                     target: int) -> None:
         """Add one relationship instance (from ``eva``'s side of the pair)."""
         info, side = self._eva_side(eva)
-        canonical = info.canonical
         domain_surr, range_surr = ((surrogate, target) if side
                                    else (target, surrogate))
-        self._require_role(domain_surr, canonical.owner_name)
-        self._require_role(range_surr, canonical.range_class_name)
+        self._require_role(domain_surr, info.canonical.owner_name)
+        self._require_role(range_surr, info.canonical.range_class_name)
         self._stage_fan(info, domain_surr, range_surr)
-
-        mapping = info.mapping
-        if mapping is EvaMapping.FOREIGN_KEY:
-            if info.fk_eva is canonical:
-                holder_surr, other_surr = domain_surr, range_surr
-            else:
-                holder_surr, other_surr = range_surr, domain_surr
-            rid, record = self.record_of(holder_surr, info.fk_eva.owner_name)
-            if not is_null(record.get(info.fk_field, NULL)):
-                raise IntegrityError(
-                    f"{info.fk_eva.owner_name}.{info.fk_eva.name} of entity "
-                    f"{holder_surr} already set; exclude it first")
-            self._write_field(holder_surr, info.fk_eva.owner_name,
-                              info.fk_field, other_surr)
-            info.fk_reverse.insert(other_surr, rid)
-            self.transactions.record_undo(
-                lambda: info.fk_reverse.delete(other_surr, rid))
-        elif mapping is EvaMapping.POINTER:
-            target_rid = self._surrogate_index[
-                canonical.range_class_name].lookup_one(range_surr)
-            owner_rid, record = self.record_of(domain_surr,
-                                               canonical.owner_name)
-            stored = record.get(info.ptr_field, NULL)
-            pointers = [] if is_null(stored) else list(stored)
-            pointers.append((range_surr, target_rid.block, target_rid.slot))
-            self._write_field(domain_surr, canonical.owner_name,
-                              info.ptr_field, tuple(pointers))
-            info.ptr_reverse.insert(range_surr, owner_rid)
-            self.transactions.record_undo(
-                lambda: info.ptr_reverse.delete(range_surr, owner_rid))
-        else:
-            near = None
-            if mapping is EvaMapping.CLUSTERED:
-                near = self._surrogate_index[
-                    canonical.owner_name].lookup_one(domain_surr)
-            # The fan-record unit may be the COMMON file shared by every
-            # relationship, so its latch is mandatory even when the
-            # statements' class locks are disjoint.
-            with info.file.latch:
-                rid = info.file.insert(info.format_id,
-                                       {"surr1": domain_surr,
-                                        "rel": info.rel_id,
-                                        "surr2": range_surr},
-                                       near=near)
-                info.forward.insert((info.rel_id, domain_surr), rid)
-                info.reverse.insert((info.rel_id, range_surr), rid)
-
-            def undo():
-                with info.file.latch:
-                    info.file.delete(rid)
-                    info.forward.delete((info.rel_id, domain_surr), rid)
-                    info.reverse.delete((info.rel_id, range_surr), rid)
-            self.transactions.record_undo(undo)
-        self._count_instances(info, +1)
-        self.writes.eva_changed(info.rel_id, domain_surr, range_surr,
-                                added=True)
+        info.include(domain_surr, range_surr)
+        self._counted(info, domain_surr, range_surr, +1)
 
     def eva_exclude(self, surrogate: int, eva: EntityValuedAttribute,
                     target: int) -> bool:
@@ -1189,90 +869,24 @@ class MapperStore:
         self._stage_fan(info, domain_surr, range_surr)
         # A self-inverse instance is stored in whichever orientation it
         # was included.
-        removed = (self._exclude_oriented(info, domain_surr, range_surr)
-                   or (info.self_inverse and self._exclude_oriented(
-                       info, range_surr, domain_surr)))
+        removed = (info.exclude(domain_surr, range_surr)
+                   or (info.self_inverse
+                       and info.exclude(range_surr, domain_surr)))
         if removed:
-            self._count_instances(info, -1)
-            self.writes.eva_changed(info.rel_id, domain_surr, range_surr,
-                                    added=False)
+            self._counted(info, domain_surr, range_surr, -1)
         return removed
 
-    def _exclude_oriented(self, info: _EvaInfo, domain_surr: int,
-                          range_surr: int) -> bool:
-        canonical = info.canonical
-        mapping = info.mapping
-        if mapping is EvaMapping.FOREIGN_KEY:
-            if info.fk_eva is canonical:
-                holder_surr, other_surr = domain_surr, range_surr
-            else:
-                holder_surr, other_surr = range_surr, domain_surr
-            try:
-                rid, record = self.record_of(holder_surr,
-                                             info.fk_eva.owner_name)
-            except IntegrityError:
-                return False
-            if record.get(info.fk_field, NULL) != other_surr:
-                return False
-            self._write_field(holder_surr, info.fk_eva.owner_name,
-                              info.fk_field, NULL)
-            info.fk_reverse.delete(other_surr, rid)
-            self.transactions.record_undo(
-                lambda: info.fk_reverse.insert(other_surr, rid))
-            return True
-        if mapping is EvaMapping.POINTER:
-            try:
-                owner_rid, record = self.record_of(domain_surr,
-                                                   canonical.owner_name)
-            except IntegrityError:
-                return False
-            stored = record.get(info.ptr_field, NULL)
-            if is_null(stored):
-                return False
-            pointers = list(stored)
-            match = next((p for p in pointers if p[0] == range_surr), None)
-            if match is None:
-                return False
-            pointers.remove(match)
-            self._write_field(domain_surr, canonical.owner_name,
-                              info.ptr_field,
-                              tuple(pointers) if pointers else NULL)
-            info.ptr_reverse.delete(range_surr, owner_rid)
-            self.transactions.record_undo(
-                lambda: info.ptr_reverse.insert(range_surr, owner_rid))
-            return True
-        with info.file.latch:
-            for rid in info.forward.lookup((info.rel_id, domain_surr)):
-                _, record = info.file.read(rid)
-                if record["surr2"] != range_surr:
-                    continue
-                info.file.delete(rid)
-                info.forward.delete((info.rel_id, domain_surr), rid)
-                info.reverse.delete((info.rel_id, range_surr), rid)
-
-                def undo():
-                    # Restore at the SAME RID: a compensation that
-                    # re-inserts elsewhere would duplicate the instance
-                    # when crash recovery also restores the original slot
-                    # from the log.
-                    with info.file.latch:
-                        info.file.undelete(rid, info.format_id,
-                                           {"surr1": domain_surr,
-                                            "rel": info.rel_id,
-                                            "surr2": range_surr})
-                        info.forward.insert((info.rel_id, domain_surr), rid)
-                        info.reverse.insert((info.rel_id, range_surr), rid)
-                self.transactions.record_undo(undo)
-                return True
-        return False
-
-    def _count_instances(self, info: _EvaInfo, delta: int) -> None:
-        """Adjust the pair's instance count; an abort takes it back."""
+    def _counted(self, info: EvaStorage, domain_surr: int, range_surr: int,
+                 delta: int) -> None:
+        """Adjust the pair's instance count (an abort takes it back) and
+        publish the instance's arrival or departure."""
         info.instance_count += delta
 
         def undo():
             info.instance_count -= delta
         self.transactions.record_undo(undo)
+        self.writes.eva_changed(info.rel_id, domain_surr, range_surr,
+                                added=delta > 0)
 
     def _require_role(self, surrogate: int, class_name: str) -> None:
         if not self.has_role(surrogate, class_name):
@@ -1554,41 +1168,8 @@ class MapperStore:
                 self._surrogate_index[class_name].insert(surrogate, rid)
                 self._index_record(class_name, record, rid)
 
-        for info in self._eva_info.values():
-            if info.fk_field is not None:
-                holder = info.fk_eva.owner_name
-                format_id = self._class_format[holder]
-                for rid, _, record in self._class_file[holder].scan(format_id):
-                    value = record.get(info.fk_field)
-                    if not is_null(value):
-                        info.fk_reverse.insert(value, rid)
-                        info.instance_count += 1
-            elif info.ptr_field is not None:
-                owner = info.canonical.owner_name
-                format_id = self._class_format[owner]
-                for rid, _, record in self._class_file[owner].scan(format_id):
-                    stored = record.get(info.ptr_field)
-                    if is_null(stored):
-                        continue
-                    for target_surr, _block, _slot in stored:
-                        info.ptr_reverse.insert(target_surr, rid)
-                        info.instance_count += 1
-            else:
-                for rid, _, record in info.file.scan(info.format_id):
-                    if record["rel"] != info.rel_id:
-                        continue
-                    info.forward.insert((info.rel_id, record["surr1"]), rid)
-                    info.reverse.insert((info.rel_id, record["surr2"]), rid)
-                    info.instance_count += 1
-
-        for key, record_file in self._mvdva_file.items():
-            format_id = self._mvdva_format[key]
-            for rid, _, record in record_file.scan(format_id):
-                owner = record["owner"]
-                self._mvdva_index[key].insert(owner, rid)
-                seq_key = (key[0], key[1], owner)
-                self._mvdva_seq[seq_key] = max(
-                    self._mvdva_seq.get(seq_key, 0), record["seq"])
+        for storage in (*self._evas.values(), *self._mvs.values()):
+            storage.rebuild()
 
         self._next_surrogate = max_surrogate + 1
 
@@ -1618,4 +1199,4 @@ class MapperStore:
     def __repr__(self):
         return (f"<MapperStore {self.schema.name}: "
                 f"{len(self._class_file)} class units, "
-                f"{len(self._eva_info)} EVA pairs>")
+                f"{len(self._evas)} EVA pairs>")

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from typing import Tuple
 
-from repro.mapper.physical import EvaMapping
 from repro.mapper.store import MapperStore
 
 #: default selectivity of an equality predicate on a non-unique attribute
@@ -73,25 +72,10 @@ class CostModel:
     def relationship_costs(self, eva) -> Tuple[float, float]:
         """(first-instance, next-instance) block-access costs of
         traversing ``eva`` from one source entity, *excluding* the cost of
-        materializing target records."""
-        mapping = self.design.eva_mapping(eva)
-        if mapping is EvaMapping.CLUSTERED:
-            # Relationship records live in the source's own block.
-            return 0.0, 0.0
-        if mapping is EvaMapping.POINTER:
-            # Absolute address: straight to the target block.
-            return 1.0, 1.0
-        if mapping is EvaMapping.FOREIGN_KEY:
-            # The key is in the already-fetched source record; the reverse
-            # direction needs one probe of the inverse index.
-            return 0.0, 0.0
-        if mapping is EvaMapping.DEDICATED:
-            # One block of the dedicated structure holds many instances of
-            # the same source (good locality).
-            return 1.0, 0.1
-        # COMMON: instances are interleaved with every other common-mapped
-        # EVA, so consecutive instances rarely share a block.
-        return 1.0, 0.6
+        materializing target records: §5.2's table, as the pair's storage
+        object (``repro.mapper.mappings``) states it."""
+        info = self.store.eva_info(eva)
+        return info.first_cost, info.next_cost
 
     def target_record_cost(self, class_name: str) -> float:
         """Materializing one target record: one block access, discounted

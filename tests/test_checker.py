@@ -62,14 +62,14 @@ class TestCorruptionDetection:
         db.execute('Insert person(name := "B", soc-sec-no := 2,'
                    ' spouse := person with (soc-sec-no = 1))')
         store = db.store
-        info = store._eva_info[("person", "spouse")]
+        info = store._evas[("person", "spouse")]
         holder = store._class_file["person"]
         fmt = store._class_format["person"]
         # point one stored foreign key at a surrogate that has no record
         from repro.types.tvl import is_null
         rid = next(r for r, _, rec in holder.scan(fmt)
-                   if not is_null(rec[info.fk_field]))
-        holder.update(rid, {info.fk_field: 999999})
+                   if not is_null(rec[info.field]))
+        holder.update(rid, {info.field: 999999})
         report = db.check(constraints=False)
         assert not report.ok
         assert problems_of(report, "eva") or problems_of(report, "index")
@@ -136,7 +136,7 @@ class TestCorruptionDetection:
                    ' major-department := department with'
                    ' (dept-nbr = 100))')
         store = db.store
-        info = next(i for i in store._eva_info.values()
+        info = next(i for i in store._evas.values()
                     if i.instance_count > 0)
         info.instance_count += 5
         report = db.check(constraints=False)

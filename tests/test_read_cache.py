@@ -53,7 +53,7 @@ def assert_cache_matches_physical(store):
         roles = dict(cache._roles)
         records = dict(cache._records)
         fanout = dict(cache._fanout)
-    infos = {info.rel_id: info for info in store._eva_info.values()}
+    infos = {info.rel_id: info for info in store._evas.values()}
     for (class_name, surrogate), rid in roles.items():
         assert rid == store._surrogate_index[class_name].lookup_one(
             surrogate), ("role", class_name, surrogate)
@@ -64,8 +64,7 @@ def assert_cache_matches_physical(store):
             ("record", class_name, surrogate)
     for (rel_id, side, surrogate), targets in fanout.items():
         try:
-            physical = tuple(store._traverse_side(infos[rel_id], side,
-                                                  surrogate))
+            physical = tuple(infos[rel_id].targets(side, surrogate))
         except IntegrityError:      # lost the role that held the key:
             physical = ()           # an empty fan-out may outlive it
         assert targets == physical, ("fanout", rel_id, side, surrogate)
@@ -272,7 +271,7 @@ class TestValidatedFills:
         enrolled = db.schema.get_class("student").attribute(
             "courses-enrolled")
         course = store.find_by_dva("course", "course-no", 101)[0]
-        with parked_after(store, "_traverse") as gates:
+        with parked_after(store.eva_info(enrolled), "targets") as gates:
             seen = race(lambda: store.eva_targets(student, enrolled), *gates,
                         write=lambda: store.eva_include(student, enrolled,
                                                         course))
