@@ -468,6 +468,7 @@ class Database:
     def had_role_at(self, surrogate: int, class_name: str,
                     epoch: int) -> bool:
         self._require_history()
+        class_name = self.schema.get_class(class_name).name
         with self.store.as_of(epoch):
             return self.store.has_role(surrogate, class_name)
 

@@ -116,8 +116,9 @@ class EntityAccessor:
     def dva_batch(self, attr, instances) -> List:
         """:meth:`dva` over a column of instances: one epoch check, and
         the records behind all the misses decode through one
-        :meth:`MapperStore.fetch_many` call (subroles, MV and
-        entity-valued attributes read one by one)."""
+        :meth:`MapperStore.fetch_many` call, which also tells the
+        holders of the role from the rest (subroles, MV and
+        entity-valued attributes read one by one, holders first)."""
         if attr.is_surrogate:
             return [NULL if inst is DUMMY or is_null(inst) else inst
                     for inst in instances]
@@ -127,13 +128,12 @@ class EntityAccessor:
         if pending:
             store = self.store
             owner = attr.owner_name
-            holders = [surrogate for surrogate in pending
-                       if store.has_role(surrogate, owner)]
             if attr.is_subrole or attr.multi_valued or attr.is_eva:
                 resolved = {surrogate: store.read_dva(surrogate, attr)
-                            for surrogate in holders}
+                            for surrogate in pending
+                            if store.has_role(surrogate, owner)}
             else:
-                records = store.fetch_many(owner, holders) if holders else {}
+                records = store.fetch_many(owner, pending)
                 resolved = {surrogate: record[1].get(attr.name, NULL)
                             for surrogate, record in records.items()}
             for surrogate, positions in pending.items():

@@ -33,13 +33,13 @@ function over a batch of slot rows.
 
 from __future__ import annotations
 
-import copy
 from decimal import Decimal
 from itertools import compress, islice
 from typing import List, Optional
 
 from repro.engine.access import DUMMY
 from repro.errors import SimError
+from repro.plan_cache import instance_copy
 from repro.types.dates import SimDate, SimTime
 from repro.types.tvl import NULL, UNKNOWN, is_null
 
@@ -78,9 +78,6 @@ class ExecContext:
     value) there is no slot layout to carry.  ``params``: the literals
     this execution binds to a cached statement's slots (None: as written)."""
 
-    __slots__ = ("executor", "accessor", "store", "stats", "batch_size",
-                 "slots", "width", "params")
-
     def __init__(self, executor, physical=None, stats=None, params=None):
         self.executor = executor
         self.accessor = executor.accessor
@@ -96,7 +93,7 @@ class ExecContext:
         layout and batching, but the worker's own accessor (the per-query
         memos are sharded, not locked) and its own stats dict (merged at
         the barrier)."""
-        clone = copy.copy(self)
+        clone = instance_copy(self)
         clone.accessor = accessor
         clone.stats = stats
         return clone
@@ -138,7 +135,7 @@ class Operator:
         immutable pieces (nodes, compiled columns) and own their
         counters, so executions of one cached template — and the morsel
         workers of one execution — never count into each other."""
-        clone = copy.copy(self)
+        clone = instance_copy(self)
         if self.child is not None:
             clone.child = self.child.fresh()
         clone.batches = clone.rows_in = clone.rows_out = 0

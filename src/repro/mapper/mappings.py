@@ -47,6 +47,10 @@ class EvaStorage:
     """One canonical EVA pair as stored; ``rel_id`` names it in the
     fan-out cache, version keys and write events."""
 
+    #: does ``targets`` read through the reader's view, not physical
+    #: state only?  Then a snapshot's traversal fills no fan-out cache
+    reads_view = False
+
     def __init__(self, store, canonical, rel_id: int):
         self.store = store
         self.canonical = canonical
@@ -70,6 +74,8 @@ class _FieldEva(EvaStorage):
 
     #: instances one holder record can take (None: unbounded)
     capacity: Optional[int] = None
+    #: the holder's record is read through ``record_of``
+    reads_view = True
 
     def __init__(self, store, canonical, rel_id: int, holder):
         super().__init__(store, canonical, rel_id)

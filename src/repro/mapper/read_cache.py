@@ -26,10 +26,14 @@ The engine's query-scoped memoization validates against the same epoch,
 so one integer compare decides whether memoized values are still current.
 
 A lookup takes no lock (one ``get``) and counts without one (inside a
-statement ``perf.bump`` adds to the calling thread's own frame), and a
-hit promotes its entry in the LRU only when the lock is free: readers
-never wait for each other here.  Fills and invalidations hold the lock,
-as the invariant needs.
+statement ``perf.bump`` adds to the calling thread's own frame).  A hit
+only marks its key referenced — one byte stored into the LRU's fixed
+mark array, at the key's hash slot — and the eviction a fill makes under
+the lock gives a marked oldest entry a second chance (unmarked and
+re-queued) and evicts the first unmarked one, so readers never wait
+here.  Fills, evictions and invalidations hold the lock, as the
+invariant needs; an invalidation or ``clear`` drops a mark with its
+entry.
 """
 
 from __future__ import annotations
@@ -46,7 +50,8 @@ MISSING = object()
 
 class _LRU(OrderedDict):
     """One of the cache's three keyed LRUs: the entries, their bound,
-    the counters a lookup counts and what a miss returns."""
+    the counters a lookup counts, what a miss returns and the marks of
+    the keys hit since they last came round the eviction order."""
 
     def __init__(self, capacity: int, hits: str, misses: str, absent=None):
         super().__init__()
@@ -54,6 +59,33 @@ class _LRU(OrderedDict):
         self.hits = hits
         self.misses = misses
         self.absent = absent
+        #: ``marks[hash(key) & mask]`` is set by a hit, without the lock.
+        #: Fixed, eight slots an entry: keys that share a slot share a
+        #: mark, which costs an eviction precision, never correctness.
+        self.marks = bytearray(1 << (8 * capacity - 1).bit_length())
+        self.mask = len(self.marks) - 1
+
+    def pop(self, key, default=None):
+        self.marks[hash(key) & self.mask] = 0
+        return super().pop(key, default)
+
+    def clear(self) -> None:
+        self.marks[:] = bytes(len(self.marks))
+        super().clear()
+
+    def evict(self) -> None:
+        """Make room: drop the oldest entry not hit since it last came
+        round; each marked one passed over loses its mark and goes to
+        the back.  Caller holds the cache's lock."""
+        marks, mask = self.marks, self.mask
+        for _ in range(len(self)):
+            key, entry = self.popitem(last=False)
+            slot = hash(key) & mask
+            if not marks[slot]:
+                return
+            marks[slot] = 0
+            self[key] = entry
+        self.popitem(last=False)    # a full round unmarked them all
 
 
 class ReadCache:
@@ -77,34 +109,16 @@ class ReadCache:
         #: ``(rel_id, side, surrogate) -> targets tuple``
         self._fanout = _LRU(fanout_capacity, "fanout_cache_hits",
                             "fanout_cache_misses")
-        # One lock over all three LRUs: concurrent morsel workers probe
-        # and promote entries, and OrderedDict.move_to_end racing a
-        # popitem corrupts the linked order (KeyErrors, lost entries).
-        # Re-entrant because invalidation paths may nest through clear().
+        # One lock over every change to the LRUs (a popitem racing
+        # another corrupts the linked order); a hit takes none, so
+        # readers never meet on it (docs/INTERNALS.md §11).  Re-entrant
+        # because invalidation paths may nest through clear().
         # Rank 20 in the declared hierarchy (analysis/lock_order.py).
         self._lock = ranked_lock("mapper.read_cache")
 
     record_capacity = property(lambda self: self._records.capacity)
     role_capacity = property(lambda self: self._roles.capacity)
     fanout_capacity = property(lambda self: self._fanout.capacity)
-
-    def _promote(self, lru: OrderedDict, keys) -> None:
-        """Mark the entries just hit as most recently used — unless
-        another thread is in the cache right now.  A hit must never
-        wait: a statement hits some thirty times, and two threads that
-        meet on a lock that often hand it back and forth through the
-        operating system at every acquisition (docs/INTERNALS.md §11).
-        A skipped promotion costs an entry a little of its age."""
-        lock = self._lock
-        if lock.acquire(False):  # noqa: SIM300 — try-lock; finally releases
-            try:
-                for key in keys:
-                    try:
-                        lru.move_to_end(key)
-                    except KeyError:    # dropped since the lookup
-                        pass
-            finally:
-                lock.release()
 
     # ------------------------------------------------- the one keyed LRU, thrice
 
@@ -116,7 +130,7 @@ class ReadCache:
         if entry is MISSING:
             self.perf.bump(lru.misses)
             return lru.absent
-        self._promote(lru, (key,))
+        lru.marks[hash(key) & lru.mask] = 1
         self.perf.bump(lru.hits)
         return entry
 
@@ -129,7 +143,7 @@ class ReadCache:
         if not self.enabled:
             return found, list(surrogates)
         missing = []
-        hits = []
+        marks, mask = lru.marks, lru.mask
         for surrogate in surrogates:
             key = prefix + (surrogate,)
             entry = lru.get(key, MISSING)
@@ -137,9 +151,8 @@ class ReadCache:
                 missing.append(surrogate)
             else:
                 found[surrogate] = entry
-                hits.append(key)
-        if hits:
-            self._promote(lru, hits)
+                marks[hash(key) & mask] = 1
+        if found:
             self.perf.bump(lru.hits, len(found))
         if missing:
             self.perf.bump(lru.misses, len(missing))
@@ -153,9 +166,9 @@ class ReadCache:
         with self._lock:
             if epoch != self.epoch:
                 return
+            if len(lru) >= lru.capacity and key not in lru:
+                lru.evict()
             lru[key] = entry
-            if len(lru) > lru.capacity:
-                lru.popitem(last=False)
 
     def get_record(self, class_name: str, surrogate: int):
         """Cached ``(rid, values)`` or None.  The values dict is shared —

@@ -284,7 +284,7 @@ class MapperStore:
 
     def mv_info(self, attr):
         """The MV DVA's storage object (``ArrayMv`` or ``UnitMv``)."""
-        return self._mvs[(canon(attr.owner_name), attr.name)]
+        return self._mvs[(attr.owner_name, attr.name)]
 
     def class_file(self, class_name: str) -> RecordFile:
         return self._class_file[canon(class_name)]
@@ -435,18 +435,17 @@ class MapperStore:
             cached = cache.get_fanout(info.rel_id, side, surrogate)
             if cached is not None:
                 return cached
-        # FOREIGN_KEY and POINTER traversals read the holder's record
-        # through this thread's view (a holder deleted after the pin must
-        # still traverse), so under a snapshot the result may describe
-        # the snapshot's epoch, not physical state: returned, not cached.
-        # Materializations likewise track the latest state only.
+        # A traversal that reads through this thread's view
+        # (``info.reads_view``) may describe a snapshot's epoch, not
+        # physical state: under a snapshot it is returned, not cached.
+        # Materializations track the latest state only.
         latest = probed or self.current_snapshot() is None
         if latest and self.materialized is not None:
             served = self.materialized.serve_eva(info.rel_id, side, surrogate)
             if served is not None:
                 return served
         targets = tuple(info.targets(side, surrogate))
-        if latest:
+        if latest or not info.reads_view:
             cache.put_fanout(info.rel_id, side, surrogate, targets, epoch)
         return targets
 
@@ -503,7 +502,8 @@ class MapperStore:
     # ------------------------------------------------------------------- roles
 
     def has_role(self, surrogate: int, class_name: str) -> bool:
-        class_name = canon(class_name)
+        """Does the entity hold the role?  ``class_name`` must be
+        canonical, as every schema-resolved name is."""
         return self._read(("rec", class_name, surrogate), self._role_record,
                           class_name, surrogate, False) is not ABSENT
 
@@ -697,12 +697,9 @@ class MapperStore:
                   ) -> Tuple[RID, Dict[str, object]]:
         """The entity's decoded role record.  The values dict is shared
         with the cache or a version chain: read-only."""
-        return self._record(canon(class_name), surrogate)
-
-    def _record(self, class_name: str, surrogate: int,
-                probed: bool = False) -> Tuple[RID, Dict[str, object]]:
+        class_name = canon(class_name)
         entry = self._read(("rec", class_name, surrogate), self._role_record,
-                           class_name, surrogate, True, probed)
+                           class_name, surrogate)
         if entry is ABSENT:
             raise IntegrityError(
                 f"entity {surrogate} has no role {class_name!r}")
@@ -710,16 +707,20 @@ class MapperStore:
 
     def fetch_many(self, class_name: str, surrogates
                    ) -> Dict[int, Tuple[RID, Dict[str, object]]]:
-        """Batched :meth:`record_of`: decoded records for every surrogate
-        (each must hold the role).  Cache traffic and decode counters
-        match per-surrogate calls exactly, but one cache probe covers
-        the whole batch — the operator algebra's amortized decode path."""
-        class_name = canon(class_name)
+        """Batched :meth:`record_of` over the holders of the role: the
+        decoded records of the ``surrogates`` that hold it, the others
+        omitted.  One cache probe covers the whole batch (the operator
+        algebra's amortized decode path) and each miss is one read of
+        its role record, which also answers membership.  ``class_name``
+        must be canonical."""
         found, missing, probed = self._batch_probe(
             self.read_cache.get_record_batch, class_name, surrogates)
-        for surrogate in missing:
-            if surrogate not in found:      # duplicate within the batch
-                found[surrogate] = self._record(class_name, surrogate, probed)
+        for surrogate in dict.fromkeys(missing):
+            entry = self._read(("rec", class_name, surrogate),
+                               self._role_record, class_name, surrogate,
+                               True, probed)
+            if entry is not ABSENT:
+                found[surrogate] = entry
         return found
 
     def read_dva(self, surrogate: int, attr):
@@ -949,16 +950,16 @@ class MapperStore:
     def latest_class_count(self, class_name: str) -> int:
         """Entities holding the role in the *latest* state, in O(1) from
         the surrogate index — for estimates (cost model, plan-cache
-        drift), which want no snapshot's exact answer."""
-        return self._surrogate_index[canon(class_name)].entries
+        drift), which want no snapshot's exact answer.  ``class_name``
+        must be canonical."""
+        return self._surrogate_index[class_name].entries
 
     def _dva_index(self, class_name: str, attr_name: str):
         """``(class, owner class, attribute, index)`` for a DVA as seen
-        from ``class_name``; ``index`` is its unique or value index, or
-        None."""
-        class_name = canon(class_name)
+        from ``class_name`` (canonical); ``index`` is its unique or value
+        index, or None."""
         attr = self.schema.get_class(class_name).attribute(attr_name)
-        owner = canon(attr.owner_name)
+        owner = attr.owner_name
         return class_name, owner, attr, (
             self._unique_index.get((owner, attr.name))
             or self._value_index.get((owner, attr.name)))

@@ -26,7 +26,6 @@ plan, into the column function its operator runs
 
 from __future__ import annotations
 
-import copy
 from typing import Dict, List, Optional
 
 from repro.dml.ast import Aggregate as AggregateExpr
@@ -40,6 +39,7 @@ from repro.engine.expressions import (
     compile_truth,
     compile_value,
 )
+from repro.plan_cache import instance_copy
 
 
 class PhysicalPlan:
@@ -59,7 +59,7 @@ class PhysicalPlan:
     def fresh(self) -> "PhysicalPlan":
         """This pipeline for one execution: the same layout over a new
         operator instance chain (per-run counters never mix)."""
-        clone = copy.copy(self)
+        clone = instance_copy(self)
         clone.root = self.root.fresh()
         return clone
 

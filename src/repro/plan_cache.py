@@ -15,7 +15,6 @@ never edited once stored.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -27,6 +26,14 @@ CAPACITY = 512
 #: a hit whose root classes (or a learned fan-out) grew or shrank by
 #: more than this factor since its plan was costed moves the plan epoch
 DRIFT_FACTOR = 2.0
+
+
+def instance_copy(obj):
+    """A shallow copy of a plain instance without the copy protocol's
+    ``__reduce_ex__`` round trip: templates are copied per execution."""
+    clone = object.__new__(type(obj))
+    clone.__dict__ = obj.__dict__.copy()
+    return clone
 
 
 @dataclass
@@ -62,7 +69,7 @@ class CompiledStatement:
         """This entry for one execution of a statement of its shape:
         conversions and value-dependent lint run against *this* text's
         literals, spans point into *this* text."""
-        bound = copy.copy(self)
+        bound = instance_copy(self)
         bound.cache = cache
         diagnostics = self.diagnostics
         lifted = self.lifted

@@ -199,15 +199,24 @@ def run_chaos(db, writers, readers=0, fault_every=0, seed=1234,
 
     reader_threads = [threading.Thread(target=read_loop, args=(i,))
                       for i in range(readers)]
-    for thread in writers + reader_threads:
-        thread.start()
     rounds = 0
-    while any(w.is_alive() for w in writers):
+
+    def arm_when_idle():
+        nonlocal rounds
         if injector is not None and injector.armed == 0:
             # transient, repeat 2 < RetryPolicy max_attempts 4: the
             # retry layer must absorb every one of these invisibly
             injector.fail_write(fault_every, error="transient", repeat=2)
             rounds += 1
+
+    # Armed before the fleet starts: this thread may not run again
+    # until the writers are nearly done, so a first arming left to the
+    # loop can come too late for any fault to fire.
+    arm_when_idle()
+    for thread in writers + reader_threads:
+        thread.start()
+    while any(w.is_alive() for w in writers):
+        arm_when_idle()
         for w in writers:
             w.join(timeout=0.05)
     for w in writers:

@@ -16,16 +16,25 @@ the second ways must not grow back.
 * one warmed snapshot-session Retrieve of the ``oltp_session``
   instructor query takes the counter lock exactly once (34 ``bump``s
   and 3 ``as_dict()`` copies before the statement became the unit of
-  accounting).
+  accounting);
+* that Retrieve and the ``oltp_session`` course traversal stay inside
+  a written budget of versioned unit reads, read-cache lock
+  acquisitions, name canonicalisations, copy-protocol copies and
+  record reads off a page.
 """
 
 from __future__ import annotations
 
 import ast
+import copy
 import os
+import sys
 
+from repro import naming
 from repro.engine.access import EntityAccessor
+from repro.mapper.store import MapperStore
 from repro.perf import COUNTER_FIELDS, PerfCounters
+from repro.storage.files import RecordFile
 from repro.workloads import build_university
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -163,12 +172,19 @@ class _CountingLock:
         self.lock = lock
         self.acquisitions = 0
 
-    def __enter__(self):
+    def acquire(self, *args, **kwargs):
         self.acquisitions += 1
-        return self.lock.__enter__()
+        return self.lock.acquire(*args, **kwargs)
+
+    def release(self):
+        self.lock.release()
+
+    def __enter__(self):
+        self.acquire()
+        return self
 
     def __exit__(self, *exc_info):
-        return self.lock.__exit__(*exc_info)
+        self.release()
 
 
 def test_a_statement_takes_the_counter_lock_once():
@@ -188,3 +204,59 @@ def test_a_statement_takes_the_counter_lock_once():
     assert len(result.rows) == 1
     assert sum(result.perf.as_dict().values()) > 10     # it did count
     assert lock.acquisitions == 1
+
+
+#: what one warmed statement of each ``oltp_session`` read shape may do
+#: on a snapshot session: versioned unit reads, read-cache lock
+#: acquisitions, name canonicalisations, template copies through the
+#: copy protocol and record reads off a page (``make profile-oltp``
+#: prints the same counts per operation).
+READ_BUDGETS = {
+    "From instructor Retrieve name, salary, name of assigned-department"
+    " Where employee-nbr = 1001": {
+        "_read": 6, "lock": 0, "canon": 2, "copy": 0, "record_read": 1},
+    "From course Retrieve title, name of teachers, name of"
+    " students-enrolled Where course-no = 101": {
+        "_read": 22, "lock": 0, "canon": 2, "copy": 0, "record_read": 1},
+}
+
+
+def test_a_cached_point_read_stays_inside_its_budget(monkeypatch):
+    database = build_university(departments=4, instructors=12, students=80,
+                                courses=24, seed=17)
+    session = database.session()
+    for text in READ_BUDGETS:
+        for _ in range(3):      # plan-epoch moves and cache fills
+            session.execute(text)
+    counts = dict.fromkeys(("_read", "canon", "copy", "record_read"), 0)
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(MapperStore, "_read",
+                        counted("_read", MapperStore._read))
+    monkeypatch.setattr(RecordFile, "read",
+                        counted("record_read", RecordFile.read))
+    monkeypatch.setattr(copy, "copy", counted("copy", copy.copy))
+    real_canon = naming.canon
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") \
+                and getattr(module, "canon", None) is real_canon:
+            monkeypatch.setattr(module, "canon",
+                                counted("canon", real_canon))
+    cache = database.store.read_cache
+    lock = _CountingLock(cache._lock)
+    monkeypatch.setattr(cache, "_lock", lock)
+    spent = {}
+    for text in READ_BUDGETS:
+        counts.update(dict.fromkeys(counts, 0))
+        lock.acquisitions = 0
+        assert session.execute(text).rows
+        spent[text] = dict(counts, lock=lock.acquisitions)
+    assert {text: {name: count for name, count in counts.items()
+                   if count > READ_BUDGETS[text][name]}
+            for text, counts in spent.items()} \
+        == {text: {} for text in READ_BUDGETS}

@@ -9,7 +9,9 @@ mutating, so a missed invalidation would surface as a wrong answer.
 """
 
 import contextlib
+import sys
 import threading
+import time
 
 import pytest
 
@@ -93,8 +95,8 @@ class TestReadCacheUnit:
 
     def test_a_hit_never_waits_for_the_lock(self):
         """With another thread inside the cache every lookup still
-        answers at once — it only leaves the LRU order alone — and a
-        promotion whose entry was dropped after the lookup is a no-op."""
+        answers at once, and still counts as a use: the entry it hit
+        outlives the next eviction (its second chance)."""
         cache = ReadCache(PerfCounters(), record_capacity=2)
         cache.put_record("a", 1, "rid1", {}, cache.epoch)
         cache.put_record("a", 2, "rid2", {}, cache.epoch)
@@ -124,8 +126,82 @@ class TestReadCacheUnit:
         assert answers == [("rid1", {}), ({1: ("rid1", {})}, [9]), "rid1",
                            (2,), ({1: (2,)}, [9])]
         cache.put_record("a", 3, "rid3", {}, cache.epoch)
-        assert cache.get_record("a", 1) is None     # unpromoted: the LRU
-        cache._promote(cache._records, [("a", 1)])  # gone: nothing raised
+        assert cache.get_record("a", 2) is None     # the one never hit
+        assert cache.get_record("a", 1) == ("rid1", {})
+
+    def test_a_dropped_entry_takes_its_mark_along(self):
+        """Invalidation and ``clear`` drop a hit's mark with its entry —
+        the key filled again starts unmarked, so it is what the next
+        eviction takes — and the marks are a fixed array: however many
+        keys are hit, they never outgrow the LRU's bound."""
+        cache = ReadCache(PerfCounters(), record_capacity=2)
+
+        def fill(*surrogates):
+            for surrogate in surrogates:
+                cache.put_record("a", surrogate, "rid", {}, cache.epoch)
+
+        fill(1)
+        cache.get_record("a", 1)
+        cache.invalidate_record("a", 1)
+        fill(1, 2, 3)
+        assert cache.get_record("a", 1) is None
+        cache.get_record("a", 2)
+        cache.clear()
+        fill(2, 1, 3)
+        assert cache.get_record("a", 2) is None
+        marks = cache._records.marks
+        size = len(marks)
+        for surrogate in range(1000):
+            fill(surrogate)
+            cache.get_record("a", surrogate)
+        assert cache._records.marks is marks and len(marks) == size
+        assert len(cache._records) == 2
+
+    def test_hits_beside_evicting_fills_lose_nothing(self):
+        """More threads than cores hit, fill and invalidate a cache a
+        few entries wide, switched every 10 µs: no lookup raises, no
+        LRU outgrows its bound and every entry is the one put for its
+        key."""
+        cache = ReadCache(PerfCounters(), record_capacity=8,
+                          fanout_capacity=8)
+        stop, errors = threading.Event(), []
+
+        def worker(seed):
+            try:
+                step = seed
+                while not stop.is_set():
+                    step += 1
+                    key = step % 24
+                    for found in (cache.get_record("a", key),
+                                  cache.get_fanout(1, True, key)):
+                        if found is not None and found[0] != key:
+                            errors.append((key, found))
+                    cache.get_record_batch("a", [key, key + 1])
+                    cache.put_record("a", key, key, {}, cache.epoch)
+                    cache.put_fanout(1, True, key, (key,), cache.epoch)
+                    if step % 7 == 0:
+                        cache.invalidate_eva(1, key)
+            except Exception as exc:    # surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(seed,))
+                   for seed in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            time.sleep(0.1)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(10.0)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for lru in (cache._records, cache._fanout):
+            assert len(lru) <= lru.capacity
+            assert all(found[0] == key[-1] for key, found in lru.items())
 
     def test_role_negative_caching(self):
         cache = ReadCache(PerfCounters())
@@ -301,6 +377,40 @@ class TestValidatedFills:
         # sees its own epoch, the latest view sees the write.
         assert seen[1]["name"] == "John Doe"
         assert store.record_of(student, "person")[1]["name"] == "Jack"
+        assert_cache_matches_physical(store)
+        assert db.check().ok
+
+    def test_snapshot_structure_fill_racing_an_include_is_dropped(
+            self, db, student):
+        """A structure mapping's traversal reads physical state only, so
+        a snapshot reader fills the fan-out cache — validated like any
+        fill: an include landing between its epoch capture and its fill
+        drops the fill."""
+        store = db.store
+        enrolled = db.schema.get_class("student").attribute(
+            "courses-enrolled")
+        info, side = store._eva_side(enrolled)
+        assert not info.reads_view
+        course = store.find_by_dva("course", "course-no", 101)[0]
+        snap = store.begin_snapshot()
+
+        def read():
+            with store.snapshot_scope(snap):
+                return store.eva_targets(student, enrolled)
+
+        try:
+            assert read() == []             # a quiet snapshot read fills
+            assert store.read_cache.get_fanout(info.rel_id, side,
+                                               student) == ()
+            store.read_cache.clear()
+            with parked_after(info, "targets") as gates:
+                seen = race(read, *gates, write=lambda: store.eva_include(
+                    student, enrolled, course))
+            assert (info.rel_id, side, student) not in store.read_cache._fanout
+            assert read() == [] == seen     # the pin still holds
+        finally:
+            store.end_snapshot(snap)
+        assert store.eva_targets(student, enrolled) == [course]
         assert_cache_matches_physical(store)
         assert db.check().ok
 

@@ -45,6 +45,7 @@ import pytest
 from repro.mapper.store import MapperStore
 
 from repro import SimError, parse_ddl
+from repro.mapper.mappings import ForeignKeyEva, PointerEva
 from repro.mapper import (
     EvaMapping,
     HierarchyMapping,
@@ -287,14 +288,28 @@ class World:
         store.remove_role(self.workers[3], "person")
 
 
+def assert_snapshot_fills_are_physical(store):
+    """After snapshot reads from a cleared cache: the structure
+    mappings' traversals filled the fan-out cache, the field-held ones'
+    (which read the holder through the view) filled nothing, and every
+    entry equals a physical traversal now."""
+    kinds = {info.rel_id: isinstance(info, (ForeignKeyEva, PointerEva))
+             for info in store._evas.values()}
+    filled = {kinds[rel_id] for rel_id, _, _ in store.read_cache._fanout}
+    assert filled == {False}
+    assert_cache_matches_physical(store)
+
+
 def test_snapshot_at_the_current_epoch_equals_latest(store):
     world = World(store)
     latest = world.observe()
     snap = store.begin_snapshot()
+    store.read_cache.clear()
     try:
         # Nothing has been written since the pin: indexes may answer.
         assert store.versions.changed(snap, CLASSES) == set()
         assert world.observe_at(snap) == latest
+        assert_snapshot_fills_are_physical(store)
     finally:
         store.end_snapshot(snap)
     assert world.observe() == latest
@@ -316,7 +331,9 @@ def test_pinned_snapshot_survives_writes_it_must_not_see(store, outcome):
         # touched classes have changed for it, so index-served finds
         # re-read those through the version chains.
         assert store.versions.changed(pinned, ("person",))
+        store.read_cache.clear()
         assert world.observe_at(pinned) == before
+        assert_snapshot_fills_are_physical(store)
 
         # a view pinned now sees the committed batch, not the open one
         fresh = store.begin_snapshot()

@@ -4,11 +4,15 @@ Builds the e2e benchmark's ``oltp_session`` workload (UNIVERSITY, one
 snapshot Session, 60/20/20 point reads / short traversals / one-statement
 write transactions), warms it up, profiles 3 000 operations and prints
 the statement front end — lexer, parser, qualifier, lint, optimizer,
-verifiers, lowering, plan cache — row by row, then the top 25 functions
-by self time.  After the plan cache only the lexer and the cache's own
-lookup-and-bind should remain of the front end: six fills, then hits.
-cProfile inflates call-heavy code, so use it to find candidates and
-``make bench-e2e`` to measure them.
+verifiers, lowering, plan cache — row by row, then what an operation
+does below it as counts per operation (versioned unit reads, lock
+acquisitions, name canonicalisations, copy-protocol copies, record reads
+off a page: the figures ``tests/test_counting_guard.py`` budgets per
+statement), then the top 25 functions by self time.  After the plan
+cache only the lexer and the cache's own lookup-and-bind should remain
+of the front end: six fills, then hits.  cProfile inflates call-heavy
+code, so use it to find candidates and ``make bench-e2e`` to measure
+them.
 """
 
 from __future__ import annotations
@@ -45,6 +49,26 @@ FRONT_END = (
     ("physical_plan.py", "lower_selection"),
 )
 
+#: the per-operation count rows: (file suffix, function name, label)
+PER_OPERATION = (
+    ("mapper/store.py", "_read", "MapperStore._read"),
+    ("engine/lockdep.py", "acquire", "RankedLock.acquire"),
+    ("repro/naming.py", "canon", "naming.canon"),
+    ("/copy.py", "copy", "copy.copy"),
+    ("storage/files.py", "read", "RecordFile.read"),
+)
+
+
+def _calls(stats, suffix: str, name: str):
+    """(calls, cumulative s) of the functions ``name`` in files ending
+    ``suffix``."""
+    calls = cumulative = 0
+    for (path, _line, function), row in stats.stats.items():
+        if function == name and path.endswith(suffix):
+            calls += row[1]
+            cumulative += row[3]
+    return calls, cumulative
+
 
 def main() -> int:
     workload = workloads.make_workload("oltp_session", seed=1, cpu_count=1,
@@ -64,12 +88,13 @@ def main() -> int:
           f"cProfile, {failed} failed")
     print(f"{'front end':<44}{'calls':>8}{'cumulative s':>14}")
     for suffix, name in FRONT_END:
-        calls = cumulative = 0
-        for (path, _line, function), row in stats.stats.items():
-            if function == name and path.endswith(suffix):
-                calls += row[0]
-                cumulative += row[3]
+        calls, cumulative = _calls(stats, suffix, name)
         print(f"{suffix + '::' + name:<44}{calls:>8}{cumulative:>14.3f}")
+    print()
+    print(f"{'per operation':<44}{'calls':>8}{'per op':>14}")
+    for suffix, name, label in PER_OPERATION:
+        calls, _ = _calls(stats, suffix, name)
+        print(f"{label:<44}{calls:>8}{calls / OPERATIONS:>14.1f}")
     print()
     stats.sort_stats("tottime").print_stats(TOP)
     return 0 if not failed else 1
