@@ -71,13 +71,13 @@ def test_e9_insert_stream(benchmark, mode):
 def test_e9_trigger_detection_skips_unrelated(benchmark):
     db = fresh("immediate")
     insert_stream(db, count=5)
-    checks_before = db.constraints.checks_run
-    skips_before = db.constraints.checks_skipped
+    checks_before = db.perf.constraint_checks_run
+    skips_before = db.perf.constraint_checks_skipped
     unrelated_stream(db, count=20)
-    assert db.constraints.checks_run == checks_before
-    assert db.constraints.checks_skipped > skips_before
-    attach(benchmark, checks_run=db.constraints.checks_run,
-           checks_skipped=db.constraints.checks_skipped)
+    assert db.perf.constraint_checks_run == checks_before
+    assert db.perf.constraint_checks_skipped > skips_before
+    attach(benchmark, checks_run=db.perf.constraint_checks_run,
+           checks_skipped=db.perf.constraint_checks_skipped)
     benchmark(lambda: None)
 
 
@@ -87,11 +87,11 @@ def test_e9_deferred_runs_fewer_or_equal_checks(benchmark):
     deferred = fresh("deferred")
     with deferred.transaction():
         insert_stream(deferred)
-    assert deferred.constraints.checks_run <= \
-        immediate.constraints.checks_run
+    assert deferred.perf.constraint_checks_run <= \
+        immediate.perf.constraint_checks_run
     attach(benchmark,
-           immediate_checks=immediate.constraints.checks_run,
-           deferred_checks=deferred.constraints.checks_run)
+           immediate_checks=immediate.perf.constraint_checks_run,
+           deferred_checks=deferred.perf.constraint_checks_run)
     benchmark(lambda: None)
 
 

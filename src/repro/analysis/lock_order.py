@@ -42,9 +42,8 @@ that keep the runtime edge set acyclic:
   unit latch held; inside it the commit path reaches versions (30),
   the pool (10) and the WAL (6) — all strictly descending;
 * ``TransactionManager`` only takes its mutex (rank 60) with an empty
-  stack: in ``begin``/``begin_detached``, and to count an abort once
-  its undo replay is over; commit bodies are serialized by
-  ``store.commit_latch`` and abort/undo replay by the session's
+  stack, in ``begin``/``begin_detached``; commit bodies are serialized
+  by ``store.commit_latch`` and abort/undo replay by the session's
   exclusive locks plus per-unit latches.
 """
 

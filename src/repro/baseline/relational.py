@@ -195,10 +195,10 @@ class RelationalDatabase:
 
     @property
     def io_stats(self):
-        return self.pool.stats
+        return self.pool.perf
 
     def reset_io_stats(self) -> None:
-        self.pool.stats.reset()
+        self.pool.perf.reset()
 
     def cold_cache(self) -> None:
         self.pool.invalidate()

@@ -34,6 +34,7 @@ from repro.errors import SimError
 from repro.mapper.physical import PhysicalDesign
 from repro.mapper.store import MapperStore
 from repro.optimizer.strategies import Optimizer
+from repro.perf import IO_FIELDS
 from repro.plan_cache import CompiledStatement, PlanCache
 from repro.schema.ddl_parser import parse_ddl
 from repro.schema.schema import Schema
@@ -130,6 +131,7 @@ class Database:
         self.optimizer = Optimizer(self)
         self.plan_cache = PlanCache(self)
         self._lock_manager = LockManager()
+        self._lock_manager.perf = self.store.perf
         self._session_ids = itertools.count(1)
 
     # -- Statements ---------------------------------------------------------------
@@ -352,8 +354,8 @@ class Database:
     def statistics(self) -> dict:
         stats = dict(self.schema.statistics())
         stats.update(self.constraints.statistics())
-        stats["io"] = dict(vars(self.store.io_stats()))
-        stats["read_path"] = self.store.perf.as_dict()
+        counts = stats["read_path"] = self.store.perf.as_dict()
+        stats["io"] = {name: counts[name] for name in IO_FIELDS}
         stats["storage"] = self.store.storage_statistics()
         stats["locks"] = self._lock_manager.statistics()
         if self.store.trace is not None:
@@ -362,15 +364,17 @@ class Database:
 
     @property
     def io_stats(self):
-        return self.store.io_stats()
+        """The block-I/O counters (``logical_reads``, ``physical_reads``,
+        ``physical_writes``): rows of :attr:`perf`."""
+        return self.store.perf
 
     @property
     def perf(self):
-        """Cumulative read-path counters (cache hits, records decoded...)."""
+        """Cumulative counters of every layer (block I/O, cache hits,
+        records decoded, commits, lock waits...)."""
         return self.store.perf
 
     def reset_io_stats(self) -> None:
-        self.store.reset_io_stats()
         self.store.perf.reset()
 
     # -- Tracing / EXPLAIN ANALYZE ---------------------------------------------------

@@ -148,13 +148,11 @@ class ConstraintManager:
         self.compiled: List[_CompiledConstraint] = [
             _CompiledConstraint(c, executor.qualifier)
             for c in executor.schema.constraints]
-        self.checks_run = 0
-        self.checks_skipped = 0
         self._deferred_keys: Set[tuple] = set()
         self._deferred_entities: Set[int] = set()
         # Plain leaf lock: one ConstraintManager is shared by every
-        # concurrent session, so the deferred sets and counters need a
-        # guard.  Nothing is ever acquired while holding it.
+        # concurrent session, so the deferred sets need a guard.
+        # Nothing is ever acquired while holding it.
         self._state_lock = threading.Lock()
 
     # -- Statement / commit hooks ------------------------------------------------
@@ -193,18 +191,17 @@ class ConstraintManager:
     def _check(self, keys: Set[tuple], entities: Set[int],
                executor=None) -> None:
         executor = executor if executor is not None else self.executor
+        perf = self.store.perf
         for compiled in self.compiled:
             if not compiled.triggered_by(keys):
-                with self._state_lock:
-                    self.checks_skipped += 1
+                perf.bump("constraint_checks_skipped")
                 continue
             perspective = compiled.constraint.class_name
             candidates = self._propagate(compiled, entities)
             for surrogate in sorted(candidates):
                 if not self.store.has_role(surrogate, perspective):
                     continue
-                with self._state_lock:
-                    self.checks_run += 1
+                perf.bump("constraint_checks_run")
                 # Only a *false* assertion is a violation: UNKNOWN (nulls)
                 # passes, as in SQL CHECK.  An existential assertion (TYPE
                 # 2 subtrees) is false when no binding satisfies it.
@@ -257,5 +254,5 @@ class ConstraintManager:
 
     def statistics(self) -> Dict[str, int]:
         return {"constraints": len(self.compiled),
-                "checks_run": self.checks_run,
-                "checks_skipped": self.checks_skipped}
+                "checks_run": self.store.perf.constraint_checks_run,
+                "checks_skipped": self.store.perf.constraint_checks_skipped}

@@ -72,6 +72,7 @@ from repro.dml.ast import (
 from repro.dml.parser import parse_dml
 from repro.engine.lockdep import RankedCondition, RankedLock
 from repro.errors import SimError
+from repro.perf import PerfCounters
 
 
 class LockConflict(SimError):
@@ -176,9 +177,8 @@ class LockManager:
         #: deadlock victims that must abort at their next wakeup
         self._doomed: Set[int] = set()
         self.default_timeout = default_timeout
-        self.deadlocks = 0
-        self.timeouts = 0
-        self.waits = 0
+        #: counts waits, deadlocks, timeouts (the Database wires its own)
+        self.perf = PerfCounters()
 
     # -- Acquisition -------------------------------------------------------------
 
@@ -226,11 +226,11 @@ class LockManager:
                             self._conflict_message(key, blockers))
                     if not waited:
                         waited = True
-                        self.waits += 1
+                        self.perf.bump("lock_waits")
                     self._waits[session_id] = (key, mode)
                     victim = self._find_victim(session_id)
                     if victim is not None:
-                        self.deadlocks += 1
+                        self.perf.bump("deadlocks")
                         if victim == session_id:
                             raise DeadlockError(
                                 f"session {session_id} chosen as deadlock "
@@ -240,7 +240,7 @@ class LockManager:
                         continue
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
-                        self.timeouts += 1
+                        self.perf.bump("lock_timeouts")
                         raise LockTimeout(
                             f"session {session_id} timed out after "
                             f"{timeout:.3g}s waiting for "
@@ -347,17 +347,10 @@ class LockManager:
         statement error: new locks are dropped, upgrades are demoted
         back to the mode held before, pre-held locks are untouched.
 
-        Accepts the 3-tuples ``(key, grant, previous_mode)`` that
-        :meth:`acquire` hands back, and — for older callers — legacy
-        2-tuples ``(class_name, grant)``, where an upgrade demotes to
-        shared (the only upgrade the two-mode manager had)."""
+        Takes the ``(key, grant, previous_mode)`` 3-tuples built from
+        what :meth:`acquire` hands back."""
         with self._cond:
-            for acquisition in reversed(acquisitions):
-                if len(acquisition) == 2:
-                    key, grant = acquisition
-                    previous = "S"
-                else:
-                    key, grant, previous = acquisition
+            for key, grant, previous in reversed(acquisitions):
                 if grant == "held":
                     continue
                 holders = self._holders.get(key)
@@ -396,9 +389,9 @@ class LockManager:
                              for key, holders in self._holders.items()
                              if not isinstance(key, tuple)]
             return {
-                "deadlocks": self.deadlocks,
-                "timeouts": self.timeouts,
-                "waits": self.waits,
+                "deadlocks": self.perf.deadlocks,
+                "timeouts": self.perf.lock_timeouts,
+                "waits": self.perf.lock_waits,
                 "waiting_now": len(self._waits),
                 "exclusive_held": sum(
                     1 for _, h in class_entries if "X" in h.values()),
@@ -499,8 +492,6 @@ class Session:
         self.lock_timeout = lock_timeout
         self.max_deadlock_retries = max_deadlock_retries
         self.entity_locks = entity_locks
-        #: statements replayed after this session lost a deadlock
-        self.deadlock_retries = 0
         self._transaction = None
         self._statements_in_txn = 0
         self._retry_rng = random.Random(self.session_id * 7919)
@@ -556,7 +547,7 @@ class Session:
                         or attempt >= self.max_deadlock_retries:
                     raise
                 attempt += 1
-                self.deadlock_retries += 1
+                self.database.store.perf.bump("deadlock_retries")
                 time.sleep(self._backoff(attempt))
 
     def _backoff(self, attempt: int) -> float:

@@ -18,6 +18,7 @@ from typing import Optional, TextIO
 
 from repro.database import Database
 from repro.errors import SimError
+from repro.perf import IO_FIELDS
 
 
 _HELP = """Commands:
@@ -31,7 +32,7 @@ _HELP = """Commands:
   .trace on|off           leave tracing on for following statements
   .analyze                collect optimizer statistics
   .lint                   run the schema linter (simcheck) on the schema
-  .perf                   read-path cache / memoization counters
+  .perf                   event counters of every layer
   .set [batch-size <n> | parallelism <n> | rewrite on|off]
                           show or change executor/optimizer knobs
   .materialize <name> join <class> <eva>
@@ -228,7 +229,9 @@ class IQFSession:
             except SimError as exc:
                 self._print(f"error: {exc}")
         elif command == ".io":
-            self._print(repr(self.database.io_stats))
+            counts = self.database.io_stats.as_dict()
+            self._print(" ".join(f"{name}={counts[name]}"
+                                 for name in IO_FIELDS))
             self.database.reset_io_stats()
         elif command == ".perf":
             self._print(self.database.perf.describe())

@@ -96,8 +96,9 @@ class MapperStore:
         self.luc_schema: LUCSchema = translate_schema(schema)
         self.disk = Disk()
         self.wal = WriteAheadLog()
-        #: read-path counters shared with the engine and the optimizer
+        #: the one counter table of every layer (repro.perf)
         self.perf = PerfCounters()
+        self.wal.perf = self.perf
         #: bounded retry-with-backoff for transient device faults; applied
         #: to every buffer-pool disk access, WAL force, and recovery I/O
         self.retry = RetryPolicy(perf=self.perf)
@@ -165,8 +166,10 @@ class MapperStore:
         self.pool.wal = self.wal
         self.pool.retry = self.retry
         self.pool.trace = self.trace
+        self.pool.perf = self.perf
         self.transactions = TransactionManager(
             self.pool, wal=self.wal, start_after=start_after)
+        self.transactions.perf = self.perf
         # Rollback surgery (abort or statement-level rollback_to) restores
         # state through raw file/index operations; the hook guarantees no
         # cached or materialized state survives it.
@@ -1073,13 +1076,6 @@ class MapperStore:
     def class_block_count(self, class_name: str) -> int:
         return self._class_file[canon(class_name)].block_count
 
-    def io_stats(self):
-        return self.pool.stats
-
-    def reset_io_stats(self) -> None:
-        self.pool.stats.reset()
-        self.disk.stats.reset()
-
     def cold_cache(self) -> None:
         """Flush and invalidate the buffer pool and the read-path caches
         (for cold-run benchmarks and deterministic I/O accounting)."""
@@ -1136,7 +1132,7 @@ class MapperStore:
         self._rebuild_volatile()
         checkpoint_lsn = self.wal.checkpoint()
         return {"undone_slots": undone, "checkpoint_lsn": checkpoint_lsn,
-                "transient_retries": self.retry.retries}
+                "transient_retries": self.perf.transient_retries}
 
     def _rebuild_volatile(self) -> None:
         """Reconstruct the buffer pool, file metadata, every index, the
@@ -1186,10 +1182,10 @@ class MapperStore:
         """Durability-side counters: WAL, retries, injected faults."""
         stats = {
             "wal_records": len(self.wal),
-            "wal_forces": self.wal.forces,
-            "wal_checkpoints": self.wal.checkpoints,
-            "commits": self.transactions.commits,
-            "aborts": self.transactions.aborts,
+            "wal_forces": self.perf.wal_forces,
+            "wal_checkpoints": self.perf.wal_checkpoints,
+            "commits": self.perf.commits,
+            "aborts": self.perf.aborts,
             "retry": self.retry.statistics(),
             "mvcc": self.versions.statistics(),
         }

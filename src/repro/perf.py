@@ -1,14 +1,16 @@
-"""Read-path performance counters and trace histograms.
+"""Event counters and trace histograms.
 
 One :class:`PerfCounters` instance lives on each
-:class:`~repro.mapper.store.MapperStore` and is shared by every layer of
-the read path: the Mapper's decoded-record / role / EVA fan-out caches
-(:mod:`repro.mapper.read_cache`), the engine's query-scoped memoization
-(:mod:`repro.engine.access`), and the executor's existential-loop
-hoisting.  The counters make speedups *attributable*: a benchmark that
-claims a cache win can report the hit rate that produced it, and the
-optimizer's cost model reads the observed hit rate to discount
-cached-access costs (its "learned" §5.1 parameter).
+:class:`~repro.mapper.store.MapperStore` and is the one counter table of
+every layer, from the buffer pool's block I/O (the §5.1 cost unit), the
+WAL, transactions and locks up to the Mapper's caches
+(:mod:`repro.mapper.read_cache`) and the engine's memoization
+(:mod:`repro.engine.access`); ``db.io_stats``, ``statistics()``,
+``ResultSet.perf`` and a span's ``counts`` all read it.  The counters
+make speedups *attributable*: a benchmark that claims a cache win can
+report the hit rate that produced it, and the optimizer's cost model
+reads the observed hit rate to discount cached-access costs (its
+"learned" §5.1 parameter).
 
 The statement is the unit of accounting.  Every layer counts an event
 with one call, :meth:`PerfCounters.bump`, and the call decides whom the
@@ -69,8 +71,25 @@ _COUNTERS = (
     ("driver", "plan_cache_entries"),     # gauge: statement shapes held now
     ("mapper", "snapshot_find_overlays"),  # index probe + changed records
     ("mapper", "snapshot_find_scans"),    # scanned despite an index
+    ("storage", "logical_reads"),         # buffer-pool block requests
+    ("storage", "physical_reads"),        # of those, read off the disk
+    ("storage", "physical_writes"),       # data blocks written back
+    ("storage", "wal_forces"),            # non-empty log forces
+    ("storage", "wal_records_forced"),    # log records those made durable
+    ("storage", "wal_checkpoints"),       # post-recovery log resets
+    ("storage", "record_mutations"),      # slot writes (WAL-logged)
+    ("storage", "commits"),
+    ("storage", "aborts"),
+    ("engine", "lock_waits"),             # lock requests that had to wait
+    ("engine", "lock_timeouts"),
+    ("engine", "deadlocks"),              # cycles found (one victim each)
+    ("engine", "deadlock_retries"),       # victim statements replayed
+    ("engine", "constraint_checks_run"),  # VERIFY evaluations per entity
+    ("engine", "constraint_checks_skipped"),  # constraints not triggered
 )
 COUNTER_FIELDS = tuple(name for _, name in _COUNTERS)
+#: the block-I/O rows: ``statistics()["io"]`` and IQF ``.io``
+IO_FIELDS = ("logical_reads", "physical_reads", "physical_writes")
 #: set, never counted: a reset keeps them and no frame ever holds one
 GAUGE_FIELDS = ("plan_cache_entries",)
 #: the name a trace span shows a counter under: ``<layer>.<counter>``

@@ -14,7 +14,7 @@ Python block-structured store with:
 * an undo-log transaction manager (:mod:`repro.storage.transactions`).
 """
 
-from repro.storage.buffer import BufferPool, Disk, IOStats
+from repro.storage.buffer import BufferPool, Disk
 from repro.storage.records import RecordFormat, RID
 from repro.storage.files import RecordFile
 from repro.storage.index import DirectIndex, HashIndex, OrderedIndex
@@ -23,7 +23,6 @@ from repro.storage.transactions import TransactionManager, Transaction
 __all__ = [
     "BufferPool",
     "Disk",
-    "IOStats",
     "RecordFormat",
     "RID",
     "RecordFile",

@@ -1,11 +1,13 @@
 """Simulated disk and LRU buffer pool with block-I/O accounting.
 
-All physical I/O in the system flows through one :class:`BufferPool`; its
-:class:`IOStats` are the measurements our benchmarks report.  This follows
-the paper's own cost vocabulary (§5.1): "the I/O cost of accessing the
-first instance of a relationship will be 0 if the relationship is
-implemented by clustering and 1 block access if it is implemented by
-absolute addresses".
+All physical I/O in the system flows through one :class:`BufferPool`; the
+``logical_reads`` / ``physical_reads`` / ``physical_writes`` it counts
+into its :class:`~repro.perf.PerfCounters` (the store's, once wired) are
+the measurements our benchmarks report.  This follows the paper's own
+cost vocabulary (§5.1): "the I/O cost of accessing the first instance of
+a relationship will be 0 if the relationship is implemented by
+clustering and 1 block access if it is implemented by absolute
+addresses".
 """
 
 from __future__ import annotations
@@ -13,34 +15,11 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import StorageError
+from repro.perf import PerfCounters
 from repro.storage.latch import ranked_lock
-
-
-@dataclass
-class IOStats:
-    """Counters for one disk/buffer-pool pair."""
-
-    logical_reads: int = 0
-    physical_reads: int = 0
-    physical_writes: int = 0
-
-    def snapshot(self) -> "IOStats":
-        return IOStats(self.logical_reads, self.physical_reads,
-                       self.physical_writes)
-
-    def delta(self, earlier: "IOStats") -> "IOStats":
-        return IOStats(self.logical_reads - earlier.logical_reads,
-                       self.physical_reads - earlier.physical_reads,
-                       self.physical_writes - earlier.physical_writes)
-
-    def reset(self) -> None:
-        self.logical_reads = 0
-        self.physical_reads = 0
-        self.physical_writes = 0
 
 
 class Block:
@@ -72,9 +51,9 @@ class Block:
 class Disk:
     """The simulated disk: a map from (file_id, block_no) to block images.
 
-    Reading and writing a block each count one physical I/O.  Blocks are
-    deep-copied across the "device boundary" so a buffered block and its
-    disk image are genuinely distinct, as on real hardware.
+    Blocks are deep-copied across the "device boundary" so a buffered
+    block and its disk image are genuinely distinct, as on real hardware.
+    The buffer pool counts the physical I/O it does here.
 
     ``read_latency`` models the device's per-read service time in
     seconds (default 0.0: instantaneous, so every existing deterministic
@@ -85,20 +64,14 @@ class Disk:
 
     def __init__(self, read_latency: float = 0.0):
         self._blocks: Dict[Tuple[int, int], Block] = {}
-        self.stats = IOStats()
         #: modeled per-read device service time, seconds (0.0 = off)
         self.read_latency = read_latency
-        # Serializes the stats counters only: concurrent morsel workers
-        # read through the buffer pool, and `n += 1` is not atomic.
-        self._stats_lock = threading.Lock()
         #: optional :class:`~repro.storage.faults.FaultInjector`; consulted
         #: on every read and write (may raise, or tear the written image)
         self.faults = None
 
     def read(self, file_id: int, block_no: int) -> Block:
         key = (file_id, block_no)
-        with self._stats_lock:
-            self.stats.physical_reads += 1
         if self.faults is not None:
             self.faults.on_read(file_id, block_no)
         if self.read_latency > 0.0:
@@ -109,8 +82,6 @@ class Disk:
         return image.copy()
 
     def write(self, file_id: int, block_no: int, block: Block) -> None:
-        with self._stats_lock:
-            self.stats.physical_writes += 1
         if self.faults is not None:
             block = self.faults.on_write(file_id, block_no, block)
         self._blocks[(file_id, block_no)] = block.copy()
@@ -164,6 +135,8 @@ class BufferPool:
         self.retry = None
         #: optional trace recorder (repro.trace.attach_tracing)
         self.trace = None
+        #: counts block I/O (the store wires its own)
+        self.perf = PerfCounters()
         self._frames: "OrderedDict[Tuple[int,int], Block]" = OrderedDict()
         self._dirty: set = set()
         # Rank 10 — the leaf of the declared lock hierarchy
@@ -172,7 +145,6 @@ class BufferPool:
         self._lock = ranked_lock("storage.buffer")
         #: in-flight physical reads: key -> Event set once installed
         self._loading: Dict[Tuple[int, int], threading.Event] = {}
-        self.stats = IOStats()
 
     # -- Device access (retry-wrapped) -------------------------------------------
 
@@ -201,12 +173,9 @@ class BufferPool:
         freshly installed block again before the waiter woke up).
         """
         key = (file_id, block_no)
-        first_probe = True
+        self.perf.bump("logical_reads")
         while True:
             with self._lock:
-                if first_probe:
-                    self.stats.logical_reads += 1
-                    first_probe = False
                 block = self._frames.get(key)
                 if block is not None:
                     self._frames.move_to_end(key)
@@ -224,11 +193,8 @@ class BufferPool:
                 self._loading.pop(key, None)
             waiter.set()
             raise
+        self.perf.bump("physical_reads")
         with self._lock:
-            self.stats.physical_reads += 1
-            trace = self.trace
-            if trace is not None and trace.enabled:
-                trace.count("storage.physical_reads")
             self._install(key, block)
             self._loading.pop(key, None)
         waiter.set()
@@ -267,10 +233,7 @@ class BufferPool:
                 if self.wal is not None:
                     self.wal.force()   # the WAL rule: log before data
                 self._disk_write(*victim_key, victim)
-                self.stats.physical_writes += 1
-                trace = self.trace
-                if trace is not None and trace.enabled:
-                    trace.count("storage.physical_writes")
+                self.perf.bump("physical_writes")
                 self._dirty.discard(victim_key)
 
     # -- Maintenance --------------------------------------------------------------
@@ -283,13 +246,9 @@ class BufferPool:
                 # covers.  Forcing under the pool lock is deliberate —
                 # no page may be written (or redirtied) mid-force.
                 self.wal.force()  # noqa: SIM302
-            trace = self.trace
-            tracing = trace is not None and trace.enabled
             for key in sorted(self._dirty):
                 self._disk_write(*key, self._frames[key])
-                self.stats.physical_writes += 1
-                if tracing:
-                    trace.count("storage.physical_writes")
+                self.perf.bump("physical_writes")
                 self._dirty.discard(key)
 
     def invalidate(self) -> None:

@@ -14,9 +14,9 @@ This module supplies the failure half of that argument:
   slot directory reaches the platter), and crash triggers (the machine
   dies mid-operation and every further I/O fails until ``reboot``).
 * :class:`RetryPolicy` — the Mapper's bounded retry-with-backoff loop for
-  transient faults, with retry/give-up counters mirrored into
-  :class:`~repro.perf.PerfCounters` so ``Database.statistics()`` can
-  report them.
+  transient faults, counting retries and give-ups into the store's
+  :class:`~repro.perf.PerfCounters` (``transient_retries`` /
+  ``transient_giveups``), which ``Database.statistics()`` reports.
 
 Determinism matters more than realism here: every plan fires on an exact
 operation ordinal (the Nth read/write/force counted from arming), so a
@@ -29,9 +29,10 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.errors import InjectedCrash, StorageError, TransientStorageError
+from repro.perf import PerfCounters
 
 #: operation kinds the injector counts
 READ = "read"
@@ -217,23 +218,20 @@ class RetryPolicy:
     2, 4, 8... without sleeping) so torture suites stay fast; set
     ``delay`` > 0 for wall-clock backoff.
 
-    Counters mirror into the store's :class:`~repro.perf.PerfCounters`
-    (``transient_retries`` / ``transient_giveups``) when ``perf`` is
-    given, which surfaces them through ``Database.statistics()``.
+    Retries and give-ups are counted into ``perf`` (the store's
+    :class:`~repro.perf.PerfCounters`; a fresh one when none is given).
     """
 
     def __init__(self, max_attempts: int = 4, delay: float = 0.0,
-                 perf=None):
+                 perf: Optional[PerfCounters] = None):
         if max_attempts < 1:
             raise StorageError(
                 f"retry policy needs max_attempts >= 1, got {max_attempts}")
         self.max_attempts = max_attempts
         self.delay = delay
-        self.perf = perf
+        self.perf = perf if perf is not None else PerfCounters()
         #: optional trace recorder (repro.trace.attach_tracing)
         self.trace = None
-        self.retries = 0
-        self.giveups = 0
         self.backoff_ticks = 0
 
     def call(self, operation, *args, **kwargs):
@@ -247,16 +245,12 @@ class RetryPolicy:
             except TransientStorageError as fault:
                 trace = self.trace
                 if attempt >= self.max_attempts:
-                    self.giveups += 1
-                    if self.perf is not None:
-                        self.perf.bump("transient_giveups")
+                    self.perf.bump("transient_giveups")
                     if trace is not None and trace.enabled:
                         trace.event("transient_giveup", attempt=attempt,
                                     fault=str(fault))
                     raise
-                self.retries += 1
-                if self.perf is not None:
-                    self.perf.bump("transient_retries")
+                self.perf.bump("transient_retries")
                 if trace is not None and trace.enabled:
                     trace.event("transient_retry", attempt=attempt,
                                 fault=str(fault))
@@ -267,10 +261,11 @@ class RetryPolicy:
 
     def statistics(self) -> Dict[str, int]:
         return {"max_attempts": self.max_attempts,
-                "retries": self.retries,
-                "giveups": self.giveups,
+                "retries": self.perf.transient_retries,
+                "giveups": self.perf.transient_giveups,
                 "backoff_ticks": self.backoff_ticks}
 
     def __repr__(self):
         return (f"<RetryPolicy max_attempts={self.max_attempts} "
-                f"retries={self.retries} giveups={self.giveups}>")
+                f"retries={self.perf.transient_retries} "
+                f"giveups={self.perf.transient_giveups}>")

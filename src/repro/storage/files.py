@@ -200,9 +200,9 @@ class RecordFile:
 
     def _log(self, rid: RID, before, after) -> None:
         """Write-ahead log hook for one slot mutation."""
+        self.pool.perf.bump("record_mutations")
         trace = self.pool.trace
         if trace is not None and trace.enabled:
-            trace.count("storage.record_mutations")
             trace.count(f"storage.mutated[{self.name}]")
         if self.wal is None:
             return

@@ -15,6 +15,7 @@ from contextlib import contextmanager
 from typing import Callable, List, Optional
 
 from repro.errors import TransactionError
+from repro.perf import PerfCounters
 from repro.storage.latch import ranked_lock
 
 
@@ -113,16 +114,14 @@ class TransactionManager:
         #: recovered log may still mention
         self._next_txn_id = start_after
         # Rank 60: only taken with no other lock held, in begin()/
-        # begin_detached() and to count a finished abort; commit bodies
-        # are serialized by store.commit_latch and abort/undo replay by
-        # the aborting session's exclusive locks plus per-unit latches
-        # (see analysis/lock_order.py).
+        # begin_detached(); commit bodies are serialized by
+        # store.commit_latch and abort/undo replay by the aborting
+        # session's exclusive locks plus per-unit latches (see
+        # analysis/lock_order.py).
         self._mutex = ranked_lock("storage.transactions")
         self._tls = threading.local()
-        #: commit bodies are serialized (store.commit_latch), so a bare
-        #: increment counts them; aborts are not, and count under _mutex
-        self.commits = 0
-        self.aborts = 0
+        #: counts commits and aborts (the store wires its own)
+        self.perf = PerfCounters()
         #: callbacks fired after any rollback (full abort or partial
         #: rollback_to) — the Mapper registers its read-cache clear here,
         #: because undo surgery must invalidate caches, not just commits
@@ -202,7 +201,7 @@ class TransactionManager:
             self._pool.flush()
         if self._wal is not None:
             self._wal.log_commit(transaction.transaction_id)
-        self.commits += 1
+        self.perf.bump("commits")
 
     def abort(self) -> None:
         transaction = self._require_active()
@@ -222,8 +221,7 @@ class TransactionManager:
         transaction._abort()
         if self._current is transaction:
             self._current = None
-        with self._mutex:
-            self.aborts += 1
+        self.perf.bump("aborts")
         for hook in self.abort_hooks:
             hook(transaction.transaction_id)
         self._fire_invalidation_hooks()

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Set
 
+from repro.perf import PerfCounters
 from repro.storage.latch import ranked_lock
 
 UPDATE = "update"
@@ -56,18 +57,13 @@ class WriteAheadLog:
         # and force() runs under the buffer pool's lock (rank 10) during
         # eviction, so the log's own mutex must sit below both.
         self._mutex = ranked_lock("storage.wal")
-        #: physical writes charged for log forces (one per non-empty force)
-        self.forces = 0
-        self.appended = 0
-        #: successful checkpoints (post-recovery log resets)
-        self.checkpoints = 0
         self.last_checkpoint_lsn = 0
         #: optional fault injector / retry policy applied to forces —
         #: a force is the log device's write, so it can fail too
         self.faults = None
         self.retry = None
-        #: optional trace recorder (repro.trace.attach_tracing)
-        self.trace = None
+        #: counts forces and checkpoints (the store wires its own)
+        self.perf = PerfCounters()
 
     # -- Writing -----------------------------------------------------------------
 
@@ -77,7 +73,6 @@ class WriteAheadLog:
             lsn = self._next_lsn
             self._next_lsn += 1
             self._records.append(LogRecord(lsn, txn_id, kind, payload))
-            self.appended += 1
             return lsn
 
     def log_update(self, txn_id: Optional[int], file_id: int, block_no: int,
@@ -110,11 +105,8 @@ class WriteAheadLog:
                 else:
                     self.faults.on_force()
             self._durable_upto = len(self._records)
-            self.forces += 1
-        trace = self.trace
-        if trace is not None and trace.enabled:
-            trace.count("storage.wal_forces")
-            trace.count("storage.wal_records_forced", forced)
+        self.perf.bump("wal_forces")
+        self.perf.bump("wal_records_forced", forced)
 
     # -- Crash / recovery ------------------------------------------------------------
 
@@ -159,7 +151,7 @@ class WriteAheadLog:
         if self._records:
             self.last_checkpoint_lsn = self._next_lsn - 1
         self.truncate()
-        self.checkpoints += 1
+        self.perf.bump("wal_checkpoints")
         return self.last_checkpoint_lsn
 
     def __len__(self):

@@ -317,9 +317,9 @@ class TraceRecorder:
             span.events.append({"event": name, **attrs})
 
     def count(self, name: str, amount: int = 1) -> None:
-        """Count an event that has no totals field (physical I/O, WAL
-        forces, decodes per class) on the current span.  Dropped when
-        no span is open."""
+        """Count an event that has no totals field — the per-unit names
+        ``mapper.decoded[<class>]`` and ``storage.mutated[<unit>]`` —
+        on the current span.  Dropped when no span is open."""
         frame = self.perf.frame() if self.enabled else None
         if frame is not None and frame.span is not None:
             counts = frame._counts
@@ -365,14 +365,13 @@ class TraceRecorder:
 def attach_tracing(store, recorder: Optional[TraceRecorder] = None,
                    capacity: int = 256) -> TraceRecorder:
     """Wire a recorder into every layer of one Mapper store: the store
-    itself (record decodes), its read cache, WAL, buffer pool (physical
-    I/O) and retry policy (fault events).  Idempotent per store."""
+    itself (decodes per class), its read cache, buffer pool (mutations
+    per unit) and retry policy (fault events).  Idempotent per store."""
     if recorder is None:
         recorder = TraceRecorder(capacity=capacity)
     recorder.perf = store.perf
     store.trace = recorder
     store.read_cache.trace = recorder
-    store.wal.trace = recorder
     store.pool.trace = recorder
     store.retry.trace = recorder
     return recorder
@@ -382,6 +381,5 @@ def detach_tracing(store) -> None:
     """Remove the recorder from every layer (back to zero overhead)."""
     store.trace = None
     store.read_cache.trace = None
-    store.wal.trace = None
     store.pool.trace = None
     store.retry.trace = None

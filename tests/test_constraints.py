@@ -54,10 +54,10 @@ class TestV1CreditSum:
     def test_unrelated_update_not_checked(self, db):
         db.execute('Insert student(soc-sec-no := 1, courses-enrolled :='
                    ' course with (title = "Heavy"))')
-        before = db.constraints.checks_run
+        before = db.perf.constraint_checks_run
         db.execute('Modify person(name := "Renamed") Where soc-sec-no = 1')
         # name is not a term of v1 or v2: no checks run.
-        assert db.constraints.checks_run == before
+        assert db.perf.constraint_checks_run == before
 
 
 class TestV2SalaryBonus:
@@ -122,11 +122,11 @@ class TestTriggerAnalysis:
         assert ("attr", "course", "credits") in v1.terms
 
     def test_skip_counter_grows_for_untriggered(self, db):
-        before = db.constraints.checks_skipped
+        before = db.perf.constraint_checks_skipped
         db.execute('Insert department(dept-nbr := 100, name := "D")')
-        assert db.constraints.checks_skipped > before
+        assert db.perf.constraint_checks_skipped > before
 
     def test_off_mode_never_checks(self):
         db = Database(UNIVERSITY_DDL, constraint_mode="off")
         db.execute('Insert student(soc-sec-no := 1)')   # v1 would fail
-        assert db.constraints.checks_run == 0
+        assert db.perf.constraint_checks_run == 0

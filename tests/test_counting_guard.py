@@ -8,8 +8,9 @@ the second ways must not grow back.
   cache's one keyed-LRU helper counts ``lru.hits`` / ``lru.misses``,
   so the literals checked there are the ``_LRU(...)`` instantiations';
 * no totals field has a second, span-only name: ``trace.count`` is for
-  events that have no field (``storage.*``, ``mapper.decoded[<class>]``)
-  and a span shows a field's events as what its frame counted;
+  the per-unit names that have no field (``mapper.decoded[<class>]``,
+  ``storage.mutated[<unit>]``) and a span shows a field's events — block
+  I/O and WAL forces included — as what its frame counted;
 * ``PerfCounters`` has no ``snapshot`` / ``delta`` and nothing calls
   them on a ``perf``; ``EntityAccessor`` has no ``flush`` and nothing
   calls one on an ``accessor``;
@@ -128,8 +129,9 @@ class TestTheGuardsFire:
                   "    trace.count('mapper.records_decoded')\n"
                   "    trace.count(f'mapper.decoded[{class_name}]')\n"
                   "    trace.count('storage.physical_reads')\n"
+                  "    trace.count(f'storage.mutated[{class_name}]')\n"
                   "    'a b'.count('records_decoded')\n")
-        assert second_names(source) == [3]
+        assert second_names(source) == [3, 5]
 
     def test_the_removed_calls_are_reported(self):
         source = ("def f(self, db, pool):\n"

@@ -153,9 +153,9 @@ class TestEstimateVsMeasure:
 
         def measure(plan):
             db.cold_cache()
-            db.store.reset_io_stats()
+            db.reset_io_stats()
             db.executor.run(query, tree, plan)
-            return db.store.io_stats().physical_reads
+            return db.io_stats.physical_reads
 
         assert measure(best) <= measure(worst)
 

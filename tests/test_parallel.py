@@ -265,7 +265,7 @@ class TestThreadSafetyHammer:
             thread.join()
         assert errors == []
         assert pool.resident_blocks <= 8
-        assert pool.stats.logical_reads == 8 * 400
+        assert pool.perf.logical_reads == 8 * 400
 
     def test_read_cache_hammer(self):
         database = build_university(seed=11)
@@ -326,7 +326,7 @@ class TestThreadSafetyHammer:
             thread.join()
         assert len(results) == 6
         # One loader performed the device read; the herd waited for it.
-        assert pool.stats.physical_reads == 1
+        assert pool.perf.physical_reads == 1
 
 
 class TestBufferEvictionScaling:

@@ -162,10 +162,10 @@ class TestRebuild:
 
 class TestWalMechanics:
     def test_commit_forces_log(self, db):
-        forces_before = db.store.wal.forces
+        forces_before = db.perf.wal_forces
         with db.transaction():
             db.execute('Insert person(name := "A", soc-sec-no := 1)')
-        assert db.store.wal.forces > forces_before
+        assert db.perf.wal_forces > forces_before
 
     def test_wal_rule_on_eviction(self):
         from repro.mapper import MapperStore, PhysicalDesign
@@ -178,7 +178,7 @@ class TestWalMechanics:
             store.insert_entity("person", {"soc-sec-no": k})
         # Every data-block write was preceded by a log force: the durable
         # log prefix covers every record whose page could be on disk.
-        assert store.wal.forces > 0
+        assert store.perf.wal_forces > 0
         store.transactions.commit()
 
     def test_log_truncated_after_recovery(self, db):
@@ -191,7 +191,7 @@ class TestWalMechanics:
         with db.transaction():
             db.execute('Insert person(name := "A", soc-sec-no := 1)')
         stats = db.simulate_crash()
-        assert db.store.wal.checkpoints == 1
+        assert db.perf.wal_checkpoints == 1
         assert stats["checkpoint_lsn"] == db.store.wal.last_checkpoint_lsn
 
 
@@ -267,11 +267,11 @@ class TestRecoveryIdempotence:
         with db.transaction():
             db.execute('Insert person(name := "A", soc-sec-no := 1)')
         db.simulate_crash()
-        writes_before = db.store.pool.stats.physical_writes
+        writes_before = db.store.pool.perf.physical_writes
         for record_file in db.store._files.values():
             record_file.rebuild_metadata(db.store.disk)
         db.store.pool.flush()
-        assert db.store.pool.stats.physical_writes == writes_before
+        assert db.store.pool.perf.physical_writes == writes_before
 
 
 @settings(max_examples=15, deadline=None,

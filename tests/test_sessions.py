@@ -185,8 +185,10 @@ class TestLockManager:
     def test_rollback_drops_new_and_demotes_upgrades(self):
         locks = LockManager()
         locks.acquire_shared(1, "course")
-        acquired = [("course", locks.acquire_exclusive(1, "course")),
-                    ("department", locks.acquire_exclusive(1, "department"))]
+        acquired = [("course",) + locks.acquire(1, "course", "X"),
+                    ("department",) + locks.acquire(1, "department", "X")]
+        assert acquired == [("course", "upgraded", "S"),
+                            ("department", "new", None)]
         locks.rollback(1, acquired)
         # upgrade demoted back to shared; new lock fully released
         assert locks.holdings(1) == {"course": "shared"}
@@ -195,7 +197,7 @@ class TestLockManager:
     def test_rollback_keeps_preheld(self):
         locks = LockManager()
         locks.acquire_exclusive(1, "course")
-        acquired = [("course", locks.acquire_exclusive(1, "course"))]
+        acquired = [("course",) + locks.acquire(1, "course", "X")]
         assert acquired[0][1] == "held"
         locks.rollback(1, acquired)
         assert locks.holdings(1)["course"] == "exclusive"
@@ -412,7 +414,7 @@ class TestConcurrentSessions:
             thread.join(timeout=30.0)
         assert not errors
         assert not any(thread.is_alive() for thread in threads)
-        assert db._lock_manager.deadlocks >= 1
+        assert db.perf.deadlocks >= 1
 
     def test_fresh_statement_deadlock_autoretries(self, db):
         """When the deadlocked statement is the transaction's first, the

@@ -5,7 +5,8 @@ import pytest
 from repro import Database, PhysicalDesign, parse_ddl, parse_dml
 from repro.optimizer import CostModel, analyze
 from repro.optimizer.statistics import AttributeStatistics
-from repro.workloads import UNIVERSITY_DDL, populate_university
+from repro.workloads import (UNIVERSITY_DDL, build_university,
+                             populate_university)
 
 
 @pytest.fixture(scope="module")
@@ -125,3 +126,54 @@ class TestDatabaseStatistics:
         assert all(type(count) is int for count in io.values())
         assert io["logical_reads"] == db.io_stats.logical_reads > 0
         assert json.loads(json.dumps(statistics))["io"] == io
+
+
+class TestOneCountThreeSurfaces:
+    """A count is stored once, where it arises; ``ResultSet.perf``,
+    ``db.io_stats``, ``statistics()`` and a span's ``counts`` all read
+    that one count."""
+
+    def test_physical_reads_agree_on_every_surface(self):
+        database = build_university(departments=2, instructors=4,
+                                    students=20, courses=8, seed=3)
+        database.enable_tracing()
+        text = "From student Retrieve name, name of advisor"
+        for _ in range(3):      # plan-epoch moves and cache fills
+            database.query(text)
+        database.cold_cache()
+        before = database.io_stats.physical_reads
+        result = database.query(text)
+        in_spans = sum(span.counts.get("storage.physical_reads", 0)
+                       for span in result.trace.walk())
+        assert result.perf.physical_reads \
+            == database.io_stats.physical_reads - before == in_spans > 0
+
+    def test_wal_forces_agree_on_every_surface(self):
+        database = build_university(departments=2, instructors=4,
+                                    students=20, courses=8, seed=3)
+        session = database.session()
+        before = (database.io_stats.wal_forces,
+                  database.statistics()["storage"]["wal_forces"])
+        session.execute('Modify course(title := "Renamed")'
+                        ' Where course-no = 101')
+        session.commit()
+        after = (database.io_stats.wal_forces,
+                 database.statistics()["storage"]["wal_forces"])
+        # the data-page flush forces the log, then the commit record
+        assert after[0] - before[0] == after[1] - before[1] == 2
+
+    def test_counters_survive_a_crash(self):
+        database = build_university(departments=2, instructors=4,
+                                    students=20, courses=8, seed=3)
+        with database.transaction():
+            database.execute('Modify course(title := "Renamed")'
+                             ' Where course-no = 101')
+        for _ in range(5):
+            database.cold_cache()
+            database.query("From student Retrieve name, name of advisor")
+        reads = database.io_stats.physical_reads
+        commits = database.statistics()["storage"]["commits"]
+        assert commits >= 1
+        database.simulate_crash()
+        assert database.io_stats.physical_reads >= reads
+        assert database.statistics()["storage"]["commits"] >= commits

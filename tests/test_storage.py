@@ -20,10 +20,10 @@ class TestBufferPool:
         disk = Disk()
         pool = BufferPool(disk, 4)
         pool.get(1, 0)
-        assert pool.stats.physical_reads == 1
+        assert pool.perf.physical_reads == 1
         pool.get(1, 0)
-        assert pool.stats.logical_reads == 2
-        assert pool.stats.physical_reads == 1
+        assert pool.perf.logical_reads == 2
+        assert pool.perf.physical_reads == 1
 
     def test_lru_eviction_writes_back_dirty(self):
         disk = Disk()
@@ -33,7 +33,7 @@ class TestBufferPool:
         pool.mark_dirty(1, 0)
         pool.get(1, 1)
         pool.get(1, 2)  # evicts block 0 (dirty) -> physical write
-        assert pool.stats.physical_writes == 1
+        assert pool.perf.physical_writes == 1
         # Re-reading block 0 must see the written data.
         fetched = pool.get(1, 0)
         assert fetched.slots == [(1, {"x": 1})]
@@ -47,7 +47,7 @@ class TestBufferPool:
         pool.get(1, 2)
         assert pool.resident_blocks == 2
         pool.get(1, 0)      # still resident -> no extra physical read
-        assert pool.stats.physical_reads == 3
+        assert pool.perf.physical_reads == 3
 
     def test_invalidate_forces_cold_reads(self):
         disk = Disk()
@@ -55,7 +55,7 @@ class TestBufferPool:
         pool.get(1, 0)
         pool.invalidate()
         pool.get(1, 0)
-        assert pool.stats.physical_reads == 2
+        assert pool.perf.physical_reads == 2
 
     def test_dirty_unresident_rejected(self):
         pool = BufferPool(Disk(), 2)
@@ -68,10 +68,13 @@ class TestBufferPool:
 
     def test_stats_delta(self):
         pool = BufferPool(Disk(), 2)
-        before = pool.stats.snapshot()
         pool.get(1, 0)
-        delta = pool.stats.delta(before)
-        assert (delta.logical_reads, delta.physical_reads) == (1, 1)
+        before = pool.perf.as_dict()
+        pool.get(1, 0)
+        pool.get(1, 1)
+        after = pool.perf.as_dict()
+        assert (after["logical_reads"] - before["logical_reads"],
+                after["physical_reads"] - before["physical_reads"]) == (2, 1)
 
 
 class TestRecordFile:

@@ -13,7 +13,7 @@ class TestLifecycle:
         assert manager.in_transaction()
         manager.commit()
         assert not manager.in_transaction()
-        assert manager.commits == 1
+        assert manager.perf.commits == 1
 
     def test_nested_begin_rejected(self):
         manager = TransactionManager()
@@ -33,7 +33,7 @@ class TestLifecycle:
         manager.record_undo(lambda: log.append("second"))
         manager.abort()
         assert log == ["second", "first"]
-        assert manager.aborts == 1
+        assert manager.perf.aborts == 1
 
     def test_commit_discards_undos(self):
         manager = TransactionManager()

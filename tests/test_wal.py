@@ -30,11 +30,11 @@ class TestLogBasics:
     def test_force_counts_only_nonempty(self):
         wal = WriteAheadLog()
         wal.force()
-        assert wal.forces == 0
+        assert wal.perf.wal_forces == 0
         wal.append(1, COMMIT)
         wal.force()
         wal.force()
-        assert wal.forces == 1
+        assert wal.perf.wal_forces == 1
 
     def test_crash_drops_volatile_tail(self):
         wal = WriteAheadLog()
@@ -167,7 +167,7 @@ class TestUndo:
         wal.log_commit(1)
         watermark = wal.checkpoint()
         assert len(wal) == 0
-        assert wal.checkpoints == 1
+        assert wal.perf.wal_checkpoints == 1
         assert wal.last_checkpoint_lsn == watermark
         next_lsn = wal.append(2, UPDATE, (9, 0, 0, None, (1, {"x": 2})))
         assert next_lsn > watermark
