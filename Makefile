@@ -19,6 +19,8 @@ loc:
 		| xargs printf 'mapper/mappings.py %s lines\n'
 	@wc -l < src/repro/mapper/read_cache.py \
 		| xargs printf 'mapper/read_cache.py %s lines\n'
+	@wc -l < src/repro/mapper/versions.py \
+		| xargs printf 'mapper/versions.py %s lines\n'
 	@cat benchmarks/*.py | wc -l \
 		| xargs printf 'benchmarks/*.py    %s lines (outside e2e/)\n'
 

@@ -46,10 +46,6 @@ from repro.storage.transactions import TransactionManager
 from repro.storage.wal import WriteAheadLog, undo_losers
 from repro.types.tvl import NULL, is_null
 
-#: returned by ``_staging_txn`` when pre-image staging must be skipped
-#: (MVCC off, or the mutation is undo compensation during rollback)
-_STAGE_SKIP = object()
-
 #: index probes a snapshot find tries (the first unlatched, when no
 #: writer is in sight) before it scans: ``snapshot_find_scans``
 _PROBE_ATTEMPTS = 2
@@ -122,6 +118,7 @@ class MapperStore:
         #: staging stays off — zero overhead, zero extra I/O — until a
         #: Session calls enable_mvcc()
         self.versions = VersionManager()
+        self.versions.perf = self.perf
         self._new_pool_and_transactions()
         #: the commit critical section (rank 36): Session.commit takes
         #: this latch around commit_detached so the MVCC epoch bump
@@ -454,37 +451,26 @@ class MapperStore:
 
     # -- pre-image staging (writer side) -----------------------------------------
 
-    def _staging_txn(self):
-        """The transaction id to stage under, or ``_STAGE_SKIP``.
+    def _stage(self, key: tuple, primitive, *args) -> None:
+        """Stage ``key``'s pre-image — what its primitive reads now —
+        ahead of this transaction's first mutation of the unit.  That
+        ordering is what makes ``_read``'s second probe sufficient.
 
         Skipped when MVCC is off, and during rollback: undo compensation
         restores exactly the physical state the pending pre-images
         describe, so staging it would be circular."""
         if not self.versions.enabled:
-            return _STAGE_SKIP
+            return
         txn_id, rolling_back = self.transactions.txn_context()
-        return _STAGE_SKIP if rolling_back else txn_id
-
-    def _stage(self, key: tuple, primitive, *args) -> None:
-        """Stage ``key``'s pre-image — what its primitive reads now —
-        ahead of this transaction's first mutation of the unit.  That
-        ordering is what makes ``_read``'s second probe sufficient."""
-        txn_id = self._staging_txn()
-        if txn_id is _STAGE_SKIP or self.versions.is_staged(key):
+        if rolling_back or self.versions.is_staged(key):
             return
         self.versions.stage(txn_id, key, primitive(*args))
 
-    def _stage_record(self, class_name: str, surrogate: int,
-                      adding: Optional[bool] = None) -> None:
-        """Stage a role record and, when the role itself is about to
-        appear (``adding``) or disappear, the class-membership delta."""
+    def _stage_record(self, class_name: str, surrogate: int) -> None:
+        """Stage a role record — and with it the entity's membership of
+        the class, which a record's presence is."""
         self._stage(("rec", class_name, surrogate),
                     self._role_record, class_name, surrogate)
-        if adding is not None:
-            txn_id = self._staging_txn()
-            if txn_id is not _STAGE_SKIP:
-                self.versions.stage_member(txn_id, class_name, surrogate,
-                                           adding)
 
     def _stage_fan(self, info: EvaStorage, domain_surr: int,
                    range_surr: int) -> None:
@@ -558,7 +544,7 @@ class MapperStore:
                         and index.lookup_one(value) is not None):
                     raise UniquenessViolation(
                         f"{class_name}.{attr_name} = {value!r} already used")
-            self._stage_record(class_name, surrogate, adding=True)
+            self._stage_record(class_name, surrogate)
             rid = record_file.insert(format_id, record, near=near)
             self._surrogate_index[class_name].insert(surrogate, rid)
             # The role check above cached a negative membership.
@@ -619,7 +605,7 @@ class MapperStore:
 
     def _drop_role_record(self, surrogate: int, class_name: str
                           ) -> Tuple[RID, int, Dict[str, object]]:
-        self._stage_record(class_name, surrogate, adding=False)
+        self._stage_record(class_name, surrogate)
         record_file = self._class_file[class_name]
         index = self._surrogate_index[class_name]
         with record_file.latch:
@@ -911,21 +897,27 @@ class MapperStore:
         format_id = self._class_format[class_name]
         snap = self.current_snapshot()
         if snap is not None:
-            # Scan physically FIRST, then fold the membership deltas:
-            # writers stage before mutating, so a change racing the scan
-            # is in the fold — or was aborted meanwhile: scan again.
+            # Scan physically FIRST, then read the records changed since
+            # the pin: writers stage before mutating, so a change racing
+            # the scan is among them — or was aborted meanwhile: scan
+            # again.  Unchanged survivors keep their physical order, the
+            # changed ones the scan missed follow by surrogate, and the
+            # versioned role read decides each changed one.
             while True:
                 aborts = self.versions.aborts
                 try:
-                    physical = [record["surrogate"] for _, _, record
-                                in record_file.scan(format_id)]
+                    found = [record["surrogate"] for _, _, record
+                             in record_file.scan(format_id)]
                 except Exception:   # a racing writer reshaped the unit
-                    physical = [record["surrogate"] for _, _, record
-                                in record_file.scan(format_id)]
-                visible = self.versions.visible_members(snap, class_name,
-                                                        physical)
+                    found = [record["surrogate"] for _, _, record
+                             in record_file.scan(format_id)]
+                changed = self.versions.changed(snap, (class_name,))
+                if changed:
+                    found += sorted(changed.difference(found))
+                    found = [s for s in found if s not in changed
+                             or self.has_role(s, class_name)]
                 if self.versions.aborts == aborts:
-                    yield from visible
+                    yield from found
                     return
         for _, _, record in record_file.scan(format_id):
             yield record["surrogate"]

@@ -19,20 +19,20 @@ page.  Three key shapes cover every read path:
   tuple;
 * ``("fan", rel_id, side, surrogate)`` — one side of an EVA fan-out.
 
-Class membership (``scan_class``) is versioned as per-class deltas:
-each commit's added/removed surrogate sets are chained by epoch, and a
-snapshot reader folds the chain backwards over the physical extent.
-
-Indexes are not versioned at all.  Every unique, value and ordered DVA
-index entry derives from a role record, and is only ever maintained
-inside a record write that staged that record's pre-image first — so
-the ``rec`` chains are already the index-delta log, and all an
+Class membership, like every index, derives from the ``rec`` chains:
+an entity holds a role exactly when it has a record in the class's
+unit, and a role that did not exist is staged as :data:`ABSENT`.
+Unique, value and ordered DVA index entries derive from role records
+too, and are only ever maintained inside a record write that staged
+that record's pre-image first — so the ``rec`` chains are already the
+membership- and index-delta log, and all a scan, a count or an
 index-served read needs is to find them *by class*: :meth:`changed` is
 the set of surrogates whose record in a class differs, or may differ,
-from what a snapshot sees — all that ONE physical state of an index
-gets wrong, so beside a writer the reader probes under the unit latch
-and re-reads exactly those through the versioned read (``MapperStore.
-_find``).  Writers pay one append per staged record for it.
+from what a snapshot sees — all that ONE physical state of an extent or
+an index gets wrong, so the reader corrects the latest state by
+re-reading exactly those through the versioned read (``MapperStore.
+scan_class``, ``class_count``, ``_find``).  Writers pay one append per
+staged record for it.
 
 Visibility rule: a reader at epoch ``S`` takes the pre-image of the
 *earliest* committed change with epoch ``> S`` (the value as it stood at
@@ -71,6 +71,7 @@ from bisect import bisect_left
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import SimError
+from repro.perf import PerfCounters
 from repro.storage.latch import ranked_lock
 
 
@@ -129,12 +130,6 @@ class VersionManager:
         self._txn_keys: Dict[Optional[int], List[tuple]] = {}
         # committed chains: key -> [(epoch, pre_image)] ascending
         self._chains: Dict[tuple, List[Tuple[int, object]]] = {}
-        # class-membership deltas: txn -> class -> (added, removed);
-        # committed: class -> [(epoch, added, removed)] ascending
-        self._member_pending: Dict[Optional[int],
-                                   Dict[str, Tuple[set, set]]] = {}
-        self._member_chains: Dict[str,
-                                  List[Tuple[int, frozenset, frozenset]]] = {}
         # the ``rec`` keys again, by class (``changed``): pending
         # class -> {surrogate: txn}; committed class -> [(epoch,
         # surrogate)] ascending, pruned with the chains
@@ -143,8 +138,8 @@ class VersionManager:
         # active snapshots by pinned epoch (for chain GC)
         self._active: Dict[int, int] = {}
         self._pruned_to = 0
-        self.snapshots_opened = 0
-        self.commits = 0
+        #: counts snapshots opened (the store wires its own)
+        self.perf = PerfCounters()
 
     # -- Snapshot lifecycle ------------------------------------------------------
 
@@ -152,8 +147,8 @@ class VersionManager:
         with self._mutex:
             snap = Snapshot(self.epoch, txn_id)
             self._active[snap.epoch] = self._active.get(snap.epoch, 0) + 1
-            self.snapshots_opened += 1
-            return snap
+        self.perf.bump("snapshots_opened")
+        return snap
 
     def end_snapshot(self, snap: Snapshot) -> None:
         with self._mutex:
@@ -209,31 +204,6 @@ class VersionManager:
         if key[0] == "rec":
             self._rec_changes.setdefault(key[1], []).append((epoch, key[2]))
 
-    def stage_member(self, txn_id: Optional[int], class_name: str,
-                     surrogate: int, adding: bool) -> None:
-        """Record a class-membership change (role added/removed)."""
-        with self._mutex:
-            if txn_id is None:
-                self.epoch += 1
-                added = frozenset((surrogate,)) if adding else frozenset()
-                removed = frozenset() if adding else frozenset((surrogate,))
-                self._member_chains.setdefault(class_name, []).append(
-                    (self.epoch, added, removed))
-                self._prune()
-                return
-            per_class = self._member_pending.setdefault(txn_id, {})
-            added, removed = per_class.setdefault(class_name, (set(), set()))
-            if adding:
-                if surrogate in removed:
-                    removed.discard(surrogate)
-                else:
-                    added.add(surrogate)
-            else:
-                if surrogate in added:
-                    added.discard(surrogate)
-                else:
-                    removed.add(surrogate)
-
     # -- Writer side: transaction outcome ----------------------------------------
 
     def commit(self, txn_id: int) -> None:
@@ -243,21 +213,14 @@ class VersionManager:
         snapshots keep reading the chained pre-images)."""
         with self._mutex:
             keys = self._txn_keys.pop(txn_id, None)
-            members = self._member_pending.pop(txn_id, None)
-            if not keys and not members:
+            if not keys:
                 return
             self.epoch += 1
-            epoch = self.epoch
-            self.commits += 1
-            for key in keys or ():
+            for key in keys:
                 # chained, THEN unpended: the lock-free miss looks at
                 # the pending entries first
-                self._chain(key, epoch, self._pending[key][1])
+                self._chain(key, self.epoch, self._pending[key][1])
                 self._unpend(key)
-            for class_name, (added, removed) in (members or {}).items():
-                if added or removed:
-                    self._member_chains.setdefault(class_name, []).append(
-                        (epoch, frozenset(added), frozenset(removed)))
             self._prune()
 
     def abort(self, txn_id: int) -> None:
@@ -265,7 +228,7 @@ class VersionManager:
         restored the physical state they described)."""
         with self._mutex:
             keys = self._txn_keys.pop(txn_id, ())
-            if self._member_pending.pop(txn_id, None) or keys:
+            if keys:
                 self.aborts += 1    # counted first (module doc)
             for key in keys:
                 self._unpend(key)
@@ -303,39 +266,6 @@ class VersionManager:
             if pending is not None:
                 return (True, pending[1])
             return (False, None)
-
-    def visible_members(self, snap: Snapshot, class_name: str,
-                        physical: List[int]) -> List[int]:
-        """Fold the class's membership deltas backwards over a physical
-        extent scan: surrogates added after the snapshot are hidden,
-        surrogates removed after it are restored (appended in surrogate
-        order after the physically-ordered survivors).  The scan must
-        complete BEFORE this is called — staging precedes mutation, so
-        a membership change racing the scan is always in the fold."""
-        with self._mutex:
-            steps: List[Tuple[frozenset, frozenset]] = []
-            for txn_id, per_class in self._member_pending.items():
-                if txn_id == snap.txn_id:
-                    continue
-                delta = per_class.get(class_name)
-                if delta is not None and (delta[0] or delta[1]):
-                    steps.append((frozenset(delta[0]), frozenset(delta[1])))
-            chain = self._member_chains.get(class_name)
-            if chain is not None:
-                for epoch, added, removed in reversed(chain):
-                    if epoch <= snap.epoch:
-                        break       # epochs ascend: the rest is older
-                    steps.append((added, removed))
-        if not steps:
-            return list(physical)
-        visible = set(physical)
-        for added, removed in steps:
-            visible -= added
-            visible |= removed
-        physical_set = set(physical)
-        result = [s for s in physical if s in visible]
-        result.extend(sorted(visible - physical_set))
-        return result
 
     def changed(self, snap: Optional[Snapshot], class_names) -> Set[int]:
         """The surrogates whose role record in any of these classes has
@@ -391,13 +321,6 @@ class VersionManager:
                 self._chains[key] = chain
             else:
                 del self._chains[key]
-        for class_name in list(self._member_chains):
-            chain = [e for e in self._member_chains[class_name]
-                     if e[0] > floor]
-            if chain:
-                self._member_chains[class_name] = chain
-            else:
-                del self._member_chains[class_name]
         for changes in self._rec_changes.values():
             del changes[:bisect_left(changes, (floor + 1,))]
 
@@ -409,8 +332,6 @@ class VersionManager:
             self._pending.clear()
             self._txn_keys.clear()
             self._chains.clear()
-            self._member_pending.clear()
-            self._member_chains.clear()
             self._rec_pending.clear()
             self._rec_changes.clear()
             self._active.clear()
@@ -421,8 +342,7 @@ class VersionManager:
             return {
                 "enabled": self.enabled,
                 "epoch": self.epoch,
-                "versioned_commits": self.commits,
-                "snapshots_opened": self.snapshots_opened,
+                "snapshots_opened": self.perf.snapshots_opened,
                 "active_snapshots": sum(self._active.values()),
                 "chained_keys": len(self._chains),
                 "pending_keys": len(self._pending),

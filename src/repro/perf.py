@@ -71,6 +71,7 @@ _COUNTERS = (
     ("driver", "plan_cache_entries"),     # gauge: statement shapes held now
     ("mapper", "snapshot_find_overlays"),  # index probe + changed records
     ("mapper", "snapshot_find_scans"),    # scanned despite an index
+    ("mapper", "snapshots_opened"),       # MVCC read views pinned
     ("storage", "logical_reads"),         # buffer-pool block requests
     ("storage", "physical_reads"),        # of those, read off the disk
     ("storage", "physical_writes"),       # data blocks written back

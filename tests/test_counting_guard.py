@@ -21,7 +21,9 @@ the second ways must not grow back.
 * that Retrieve and the ``oltp_session`` course traversal stay inside
   a written budget of versioned unit reads, read-cache lock
   acquisitions, name canonicalisations, copy-protocol copies and
-  record reads off a page.
+  record reads off a page;
+* a snapshot scan with no writer in sight never takes the version
+  manager's mutex.
 """
 
 from __future__ import annotations
@@ -262,3 +264,22 @@ def test_a_cached_point_read_stays_inside_its_budget(monkeypatch):
                    if count > READ_BUDGETS[text][name]}
             for text, counts in spent.items()} \
         == {text: {} for text in READ_BUDGETS}
+
+
+def test_a_snapshot_scan_with_no_writer_takes_no_version_mutex():
+    """Membership is a read of the role records: with no record changed
+    since the pin there is nothing to correct and nothing to lock."""
+    database = build_university(departments=1, instructors=2, students=4,
+                                courses=6, seed=17)
+    store = database.store
+    versions = store.versions
+    snap = store.begin_snapshot()
+    lock = versions._mutex = _CountingLock(versions._mutex)
+    try:
+        with store.snapshot_scope(snap):
+            scanned = list(store.scan_class("course"))
+    finally:
+        versions._mutex = lock.lock
+        store.end_snapshot(snap)
+    assert len(scanned) == 6
+    assert lock.acquisitions == 0
