@@ -2,7 +2,7 @@ PYTHONPATH := src
 export PYTHONPATH
 
 .PHONY: test torture chaos chaos-loop lockdep bench bench-e2e \
-	bench-e2e-smoke profile-analytic profile-oltp lint typecheck \
+	bench-e2e-smoke profile-analytic profile-oltp rss lint typecheck \
 	simcheck loc
 
 test:
@@ -117,10 +117,18 @@ bench-e2e:
 bench-e2e-smoke:
 	python -m pytest benchmarks/e2e -q
 
-# Where a warm analytic round spends its time: cProfile of three
-# scale_queries rounds at 10 000 entities, top 25 by self time.
+# Where an analytic round spends its time: cProfile of three warm
+# scale_queries rounds at 10 000 entities, then two cold ones
+# (analytic_cold's 104-frame pool, cold_cache() before each), top 25 by
+# self time each.
 profile-analytic:
 	python tools/profile_analytic.py
+
+# Where the analytic_cold database's memory goes: bytes per entity by
+# owner (disk image, frames, log, caches, memos, versions, indexes),
+# measured under tracemalloc after two cold rounds.
+rss:
+	python tools/rss_by_owner.py
 
 # Where an OLTP operation spends its time: cProfile of 3 000 warm
 # oltp_session operations, the statement front end row by row, then the

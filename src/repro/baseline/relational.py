@@ -38,6 +38,10 @@ class Table:
         self.indexes: Dict[str, HashIndex] = {}
         self.row_count = 0
 
+    def row(self, record: tuple) -> Row:
+        """A stored record as the operators' column -> value row."""
+        return dict(zip(self.columns, record))
+
 
 class RelationalDatabase:
     """Heap tables + hash indexes + pull-based operators."""
@@ -83,11 +87,11 @@ class RelationalDatabase:
 
     def insert(self, table_name: str, row: Row) -> None:
         table = self.table(table_name)
-        record = {column: row.get(column) for column in table.columns}
-        rid = table.file.insert(table.format_id, record)
+        rid = table.file.insert(table.format_id, tuple(
+            row.get(column) for column in table.columns))
         for column, index in table.indexes.items():
-            if record.get(column) is not None:
-                index.insert(record[column], rid)
+            if row.get(column) is not None:
+                index.insert(row[column], rid)
         table.row_count += 1
 
     # -- Operators ----------------------------------------------------------------
@@ -95,7 +99,7 @@ class RelationalDatabase:
     def scan(self, table_name: str) -> Iterator[Row]:
         table = self.table(table_name)
         for _, _, record in table.file.scan(table.format_id):
-            yield record
+            yield table.row(record)
 
     def select(self, rows: Iterable[Row],
                predicate: Callable[[Row], bool]) -> Iterator[Row]:
@@ -109,8 +113,7 @@ class RelationalDatabase:
             raise StorageError(f"no index on {table_name}.{column}")
         rows = []
         for rid in index.lookup(value):
-            _, record = table.file.read(rid)
-            rows.append(record)
+            rows.append(table.row(table.file.read(rid)[1]))
         return rows
 
     def project(self, rows: Iterable[Row],
@@ -130,7 +133,7 @@ class RelationalDatabase:
                 if key is None:
                     continue
                 for rid in index.lookup(key):
-                    _, right = table.file.read(rid)
+                    right = table.row(table.file.read(rid)[1])
                     yield self._merge(left, right, prefix)
             return
         build: Dict[object, List[Row]] = {}
@@ -157,7 +160,7 @@ class RelationalDatabase:
             matches: List[Row] = []
             if key is not None:
                 if index is not None:
-                    matches = [table.file.read(rid)[1]
+                    matches = [table.row(table.file.read(rid)[1])
                                for rid in index.lookup(key)]
                 else:
                     matches = build.get(key, [])

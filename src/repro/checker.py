@@ -116,15 +116,16 @@ def check_store(store, constraints: bool = True) -> CheckReport:
 
 # ------------------------------------------------------------------ scanning
 
-def _scan_classes(store, report) -> Dict[str, Dict[int, Tuple[RID, dict]]]:
+def _scan_classes(store, report) -> Dict[str, Dict[int, Tuple[RID, tuple]]]:
     """Physical scan of every class unit: class -> {surrogate: (rid,
     record)}.  Also flags surrogate duplication within one class."""
-    scans: Dict[str, Dict[int, Tuple[RID, dict]]] = {}
+    scans: Dict[str, Dict[int, Tuple[RID, tuple]]] = {}
     for class_name, record_file in store._class_file.items():
         format_id = store._class_format[class_name]
-        members: Dict[int, Tuple[RID, dict]] = {}
+        position = store.field_positions(class_name)["surrogate"]
+        members: Dict[int, Tuple[RID, tuple]] = {}
         for rid, _, record in record_file.scan(format_id):
-            surrogate = record["surrogate"]
+            surrogate = record[position]
             if surrogate in members:
                 report.add("identity",
                            f"{class_name}: surrogate {surrogate} stored "
@@ -162,9 +163,10 @@ def _check_hierarchy(store, scans, report) -> None:
 def _check_secondary_indexes(store, scans, report) -> None:
     for indexes in (store._unique_index, store._value_index):
         for (class_name, attr_name), index in indexes.items():
-            expected = {(record[attr_name], rid) for rid, record
+            position = store.field_positions(class_name)[attr_name]
+            expected = {(record[position], rid) for rid, record
                         in scans.get(class_name, {}).values()
-                        if not is_null(record.get(attr_name))}
+                        if not is_null(record[position])}
             report.bump("secondary_index_entries",
                         report.compare_index(index, expected))
 
@@ -226,20 +228,22 @@ def _check_constraints(store, scans, report) -> None:
     for class_name, members in scans.items():
         sim_class = store.schema.get_class(class_name)
         for attr in sim_class.immediate_attributes.values():
-            if attr.is_eva or attr.is_subrole or attr.is_surrogate:
+            if (attr.is_eva or attr.is_subrole or attr.is_surrogate
+                    or attr.multi_valued):
                 continue
-            if attr.options.required and attr.single_valued:
+            position = store.field_positions(class_name)[attr.name]
+            if attr.options.required:
                 for surrogate, (_, record) in members.items():
                     report.bump("required_checks")
-                    if is_null(record.get(attr.name)):
+                    if is_null(record[position]):
                         report.add("constraint",
                                    f"{class_name}.{attr.name} REQUIRED but "
                                    f"null for entity {surrogate}")
-            if attr.options.unique and attr.single_valued:
+            if attr.options.unique:
                 values = Counter(
-                    record.get(attr.name)
+                    record[position]
                     for _, record in members.values()
-                    if not is_null(record.get(attr.name)))
+                    if not is_null(record[position]))
                 report.bump("unique_checks", sum(values.values()))
                 for value, occurrences in values.items():
                     if occurrences > 1:

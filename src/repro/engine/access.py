@@ -134,8 +134,9 @@ class EntityAccessor:
                             if store.has_role(surrogate, owner)}
             else:
                 records = store.fetch_many(owner, pending)
-                resolved = {surrogate: record[1].get(attr.name, NULL)
-                            for surrogate, record in records.items()}
+                position = store.field_positions(owner)[attr.name]
+                resolved = {surrogate: record[position]
+                            for surrogate, (_, record) in records.items()}
             for surrogate, positions in pending.items():
                 value = resolved.get(surrogate, NULL)
                 if isinstance(value, list):

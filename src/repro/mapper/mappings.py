@@ -29,6 +29,7 @@ itself.
 from __future__ import annotations
 
 from functools import partial
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import IntegrityError
@@ -40,6 +41,9 @@ from repro.types.tvl import NULL, is_null
 SURROGATE_WIDTH = 6
 _POINTER_WIDTH = 12
 _REL_FIELDS = {"surr1": SURROGATE_WIDTH, "rel": 2, "surr2": SURROGATE_WIDTH}
+#: positions in a structure record (``_REL_FIELDS``) and an MV value row
+_SURR1, _REL, _SURR2 = 0, 1, 2
+_OWNER, _SEQ, _VALUE = 0, 1, 2
 _COMMON_FILE = "common-eva-structure"
 
 
@@ -90,6 +94,10 @@ class _FieldEva(EvaStorage):
         self.store.schema.get_class(holder.owner_name)._scratch_fields[
             self.field] = self.width
 
+    def _position(self) -> int:
+        """The field's position in the holder's role record."""
+        return self.store.field_positions(self.holder.owner_name)[self.field]
+
     def new_indexes(self) -> None:
         self.instance_count = 0
         self.reverse = HashIndex(f"{self.prefix}rev--"
@@ -103,7 +111,7 @@ class _FieldEva(EvaStorage):
             return store._surrogates_at(
                 holder, sorted(self.reverse.lookup(surrogate)))
         _, record = store.record_of(surrogate, holder)
-        entries = self._entries(record.get(self.field, NULL))
+        entries = self._entries(record[self._position()])
         range_file = store._class_file[self.holder.range_class_name]
         for _, address in entries:
             if address is not None:     # absolute: fetch the block directly
@@ -119,7 +127,7 @@ class _FieldEva(EvaStorage):
         holder_surr, target = self._orient(domain_surr, range_surr)
         holder = self.holder
         rid, record = self.store.record_of(holder_surr, holder.owner_name)
-        entries = self._entries(record.get(self.field, NULL))
+        entries = self._entries(record[self._position()])
         if len(entries) == self.capacity:
             raise IntegrityError(
                 f"{holder.owner_name}.{holder.name} of entity {holder_surr} "
@@ -134,7 +142,7 @@ class _FieldEva(EvaStorage):
                                                self.holder.owner_name)
         except IntegrityError:
             return False
-        entries = self._entries(record.get(self.field, NULL))
+        entries = self._entries(record[self._position()])
         match = next((entry for entry in entries if entry[0] == target),
                      None)
         if match is None:
@@ -157,9 +165,10 @@ class _FieldEva(EvaStorage):
 
     def rebuild(self) -> None:
         store, holder = self.store, self.holder.owner_name
+        position = self._position()
         for rid, _, record in store._class_file[holder].scan(
                 store._class_format[holder]):
-            for target, _ in self._entries(record.get(self.field, NULL)):
+            for target, _ in self._entries(record[position]):
                 self.reverse.insert(target, rid)
                 self.instance_count += 1
 
@@ -168,10 +177,9 @@ class _FieldEva(EvaStorage):
                                self.holder.range_class_name)
         name = f"{holder}.{self.holder.name}"
         targets = scans.get(range_class, {})
-        count, expected = 0, set()
+        count, expected, position = 0, set(), self._position()
         for surrogate, (rid, record) in scans.get(holder, {}).items():
-            for target, address in self._entries(record.get(self.field,
-                                                            NULL)):
+            for target, address in self._entries(record[position]):
                 count += 1
                 expected.add((target, rid))
                 found = targets.get(target)
@@ -310,15 +318,15 @@ class StructureEva(_RecordUnit, EvaStorage):
         self.reverse = HashIndex(f"rev--{prefix}")
 
     def _traverse(self, surrogate: int, forward: bool) -> List[int]:
-        index, out = ((self.forward, "surr2") if forward
-                      else (self.reverse, "surr1"))
+        index, out = ((self.forward, _SURR2) if forward
+                      else (self.reverse, _SURR1))
         read = self.file.read
         return [read(rid)[1][out]
                 for rid in index.lookup((self.rel_id, surrogate))]
 
     def _index(self, rid: RID, record, added: bool) -> None:
-        for index, surrogate in ((self.forward, record["surr1"]),
-                                 (self.reverse, record["surr2"])):
+        for index, surrogate in ((self.forward, record[_SURR1]),
+                                 (self.reverse, record[_SURR2])):
             (index.insert if added else index.delete)(
                 (self.rel_id, surrogate), rid)
 
@@ -330,33 +338,32 @@ class StructureEva(_RecordUnit, EvaStorage):
         # The unit may be the common file every relationship shares, so
         # its latch is mandatory even when class locks are disjoint.
         with self.file.latch:
-            self._add({"surr1": domain_surr, "rel": self.rel_id,
-                       "surr2": range_surr}, near=near)
+            self._add((domain_surr, self.rel_id, range_surr), near=near)
 
     def exclude(self, domain_surr: int, range_surr: int) -> bool:
         with self.file.latch:
             for rid in self.forward.lookup((self.rel_id, domain_surr)):
                 _, record = self.file.read(rid)
-                if record["surr2"] == range_surr:
+                if record[_SURR2] == range_surr:
                     self._remove(rid, record)
                     return True
         return False
 
     def rebuild(self) -> None:
         for rid, _, record in self.file.scan(self.format_id):
-            if record["rel"] == self.rel_id:
+            if record[_REL] == self.rel_id:
                 self._index(rid, record, added=True)
                 self.instance_count += 1
 
     def check(self, scans, report) -> int:
         owner = self.canonical.owner_name
-        ends = (("surr1", owner), ("surr2", self.canonical.range_class_name))
+        ends = ((_SURR1, owner), (_SURR2, self.canonical.range_class_name))
         count, forward, reverse = 0, set(), set()
         for rid, _, record in self.file.scan(self.format_id):
-            if record["rel"] != self.rel_id:
+            if record[_REL] != self.rel_id:
                 continue
             count += 1
-            pair = (record["surr1"], record["surr2"])
+            pair = (record[_SURR1], record[_SURR2])
             for end, class_name in ends:
                 if record[end] not in scans.get(class_name, {}):
                     report.add("eva", f"{owner}.{self.canonical.name}: "
@@ -400,8 +407,9 @@ class ArrayMv(_MvStorage):
         return tuple(values)
 
     def read(self, surrogate: int) -> list:
-        _, record = self.store.record_of(surrogate, self.class_name)
-        stored = record.get(self.name, NULL)
+        store = self.store
+        _, record = store.record_of(surrogate, self.class_name)
+        stored = record[store.field_positions(self.class_name)[self.name]]
         return [] if is_null(stored) else list(stored)
 
     def write(self, surrogate: int, values) -> None:
@@ -449,8 +457,8 @@ class UnitMv(_RecordUnit, _MvStorage):
         """Primitive: the values in insertion order (never cached)."""
         records = [self.file.read(rid)[1]
                    for rid in self.index.lookup(surrogate)]
-        return tuple(record["value"] for record in
-                     sorted(records, key=lambda record: record["seq"]))
+        return tuple(record[_VALUE] for record in
+                     sorted(records, key=itemgetter(_SEQ)))
 
     def read(self, surrogate: int) -> list:
         return list(self.store._read(self.key(surrogate), self.values,
@@ -463,13 +471,13 @@ class UnitMv(_RecordUnit, _MvStorage):
 
     def _index(self, rid: RID, record, added: bool) -> None:
         (self.index.insert if added else self.index.delete)(
-            record["owner"], rid)
+            record[_OWNER], rid)
 
     def include(self, surrogate: int, value) -> None:
         with self.file.latch:
             self.store._stage(self.key(surrogate), self.values, surrogate)
             seq = self.seq[surrogate] = self.seq.get(surrogate, 0) + 1
-            self._add({"owner": surrogate, "seq": seq, "value": value})
+            self._add((surrogate, seq, value))
         # Not cached here, but engine memos validated against the epoch
         # must still expire.
         self.store.writes.note_write()
@@ -479,7 +487,7 @@ class UnitMv(_RecordUnit, _MvStorage):
             self.store._stage(self.key(surrogate), self.values, surrogate)
             for rid in self.index.lookup(surrogate):
                 record = self.file.read(rid)[1]
-                if record["value"] == value:
+                if record[_VALUE] == value:
                     self._remove(rid, record)
                     self.store.writes.note_write()
                     return True
@@ -495,18 +503,18 @@ class UnitMv(_RecordUnit, _MvStorage):
     def rebuild(self) -> None:
         for rid, _, record in self.file.scan(self.format_id):
             self._index(rid, record, added=True)
-            owner = record["owner"]
-            self.seq[owner] = max(self.seq.get(owner, 0), record["seq"])
+            owner = record[_OWNER]
+            self.seq[owner] = max(self.seq.get(owner, 0), record[_SEQ])
 
     def check(self, scans, report) -> None:
         members = scans.get(self.class_name, {})
         expected = set()
         for rid, _, record in self.file.scan(self.format_id):
-            expected.add((record["owner"], rid))
-            if record["owner"] not in members:
+            expected.add((record[_OWNER], rid))
+            if record[_OWNER] not in members:
                 report.add("mvdva", f"{self.class_name}.{self.name}: value "
                                     f"row {rid} owned by absent entity "
-                                    f"{record['owner']}")
+                                    f"{record[_OWNER]}")
         report.compare_index(self.index, expected)
         report.bump("mvdva_rows", len(expected))
 

@@ -8,7 +8,8 @@ path dominates every workload.  This module keeps LRU caches of the
 block substrate:
 
 * ``records`` — decoded role records, ``(class, surrogate) -> (rid,
-  values)``; a hit skips the buffer-pool probe *and* the slot decode.
+  record)``; a hit skips the role probe *and* the buffer-pool probe.
+  ``record`` is the slot's own immutable tuple, shared, not a copy.
 * ``roles`` — role membership, ``(class, surrogate) -> rid or None``
   (``None`` is a cached negative: the entity does not hold the role).
 * ``fanout`` — EVA traversal results, ``(rel_id, side, surrogate) ->
@@ -100,7 +101,7 @@ class ReadCache:
         self.trace = None
         #: bumped on every invalidation; validates engine-level memos
         self.epoch = 0
-        #: ``(class, surrogate) -> (rid, values)``
+        #: ``(class, surrogate) -> (rid, record)``
         self._records = _LRU(record_capacity, "record_cache_hits",
                              "record_cache_misses")
         #: ``(class, surrogate) -> rid or None`` (a cached negative)
@@ -171,16 +172,17 @@ class ReadCache:
             lru[key] = entry
 
     def get_record(self, class_name: str, surrogate: int):
-        """Cached ``(rid, values)`` or None.  The values dict is shared —
-        callers must treat it as read-only (every write path invalidates)."""
+        """Cached ``(rid, record)`` or None.  ``record`` is the slot's
+        tuple — immutable, so sharing it needs no copy; every write path
+        replaces the slot and invalidates the entry."""
         return self._lookup(self._records, (class_name, surrogate))
 
     def get_record_batch(self, class_name: str, surrogates):
         return self._lookup_many(self._records, (class_name,), surrogates)
 
     def put_record(self, class_name: str, surrogate: int, rid,
-                   values: Dict, epoch: int) -> None:
-        self._fill(self._records, (class_name, surrogate), (rid, values),
+                   record: tuple, epoch: int) -> None:
+        self._fill(self._records, (class_name, surrogate), (rid, record),
                    epoch)
 
     def get_role(self, class_name: str, surrogate: int):

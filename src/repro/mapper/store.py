@@ -50,6 +50,9 @@ from repro.types.tvl import NULL, is_null
 #: writer is in sight) before it scans: ``snapshot_find_scans``
 _PROBE_ATTEMPTS = 2
 _NO_LATCH = nullcontext()
+#: position of the surrogate in every role record (``_build_layout``
+#: declares it first)
+_SURROGATE = 0
 
 
 def _in_range(value, low, high, include_low: bool, include_high: bool) -> bool:
@@ -141,12 +144,14 @@ class MapperStore:
 
         self._class_file: Dict[str, RecordFile] = {}
         self._class_format: Dict[str, int] = {}
+        #: class -> field name -> position in its role record tuple
+        self._positions: Dict[str, Dict[str, int]] = {}
         self._surrogate_index: Dict[str, object] = {}
         self._unique_index: Dict[Tuple[str, str], HashIndex] = {}
         self._value_index: Dict[Tuple[str, str], HashIndex] = {}
-        #: class -> [(attr, index)] over both dicts above, for the role
-        #: mutators that maintain every index of one class
-        self._class_indexes: Dict[str, List[Tuple[str, object]]] = {}
+        #: class -> [(attr, position, index)] over both dicts above, for
+        #: the role mutators that maintain every index of one class
+        self._class_indexes: Dict[str, List[Tuple[str, int, object]]] = {}
         #: (class, attr) -> its MV DVA's storage object (mappings.py)
         self._mvs: Dict[Tuple[str, str], object] = {}
         #: canonical (owner, name) -> the EVA pair's storage object
@@ -235,9 +240,12 @@ class MapperStore:
         # Now freeze class formats.
         for sim_class in self.schema.classes():
             class_name = sim_class.name
-            self._class_format[class_name] = self._new_format(
-                self._class_file[class_name], f"rec--{class_name}",
-                sim_class._scratch_fields)
+            record_file = self._class_file[class_name]
+            format_id = self._new_format(record_file, f"rec--{class_name}",
+                                         sim_class._scratch_fields)
+            self._class_format[class_name] = format_id
+            self._positions[class_name] = record_file.formats[
+                format_id].positions
             del sim_class._scratch_fields
         self._build_indexes()
 
@@ -263,7 +271,9 @@ class MapperStore:
         self._class_indexes = {name: [] for name in self._class_file}
         for group in (self._unique_index, self._value_index):
             for (class_name, attr_name), index in group.items():
-                self._class_indexes[class_name].append((attr_name, index))
+                self._class_indexes[class_name].append(
+                    (attr_name, self._positions[class_name][attr_name],
+                     index))
         for storage in (*self._mvs.values(), *self._evas.values()):
             storage.new_indexes()
 
@@ -395,9 +405,9 @@ class MapperStore:
 
     def _role_record(self, class_name: str, surrogate: int,
                      decode: bool = True, probed: bool = False):
-        """Primitive: the entity's role record, ``(rid, values)``, or
+        """Primitive: the entity's role record, ``(rid, record)``, or
         :data:`ABSENT` when it does not hold the role.  ``decode=False``
-        answers membership only (``values`` is None, the unit is not
+        answers membership only (``record`` is None, the unit is not
         read); ``probed``: the caller's batch probe already missed the
         record cache.  ``class_name`` must be canonical.  Like every
         fill, the two here are validated against the epoch captured
@@ -416,13 +426,13 @@ class MapperStore:
             return ABSENT
         if not decode:
             return rid, None
-        _, values = self._class_file[class_name].read(rid)
+        _, record = self._class_file[class_name].read(rid)
         self.perf.bump("records_decoded")
         trace = self.trace
         if trace is not None and trace.enabled:
             trace.count(f"mapper.decoded[{class_name}]")
-        cache.put_record(class_name, surrogate, rid, values, epoch)
-        return rid, values
+        cache.put_record(class_name, surrogate, rid, record, epoch)
+        return rid, record
 
     def _fanout(self, info: EvaStorage, side: bool, surrogate: int,
                 probed: bool = False) -> tuple:
@@ -523,23 +533,24 @@ class MapperStore:
                     f"entity {surrogate} lacks superclass role {super_name!r}")
         record_file = self._class_file[class_name]
         format_id = self._class_format[class_name]
-        record = {name: NULL
-                  for name in record_file.formats[format_id].fields}
-        record["surrogate"] = surrogate
+        positions = self._positions[class_name]
+        record = [NULL] * len(positions)
+        record[_SURROGATE] = surrogate
         for attr_name, value in (values or {}).items():
             attr_name = canon(attr_name)
-            if attr_name not in record:
+            if attr_name not in positions:
                 raise CatalogError(
                     f"{class_name!r} record has no field {attr_name!r}")
-            record[attr_name] = value
+            record[positions[attr_name]] = value
+        record = tuple(record)
 
         near = self._cluster_anchor(surrogate, sim_class)
         with record_file.latch:
             # Check, then mutate (as _write_field does): when a unique
             # value is taken nothing has been staged or stored, so there
             # is nothing for the statement's rollback to miss.
-            for attr_name, index in self._class_indexes[class_name]:
-                value = record.get(attr_name)
+            for attr_name, position, index in self._class_indexes[class_name]:
+                value = record[position]
                 if (index.unique and not is_null(value)
                         and index.lookup_one(value) is not None):
                     raise UniquenessViolation(
@@ -604,7 +615,7 @@ class MapperStore:
         self.transactions.record_undo(undo)
 
     def _drop_role_record(self, surrogate: int, class_name: str
-                          ) -> Tuple[RID, int, Dict[str, object]]:
+                          ) -> Tuple[RID, int, tuple]:
         self._stage_record(class_name, surrogate)
         record_file = self._class_file[class_name]
         index = self._surrogate_index[class_name]
@@ -616,21 +627,21 @@ class MapperStore:
             record = record_file.delete(rid)
             index.delete(surrogate, rid)
             self.writes.role_changed(class_name, surrogate)
-            for attr_name, index in self._class_indexes[class_name]:
-                if not is_null(record.get(attr_name)):
-                    index.delete(record[attr_name], rid)
+            for _, position, index in self._class_indexes[class_name]:
+                if not is_null(record[position]):
+                    index.delete(record[position], rid)
         return rid, self._class_format[class_name], record
 
-    def _index_record(self, class_name: str, record: Dict[str, object],
+    def _index_record(self, class_name: str, record: tuple,
                       rid: RID) -> None:
         """Enter a role record into every unique and value index of its
         class (NULLs are not indexed)."""
-        for attr_name, index in self._class_indexes[class_name]:
-            if not is_null(record.get(attr_name)):
-                index.insert(record[attr_name], rid)
+        for _, position, index in self._class_indexes[class_name]:
+            if not is_null(record[position]):
+                index.insert(record[position], rid)
 
     def _restore_role_record(self, surrogate: int, class_name: str, rid: RID,
-                             format_id: int, record: Dict[str, object]) -> None:
+                             format_id: int, record: tuple) -> None:
         """Undo path: put a dropped role record back at its original RID so
         that RIDs held by indexes and undo closures stay valid."""
         record_file = self._class_file[class_name]
@@ -683,9 +694,11 @@ class MapperStore:
     # ------------------------------------------------------------------ DVAs
 
     def record_of(self, surrogate: int, class_name: str
-                  ) -> Tuple[RID, Dict[str, object]]:
-        """The entity's decoded role record.  The values dict is shared
-        with the cache or a version chain: read-only."""
+                  ) -> Tuple[RID, tuple]:
+        """The entity's role record ``(rid, record)``: the tuple its slot
+        holds, in field order (:meth:`field_positions`), shared with the
+        block, the cache and any version chain — no copy is needed,
+        because no one can change it."""
         class_name = canon(class_name)
         entry = self._read(("rec", class_name, surrogate), self._role_record,
                            class_name, surrogate)
@@ -695,7 +708,7 @@ class MapperStore:
         return entry
 
     def fetch_many(self, class_name: str, surrogates
-                   ) -> Dict[int, Tuple[RID, Dict[str, object]]]:
+                   ) -> Dict[int, Tuple[RID, tuple]]:
         """Batched :meth:`record_of` over the holders of the role: the
         decoded records of the ``surrogates`` that hold it, the others
         omitted.  One cache probe covers the whole batch (the operator
@@ -712,6 +725,12 @@ class MapperStore:
                 found[surrogate] = entry
         return found
 
+    def field_positions(self, class_name: str) -> Dict[str, int]:
+        """Field name -> position in the class's role record tuple (one
+        lookup per batch, then plain indexing per record).
+        ``class_name`` must be canonical."""
+        return self._positions[class_name]
+
     def read_dva(self, surrogate: int, attr):
         """Read a DVA (single value, or list for MV)."""
         owner = canon(attr.owner_name)
@@ -721,7 +740,7 @@ class MapperStore:
             return surrogate
         if attr.single_valued:
             _, record = self.record_of(surrogate, owner)
-            return record.get(attr.name, NULL)
+            return record[self._positions[owner][attr.name]]
         return self._mvs[(owner, attr.name)].read(surrogate)
 
     def _read_subrole(self, surrogate: int, attr):
@@ -747,7 +766,7 @@ class MapperStore:
         with self._class_file[class_name].latch:
             self._stage_record(class_name, surrogate)
             rid, record = self.record_of(surrogate, class_name)
-            old = record.get(field, NULL)
+            old = record[self._positions[class_name][field]]
             if maintain_indexes:
                 unique_index = self._unique_index.get((class_name, field))
                 if unique_index is not None:
@@ -836,7 +855,7 @@ class MapperStore:
         """Surrogates of the ``class_name`` records at ``rids`` (what an
         index over the class's records selected)."""
         record_file = self._class_file[class_name]
-        return [record_file.read(rid)[1]["surrogate"] for rid in rids]
+        return [record_file.read(rid)[1][_SURROGATE] for rid in rids]
 
     def eva_include(self, surrogate: int, eva: EntityValuedAttribute,
                     target: int) -> None:
@@ -906,10 +925,10 @@ class MapperStore:
             while True:
                 aborts = self.versions.aborts
                 try:
-                    found = [record["surrogate"] for _, _, record
+                    found = [record[_SURROGATE] for _, _, record
                              in record_file.scan(format_id)]
                 except Exception:   # a racing writer reshaped the unit
-                    found = [record["surrogate"] for _, _, record
+                    found = [record[_SURROGATE] for _, _, record
                              in record_file.scan(format_id)]
                 changed = self.versions.changed(snap, (class_name,))
                 if changed:
@@ -920,7 +939,7 @@ class MapperStore:
                     yield from found
                     return
         for _, _, record in record_file.scan(format_id):
-            yield record["surrogate"]
+            yield record[_SURROGATE]
 
     def class_count(self, class_name: str) -> int:
         """Entities holding the role in this thread's view: the
@@ -1152,7 +1171,7 @@ class MapperStore:
         for class_name, record_file in self._class_file.items():
             format_id = self._class_format[class_name]
             for rid, _, record in record_file.scan(format_id):
-                surrogate = record["surrogate"]
+                surrogate = record[_SURROGATE]
                 max_surrogate = max(max_surrogate, surrogate)
                 self._surrogate_index[class_name].insert(surrogate, rid)
                 self._index_record(class_name, record, rid)

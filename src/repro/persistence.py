@@ -15,6 +15,9 @@ path crash recovery uses, so opening a file is literally a restart.
 
 The format is Python pickle wrapped with a magic header and a format
 version; it is a simulation artifact, not an interchange format.
+Version 2 stores each record as a tuple in its format's field order;
+a version 1 file (records as name → value dicts) is refused, not
+converted.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import pickle
 from repro.errors import SimError, TransactionError
 
 MAGIC = b"SIMREPRO"
-VERSION = 1
+VERSION = 2
 
 
 def design_to_dict(design) -> dict:
@@ -125,7 +128,8 @@ def open_database(path: str):
         payload = pickle.load(handle)
     if payload.get("version") != VERSION:
         raise SimError(
-            f"unsupported database file version {payload.get('version')}")
+            f"{path!r} is a version {payload.get('version')} database "
+            f"file; this build opens version {VERSION} only")
 
     schema = parse_ddl(payload["ddl"])
     schema.name = payload["schema_name"]

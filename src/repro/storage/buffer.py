@@ -21,13 +21,19 @@ from repro.errors import StorageError
 from repro.perf import PerfCounters
 from repro.storage.latch import ranked_lock
 
+#: a single-flight entry nobody waits on yet (no event created)
+_LOADING = object()
+
 
 class Block:
     """One disk block: a list of record slots.
 
     ``slots[i]`` is ``None`` for a deleted record, otherwise a tuple
-    ``(format_id, values_dict)``.  ``used`` tracks occupied width so files
-    can decide whether another record fits.
+    ``(format_id, record)`` whose ``record`` is a tuple of values in the
+    format's field order (:attr:`RecordFormat.positions`).  Slots are
+    immutable — a write replaces one, nothing assigns into one — so a
+    copy shares every slot and copies only the list.  ``used`` tracks
+    occupied width so files can decide whether another record fits.
     """
 
     __slots__ = ("slots", "used")
@@ -38,12 +44,7 @@ class Block:
 
     def copy(self) -> "Block":
         clone = Block()
-        for entry in self.slots:
-            if entry is None:
-                clone.slots.append(None)
-            else:
-                fmt, values = entry
-                clone.slots.append((fmt, dict(values)))
+        clone.slots = list(self.slots)
         clone.used = self.used
         return clone
 
@@ -51,9 +52,12 @@ class Block:
 class Disk:
     """The simulated disk: a map from (file_id, block_no) to block images.
 
-    Blocks are deep-copied across the "device boundary" so a buffered
-    block and its disk image are genuinely distinct, as on real hardware.
-    The buffer pool counts the physical I/O it does here.
+    A block crosses the "device boundary" as a copy of its slot list, so
+    a buffered block and its disk image are distinct blocks, as on real
+    hardware: replacing a slot, or the ``used`` header, in one never
+    shows in the other.  The slots themselves are immutable and shared
+    (:class:`Block`).  The buffer pool counts the physical I/O it does
+    here.
 
     ``read_latency`` models the device's per-read service time in
     seconds (default 0.0: instantaneous, so every existing deterministic
@@ -86,12 +90,6 @@ class Disk:
             block = self.faults.on_write(file_id, block_no, block)
         self._blocks[(file_id, block_no)] = block.copy()
 
-    def exists(self, file_id: int, block_no: int) -> bool:
-        return (file_id, block_no) in self._blocks
-
-    def block_count(self, file_id: int) -> int:
-        return sum(1 for fid, _ in self._blocks if fid == file_id)
-
     def block_numbers(self, file_id: int) -> List[int]:
         """Sorted block numbers present on disk for one file — the public
         enumeration API recovery uses instead of touching ``_blocks``."""
@@ -118,9 +116,10 @@ class BufferPool:
     concurrent morsel workers therefore overlap their (possibly
     latency-modeled) misses instead of serializing on the pool.  A
     per-block single-flight table collapses a thundering herd of readers
-    of the same block into one physical read.  Eviction is O(1): the
-    frames are an :class:`~collections.OrderedDict` and the LRU victim
-    pops from the cold end, regardless of pool size.
+    of the same block into one physical read; its entry is a plain
+    marker until a second reader arrives and needs an event to wait on.
+    Eviction is O(1): the frames are an :class:`~collections.OrderedDict`
+    and the LRU victim pops from the cold end, regardless of pool size.
     """
 
     def __init__(self, disk: Disk, capacity: int = 256):
@@ -143,8 +142,9 @@ class BufferPool:
         # (analysis/lock_order.py): nothing else may be acquired while
         # this is held.
         self._lock = ranked_lock("storage.buffer")
-        #: in-flight physical reads: key -> Event set once installed
-        self._loading: Dict[Tuple[int, int], threading.Event] = {}
+        #: in-flight physical reads: key -> _LOADING, or the Event a
+        #: second reader waits on, set once the block is installed
+        self._loading: Dict[Tuple[int, int], object] = {}
 
     # -- Device access (retry-wrapped) -------------------------------------------
 
@@ -167,10 +167,12 @@ class BufferPool:
         The caller must call :meth:`mark_dirty` after mutating.
 
         On a miss, exactly one caller becomes the *loader* for the block
-        and performs the device read outside the pool lock; every other
-        concurrent caller waits on the loader's event and then re-probes
-        the frame map (looping, because a tiny pool may have evicted the
-        freshly installed block again before the waiter woke up).
+        and performs the device read outside the pool lock.  A concurrent
+        caller turns the loader's marker into an event and waits on it,
+        then re-probes the frame map (looping, because a tiny pool may
+        have evicted the freshly installed block again, or the loader's
+        read failed and this caller must load it itself).  An uncontended
+        miss creates no event.
         """
         key = (file_id, block_no)
         self.perf.bump("logical_reads")
@@ -182,22 +184,25 @@ class BufferPool:
                     return block
                 waiter = self._loading.get(key)
                 if waiter is None:
-                    waiter = threading.Event()
-                    self._loading[key] = waiter
+                    self._loading[key] = _LOADING
                     break               # this thread is the loader
+                if waiter is _LOADING:
+                    waiter = self._loading[key] = threading.Event()
             waiter.wait()
         try:
             block = self._disk_read(file_id, block_no)
         except BaseException:
             with self._lock:
-                self._loading.pop(key, None)
-            waiter.set()
+                waiter = self._loading.pop(key)
+            if waiter is not _LOADING:
+                waiter.set()
             raise
         self.perf.bump("physical_reads")
         with self._lock:
             self._install(key, block)
-            self._loading.pop(key, None)
-        waiter.set()
+            waiter = self._loading.pop(key)
+        if waiter is not _LOADING:
+            waiter.set()
         return block
 
     def mark_dirty(self, file_id: int, block_no: int,

@@ -9,7 +9,7 @@ whose first-instance access cost the paper quotes as 0 I/O.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.errors import StorageError
 from repro.storage.buffer import BufferPool
@@ -84,20 +84,27 @@ class RecordFile:
 
     # -- Insert / read / update / delete -------------------------------------------
 
-    def insert(self, format_id: int, values: Dict[str, object],
+    def insert(self, format_id: int, record: tuple,
                near: Optional[RID] = None) -> RID:
-        """Insert a record; with ``near``, try to cluster next to that RID."""
+        """Insert a record — a tuple of values in the format's field
+        order; with ``near``, try to cluster next to that RID."""
         record_format = self._format(format_id)
+        if (type(record) is not tuple
+                or len(record) != len(record_format.positions)):
+            raise StorageError(
+                f"format {record_format.name!r} stores a tuple of "
+                f"{len(record_format.positions)} values, not {record!r}")
         width = record_format.width
         block_no = self._choose_block(width, near)
         block = self.pool.get(self.file_id, block_no)
-        block.slots.append((format_id, dict(values)))
+        entry = (format_id, record)
+        block.slots.append(entry)
         block.used += width
         self._free_space[block_no] = self.block_size - block.used
         self.pool.mark_dirty(self.file_id, block_no, block)
         self._record_count += 1
         rid = RID(block_no, len(block.slots) - 1)
-        self._log(rid, None, (format_id, values))
+        self._log(rid, None, entry)
         return rid
 
     def _choose_block(self, width: int, near: Optional[RID]) -> int:
@@ -130,41 +137,37 @@ class RecordFile:
         self._free_space.append(self.block_size)
         return self._block_count - 1
 
-    def read(self, rid: RID) -> Tuple[int, Dict[str, object]]:
-        """Read one record; returns (format_id, values copy)."""
-        block = self._block_of(rid)
-        entry = self._entry(block, rid)
-        format_id, values = entry
-        return format_id, dict(values)
+    def read(self, rid: RID) -> Tuple[int, tuple]:
+        """Read one record: ``(format_id, record)``, the slot itself."""
+        return self._entry(self._block_of(rid), rid)
 
-    def update(self, rid: RID, values: Dict[str, object]) -> None:
+    def update(self, rid: RID, values: Mapping[str, object]) -> None:
         """Overwrite the named fields of a record.
 
-        The slot is replaced with a fresh dict rather than mutated in
-        place: a concurrent reader (MVCC double-check, another class's
-        writer flushing this block) sees either the old or the new
-        record, never a half-written one — and never a dict changing
-        size under ``dict(values)`` during ``Block.copy``.
-        """
+        The slot is replaced by a new tuple built from the old one, so a
+        concurrent reader (MVCC double-check, another class's writer
+        flushing this block) holds either the old record or the new one,
+        never a half-written one."""
         block = self._block_of(rid)
-        entry = self._entry(block, rid)
-        format_id, before = entry
+        before = self._entry(block, rid)
+        format_id, record = before
         record_format = self._format(format_id)
-        stored = dict(before)
+        positions, stored = record_format.positions, list(record)
         for name, value in values.items():
-            if name not in record_format.fields:
+            if name not in positions:
                 raise StorageError(
                     f"format {record_format.name!r} has no field {name!r}")
-            stored[name] = value
-        block.slots[rid.slot] = (format_id, stored)
+            stored[positions[name]] = value
+        after = (format_id, tuple(stored))
+        block.slots[rid.slot] = after
         self.pool.mark_dirty(self.file_id, rid.block, block)
-        self._log(rid, (format_id, before), (format_id, stored))
+        self._log(rid, before, after)
 
-    def delete(self, rid: RID) -> Dict[str, object]:
-        """Tombstone a record; returns its final values (for undo)."""
+    def delete(self, rid: RID) -> tuple:
+        """Tombstone a record; returns it (for undo)."""
         block = self._block_of(rid)
-        entry = self._entry(block, rid)
-        format_id, values = entry
+        before = self._entry(block, rid)
+        format_id, record = before
         block.slots[rid.slot] = None
         width = self._format(format_id).width
         block.used -= width
@@ -174,22 +177,23 @@ class RecordFile:
             self._free_hint = freed
         self.pool.mark_dirty(self.file_id, rid.block, block)
         self._record_count -= 1
-        self._log(rid, (format_id, values), None)
-        return dict(values)
+        self._log(rid, before, None)
+        return record
 
-    def undelete(self, rid: RID, format_id: int,
-                 values: Dict[str, object]) -> None:
-        """Restore a tombstoned record (transaction undo path)."""
+    def undelete(self, rid: RID, format_id: int, record: tuple) -> None:
+        """Restore a tombstoned record — the tuple :meth:`delete`
+        returned — at its RID (transaction undo path)."""
         block = self._block_of(rid)
         if rid.slot >= len(block.slots) or block.slots[rid.slot] is not None:
             raise StorageError(f"cannot undelete occupied slot {rid}")
-        block.slots[rid.slot] = (format_id, dict(values))
+        after = (format_id, record)
+        block.slots[rid.slot] = after
         width = self._format(format_id).width
         block.used += width
         self._free_space[rid.block] = self.block_size - block.used
         self.pool.mark_dirty(self.file_id, rid.block, block)
         self._record_count += 1
-        self._log(rid, None, (format_id, values))
+        self._log(rid, None, after)
 
     def exists(self, rid: RID) -> bool:
         if rid.block >= self._block_count:
@@ -250,8 +254,9 @@ class RecordFile:
     # -- Scanning ---------------------------------------------------------------
 
     def scan(self, format_id: Optional[int] = None
-             ) -> Iterator[Tuple[RID, int, Dict[str, object]]]:
-        """Iterate records in block order; optionally one format only.
+             ) -> Iterator[Tuple[RID, int, tuple]]:
+        """Iterate ``(rid, format_id, record)`` in block order; optionally
+        one format only.
 
         Each visited block costs one logical (and possibly physical) read.
         """
@@ -260,10 +265,10 @@ class RecordFile:
             for slot, entry in enumerate(block.slots):
                 if entry is None:
                     continue
-                fmt, values = entry
+                fmt, record = entry
                 if format_id is not None and fmt != format_id:
                     continue
-                yield RID(block_no, slot), fmt, dict(values)
+                yield RID(block_no, slot), fmt, record
 
     # -- Metadata ------------------------------------------------------------------
 
@@ -271,9 +276,6 @@ class RecordFile:
         """Free bytes the extent map believes the block has (the checker
         compares this against the block's actual slot contents)."""
         return self._free_space[block_no]
-
-    def free_space_map(self) -> List[int]:
-        return list(self._free_space)
 
     @property
     def record_count(self) -> int:

@@ -6,12 +6,16 @@ several formats, each format corresponding to one node of the hierarchy
 tree.  A :class:`RecordFormat` names its fields and carries a fixed width
 (bytes) used to compute blocking factors; a :class:`RID` addresses a record
 by (block number, slot).
+
+A stored record is a tuple of values in its format's field order: the
+field names are schema, held once by the format (``positions``), not
+data repeated in every record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 
 @dataclass(frozen=True, order=True)
@@ -31,6 +35,7 @@ class RecordFormat:
     ``fields`` maps field name → width in (simulated) bytes.  The format
     width is the sum of the field widths plus a small per-record header,
     mirroring how a record-based system computes blocking factors.
+    ``positions`` maps field name → index in a stored record's tuple.
     """
 
     HEADER_WIDTH = 4
@@ -42,9 +47,8 @@ class RecordFormat:
         self.name = name
         self.fields = dict(fields)
         self.width = self.HEADER_WIDTH + sum(self.fields.values())
-
-    def field_names(self) -> Tuple[str, ...]:
-        return tuple(self.fields)
+        self.positions = {name: index
+                          for index, name in enumerate(self.fields)}
 
     def __repr__(self):
         return (f"<RecordFormat #{self.format_id} {self.name} "

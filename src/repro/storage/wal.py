@@ -37,7 +37,9 @@ CHECKPOINT = "checkpoint"
 class LogRecord:
     """One log entry.  ``payload`` for UPDATE/CLR is
     (file_id, block_no, slot, before_entry, after_entry); entries are
-    ``None`` (empty slot) or ``(format_id, values_dict)``."""
+    ``None`` (empty slot) or the slot itself, ``(format_id, record)`` —
+    immutable, so the log shares it with the block (:class:`~repro.
+    storage.buffer.Block`) instead of copying it."""
 
     lsn: int
     txn_id: Optional[int]
@@ -77,8 +79,6 @@ class WriteAheadLog:
 
     def log_update(self, txn_id: Optional[int], file_id: int, block_no: int,
                    slot: int, before, after, compensation: bool) -> int:
-        before = _snapshot(before)
-        after = _snapshot(after)
         kind = CLR if compensation else UPDATE
         return self.append(txn_id, kind,
                            (file_id, block_no, slot, before, after))
@@ -158,13 +158,6 @@ class WriteAheadLog:
         return len(self._records)
 
 
-def _snapshot(entry):
-    if entry is None:
-        return None
-    format_id, values = entry
-    return (format_id, dict(values))
-
-
 def undo_losers(wal: WriteAheadLog, disk, formats_by_file=None,
                 retry=None) -> int:
     """Apply before-images of loser updates to the disk, newest first.
@@ -197,7 +190,7 @@ def undo_losers(wal: WriteAheadLog, disk, formats_by_file=None,
         block = read(file_id, block_no)
         while len(block.slots) <= slot:
             block.slots.append(None)
-        block.slots[slot] = _snapshot(before)
+        block.slots[slot] = before
         _fix_used(block, (formats_by_file or {}).get(file_id))
         write(file_id, block_no, block)
         restored += 1

@@ -67,8 +67,9 @@ class TestCorruptionDetection:
         fmt = store._class_format["person"]
         # point one stored foreign key at a surrogate that has no record
         from repro.types.tvl import is_null
+        at = store.field_positions("person")[info.field]
         rid = next(r for r, _, rec in holder.scan(fmt)
-                   if not is_null(rec[info.field]))
+                   if not is_null(rec[at]))
         holder.update(rid, {info.field: 999999})
         report = db.check(constraints=False)
         assert not report.ok

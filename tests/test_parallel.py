@@ -355,11 +355,11 @@ class TestBufferEvictionScaling:
         disk = Disk()
         pool = BufferPool(disk, capacity=1)
         block = pool.get(1, 0)
-        block.slots.append((0, {"x": 1}))
+        block.slots.append((0, (1,)))
         pool.get(1, 1)                 # concurrent reader evicts frame 0
         pool.mark_dirty(1, 0, block)   # writer reinstalls its image
         pool.flush()
-        assert disk.read(1, 0).slots == [(0, {"x": 1})]
+        assert disk.read(1, 0).slots == [(0, (1,))]
 
     def test_mark_dirty_without_block_still_raises(self):
         disk = Disk()
@@ -386,7 +386,7 @@ class TestBulkLoadBlockChoice:
             record_file = self._file()
             started = time.perf_counter()
             for index in range(count):
-                record_file.insert(0, {"v": index})
+                record_file.insert(0, (index,))
             return time.perf_counter() - started
 
         small = max(load(2_000), 1e-4)
@@ -409,8 +409,8 @@ class TestBulkLoadBlockChoice:
             action = rng.random()
             if action < 0.7 or not live:
                 fmt = 0 if rng.random() < 0.8 else 1
-                hinted_rids.append(hinted.insert(fmt, {"v": step}))
-                reference_rids.append(reference.insert(fmt, {"v": step}))
+                hinted_rids.append(hinted.insert(fmt, (step,)))
+                reference_rids.append(reference.insert(fmt, (step,)))
                 live.append(len(hinted_rids) - 1)
             else:
                 victim = live.pop(rng.randrange(len(live)))
@@ -422,10 +422,10 @@ class TestBulkLoadBlockChoice:
 
     def test_delete_reopens_block_for_reuse(self):
         record_file = self._file()
-        rids = [record_file.insert(1, {"v": index}) for index in range(12)]
+        rids = [record_file.insert(1, (index,)) for index in range(12)]
         blocks_before = record_file._block_count
         record_file.delete(rids[0])
-        replacement = record_file.insert(1, {"v": 99})
+        replacement = record_file.insert(1, (99,))
         # The freed space is found again (no new block appended).
         assert replacement.block == rids[0].block
         assert record_file._block_count == blocks_before

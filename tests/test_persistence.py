@@ -113,6 +113,19 @@ class TestFileFormat:
         with pytest.raises(SimError, match="version"):
             Database.open(str(stale))
 
+    def test_version_1_file_refused(self, tmp_path):
+        """Version 1 stored records as dicts; it is refused by name, not
+        converted or misread."""
+        import pickle
+        from repro.persistence import MAGIC, VERSION
+        assert VERSION == 2
+        old = tmp_path / "v1.simdb"
+        with open(old, "wb") as handle:
+            handle.write(MAGIC)
+            pickle.dump({"version": 1, "disk_blocks": {}}, handle)
+        with pytest.raises(SimError, match="version 1 .* version 2 only"):
+            Database.open(str(old))
+
     def test_file_exists_on_disk(self, path):
         db = Database(UNIVERSITY_DDL, constraint_mode="off")
         db.save(path)

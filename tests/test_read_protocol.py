@@ -881,7 +881,8 @@ class TestWriterThatAbortsBetweenTheProbes:
                     lambda: store.write_dva(person, name, "Never")) as read:
                 with store.snapshot_scope(pinned):
                     assert store.read_dva(person, name) == "P1"
-            assert read[0][1]["name"] == "Never"    # the dirty value was read
+            at = store.field_positions("person")["name"]
+            assert read[0][1][at] == "Never"    # the dirty value was read
         finally:
             store.end_snapshot(pinned)
         assert store.read_dva(person, name) == "P1"

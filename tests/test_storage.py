@@ -1,10 +1,15 @@
 """Storage substrate tests: disk, buffer pool, record files."""
 
+import threading
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import StorageError
 from repro.storage import BufferPool, Disk, RecordFile, RecordFormat, RID
+from repro.storage.buffer import Block
+from repro.storage.faults import FaultInjector
 
 
 def make_file(pool_capacity=16, block_size=256):
@@ -29,14 +34,14 @@ class TestBufferPool:
         disk = Disk()
         pool = BufferPool(disk, 2)
         block = pool.get(1, 0)
-        block.slots.append((1, {"x": 1}))
+        block.slots.append((1, (1,)))
         pool.mark_dirty(1, 0)
         pool.get(1, 1)
         pool.get(1, 2)  # evicts block 0 (dirty) -> physical write
         assert pool.perf.physical_writes == 1
         # Re-reading block 0 must see the written data.
         fetched = pool.get(1, 0)
-        assert fetched.slots == [(1, {"x": 1})]
+        assert fetched.slots == [(1, (1,))]
 
     def test_lru_order_respects_access(self):
         disk = Disk()
@@ -77,12 +82,147 @@ class TestBufferPool:
                 after["physical_reads"] - before["physical_reads"]) == (2, 1)
 
 
+class _ParkedDisk(Disk):
+    """A disk whose reads park inside the device until ``release`` is
+    set; the first ``failures`` of them then raise."""
+
+    def __init__(self, failures=0):
+        super().__init__()
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.failures = failures
+        self.reads = 0
+
+    def read(self, file_id, block_no):
+        self.reads += 1
+        self.entered.set()
+        assert self.release.wait(10.0)
+        if self.failures:
+            self.failures -= 1
+            raise StorageError("injected read failure")
+        return super().read(file_id, block_no)
+
+
+def _until(condition):
+    deadline = time.monotonic() + 10.0
+    while not condition():
+        assert time.monotonic() < deadline, "the interleaving never came"
+        time.sleep(0.001)
+
+
+class TestSingleFlightWaiter:
+    """The loader of a missed block records a marker, not an event; a
+    second reader of the block turns it into the event it waits on.
+    Forced: the loader is parked inside the device read until the second
+    reader is seen waiting."""
+
+    def race(self, disk):
+        pool = BufferPool(disk, capacity=4)
+        outcome = {}
+
+        def get(name):
+            try:
+                outcome[name] = pool.get(1, 0)
+            except StorageError as exc:
+                outcome[name] = exc
+
+        # Daemon threads: a waiter nobody wakes fails the test, not the run.
+        loader = threading.Thread(target=get, args=("loader",), daemon=True)
+        loader.start()
+        assert disk.entered.wait(10.0)
+        # An uncontended miss creates no event.
+        assert not isinstance(pool._loading[(1, 0)], threading.Event)
+        waiter = threading.Thread(target=get, args=("waiter",), daemon=True)
+        waiter.start()
+        _until(lambda: isinstance(pool._loading.get((1, 0)),
+                                  threading.Event))
+        disk.release.set()
+        for thread in (loader, waiter):
+            thread.join(10.0)
+            assert not thread.is_alive()
+        assert pool._loading == {}
+        return pool, outcome
+
+    def test_waiter_gets_the_installed_frame(self):
+        disk = _ParkedDisk()
+        pool, outcome = self.race(disk)
+        assert outcome["waiter"] is outcome["loader"]
+        assert disk.reads == 1 and pool.perf.physical_reads == 1
+
+    def test_waiter_becomes_the_loader_when_the_read_fails(self):
+        disk = _ParkedDisk(failures=1)
+        pool, outcome = self.race(disk)
+        assert isinstance(outcome["loader"], StorageError)
+        assert isinstance(outcome["waiter"], Block)
+        assert disk.reads == 2 and pool.perf.physical_reads == 1
+        assert pool.get(1, 0) is outcome["waiter"]
+
+
+class TestSlotsAreSharedNotCopied:
+    """A slot is an immutable ``(format_id, record)`` tuple shared by
+    the buffer frame, the disk image and every reader; blocks are still
+    distinct across the device boundary, so replacing a slot on one side
+    never shows on the other."""
+
+    def test_frame_and_disk_image_do_not_alias(self):
+        disk, pool, record_file = make_file()
+        rid = record_file.insert(1, (1, "a"))
+        pool.flush()
+        frame = pool.get(1, rid.block)
+        image = disk.read(1, rid.block)
+        assert image is not frame and image.slots is not frame.slots
+        assert image.slots[rid.slot] is frame.slots[rid.slot]
+        # The buffered frame changes after the write: the disk does not.
+        frame.slots[rid.slot] = (1, (1, "frame"))
+        frame.used += 1
+        assert disk.read(1, rid.block).slots[rid.slot] == (1, (1, "a"))
+        assert disk.read(1, rid.block).used == frame.used - 1
+        # The reverse: a block read off the disk, changed, leaves both
+        # the frame and the disk image alone.
+        image.slots[rid.slot] = (1, (1, "image"))
+        assert frame.slots[rid.slot] == (1, (1, "frame"))
+        assert disk.read(1, rid.block).slots[rid.slot] == (1, (1, "a"))
+        # And a block handed to Disk.write is not the image it leaves.
+        disk.write(1, rid.block, image)
+        image.slots[rid.slot] = None
+        assert disk.read(1, rid.block).slots[rid.slot] == (1, (1, "image"))
+
+    def test_torn_write_is_a_distinct_block(self):
+        disk = Disk()
+        disk.faults = FaultInjector(seed=1)
+        block = Block()
+        block.slots = [(1, (key,)) for key in range(4)]
+        disk.faults.torn_write(1, keep=0.5)
+        disk.write(1, 0, block)
+        torn = disk.read(1, 0)
+        assert torn.slots == block.slots[:2]
+        assert len(block.slots) == 4            # the caller's block
+        torn.slots[0] = None
+        assert disk.read(1, 0).slots[0] == (1, (0,))
+
+    def test_a_slots_values_cannot_be_assigned(self):
+        _, _, record_file = make_file()
+        rid = record_file.insert(1, (1, "a"))
+        _, record = record_file.read(rid)
+        with pytest.raises(TypeError):
+            record[1] = "b"
+        record_file.update(rid, {"v": "b"})
+        assert record == (1, "a")               # what the reader holds
+        assert record_file.read(rid)[1] == (1, "b")
+
+    def test_insert_takes_a_tuple_of_the_formats_width(self):
+        _, _, record_file = make_file()
+        for wrong in ({"k": 1, "v": "a"}, [1, "a"], (1,)):
+            with pytest.raises(StorageError):
+                record_file.insert(1, wrong)
+
+
 class TestRecordFile:
     def test_insert_read_roundtrip(self):
         _, _, record_file = make_file()
-        rid = record_file.insert(1, {"k": 1, "v": "hello"})
-        fmt, values = record_file.read(rid)
-        assert fmt == 1 and values == {"k": 1, "v": "hello"}
+        rid = record_file.insert(1, (1, "hello"))
+        fmt, record = record_file.read(rid)
+        assert fmt == 1 and record == (1, "hello")
 
     def test_blocking_factor(self):
         _, _, record_file = make_file(block_size=256)
@@ -92,83 +232,83 @@ class TestRecordFile:
     def test_records_fill_blocks(self):
         _, _, record_file = make_file(block_size=256)
         for i in range(20):
-            record_file.insert(1, {"k": i, "v": str(i)})
+            record_file.insert(1, (i, str(i)))
         assert record_file.block_count == 3   # ceil(20 / 8)
         assert record_file.record_count == 20
 
     def test_update_in_place(self):
         _, _, record_file = make_file()
-        rid = record_file.insert(1, {"k": 1, "v": "a"})
+        rid = record_file.insert(1, (1, "a"))
         record_file.update(rid, {"v": "b"})
-        assert record_file.read(rid)[1]["v"] == "b"
+        assert record_file.read(rid)[1] == (1, "b")
 
     def test_update_unknown_field(self):
         _, _, record_file = make_file()
-        rid = record_file.insert(1, {"k": 1, "v": "a"})
+        rid = record_file.insert(1, (1, "a"))
         with pytest.raises(StorageError):
             record_file.update(rid, {"ghost": 1})
 
     def test_delete_and_undelete_same_rid(self):
         _, _, record_file = make_file()
-        rid = record_file.insert(1, {"k": 1, "v": "a"})
-        values = record_file.delete(rid)
+        rid = record_file.insert(1, (1, "a"))
+        record = record_file.delete(rid)
         assert not record_file.exists(rid)
-        record_file.undelete(rid, 1, values)
-        assert record_file.read(rid)[1]["v"] == "a"
+        record_file.undelete(rid, 1, record)
+        assert record_file.read(rid)[1] == (1, "a")
 
     def test_undelete_occupied_slot_rejected(self):
         _, _, record_file = make_file()
-        rid = record_file.insert(1, {"k": 1, "v": "a"})
+        rid = record_file.insert(1, (1, "a"))
         with pytest.raises(StorageError):
-            record_file.undelete(rid, 1, {"k": 2, "v": "b"})
+            record_file.undelete(rid, 1, (2, "b"))
 
     def test_deleted_space_reused(self):
         _, _, record_file = make_file(block_size=256)
-        rids = [record_file.insert(1, {"k": i, "v": ""}) for i in range(8)]
+        rids = [record_file.insert(1, (i, "")) for i in range(8)]
         record_file.delete(rids[0])
-        rid = record_file.insert(1, {"k": 99, "v": ""})
+        rid = record_file.insert(1, (99, ""))
         assert rid.block == 0  # went into the freed space
 
     def test_clustered_insert_lands_near_anchor(self):
         _, _, record_file = make_file(block_size=256)
-        anchor = record_file.insert(1, {"k": 0, "v": "anchor"})
+        anchor = record_file.insert(1, (0, "anchor"))
         # Fill block 0 completely, spill into block 1, then free a slot in
         # block 0: a clustered insert should return there, an ordinary
         # insert prefers the tail block.
-        fillers = [record_file.insert(1, {"k": i + 1, "v": "filler"})
+        fillers = [record_file.insert(1, (i + 1, "filler"))
                    for i in range(10)]
         record_file.delete(fillers[0])
-        plain = record_file.insert(1, {"k": 99, "v": "plain"})
+        plain = record_file.insert(1, (99, "plain"))
         assert plain.block != anchor.block
-        rid = record_file.insert(1, {"k": 100, "v": "x"}, near=anchor)
+        rid = record_file.insert(1, (100, "x"), near=anchor)
         assert rid.block == anchor.block
 
     def test_clustering_falls_back_when_block_full(self):
         _, _, record_file = make_file(block_size=256)
-        anchor = record_file.insert(1, {"k": 0, "v": ""})
+        anchor = record_file.insert(1, (0, ""))
         for i in range(7):
-            record_file.insert(1, {"k": i, "v": ""})
-        rid = record_file.insert(1, {"k": 100, "v": ""}, near=anchor)
+            record_file.insert(1, (i, ""))
+        rid = record_file.insert(1, (100, ""), near=anchor)
         assert rid.block != anchor.block
 
     def test_scan_by_format(self):
         _, _, record_file = make_file()
         record_file.register_format(RecordFormat(2, "other", {"z": 8}))
-        record_file.insert(1, {"k": 1, "v": "a"})
-        record_file.insert(2, {"z": 9})
-        record_file.insert(1, {"k": 2, "v": "b"})
-        only_rows = [values for _, _, values in record_file.scan(1)]
-        assert [row["k"] for row in only_rows] == [1, 2]
+        record_file.insert(1, (1, "a"))
+        record_file.insert(2, (9,))
+        record_file.insert(1, (2, "b"))
+        only_rows = [record for _, _, record in record_file.scan(1)]
+        assert only_rows == [(1, "a"), (2, "b")]
         everything = list(record_file.scan())
         assert len(everything) == 3
 
     def test_read_after_eviction_durable(self):
         disk, pool, record_file = make_file(pool_capacity=1, block_size=256)
-        rids = [record_file.insert(1, {"k": i, "v": str(i)})
+        rids = [record_file.insert(1, (i, str(i)))
                 for i in range(30)]
         pool.flush()
         for i, rid in enumerate(rids):
-            assert record_file.read(rid)[1]["k"] == i
+            assert record_file.read(rid)[1] == (i, str(i))
 
     def test_oversized_format_rejected(self):
         _, _, record_file = make_file(block_size=256)
@@ -194,7 +334,7 @@ def test_file_matches_dict_model(operations):
         if op == 0:  # insert (overwrite model entry under fresh rid)
             if key in rids:
                 continue
-            rids[key] = record_file.insert(1, {"k": key, "v": str(key)})
+            rids[key] = record_file.insert(1, (key, str(key)))
             model[key] = str(key)
         elif op == 1 and key in rids:  # delete
             record_file.delete(rids.pop(key))
@@ -202,6 +342,5 @@ def test_file_matches_dict_model(operations):
         elif op == 2 and key in rids:  # update
             record_file.update(rids[key], {"v": f"u{key}"})
             model[key] = f"u{key}"
-    seen = {values["k"]: values["v"]
-            for _, _, values in record_file.scan(1)}
+    seen = dict(record for _, _, record in record_file.scan(1))
     assert seen == model

@@ -1,15 +1,25 @@
-"""cProfile of the warm analytic round (``make profile-analytic``).
+"""cProfile of the analytic rounds (``make profile-analytic``).
 
-Builds the ``scale_schema(3)`` database at 10 000 entities, runs one
-round of ``scale_queries`` to fill the caches, then profiles three more
-and prints the top 25 functions by self time — the starting point for
-any executor change.  cProfile inflates call-heavy code, so use it to
-find candidates and ``make bench-e2e`` to measure them.
+Builds the ``scale_schema(3)`` database at 10 000 entities and profiles
+two sections, each printed as the top 25 functions by self time:
+
+* **warm** — one round of ``scale_queries`` fills the caches, then
+  three more rounds are profiled: the starting point for any executor
+  change;
+* **cold** — the e2e benchmark's ``analytic_cold`` setting: the pool
+  resized to ``COLD_POOL_FRAMES`` (104 of the 839 blocks) and
+  ``cold_cache()`` before each of two profiled rounds, so block reads,
+  eviction and the record path (``BufferPool.get``, ``_install``,
+  ``Disk.read``, ``MapperStore._role_record``) show where they stand.
+
+cProfile inflates call-heavy code, so use it to find candidates and
+``make bench-e2e`` to measure them.
 """
 
 from __future__ import annotations
 
 import cProfile
+import os
 import pstats
 import sys
 
@@ -20,28 +30,51 @@ from repro.workloads.generators import (
     scale_schema,
 )
 
-ENTITIES = 10_000
-CHAIN_DEPTH = 3
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "benchmarks", "e2e"))
+
+from workloads import (  # noqa: E402  (benchmarks/e2e)
+    ANALYTIC_ENTITIES,
+    CHAIN_DEPTH,
+    COLD_POOL_FRAMES,
+    FITTING_POOL_FRAMES,
+)
+
 ROUNDS = 3
+COLD_ROUNDS = 2
 TOP = 25
+
+
+def profile(title: str, database, queries, rounds: int,
+            cold: bool) -> None:
+    profiler = cProfile.Profile()
+    for _ in range(rounds):
+        if cold:
+            database.cold_cache()
+        profiler.enable()
+        for text in queries:
+            database.execute(text)
+        profiler.disable()
+    print(f"==== {title} ====")
+    stats = pstats.Stats(profiler, stream=sys.stdout)
+    stats.sort_stats("tottime").print_stats(TOP)
 
 
 def main() -> int:
     database = Database(scale_schema(CHAIN_DEPTH), constraint_mode="off")
-    populate_scale(database, ENTITIES, chain_depth=CHAIN_DEPTH, seed=1)
+    populate_scale(database, ANALYTIC_ENTITIES, chain_depth=CHAIN_DEPTH,
+                   seed=1)
     database.store.pool.flush()
-    database.store.pool.resize(2048)
+    database.store.pool.resize(FITTING_POOL_FRAMES)
     queries = scale_queries(CHAIN_DEPTH)
     for text in queries:
         database.execute(text)
-    profiler = cProfile.Profile()
-    profiler.enable()
-    for _ in range(ROUNDS):
-        for text in queries:
-            database.execute(text)
-    profiler.disable()
-    stats = pstats.Stats(profiler, stream=sys.stdout)
-    stats.sort_stats("tottime").print_stats(TOP)
+    profile(f"warm: {ROUNDS} rounds, {FITTING_POOL_FRAMES} frames",
+            database, queries, ROUNDS, cold=False)
+    database.store.pool.resize(COLD_POOL_FRAMES)
+    profile(f"cold: {COLD_ROUNDS} rounds, {COLD_POOL_FRAMES} frames, "
+            f"cold_cache() before each", database, queries, COLD_ROUNDS,
+            cold=True)
     return 0
 
 
