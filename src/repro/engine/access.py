@@ -11,7 +11,7 @@ Wraps the Mapper with the semantics the DML needs:
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 from repro.mapper.store import MapperStore
 from repro.types.tvl import NULL, is_null
@@ -242,7 +242,7 @@ class EntityAccessor:
 
     # -- Domains -----------------------------------------------------------------------
 
-    def class_extent(self, class_name: str) -> Iterator[int]:
+    def class_extent(self, class_name: str) -> List[int]:
         return self.store.scan_class(class_name)
 
     def node_domain(self, node, env):
@@ -290,7 +290,7 @@ class EntityAccessor:
                     domains[position] = domain
         return domains
 
-    def root_domain(self, node) -> Iterator[int]:
+    def root_domain(self, node) -> List[int]:
         return self.class_extent(node.class_name)
 
     @staticmethod

@@ -36,13 +36,13 @@ from repro.dml.ast import Aggregate, Literal, Path, RetrieveQuery
 from repro.dml.qualification import Qualifier
 from repro.dml.query_tree import QTNode, QueryTree
 from repro.engine.access import EntityAccessor
+from repro.engine.expressions import Batch
 from repro.engine.operators import (
     DEFAULT_BATCH_SIZE,
     ExecContext,
     _Reversed,
     _instance_key,
     _sort_key,
-    selection_holds,
     validate_batch_size,
 )
 from repro.engine.output import ResultSet, build_structured
@@ -128,11 +128,11 @@ class QueryExecutor:
         rows: List[tuple] = []
         snapshots = []
         for batch in physical.root.run(ctx):
-            for out_row in batch:
-                if not out_row.duplicate:
-                    rows.append(out_row.values)
-                if structured_mode:
-                    snapshots.append((out_row.snapshot, out_row.values))
+            rows += [out_row.values for out_row in batch
+                     if not out_row.duplicate]
+            if structured_mode:
+                snapshots += [(out_row.snapshot, out_row.values)
+                              for out_row in batch]
 
         columns = list(physical.columns)
         original_nodes: List[QTNode] = []
@@ -219,7 +219,7 @@ class QueryExecutor:
         slot = physical.slots[physical.spine[0].id]
         selected: List[int] = []
         for batch in physical.root.run(ctx):
-            selected.extend(row[slot] for row in batch)
+            selected += batch[slot]
         return selected
 
     def prepare_selection(self, class_name: str, where):
@@ -263,7 +263,7 @@ class QueryExecutor:
         """Evaluate a compiled single-perspective predicate
         (``physical_plan.compile_predicate``; VERIFY assertions) for one
         entity, as a one-row batch."""
-        return selection_holds(ExecContext(self), predicate, [surrogate])
+        return predicate(ExecContext(self), Batch({0: [surrogate]}, 1))[0]
 
     # -- Output helpers ----------------------------------------------------------------
 

@@ -1,27 +1,37 @@
 """Set-at-a-time expression evaluation with 3-valued logic (paper §4.9).
 
 A resolved DML expression is compiled *once per plan* into a column
-function ``fn(ctx, rows) -> list`` — one value per slot row — by plain
-closure composition: operator dispatch, literal coercion (``like``
-patterns, date/time literals) and the decision whether an operand can be
-NULL/UNKNOWN all happen here, at compile time, never per row.  Values are
+function ``fn(ctx, batch) -> list`` — one value per binding of a
+:class:`Batch` — by plain closure composition: operator dispatch,
+literal coercion (``like`` patterns, date/time literals) and the
+decision whether an operand can be NULL/UNKNOWN all happen here, at
+compile time, never per row.  A batch is a set of columns, one per bound
+slot, so a compiled path reads its slot's column as it is.  Values are
 Python scalars, :data:`NULL`, or entity surrogates (for entity-ended
 paths); truth values are True/False/UNKNOWN.  Compiled functions capture
 no accessor: they read through ``ctx``, so morsel workers share them.
 
 Aggregates, quantifiers, derived attributes and the main-scope TYPE 2
 subtrees enumerate their own scoped nodes (binding broken, §4.4) by
-*scope expansion*: a batch of parent rows is flattened, a bounded chunk
-at a time, into rows extended with ``[owner index, instance...]``; the
-argument evaluates as a column over the chunk and is segment-reduced by
-owner.
+*scope expansion*: a batch's rows are expanded, a bounded chunk at a
+time, into scope chunks — an owner column (each binding's row in the
+batch) plus one instance column per scope node; an outer slot is
+gathered through the owner column only when the argument reads it.  The
+argument evaluates as a column over the chunk and is reduced per owner:
+aggregates slice each owner's contiguous run, while ``exists``, ``some``,
+``no`` and ``all`` expand each undecided owner in rounds of 1, 2, 4, …
+bindings and stop at the round that decides it (§4.5: a TYPE 2 subtree
+needs one witness).
 """
 
 from __future__ import annotations
 
 import operator
 import re
+from bisect import bisect_right
 from decimal import Decimal
+from functools import partial
+from itertools import chain, compress
 
 from repro.errors import ExecutionError, TypeMismatchError
 from repro.dml.ast import (
@@ -44,6 +54,54 @@ from repro.types.tvl import NULL, UNKNOWN
 #: before the chunk is evaluated and reduced
 CHUNK_FACTOR = 16
 
+
+class Batch(dict):
+    """A batch of bindings, column by column: ``slot -> column``, each
+    column a list with one value per binding.  Columns are shared
+    between batches and never changed in place.
+
+    A scope chunk also has ``owner``, the row of ``outer`` each binding
+    belongs to: a slot of ``outer`` is gathered through it on its first
+    read, so a chunk copies only the outer columns its argument reads."""
+
+    __slots__ = ("size", "owner", "outer")
+
+    def __init__(self, columns, size, owner=None, outer=None):
+        super().__init__(columns)
+        self.size = size
+        self.owner = owner
+        self.outer = outer
+
+    def __len__(self):
+        return self.size
+
+    def __missing__(self, slot):
+        if self.outer is None:
+            raise KeyError(slot)
+        column = self.outer[slot]
+        column = self[slot] = [column[index] for index in self.owner]
+        return column
+
+    def take(self, indices) -> "Batch":
+        """The bindings at ``indices``, in that order."""
+        owner = self.owner
+        return Batch({slot: [column[index] for index in indices]
+                      for slot, column in self.items()}, len(indices),
+                     None if owner is None else [owner[i] for i in indices],
+                     self.outer)
+
+    def slices(self, size):
+        """This (spine) batch cut into batches of at most ``size``
+        bindings."""
+        if self.size <= size:
+            yield self
+            return
+        for start in range(0, self.size, size):
+            stop = min(start + size, self.size)
+            yield Batch({slot: column[start:stop]
+                         for slot, column in self.items()}, stop - start)
+
+
 _COMPARATORS = {"=": operator.eq, "neq": operator.ne, "<": operator.lt,
                 "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 _MIRRORED = {"=": "=", "neq": "neq", "<": ">", "<=": ">=", ">": "<",
@@ -54,15 +112,15 @@ COMPARISON_OPS = tuple(_COMPARATORS) + ("like",)
 # ------------------------------------------------------------------ compiler
 
 def compile_value(expression, slots, width):
-    """Compile a resolved expression to ``fn(ctx, rows) -> values``.
+    """Compile a resolved expression to ``fn(ctx, batch) -> values``.
 
-    ``slots`` maps the ids of the bound query-tree nodes to row indices
-    and ``width`` is the length of the rows the function will be given
-    (scope expansion appends its own slots past it).
+    ``slots`` maps the ids of the bound query-tree nodes to batch slots
+    and ``width`` is the first slot no bound node uses (scope expansion
+    numbers its own slots from there).
     """
     if isinstance(expression, Literal):
         read = expression.reader()
-        return lambda ctx, rows: [read(ctx)] * len(rows)
+        return lambda ctx, batch: [read(ctx)] * len(batch)
     if isinstance(expression, Path):
         if getattr(expression, "derived", None) is not None:
             return _compile_derived(expression, slots, width)
@@ -92,9 +150,9 @@ def compile_truth(expression, slots, width):
                  else repr(expression))
     pin_literals(expression)    # the error message spells them out
 
-    def truth(ctx, rows):
+    def truth(ctx, batch):
         out = []
-        for value in values(ctx, rows):
+        for value in values(ctx, batch):
             if value is UNKNOWN or value is NULL or value is None:
                 value = UNKNOWN
             elif not isinstance(value, bool):
@@ -107,40 +165,40 @@ def compile_truth(expression, slots, width):
 
 def compile_selection(where, exists_nodes, slots, width):
     """Compile the "such that for some Xm+1..Xn" clause (§4.5) to
-    ``fn(ctx, rows) -> keep flags``: a row is kept iff the selection is
+    ``fn(ctx, batch) -> keep flags``: a row is kept iff the selection is
     *true* for some binding of the TYPE 2 ``exists_nodes`` (for the row
-    itself when there are none).  Per-node EXPLAIN ANALYZE counts go to
-    ``ctx.stats``."""
+    itself when there are none) — its first witness ends its expansion.
+    Per-node EXPLAIN ANALYZE counts go to ``ctx.stats``."""
     if not exists_nodes:
         truth = compile_truth(where, slots, width)
-        return lambda ctx, rows: [value is True
-                                  for value in truth(ctx, rows)]
+        return lambda ctx, batch: [value is True
+                                   for value in truth(ctx, batch)]
     expand, inner, inner_width = _compile_scope(exists_nodes, slots, width)
     truth = compile_truth(where, inner, inner_width)
 
-    def selection(ctx, rows):
-        keep = [False] * len(rows)
-        for chunk in expand(ctx, rows, keep, ctx.stats):
-            for row, value in zip(chunk, truth(ctx, chunk)):
-                if value is True:
-                    keep[row[width]] = True
-        return keep
+    def selection(ctx, batch):
+        witnessed = set()
+        for chunk in expand(ctx, batch, witnessed, ctx.stats):
+            witnessed.update(compress(chunk.owner, [
+                value is True for value in truth(ctx, chunk)]))
+        return [index in witnessed for index in range(len(batch))]
     return selection
 
 
 def compile_single_valued(expression, scope_nodes, slots, width, conflict):
     """Compile an expression that must be functionally determined by the
     row (derived attributes, assignment values): NULL over an empty
-    scope, ``raise conflict(row)`` when the bindings disagree."""
+    scope, ``raise conflict(batch, index)`` when the bindings of the row
+    at ``index`` disagree."""
     groups = _compile_groups(expression, scope_nodes, slots, width, False)
 
-    def single(ctx, rows):
+    def single(ctx, batch):
         out = []
-        for row, values in zip(rows, groups(ctx, rows)):
+        for index, values in enumerate(groups(ctx, batch)):
             first = values[0] if values else NULL
             for other in values:
                 if other != first:
-                    raise conflict(row)
+                    raise conflict(batch, index)
             out.append(NULL if first is UNKNOWN else first)
         return out
     return single
@@ -167,22 +225,23 @@ def _bound_slot(path, slots) -> int:
 
 def path_column(path, slots):
     """Batched reader for a plain Path over a bound slot: one value per
-    row, DVA columns read through the accessor's batched path."""
+    binding, DVA columns read through the accessor's batched path."""
     slot = _bound_slot(path, slots)
     attr = path.terminal_attr
     node = path.value_node
     if node.kind == "eva" and node.transitive:
-        def instances_of(rows):
-            return [row[slot][0] if isinstance(row[slot], tuple)
-                    else row[slot] for row in rows]
+        def instances_of(batch):
+            return [instance[0] if isinstance(instance, tuple)
+                    else instance for instance in batch[slot]]
     else:
-        def instances_of(rows):
-            return [row[slot] for row in rows]
+        def instances_of(batch):
+            return batch[slot]
     if attr is None:
         # Entity-ended (or MV-DVA value) path.
-        return lambda ctx, rows: [NULL if instance is DUMMY else instance
-                                  for instance in instances_of(rows)]
-    return lambda ctx, rows: ctx.accessor.dva_batch(attr, instances_of(rows))
+        return lambda ctx, batch: [NULL if instance is DUMMY else instance
+                                   for instance in instances_of(batch)]
+    return lambda ctx, batch: ctx.accessor.dva_batch(attr,
+                                                     instances_of(batch))
 
 
 def _compile_derived(path, slots, width):
@@ -191,8 +250,10 @@ def _compile_derived(path, slots, width):
     determined by the entity."""
     slot = _bound_slot(path, slots)
 
-    def conflict(row):
-        entity = row[slot][0] if isinstance(row[slot], tuple) else row[slot]
+    def conflict(batch, index):
+        entity = batch[slot][index]
+        if isinstance(entity, tuple):
+            entity = entity[0]
         return ExecutionError(
             f"derived attribute {path.derived.name!r} is not "
             f"single-valued for entity {entity}")
@@ -200,11 +261,11 @@ def _compile_derived(path, slots, width):
                                    path.derived_scope_nodes, slots, width,
                                    conflict)
 
-    def derived(ctx, rows):
-        absent = [row[slot] is DUMMY or row[slot] is NULL
-                  or row[slot] is None for row in rows]
-        values = iter(single(ctx, [row for row, gone in zip(rows, absent)
-                                   if not gone]))
+    def derived(ctx, batch):
+        absent = [entity is DUMMY or entity is NULL or entity is None
+                  for entity in batch[slot]]
+        values = iter(single(ctx, batch.take(
+            [index for index, gone in enumerate(absent) if not gone])))
         return [NULL if gone else next(values) for gone in absent]
     return derived
 
@@ -213,11 +274,11 @@ def _compile_isa(test, slots):
     entities = path_column(test.entity, slots)
     class_name = test.class_name
 
-    def isa(ctx, rows):
+    def isa(ctx, batch):
         has_role = ctx.store.has_role
         return [UNKNOWN if entity is NULL or entity is None
                 else has_role(entity, class_name)
-                for entity in entities(ctx, rows)]
+                for entity in entities(ctx, batch)]
     return isa
 
 
@@ -226,11 +287,11 @@ def _compile_isa(test, slots):
 def _compile_unary(expression, slots, width):
     if expression.op == "not":
         truth = compile_truth(expression.operand, slots, width)
-        return lambda ctx, rows: [UNKNOWN if value is UNKNOWN else not value
-                                  for value in truth(ctx, rows)]
+        return lambda ctx, batch: [UNKNOWN if value is UNKNOWN else not value
+                                   for value in truth(ctx, batch)]
     operand = compile_value(expression.operand, slots, width)
-    return lambda ctx, rows: [NULL if value is NULL or value is None
-                              else -value for value in operand(ctx, rows)]
+    return lambda ctx, batch: [NULL if value is NULL or value is None
+                               else -value for value in operand(ctx, batch)]
 
 
 def _compile_binary(expression, slots, width):
@@ -239,8 +300,8 @@ def _compile_binary(expression, slots, width):
         left = compile_truth(expression.left, slots, width)
         right = compile_truth(expression.right, slots, width)
         connective = _kleene_and if op == "and" else _kleene_or
-        return lambda ctx, rows: connective(left(ctx, rows),
-                                            right(ctx, rows))
+        return lambda ctx, batch: connective(left(ctx, batch),
+                                             right(ctx, batch))
     if isinstance(expression.right, Quantified):
         return _compile_quantified(expression, slots, width)
     left = compile_value(expression.left, slots, width)
@@ -248,12 +309,13 @@ def _compile_binary(expression, slots, width):
     if op in _ARITHMETIC:
         apply = _ARITHMETIC[op]
 
-        def arithmetic(ctx, rows):
+        def arithmetic(ctx, batch):
             return [_arithmetic(apply, a, b)
-                    for a, b in zip(left(ctx, rows), right(ctx, rows))]
+                    for a, b in zip(left(ctx, batch), right(ctx, batch))]
         return arithmetic
     kernel = _comparison_kernel(op, expression.left, expression.right)
-    return lambda ctx, rows: kernel(ctx, left(ctx, rows), right(ctx, rows))
+    return lambda ctx, batch: kernel(ctx, left(ctx, batch),
+                                     right(ctx, batch))
 
 
 def _kleene_and(lefts, rights):
@@ -321,9 +383,9 @@ def _compile_function(call, slots, width):
         raise ExecutionError(f"unknown function {name!r}")
     columns = [compile_value(arg, slots, width) for arg in call.args]
 
-    def function(ctx, rows):
+    def function(ctx, batch):
         out = []
-        for args in zip(*(column(ctx, rows) for column in columns)):
+        for args in zip(*(column(ctx, batch) for column in columns)):
             if any(arg is NULL or arg is None or arg is UNKNOWN
                    for arg in args):
                 out.append(NULL)
@@ -454,13 +516,18 @@ def _comparison_kernel(op, left, right):
 def _compile_scope(nodes, slots, width):
     """Scope expansion over ``nodes`` (parents first).
 
-    Returns ``(expand, inner slots, inner width)``.  ``expand(ctx, rows,
-    decided=None, stats=None)`` yields chunks of bindings: each a row
-    extended with its owner's index in ``rows`` (at ``width``) and one
-    instance per scope node.  A chunk holds at most ``CHUNK_FACTOR *
-    ctx.batch_size`` bindings; a domain larger than that is sliced.
-    Owners flagged in ``decided`` by the consumer are not expanded any
-    further; ``stats`` collects per-node [rows entered, instances bound].
+    Returns ``(expand, inner slots, inner width)``.  ``expand(ctx, batch,
+    decided=None, stats=None)`` yields scope chunks: :class:`Batch` es
+    whose ``owner`` column holds each binding's row in ``batch`` (their
+    ``outer``), with one instance column per scope node.  A chunk holds
+    at most ``CHUNK_FACTOR * ctx.batch_size`` bindings; a domain larger
+    than that is sliced.  Without ``decided`` every binding is expanded,
+    each owner's in nested-loop order, contiguous within a chunk.  With
+    it — a set the consumer adds an owner's row to once the owner's
+    outcome is known — each level expands an undecided row in rounds of
+    1, 2, 4, … instances (each round to the end before the next) and
+    expands a decided owner no further.  ``stats`` collects per-node
+    [rows entered, instances bound].
     """
     inner = dict(slots)
     steps = []
@@ -472,76 +539,129 @@ def _compile_scope(nodes, slots, width):
                 raise ExecutionError(
                     f"range variable {node.parent.describe()!r} of "
                     f"{node.describe()!r} is not bound")
-        inner[node.id] = width + 1 + len(steps)
+        inner[node.id] = width + len(steps)
         steps.append((node, parent_slot))
 
-    def walk(ctx, rows, level, decided, stats):
-        if decided is not None:
-            rows = [row for row in rows if not decided[row[width]]]
-        if not rows:
-            return
+    def walk(ctx, part, level, decided, stats):
+        # ``part`` holds undecided owners only: each round below builds
+        # its chunks from the rows still undecided and walks them at once.
+        owner = part.owner
         if level == len(steps):
-            yield rows
+            yield part
             return
         node, parent_slot = steps[level]
         if parent_slot is None:
-            domains = [tuple(ctx.accessor.root_domain(node))] * len(rows)
+            domains = [tuple(ctx.accessor.root_domain(node))] * len(owner)
         else:
-            domains = ctx.accessor.node_domains_batch(
-                node, [row[parent_slot] for row in rows])
+            domains = ctx.accessor.node_domains_batch(node,
+                                                      part[parent_slot])
         entry = [0, 0] if stats is None else stats.setdefault(node.id,
                                                               [0, 0])
-        entry[0] += len(rows)
+        entry[0] += len(owner)
         limit = ctx.batch_size * CHUNK_FACTOR
-        if sum(map(len, domains)) <= limit:
-            out = [row + [instance] for row, domain in zip(rows, domains)
-                   for instance in domain]
-            entry[1] += len(out)
-            yield from walk(ctx, out, level + 1, decided, stats)
-            return
-        out = []
-        for row, domain in zip(rows, domains):
-            for start in range(0, len(domain), limit):
-                piece = domain[start:start + limit]
-                if out and len(out) + len(piece) > limit:
-                    yield from walk(ctx, out, level + 1, decided, stats)
-                    out = []
-                if decided is not None and decided[row[width]]:
-                    break
-                entry[1] += len(piece)
-                out.extend([row + [instance] for instance in piece])
-        yield from walk(ctx, out, level + 1, decided, stats)
+        carried = [(slot, part[slot]) for slot in range(width, width + level)]
 
-    def expand(ctx, rows, decided=None, stats=None):
-        owned = [row + [index] for index, row in enumerate(rows)]
-        return walk(ctx, owned, 0, decided, stats)
+        def chunk(taken, bound):
+            columns = {slot: [column[index] for index in taken]
+                       for slot, column in carried}
+            columns[width + level] = bound
+            # Level 0 expands the batch's own rows: ``taken`` is the owner.
+            return Batch(columns, len(bound), [owner[index] for index
+                                               in taken] if level else taken,
+                         part.outer)
 
-    return expand, inner, width + 1 + len(steps)
+        # One round without ``decided``: every instance of every row.
+        rows, pieces = range(len(owner)), domains
+        start, step = 0, (None if decided is None else 1)
+        while True:
+            if step is not None:
+                stop = start + step
+                rows = [index for index in rows
+                        if len(domains[index]) > start
+                        and owner[index] not in decided]
+                if not rows:
+                    return
+                pieces = [domains[index][start:stop] for index in rows]
+            if sum(map(len, pieces)) <= limit:
+                taken = [index for index, piece in zip(rows, pieces)
+                         for _ in piece]
+                entry[1] += len(taken)
+                yield from walk(ctx, chunk(
+                    taken, list(chain.from_iterable(pieces))),
+                    level + 1, decided, stats)
+            else:
+                # Chunks of whole pieces, a piece longer than ``limit``
+                # cut; an owner decided meanwhile stops.
+                taken, bound = [], []
+                for index, piece in zip(rows, pieces):
+                    for low in range(0, len(piece), limit):
+                        cut = piece[low:low + limit]
+                        if bound and len(bound) + len(cut) > limit:
+                            yield from walk(ctx, chunk(taken, bound),
+                                            level + 1, decided, stats)
+                            taken, bound = [], []
+                        if decided and owner[index] in decided:
+                            break
+                        taken += [index] * len(cut)
+                        bound += cut
+                        entry[1] += len(cut)
+                if bound:
+                    yield from walk(ctx, chunk(taken, bound), level + 1,
+                                    decided, stats)
+            if step is None:
+                return
+            start, step = stop, min(step * 2, limit)
+
+    def expand(ctx, batch, decided=None, stats=None):
+        return walk(ctx, Batch({}, len(batch), list(range(len(batch))),
+                               batch), 0, decided, stats)
+
+    return expand, inner, width + len(steps)
 
 
 def _compile_groups(argument, scope_nodes, slots, width, skip_nulls):
-    """``fn(ctx, rows) -> [values per row]``: the argument evaluated over
-    every binding of the scope, grouped by owning row."""
+    """``fn(ctx, batch) -> [values per row]``: the argument evaluated
+    over every binding of the scope, in nested-loop order per row.  An
+    owner's bindings are contiguous in a chunk, so each row takes its
+    run as one slice."""
     expand, inner, inner_width = _compile_scope(scope_nodes, slots, width)
     values = compile_value(argument, inner, inner_width)
 
-    def groups(ctx, rows):
-        grouped = [[] for _ in rows]
-        for chunk in expand(ctx, rows):
-            for row, value in zip(chunk, values(ctx, chunk)):
-                if skip_nulls and (value is NULL or value is None
-                                   or value is UNKNOWN):
-                    continue
-                grouped[row[width]].append(value)
+    def groups(ctx, batch):
+        grouped = [[] for _ in range(len(batch))]
+        for chunk in expand(ctx, batch):
+            column, owner = values(ctx, chunk), chunk.owner
+            if skip_nulls and _has_nulls(column):
+                present = [not (value is NULL or value is None
+                                or value is UNKNOWN) for value in column]
+                column = list(compress(column, present))
+                owner = list(compress(owner, present))
+            start, size = 0, len(owner)
+            while start < size:
+                row = owner[start]
+                stop = bisect_right(owner, row, start)
+                grouped[row] += column[start:stop]
+                start = stop
         return grouped
     return groups
+
+
+_NULLS = frozenset({NULL, None, UNKNOWN})
+
+
+def _has_nulls(column) -> bool:
+    try:
+        return not _NULLS.isdisjoint(column)
+    except TypeError:       # an unhashable value: a subrole's list
+        return True
 
 
 def _compile_quantified(expression, slots, width):
     """``x <op> some/all/no(inner)`` — fold the comparison over the
     quantified operand's scope (Kleene semantics; empty set: SOME is
     false, ALL and NO are true).  The left operand evaluates once per
-    row; an owner stops expanding once its outcome is decided."""
+    row and is gathered through the chunk's owner column; an owner stops
+    expanding at the round that decides its outcome."""
     quantified = expression.right
     quantifier = quantified.quantifier
     if quantifier not in ("some", "all", "no"):
@@ -559,20 +679,20 @@ def _compile_quantified(expression, slots, width):
     verdict, default = (True, False) if quantifier == "some" \
         else (False, True)
 
-    def quantified_comparison(ctx, rows):
-        lefts = left(ctx, rows)
-        decided = [False] * len(rows)
-        unknown = [False] * len(rows)
-        for chunk in expand(ctx, rows, decided):
-            outcomes = kernel(ctx, [lefts[row[width]] for row in chunk],
-                              argument(ctx, chunk))
-            for row, outcome in zip(chunk, outcomes):
+    def quantified_comparison(ctx, batch):
+        lefts = left(ctx, batch)
+        decided, unknown = set(), set()
+        for chunk in expand(ctx, batch, decided):
+            owner = chunk.owner
+            for row, outcome in zip(owner, kernel(
+                    ctx, [lefts[row] for row in owner],
+                    argument(ctx, chunk))):
                 if outcome is decisive:
-                    decided[row[width]] = True
+                    decided.add(row)
                 elif outcome is UNKNOWN:
-                    unknown[row[width]] = True
-        return [verdict if hit else UNKNOWN if maybe else default
-                for hit, maybe in zip(decided, unknown)]
+                    unknown.add(row)
+        return [verdict if row in decided else UNKNOWN if row in unknown
+                else default for row in range(len(batch))]
     return quantified_comparison
 
 
@@ -590,8 +710,8 @@ def _sum(values):
     return total
 
 
-def _avg(values):
-    total = _sum(values)
+def _avg(values, add=_sum):
+    total = add(values)
     count = len(values)
     if isinstance(total, int):
         return total / count if total % count else total // count
@@ -601,6 +721,10 @@ def _avg(values):
 #: reducers over the non-null values of a non-empty scope
 _AGGREGATES = {"count": len, "sum": _sum, "avg": _avg, "min": min,
                "max": max}
+#: the builtin ``sum`` in place of ``_sum``, for a batch whose values
+#: are all ``int``
+_INT_AGGREGATES = {"sum": sum, "avg": partial(_avg, add=sum)}
+_INT = frozenset({int})
 
 
 def _compile_aggregate(aggregate, slots, width):
@@ -614,17 +738,19 @@ def _compile_aggregate(aggregate, slots, width):
     func = aggregate.func
     if func not in _AGGREGATES:
         raise ExecutionError(f"unknown aggregate {func!r}")
-    reduce = _AGGREGATES[func]
+    reduce, int_reduce = _AGGREGATES[func], _INT_AGGREGATES.get(func)
     empty = 0 if func in ("count", "sum") else NULL
     distinct = aggregate.distinct
     groups = _compile_groups(aggregate.argument, aggregate.scope_nodes,
                              slots, width, True)
 
-    def aggregated(ctx, rows):
-        out = []
-        for values in groups(ctx, rows):
-            if distinct:
-                values = list(dict.fromkeys(values))
-            out.append(reduce(values) if values else empty)
-        return out
+    def aggregated(ctx, batch):
+        grouped = groups(ctx, batch)
+        if distinct:
+            grouped = [list(dict.fromkeys(values)) for values in grouped]
+        use = reduce
+        if int_reduce is not None \
+                and {*map(type, chain.from_iterable(grouped))} <= _INT:
+            use = int_reduce
+        return [use(values) if values else empty for values in grouped]
     return aggregated

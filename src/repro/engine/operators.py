@@ -10,7 +10,7 @@ The paper's nested-loop semantics program::
               if <selection> then print <target list>
 
 is realized here as a chain of physical operators, each pulling *batches*
-of slot rows from its child instead of single tuples:
+of bindings from its child instead of single tuples:
 
 * :class:`Scan` — root enumeration (extent or index access path);
 * :class:`EVATraverse` — TYPE 1 inner-join fan-out across an EVA or MV
@@ -20,41 +20,33 @@ of slot rows from its child instead of single tuples:
 * :class:`Filter` — 3VL predicate over a batch;
 * :class:`Semi` / :class:`AntiSemi` — TYPE 2 SOME/NO existential
   subtrees as semijoins on the current binding, their scopes expanded
-  a chunk of bindings at a time;
+  in rounds of 1, 2, 4, … bindings per row until one decides it;
 * :class:`Aggregate`, :class:`Project`, :class:`Sort`,
   :class:`Distinct` — target evaluation and result shaping.
 
-A *slot row* is a plain list, one slot per enumeration-spine node (in
-planned DF order) plus one per precomputed aggregate; unbound slots hold
-the :data:`UNBOUND` sentinel.  Every expression an operator evaluates
-arrives already compiled (:mod:`repro.engine.expressions`) as a column
-function over a batch of slot rows.
+Up to :class:`Project` a batch is a :class:`~repro.engine.expressions.
+Batch`: one column per bound slot — a slot per enumeration-spine node
+(in planned DF order) plus one per precomputed aggregate — so an
+operator binds a slot by adding its column and keeps or fans out rows by
+gathering the others.  Every expression an operator evaluates arrives
+already compiled (:mod:`repro.engine.expressions`) as a column function
+over such a batch.  From :class:`Project` on, a batch is a list of
+:class:`OutRow`.
 """
 
 from __future__ import annotations
 
 from decimal import Decimal
-from itertools import compress, islice
+from itertools import chain, compress
 from typing import List, Optional
 
 from repro.engine.access import DUMMY
+from repro.engine.expressions import Batch
 from repro.errors import SimError
 from repro.plan_cache import instance_copy
 from repro.types.dates import SimDate, SimTime
 from repro.types.tvl import NULL, UNKNOWN, is_null
 
-
-class _Unbound:
-    """Sentinel for slots whose node has not been enumerated yet."""
-
-    def __repr__(self):
-        return "UNBOUND"
-
-    def __bool__(self):
-        return False
-
-
-UNBOUND = _Unbound()
 
 MIN_BATCH_SIZE = 1
 MAX_BATCH_SIZE = 65536
@@ -86,7 +78,6 @@ class ExecContext:
         self.params = params
         self.batch_size = executor.batch_size
         self.slots = physical.slots if physical is not None else {}
-        self.width = physical.width if physical is not None else 0
 
     def spawn_worker(self, accessor, stats) -> "ExecContext":
         """A per-worker view for morsel-parallel segments: same slot
@@ -115,8 +106,8 @@ class OutRow:
 
 
 class Operator:
-    """Base batched iterator.  ``run(ctx)`` yields lists (batches) of
-    slot rows; per-operator batch/row counters feed EXPLAIN ANALYZE."""
+    """Base batched iterator.  ``run(ctx)`` yields batches; per-operator
+    batch/row counters feed EXPLAIN ANALYZE."""
 
     name = "operator"
 
@@ -191,13 +182,13 @@ class Scan(Operator):
             return f"{self.node.describe()}, {self.access.kind}"
         return f"{self.node.describe()}, extent"
 
-    def _open(self, ctx: ExecContext):
+    def _open(self, ctx: ExecContext) -> list:
         if self.domain_override is not None:
             return self.domain_override
         if self.plan is not None:
-            iterator = self.plan.root_iterator(self.node, ctx)
-            if iterator is not None:
-                return iterator
+            domain = self.plan.root_domain(self.node, ctx)
+            if domain is not None:
+                return domain
         return ctx.accessor.root_domain(self.node)
 
     def run(self, ctx: ExecContext):
@@ -205,38 +196,31 @@ class Scan(Operator):
         size = ctx.batch_size
         stats = ctx.stats
         if self.child is None:
-            entry = None
+            domain = self._open(ctx)
             if stats is not None:
                 entry = stats.setdefault(self.node.id, [0, 0])
                 entry[0] += 1
-            before = [UNBOUND] * slot
-            after = [UNBOUND] * (ctx.width - slot - 1)
-            instances = iter(self._open(ctx))
-            while out := [before + [instance] + after
-                          for instance in islice(instances, size)]:
-                if entry is not None:
-                    entry[1] += len(out)
-                yield self._emit(out)
+                entry[1] += len(domain)
+            for start in range(0, len(domain), size):
+                column = domain[start:start + size]
+                yield self._emit(Batch({slot: column}, len(column)))
             return
         domain = None
         for batch in self.child.run(ctx):
             self.rows_in += len(batch)
             if domain is None:
-                domain = list(self._open(ctx))
+                domain = self._open(ctx)
+            fan = len(domain)
             if stats is not None:
                 entry = stats.setdefault(self.node.id, [0, 0])
                 entry[0] += len(batch)
-                entry[1] += len(batch) * len(domain)
-            out = []
-            for row in batch:
-                for instance in domain:
-                    new_row = row.copy()
-                    new_row[slot] = instance
-                    out.append(new_row)
-                    if len(out) >= size:
-                        yield self._emit(out)
-                        out = []
-            if out:
+                entry[1] += len(batch) * fan
+            # The cross product, cut into batches as it is built.
+            for start in range(0, len(batch) * fan, size):
+                product = range(start, min(start + size,
+                                           len(batch) * fan))
+                out = batch.take([index // fan for index in product])
+                out[slot] = [domain[index % fan] for index in product]
                 yield self._emit(out)
 
 
@@ -263,37 +247,28 @@ class EVATraverse(Operator):
         outer = self.outer
         for batch in self.child.run(ctx):
             self.rows_in += len(batch)
-            domains = ctx.accessor.node_domains_batch(
-                node, [row[parent_slot] for row in batch])
-            entry = None
+            domains = ctx.accessor.node_domains_batch(node,
+                                                      batch[parent_slot])
             if stats is not None:
                 entry = stats.setdefault(node.id, [0, 0])
                 entry[0] += len(batch)
-            out = []
-            for row, domain in zip(batch, domains):
-                if entry is not None:
-                    entry[1] += len(domain)
-                if not domain:
-                    if outer:
-                        # §4.5: "the domain of TYPE 3 variables will never
-                        # be empty (when empty, adding a dummy instance all
-                        # of whose attributes are null will achieve this)".
-                        new_row = row.copy()
-                        new_row[slot] = DUMMY
-                        out.append(new_row)
-                        if len(out) >= size:
-                            yield self._emit(out)
-                            out = []
-                    continue
-                for instance in domain:
-                    new_row = row.copy()
-                    new_row[slot] = instance
-                    out.append(new_row)
-                    if len(out) >= size:
-                        yield self._emit(out)
-                        out = []
-            if out:
+                entry[1] += sum(map(len, domains))
+            if outer:
+                # §4.5: "the domain of TYPE 3 variables will never be
+                # empty (when empty, adding a dummy instance all of whose
+                # attributes are null will achieve this)".
+                domains = [domain or _PADDED for domain in domains]
+            rows = [row for row, domain in enumerate(domains)
+                    for _ in domain]
+            instances = list(chain.from_iterable(domains))
+            # The fan-out, cut into batches as it is gathered.
+            for start in range(0, len(rows), size):
+                out = batch.take(rows[start:start + size])
+                out[slot] = instances[start:start + size]
                 yield self._emit(out)
+
+
+_PADDED = (DUMMY,)
 
 
 class OuterTraverse(EVATraverse):
@@ -306,7 +281,7 @@ class OuterTraverse(EVATraverse):
 
 class Filter(Operator):
     """3VL predicate over a batch: keeps the rows whose compiled
-    selection (``fn(ctx, rows) -> keep flags``) holds."""
+    selection (``fn(ctx, batch) -> keep flags``) holds."""
 
     name = "Filter"
 
@@ -322,9 +297,11 @@ class Filter(Operator):
         predicate = self.predicate
         for batch in self.child.run(ctx):
             self.rows_in += len(batch)
-            out = list(compress(batch, predicate(ctx, batch)))
-            if out:
-                yield self._emit(out)
+            kept = list(compress(range(len(batch)), predicate(ctx, batch)))
+            if len(kept) == len(batch):
+                yield self._emit(batch)
+            elif kept:
+                yield self._emit(batch.take(kept))
 
 
 class Semi(Filter):
@@ -335,8 +312,8 @@ class Semi(Filter):
     Two shapes share the operator: main-scope TYPE 2 subtrees, where the
     whole WHERE clause is evaluated per binding, and a top-level
     ``<left> <op> some(<argument>)`` folded over the quantifier's own
-    scope.  Either way the predicate expands the scope a chunk of
-    bindings at a time and stops expanding a row once it has a witness.
+    scope.  Either way the predicate expands the scope in rounds of 1,
+    2, 4, … bindings per row and stops at the round with a witness.
     """
 
     name = "Semi"
@@ -377,8 +354,7 @@ class Aggregate(Operator):
         for batch in self.child.run(ctx):
             self.rows_in += len(batch)
             for _, column, slot in items:
-                for row, value in zip(batch, column(ctx, batch)):
-                    row[slot] = value
+                batch[slot] = column(ctx, batch)
             yield self._emit(batch)
 
 
@@ -388,7 +364,7 @@ class Project(Operator):
     ``targets`` and ``order`` are compiled columns (aggregate targets
     read their precomputed slot).  Order keys, the §5.1 restore key and
     structured-output snapshots are attached here so the downstream
-    operators never look at slot rows.
+    operators never look at the columns.
     """
 
     name = "Project"
@@ -409,23 +385,23 @@ class Project(Operator):
     def run(self, ctx: ExecContext):
         for batch in self.child.run(ctx):
             self.rows_in += len(batch)
-            columns = [[_render(value) for value in column(ctx, batch)]
-                       for column in self.targets]
-            out = [OutRow(values) for values in zip(*columns)]
+            out = list(map(OutRow, zip(*[_render(column(ctx, batch))
+                                         for column in self.targets])))
             if self.order:
-                keys = [[_sort_key(_render(value), descending)
-                         for value in column(ctx, batch)]
+                keys = [[_sort_key(value, descending)
+                         for value in _render(column(ctx, batch))]
                         for column, descending in self.order]
                 for out_row, key in zip(out, zip(*keys)):
                     out_row.order_key = key
             if self.reordered or self.structured:
-                for out_row, row in zip(out, batch):
-                    picked = [row[slot] for slot in self.original_slots]
+                picked = zip(*[batch[slot] for slot in self.original_slots])
+                for out_row, instances in zip(out, picked):
                     if self.reordered:
                         out_row.restore_key = tuple(
-                            _instance_key(instance) for instance in picked)
+                            _instance_key(instance)
+                            for instance in instances)
                     if self.structured:
-                        out_row.snapshot = tuple(picked)
+                        out_row.snapshot = instances
             yield self._emit(out)
 
 
@@ -497,23 +473,12 @@ class Distinct(Operator):
             yield batch
 
 
-# ------------------------------------------------------------ probe helpers
-
-def selection_holds(ctx: ExecContext, selection, row) -> bool:
-    """The "such that for some Xm+1..Xn" clause for one binding: a
-    compiled selection run on a one-row batch (VERIFY's predicate path
-    and tuple-at-a-time baselines)."""
-    return selection is None or selection(ctx, [row])[0]
-
-
 # ------------------------------------------------------------- row rendering
 
-def _render(value):
+def _render(column):
     """Row values: transitive instances arrive unwrapped; UNKNOWN
     renders as NULL."""
-    if value is UNKNOWN:
-        return NULL
-    return value
+    return [NULL if value is UNKNOWN else value for value in column]
 
 
 _TYPE_RANK = {bool: 0, int: 1, float: 1, Decimal: 1, str: 2,
@@ -537,7 +502,7 @@ class _Reversed:
 
 def _instance_key(instance):
     """Total order over loop-node instances for the restore sort."""
-    if instance is None or instance is UNBOUND:
+    if instance is None:
         return (0, 0)
     if isinstance(instance, tuple):      # transitive (value, level)
         instance = instance[0]

@@ -119,7 +119,7 @@ class Parallel(ops.Operator):
 
     def run(self, ctx: ops.ExecContext):
         leaf = self.child.chain()[0]
-        domain = list(leaf._open(ctx))
+        domain = leaf._open(ctx)
         size = self._morsel_size(len(domain), ctx.batch_size)
         morsels = [domain[start:start + size]
                    for start in range(0, len(domain), size)]
@@ -138,16 +138,14 @@ class Parallel(ops.Operator):
         self.workers_used = len(states)
 
         self._merge(ctx, states)
-        out: List = []
-        batch_size = ctx.batch_size
-        for rows in results:
-            for row in rows:
-                out.append(row)
-                if len(out) >= batch_size:
-                    yield self._emit(out)
-                    out = []
-        if out:
-            yield self._emit(out)
+        batches = [batch for morsel in results for batch in morsel]
+        if batches:
+            merged = ops.Batch({slot: [value for batch in batches
+                                       for value in batch[slot]]
+                                for slot in batches[0]},
+                               sum(map(len, batches)))
+            for batch in merged.slices(ctx.batch_size):
+                yield self._emit(batch)
 
     def _run_pool(self, ctx, morsels, states):
         from concurrent.futures import ThreadPoolExecutor
@@ -196,11 +194,9 @@ class Parallel(ops.Operator):
     @staticmethod
     def _run_morsel(state: _WorkerState, morsel) -> List:
         state.leaf.domain_override = morsel
-        rows: List = []
-        for batch in state.sink.run(state.ctx):
-            rows.extend(batch)
+        batches = list(state.sink.run(state.ctx))
         state.morsels += 1
-        return rows
+        return batches
 
     # -- Barrier bookkeeping ------------------------------------------------------
 

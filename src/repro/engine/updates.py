@@ -36,7 +36,7 @@ from repro.dml.ast import (
 )
 from repro.dml.query_tree import QueryTree
 from repro.engine.executor import QueryExecutor
-from repro.engine.expressions import compile_single_valued
+from repro.engine.expressions import Batch, compile_single_valued
 from repro.engine.operators import ExecContext
 from repro.naming import canon
 from repro.types.tvl import is_null
@@ -126,7 +126,7 @@ class UpdateEngine:
         scope_nodes = self.qualifier.resolve_anchored(tree, root, expression)
         return compile_single_valued(
             expression, scope_nodes, {root.id: 0}, 1,
-            lambda row: IntegrityError(
+            lambda batch, index: IntegrityError(
                 "assignment expression yields multiple distinct values"))
 
     # -- Dispatch ---------------------------------------------------------------
@@ -505,7 +505,7 @@ class UpdateEngine:
         if compiled is None:        # an attribute prepare() did not know
             compiled = self._compile_rhs(class_name, expression)
         ctx = ExecContext(self.executor, params=self._params)
-        return compiled(ctx, [[surrogate]])[0]
+        return compiled(ctx, Batch({0: [surrogate]}, 1))[0]
 
     # -- DELETE ---------------------------------------------------------------------
 

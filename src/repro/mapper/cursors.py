@@ -40,7 +40,7 @@ class LUCCursor:
         self.closed = False
 
     def open(self) -> "LUCCursor":
-        self._iterator = self.store.scan_class(self.class_name)
+        self._iterator = iter(self.store.scan_class(self.class_name))
         self.closed = False
         return self
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager, nullcontext
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import CatalogError, IntegrityError, UniquenessViolation
 from repro.mapper.luc import LUCSchema
@@ -904,8 +904,10 @@ class MapperStore:
 
     # ------------------------------------------------------------------- scans
 
-    def scan_class(self, class_name: str) -> Iterator[int]:
-        """All surrogates with the given role, in block (physical) order.
+    def scan_class(self, class_name: str) -> List[int]:
+        """All surrogates with the given role, in block (physical) order,
+        as one list: a comprehension per block of
+        :meth:`RecordFile.scan_blocks`, no generator frame per entity.
 
         Note that scanning a class in a shared variable-format unit visits
         every block of the hierarchy's unit — the space/scan trade-off of
@@ -915,31 +917,26 @@ class MapperStore:
         record_file = self._class_file[class_name]
         format_id = self._class_format[class_name]
         snap = self.current_snapshot()
-        if snap is not None:
-            # Scan physically FIRST, then read the records changed since
-            # the pin: writers stage before mutating, so a change racing
-            # the scan is among them — or was aborted meanwhile: scan
-            # again.  Unchanged survivors keep their physical order, the
-            # changed ones the scan missed follow by surrogate, and the
-            # versioned role read decides each changed one.
-            while True:
-                aborts = self.versions.aborts
-                try:
-                    found = [record[_SURROGATE] for _, _, record
-                             in record_file.scan(format_id)]
-                except Exception:   # a racing writer reshaped the unit
-                    found = [record[_SURROGATE] for _, _, record
-                             in record_file.scan(format_id)]
-                changed = self.versions.changed(snap, (class_name,))
-                if changed:
-                    found += sorted(changed.difference(found))
-                    found = [s for s in found if s not in changed
-                             or self.has_role(s, class_name)]
-                if self.versions.aborts == aborts:
-                    yield from found
-                    return
-        for _, _, record in record_file.scan(format_id):
-            yield record[_SURROGATE]
+        while True:
+            aborts = self.versions.aborts
+            found = []
+            for records in record_file.scan_blocks(format_id):
+                found += [record[_SURROGATE] for record in records]
+            if snap is None:
+                return found
+            # Scanned physically FIRST, now read the records changed
+            # since the pin: writers stage before mutating, so a change
+            # racing the scan is among them — or was aborted meanwhile:
+            # scan again.  Unchanged survivors keep their physical order,
+            # the changed ones the scan missed follow by surrogate, and
+            # the versioned role read decides each changed one.
+            changed = self.versions.changed(snap, (class_name,))
+            if changed:
+                found += sorted(changed.difference(found))
+                found = [s for s in found if s not in changed
+                         or self.has_role(s, class_name)]
+            if self.versions.aborts == aborts:
+                return found
 
     def class_count(self, class_name: str) -> int:
         """Entities holding the role in this thread's view: the

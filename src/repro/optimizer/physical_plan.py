@@ -263,7 +263,7 @@ def lower_plan(query: RetrieveQuery, tree: QueryTree, plan,
         slot = agg_slots.get(id(expression))
         if slot is None:
             return compile_value(expression, slots, width)
-        return lambda ctx, rows: [row[slot] for row in rows]
+        return lambda ctx, batch: batch[slot]
 
     if aggregates:
         operator = ops.Aggregate(
@@ -310,7 +310,7 @@ def lower_selection(tree: QueryTree, where) -> PhysicalPlan:
 
 def compile_predicate(tree: QueryTree, where):
     """Compile a pre-resolved single-perspective predicate (a VERIFY
-    assertion) for rows holding just the entity: ``fn(ctx, rows)``
+    assertion) for batches holding just the entity: ``fn(ctx, batch)``
     returns the assertion's 3-valued truth per row — or, when TYPE 2
     subtrees make it existential, whether some binding satisfies it."""
     root = tree.roots[0]

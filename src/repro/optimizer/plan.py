@@ -100,19 +100,19 @@ class Plan:
     #: (and the ``compile`` span of a plan-cache hit repeats)
     trace_attrs: Dict[str, object] = field(default_factory=dict)
 
-    def root_iterator(self, node: QTNode, ctx):
-        """Domain iterator for a root node in the execution ``ctx``, or
-        None for the default scan."""
+    def root_domain(self, node: QTNode, ctx) -> Optional[List[int]]:
+        """The domain (a list) of a root node in the execution ``ctx``,
+        or None for the default scan."""
         access = self.root_access.get(node.var_name)
         if access is None or access.kind == "scan":
             return None
         store = ctx.store
         if access.kind == "empty":
-            return iter(())
+            return []
         if access.kind == "subclass":
             surrogates = [s for s in store.scan_class(access.subclass)
                           if store.has_role(s, access.class_name)]
-            return iter(sorted(surrogates))
+            return sorted(surrogates)
         if access.kind == "eva_flip":
             matches = store.find_by_dva(access.flip_class, access.attr_name,
                                         access.bound_value(ctx.params))
@@ -122,12 +122,12 @@ class Plan:
                 for source in store.eva_targets(target, inverse):
                     if store.has_role(source, access.class_name):
                         candidates.add(source)
-            return iter(sorted(candidates))
+            return sorted(candidates)
         surrogates = store.find_by_dva(access.class_name, access.attr_name,
                                        access.bound_value(ctx.params))
         # Re-sort by surrogate: preserves the perspective-implied ordering
         # the index lookup broke (the plan's cost includes this sort).
-        return iter(sorted(surrogates))
+        return sorted(surrogates)
 
     def describe(self) -> str:
         lines = [f"plan: {self.description} "

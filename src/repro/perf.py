@@ -56,7 +56,7 @@ _COUNTERS = (
     ("storage", "transient_retries"),     # I/O faults absorbed by retry
     ("storage", "transient_giveups"),     # faults that exhausted the policy
     ("engine", "batches_dispatched"),     # batches passed between operators
-    ("engine", "batch_rows"),             # slot rows carried by those batches
+    ("engine", "batch_rows"),             # rows carried by those batches
     ("optimizer", "rewrite_statements"),  # statements through the rewriter
     ("optimizer", "rewrite_subclass_prunes"),  # subclass-extent prunings
     ("optimizer", "rewrite_empty_extents"),  # provably empty (SIM400)

@@ -253,22 +253,31 @@ class RecordFile:
 
     # -- Scanning ---------------------------------------------------------------
 
+    def blocks(self) -> Iterator[Tuple[int, list]]:
+        """``(block_no, slots)`` for every block in block order: the one
+        scan loop.  Each block costs one logical (and possibly physical)
+        read.  ``slots`` is the block's own list, ``None`` for a
+        tombstone; read it, never change it."""
+        for block_no in range(self._block_count):
+            yield block_no, self.pool.get(self.file_id, block_no).slots
+
+    def scan_blocks(self, format_id: int) -> Iterator[List[tuple]]:
+        """The records of one format, one list per block in block order
+        (:meth:`blocks`, one comprehension per block)."""
+        for _, slots in self.blocks():
+            yield [entry[1] for entry in slots
+                   if entry is not None and entry[0] == format_id]
+
     def scan(self, format_id: Optional[int] = None
              ) -> Iterator[Tuple[RID, int, tuple]]:
         """Iterate ``(rid, format_id, record)`` in block order; optionally
-        one format only.
-
-        Each visited block costs one logical (and possibly physical) read.
-        """
-        for block_no in range(self._block_count):
-            block = self.pool.get(self.file_id, block_no)
-            for slot, entry in enumerate(block.slots):
-                if entry is None:
-                    continue
-                fmt, record = entry
-                if format_id is not None and fmt != format_id:
-                    continue
-                yield RID(block_no, slot), fmt, record
+        one format only — :meth:`blocks` flattened, for the callers that
+        need each record's RID (the checker, index rebuilds)."""
+        for block_no, slots in self.blocks():
+            for slot, entry in enumerate(slots):
+                if entry is not None and (format_id is None
+                                          or entry[0] == format_id):
+                    yield RID(block_no, slot), entry[0], entry[1]
 
     # -- Metadata ------------------------------------------------------------------
 

@@ -336,3 +336,101 @@ class TestTransitiveChains:
         with pytest.raises(QualificationError):
             db.query('Retrieve aname of transitive(ghost of wrote)'
                      ' of author')
+
+
+class TestEarlyExit:
+    """``exists``, ``some``, ``no`` and ``all`` expand each undecided
+    owner in rounds of 1, 2, 4, … bindings and stop at the round that
+    decides it; what they return is the reference interpreter's."""
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        from repro import Database
+        from repro.workloads.generators import populate_scale, scale_schema
+        db = Database(scale_schema(3), constraint_mode="off")
+        populate_scale(db, 400, chain_depth=3, seed=5)
+        return db
+
+    @pytest.fixture
+    def fan(self):
+        """One tier1 feeding twelve tier2s in surrogate order, loads
+        1, 2, 4, 9, … — so the rounds are positions [0], [1, 2],
+        [3..6], [7..11]."""
+        from repro import Database
+        from repro.workloads.generators import scale_schema
+        db = Database(scale_schema(3), constraint_mode="off")
+        for position, load in enumerate([1, 2, 4] + [9] * 9):
+            db.execute(f"Insert tier2(key2 := {position},"
+                       f" load2 := {load})")
+        db.execute("Insert tier1(key1 := 1)")
+        for position in range(12):
+            db.execute("Modify tier1(feeds := include tier2 with"
+                       f" (key2 = {position})) Where key1 = 1")
+        return db
+
+    @staticmethod
+    def loads_read(db, monkeypatch, text, poison=None):
+        """The rows of ``text`` and the load2 instances it evaluated;
+        reading the tier2 whose key2 is ``poison`` raises."""
+        from repro.engine.access import EntityAccessor
+        from repro.errors import ExecutionError
+        real = getattr(EntityAccessor.dva_batch, "real",
+                       EntityAccessor.dva_batch)
+        poisoned = db.query(f"From tier2 Retrieve tier2 Where key2 = {poison}"
+                            ).rows[0][0] if poison is not None else None
+        read = []
+
+        def counting(self, attr, instances):
+            if attr.name == "load2":
+                read.extend(instances)
+                if poisoned in instances:
+                    raise ExecutionError("poisoned load2")
+            return real(self, attr, instances)
+        counting.real = real
+        monkeypatch.setattr(EntityAccessor, "dva_batch", counting)
+        return db.query(text).rows, read
+
+    def test_a_witness_ends_the_type2_expansion(self, chain):
+        from tests.reference_interpreter import reference_rows
+        text = "From tier0 Retrieve key0 Where load2 of feeds of feeds > 10"
+        chain.enable_tracing()
+        try:
+            result = chain.query(text)
+        finally:
+            chain.disable_tracing()
+        nodes = result.trace.find("execute").attrs["nodes"]
+        traced = sum(node["actual_rows"] for node in nodes
+                     if node["label"] == "TYPE 2")
+        scope = chain.query("From tier0 Retrieve count(feeds),"
+                            " count(feeds of feeds)").rows
+        full = sum(first + second for first, second in scope)
+        assert 0 < traced < full / 2
+        assert result.rows and result.rows == reference_rows(chain, text)
+
+    @pytest.mark.parametrize("text, rows, evaluated", [
+        # the witness (load2 = 4) is at position 2: round two decides
+        ("From tier1 Retrieve key1 Where 4 = no(load2 of feeds)", [], 3),
+        # decided false at position 3 (load2 = 9): round three decides
+        ("From tier1 Retrieve key1 Where 5 > all(load2 of feeds)", [], 7),
+        # nothing decides: every round runs
+        ("From tier1 Retrieve key1 Where 3 = no(load2 of feeds)", [(1,)],
+         12),
+    ])
+    def test_a_quantifier_stops_at_its_deciding_round(
+            self, fan, monkeypatch, text, rows, evaluated):
+        from tests.reference_interpreter import reference_rows
+        got, read = self.loads_read(fan, monkeypatch, text)
+        assert len(read) == evaluated
+        assert got == rows == reference_rows(fan, text)
+
+    def test_an_error_surfaces_only_from_the_deciding_round(
+            self, fan, monkeypatch):
+        """INTERNALS §8: a binding of the round that decides its owner
+        is evaluated, so its error surfaces; a later round's is never
+        reached."""
+        from repro.errors import ExecutionError
+        text = "From tier1 Retrieve key1 Where 4 = some(load2 of feeds)"
+        with pytest.raises(ExecutionError, match="poisoned"):
+            self.loads_read(fan, monkeypatch, text, poison=1)
+        rows, read = self.loads_read(fan, monkeypatch, text, poison=3)
+        assert rows == [(1,)] and len(read) == 3

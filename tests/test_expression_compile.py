@@ -26,6 +26,7 @@ import pytest
 from repro import Database, parse_dml
 from repro.engine.executor import QueryExecutor
 from repro.engine.expressions import (
+    Batch,
     compile_selection,
     compile_truth,
     compile_value,
@@ -70,6 +71,21 @@ def scale():
     db.execute("Insert part(asset-key := 9003, part-key := 9003)")
     db.execute("Insert part(asset-key := 9004, part-key := 9004,"
                " site-code := 3)")
+    # NULL instances ahead of a witness: a tier2 linking the NULL-cost
+    # part, then a costly one; a tier1 feeding a NULL-load tier2, then a
+    # loaded one.
+    db.execute("Insert part(asset-key := 9005, part-key := 9005,"
+               " cost := 9999)")
+    db.execute("Insert tier2(key2 := 9006, load2 := 7)")
+    for part in (9003, 9005):
+        db.execute("Modify tier2(links := include part with"
+                   f" (part-key = {part})) Where key2 = 9006")
+    db.execute("Insert tier2(key2 := 9007)")
+    db.execute("Insert tier2(key2 := 9008, load2 := 99)")
+    db.execute("Insert tier1(key1 := 9009)")
+    for tier2 in (9007, 9008):
+        db.execute("Modify tier1(feeds := include tier2 with"
+                   f" (key2 = {tier2})) Where key1 = 9009")
     return db
 
 
@@ -258,6 +274,13 @@ def generate(vocabularies, seed):
 
 # ------------------------------------------------------------------- oracle
 
+def as_batch(rows, width):
+    """Slot rows (the oracle's bindings) as the columns the compiled
+    functions read."""
+    return Batch({slot: [row[slot] for row in rows]
+                  for slot in range(width)}, len(rows))
+
+
 def _render(value):
     return NULL if value is UNKNOWN else value
 
@@ -301,13 +324,14 @@ def check_statement(db, text):
         got_flags, got_truths = [], []
         got_targets = [[] for _ in columns]
         for start in range(0, len(rows), batch_size):
-            batch = [list(row) for row in rows[start:start + batch_size]]
+            chunk = rows[start:start + batch_size]
+            batch = as_batch(chunk, width)
             if selection is not None:
                 got_flags.extend(selection(ctx, batch))
             if truth is not None:
                 got_truths.extend(truth(ctx, batch))
-            kept = [row for row, keep
-                    in zip(batch, flags[start:start + batch_size]) if keep]
+            kept = as_batch([row for row, keep in zip(
+                chunk, flags[start:start + batch_size]) if keep], width)
             for got, column in zip(got_targets, columns):
                 got.extend(column(ctx, kept))
         if selection is not None:
@@ -381,9 +405,40 @@ def test_scale_expressions_match_the_interpreter(scale):
     # transitive scope
     "From course Retrieve course-no,"
     " count distinct (transitive(prerequisites))",
+    # runs of all-int, mixed int/float (``credits / 2``), Decimal/float
+    # (``+ 0.25``) and NULL-bearing (``bonus``) values, with and without
+    # distinct
+    "From student Retrieve student-nbr, sum(credits of courses-enrolled),"
+    " min(credits of courses-enrolled / 2),"
+    " max distinct (credits of courses-enrolled / 2),"
+    " sum(credits of courses-enrolled / 2 + 0.25),"
+    " avg(bonus of teachers of courses-enrolled"
+    " + credits of courses-enrolled / 2),"
+    " sum distinct (bonus of teachers of courses-enrolled)",
+    # scopes under DUMMY owners (students without an advisor)
+    "From student Retrieve student-nbr, name of advisor,"
+    " count(courses-taught of advisor), max(salary of advisor)",
+    # a two-level SOME whose witness lies in a later round
+    "From tier0 Retrieve key0 Where 90 < some(load2 of feeds of feeds)",
+    # an ALL decided false late, and a TYPE 2 scope two levels deep
+    "From tier1 Retrieve key1 Where 98 > all(load2 of feeds)",
+    "From tier0 Retrieve key0 Where load2 of feeds of feeds > 95",
+    # a NO that meets an UNKNOWN (NULL load2 / cost) before its witness
+    "From tier1 Retrieve key1 Where 95 < no(load2 of feeds)",
+    "From tier2 Retrieve key2 Where 5000 < no(cost of links)",
+    # an outer slot read inside a scope
+    "From tier2 Retrieve key2 Where cost of links > load2",
+    "From tier2 Retrieve key2 Where load2 < some(cost of links / 100)",
+    "From tier2 Retrieve key2, sum(cost of links - load2)",
+    # NULL-bearing and empty runs (tier2 9001 links nothing)
+    "From tier2 Retrieve key2, sum(cost of links), avg(cost of links),"
+    " min distinct (cost of links), max(cost of links / 7),"
+    " count distinct (site-code of links)",
 ])
-def test_named_shapes_match_the_interpreter(university, text):
-    check_statement(university, text)
+def test_named_shapes_match_the_interpreter(request, text):
+    scale = text.startswith(("From tier", "From part"))
+    check_statement(request.getfixturevalue(
+        "scale" if scale else "university"), text)
 
 
 def test_sliced_scopes_match_the_interpreter(scale, monkeypatch):

@@ -1,7 +1,10 @@
 """cProfile of the analytic rounds (``make profile-analytic``).
 
-Builds the ``scale_schema(3)`` database at 10 000 entities and profiles
-two sections, each printed as the top 25 functions by self time:
+Builds the ``scale_schema(3)`` database at 10 000 entities, prints one
+line per ``scale_queries`` statement — its best-of-7 warm time in ms and
+the TYPE 2 bindings a traced run of it evaluates (EXPLAIN ANALYZE's
+``actual=`` summed over the TYPE 2 nodes) — and then profiles two
+sections, each printed as the top 25 functions by self time:
 
 * **warm** — one round of ``scale_queries`` fills the caches, then
   three more rounds are profiled: the starting point for any executor
@@ -22,6 +25,7 @@ import cProfile
 import os
 import pstats
 import sys
+import time
 
 from repro.database import Database
 from repro.workloads.generators import (
@@ -43,6 +47,27 @@ from workloads import (  # noqa: E402  (benchmarks/e2e)
 ROUNDS = 3
 COLD_ROUNDS = 2
 TOP = 25
+BEST_OF = 7
+
+
+def statement_table(database, queries) -> None:
+    """Best-of-``BEST_OF`` ms and traced TYPE 2 bindings per statement."""
+    print(f"==== per statement: best of {BEST_OF} (ms), "
+          f"traced TYPE 2 bindings ====")
+    for text in queries:
+        times = []
+        for _ in range(BEST_OF):
+            start = time.perf_counter()
+            database.execute(text)
+            times.append(time.perf_counter() - start)
+        database.enable_tracing()
+        try:
+            nodes = database.query(text).trace.find("execute").attrs["nodes"]
+        finally:
+            database.disable_tracing()
+        bindings = sum(node["actual_rows"] for node in nodes
+                       if node["label"] == "TYPE 2")
+        print(f"{min(times) * 1000:9.2f} {bindings:8d}  {text}")
 
 
 def profile(title: str, database, queries, rounds: int,
@@ -69,6 +94,7 @@ def main() -> int:
     queries = scale_queries(CHAIN_DEPTH)
     for text in queries:
         database.execute(text)
+    statement_table(database, queries)
     profile(f"warm: {ROUNDS} rounds, {FITTING_POOL_FRAMES} frames",
             database, queries, ROUNDS, cold=False)
     database.store.pool.resize(COLD_POOL_FRAMES)
