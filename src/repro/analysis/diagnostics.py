@@ -112,7 +112,6 @@ RULES = _catalog(
     ("SIM205", ERROR, "physical spine does not cover the loop nodes"),
     ("SIM206", ERROR, "existential node enumerated by the physical spine"),
     ("SIM207", ERROR, "traversal operator kind contradicts the TYPE label"),
-    ("SIM208", ERROR, "morsel barrier misplaced in the physical pipeline"),
     # -- Concurrency lint (SIM3xx) -------------------------------------------
     ("SIM300", WARNING, "lock acquired outside a with block"),
     ("SIM301", ERROR, "nested lock acquisition inverts the declared order"),

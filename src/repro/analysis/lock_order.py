@@ -132,7 +132,7 @@ THREADED_CLASSES = frozenset({
 THREADED_MODULES = frozenset({
     "sessions.py", "buffer.py", "read_cache.py", "materialized.py",
     "writes.py", "versions.py", "server.py", "transactions.py",
-    "store.py", "parallel.py", "wal.py",
+    "store.py", "wal.py",
 })
 
 #: blocking-call table for SIM302: method name -> substrings that mark a

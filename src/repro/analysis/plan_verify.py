@@ -21,11 +21,7 @@ every TYPE 1/TYPE 3 loop node exactly once, parents before children
 (SIM205); TYPE 2 existential nodes may only appear behind Semi/AntiSemi
 probes, never on the spine (SIM206); each traversal operator's kind
 must agree with its node's TYPE label — OuterTraverse exactly for TYPE 3,
-EVATraverse for inner TYPE 1, Scan for roots (SIM207); and at most one
-Parallel barrier may appear, with only order-insensitive segment
-operators below it and only order-sensitive consumers above it (SIM208)
-— that placement is what makes the morsel-order merge row-identical to
-serial execution.
+EVATraverse for inner TYPE 1, Scan for roots (SIM207).
 """
 
 from __future__ import annotations
@@ -56,10 +52,6 @@ def verify_plan(schema: Schema, tree: QueryTree,
 _SPINE_OPS = ("Scan", "EVATraverse", "OuterTraverse")
 #: operator names that probe existential subtrees
 _PROBE_OPS = ("Semi", "AntiSemi")
-#: operator names allowed below a Parallel barrier (order-insensitive)
-_PARALLEL_SEGMENT_OPS = _SPINE_OPS + _PROBE_OPS + ("Filter",)
-#: operator names allowed above a Parallel barrier (the serial consumers)
-_PARALLEL_CONSUMER_OPS = ("Aggregate", "Project", "Sort", "Distinct")
 
 
 def verify_physical(schema: Schema, tree: QueryTree,
@@ -129,37 +121,7 @@ def verify_physical(schema: Schema, tree: QueryTree,
                           f"{operator.name} probe enumerates main-scope "
                           f"node {node.describe()} (TYPE{node.label})")
 
-    _verify_parallel_barrier(operators, sink)
     return sink.sorted()
-
-
-def _verify_parallel_barrier(operators, sink: DiagnosticSink) -> None:
-    """SIM208: at most one Parallel barrier; only order-insensitive
-    segment operators below it, only serial consumers above it."""
-    barriers = [i for i, op in enumerate(operators)
-                if op.name == "Parallel"]
-    if not barriers:
-        return
-    if len(barriers) > 1:
-        sink.emit("SIM208",
-                  f"{len(barriers)} Parallel barriers in one pipeline; "
-                  f"morsel dispatch must have a single merge point")
-    barrier = barriers[0]
-    # operators is innermost-first: indices below the barrier are the
-    # parallel segment, indices above it the serial consumers.
-    for operator in operators[:barrier]:
-        if operator.name not in _PARALLEL_SEGMENT_OPS:
-            sink.emit("SIM208",
-                      f"{operator.describe()} runs below the Parallel "
-                      f"barrier but is not order-insensitive",
-                      hint="only Scan/EVATraverse/OuterTraverse/Filter/"
-                           "Semi/AntiSemi may run on morsel workers")
-    for operator in operators[barrier + 1:]:
-        if operator.name not in _PARALLEL_CONSUMER_OPS:
-            sink.emit("SIM208",
-                      f"{operator.describe()} runs above the Parallel "
-                      f"barrier; only the serial consumers "
-                      f"(Aggregate/Project/Sort/Distinct) may")
 
 
 def _verify_labels(tree: QueryTree, sink: DiagnosticSink) -> None:

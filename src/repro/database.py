@@ -102,8 +102,7 @@ class Database:
                  use_optimizer: bool = True,
                  rewrite: bool = True,
                  track_history: bool = False,
-                 batch_size: Optional[int] = None,
-                 parallelism: Optional[int] = None):
+                 batch_size: Optional[int] = None):
         if isinstance(schema, str):
             schema = parse_ddl(schema)
         elif not schema.resolved:
@@ -114,11 +113,7 @@ class Database:
             self.store.enable_history()
         self.design = self.store.design
         self.qualifier = Qualifier(schema)
-        knobs = {}
-        if batch_size is not None:
-            knobs["batch_size"] = batch_size
-        if parallelism is not None:
-            knobs["parallelism"] = parallelism
+        knobs = {} if batch_size is None else {"batch_size": batch_size}
         self.executor = QueryExecutor(self.store, self.qualifier, **knobs)
         self.constraints = ConstraintManager(self.executor, constraint_mode)
         self.updates = UpdateEngine(self.executor, self.constraints)
@@ -280,8 +275,7 @@ class Database:
         memo shard, so rows read at one snapshot's epoch
         can never be served to a query pinned at another."""
         return QueryExecutor(self.store, self.qualifier,
-                             batch_size=self.executor.batch_size,
-                             parallelism=self.executor.parallelism)
+                             batch_size=self.executor.batch_size)
 
     def explain(self, text: str) -> str:
         """The optimizer's strategy report for a Retrieve statement."""

@@ -46,7 +46,6 @@ from repro.engine.operators import (
     validate_batch_size,
 )
 from repro.engine.output import ResultSet, build_structured
-from repro.engine.parallel import DEFAULT_PARALLELISM, validate_parallelism
 
 __all__ = ["QueryExecutor", "_Reversed", "_instance_key", "_sort_key"]
 
@@ -54,15 +53,16 @@ __all__ = ["QueryExecutor", "_Reversed", "_instance_key", "_sort_key"]
 class QueryExecutor:
     """Executes resolved Retrieve queries against a Mapper store."""
 
+    #: not a knob: the end-to-end benchmark's precondition is its only reader
+    parallelism = 1
+
     def __init__(self, store, qualifier: Optional[Qualifier] = None,
-                 batch_size: int = DEFAULT_BATCH_SIZE,
-                 parallelism: int = DEFAULT_PARALLELISM):
+                 batch_size: int = DEFAULT_BATCH_SIZE):
         self.store = store
         self.schema = store.schema
         self.qualifier = qualifier or Qualifier(store.schema)
         self.accessor = EntityAccessor(store)
         self.batch_size = validate_batch_size(batch_size)
-        self.parallelism = validate_parallelism(parallelism)
 
     # -- Public API -----------------------------------------------------------------
 
@@ -74,12 +74,12 @@ class QueryExecutor:
         """Lower a resolved Retrieve to its operator DAG — a template:
         :meth:`run` executes ``fresh()`` instances of it — and verify it.
         Fail closed: a DAG that breaks the structural contract between
-        the labelled tree and the operators (SIM205-208) must never run."""
+        the labelled tree and the operators (SIM205-207) must never run."""
         # Imported lazily: the lowering module imports the operator
         # algebra from this package, so a module-level import here would
         # be circular for entry points that load the optimizer first.
         from repro.optimizer.physical_plan import lower_plan
-        physical = lower_plan(query, tree, plan, self)
+        physical = lower_plan(query, tree, plan)
         raise_for_errors(verify_physical(self.schema, tree, physical))
         return physical
 
@@ -91,12 +91,12 @@ class QueryExecutor:
         here when absent), ``params`` the literals this execution binds.
 
         The run counts into a frame of its own, which — closed — is
-        ``ResultSet.perf``: the events of this run on this thread and
-        its morsel workers, nobody else's.  With tracing attached and
-        enabled, the run is also wrapped in an ``execute`` span
-        carrying per-node EXPLAIN ANALYZE counters (§4.5 TYPE label,
-        loop entries, instances bound) plus one record per physical
-        operator — otherwise tracing adds only this None test.
+        ``ResultSet.perf``: the events of this run, nobody else's.  With
+        tracing attached and enabled, the run is also wrapped in an
+        ``execute`` span carrying per-node EXPLAIN ANALYZE counters
+        (§4.5 TYPE label, loop entries, instances bound) plus one record
+        per physical operator — otherwise tracing adds only this None
+        test.
         """
         trace = self.store.trace
         perf = self.store.perf

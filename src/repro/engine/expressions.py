@@ -9,7 +9,8 @@ compile time, never per row.  A batch is a set of columns, one per bound
 slot, so a compiled path reads its slot's column as it is.  Values are
 Python scalars, :data:`NULL`, or entity surrogates (for entity-ended
 paths); truth values are True/False/UNKNOWN.  Compiled functions capture
-no accessor: they read through ``ctx``, so morsel workers share them.
+no accessor: they read through ``ctx``, so concurrent executions of one
+cached plan share them.
 
 Aggregates, quantifiers, derived attributes and the main-scope TYPE 2
 subtrees enumerate their own scoped nodes (binding broken, §4.4) by
@@ -89,17 +90,6 @@ class Batch(dict):
                       for slot, column in self.items()}, len(indices),
                      None if owner is None else [owner[i] for i in indices],
                      self.outer)
-
-    def slices(self, size):
-        """This (spine) batch cut into batches of at most ``size``
-        bindings."""
-        if self.size <= size:
-            yield self
-            return
-        for start in range(0, self.size, size):
-            stop = min(start + size, self.size)
-            yield Batch({slot: column[start:stop]
-                         for slot, column in self.items()}, stop - start)
 
 
 _COMPARATORS = {"=": operator.eq, "neq": operator.ne, "<": operator.lt,

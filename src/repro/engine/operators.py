@@ -79,16 +79,6 @@ class ExecContext:
         self.batch_size = executor.batch_size
         self.slots = physical.slots if physical is not None else {}
 
-    def spawn_worker(self, accessor, stats) -> "ExecContext":
-        """A per-worker view for morsel-parallel segments: same slot
-        layout and batching, but the worker's own accessor (the per-query
-        memos are sharded, not locked) and its own stats dict (merged at
-        the barrier)."""
-        clone = instance_copy(self)
-        clone.accessor = accessor
-        clone.stats = stats
-        return clone
-
 
 class OutRow:
     """One projected result row plus its sort/output bookkeeping."""
@@ -124,8 +114,8 @@ class Operator:
     def fresh(self) -> "Operator":
         """A new instance chain of this pipeline: the copies share the
         immutable pieces (nodes, compiled columns) and own their
-        counters, so executions of one cached template — and the morsel
-        workers of one execution — never count into each other."""
+        counters, so executions of one cached template never count into
+        each other."""
         clone = instance_copy(self)
         if self.child is not None:
             clone.child = self.child.fresh()

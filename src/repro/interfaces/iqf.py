@@ -33,7 +33,7 @@ _HELP = """Commands:
   .analyze                collect optimizer statistics
   .lint                   run the schema linter (simcheck) on the schema
   .perf                   event counters of every layer
-  .set [batch-size <n> | parallelism <n> | rewrite on|off]
+  .set [batch-size <n> | rewrite on|off]
                           show or change executor/optimizer knobs
   .materialize <name> join <class> <eva>
   .materialize <name> closure <class> <eva> [<eva> ...]
@@ -159,20 +159,17 @@ class IQFSession:
                 self._print(f"error: {exc}")
         elif command == ".set":
             from repro.engine.operators import validate_batch_size
-            from repro.engine.parallel import validate_parallelism
             executor = self.database.executor
             if not argument:
                 self._print(f"  batch-size: {executor.batch_size}")
-                self._print(f"  parallelism: {executor.parallelism}")
                 state = "on" if self.database.rewrite else "off"
                 self._print(f"  rewrite: {state}")
                 return
             parts = argument.split()
             knob = parts[0].lower() if parts else ""
             if (len(parts) != 2
-                    or knob not in ("batch-size", "parallelism", "rewrite")):
-                self._print("usage: .set [batch-size <n> | parallelism <n>"
-                            " | rewrite on|off]")
+                    or knob not in ("batch-size", "rewrite")):
+                self._print("usage: .set [batch-size <n> | rewrite on|off]")
                 return
             if knob == "rewrite":
                 if parts[1].lower() not in ("on", "off"):
@@ -183,10 +180,7 @@ class IQFSession:
                 return
             try:
                 value = int(parts[1])
-                if knob == "batch-size":
-                    executor.batch_size = validate_batch_size(value)
-                else:
-                    executor.parallelism = validate_parallelism(value)
+                executor.batch_size = validate_batch_size(value)
             except (ValueError, SimError) as exc:
                 self._print(f"error: {exc}")
                 return

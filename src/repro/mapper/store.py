@@ -346,7 +346,7 @@ class MapperStore:
     @contextmanager
     def snapshot_scope(self, snap):
         """Route this thread's reads through ``snap`` for the duration of
-        the block (nestable; morsel workers re-enter the query's scope)."""
+        the block (nestable: the enclosing scope is restored on exit)."""
         previous = self._snapshots.snap
         self._snapshots.snap = snap
         try:

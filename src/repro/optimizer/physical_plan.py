@@ -74,7 +74,7 @@ class PhysicalPlan:
         records = []
         for operator in self.operators:
             node = operator.node
-            record = {
+            records.append({
                 "op": operator.name,
                 "detail": operator.detail(params),
                 "label": (f"TYPE {node.label}"
@@ -84,16 +84,7 @@ class PhysicalPlan:
                 "rows_out": operator.rows_out,
                 "est_rows": (estimates.get(node.id)
                              if node is not None else None),
-            }
-            workers = getattr(operator, "workers", None)
-            if workers is None:
-                workers = getattr(operator, "workers_used", None) or None
-            if workers is not None:
-                record["workers"] = workers
-                morsels = getattr(operator, "morsels", None)
-                if morsels is not None:
-                    record["morsels"] = morsels
-            records.append(record)
+            })
         return records
 
     def describe(self) -> str:
@@ -187,8 +178,7 @@ def _lower_selection_ops(operator, where, exists_nodes, predicate):
     return ops.Filter(where, operator, predicate)
 
 
-def lower_plan(query: RetrieveQuery, tree: QueryTree, plan,
-               executor) -> PhysicalPlan:
+def lower_plan(query: RetrieveQuery, tree: QueryTree, plan) -> PhysicalPlan:
     """Lower a resolved Retrieve into the full operator pipeline."""
     roots = list(tree.roots)
     reordered = False
@@ -249,15 +239,6 @@ def lower_plan(query: RetrieveQuery, tree: QueryTree, plan,
     operator = _lower_selection_ops(operator,
                                     None if pushed else query.where,
                                     exists_nodes, predicate)
-
-    # The selection stage above is the parallel-safe segment; when the
-    # executor allows workers, the Parallel barrier wraps it here, and
-    # everything below (Aggregate, Project, Sort, Distinct) stays serial
-    # on the dispatching thread.
-    parallelism = getattr(executor, "parallelism", 1)
-    if parallelism > 1:
-        from repro.engine.parallel import Parallel
-        operator = Parallel(operator, parallelism)
 
     def column(expression):
         slot = agg_slots.get(id(expression))

@@ -15,11 +15,11 @@ reads the observed hit rate to discount cached-access costs (its
 The statement is the unit of accounting.  Every layer counts an event
 with one call, :meth:`PerfCounters.bump`, and the call decides whom the
 event is charged to: the innermost :class:`Frame` open on the calling
-thread — a statement, a Retrieve's run inside it, a trace span, a
-morsel worker — which takes no lock, because no other thread counts
-into it.  A closing frame hands what it counted up to the frame that
-encloses it; the outermost one folds into the store's totals, in one
-lock acquisition per statement, and that is when a statement's events
+thread — a statement, a Retrieve's run inside it, a trace span —
+which takes no lock, because no other thread counts into it.  A
+closing frame hands what it counted up to the frame that encloses it;
+the outermost one folds into the store's totals, in one lock
+acquisition per statement, and that is when a statement's events
 become visible in ``db.perf``.  A count is kept once, where it arises,
 and inherited upward: ``ResultSet.perf`` *is* the run's closed frame,
 and a trace span's ``counts`` are what was counted while it was the
@@ -215,21 +215,17 @@ class PerfCounters(Tally):
         """The calling thread's innermost open frame."""
         return self._thread.frame
 
-    def open(self, span=None, under: Optional[Frame] = None) -> Frame:
-        """Open a frame inside the calling thread's innermost one — or,
-        on a thread that has none, on ``under``: a morsel worker's, on
-        the dispatching thread's innermost frame."""
+    def open(self, span=None) -> Frame:
+        """Open a frame inside the calling thread's innermost one."""
         thread = self._thread
-        frame = thread.frame = Frame(thread.frame or under, span)
+        frame = thread.frame = Frame(thread.frame, span)
         return frame
 
     def close(self, frame: Frame) -> None:
-        """Close a frame whose parent is (or becomes) the calling
-        thread's innermost one — this thread's own innermost frame, or
-        at the barrier a finished worker's — and hand its counts up: a
-        span's to its parent's ``inherited``, a plain frame's to the
-        counts of the span it worked under, the outermost frame's to
-        the totals, the statement's one lock acquisition."""
+        """Close the calling thread's innermost frame and hand its
+        counts up: a span's to its parent's ``inherited``, a plain
+        frame's to the counts of the span it worked under, the outermost
+        frame's to the totals, the statement's one lock acquisition."""
         counts, inherited = frame._counts, frame.inherited
         parent = self._thread.frame = frame.parent
         if parent is None:

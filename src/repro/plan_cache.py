@@ -135,9 +135,8 @@ class PlanCache:
         statement that raises while compiling or binding is not stored."""
         database = self.database
         perf = database.store.perf
-        executor = database.executor
         key = (shape, database.use_optimizer, database.rewrite,
-               executor.batch_size, executor.parallelism)
+               database.executor.batch_size)
         entries, pins = self._tables
         pinned = pins.get(key)
         if pinned is not None:

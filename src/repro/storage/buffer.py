@@ -60,10 +60,11 @@ class Disk:
     here.
 
     ``read_latency`` models the device's per-read service time in
-    seconds (default 0.0: instantaneous, so every existing deterministic
-    I/O-count measurement is unaffected).  The sleep happens outside any
-    buffer-pool lock, so concurrent morsel workers overlap their reads
-    exactly the way threads overlap real blocking I/O.
+    seconds (default 0.0: instantaneous, so every deterministic I/O-count
+    measurement is unaffected).  The sleep happens outside any
+    buffer-pool lock; it holds a miss open long enough for the
+    single-flight test's concurrent readers to meet it, and the
+    end-to-end benchmark checks that it is 0.
     """
 
     def __init__(self, read_latency: float = 0.0):
@@ -113,7 +114,7 @@ class BufferPool:
 
     Thread-safety: frame-map and dirty-set mutations run under one
     re-entrant lock, while actual device reads happen *outside* it —
-    concurrent morsel workers therefore overlap their (possibly
+    concurrent sessions therefore overlap their (possibly
     latency-modeled) misses instead of serializing on the pool.  A
     per-block single-flight table collapses a thundering herd of readers
     of the same block into one physical read; its entry is a plain

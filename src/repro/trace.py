@@ -173,23 +173,15 @@ def _render_operator(record: Dict[str, object]) -> str:
     label_text = f" [{label}]" if label else ""
     est = record.get("est_rows")
     est_text = "" if est is None else f" est={float(est):.1f}"
-    workers = record.get("workers")
-    morsels = record.get("morsels")
-    parallel_text = ""
-    if workers is not None:
-        parallel_text = f" workers={workers}"
-        if morsels is not None:
-            parallel_text += f" morsels={morsels}"
     return ("op {op}({detail}){label}  batches={batches} in={rows_in} "
-            "out={rows_out}{est}{parallel}".format(
+            "out={rows_out}{est}".format(
                 op=record.get("op", "?"),
                 detail=_short(record.get("detail", "")),
                 label=label_text,
                 batches=record.get("batches", 0),
                 rows_in=record.get("rows_in", 0),
                 rows_out=record.get("rows_out", 0),
-                est=est_text,
-                parallel=parallel_text))
+                est=est_text))
 
 
 def _short(value, limit: int = 60) -> str:
@@ -313,7 +305,6 @@ class TraceRecorder:
         force, invalidation).  Dropped when no span is open."""
         span = self.current() if self.enabled else None
         if span is not None:
-            # One append: morsel workers share the dispatcher's span.
             span.events.append({"event": name, **attrs})
 
     def count(self, name: str, amount: int = 1) -> None:

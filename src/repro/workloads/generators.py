@@ -258,10 +258,10 @@ def scale_queries(chain_depth: int = 3) -> List[str]:
     existentials: their scopes expand in rounds until a witness, so the
     first (witness in the first rounds) reads a fraction of its scope
     and the last (rarely a witness) nearly all of it.  They do their
-    record reads in the parallel-safe pipeline segment; the target-path
-    and aggregate forms deliberately keep that work in the serial
-    Project/Aggregate consumers, so the set shows both sides of the
-    morsel barrier.  ``make profile-analytic`` prints each statement's
+    record reads in the selection stage; the target-path and aggregate
+    forms deliberately keep that work in the Project/Aggregate
+    consumers, so the set exercises both ends of the pipeline.
+    ``make profile-analytic`` prints each statement's
     warm time and traced TYPE 2 bindings.
     """
     last = chain_depth - 1

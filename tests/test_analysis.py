@@ -8,6 +8,9 @@ zero warnings, and the plan verifier is green for every query form.
 
 from __future__ import annotations
 
+import os
+import re
+
 import pytest
 
 from repro import Database
@@ -62,6 +65,28 @@ class TestCatalog:
             assert code.startswith("SIM") and code[3:].isdigit()
             assert rule.severity in (ERROR, WARNING, INFO)
             assert rule.title
+
+    def test_every_code_has_one_row_in_the_reference(self):
+        """docs/DIAGNOSTICS.md lists each catalogued code once, with its
+        severity; a code it lists beyond the catalog is a retired one,
+        kept so that it is never reused."""
+        path = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "docs", "DIAGNOSTICS.md")
+        rows = {}
+        with open(path) as handle:
+            for line in handle:
+                match = re.match(r"\| (SIM\d{3}) \| ([^|]*) \| ([^|]*) \|",
+                                 line)
+                if match:
+                    rows.setdefault(match.group(1), []).append(
+                        (match.group(2).strip(), match.group(3)))
+        for code, rule in RULES.items():
+            assert [severity for severity, _ in rows.get(code, [])] \
+                == [rule.severity], code
+        retired = {code: meaning for code, [(_, meaning)] in rows.items()
+                   if code not in RULES}
+        assert all("retired" in meaning for meaning in retired.values()), \
+            retired
 
     def test_severity_defaults_from_catalog(self):
         diagnostics = lint_schema("Type unused = integer (1..2);\n"

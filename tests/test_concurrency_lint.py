@@ -17,7 +17,11 @@ from repro.analysis.concurrency import (
     lint_concurrency_source,
 )
 from repro.analysis.diagnostics import RULES
-from repro.analysis.lock_order import LOCK_RANKS, describe_hierarchy
+from repro.analysis.lock_order import (
+    LOCK_RANKS,
+    THREADED_MODULES,
+    describe_hierarchy,
+)
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC_REPRO = os.path.join(REPO_ROOT, "src", "repro")
@@ -226,6 +230,14 @@ class TestSweep:
         names = {os.path.basename(p) for p in _python_files([SRC_REPRO])}
         assert {"sessions.py", "store.py", "versions.py", "buffer.py",
                 "read_cache.py", "server.py"} <= names
+
+
+    def test_threaded_modules_name_engine_modules(self):
+        """SIM303 audits the modules named in ``THREADED_MODULES``; a
+        name that matches no file would audit nothing."""
+        from repro.analysis.concurrency import _python_files
+        names = {os.path.basename(p) for p in _python_files([SRC_REPRO])}
+        assert THREADED_MODULES <= names, THREADED_MODULES - names
 
 
 class TestCLI:

@@ -11,9 +11,6 @@ the second ways must not grow back.
   the per-unit names that have no field (``mapper.decoded[<class>]``,
   ``storage.mutated[<unit>]``) and a span shows a field's events — block
   I/O and WAL forces included — as what its frame counted;
-* ``PerfCounters`` has no ``snapshot`` / ``delta`` and nothing calls
-  them on a ``perf``; ``EntityAccessor`` has no ``flush`` and nothing
-  calls one on an ``accessor``;
 * one warmed snapshot-session Retrieve of the ``oltp_session``
   instructor query takes the counter lock exactly once (34 ``bump``s
   and 3 ``as_dict()`` copies before the statement became the unit of
@@ -34,9 +31,8 @@ import os
 import sys
 
 from repro import naming
-from repro.engine.access import EntityAccessor
 from repro.mapper.store import MapperStore
-from repro.perf import COUNTER_FIELDS, PerfCounters
+from repro.perf import COUNTER_FIELDS
 from repro.storage.files import RecordFile
 from repro.workloads import build_university
 
@@ -92,25 +88,13 @@ def second_names(source: str) -> list:
         if _literal(call.args[0]).rsplit(".", 1)[-1] in COUNTER_FIELDS)
 
 
-def removed_calls(source: str) -> list:
-    """``(line, call)`` of ``perf.snapshot()`` / ``perf.delta()`` /
-    ``accessor.flush()``."""
-    tree = ast.parse(source)
-    return sorted(
-        (call.lineno, f"{receiver}.{attr}")
-        for receiver, attr in (("perf", "snapshot"), ("perf", "delta"),
-                               ("accessor", "flush"))
-        for call in _calls(tree, attr, receiver))
-
-
-def _sources(*roots: str):
-    for root in roots:
-        for directory, _dirs, files in sorted(os.walk(root)):
-            for name in sorted(files):
-                if name.endswith(".py"):
-                    path = os.path.join(directory, name)
-                    with open(path) as handle:
-                        yield os.path.relpath(path, REPO_ROOT), handle.read()
+def _sources(root: str):
+    for directory, _dirs, files in sorted(os.walk(root)):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(directory, name)
+                with open(path) as handle:
+                    yield os.path.relpath(path, REPO_ROOT), handle.read()
 
 
 class TestTheGuardsFire:
@@ -135,16 +119,6 @@ class TestTheGuardsFire:
                   "    'a b'.count('records_decoded')\n")
         assert second_names(source) == [3, 5]
 
-    def test_the_removed_calls_are_reported(self):
-        source = ("def f(self, db, pool):\n"
-                  "    before = db.perf.snapshot()\n"
-                  "    pool.stats.delta(before)\n"
-                  "    db.perf.delta(before)\n"
-                  "    self.executor.accessor.flush()\n"
-                  "    pool.flush()\n")
-        assert removed_calls(source) == [
-            (2, "perf.snapshot"), (4, "perf.delta"), (5, "accessor.flush")]
-
 
 class TestSweep:
     def test_every_counted_name_is_a_field(self):
@@ -159,16 +133,6 @@ class TestSweep:
         with open(os.path.join(SRC, "mapper", "read_cache.py")) as handle:
             assert list(_calls(ast.parse(handle.read()), "count",
                                "trace")) == []
-
-    def test_snapshot_delta_and_flush_are_gone(self):
-        for removed in ("snapshot", "delta"):
-            assert not hasattr(PerfCounters, removed)
-        assert not hasattr(EntityAccessor, "flush")
-        assert {name: removed_calls(source)
-                for name, source in _sources(
-                    SRC, os.path.join(REPO_ROOT, "benchmarks"),
-                    os.path.join(REPO_ROOT, "tools"))
-                if removed_calls(source)} == {}
 
 
 class _CountingLock:

@@ -14,7 +14,7 @@ agree with the oracle value for value:
 * column by column (selection flags, 3-valued truth, target values) at
   ``batch_size`` 1, 3 and 64, and
 * as result rows through the whole operator pipeline at those batch
-  sizes with ``parallelism`` 1 and 4.
+  sizes.
 """
 
 from __future__ import annotations
@@ -342,12 +342,10 @@ def check_statement(db, text):
                     for values in zip(*got_targets)]
         assert got_rows == expected_rows, (text, batch_size)
 
-        for parallelism in (1, 4):
-            executor = QueryExecutor(db.store, db.qualifier,
-                                     batch_size=batch_size,
-                                     parallelism=parallelism)
-            assert executor.execute(parse_dml(text)).rows == expected_rows, \
-                (text, batch_size, parallelism)
+        executor = QueryExecutor(db.store, db.qualifier,
+                                 batch_size=batch_size)
+        assert executor.execute(parse_dml(text)).rows == expected_rows, \
+            (text, batch_size)
     return len(rows), sum(flags)
 
 

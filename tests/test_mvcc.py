@@ -249,12 +249,22 @@ class TestVersionManager:
         versions.commit(1)
         assert seen == [((True, "before"), {7})] * 4
 
-    def test_reader_under_parallel_morsels_sees_snapshot(self, db):
-        """Snapshot scope propagates to morsel worker threads."""
+    def test_statement_executor_carries_the_batch_size(self, db):
+        """A snapshot statement runs on a private executor, at the
+        database's batch size."""
+        db.executor.batch_size = 7
+        executor = db._statement_executor()
+        assert executor is not db.executor
+        assert executor.batch_size == 7
+        assert executor.accessor is not db.executor.accessor
+
+    def test_reader_beside_uncommitted_writer_sees_snapshot(self, db):
+        """A reader's scan of the class sees the committed state while a
+        writer holds changes to every matching row, and the new state
+        once the writer commits."""
         for i in range(20):
             db.execute(f'Insert course(course-no := {200 + i},'
                        f' title := "C{i}", credits := 1)')
-        db.executor.parallelism = 4
         writer = Session(db)
         reader = Session(db)
         writer.execute("Modify course(credits := 15) Where credits = 1")

@@ -2,25 +2,35 @@
 
 Covers the physical pipeline end to end — per-operator EXPLAIN ANALYZE
 records over the whole UNIVERSITY workload, the TYPE 3 dummy-padding
-golden rows, deterministic NULLS LAST ordering, result invariance across
-batch sizes, the physical-DAG verifier (SIM205-207), the batched mapper
-and accessor reads, the ordered-index range selection fast path, and the
-``batch_size`` configuration surface (Database ctor and IQF ``.set``).
+golden rows, deterministic NULLS LAST ordering, result and
+``ResultSet.perf`` invariance across batch sizes, the physical-DAG
+verifier (SIM205-207), the batched mapper and accessor reads, the
+ordered-index range selection fast path, and the ``batch_size``
+configuration surface (Database ctor and IQF ``.set``).
 """
 
 from __future__ import annotations
+
+import re
 
 import pytest
 
 from repro import Database, PhysicalDesign, parse_ddl, parse_dml
 from repro.engine import operators as ops
+from repro.engine.executor import QueryExecutor
 from repro.engine.operators import validate_batch_size
 from repro.errors import PlanVerificationError, SimError
 from repro.interfaces.iqf import run_script
 from repro.optimizer.physical_plan import lower_plan
+from repro.perf import COUNTER_FIELDS
 from repro.types.tvl import is_null
 from repro.workloads import UNIVERSITY_DDL, UNIVERSITY_QUERIES, \
     build_university
+from repro.workloads.generators import (
+    populate_scale,
+    scale_queries,
+    scale_schema,
+)
 
 
 class TestNullOrdering:
@@ -111,6 +121,41 @@ class TestOperatorExplain:
         project = next(r for r in records if r["op"] == "Project")
         assert project["rows_in"] == project["rows_out"] == 40
 
+    def test_operator_lines_end_at_their_counts(self, university):
+        university.enable_tracing()
+        try:
+            rendered = university.execute(
+                "From student Retrieve name, name of advisor"
+                " Where student-nbr > 2010").explain_analyze()
+        finally:
+            university.disable_tracing()
+        lines = [line.strip() for line in rendered.splitlines()
+                 if line.strip().startswith("op ")]
+        assert [line.split("(")[0] for line in lines] == [
+            "op Scan", "op Filter", "op OuterTraverse", "op Project"]
+        for line in lines:
+            assert re.fullmatch(r"op \w+\(.*\)( \[TYPE \d\])?  "
+                                r"batches=\d+ in=\d+ out=\d+"
+                                r"( est=\d+\.\d)?", line), line
+
+    def test_operator_rows_do_not_depend_on_batch_size(self):
+        text = "From student Retrieve name Where student-nbr > 2010"
+
+        def operator_records(batch_size):
+            database = build_university(seed=11)
+            database.executor.batch_size = batch_size
+            database.enable_tracing()
+            result = database.execute(text)
+            execute = next(child for child in result.trace.children
+                           if child.name == "execute")
+            return execute.attrs["operators"]
+
+        small, large = operator_records(4), operator_records(64)
+        assert [(r["op"], r["rows_in"], r["rows_out"]) for r in small] \
+            == [(r["op"], r["rows_in"], r["rows_out"]) for r in large]
+        assert small[0]["rows_out"] > 4
+        assert small[0]["batches"] > large[0]["batches"]
+
     def test_batch_counters_accumulate(self, university):
         before = university.perf.as_dict()
         university.query("From student Retrieve name, name of advisor")
@@ -153,6 +198,87 @@ class TestBatchSizeInvariance:
         assert counters[0][0] > 0
 
 
+#: Order By queries with NULL keys both directions: students without an
+#: advisor produce NULL advisor names (TYPE 3 dummy), and the §5.1 sort
+#: contract places NULLs last under Asc and Desc alike.
+ORDERED_QUERIES = [
+    "From student Retrieve name, name of advisor Order By name of advisor",
+    "From student Retrieve name, name of advisor"
+    " Order By name of advisor Desc",
+]
+
+ALL_QUERIES = UNIVERSITY_QUERIES + ORDERED_QUERIES
+
+
+class TestRowIdentity:
+    """Execution must be row-identical — same rows, same order — across
+    batch sizes, with the caches warm or emptied before every query."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        database = build_university(seed=11)
+        return database, {text: database.query(text).rows
+                          for text in ALL_QUERIES}
+
+    @pytest.mark.parametrize("cache", ["warm", "cold"])
+    @pytest.mark.parametrize("batch_size", [1, 64])
+    def test_university_sweep(self, reference, batch_size, cache):
+        _, expected = reference
+        subject = build_university(seed=11)
+        subject.executor.batch_size = batch_size
+        for text in ALL_QUERIES:
+            if cache == "cold":
+                subject.cold_cache()
+            assert subject.query(text).rows == expected[text], text
+
+    def test_scale_workload_sweep(self):
+        reference = Database(scale_schema(3), constraint_mode="off")
+        populate_scale(reference, 600, chain_depth=3)
+        subject = Database(scale_schema(3), constraint_mode="off")
+        populate_scale(subject, 600, chain_depth=3)
+        for text in scale_queries(3):
+            expected = reference.query(text).rows
+            for batch_size in (1, 3):
+                subject.executor.batch_size = batch_size
+                assert subject.query(text).rows == expected, \
+                    f"{text} at batch size {batch_size}"
+
+    def test_repeated_queries_are_stable(self):
+        """The memos and caches a run fills never change what the next
+        run of the same statement returns."""
+        database = build_university(seed=11)
+        database.executor.batch_size = 2
+        text = ("From student Retrieve name, title of courses-enrolled"
+                " Where credits of courses-enrolled > 3")
+        expected = database.query(text).rows
+        assert expected
+        for _ in range(4):
+            assert database.query(text).rows == expected
+
+
+class TestResultPerf:
+    @pytest.mark.parametrize("batch_size", [1, 3, 64])
+    def test_result_perf_populated(self, batch_size):
+        """``ResultSet.perf`` of a cold run counts the same events at
+        every batch size as in one whole-class batch, field by field —
+        except ``batches_dispatched``, which describes the pipeline's
+        geometry: smaller batches are more of them."""
+        text = "From student Retrieve name, title of courses-enrolled"
+        perf = {}
+        for size in (batch_size, 1024):
+            database = build_university(seed=11)
+            database.executor.batch_size = size
+            database.cold_cache()
+            perf[size] = database.query(text).perf.as_dict()
+        got, whole = perf[batch_size], perf[1024]
+        assert got["records_decoded"] > 0 and got["memo_hits"] > 0
+        assert got["physical_reads"] > 0
+        for name in COUNTER_FIELDS:
+            if name != "batches_dispatched":
+                assert got[name] == whole[name], name
+        assert got["batches_dispatched"] > whole["batches_dispatched"]
+
+
 class TestBatchedReads:
     def test_fetch_many_matches_record_of(self, small_university):
         store = small_university.store
@@ -186,7 +312,7 @@ class TestPhysicalVerifier:
     def _lowered(self, database, text):
         query = parse_dml(text)
         tree = database.qualifier.resolve_retrieve(query)
-        physical = lower_plan(query, tree, None, database.executor)
+        physical = lower_plan(query, tree, None)
         return query, tree, physical
 
     def test_good_dag_verifies_clean(self, small_university):
@@ -194,6 +320,13 @@ class TestPhysicalVerifier:
         _, tree, physical = self._lowered(
             small_university, "From student Retrieve name, name of advisor")
         assert verify_physical(small_university.schema, tree, physical) == []
+
+    def test_every_university_plan_verifies_clean(self, university):
+        from repro.analysis import verify_physical
+        for text in UNIVERSITY_QUERIES:
+            _, tree, physical = self._lowered(university, text)
+            assert verify_physical(university.schema, tree,
+                                   physical) == [], text
 
     def test_wrong_traverse_kind_is_sim207(self, small_university):
         from repro.analysis import verify_physical
@@ -246,8 +379,8 @@ class TestPhysicalVerifier:
 
         original = pp.lower_plan
 
-        def sabotage(query, tree, plan, executor):
-            physical = original(query, tree, plan, executor)
+        def sabotage(query, tree, plan):
+            physical = original(query, tree, plan)
             traverse = next((op for op in physical.operators
                              if op.name == "OuterTraverse"), None)
             if traverse is not None:
@@ -270,8 +403,7 @@ class TestFilterPushdown:
             "Retrieve title of Transitive(prerequisites) of course"
             " Where course-no of course = 102")
         tree = small_university.qualifier.resolve_retrieve(query)
-        physical = lower_plan(query, tree, None,
-                              small_university.executor)
+        physical = lower_plan(query, tree, None)
         names = [op.name for op in physical.operators]
         assert names.index("Filter") < names.index("OuterTraverse")
         # The pushed-down DAG still satisfies the structural contract.
@@ -287,8 +419,7 @@ class TestFilterPushdown:
             "From instructor Retrieve name"
             " Where 3 = some(credits of courses-taught)")
         tree = small_university.qualifier.resolve_retrieve(query)
-        physical = lower_plan(query, tree, None,
-                              small_university.executor)
+        physical = lower_plan(query, tree, None)
         names = [op.name for op in physical.operators]
         assert "Filter" not in names
         assert "Semi" in names
@@ -385,6 +516,21 @@ class TestBatchSizeKnob:
         transcript = run_script(small_university, ".set batch-size 256\n")
         assert "batch-size set to 256" in transcript
         assert small_university.executor.batch_size == 256
+
+    def test_executor_ctor_rejects_bad_batch_size(self, small_university):
+        with pytest.raises(SimError):
+            QueryExecutor(small_university.store, batch_size=0)
+
+    @pytest.mark.parametrize("argument", [
+        "parallelism 2", "batch-size", "rewrite on now", "colour red"])
+    def test_iqf_set_usage(self, small_university, argument):
+        """Anything but one known knob and one value prints the usage
+        line and changes nothing."""
+        transcript = run_script(small_university, f".set {argument}\n")
+        assert "usage: .set [batch-size <n> | rewrite on|off]" in transcript
+        assert small_university.executor.batch_size \
+            == ops.DEFAULT_BATCH_SIZE
+        assert small_university.rewrite is True
 
     def test_iqf_set_rejects_out_of_bounds(self, small_university):
         transcript = run_script(small_university,

@@ -8,7 +8,7 @@ These tests pin what that must never change:
   statements, re-drawn with other literal bindings, give the same rows,
   column labels, diagnostics (of the *submitted* text) and exceptions
   cold, warm on an entry another binding filled, and in the reference
-  interpreter, across batch sizes, parallelism, rewrite and snapshots;
+  interpreter, across batch sizes, rewrite and snapshots;
 * **updates** — cold and warm statement streams leave byte-identical
   databases;
 * **invalidation** — every plan-epoch source makes the next execution a
@@ -131,8 +131,8 @@ def quoted(token):
 
 BINDINGS = (bumped, negated, retyped, quoted)
 
-#: batch_size x parallelism x rewrite x (latest | snapshot session)
-CONFIGURATIONS = list(itertools.product((64, 1, 3), (1, 4), (True, False),
+#: batch_size x rewrite x (latest | snapshot session)
+CONFIGURATIONS = list(itertools.product((64, 1, 3), (True, False),
                                         (False, True)))
 
 
@@ -148,15 +148,14 @@ def outcome(run, text):
 
 def check_differential(db, texts):
     session = Session(db)
-    saved = (db.executor.batch_size, db.executor.parallelism, db.rewrite)
+    saved = (db.executor.batch_size, db.rewrite)
     hits_before, _ = counters(db)
     compared = 0
     try:
         for index, text in enumerate(texts):
-            batch, workers, rewrite, snapshot = \
+            batch, rewrite, snapshot = \
                 CONFIGURATIONS[index % len(CONFIGURATIONS)]
             db.executor.batch_size = batch
-            db.executor.parallelism = workers
             db.rewrite = rewrite
             run = session.execute if snapshot else db.execute
             variants = [text] + [redraw(text, draw) for draw in BINDINGS]
@@ -173,7 +172,7 @@ def check_differential(db, texts):
                     compared += 1
                 assert run_original == outcome(run, text), text
     finally:
-        db.executor.batch_size, db.executor.parallelism, db.rewrite = saved
+        db.executor.batch_size, db.rewrite = saved
     hits_after, _ = counters(db)
     assert compared > len(texts)            # most re-drawn bindings run
     assert hits_after - hits_before > 3 * len(texts)    # and mostly hit
@@ -520,7 +519,6 @@ def test_every_epoch_source_reruns_the_verifiers(counted):
         "refresh": lambda: db.refresh_materialization("pre"),
         "drop": lambda: db.drop_materialization("pre"),
         "batch_size": flip(db.executor, "batch_size", 7),
-        "parallelism": flip(db.executor, "parallelism", 2),
         "rewrite": flip(db, "rewrite", False),
     }
     for name, source in sources.items():
@@ -531,7 +529,7 @@ def test_every_epoch_source_reruns_the_verifiers(counted):
         assert delta["verify_plan"] == delta["verify_physical"] == 1, name
         if db.rewrite:
             assert delta["SIM401"] == 1, name
-        if name not in ("batch_size", "parallelism", "rewrite"):
+        if name not in ("batch_size", "rewrite"):
             assert db.plan_cache.epoch > epoch, name    # knobs are in the key
         assert run() == ("hit", never), name
     db.use_optimizer = False
@@ -636,7 +634,7 @@ def test_sessions_share_entries_but_never_per_run_state(monkeypatch):
 def test_ten_thousand_shapes_stay_within_capacity():
     class Stub:     # what the cache asks of its database, nothing else
         use_optimizer = rewrite = True
-        executor = type("E", (), {"batch_size": 64, "parallelism": 1})
+        executor = type("E", (), {"batch_size": 64})
         store = build_university(departments=1, instructors=1, students=1,
                                  courses=1, seed=1).store
 

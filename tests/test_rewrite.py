@@ -4,7 +4,7 @@ Every rewrite must be *unobservable* in the result rows: the pass only
 shrinks a root domain to a provable superset of the qualifying entities
 (still running the full WHERE afterwards) or permutes work the executor
 performs anyway.  The sweep below asserts row identity for the whole
-UNIVERSITY workload across rewrite on/off x parallelism x MVCC snapshot
+UNIVERSITY workload across rewrite on/off x batch size x MVCC snapshot
 reads, and the unit tests pin each rewrite kind's plan shape, the
 SIM400/SIM401 verifier behaviour, and the byte-identical legacy-plan
 guarantee of ``Database(rewrite=False)``.
@@ -41,8 +41,8 @@ ALL_QUERIES = UNIVERSITY_QUERIES + EXTRA_QUERIES
 
 
 class TestRowIdentitySweep:
-    """Rewrites on must return the same rows as rewrites off, under
-    serial and parallel execution and under MVCC snapshot reads."""
+    """Rewrites on must return the same rows as rewrites off, at one-row
+    and full batches, also under MVCC snapshot reads."""
 
     @pytest.fixture(scope="class")
     def reference(self):
@@ -50,18 +50,18 @@ class TestRowIdentitySweep:
         database.rewrite = False
         return {text: database.query(text).rows for text in ALL_QUERIES}
 
-    @pytest.mark.parametrize("parallelism", [1, 4])
-    def test_rewrite_on_matches_off(self, reference, parallelism):
+    @pytest.mark.parametrize("batch_size", [1, 64])
+    def test_rewrite_on_matches_off(self, reference, batch_size):
         database = build_university(seed=11)
-        database.executor.parallelism = parallelism
+        database.executor.batch_size = batch_size
         assert database.rewrite is True
         for text in ALL_QUERIES:
             assert database.query(text).rows == reference[text], text
 
-    @pytest.mark.parametrize("parallelism", [1, 4])
-    def test_snapshot_reads_match(self, reference, parallelism):
+    @pytest.mark.parametrize("batch_size", [1, 64])
+    def test_snapshot_reads_match(self, reference, batch_size):
         database = build_university(seed=11)
-        database.executor.parallelism = parallelism
+        database.executor.batch_size = batch_size
         session = Session(database, mvcc=True)
         for text in ALL_QUERIES:
             assert session.query(text).rows == reference[text], text

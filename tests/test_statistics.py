@@ -1,10 +1,13 @@
 """Statistical optimization tests (paper §5.1's unfinished roadmap item)."""
 
+import threading
+
 import pytest
 
 from repro import Database, PhysicalDesign, parse_ddl, parse_dml
 from repro.optimizer import CostModel, analyze
 from repro.optimizer.statistics import AttributeStatistics
+from repro.perf import PerfCounters
 from repro.workloads import (UNIVERSITY_DDL, build_university,
                              populate_university)
 
@@ -177,3 +180,66 @@ class TestOneCountThreeSurfaces:
         database.simulate_crash()
         assert database.io_stats.physical_reads >= reads
         assert database.statistics()["storage"]["commits"] >= commits
+
+
+class TestFrames:
+    """An event is charged to the calling thread's innermost open frame
+    and handed up as frames close; the outermost frame's close folds
+    into the totals."""
+
+    def test_a_bump_outside_every_frame_reaches_the_totals(self):
+        perf = PerfCounters()
+        assert perf.frame() is None
+        perf.bump("memo_hits", 2)
+        assert perf.as_dict()["memo_hits"] == 2
+
+    def test_the_outermost_frame_folds_into_the_totals_on_close(self):
+        perf = PerfCounters()
+        outer = perf.open()
+        perf.bump("memo_hits")
+        inner = perf.open()
+        perf.bump("memo_hits", 2)
+        assert perf.frame() is inner
+        assert perf.as_dict()["memo_hits"] == 0
+        perf.close(inner)
+        assert perf.frame() is outer
+        assert inner.as_dict()["memo_hits"] == 2
+        assert perf.as_dict()["memo_hits"] == 0
+        perf.close(outer)
+        assert perf.frame() is None
+        assert outer.as_dict()["memo_hits"] == 3
+        assert perf.as_dict()["memo_hits"] == 3
+
+    def test_a_span_frame_keeps_its_own_counts_apart(self):
+        perf = PerfCounters()
+        outer = perf.open(span="statement")
+        perf.bump("memo_hits")
+        child = perf.open(span="execute")
+        perf.bump("memo_hits", 2)
+        perf.close(child)
+        assert outer.as_dict()["memo_hits"] == 1
+        assert outer.inherited == {"memo_hits": 2}
+        perf.close(outer)
+        assert outer.as_dict()["memo_hits"] == 3   # closed: the total
+        assert perf.as_dict()["memo_hits"] == 3
+
+    def test_frames_belong_to_their_thread(self):
+        perf = PerfCounters()
+        frame = perf.open()
+        seen = []
+
+        def other():
+            seen.append(perf.frame())
+            own = perf.open()
+            perf.bump("memo_hits", 5)
+            perf.close(own)
+
+        thread = threading.Thread(target=other)
+        thread.start()
+        thread.join()
+        perf.bump("memo_hits")
+        assert seen == [None]
+        assert perf.as_dict()["memo_hits"] == 5
+        perf.close(frame)
+        assert frame.as_dict()["memo_hits"] == 1
+        assert perf.as_dict()["memo_hits"] == 6

@@ -52,6 +52,21 @@ class TestRecorder:
         assert (a.name, b.name) == ("a", "b")
         assert b.counts["inner"] == 3
 
+    def test_events_land_on_the_current_span(self):
+        recorder = TraceRecorder()
+        recorder.event("dropped")           # no span open yet
+        recorder.begin_statement("stmt")
+        with recorder.span("a", layer="one"):
+            recorder.event("retry", attempt=1)
+            with recorder.span("b", layer="two"):
+                recorder.event("force")
+        root = recorder.end_statement()
+        (a,) = root.children
+        (b,) = a.children
+        assert root.events == []
+        assert a.events == [{"event": "retry", "attempt": 1}]
+        assert b.events == [{"event": "force"}]
+
     def test_span_records_error_and_closes(self):
         recorder = TraceRecorder()
         recorder.begin_statement("stmt")
