@@ -118,7 +118,8 @@ bench-e2e-smoke:
 	python -m pytest benchmarks/e2e -q
 
 # Where an analytic round spends its time: cProfile of three warm
-# scale_queries rounds at 10 000 entities, then two cold ones
+# scale_queries rounds at 10 000 entities, then one cold round's
+# physical reads per statement and file and two profiled cold rounds
 # (analytic_cold's 104-frame pool, cold_cache() before each), top 25 by
 # self time each.
 profile-analytic:

@@ -164,18 +164,15 @@ class EntityAccessor:
         / missing role), as shared tuples the caller must not mutate.
 
         Misses traverse the store through one
-        :meth:`MapperStore.traverse_eva_batch` call.  An EVA declared
+        :meth:`MapperStore.traverse_eva_batch` call, which also omits
+        the sources that do not hold the role.  An EVA declared
         ``ordered by <attr>`` (paper §6: system-maintained ordering)
         returns its targets sorted by that range-class DVA, nulls first;
         ties fall back to surrogate order."""
         self._sync()
         results, pending, memo = self._lookup("eva", id(eva), sources, ())
         if pending:
-            store = self.store
-            holders = [source for source in pending
-                       if store.has_role(source, eva.owner_name)]
-            traversed = (store.traverse_eva_batch(holders, eva)
-                         if holders else {})
+            traversed = self.store.traverse_eva_batch(pending, eva)
             for source, positions in pending.items():
                 targets = traversed.get(source, ())
                 if eva.options.ordered_by is not None and len(targets) > 1:

@@ -70,9 +70,9 @@ from repro.dml.ast import (
     RetrieveQuery,
 )
 from repro.dml.parser import parse_dml
-from repro.engine.lockdep import RankedCondition, RankedLock
 from repro.errors import SimError
 from repro.perf import PerfCounters
+from repro.storage.latch import ranked_condition, ranked_lock
 
 
 class LockConflict(SimError):
@@ -166,8 +166,8 @@ class LockManager:
         # Rank 50: class/entity-lock traffic completes (and the
         # condition is released) before a statement's store mutations
         # take any per-unit latch (rank 42).
-        self._mutex = RankedLock("sessions.class_locks")
-        self._cond = RankedCondition(self._mutex)
+        self._mutex = ranked_lock("sessions.class_locks")
+        self._cond = ranked_condition(self._mutex)
         #: lock key -> {session id -> held mode}; entries are pruned as
         #: soon as their last holder releases, so the map stays bounded
         #: by the *live* lock population, not by every key ever touched

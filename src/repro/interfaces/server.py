@@ -47,9 +47,9 @@ import socket
 import threading
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.engine.lockdep import RankedCondition, RankedLock
 from repro.engine.sessions import Session
 from repro.errors import ServerOverloaded, SimError
+from repro.storage.latch import ranked_condition, ranked_lock
 from repro.types.tvl import is_null
 
 #: the store counters :meth:`SimServer.statistics` serves
@@ -86,7 +86,7 @@ class _AdmissionGate:
 
     def __init__(self, slots: int, queue_depth: int):
         self._slots = threading.BoundedSemaphore(slots)
-        self._mutex = RankedLock("server.gate")
+        self._mutex = ranked_lock("server.gate")
         self._queue_depth = queue_depth
         self._queued = 0
         self.shed = 0
@@ -150,13 +150,13 @@ class SimServer:
         self._accepting = False
         self._stopping = threading.Event()
         self._accept_thread: Optional[threading.Thread] = None
-        self._conn_lock = RankedLock("server.connections")
+        self._conn_lock = ranked_lock("server.connections")
         #: open connections only: a handler drops its entry on the way out
         self._connections: Dict[int, Tuple[socket.socket, Session,
                                            threading.Thread]] = {}
         self._next_conn = 0
         self._inflight = 0
-        self._drained = RankedCondition(self._conn_lock)
+        self._drained = ranked_condition(self._conn_lock)
         self.statements = 0
         self.connections_served = 0
 
@@ -377,7 +377,7 @@ class SimClient:
                                               timeout=connect_timeout)
         self._sock.settimeout(None)
         self._reader = self._sock.makefile("rb")
-        self._lock = RankedLock("server.client")
+        self._lock = ranked_lock("server.client")
 
     def _call(self, request: Dict) -> Dict:
         # Holding the lock across the round trip is the point: one

@@ -141,6 +141,27 @@ class RecordFile:
         """Read one record: ``(format_id, record)``, the slot itself."""
         return self._entry(self._block_of(rid), rid)
 
+    def read_many(self, rids: List[RID]) -> List[Tuple[int, tuple]]:
+        """Read records a block at a time: the slots at ``rids``, in
+        ``rids`` order.  The RIDs are grouped by block and the blocks
+        visited in ascending order, one :meth:`BufferPool.get` per
+        distinct block; a block's records are taken while it is in
+        hand, and no block is held across the next ``get``."""
+        by_block: Dict[int, List[int]] = {}
+        for at, rid in enumerate(rids):
+            group = by_block.get(rid.block)
+            if group is None:
+                by_block[rid.block] = [at]
+            else:
+                group.append(at)
+        slots: List[Tuple[int, tuple]] = [None] * len(rids)
+        for block_no in sorted(by_block):
+            group = by_block[block_no]
+            block = self._block_of(rids[group[0]])
+            for at in group:
+                slots[at] = self._entry(block, rids[at])
+        return slots
+
     def update(self, rid: RID, values: Mapping[str, object]) -> None:
         """Overwrite the named fields of a record.
 

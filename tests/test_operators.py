@@ -261,8 +261,11 @@ class TestResultPerf:
     def test_result_perf_populated(self, batch_size):
         """``ResultSet.perf`` of a cold run counts the same events at
         every batch size as in one whole-class batch, field by field —
-        except ``batches_dispatched``, which describes the pipeline's
-        geometry: smaller batches are more of them."""
+        except the ones that describe the pipeline's geometry:
+        ``batches_dispatched`` (smaller batches are more of them) and
+        the block touches, ``logical_reads`` and ``physical_reads``
+        (a batch reads each of its blocks once, so a larger batch never
+        touches more)."""
         text = "From student Retrieve name, title of courses-enrolled"
         perf = {}
         for size in (batch_size, 1024):
@@ -273,10 +276,13 @@ class TestResultPerf:
         got, whole = perf[batch_size], perf[1024]
         assert got["records_decoded"] > 0 and got["memo_hits"] > 0
         assert got["physical_reads"] > 0
+        geometry = ("batches_dispatched", "logical_reads", "physical_reads")
         for name in COUNTER_FIELDS:
-            if name != "batches_dispatched":
+            if name not in geometry:
                 assert got[name] == whole[name], name
         assert got["batches_dispatched"] > whole["batches_dispatched"]
+        for name in ("logical_reads", "physical_reads"):
+            assert got[name] >= whole[name], name
 
 
 class TestBatchedReads:
