@@ -64,14 +64,16 @@ chaos:
 # the writer forced inside a snapshot find, the writer that aborts
 # inside a snapshot read, the plan cache's shared-entry sessions, two
 # traced sessions (and two traced server connections) switched every
-# 0.1 ms and a statement forced inside another's run twenty times over:
-# they assert invariants, a constructed deadlock, a constructed stale
-# fill, a constructed stale probe, a constructed dirty read, one span
-# tree per statement and one tally per statement, never scheduler luck,
-# so every round must pass.
+# 0.1 ms, a statement forced inside another's run, and a Database
+# statement parked on (and reading beside) a Session's open write
+# twenty times over: they assert invariants, a constructed deadlock, a
+# constructed stale fill, a constructed stale probe, a constructed dirty
+# read, one span tree per statement, one tally per statement and one
+# transaction path, never scheduler luck, so every round must pass.
 chaos-loop:
 	for round in $$(seq 1 20); do \
 		python -m pytest -q -p no:cacheprovider tests/test_chaos.py \
+			tests/test_sessions.py::TestOneTransactionPath \
 			tests/test_read_cache.py::TestValidatedFills \
 			tests/test_read_protocol.py::TestFindBesideARacingWriter \
 			tests/test_read_protocol.py::TestWriterThatAbortsBetweenTheProbes \
@@ -88,10 +90,13 @@ chaos-loop:
 # another), the read protocol over every mapping (a snapshot find
 # beside a writer probes under a unit latch) and the two statement-
 # accounting thread tests (a statement folds its tally under the
-# counters' plain lock, holding no ranked one) under REPRO_LOCKDEP=1.
+# counters' plain lock, holding no ranked one) — and the transaction
+# and constraint suites, whose Database statements take class and
+# entity locks and the commit latch — under REPRO_LOCKDEP=1.
 lockdep:
 	REPRO_LOCKDEP=1 python -m pytest -q tests/test_lockdep.py \
 		tests/test_sessions.py tests/test_mvcc.py tests/test_server.py \
+		tests/test_transactions.py tests/test_constraints.py \
 		tests/test_plan_cache.py tests/test_history.py \
 		tests/test_read_protocol.py \
 		tests/test_trace.py::TestTracingBesideASecondSession \

@@ -42,7 +42,8 @@ that keep the runtime edge set acyclic:
   unit latch held; inside it the commit path reaches versions (30),
   the pool (10) and the WAL (6) — all strictly descending;
 * ``TransactionManager`` only takes its mutex (rank 60) with an empty
-  stack, in ``begin``/``begin_detached``; commit bodies are serialized
+  stack, in ``begin_detached`` — the one way a transaction opens, a
+  ``Database`` statement's included; commit bodies are serialized
   by ``store.commit_latch`` and abort/undo replay by the session's
   exclusive locks plus per-unit latches.
 """

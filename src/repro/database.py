@@ -28,8 +28,7 @@ from repro.dml.qualification import Qualifier
 from repro.engine.constraints import ConstraintManager
 from repro.engine.executor import QueryExecutor
 from repro.engine.output import ResultSet
-from repro.engine.sessions import LockManager, lock_footprint
-from repro.engine.updates import UpdateEngine
+from repro.engine.sessions import LockManager, Session, lock_footprint
 from repro.errors import SimError
 from repro.mapper.physical import PhysicalDesign
 from repro.mapper.store import MapperStore
@@ -116,7 +115,6 @@ class Database:
         knobs = {} if batch_size is None else {"batch_size": batch_size}
         self.executor = QueryExecutor(self.store, self.qualifier, **knobs)
         self.constraints = ConstraintManager(self.executor, constraint_mode)
-        self.updates = UpdateEngine(self.executor, self.constraints)
         self.use_optimizer = use_optimizer
         #: semantic rewrite pass (optimizer/rewrite.py); off reproduces
         #: the legacy planner byte for byte
@@ -128,32 +126,24 @@ class Database:
         self._lock_manager = LockManager()
         self._lock_manager.perf = self.store.perf
         self._session_ids = itertools.count(1)
+        #: where this facade's statements run (see Session): opened with
+        #: it for the same reason; its transaction opens lazily
+        self._session = Session(self, _default=True)
 
     # -- Statements ---------------------------------------------------------------
 
     def execute(self, statement: Union[str, object]):
-        """Run one DML statement.
+        """Run one DML statement on the default session: a transaction
+        of its own unless :meth:`begin` opened one.
 
         Returns a :class:`ResultSet` for Retrieve and the affected-entity
         count for updates.
         """
-        return self._execute(statement)
+        return self._session._execute(statement, parse_dml)
 
     def query(self, text: str) -> ResultSet:
         """Run a Retrieve statement and return its result set."""
-        return self._execute(text, retrieve_only=True)
-
-    def _execute(self, statement, retrieve_only: bool = False):
-        with self._statement_scope(statement) as root:
-            compiled = self._compile(statement, parse_dml)
-            if not isinstance(compiled.statement, RetrieveQuery):
-                if retrieve_only:
-                    raise SimError("query() takes a Retrieve statement")
-                return self._run_update(compiled)
-            result = self._run_retrieve(compiled)
-            if root is not None:
-                result.trace = root
-            return result
+        return self._session._execute(text, parse_dml, retrieve_only=True)
 
     def _spanned(self, name: str, layer: str, function, *args, **kwargs):
         """``function(*args, **kwargs)``, inside a trace span when
@@ -165,9 +155,8 @@ class Database:
             return function(*args, **kwargs)
 
     def _statement_scope(self, statement) -> "_StatementScope":
-        """One statement's accounting scope, opened by every front door
-        — :meth:`execute`, :meth:`query`, ``Session.execute`` — around
-        the compile."""
+        """One statement's accounting scope (``Session._execute``, the
+        one statement path, opens it around the compile)."""
         return _StatementScope(self.store, statement)
 
     def compile(self, statement: Union[str, object]) -> CompiledStatement:
@@ -220,7 +209,7 @@ class Database:
 
         if not isinstance(statement, RetrieveQuery):
             diagnostics = checked("lint", lint_update, statement)
-            self.updates.prepare(statement)
+            self._session.updates.prepare(statement)
             classes, entity_lockable = lock_footprint(self.schema, statement)
             return CompiledStatement(
                 statement, diagnostics=diagnostics, lock_classes=classes,
@@ -246,8 +235,8 @@ class Database:
                                        if node.class_name})))
 
     def _run_retrieve(self, compiled: CompiledStatement,
-                      executor: Optional[QueryExecutor] = None) -> ResultSet:
-        result = (executor or self.executor).run(
+                      executor: QueryExecutor) -> ResultSet:
+        result = executor.run(
             compiled.statement, compiled.tree, compiled.plan,
             compiled.physical, compiled.params)
         result.diagnostics = compiled.diagnostics
@@ -256,26 +245,6 @@ class Database:
             self.optimizer.observe_execution(compiled.tree,
                                              result.node_stats)
         return result
-
-    def _run_update(self, compiled: CompiledStatement,
-                    executor: Optional[QueryExecutor] = None,
-                    restrict_to=None) -> int:
-        """Execute a compiled update — linted by the compile, which a
-        Session runs before it takes locks, so a rejected statement
-        never waits.  ``executor``: a private one for a concurrent
-        statement (see _statement_executor)."""
-        engine = (self.updates if executor is None
-                  else UpdateEngine(executor, self.constraints))
-        return self._spanned("update", "engine", engine.execute,
-                             compiled.statement, restrict_to=restrict_to,
-                             params=compiled.params)
-
-    def _statement_executor(self) -> QueryExecutor:
-        """A private executor for one snapshot Retrieve: a fresh accessor
-        memo shard, so rows read at one snapshot's epoch
-        can never be served to a query pinned at another."""
-        return QueryExecutor(self.store, self.qualifier,
-                             batch_size=self.executor.batch_size)
 
     def explain(self, text: str) -> str:
         """The optimizer's strategy report for a Retrieve statement."""
@@ -297,33 +266,22 @@ class Database:
     # -- Transactions ---------------------------------------------------------------
 
     def begin(self) -> None:
-        self.store.transactions.begin()
+        """Open a transaction on the default session: statements run in
+        it until :meth:`commit` or :meth:`abort`."""
+        self._session.begin()
 
     def commit(self) -> None:
-        self.constraints.before_commit()
-        self.store.transactions.commit()
+        self._session.commit()
 
     def abort(self) -> None:
-        self.constraints.reset_deferred()
-        self.store.transactions.abort()
+        self._session.abort()
 
-    @contextlib.contextmanager
-    def transaction(self):
-        """``with db.transaction(): ...`` — commit on success, abort on
-        error (including deferred-constraint failures)."""
+    def transaction(self) -> Session:
+        """``with db.transaction(): ...`` — a transaction opened on the
+        default session, which commits it on success and aborts it on
+        error (a deferred-constraint failure at commit aborts too)."""
         self.begin()
-        try:
-            yield self
-        except BaseException:
-            self.abort()
-            raise
-        else:
-            try:
-                self.commit()
-            except BaseException:
-                if self.store.transactions.in_transaction():
-                    self.abort()
-                raise
+        return self._session
 
     # -- Sessions and the network front end --------------------------------------------
 
@@ -527,10 +485,11 @@ class Database:
         """Lose all volatile state and recover from disk + log.
 
         Committed transactions survive; the in-flight transaction (if any)
-        is undone from the write-ahead log's before-images.  Returns
-        recovery statistics.
+        is undone from the write-ahead log's before-images, and the
+        default session forgets it and its locks.  Returns recovery
+        statistics.
         """
-        self.constraints.reset_deferred()
+        self._session._release()
         return self.store.simulate_crash()
 
     # -- Fault injection and consistency checking -----------------------------------

@@ -38,18 +38,20 @@ MEMO_LIMIT = 100_000
 class EntityAccessor:
     """Role-aware attribute and relationship access for the engine.
 
-    Reads are memoized per store epoch: the Mapper's read cache bumps its
-    ``epoch`` on every invalidation, so one integer compare per *batch
-    call* decides whether the memos are still current.  Repeated
+    Reads are memoized per view: the Mapper's read cache bumps its
+    ``epoch`` on every invalidation, and a snapshot pinned on this
+    thread fixes a commit epoch and a transaction, so one compare per
+    *batch call* decides whether the memos are still current.  Repeated
     qualification paths (``Name of Advisor of Student``) therefore decode
-    each record once per query — and stay warm across read-only queries.
+    each record once per query — and stay warm across the read-only
+    statements of one session, snapshot statements included.
     """
 
     def __init__(self, store: MapperStore):
         self.store = store
         self.schema = store.schema
         self.perf = store.perf
-        self._memo_epoch = -1
+        self._memo_view = None
         #: one memo per (kind, attribute/EVA/node identity), each mapping
         #: an instance to its value ("dva"), its value tuple ("mv"), its
         #: target tuple ("eva") or its domain tuple ("domain")
@@ -61,13 +63,16 @@ class EntityAccessor:
         self._sync()
 
     def _sync(self) -> None:
-        """Drop every memo when the store has mutated since the last read
-        (or when the memos have grown past :data:`MEMO_LIMIT`)."""
-        epoch = self.store.read_cache.epoch
-        if epoch != self._memo_epoch or self._memo_entries > MEMO_LIMIT:
+        """Drop every memo when the view differs from the last read's —
+        the store has mutated, or another snapshot is pinned — or when
+        the memos have grown past :data:`MEMO_LIMIT`."""
+        snap = self.store.current_snapshot()
+        view = (self.store.read_cache.epoch,
+                snap and (snap.epoch, snap.txn_id))
+        if view != self._memo_view or self._memo_entries > MEMO_LIMIT:
             self._memos.clear()
             self._memo_entries = 0
-            self._memo_epoch = epoch
+            self._memo_view = view
 
     def _lookup(self, kind, key_id, instances, absent):
         """Memo probe shared by the batched readers.

@@ -15,7 +15,8 @@ Checking modes:
 
 * ``immediate`` (default) — checked at the end of every statement; a
   violation rolls the statement back;
-* ``deferred`` — touches accumulate and are checked at COMMIT.
+* ``deferred`` — touches accumulate on the transaction that made them
+  and are checked at its COMMIT.
 
 A violation is raised only when the assertion evaluates to *false*; an
 unknown outcome (nulls) passes, following SQL CHECK semantics (the paper
@@ -24,7 +25,6 @@ leaves the null case unspecified).
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, List, Set
 
 from repro.errors import ConstraintViolation
@@ -148,43 +148,34 @@ class ConstraintManager:
         self.compiled: List[_CompiledConstraint] = [
             _CompiledConstraint(c, executor.qualifier)
             for c in executor.schema.constraints]
-        self._deferred_keys: Set[tuple] = set()
-        self._deferred_entities: Set[int] = set()
-        # Plain leaf lock: one ConstraintManager is shared by every
-        # concurrent session, so the deferred sets need a guard.
-        # Nothing is ever acquired while holding it.
-        self._state_lock = threading.Lock()
 
     # -- Statement / commit hooks ------------------------------------------------
 
     def after_statement(self, touches, executor=None) -> None:
-        """Re-check constraints triggered by one statement's touches.
+        """Re-check constraints triggered by one statement's touches —
+        or, deferred, add them to the transaction active on this thread.
 
-        ``executor`` — optional per-statement executor to evaluate the
-        assertions on; concurrent sessions pass their private executor so
-        shared memo state is never raced (defaults to the manager's own).
+        ``executor`` — the session's executor to evaluate the assertions
+        on, so one session's memo state is never raced by another's
+        (defaults to the manager's own).
         """
         if self.mode == "off" or not self.compiled:
             return
         if self.mode == "deferred":
-            with self._state_lock:
-                self._deferred_keys |= touches.keys
-                self._deferred_entities |= touches.entities
+            transaction = self.store.transactions.current
+            transaction.deferred_keys |= touches.keys
+            transaction.deferred_entities |= touches.entities
             return
         self._check(touches.keys, touches.entities, executor)
 
     def before_commit(self, executor=None) -> None:
+        """Check what the transaction active on this thread touched
+        under ``deferred``; its abort drops the touches with it."""
         if self.mode != "deferred":
             return
-        with self._state_lock:
-            keys, entities = self._deferred_keys, self._deferred_entities
-            self._deferred_keys, self._deferred_entities = set(), set()
-        self._check(keys, entities, executor)
-
-    def reset_deferred(self) -> None:
-        with self._state_lock:
-            self._deferred_keys.clear()
-            self._deferred_entities.clear()
+        transaction = self.store.transactions.current
+        self._check(transaction.deferred_keys,
+                    transaction.deferred_entities, executor)
 
     # -- Checking -------------------------------------------------------------------
 

@@ -28,10 +28,9 @@ isolation for Retrieves:
   epoch and reads pre-image version chains
   (:mod:`repro.mapper.versions`), so readers never block writers and
   writers never block readers.  ``Session(db, mvcc=False)`` restores
-  shared-lock Retrieves (which run on a private executor and take no
-  store latch, so two shared-lock readers overlap), and
-  ``lock_timeout=0`` restores the legacy fail-fast behavior (immediate
-  :class:`LockConflict`).
+  shared-lock Retrieves (which take no store latch, so two shared-lock
+  readers overlap), and ``lock_timeout=0`` restores the legacy
+  fail-fast behavior (immediate :class:`LockConflict`).
 
 Statement execution no longer funnels through a store-wide write mutex:
 each store mutator takes the short per-unit latch of the single storage
@@ -70,7 +69,9 @@ from repro.dml.ast import (
     RetrieveQuery,
 )
 from repro.dml.parser import parse_dml
-from repro.errors import SimError
+from repro.engine.executor import QueryExecutor
+from repro.engine.updates import UpdateEngine
+from repro.errors import SimError, TransactionError
 from repro.perf import PerfCounters
 from repro.storage.latch import ranked_condition, ranked_lock
 
@@ -456,11 +457,19 @@ class Session:
     """One client's transactional view of a shared database.
 
     Each session owns a transaction that opens lazily at its first
-    update statement and closes at :meth:`commit` / :meth:`abort`.
+    update statement (or at :meth:`begin`) and closes at :meth:`commit`
+    / :meth:`abort`, and one executor — with its memo — for its life.
     Sessions are safe to drive from concurrent threads (one thread per
     session): updates isolate via class/entity locks, store mutations
     via short per-unit latches; MVCC Retrieves run lock-free against a
     pinned snapshot.
+
+    A ``Database`` runs its own statements on a default session
+    (``Database.execute`` and the rest), which auto-commits: each
+    statement is a transaction of its own unless :meth:`begin` opened
+    one.  Its Retrieves never wait: they read the latest state under
+    shared class locks when no other session holds a conflicting one,
+    and the last committed state through a snapshot when one does.
 
     Parameters
     ----------
@@ -484,8 +493,15 @@ class Session:
     def __init__(self, database, mvcc: bool = True,
                  lock_timeout: Optional[float] = None,
                  max_deadlock_retries: int = 3,
-                 entity_locks: bool = True):
-        self.session_id = next(database._session_ids)
+                 entity_locks: bool = True, *, _default: bool = False):
+        # The default session draws no id: 0 is older than every
+        # session that does, and it shares the database's executor.
+        self.session_id = 0 if _default else next(database._session_ids)
+        self.executor = database.executor if _default else QueryExecutor(
+            database.store, database.qualifier,
+            batch_size=database.executor.batch_size)
+        self.updates = UpdateEngine(self.executor, database.constraints)
+        self.autocommit = _default
         self.database = database
         self.locks: LockManager = database._lock_manager
         self.mvcc = mvcc
@@ -493,47 +509,75 @@ class Session:
         self.max_deadlock_retries = max_deadlock_retries
         self.entity_locks = entity_locks
         self._transaction = None
-        self._statements_in_txn = 0
         self._retry_rng = random.Random(self.session_id * 7919)
-        if mvcc:
-            database.store.enable_mvcc()
 
     # -- Statements -------------------------------------------------------------
 
     def execute(self, text, timeout: Optional[float] = None):
         """Run one DML statement.  ``timeout`` bounds this statement's
         lock waits (overriding the session's ``lock_timeout``)."""
-        database = self.database
-        with database._statement_scope(text) as root:
-            # The compile (lint included) comes before any lock: a
-            # statement that is going to be rejected must never wait.
-            compiled = database._compile(text, parse_dml)
-            retrieve = isinstance(compiled.statement, RetrieveQuery)
-            if retrieve and self.mvcc:
-                result = self._snapshot_retrieve(compiled)
-            else:
-                result = self._locked_statement(compiled, timeout)
-            if retrieve and root is not None:
-                result.trace = root
-            return result
+        return self._execute(text, parse_dml, timeout)
 
     def query(self, text, timeout: Optional[float] = None):
         return self.execute(text, timeout)
 
+    def _execute(self, statement, parse, timeout: Optional[float] = None,
+                 retrieve_only: bool = False):
+        """One statement through this session; ``parse`` is the front
+        door's own ``parse_dml`` (see ``Database._compile``)."""
+        database = self.database
+        with database._statement_scope(statement) as root:
+            # The compile (lint included) comes before any lock: a
+            # statement that is going to be rejected must never wait.
+            compiled = database._compile(statement, parse)
+            if not isinstance(compiled.statement, RetrieveQuery):
+                if retrieve_only:
+                    raise SimError("query() takes a Retrieve statement")
+                if self.autocommit and not self.in_transaction():
+                    with self:      # a transaction of its own
+                        return self._locked_statement(compiled, timeout)
+                return self._locked_statement(compiled, timeout)
+            if self.autocommit:
+                result = self._unwaited_retrieve(compiled)
+            elif self.mvcc:
+                result = self._snapshot_retrieve(compiled)
+            else:
+                result = self._locked_statement(compiled, timeout)
+            if root is not None:
+                result.trace = root
+            return result
+
+    def _unwaited_retrieve(self, compiled):
+        """The default session's Retrieve: shared class locks taken
+        without waiting and the latest state read under them — the
+        session's own uncommitted writes included — or, when another
+        session holds a conflicting lock, the last committed state
+        through a snapshot.  Auto-committed, it keeps no lock."""
+        acquired: List[tuple] = []
+        try:
+            self._lock_for(compiled, acquired, 0)
+        except LockConflict:
+            self.locks.rollback(self.session_id, acquired)
+            return self._snapshot_retrieve(compiled)
+        try:
+            return self.database._run_retrieve(compiled,
+                                               executor=self.executor)
+        finally:
+            if not self.in_transaction():
+                self.locks.release_all(self.session_id)
+
     def _snapshot_retrieve(self, compiled):
-        """Lock-free Retrieve at a pinned commit epoch.  Runs on a
-        private executor so per-query memo shards can never leak rows
-        across snapshots."""
+        """Lock-free Retrieve at a pinned commit epoch, on the session's
+        executor: its memo is keyed by the view it read, so rows read
+        at one snapshot's epoch are never served to another."""
         database = self.database
         store = database.store
-        txn = self._transaction
-        txn_id = txn.transaction_id if txn is not None and txn.active \
-            else None
-        snap = store.begin_snapshot(txn_id)
+        snap = store.begin_snapshot(self._transaction.transaction_id
+                                    if self.in_transaction() else None)
         try:
             with store.snapshot_scope(snap):
-                return database._run_retrieve(
-                    compiled, executor=database._statement_executor())
+                return database._run_retrieve(compiled,
+                                              executor=self.executor)
         finally:
             store.end_snapshot(snap)
 
@@ -562,7 +606,7 @@ class Session:
         # "Fresh" = this statement would open the transaction, so a
         # deadlock abort loses no prior work and the statement can be
         # replayed automatically.
-        fresh = self._transaction is None or not self._transaction.active
+        fresh = not self.in_transaction()
         acquired: List[tuple] = []
         try:
             restrict = self._lock_for(compiled, acquired, timeout)
@@ -580,23 +624,35 @@ class Session:
             raise
         database = self.database
         txn = self._ensure_transaction()
-        # Per-statement executor (and, for updates, engine): no shared
-        # memo state between concurrent statements, and no statement-
-        # scope serialization at all — store mutators latch the one
-        # unit they write.
-        executor = database._statement_executor()
+        # No statement-scope serialization at all: store mutators latch
+        # the one unit they write.
         with database.store.transactions.activate(txn):
             if isinstance(compiled.statement, RetrieveQuery):
-                result = database._run_retrieve(compiled, executor=executor)
+                result = database._run_retrieve(compiled,
+                                                executor=self.executor)
             else:
-                result = database._run_update(compiled, executor=executor,
-                                              restrict_to=restrict)
-        self._statements_in_txn += 1
+                result = database._spanned(
+                    "update", "engine", self.updates.execute,
+                    compiled.statement, restrict_to=restrict,
+                    params=compiled.params)
         return result
 
     # -- Transaction boundaries --------------------------------------------------
 
+    def in_transaction(self) -> bool:
+        txn = self._transaction
+        return txn is not None and txn.active
+
+    def begin(self) -> None:
+        """Open the transaction now (a default session's statements
+        then run in it until :meth:`commit` or :meth:`abort`)."""
+        if self.in_transaction():
+            raise TransactionError("a transaction is already active")
+        self._ensure_transaction()
+
     def commit(self) -> None:
+        """Commit the open transaction, if any (deferred VERIFY checks
+        first: a violation aborts it and raises)."""
         txn = self._transaction
         database = self.database
         store = database.store
@@ -605,11 +661,10 @@ class Session:
                 with store.transactions.activate(txn):
                     try:
                         database.constraints.before_commit(
-                            executor=database._statement_executor())
+                            executor=self.executor)
                     except BaseException:
                         # A failed deferred-constraint check must not
                         # leave the transaction open holding locks.
-                        database.constraints.reset_deferred()
                         store.transactions.abort_detached(txn)
                         raise
                     # The commit critical section: the MVCC epoch bump,
@@ -618,11 +673,10 @@ class Session:
                     with store.commit_latch:
                         store.transactions.commit_detached(txn)
         finally:
-            self._transaction = None
-            self._statements_in_txn = 0
-            self.locks.release_all(self.session_id)
+            self._release()
 
     def abort(self) -> None:
+        """Roll the open transaction back, if any."""
         txn = self._transaction
         store = self.database.store
         try:
@@ -632,12 +686,15 @@ class Session:
                 # and this session's exclusive locks still cover every
                 # record the transaction touched.
                 with store.transactions.activate(txn):
-                    self.database.constraints.reset_deferred()
                     store.transactions.abort_detached(txn)
         finally:
-            self._transaction = None
-            self._statements_in_txn = 0
-            self.locks.release_all(self.session_id)
+            self._release()
+
+    def _release(self) -> None:
+        """Forget the transaction and free its locks — after it ends,
+        and after a crash has dropped it."""
+        self._transaction = None
+        self.locks.release_all(self.session_id)
 
     def holdings(self) -> Dict[str, str]:
         return self.locks.holdings(self.session_id)
@@ -651,17 +708,21 @@ class Session:
     def __exit__(self, exc_type, exc, tb):
         if exc_type is None:
             self.commit()
-        else:
+            return False
+        try:
             self.abort()
+        except Exception:
+            # The block's own error is the diagnosis; the abort's
+            # failure stays reachable as its context.
+            raise exc
         return False
 
     # -- Internals ---------------------------------------------------------------
 
     def _ensure_transaction(self):
-        if self._transaction is None or not self._transaction.active:
+        if not self.in_transaction():
             self._transaction = \
                 self.database.store.transactions.begin_detached()
-            self._statements_in_txn = 0
         return self._transaction
 
     def _lock_for(self, compiled, acquired: List[tuple],
@@ -694,10 +755,9 @@ class Session:
         overlapping entity sets collide in a deterministic order."""
         statement = compiled.statement
         class_name = statement.class_name
-        # A private executor keeps memo state off the shared one; the
-        # read takes no latch (record slots are replaced copy-on-write,
-        # never mutated in place).
-        targets = sorted(self.database._statement_executor().select_entities(
+        # The read takes no latch (record slots are replaced
+        # copy-on-write, never mutated in place).
+        targets = sorted(self.executor.select_entities(
             class_name, statement.where, compiled.params))
         acquired.append(
             (class_name,) + self.locks.acquire(
@@ -710,7 +770,6 @@ class Session:
         return targets
 
     def __repr__(self):
-        state = "open" if self._transaction and self._transaction.active \
-            else "idle"
+        state = "open" if self.in_transaction() else "idle"
         mode = "mvcc" if self.mvcc else "2pl-read"
         return f"<Session #{self.session_id} {state} {mode}>"

@@ -132,8 +132,10 @@ class UpdateEngine:
     # -- Dispatch ---------------------------------------------------------------
 
     def execute(self, statement, restrict_to=None, params=None) -> int:
-        """Run one update statement; returns the number of affected
-        entities.  Atomic per statement.
+        """Run one update statement in the transaction active on this
+        thread (its session's); returns the number of affected
+        entities.  Atomic per statement: a failure rolls back to the
+        statement's savepoint and leaves the transaction to its session.
 
         ``restrict_to`` — optional set of surrogates a concurrent session
         entity-locked for this statement: MODIFY/DELETE only touch the
@@ -144,11 +146,8 @@ class UpdateEngine:
         """
         self.prepare(statement)
         self._params = params
-        transactions = self.store.transactions
-        own_transaction = not transactions.in_transaction()
-        if own_transaction:
-            transactions.begin()
-        savepoint = transactions.current.savepoint()
+        transaction = self.store.transactions.current
+        savepoint = transaction.savepoint()
         touches = _Touches()
         try:
             if isinstance(statement, InsertStatement):
@@ -164,9 +163,7 @@ class UpdateEngine:
                                                  executor=self.executor)
         except Exception as exc:
             try:
-                transactions.current.rollback_to(savepoint)
-                if own_transaction:
-                    transactions.abort()
+                transaction.rollback_to(savepoint)
             except Exception:
                 # The cleanup itself failed (e.g. the device died mid
                 # statement).  The statement's own error is the diagnosis
@@ -175,8 +172,6 @@ class UpdateEngine:
                 # it mask the original.
                 raise exc
             raise
-        if own_transaction:
-            transactions.commit()
         return count
 
     # -- INSERT ------------------------------------------------------------------

@@ -117,9 +117,7 @@ class MapperStore:
         #: named materialized derived relations; attached lazily by the
         #: first declaration so undeclared stores pay one None test
         self.materialized: Optional[MaterializationManager] = None
-        #: MVCC version chains backing snapshot Retrieves (versions.py);
-        #: staging stays off — zero overhead, zero extra I/O — until a
-        #: Session calls enable_mvcc()
+        #: MVCC version chains backing snapshot Retrieves (versions.py)
         self.versions = VersionManager()
         self.versions.perf = self.perf
         self._new_pool_and_transactions()
@@ -301,17 +299,10 @@ class MapperStore:
 
     # ---------------------------------------------------------- MVCC snapshots
 
-    def enable_mvcc(self) -> None:
-        """Start staging pre-images on every mutation so snapshot
-        Retrieves can run lock-free.  One-way: turned on by the first
-        MVCC :class:`~repro.engine.sessions.Session` on this store."""
-        self.versions.enabled = True
-
     def begin_snapshot(self, txn_id: Optional[int] = None):
-        """Pin a read view at the current commit epoch (enables MVCC on
-        first use).  ``txn_id`` is the reader's own open transaction, so
-        it sees its uncommitted writes."""
-        self.enable_mvcc()
+        """Pin a read view at the current commit epoch.  ``txn_id`` is
+        the reader's own open transaction, so it sees its uncommitted
+        writes."""
         return self.versions.begin_snapshot(txn_id)
 
     def end_snapshot(self, snap) -> None:
@@ -322,7 +313,6 @@ class MapperStore:
         them, so every commit epoch from here on stays readable through
         :meth:`as_of`.  Like the chains themselves the history is
         volatile: a crash loses it."""
-        self.enable_mvcc()
         self.versions.retain = True
 
     def as_of(self, epoch: int):
@@ -514,14 +504,16 @@ class MapperStore:
         transaction's first mutation of the unit.  That ordering is
         what makes :meth:`_read_many`'s second probe sufficient.
 
-        Skipped when MVCC is off, and during rollback: undo compensation
-        restores exactly the physical state the pending pre-images
-        describe, so staging it would be circular."""
-        if not self.versions.enabled:
+        Skipped during rollback: undo compensation restores exactly the
+        physical state the pending pre-images describe, so staging it
+        would be circular.  An auto-committed write (no transaction
+        active) that nobody is pinned to watch reads no pre-image
+        (``VersionManager.unwatched_commit``)."""
+        txn_id, rolling_back = self.transactions.txn_context()
+        if rolling_back or txn_id is None and self.versions.unwatched_commit():
             return
         key = prefix + (surrogate,)
-        txn_id, rolling_back = self.transactions.txn_context()
-        if rolling_back or self.versions.is_staged(key):
+        if self.versions.is_staged(key):
             return
         self.versions.stage(txn_id, key,
                             primitive(*args, (surrogate,))[surrogate])

@@ -109,15 +109,13 @@ class VersionManager:
     — which a reader takes only for a key or class a writer has touched
     (module docstring).
 
-    ``enabled`` gates all staging: the plain single-threaded execution
-    paths do zero extra I/O (pre-image staging reads records), which
-    keeps the crash-torture suite's seeded fault ordinals stable.
-    Sessions flip it on via ``MapperStore.enable_mvcc()``.
+    Every write inside a transaction stages.  An auto-committed
+    Mapper-level write (transaction id None: population) stages only
+    when somebody could read its pre-image (:meth:`unwatched_commit`).
     """
 
     def __init__(self):
         self._mutex = ranked_lock("mapper.versions")
-        self.enabled = False
         #: keep every committed version (``MapperStore.enable_history``)
         self.retain = False
         #: commit counter; bumped once per committed transaction that
@@ -180,6 +178,18 @@ class VersionManager:
         be this transaction's), so the store can skip recomputing the
         pre-image."""
         return key in self._pending
+
+    def unwatched_commit(self) -> bool:
+        """For an auto-committed Mapper-level write: True (and the
+        epoch stepped) when no snapshot is pinned and history is not
+        retained — nobody can ask for its pre-image, so none is read.
+        Decided under the mutex: a snapshot beginning at the same moment
+        is either counted here (the write stages) or pins after it."""
+        with self._mutex:
+            if self._active or self.retain:
+                return False
+            self.epoch += 1
+            return True
 
     def stage(self, txn_id: Optional[int], key: tuple, pre_image) -> None:
         """Record ``key``'s pre-image before its first mutation by
@@ -340,7 +350,6 @@ class VersionManager:
     def statistics(self) -> Dict[str, int]:
         with self._mutex:
             return {
-                "enabled": self.enabled,
                 "epoch": self.epoch,
                 "snapshots_opened": self.perf.snapshots_opened,
                 "active_snapshots": sum(self._active.values()),

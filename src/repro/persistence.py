@@ -87,11 +87,11 @@ def design_from_dict(schema, spec: dict):
 def save_database(database, path: str) -> None:
     """Persist a database to ``path``.
 
-    Requires no open transaction; flushes all dirty pages first so the
-    disk image is complete.
+    Requires no open transaction on the database's default session;
+    flushes all dirty pages first so the disk image is complete.
     """
     store = database.store
-    if store.transactions.in_transaction():
+    if database._session.in_transaction():
         raise TransactionError(
             "commit or abort the open transaction before saving")
     store.pool.flush()

@@ -1,8 +1,11 @@
 """Undo-log transactions with savepoints.
 
 The paper relies on DMSII for transaction management (§1).  Our substrate
-provides single-writer transactions: every mutating operation registers an
-undo closure; ABORT replays undos in reverse; COMMIT discards them and
+provides it as one layer under the Mapper, whoever the caller is: every
+transaction belongs to a session (:mod:`repro.engine.sessions`; a
+``Database`` statement runs on the database's own session), every
+mutating operation registers an undo closure in the transaction active
+on its thread; ABORT replays undos in reverse; COMMIT discards them and
 flushes the buffer pool.  Savepoints support partial rollback, which the
 update engine uses to make each DML statement atomic with respect to
 integrity failures (a failed VERIFY rolls back only that statement).
@@ -12,7 +15,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Set
 
 from repro.errors import TransactionError
 from repro.perf import PerfCounters
@@ -33,6 +36,10 @@ class Transaction:
         self._undo_log: List[Callable[[], None]] = []
         self.active = True
         self._rolling_back = False
+        #: the VERIFY touches a deferred check owes at this
+        #: transaction's commit (``ConstraintManager.after_statement``)
+        self.deferred_keys: Set[tuple] = set()
+        self.deferred_entities: Set[int] = set()
 
     def record_undo(self, undo: Callable[[], None]) -> None:
         if not self.active:
@@ -83,24 +90,26 @@ class Transaction:
                f"{len(self._undo_log)} undo entries>"
 
 
+class _ActiveTransaction(threading.local):
+    """This thread's activated Transaction.  With a class-level default
+    the auto-commit probe is a plain attribute load, not a caught
+    AttributeError (``MapperStore`` asks it before every staged write)."""
+
+    txn: Optional[Transaction] = None
+
+
 class TransactionManager:
-    """Hands out transactions; enforces single-writer discipline per
-    activation scope.
+    """Hands out transactions; one protocol for every caller.
 
-    Two usage styles coexist:
-
-    * ``begin()`` / ``commit()`` / ``abort()`` — the classic API: one
-      globally "current" transaction, used by ``Database.transaction()``
-      and single-threaded scripts.
-    * ``begin_detached()`` + ``activate(txn)`` — concurrent sessions:
-      each session owns its transaction and installs it as *this
-      thread's* current transaction only while executing a statement.
-      Id allocation is mutex-protected so concurrent sessions cannot
-      mint duplicate ids.
-
-    ``current`` resolves thread-locally first, then falls back to the
-    global slot, so code deep in the Mapper (``record_undo``,
-    ``txn_context``) is oblivious to which style is driving it.
+    ``begin_detached()`` mints a transaction its session owns;
+    ``activate(txn)`` installs it as *this thread's* current transaction
+    while the session runs a statement, a deferred check or an abort;
+    ``commit_detached`` / ``abort_detached`` end it.  There is no global
+    current transaction: ``current`` is thread-local, so code deep in
+    the Mapper (``record_undo``, ``txn_context``) sees the transaction
+    of the statement running on its thread, and a write with nothing
+    activated is auto-committed.  Id allocation is mutex-protected so
+    concurrent sessions cannot mint duplicate ids.
 
     ``flush_on_commit`` — when a buffer pool is attached, commit flushes
     dirty blocks so committed state is durable on the simulated disk.
@@ -109,17 +118,16 @@ class TransactionManager:
     def __init__(self, pool=None, wal=None, start_after: int = 0):
         self._pool = pool
         self._wal = wal
-        self._current: Optional[Transaction] = None
         #: per-manager id counter; ``start_after`` seeds it past ids a
         #: recovered log may still mention
         self._next_txn_id = start_after
-        # Rank 60: only taken with no other lock held, in begin()/
+        # Rank 60: only taken with no other lock held, in
         # begin_detached(); commit bodies are serialized by
         # store.commit_latch and abort/undo replay by the aborting
         # session's exclusive locks plus per-unit latches (see
         # analysis/lock_order.py).
         self._mutex = ranked_lock("storage.transactions")
-        self._tls = threading.local()
+        self._tls = _ActiveTransaction()
         #: counts commits and aborts (the store wires its own)
         self.perf = PerfCounters()
         #: callbacks fired after any rollback (full abort or partial
@@ -134,25 +142,15 @@ class TransactionManager:
 
     @property
     def current(self) -> Optional[Transaction]:
-        txn = getattr(self._tls, "txn", None)
-        if txn is not None:
-            return txn
-        return self._current
-
-    def begin(self) -> Transaction:
-        with self._mutex:
-            if self._current is not None and self._current.active:
-                raise TransactionError("a transaction is already active")
-            self._next_txn_id += 1
-            self._current = Transaction(self, self._next_txn_id)
-            return self._current
+        """The transaction activated on this thread, or None."""
+        return self._tls.txn
 
     def begin_detached(self) -> Transaction:
         """Mint a transaction WITHOUT installing it as current.
 
-        Concurrent sessions each own one of these and scope it to their
-        statements via :meth:`activate`; the mutex guarantees unique ids
-        across threads."""
+        Sessions each own one of these and scope it to their statements
+        via :meth:`activate`; the mutex guarantees unique ids across
+        threads."""
         with self._mutex:
             self._next_txn_id += 1
             return Transaction(self, self._next_txn_id)
@@ -161,28 +159,19 @@ class TransactionManager:
     def activate(self, txn: Optional[Transaction]):
         """Install ``txn`` as this thread's current transaction for the
         duration of the block (nestable; restores the previous value)."""
-        previous = getattr(self._tls, "txn", None)
+        previous = self._tls.txn
         self._tls.txn = txn
         try:
             yield txn
         finally:
             self._tls.txn = previous
 
-    def commit(self) -> None:
-        transaction = self._require_active()
-        self._finish_commit(transaction)
-
-    def commit_detached(self, txn: Transaction) -> None:
+    def commit_detached(self, transaction: Transaction) -> None:
         """Commit a session-owned transaction (caller holds the store's
         commit latch; see ``MapperStore.commit_latch``)."""
-        if not txn.active:
+        if not transaction.active:
             raise TransactionError("no active transaction")
-        self._finish_commit(txn)
-
-    def _finish_commit(self, transaction: Transaction) -> None:
         transaction._commit()
-        if self._current is transaction:
-            self._current = None
         # Commit hooks run at the in-memory commit point: the undo log is
         # gone, so even if the flush below faults mid-way, the version
         # manager must already treat the transaction as committed.
@@ -203,24 +192,15 @@ class TransactionManager:
             self._wal.log_commit(transaction.transaction_id)
         self.perf.bump("commits")
 
-    def abort(self) -> None:
-        transaction = self._require_active()
-        self._finish_abort(transaction)
-
-    def abort_detached(self, txn: Transaction) -> None:
+    def abort_detached(self, transaction: Transaction) -> None:
         """Abort a session-owned transaction.  The undo replay mutates
         through the normal mapper paths (each of which takes its unit's
         latch), so the caller must have the transaction activated on
         this thread and still hold the session's exclusive locks over
         everything the transaction touched."""
-        if not txn.active:
+        if not transaction.active:
             raise TransactionError("no active transaction")
-        self._finish_abort(txn)
-
-    def _finish_abort(self, transaction: Transaction) -> None:
         transaction._abort()
-        if self._current is transaction:
-            self._current = None
         self.perf.bump("aborts")
         for hook in self.abort_hooks:
             hook(transaction.transaction_id)
@@ -229,10 +209,6 @@ class TransactionManager:
     def _fire_invalidation_hooks(self) -> None:
         for hook in self.invalidation_hooks:
             hook()
-
-    def in_transaction(self) -> bool:
-        current = self.current
-        return current is not None and current.active
 
     def record_undo(self, undo: Callable[[], None]) -> None:
         """Record an undo in the active transaction, if any.
@@ -251,9 +227,3 @@ class TransactionManager:
         if current is not None and current.active:
             return (current.transaction_id, current._rolling_back)
         return (None, False)
-
-    def _require_active(self) -> Transaction:
-        current = self.current
-        if current is None or not current.active:
-            raise TransactionError("no active transaction")
-        return current

@@ -112,6 +112,41 @@ class TestDeferredMode:
         assert len(db.query("From student Retrieve soc-sec-no")) == 0
 
 
+class TestDeferredTouchesBelongToTheirTransaction:
+    """Deferred touches live on the transaction that made them: checked
+    at its commit, dropped with its abort, never another's business."""
+
+    @pytest.fixture()
+    def db(self):
+        return Database(UNIVERSITY_DDL, constraint_mode="deferred")
+
+    def test_an_auto_committed_statement_is_checked_at_its_commit(self, db):
+        with pytest.raises(ConstraintViolation):
+            db.execute('Insert student(soc-sec-no := 1)')
+        assert len(db.query("From student Retrieve soc-sec-no")) == 0
+        db.begin()
+        db.execute('Insert department(dept-nbr := 100, name := "D")')
+        db.commit()             # owes nothing for the failed statement
+
+    def test_one_sessions_abort_keeps_anothers_touches(self, db):
+        a, b = db.session(), db.session()
+        a.execute('Insert student(soc-sec-no := 1)')
+        b.execute('Insert department(dept-nbr := 100, name := "D")')
+        b.abort()
+        with pytest.raises(ConstraintViolation):
+            a.commit()
+        assert len(db.query("From student Retrieve soc-sec-no")) == 0
+
+    def test_one_sessions_commit_checks_only_its_own_touches(self, db):
+        a, b = db.session(), db.session()
+        a.execute('Insert student(soc-sec-no := 1)')
+        b.execute('Insert department(dept-nbr := 100, name := "D")')
+        b.commit()
+        with pytest.raises(ConstraintViolation):
+            a.commit()
+        assert len(db.query("From department Retrieve dept-nbr")) == 1
+
+
 class TestTriggerAnalysis:
     def test_terms_collected(self, db):
         compiled = db.constraints.compiled

@@ -315,10 +315,12 @@ def test_undo_via_transactions(university_schema):
     advisor = university_schema.get_class("student").attribute("advisor")
     i = store.insert_entity("instructor", {"soc-sec-no": 1,
                                            "employee-nbr": 1001})
-    store.transactions.begin()
-    s = store.insert_entity("student", {"soc-sec-no": 2})
-    store.eva_include(s, advisor, i)
-    store.transactions.abort()
+    transactions = store.transactions
+    txn = transactions.begin_detached()
+    with transactions.activate(txn):
+        s = store.insert_entity("student", {"soc-sec-no": 2})
+        store.eva_include(s, advisor, i)
+        transactions.abort_detached(txn)
     assert not store.has_role(s, "student")
     assert store.eva_targets(i, advisor.inverse) == []
 

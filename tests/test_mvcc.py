@@ -127,7 +127,6 @@ class TestSnapshotReads:
         """A snapshot opened before a commit keeps reading the old epoch
         even after the commit lands."""
         store = db.store
-        store.enable_mvcc()
         query = db.compile('From course Retrieve credits'
                            ' Where title = "Algebra"')
         snap = store.begin_snapshot(None)
@@ -137,8 +136,7 @@ class TestSnapshotReads:
                            ' Where title = "Algebra"')
             writer.commit()
             with store.snapshot_scope(snap):
-                result = db._run_retrieve(
-                    query, executor=db._statement_executor())
+                result = db._run_retrieve(query, executor=db.executor)
             assert result.scalar() == 3
         finally:
             store.end_snapshot(snap)
@@ -189,7 +187,6 @@ class TestEstimatesNeverScan:
 class TestVersionManager:
     def test_commit_bumps_epoch_once_per_transaction(self, db):
         store = db.store
-        store.enable_mvcc()
         before = store.versions.statistics()["epoch"]
         writer = Session(db)
         writer.execute('Modify course(credits := 9) Where title = "Algebra"')
@@ -200,7 +197,6 @@ class TestVersionManager:
 
     def test_chains_pruned_when_no_snapshot_is_active(self, db):
         store = db.store
-        store.enable_mvcc()
         writer = Session(db)
         writer.execute('Modify course(credits := 9) Where title = "Algebra"')
         writer.commit()
@@ -210,7 +206,6 @@ class TestVersionManager:
 
     def test_chains_retained_while_snapshot_is_pinned(self, db):
         store = db.store
-        store.enable_mvcc()
         snap = store.begin_snapshot(None)
         writer = Session(db)
         writer.execute('Modify course(credits := 9) Where title = "Algebra"')
@@ -249,14 +244,44 @@ class TestVersionManager:
         versions.commit(1)
         assert seen == [((True, "before"), {7})] * 4
 
-    def test_statement_executor_carries_the_batch_size(self, db):
-        """A snapshot statement runs on a private executor, at the
-        database's batch size."""
+    def test_an_unwatched_populate_reads_no_pre_images(self, monkeypatch):
+        """Population writes through the Mapper with no transaction
+        (auto-committed).  With no snapshot pinned and no history kept
+        nobody can ask for its pre-images, so it reads none: it decodes
+        no more records and makes no more ``read_many`` calls than a
+        store that never stages."""
+        from repro.mapper.store import MapperStore
+        from repro.storage.files import RecordFile
+        from repro.workloads.university import populate_university
+        calls = []
+        read_many = RecordFile.read_many
+
+        def counting(self, rids):
+            calls.append(len(rids))
+            return read_many(self, rids)
+        monkeypatch.setattr(RecordFile, "read_many", counting)
+
+        def populate():
+            database = Database(UNIVERSITY_DDL, constraint_mode="off")
+            del calls[:]
+            populate_university(database, departments=2, instructors=4,
+                                students=12, courses=6, seed=3)
+            return database.perf.records_decoded, len(calls)
+
+        unwatched = populate()
+        monkeypatch.setattr(MapperStore, "_stage", lambda self, *args: None)
+        assert unwatched == populate()
+
+    def test_session_executor_carries_the_batch_size(self, db):
+        """A session runs its statements on an executor of its own, at
+        the database's batch size; the database's own statements run on
+        ``db.executor``."""
         db.executor.batch_size = 7
-        executor = db._statement_executor()
+        executor = Session(db).executor
         assert executor is not db.executor
         assert executor.batch_size == 7
         assert executor.accessor is not db.executor.accessor
+        assert db._session.executor is db.executor
 
     def test_reader_beside_uncommitted_writer_sees_snapshot(self, db):
         """A reader's scan of the class sees the committed state while a

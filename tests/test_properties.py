@@ -61,16 +61,18 @@ def test_abort_always_restores_initial_state(role_adds, cut):
                                                     "employee-nbr": 1001})
     baseline_counts = {c.name: store.class_count(c.name)
                        for c in SCHEMA.classes()}
-    store.transactions.begin()
+    transactions = store.transactions
+    txn = transactions.begin_detached()
     created = []
-    for index, kind in enumerate(role_adds):
-        surr = store.insert_entity("student", {"soc-sec-no": 100 + index})
-        created.append(surr)
-        if kind % 2 == 0:
-            store.eva_include(surr, advisor, instructor)
-        if kind == 3 and store.has_role(surr, "student"):
-            store.remove_role(surr, "student")
-    store.transactions.abort()
+    with transactions.activate(txn):
+        for index, kind in enumerate(role_adds):
+            surr = store.insert_entity("student", {"soc-sec-no": 100 + index})
+            created.append(surr)
+            if kind % 2 == 0:
+                store.eva_include(surr, advisor, instructor)
+            if kind == 3 and store.has_role(surr, "student"):
+                store.remove_role(surr, "student")
+        transactions.abort_detached(txn)
     for name, count in baseline_counts.items():
         assert store.class_count(name) == count
     assert store.eva_targets(instructor, advisor.inverse) == []

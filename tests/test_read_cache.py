@@ -703,7 +703,9 @@ class TestSelectionIndexPath:
         before = db.perf.index_selections
         db.execute('Modify student(name := "Jack Doe")'
                    ' Where soc-sec-no = 456887766')
-        assert db.perf.index_selections == before + 1
+        # Two index-served selections: one names the entities to lock,
+        # one re-selects under the locks (engine/sessions.py).
+        assert db.perf.index_selections == before + 2
         assert names(db)[0][0] == "Jack Doe"
 
     def test_or_predicate_falls_back_to_scan(self, db):

@@ -173,13 +173,16 @@ class TestWalMechanics:
         schema = parse_ddl(UNIVERSITY_DDL)
         design = PhysicalDesign(schema, pool_capacity=1)
         store = MapperStore(schema, design.finalize())
-        store.transactions.begin()
-        for k in range(40):   # force evictions across several files
-            store.insert_entity("person", {"soc-sec-no": k})
-        # Every data-block write was preceded by a log force: the durable
-        # log prefix covers every record whose page could be on disk.
-        assert store.perf.wal_forces > 0
-        store.transactions.commit()
+        transactions = store.transactions
+        txn = transactions.begin_detached()
+        with transactions.activate(txn):
+            for k in range(40):   # force evictions across several files
+                store.insert_entity("person", {"soc-sec-no": k})
+            # Every data-block write was preceded by a log force: the
+            # durable log prefix covers every record whose page could be
+            # on disk.
+            assert store.perf.wal_forces > 0
+            transactions.commit_detached(txn)
 
     def test_log_truncated_after_recovery(self, db):
         with db.transaction():

@@ -784,3 +784,60 @@ class TestLockdepIntegration:
         assert outcome["done"] - released < 1.0
         assert db.query("From course Retrieve credits").scalar() == 7
         assert lockdep.violations() == []
+
+
+class TestOneTransactionPath:
+    """A ``Database`` statement is a statement of the database's default
+    session: it takes the same locks as any other session's, and its
+    Retrieves read committed state beside another session's open
+    writes."""
+
+    def test_database_write_waits_for_a_session_and_survives_its_abort(
+            self, db):
+        session = Session(db)
+        session.execute('Modify course(credits := 9) Where course-no = 1')
+        failures = []
+
+        def database_write():
+            try:
+                db.execute('Modify course(credits := 7) Where course-no = 1')
+            except BaseException as exc:    # surfaced below
+                failures.append(exc)
+
+        thread = threading.Thread(target=database_write)
+        thread.start()
+        # Parked on the session's entity lock: a state, not a sleep.
+        deadline = time.monotonic() + 10.0
+        while session.locks.statistics()["waiting_now"] != 1:
+            assert thread.is_alive() and time.monotonic() < deadline, \
+                "the database write never waited for the session's lock"
+        session.abort()
+        thread.join(10.0)
+        assert not thread.is_alive()
+        assert failures == []
+        assert db.query("From course Retrieve credits").scalar() == 7
+        assert Session(db).query(
+            "From course Retrieve credits").scalar() == 7
+
+    def test_database_query_beside_an_open_writer_reads_committed(self, db):
+        session = Session(db)
+        session.execute('Modify course(credits := 9) Where course-no = 1')
+        waits = db.perf.lock_waits
+        assert db.query("From course Retrieve credits").scalar() == 3
+        assert db.perf.lock_waits == waits
+        assert session.query("From course Retrieve credits").scalar() == 9
+        session.commit()
+        assert db.query("From course Retrieve credits").scalar() == 9
+
+    def test_a_crash_drops_the_default_sessions_transaction_and_locks(
+            self, db):
+        db.begin()
+        db.execute('Modify course(credits := 9) Where course-no = 1')
+        db.simulate_crash()
+        assert db.statistics()["locks"]["tracked_keys"] == 0
+        other = Session(db, lock_timeout=0)     # fail-fast: no lock left
+        other.execute('Modify course(credits := 8) Where course-no = 1')
+        other.commit()
+        db.begin()                              # none is open any more
+        db.abort()
+        assert db.query("From course Retrieve credits").scalar() == 8

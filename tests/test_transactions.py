@@ -9,38 +9,46 @@ from repro.storage import TransactionManager
 class TestLifecycle:
     def test_begin_commit(self):
         manager = TransactionManager()
-        manager.begin()
-        assert manager.in_transaction()
-        manager.commit()
-        assert not manager.in_transaction()
+        txn = manager.begin_detached()
+        with manager.activate(txn):
+            assert manager.txn_context() == (txn.transaction_id, False)
+            manager.commit_detached(txn)
+            assert manager.txn_context() == (None, False)
         assert manager.perf.commits == 1
 
-    def test_nested_begin_rejected(self):
+    def test_a_transaction_is_current_only_where_activated(self):
         manager = TransactionManager()
-        manager.begin()
-        with pytest.raises(TransactionError):
-            manager.begin()
+        txn = manager.begin_detached()
+        assert manager.current is None
+        with manager.activate(txn):
+            assert manager.current is txn
+        assert manager.current is None
 
-    def test_commit_without_begin(self):
+    def test_commit_of_an_ended_transaction_rejected(self):
+        manager = TransactionManager()
+        txn = manager.begin_detached()
+        manager.commit_detached(txn)
         with pytest.raises(TransactionError):
-            TransactionManager().commit()
+            manager.commit_detached(txn)
 
     def test_abort_runs_undos_in_reverse(self):
         manager = TransactionManager()
-        manager.begin()
+        txn = manager.begin_detached()
         log = []
-        manager.record_undo(lambda: log.append("first"))
-        manager.record_undo(lambda: log.append("second"))
-        manager.abort()
+        with manager.activate(txn):
+            manager.record_undo(lambda: log.append("first"))
+            manager.record_undo(lambda: log.append("second"))
+            manager.abort_detached(txn)
         assert log == ["second", "first"]
         assert manager.perf.aborts == 1
 
     def test_commit_discards_undos(self):
         manager = TransactionManager()
-        manager.begin()
+        txn = manager.begin_detached()
         log = []
-        manager.record_undo(lambda: log.append("x"))
-        manager.commit()
+        with manager.activate(txn):
+            manager.record_undo(lambda: log.append("x"))
+            manager.commit_detached(txn)
         assert log == []
 
     def test_transaction_ids_are_per_manager(self):
@@ -49,27 +57,23 @@ class TestLifecycle:
         recovered manager resumed from an unrelated high-water mark)."""
         first = TransactionManager()
         second = TransactionManager()
-        assert first.begin().transaction_id == 1
-        assert second.begin().transaction_id == 1
-        first.commit()
-        second.commit()
-        assert first.begin().transaction_id == 2
+        assert first.begin_detached().transaction_id == 1
+        assert second.begin_detached().transaction_id == 1
+        assert first.begin_detached().transaction_id == 2
 
     def test_start_after_seeds_the_counter(self):
         manager = TransactionManager(start_after=17)
-        assert manager.begin().transaction_id == 18
+        assert manager.begin_detached().transaction_id == 18
 
     def test_independent_databases_do_not_share_ids(self):
         from repro import Database
         from repro.workloads import UNIVERSITY_DDL
         db_a = Database(UNIVERSITY_DDL, constraint_mode="off")
         db_b = Database(UNIVERSITY_DDL, constraint_mode="off")
-        txn_a = db_a.store.transactions.begin()
-        txn_b = db_b.store.transactions.begin()
+        txn_a = db_a.store.transactions.begin_detached()
+        txn_b = db_b.store.transactions.begin_detached()
         assert txn_a.transaction_id == 1
         assert txn_b.transaction_id == 1
-        db_a.store.transactions.commit()
-        db_b.store.transactions.commit()
 
     def test_recovered_manager_resumes_past_logged_ids(self):
         from repro import Database
@@ -79,42 +83,41 @@ class TestLifecycle:
             db.execute('Insert person(name := "A", soc-sec-no := 1)')
         db.simulate_crash()
         # the rebuilt manager must not reissue an id the durable log used
-        fresh = db.store.transactions.begin()
+        fresh = db.store.transactions.begin_detached()
         assert fresh.transaction_id >= 2
-        db.store.transactions.commit()
 
     def test_undo_outside_transaction_is_noop(self):
         manager = TransactionManager()
         manager.record_undo(lambda: (_ for _ in ()).throw(AssertionError))
         # nothing raised, nothing recorded
-        assert not manager.in_transaction()
+        assert manager.current is None
 
 
 class TestSavepoints:
     def test_partial_rollback(self):
         manager = TransactionManager()
-        manager.begin()
+        txn = manager.begin_detached()
         log = []
-        manager.record_undo(lambda: log.append("a"))
-        mark = manager.current.savepoint()
-        manager.record_undo(lambda: log.append("b"))
-        manager.record_undo(lambda: log.append("c"))
-        manager.current.rollback_to(mark)
-        assert log == ["c", "b"]
-        manager.abort()
+        with manager.activate(txn):
+            manager.record_undo(lambda: log.append("a"))
+            mark = txn.savepoint()
+            manager.record_undo(lambda: log.append("b"))
+            manager.record_undo(lambda: log.append("c"))
+            txn.rollback_to(mark)
+            assert log == ["c", "b"]
+            manager.abort_detached(txn)
         assert log == ["c", "b", "a"]
 
     def test_invalid_savepoint(self):
         manager = TransactionManager()
-        manager.begin()
+        txn = manager.begin_detached()
         with pytest.raises(TransactionError):
-            manager.current.rollback_to(5)
+            txn.rollback_to(5)
 
     def test_savepoint_on_closed_transaction(self):
         manager = TransactionManager()
-        manager.begin()
-        transaction = manager.current
-        manager.commit()
+        transaction = manager.begin_detached()
+        manager.commit_detached(transaction)
         with pytest.raises(TransactionError):
             transaction.savepoint()
 
