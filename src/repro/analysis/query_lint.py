@@ -371,18 +371,19 @@ class _QueryLinter:
 
 def _outside_domain(code: str, data_type, of_what: str,
                     with_reason: bool = False):
-    """A value-dependent rule for :meth:`Literal.check`: ``code`` when the
-    literal's value is outside ``data_type``'s declared domain — the
-    same statement shape is clean for one literal and flagged for the
-    next, so it runs against each one."""
-    def rule(value, span, sink):
+    """A value-dependent rule for :meth:`Literal.check`: ``(code,
+    message)`` when the literal's value is outside ``data_type``'s
+    declared domain, else None — the same statement shape is clean for
+    one literal and flagged for the next, so it runs against each one."""
+    def rule(value):
         try:
             data_type.validate(value)
         except TypeMismatchError as exc:
             reason = f": {exc}" if with_reason else ""
-            sink.emit(code, f"literal {Literal(value).describe()} is "
-                            f"outside the declared domain of {of_what}"
-                            f"{reason}", span)
+            return code, (f"literal {Literal(value).describe()} is "
+                          f"outside the declared domain of {of_what}"
+                          f"{reason}")
+        return None
     return rule
 
 

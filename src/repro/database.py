@@ -185,7 +185,7 @@ class Database:
                 compiled = parse(statement, self.plan_cache)
             else:
                 compiled = self._compile_statement(statement).bind(
-                    None, None, "uncacheable")
+                    None, None, None, "uncacheable")
             if span is not None:
                 span.attrs["cache"] = compiled.cache
                 if compiled.plan is not None and compiled.cache != "miss":

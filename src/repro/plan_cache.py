@@ -2,10 +2,11 @@
 
 Parse → qualify → lint → plan → verify → lower depends on the statement
 and the schema, not on the literal in ``Where employee-nbr = 1017``
-(paper Figure 1, §5.1).  The key is the lexer's token stream with every
-literal lifted to a typed slot (:func:`repro.lexer.lift_literals`) plus
-the knobs that shape a plan; the value is a :class:`CompiledStatement`
-every later statement of the shape *binds* its own literals to.
+(paper Figure 1, §5.1).  The key is the text's literal skeleton — its
+literal-free segments and literal kinds, one regex pass and no tokens
+(:func:`repro.lexer.skeleton`) — plus the knobs that shape a plan; the
+value is a :class:`CompiledStatement` every later statement of the
+shape *binds* its own literals to.
 docs/INTERNALS.md ("Plan cache") gives the rules that keep a hit exact
 and why nothing here takes a lock: the tables are dicts touched by
 single atomic operations, a fill stores into the tables it looked up in
@@ -20,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.analysis.diagnostics import DiagnosticSink
+from repro.lexer import span_at, tokenize
 
 #: entries kept; the oldest are dropped past it
 CAPACITY = 512
@@ -65,22 +67,28 @@ class CompiledStatement:
     params: Optional[list] = None
     cache: str = "uncacheable"
 
-    def bind(self, values, tokens, cache: str) -> "CompiledStatement":
+    def bind(self, values, offsets, text,
+             cache: str) -> "CompiledStatement":
         """This entry for one execution of a statement of its shape:
         conversions and value-dependent lint run against *this* text's
-        literals, spans point into *this* text."""
+        literals (``offsets[slot]`` is where one starts), spans point
+        into *this* text."""
         bound = instance_copy(self)
         bound.cache = cache
         diagnostics = self.diagnostics
         lifted = self.lifted
         if lifted is not None:
             bound.params = lifted.bind(values)
-            if diagnostics and tokens is not lifted.tokens:
-                diagnostics = self._rebased(tokens)
+            if diagnostics and cache != "miss":
+                # The only tokens a hit builds: the fill's findings
+                # re-anchored to this text.
+                diagnostics = self._rebased(tokenize(text))
             if lifted.checks:
                 sink = DiagnosticSink()
                 for slot, rule in lifted.checks:
-                    rule(values[slot], tokens[lifted.sites[slot]].span, sink)
+                    finding = rule(values[slot])
+                    if finding is not None:
+                        sink.emit(*finding, span_at(text, offsets[slot]))
                 if sink:
                     # Lint's findings sort among themselves; what survives
                     # of the verifiers' verdict is INFO and stays last.
@@ -91,7 +99,7 @@ class CompiledStatement:
 
     def _rebased(self, tokens) -> List:
         """The fill's diagnostics re-anchored to another text of the
-        same shape: token *i* there is token *i* here."""
+        same skeleton: token *i* there is token *i* here."""
         index = {(token.line, token.column): position
                  for position, token in enumerate(self.lifted.tokens)}
         rebased = []
@@ -128,11 +136,14 @@ class PlanCache:
         perf.bump("plan_cache_invalidations")
         perf.set_gauge("plan_cache_entries", 0)
 
-    def bind(self, shape, values, tokens, parse) -> CompiledStatement:
+    def bind(self, shape, values, offsets, text,
+             parse) -> CompiledStatement:
         """The compiled statement for one submitted text, bound to its
         literals — ``parse_dml(text, cache)`` ends here.  ``parse()``
         yields ``(statement, lifted)`` and runs on a miss only; a
-        statement that raises while compiling or binding is not stored."""
+        statement that raises while compiling or binding is not stored,
+        nor one whose ``lifted`` is None (its tokens and its skeleton
+        disagree)."""
         database = self.database
         perf = database.store.perf
         key = (shape, database.use_optimizer, database.rewrite,
@@ -144,15 +155,17 @@ class PlanCache:
             if entry is not None:
                 if not self._drifted(entry):
                     perf.bump("plan_cache_hits")
-                    return entry.bind(values, tokens,
+                    return entry.bind(values, offsets, text,
                                       "pinned" if pinned else "hit")
                 self.clear()
                 entries, pins = self._tables
         perf.bump("plan_cache_misses")
         statement, lifted = parse()
         entry = database._compile_statement(statement)
+        if lifted is None:
+            return entry.bind(None, None, None, "uncacheable")
         entry.lifted = lifted
-        bound = entry.bind(values, tokens, "miss")
+        bound = entry.bind(values, offsets, text, "miss")
         pins[key] = pinned = tuple(sorted(lifted.pinned))
         entries[(key, *[values[slot] for slot in pinned])] = entry
         # list() and pop() are single atomic operations; iterating the

@@ -18,7 +18,8 @@ the second ways must not grow back.
 * that Retrieve and the ``oltp_session`` course traversal stay inside
   a written budget of versioned unit reads, read-cache lock
   acquisitions, name canonicalisations, copy-protocol copies and
-  record reads off a page;
+  record reads off a page, and lex nothing (a plan-cache hit keys on
+  the text's literal skeleton);
 * a snapshot scan with no writer in sight never takes the version
   manager's mutex.
 """
@@ -30,7 +31,7 @@ import copy
 import os
 import sys
 
-from repro import naming
+from repro import lexer, naming
 from repro.mapper.store import MapperStore
 from repro.perf import COUNTER_FIELDS
 from repro.storage.files import RecordFile
@@ -177,15 +178,17 @@ def test_a_statement_takes_the_counter_lock_once():
 #: what one warmed statement of each ``oltp_session`` read shape may do
 #: on a snapshot session: versioned unit reads, read-cache lock
 #: acquisitions, name canonicalisations, template copies through the
-#: copy protocol and record reads off a page (``make profile-oltp``
-#: prints the same counts per operation).
+#: copy protocol, record reads off a page (``make profile-oltp``
+#: prints the same counts per operation) and ``tokenize`` calls.
 READ_BUDGETS = {
     "From instructor Retrieve name, salary, name of assigned-department"
     " Where employee-nbr = 1001": {
-        "_read": 6, "lock": 0, "canon": 2, "copy": 0, "record_read": 1},
+        "_read": 6, "lock": 0, "canon": 2, "copy": 0, "record_read": 1,
+        "tokenize": 0},
     "From course Retrieve title, name of teachers, name of"
     " students-enrolled Where course-no = 101": {
-        "_read": 22, "lock": 0, "canon": 2, "copy": 0, "record_read": 1},
+        "_read": 22, "lock": 0, "canon": 2, "copy": 0, "record_read": 1,
+        "tokenize": 0},
 }
 
 
@@ -196,7 +199,8 @@ def test_a_cached_point_read_stays_inside_its_budget(monkeypatch):
     for text in READ_BUDGETS:
         for _ in range(3):      # plan-epoch moves and cache fills
             session.execute(text)
-    counts = dict.fromkeys(("_read", "canon", "copy", "record_read"), 0)
+    counts = dict.fromkeys(("_read", "canon", "copy", "record_read",
+                            "tokenize"), 0)
 
     def counted(name, function):
         def wrapper(*args, **kwargs):
@@ -209,12 +213,12 @@ def test_a_cached_point_read_stays_inside_its_budget(monkeypatch):
     monkeypatch.setattr(RecordFile, "read",
                         counted("record_read", RecordFile.read))
     monkeypatch.setattr(copy, "copy", counted("copy", copy.copy))
-    real_canon = naming.canon
+    reals = (("canon", naming.canon), ("tokenize", lexer.tokenize))
     for name, module in list(sys.modules.items()):
-        if name.startswith("repro") \
-                and getattr(module, "canon", None) is real_canon:
-            monkeypatch.setattr(module, "canon",
-                                counted("canon", real_canon))
+        for counter, real in reals:
+            if name.startswith("repro") \
+                    and getattr(module, counter, None) is real:
+                monkeypatch.setattr(module, counter, counted(counter, real))
     cache = database.store.read_cache
     lock = _CountingLock(cache._lock)
     monkeypatch.setattr(cache, "_lock", lock)

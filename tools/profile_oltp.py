@@ -9,10 +9,10 @@ does below it as counts per operation (versioned unit reads, lock
 acquisitions, name canonicalisations, copy-protocol copies, record reads
 off a page: the figures ``tests/test_counting_guard.py`` budgets per
 statement), then the top 25 functions by self time.  After the plan
-cache only the lexer and the cache's own lookup-and-bind should remain
-of the front end: six fills, then hits.  cProfile inflates call-heavy
-code, so use it to find candidates and ``make bench-e2e`` to measure
-them.
+cache only the skeleton scan and the bind remain of the front end: six
+fills, then hits, and ``tokenize`` runs on the fills alone.  cProfile
+inflates call-heavy code, so use it to find candidates and ``make
+bench-e2e`` to measure them.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ TOP = 25
 
 #: the front-end rows: (file suffix, function name)
 FRONT_END = (
+    ("lexer.py", "skeleton"),
     ("lexer.py", "tokenize"),
-    ("lexer.py", "lift_literals"),
     ("dml/parser.py", "parse_dml"),
     ("plan_cache.py", "bind"),
     ("database.py", "_compile_statement"),
