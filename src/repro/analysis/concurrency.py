@@ -116,11 +116,6 @@ class _ConcurrencyVisitor(ast.NodeVisitor):
             (ast.FunctionDef, ast.AsyncFunctionDef)) \
             and self.functions[-1][0].name == "__init__"
 
-    def _def_line(self) -> Optional[int]:
-        if self.functions:
-            return self.functions[-1][0].lineno
-        return None
-
     # -- structure -----------------------------------------------------
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:

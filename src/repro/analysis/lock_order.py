@@ -74,11 +74,6 @@ LOCK_RANKS: Dict[str, int] = {
 }
 
 
-def rank_of(name: str) -> Optional[int]:
-    """Rank for a lock-class name; None for unranked (graph-only) locks."""
-    return LOCK_RANKS.get(name)
-
-
 # -- Static-lint site tables ---------------------------------------------------
 
 #: module basename -> {attribute expression suffix -> lock-class name}.

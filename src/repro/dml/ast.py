@@ -116,8 +116,7 @@ class Lifted:
     ``params`` at binding time, so a malformed literal still fails
     before the first row."""
 
-    def __init__(self, tokens, slots: int):
-        self.tokens = tokens        # the fill's token list
+    def __init__(self, slots: int):
         self.slots = slots          # how many literals it has
         self.pinned = set(range(slots))
         self.checks: List[tuple] = []

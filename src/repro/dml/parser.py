@@ -36,17 +36,14 @@ aggregate only when followed by ``(``, etc.
 
 from __future__ import annotations
 
-from decimal import Decimal
 from typing import List
 
 from repro.errors import DMLSyntaxError
 from repro.lexer import (
-    DECIMAL,
     IDENT,
-    NUMBER,
-    STRING,
     SYMBOL,
     TokenStream,
+    literal,
     literal_sites,
     skeleton,
     tokenize,
@@ -121,7 +118,7 @@ class _DMLParser:
         self.stream = TokenStream(tokens, DMLSyntaxError)
         #: plan-cache miss: token index -> slot, and the statement's Lifted
         self._slots = {site: slot for slot, site in enumerate(sites or ())}
-        self.lifted = None if sites is None else Lifted(tokens, len(sites))
+        self.lifted = None if sites is None else Lifted(len(sites))
 
     def parse_dml(self):
         statement = self.parse_statement()
@@ -380,19 +377,16 @@ class _DMLParser:
         """Consume the current token as a literal (claiming its slot)."""
         slot = self._slots.get(self.stream.save())
         token = self.stream.advance()
-        literal = Literal(value, line=token.line, column=token.column)
+        node = Literal(value, line=token.line, column=token.column)
         if slot is not None:
-            literal.lift(self.lifted, slot)
-        return literal
+            node.lift(self.lifted, slot)
+        return node
 
     def _primary(self):
         token = self.stream.current
-        if token.kind == NUMBER:
-            return self._literal(int(token.value))
-        if token.kind == DECIMAL:
-            return self._literal(Decimal(token.value))
-        if token.kind == STRING:
-            return self._literal(token.value)
+        found = literal(token)
+        if found is not None:
+            return self._literal(found[1])
         if token.kind == SYMBOL and token.value == "(":
             self.stream.advance()
             inner = self.parse_expr()
@@ -420,8 +414,6 @@ class _DMLParser:
                 args.append(self.parse_expr())
             self.stream.expect_symbol(")")
             return FunctionCall(name, args)
-        if word in ("true", "false"):
-            return self._literal(word == "true")
         return self._path()
 
     def _aggregate(self) -> Aggregate:

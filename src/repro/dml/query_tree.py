@@ -126,9 +126,6 @@ class QueryTree:
             self._roots_by_var[var_name] = node
         return node
 
-    def root_for(self, var_name: str) -> Optional[QTNode]:
-        return self._roots_by_var.get(var_name)
-
     # -- Labelling ---------------------------------------------------------------
 
     def label_nodes(self) -> None:
@@ -168,10 +165,6 @@ class QueryTree:
                     visit(child)
         visit(root)
         return result
-
-    def exists_children(self, node: QTNode) -> List[QTNode]:
-        """TYPE 2 children of a node (roots of existential subtrees)."""
-        return [c for c in node.children.values() if c.label == TYPE2]
 
     def all_nodes(self) -> List[QTNode]:
         result = []

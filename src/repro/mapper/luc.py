@@ -106,10 +106,6 @@ class LUCSchema:
         except KeyError:
             raise SchemaError(f"unknown LUC {name!r}") from None
 
-    def class_luc(self, class_name: str) -> LUC:
-        """The class LUC for a SIM class (named after the class)."""
-        return self.luc(class_name)
-
     def relationship(self, name: str) -> LUCRelationship:
         try:
             return self._relationships[canon(name)]
@@ -125,11 +121,6 @@ class LUCSchema:
         if flavor is not None:
             rels = [r for r in rels if r.flavor == flavor]
         return rels
-
-    def relationships_of_luc(self, luc_name: str) -> List[LUCRelationship]:
-        key = canon(luc_name)
-        return [r for r in self._relationships.values()
-                if r.domain_luc == key or r.range_luc == key]
 
     def eva_relationship_for(self, owner_class: str,
                              eva_name: str) -> LUCRelationship:

@@ -274,10 +274,6 @@ class MaterializationManager:
                 closure[source] = tuple(accessor.transitive(source, chain))
         mat.closure = closure
 
-    def refresh_all(self) -> None:
-        for mat in self.list():
-            self.refresh(mat.name)
-
     def mark_all_stale(self) -> None:
         with self._lock:
             for mat in self._mats.values():

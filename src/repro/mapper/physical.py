@@ -223,10 +223,6 @@ class PhysicalDesign:
             return MvDvaMapping.ARRAY
         return MvDvaMapping.SEPARATE_UNIT
 
-    def value_indexed(self, class_name: str, attr_name: str) -> bool:
-        attr = self.schema.get_class(class_name).attribute(attr_name)
-        return (canon(attr.owner_name), canon(attr_name)) in self._value_indexes
-
     def value_indexes(self) -> List[Tuple[str, str]]:
         return sorted(self._value_indexes)
 

@@ -94,11 +94,6 @@ class WriteNotifier:
             self._subscribers = self._subscribers + (subscriber,)
         return subscriber
 
-    def unsubscribe(self, subscriber: WriteSubscriber) -> None:
-        with self._lock:
-            self._subscribers = tuple(s for s in self._subscribers
-                                      if s is not subscriber)
-
     # ------------------------------------------------------------------ events
 
     def note_write(self) -> None:

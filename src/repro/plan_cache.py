@@ -17,11 +17,12 @@ never edited once stored.
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.analysis.diagnostics import DiagnosticSink
-from repro.lexer import span_at, tokenize
+from repro.lexer import span_at
 
 #: entries kept; the oldest are dropped past it
 CAPACITY = 512
@@ -64,6 +65,10 @@ class CompiledStatement:
     cardinalities: tuple = ()
     #: the fill's :class:`~repro.dml.ast.Lifted` literals
     lifted: object = None
+    #: per diagnostic, where its span sits in the fill's text: ``(slot,
+    #: characters before that literal)`` — the text's end past the
+    #: last — or None for no span
+    anchors: tuple = ()
     params: Optional[list] = None
     cache: str = "uncacheable"
 
@@ -80,9 +85,7 @@ class CompiledStatement:
         if lifted is not None:
             bound.params = lifted.bind(values)
             if diagnostics and cache != "miss":
-                # The only tokens a hit builds: the fill's findings
-                # re-anchored to this text.
-                diagnostics = self._rebased(tokenize(text))
+                diagnostics = self._rebased(text, offsets)
             if lifted.checks:
                 sink = DiagnosticSink()
                 for slot, rule in lifted.checks:
@@ -97,20 +100,37 @@ class CompiledStatement:
         bound.diagnostics = list(diagnostics)
         return bound
 
-    def _rebased(self, tokens) -> List:
-        """The fill's diagnostics re-anchored to another text of the
-        same skeleton: token *i* there is token *i* here."""
-        index = {(token.line, token.column): position
-                 for position, token in enumerate(self.lifted.tokens)}
+    def _rebased(self, text, offsets) -> List:
+        """The fill's diagnostics moved to another text of its key: the
+        segments between literals are the same characters, so a span
+        keeps its distance to the next literal."""
         rebased = []
-        for diagnostic in self.diagnostics:
-            span = diagnostic.span
-            if (span.line, span.column) in index:
+        for diagnostic, anchor in zip(self.diagnostics, self.anchors):
+            if anchor is not None:
+                slot, before = anchor
+                end = offsets[slot] if slot < len(offsets) else len(text)
                 diagnostic = dataclasses.replace(
-                    diagnostic,
-                    span=tokens[index[span.line, span.column]].span)
+                    diagnostic, span=span_at(text, end - before))
             rebased.append(diagnostic)
         return rebased
+
+
+def _anchors(diagnostics, text, offsets) -> tuple:
+    """:attr:`CompiledStatement.anchors` of ``diagnostics`` reported on
+    ``text``, whose literals start at ``offsets``."""
+    line_starts = [0]
+    line_starts += (at + 1 for at, char in enumerate(text) if char == "\n")
+    found = []
+    for diagnostic in diagnostics:
+        span = diagnostic.span
+        if not span or span.line > len(line_starts):
+            found.append(None)
+            continue
+        at = line_starts[span.line - 1] + span.column - 1
+        slot = bisect_left(offsets, at)
+        end = offsets[slot] if slot < len(offsets) else len(text)
+        found.append((slot, end - at))
+    return tuple(found)
 
 
 class PlanCache:
@@ -165,6 +185,7 @@ class PlanCache:
         if lifted is None:
             return entry.bind(None, None, None, "uncacheable")
         entry.lifted = lifted
+        entry.anchors = _anchors(entry.diagnostics, text, offsets)
         bound = entry.bind(values, offsets, text, "miss")
         pins[key] = pinned = tuple(sorted(lifted.pinned))
         entries[(key, *[values[slot] for slot in pinned])] = entry

@@ -141,12 +141,6 @@ class Schema:
     def views(self) -> List[ViewDefinition]:
         return list(self._views.values())
 
-    def classes_with_attribute(self, attr_name: str) -> List[SimClass]:
-        """Classes on which ``attr_name`` is visible (used by shorthand
-        qualification completion and perspective inference)."""
-        key = canon(attr_name)
-        return [c for c in self._classes.values() if key in c.all_attributes]
-
     def statistics(self) -> Dict[str, int]:
         """Schema-shape statistics in the form the paper reports for ADDS
         (§6): base classes, subclasses, EVA–inverse pairs, DVAs, max depth."""

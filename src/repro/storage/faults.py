@@ -118,9 +118,6 @@ class FaultInjector:
         never reaches the platter."""
         self._arm(WRITE, n, CRASH)
 
-    def crash_after_reads(self, n: int) -> None:
-        self._arm(READ, n, CRASH)
-
     def _arm(self, op: str, nth: int, action: str, repeat: int = 1) -> None:
         if nth < 1:
             raise StorageError(f"fault ordinal must be >= 1, got {nth}")

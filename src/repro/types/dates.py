@@ -133,11 +133,6 @@ class SimTime:
             numbers.append(0)
         return cls(*numbers)
 
-    @classmethod
-    def from_seconds(cls, seconds: int) -> "SimTime":
-        seconds %= 86400
-        return cls(seconds // 3600, (seconds % 3600) // 60, seconds % 60)
-
     @property
     def hour(self) -> int:
         return self._seconds // 3600

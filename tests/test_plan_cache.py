@@ -29,9 +29,10 @@ from decimal import Decimal
 import pytest
 
 from repro import Database
+from repro.dml import parse_dml
 from repro.engine import lockdep
 from repro.engine.sessions import Session
-from repro.lexer import DECIMAL, NUMBER, STRING, tokenize
+from repro.lexer import DECIMAL, NUMBER, STRING, Token, tokenize
 from repro.optimizer.physical_plan import PhysicalPlan
 from repro.plan_cache import CAPACITY, CompiledStatement, PlanCache
 from repro.workloads import UNIVERSITY_QUERIES, build_university
@@ -246,7 +247,8 @@ def test_diagnostics_belong_to_the_submitted_statement(university):
     assert clean.cache == "hit" and clean.diagnostics == []
 
 
-def test_value_independent_diagnostics_follow_the_submitted_text():
+def test_value_independent_diagnostics_follow_the_submitted_text(
+        monkeypatch):
     db = Database("Class team ( name: string[10]; scores: integer mv );")
     first = db.compile("From team Retrieve name Where name = \"a\""
                        " and scores + 1 > 3")
@@ -256,6 +258,31 @@ def test_value_independent_diagnostics_follow_the_submitted_text():
     (before,), (after,) = first.diagnostics, moved.diagnostics
     assert before.code == after.code == "SIM111"
     assert after.span.column == before.span.column + 5
+    # A hit re-anchors them by the skeleton's offsets, lexing nothing,
+    # to the spans an uncached compile of its own text gives.
+    db.compile("From team Retrieve name\n  Where name = \"a\" and"
+               " scores + 1 > 3 (* 1 *)\n  and 1 < scores + scores")
+    text = ("From team Retrieve name\n  Where name = \"x\"\"y\" and"
+            " scores + 1 > 3 (* 1 *)\n  and 12345 < scores + scores")
+    uncached = db.compile(parse_dml(text))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return tokenize(*args, **kwargs)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") \
+                and getattr(module, "tokenize", None) is tokenize:
+            monkeypatch.setattr(module, "tokenize", counted)
+    hit = db.compile(text)
+    assert hit.cache == "hit" and calls == []
+    assert [(d.code, d.span) for d in hit.diagnostics] \
+        == [(d.code, d.span) for d in uncached.diagnostics]
+    assert len(hit.diagnostics) >= 2
+    # The entry keeps no token list to re-anchor with.
+    assert not [name for name, value in vars(hit.lifted).items()
+                if isinstance(value, list)
+                and any(isinstance(item, Token) for item in value)]
 
 
 def test_values_read_at_compile_time_pin_their_slot(university):
@@ -658,7 +685,7 @@ def test_ten_thousand_shapes_stay_within_capacity():
     from repro.dml.ast import Lifted
     cache = PlanCache(Stub())
     for shape in range(10_000):
-        lifted = Lifted(None, 1)
+        lifted = Lifted(1)
         lifted.pinned.clear()
         bound = cache.bind(("shape", shape, int), [shape], [0], "",
                            lambda: (object(), lifted))

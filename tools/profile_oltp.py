@@ -8,11 +8,15 @@ verifiers, lowering, plan cache — row by row, then what an operation
 does below it as counts per operation (versioned unit reads, lock
 acquisitions, name canonicalisations, copy-protocol copies, record reads
 off a page: the figures ``tests/test_counting_guard.py`` budgets per
-statement), then the top 25 functions by self time.  After the plan
-cache only the skeleton scan and the bind remain of the front end: six
-fills, then hits, and ``tokenize`` runs on the fills alone.  cProfile
-inflates call-heavy code, so use it to find candidates and ``make
-bench-e2e`` to measure them.
+statement), then the top 25 functions by self time.  A point read is
+a batch of one, so the unit and record reads are counted at
+``MapperStore._read_many`` and ``RecordFile.read_many``.  After the
+plan cache only the skeleton scan and the bind remain of the front end:
+six fills, then hits, and ``tokenize`` runs on the fills alone — a hit
+whose entry carries diagnostics re-anchors them by the skeleton's
+literal offsets and builds no token either.  cProfile inflates
+call-heavy code, so use it to find candidates and ``make bench-e2e`` to
+measure them.
 """
 
 from __future__ import annotations
@@ -51,11 +55,11 @@ FRONT_END = (
 
 #: the per-operation count rows: (file suffix, function name, label)
 PER_OPERATION = (
-    ("mapper/store.py", "_read", "MapperStore._read"),
+    ("mapper/store.py", "_read_many", "MapperStore._read_many"),
     ("engine/lockdep.py", "acquire", "RankedLock.acquire"),
     ("repro/naming.py", "canon", "naming.canon"),
     ("/copy.py", "copy", "copy.copy"),
-    ("storage/files.py", "read", "RecordFile.read"),
+    ("storage/files.py", "read_many", "RecordFile.read_many"),
 )
 
 
