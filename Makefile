@@ -3,7 +3,7 @@ export PYTHONPATH
 
 .PHONY: test torture chaos chaos-loop lockdep bench bench-e2e \
 	bench-e2e-smoke profile-analytic profile-oltp rss lint typecheck \
-	simcheck loc
+	simcheck loc compat39
 
 test:
 	python -m pytest -x -q
@@ -34,6 +34,20 @@ lint:
 	fi
 	python tools/dev_lint.py src/repro tools
 	python -m repro lint --concurrency --strict
+
+# Import every repro module under Python 3.9, the oldest version the
+# repository supports: syntax newer than 3.9 fails the import, and so
+# does a newer regex construct, since every static pattern is compiled
+# at import.  pyenv picks its 3.9 by PYENV_VERSION; elsewhere it is
+# ignored.  CI runs the same sweep with each matrix interpreter
+# (PYTHON39=python).
+PYTHON39 ?= python3.9
+compat39: export PYENV_VERSION ?= 3.9.18
+compat39:
+	$(PYTHON39) -c "import importlib, pkgutil, sys, repro; \
+	modules = pkgutil.walk_packages(repro.__path__, 'repro.'); \
+	count = sum(1 for m in modules if importlib.import_module(m.name)); \
+	print(count, 'modules import under Python', sys.version.split()[0])"
 
 typecheck:
 	@if command -v mypy >/dev/null 2>&1; then \

@@ -34,6 +34,7 @@ from repro.dml.ast import (
     RetrieveQuery,
     Unary,
     pin_literals,
+    walk,
 )
 from repro.schema.schema import Schema
 
@@ -389,17 +390,8 @@ def _outside_domain(code: str, data_type, of_what: str,
 
 def _varies(expression) -> bool:
     """Does the expression reference anything that varies per entity?"""
-    if isinstance(expression, Path):
-        return True
-    if isinstance(expression, Binary):
-        return _varies(expression.left) or _varies(expression.right)
-    if isinstance(expression, Unary):
-        return _varies(expression.operand)
-    if isinstance(expression, (Aggregate, Quantified)):
-        return True
-    if isinstance(expression, (IsaTest, FunctionCall)):
-        return True
-    return False
+    return not all(isinstance(node, (Literal, Binary, Unary))
+                   for node in walk(expression))
 
 
 def lint_retrieve(schema: Schema,

@@ -21,15 +21,7 @@ from repro.errors import (
 from repro.lexer import Span
 from repro.naming import canon
 from repro.analysis.diagnostics import Diagnostic, DiagnosticSink
-from repro.dml.ast import (
-    Aggregate,
-    Binary,
-    FunctionCall,
-    IsaTest,
-    Path,
-    Quantified,
-    Unary,
-)
+from repro.dml.ast import Aggregate, Path, walk
 from repro.dml.parser import parse_expression
 from repro.schema.ddl_parser import parse_ddl
 from repro.schema.schema import Schema
@@ -404,19 +396,6 @@ def _lint_assertion(qualifier, sink: DiagnosticSink, what: str,
 
 
 def _references_attributes(expression) -> bool:
-    if isinstance(expression, Path):
-        return True
-    if isinstance(expression, Binary):
-        return (_references_attributes(expression.left)
-                or _references_attributes(expression.right))
-    if isinstance(expression, Unary):
-        return _references_attributes(expression.operand)
-    if isinstance(expression, (Aggregate, Quantified)):
-        if isinstance(expression, Aggregate) and expression.outer:
-            return True
-        return _references_attributes(expression.argument)
-    if isinstance(expression, IsaTest):
-        return True
-    if isinstance(expression, FunctionCall):
-        return any(_references_attributes(a) for a in expression.args)
-    return False
+    return any(isinstance(node, Path)
+               or (isinstance(node, Aggregate) and node.outer)
+               for node in walk(expression))

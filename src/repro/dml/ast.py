@@ -299,16 +299,54 @@ class FunctionCall(Expression):
         return f"{self.name}({inner})"
 
 
+def children(expression) -> list:
+    """The direct sub-expressions of ``expression``, left to right (an
+    aggregate's resolved ``outer_path`` last).  The one place a node's
+    shape is spelled out: every traversal is a loop over this."""
+    if isinstance(expression, Binary):
+        return [expression.left, expression.right]
+    if isinstance(expression, Unary):
+        return [expression.operand]
+    if isinstance(expression, Aggregate):
+        if expression.outer_path is None:
+            return [expression.argument]
+        return [expression.argument, expression.outer_path]
+    if isinstance(expression, Quantified):
+        return [expression.argument]
+    if isinstance(expression, IsaTest):
+        return [expression.entity]
+    if isinstance(expression, FunctionCall):
+        return list(expression.args)
+    return []
+
+
+def walk(expression, enter=None):
+    """Every node of ``expression``, pre-order, left to right; the
+    children of a node for which ``enter(node)`` is false are skipped."""
+    stack = [expression]
+    while stack:
+        node = stack.pop()
+        yield node
+        if enter is None or enter(node):
+            stack.extend(reversed(children(node)))
+
+
+def conjuncts(where) -> list:
+    """The top-level AND-ed conjuncts of ``where``, left to right (none
+    for a missing WHERE clause)."""
+    if where is None:
+        return []
+    if isinstance(where, Binary) and where.op == "and":
+        return conjuncts(where.left) + conjuncts(where.right)
+    return [where]
+
+
 def pin_literals(expression) -> None:
     """Pin every literal inside ``expression``: a compile stage is about
     to spell their values out (a column label, a diagnostic)."""
-    if isinstance(expression, Literal):
-        expression.pin()
-    for name in ("left", "right", "operand", "argument"):
-        if isinstance(getattr(expression, name, None), Expression):
-            pin_literals(getattr(expression, name))
-    for arg in getattr(expression, "args", ()):
-        pin_literals(arg)
+    for node in walk(expression):
+        if isinstance(node, Literal):
+            node.pin()
 
 
 # ---------------------------------------------------------------- statements

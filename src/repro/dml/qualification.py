@@ -41,6 +41,7 @@ from repro.dml.ast import (
     Quantified,
     RetrieveQuery,
     Unary,
+    walk,
 )
 from repro.dml.query_tree import MAIN_SCOPE, QTNode, QueryTree
 from repro.schema.schema import Schema
@@ -199,41 +200,26 @@ class Qualifier:
         """Without a FROM clause, the perspectives are the classes named as
         the outermost qualification of the query's paths."""
         found: List[str] = []
-
-        def scan(expression):
-            if isinstance(expression, Path):
-                outer = expression.steps[-1]
-                if (not outer.transitive and not outer.inverse_of
-                        and self.schema.has_class(outer.name)
+        expressions = [item.expression for item in query.targets]
+        if query.where is not None:
+            expressions.append(query.where)
+        expressions += [order.expression for order in query.order_by]
+        for expression in expressions:
+            # An aggregate's outer qualification names its class; its
+            # argument is a scope of its own.
+            for node in walk(expression, enter=lambda e: not (
+                    isinstance(e, Aggregate) and e.outer)):
+                if isinstance(node, Aggregate) and node.outer:
+                    outer = node.outer[-1]
+                elif (isinstance(node, Path)
+                        and not node.steps[-1].transitive
+                        and not node.steps[-1].inverse_of):
+                    outer = node.steps[-1]
+                else:
+                    continue
+                if (self.schema.has_class(outer.name)
                         and outer.name not in found):
                     found.append(outer.name)
-            elif isinstance(expression, Binary):
-                scan(expression.left)
-                scan(expression.right)
-            elif isinstance(expression, Unary):
-                scan(expression.operand)
-            elif isinstance(expression, Aggregate):
-                if expression.outer:
-                    outer = expression.outer[-1]
-                    if (self.schema.has_class(outer.name)
-                            and outer.name not in found):
-                        found.append(outer.name)
-                else:
-                    scan(expression.argument)
-            elif isinstance(expression, Quantified):
-                scan(expression.argument)
-            elif isinstance(expression, IsaTest):
-                scan(expression.entity)
-            elif isinstance(expression, FunctionCall):
-                for arg in expression.args:
-                    scan(arg)
-
-        for item in query.targets:
-            scan(item.expression)
-        if query.where is not None:
-            scan(query.where)
-        for order in query.order_by:
-            scan(order.expression)
         if not found:
             raise QualificationError(
                 "cannot infer a perspective class; add a FROM clause"
@@ -312,29 +298,15 @@ class Qualifier:
         """Mark the main-scope anchors a scoped expression hangs from, so
         the TYPE labelling sees that the anchor feeds the target list or
         the selection expression through the scoped construct."""
-        def mark(expression):
-            if isinstance(expression, Path):
-                for node in [expression.anchor_node] + expression.chain_nodes:
-                    if node is not None and node.scope_id == MAIN_SCOPE:
-                        if in_target:
-                            node.used_in_target = True
-                        else:
-                            node.used_in_selection = True
-            elif isinstance(expression, Binary):
-                mark(expression.left)
-                mark(expression.right)
-            elif isinstance(expression, Unary):
-                mark(expression.operand)
-            elif isinstance(expression, (Aggregate, Quantified)):
-                mark(expression.argument)
-                if isinstance(expression, Aggregate) and expression.outer_path:
-                    mark(expression.outer_path)
-            elif isinstance(expression, IsaTest):
-                mark(expression.entity)
-            elif isinstance(expression, FunctionCall):
-                for arg in expression.args:
-                    mark(arg)
-        mark(scoped_expr)
+        for path in walk(scoped_expr):
+            if not isinstance(path, Path):
+                continue
+            for node in [path.anchor_node] + path.chain_nodes:
+                if node is not None and node.scope_id == MAIN_SCOPE:
+                    if in_target:
+                        node.used_in_target = True
+                    else:
+                        node.used_in_selection = True
 
     # -- Path resolution ----------------------------------------------------------
 

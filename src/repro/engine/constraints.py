@@ -28,16 +28,7 @@ from __future__ import annotations
 from typing import Dict, List, Set
 
 from repro.errors import ConstraintViolation
-from repro.dml.ast import (
-    Aggregate,
-    Binary,
-    FunctionCall,
-    IsaTest,
-    Literal,
-    Path,
-    Quantified,
-    Unary,
-)
+from repro.dml.ast import Aggregate, IsaTest, Path, Quantified, walk
 from repro.dml.parser import parse_expression
 from repro.dml.qualification import Qualifier
 from repro.dml.query_tree import QueryTree
@@ -58,79 +49,39 @@ class _CompiledConstraint:
         #: the assertion compiled once, shared by every session's executor
         self.predicate = compile_predicate(self.tree, self.expression)
         self.terms: Set[tuple] = {("class", constraint.class_name)}
-        self._collect_terms(self.expression)
         #: every traversal node of the assertion (main tree and scoped),
         #: used to propagate touched entities back to the perspective
-        self.chain_nodes = self._collect_chain_nodes(self.expression)
+        self.chain_nodes: list = []
+        self._collect(self.expression)
 
-    def _collect_chain_nodes(self, expression) -> list:
-        nodes = []
-
-        def walk(expr):
+    def _collect(self, expression) -> None:
+        """One pass over the assertion for its trigger terms and its
+        traversal nodes."""
+        nodes, attrs = [], []
+        for expr in walk(expression):
             if isinstance(expr, Path):
-                nodes.extend(expr.chain_nodes)
-            elif isinstance(expr, Binary):
-                walk(expr.left)
-                walk(expr.right)
-            elif isinstance(expr, Unary):
-                walk(expr.operand)
+                self.chain_nodes += expr.chain_nodes
+                nodes += expr.chain_nodes
+                self.terms.update(("class", node.class_name)
+                                  for node in expr.chain_nodes
+                                  if node.kind == "eva")
+                if expr.terminal_attr is not None:
+                    attrs.append(expr.terminal_attr)
             elif isinstance(expr, (Aggregate, Quantified)):
-                walk(expr.argument)
-                if isinstance(expr, Aggregate) and expr.outer_path:
-                    walk(expr.outer_path)
-                nodes.extend(n for n in expr.scope_nodes
-                             if n.kind != "root")
+                self.chain_nodes += [node for node in expr.scope_nodes
+                                     if node.kind != "root"]
+                nodes += expr.scope_nodes
             elif isinstance(expr, IsaTest):
-                walk(expr.entity)
-            elif isinstance(expr, FunctionCall):
-                for arg in expr.args:
-                    walk(arg)
-        walk(expression)
-        return nodes
-
-    def _collect_terms(self, expression) -> None:
-        if isinstance(expression, Path):
-            for node in expression.chain_nodes:
-                if node.kind == "eva":
-                    eva = node.eva
-                    self.terms.add(("attr", eva.owner_name, eva.name))
-                    self.terms.add(("attr", eva.inverse.owner_name,
-                                    eva.inverse.name))
-                    self.terms.add(("class", node.class_name))
-                else:
-                    attr = node.mv_attr
-                    self.terms.add(("attr", attr.owner_name, attr.name))
-            if expression.terminal_attr is not None:
-                attr = expression.terminal_attr
-                self.terms.add(("attr", attr.owner_name, attr.name))
-        elif isinstance(expression, Binary):
-            self._collect_terms(expression.left)
-            self._collect_terms(expression.right)
-        elif isinstance(expression, Unary):
-            self._collect_terms(expression.operand)
-        elif isinstance(expression, (Aggregate, Quantified)):
-            self._collect_terms(expression.argument)
-            if isinstance(expression, Aggregate) and expression.outer_path:
-                self._collect_terms(expression.outer_path)
-            for node in expression.scope_nodes:
-                if node.kind == "root":
-                    self.terms.add(("class", node.class_name))
-                elif node.kind == "eva":
-                    eva = node.eva
-                    self.terms.add(("attr", eva.owner_name, eva.name))
-                    self.terms.add(("attr", eva.inverse.owner_name,
-                                    eva.inverse.name))
-                else:
-                    attr = node.mv_attr
-                    self.terms.add(("attr", attr.owner_name, attr.name))
-        elif isinstance(expression, IsaTest):
-            self._collect_terms(expression.entity)
-            self.terms.add(("class", expression.class_name))
-        elif isinstance(expression, FunctionCall):
-            for arg in expression.args:
-                self._collect_terms(arg)
-        elif isinstance(expression, Literal):
-            pass
+                self.terms.add(("class", expr.class_name))
+        for node in nodes:
+            if node.kind == "root":
+                self.terms.add(("class", node.class_name))
+            elif node.kind == "eva":
+                attrs += [node.eva, node.eva.inverse]
+            else:
+                attrs.append(node.mv_attr)
+        self.terms.update(("attr", attr.owner_name, attr.name)
+                          for attr in attrs)
 
     def triggered_by(self, keys: Set[tuple]) -> bool:
         return bool(self.terms & keys)

@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.analysis import raise_for_errors, verify_physical
-from repro.dml.ast import Aggregate, Literal, Path, RetrieveQuery
+from repro.dml.ast import Aggregate, Literal, Path, RetrieveQuery, walk
 from repro.dml.qualification import Qualifier
 from repro.dml.query_tree import QTNode, QueryTree
 from repro.engine.access import EntityAccessor
@@ -292,9 +292,15 @@ class QueryExecutor:
             return first_root
         if isinstance(expression, Literal):
             return first_root
-        # Composite expressions: attach to the deepest referenced loop node.
+        # Composite expressions: attach to the deepest referenced loop
+        # node; an aggregate is referenced through its outer path alone.
         deepest = first_root
-        for path in _paths_of(expression):
+        for path in walk(expression,
+                         enter=lambda e: not isinstance(e, Aggregate)):
+            if isinstance(path, Aggregate):
+                path = path.outer_path
+            if not isinstance(path, Path):
+                continue
             node = path.value_node
             while node is not None and node.id not in loop_ids:
                 node = node.parent
@@ -302,23 +308,3 @@ class QueryExecutor:
                 deepest = node
         return deepest
 
-
-def _paths_of(expression):
-    from repro.dml.ast import Binary, FunctionCall, IsaTest, Quantified, Unary
-    if isinstance(expression, Path):
-        yield expression
-    elif isinstance(expression, Binary):
-        yield from _paths_of(expression.left)
-        yield from _paths_of(expression.right)
-    elif isinstance(expression, Unary):
-        yield from _paths_of(expression.operand)
-    elif isinstance(expression, IsaTest):
-        yield from _paths_of(expression.entity)
-    elif isinstance(expression, FunctionCall):
-        for arg in expression.args:
-            yield from _paths_of(arg)
-    elif isinstance(expression, Quantified):
-        yield from _paths_of(expression.argument)
-    elif isinstance(expression, Aggregate):
-        if expression.outer_path is not None:
-            yield expression.outer_path

@@ -479,20 +479,20 @@ class Session:
     lock_timeout:
         per-session lock-wait timeout in seconds; ``None`` uses the
         lock manager's default, ``0`` means fail-fast.
-    max_deadlock_retries:
-        automatic replays of a single statement aborted as a deadlock
-        victim (only when that statement opened the transaction — an
-        older victim transaction cannot be replayed and the error
-        propagates to the caller).
     entity_locks:
         lock qualified Modify/Delete statements at entity granularity
         (default).  ``False`` restores class-granularity exclusive
         locks for every update — the legacy contention shape.
     """
 
+    #: automatic replays of a single statement aborted as a deadlock
+    #: victim (only when that statement opened the transaction — an
+    #: older victim transaction cannot be replayed and the error
+    #: propagates to the caller)
+    MAX_DEADLOCK_RETRIES = 3
+
     def __init__(self, database, mvcc: bool = True,
                  lock_timeout: Optional[float] = None,
-                 max_deadlock_retries: int = 3,
                  entity_locks: bool = True, *, _default: bool = False):
         # The default session draws no id: 0 is older than every
         # session that does, and it shares the database's executor.
@@ -506,7 +506,6 @@ class Session:
         self.locks: LockManager = database._lock_manager
         self.mvcc = mvcc
         self.lock_timeout = lock_timeout
-        self.max_deadlock_retries = max_deadlock_retries
         self.entity_locks = entity_locks
         self._transaction = None
         self._retry_rng = random.Random(self.session_id * 7919)
@@ -588,7 +587,7 @@ class Session:
                 return self._execute_locked(compiled, timeout)
             except DeadlockError as exc:
                 if not getattr(exc, "retryable", False) \
-                        or attempt >= self.max_deadlock_retries:
+                        or attempt >= self.MAX_DEADLOCK_RETRIES:
                     raise
                 attempt += 1
                 self.database.store.perf.bump("deadlock_retries")

@@ -131,7 +131,7 @@ class SimServer:
         ``timeout`` field overrides it).
     session_kwargs:
         extra keyword arguments for each connection's ``Session``
-        (``mvcc``, ``lock_timeout``, ``max_deadlock_retries``).
+        (``mvcc``, ``lock_timeout``, ``entity_locks``).
     """
 
     def __init__(self, database, host: str = "127.0.0.1", port: int = 0,

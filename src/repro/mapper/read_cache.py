@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import contextlib
 from collections import OrderedDict
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.storage.latch import ranked_lock
 
@@ -51,15 +51,14 @@ MISSING = object()
 
 class _LRU(OrderedDict):
     """One of the cache's three keyed LRUs: the entries, their bound,
-    the counters a lookup counts, what a miss returns and the marks of
-    the keys hit since they last came round the eviction order."""
+    the counters a lookup counts and the marks of the keys hit since
+    they last came round the eviction order."""
 
-    def __init__(self, capacity: int, hits: str, misses: str, absent=None):
+    def __init__(self, capacity: int, hits: str, misses: str):
         super().__init__()
         self.capacity = capacity
         self.hits = hits
         self.misses = misses
-        self.absent = absent
         #: ``marks[hash(key) & mask]`` is set by a hit, without the lock.
         #: Fixed, eight slots an entry: keys that share a slot share a
         #: mark, which costs an eviction precision, never correctness.
@@ -106,7 +105,7 @@ class ReadCache:
                              "record_cache_misses")
         #: ``(class, surrogate) -> rid or None`` (a cached negative)
         self._roles = _LRU(role_capacity, "role_cache_hits",
-                           "role_cache_misses", MISSING)
+                           "role_cache_misses")
         #: ``(rel_id, side, surrogate) -> targets tuple``
         self._fanout = _LRU(fanout_capacity, "fanout_cache_hits",
                             "fanout_cache_misses")
@@ -147,12 +146,6 @@ class ReadCache:
             self.perf.bump(lru.misses, len(missing))
         return found, missing
 
-    def _lookup(self, lru: _LRU, prefix: tuple, surrogate: int):
-        """:meth:`_lookup_many` for one key: its entry, or
-        ``lru.absent``."""
-        return self._lookup_many(lru, prefix, (surrogate,))[0].get(
-            surrogate, lru.absent)
-
     def _fill(self, lru: _LRU, prefix: tuple, entries: Dict[int, object],
               epoch: int) -> None:
         """Cache what was read since ``epoch`` was captured —
@@ -171,34 +164,21 @@ class ReadCache:
                     lru.evict()
                 lru[key] = entry
 
-    def get_record(self, class_name: str, surrogate: int):
-        """Cached ``(rid, record)`` or None.  ``record`` is the slot's
-        tuple — immutable, so sharing it needs no copy; every write path
-        replaces the slot and invalidates the entry."""
-        return self._lookup(self._records, (class_name,), surrogate)
-
     def get_record_batch(self, class_name: str, surrogates):
+        """Cached ``surrogate -> (rid, record)`` and the misses.
+        ``record`` is the slot's tuple — immutable, so sharing it needs
+        no copy; every write path replaces the slot and invalidates the
+        entry."""
         return self._lookup_many(self._records, (class_name,), surrogates)
-
-    def put_record(self, class_name: str, surrogate: int, rid,
-                   record: tuple, epoch: int) -> None:
-        self._fill(self._records, (class_name,), {surrogate: (rid, record)},
-                   epoch)
 
     def put_record_batch(self, class_name: str, entries: Dict[int, tuple],
                          epoch: int) -> None:
         """Cache ``surrogate -> (rid, record)`` for a batch."""
         self._fill(self._records, (class_name,), entries, epoch)
 
-    def get_role(self, class_name: str, surrogate: int):
-        """Cached rid (``None`` = cached negative) or :data:`MISSING`."""
-        return self._lookup(self._roles, (class_name,), surrogate)
-
-    def put_role(self, class_name: str, surrogate: int,
-                 rid: Optional[object], epoch: int) -> None:
-        self._fill(self._roles, (class_name,), {surrogate: rid}, epoch)
-
     def get_role_batch(self, class_name: str, surrogates):
+        """Cached ``surrogate -> rid`` (``None`` = cached negative) and
+        the misses."""
         return self._lookup_many(self._roles, (class_name,), surrogates)
 
     def put_role_batch(self, class_name: str, rids: Dict[int, object],
@@ -206,17 +186,10 @@ class ReadCache:
         """Cache ``surrogate -> rid or None`` for a batch."""
         self._fill(self._roles, (class_name,), rids, epoch)
 
-    def get_fanout(self, rel_id: int, side: bool, surrogate: int):
-        """Cached target tuple or None (an empty result caches as ``()``)."""
-        return self._lookup(self._fanout, (rel_id, side), surrogate)
-
     def get_fanout_batch(self, rel_id: int, side: bool, surrogates):
+        """Cached ``surrogate -> targets tuple`` (an empty result caches
+        as ``()``) and the misses."""
         return self._lookup_many(self._fanout, (rel_id, side), surrogates)
-
-    def put_fanout(self, rel_id: int, side: bool, surrogate: int,
-                   targets: tuple, epoch: int) -> None:
-        self._fill(self._fanout, (rel_id, side), {surrogate: targets},
-                   epoch)
 
     def put_fanout_batch(self, rel_id: int, side: bool,
                          targets: Dict[int, tuple], epoch: int) -> None:

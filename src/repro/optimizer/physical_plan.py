@@ -30,7 +30,7 @@ from typing import Dict, List, Optional
 
 from repro.dml.ast import Aggregate as AggregateExpr
 from repro.dml.ast import Binary, Literal, Path, Quantified, \
-    RetrieveQuery, Unary, pin_literals
+    RetrieveQuery, Unary, pin_literals, walk
 from repro.dml.query_tree import TYPE2, TYPE3, QTNode, QueryTree
 from repro.engine import operators as ops
 from repro.engine.expressions import (
@@ -138,18 +138,7 @@ def _pushdown_slot(where, slots):
     bindings either way).
     """
     highest = -1
-    stack = [where]
-    while stack:
-        expression = stack.pop()
-        if isinstance(expression, Literal):
-            continue
-        if isinstance(expression, Binary):
-            stack.append(expression.left)
-            stack.append(expression.right)
-            continue
-        if isinstance(expression, Unary):
-            stack.append(expression.operand)
-            continue
+    for expression in walk(where):
         if isinstance(expression, Path):
             node = expression.value_node
             while node is not None and node.id not in slots:
@@ -157,8 +146,8 @@ def _pushdown_slot(where, slots):
             if node is None:
                 return None
             highest = max(highest, slots[node.id])
-            continue
-        return None          # quantifier, aggregate, isa, function call
+        elif not isinstance(expression, (Literal, Binary, Unary)):
+            return None      # quantifier, aggregate, isa, function call
     return highest if highest >= 0 else None
 
 

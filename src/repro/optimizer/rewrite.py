@@ -47,6 +47,8 @@ from repro.dml.ast import (
     Quantified,
     RetrieveQuery,
     Unary,
+    conjuncts,
+    walk,
 )
 from repro.dml.query_tree import MAIN_SCOPE, TYPE2, QTNode, QueryTree
 
@@ -111,23 +113,14 @@ def _isa_conjuncts(where, root: QTNode) -> Tuple[List[str], List[str]]:
     """Positive and negated top-level ``root isa C`` conjunct classes."""
     positive: List[str] = []
     negative: List[str] = []
-
-    def walk(expression):
-        if isinstance(expression, Binary) and expression.op == "and":
-            walk(expression.left)
-            walk(expression.right)
-            return
-        if (isinstance(expression, IsaTest)
-                and _bare_root_path(expression.entity, root)):
-            positive.append(expression.class_name)
-            return
-        if (isinstance(expression, Unary) and expression.op == "not"
-                and isinstance(expression.operand, IsaTest)
-                and _bare_root_path(expression.operand.entity, root)):
-            negative.append(expression.operand.class_name)
-
-    if where is not None:
-        walk(where)
+    for conjunct in conjuncts(where):
+        if (isinstance(conjunct, IsaTest)
+                and _bare_root_path(conjunct.entity, root)):
+            positive.append(conjunct.class_name)
+        elif (isinstance(conjunct, Unary) and conjunct.op == "not"
+                and isinstance(conjunct.operand, IsaTest)
+                and _bare_root_path(conjunct.operand.entity, root)):
+            negative.append(conjunct.operand.class_name)
     return positive, negative
 
 
@@ -152,19 +145,12 @@ def _flip_conjuncts(where, root: QTNode, store) -> List[FlipHint]:
         flips.append(FlipHint(node.eva, node.class_name, attr_name,
                               literal))
 
-    def walk(expression):
-        if isinstance(expression, Binary):
-            if expression.op == "and":
-                walk(expression.left)
-                walk(expression.right)
-            elif expression.op == "=":
-                if isinstance(expression.right, Literal):
-                    note(expression.left, expression.right)
-                elif isinstance(expression.left, Literal):
-                    note(expression.right, expression.left)
-
-    if where is not None:
-        walk(where)
+    for conjunct in conjuncts(where):
+        if isinstance(conjunct, Binary) and conjunct.op == "=":
+            if isinstance(conjunct.right, Literal):
+                note(conjunct.left, conjunct.right)
+            elif isinstance(conjunct.left, Literal):
+                note(conjunct.right, conjunct.left)
     return flips
 
 
@@ -274,24 +260,14 @@ def _collect_nodes(query: RetrieveQuery, tree: QueryTree) -> List[QTNode]:
         for child in node.children.values():
             add_subtree(child)
 
-    def walk_expr(expression) -> None:
-        if isinstance(expression, (Quantified, Aggregate)):
-            for scoped in getattr(expression, "scope_nodes", []):
-                add_subtree(scoped)
-            walk_expr(expression.argument)
-            return
-        if isinstance(expression, Binary):
-            walk_expr(expression.left)
-            walk_expr(expression.right)
-        elif isinstance(expression, Unary):
-            walk_expr(expression.operand)
-
     for root in tree.roots:
         add_subtree(root)
-    if query.where is not None:
-        walk_expr(query.where)
-    for item in getattr(query, "targets", []) or []:
-        walk_expr(getattr(item, "expression", None) or item)
+    expressions = [item.expression for item in query.targets]
+    for expression in [query.where] + expressions:
+        for scoped in walk(expression):
+            if isinstance(scoped, (Aggregate, Quantified)):
+                for node in scoped.scope_nodes:
+                    add_subtree(node)
     return nodes
 
 

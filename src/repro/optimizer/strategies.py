@@ -13,9 +13,9 @@ combination.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.dml.ast import Binary, Literal, Path, RetrieveQuery
+from repro.dml.ast import Binary, Literal, Path, RetrieveQuery, conjuncts
 from repro.dml.query_tree import TYPE2, QTNode, QueryTree
 from repro.optimizer.cost import CostModel
 from repro.optimizer.plan import AccessPath, Plan
@@ -24,35 +24,33 @@ from repro.optimizer.rewrite import RootHint, rewrite_query
 from repro.plan_cache import DRIFT_FACTOR
 
 
+def _root_attribute(expression, root: QTNode) -> Optional[str]:
+    """The attribute name when ``expression`` is ``<attr> of root`` with
+    no traversal between; None otherwise."""
+    if (isinstance(expression, Path) and expression.anchor_node is root
+            and not expression.chain_nodes
+            and expression.terminal_attr is not None):
+        return expression.terminal_attr.name
+    return None
+
+
 def equality_conjuncts(where, root: QTNode) -> List[Tuple[str, Literal]]:
     """Top-level AND-ed conjuncts ``<root attr> = <literal>`` of a WHERE
     clause, as ``(attribute, Literal node)``: callers probe with the
     value *bound for their execution*.  Shared by the optimizer's
     access-path enumeration and the executor's update/VERIFY selection
     fast path."""
-    conjuncts: List[Tuple[str, Literal]] = []
-
-    def walk(expression):
-        if isinstance(expression, Binary):
-            if expression.op == "and":
-                walk(expression.left)
-                walk(expression.right)
-                return
-            if expression.op == "=":
-                sides = [(expression.left, expression.right),
-                         (expression.right, expression.left)]
-                for path_side, literal_side in sides:
-                    if (isinstance(path_side, Path)
-                            and isinstance(literal_side, Literal)
-                            and path_side.anchor_node is root
-                            and not path_side.chain_nodes
-                            and path_side.terminal_attr is not None):
-                        conjuncts.append((path_side.terminal_attr.name,
-                                          literal_side))
-
-    if where is not None:
-        walk(where)
-    return conjuncts
+    found: List[Tuple[str, Literal]] = []
+    for conjunct in conjuncts(where):
+        if not isinstance(conjunct, Binary) or conjunct.op != "=":
+            continue
+        sides = [(conjunct.left, conjunct.right),
+                 (conjunct.right, conjunct.left)]
+        for path_side, literal_side in sides:
+            attr_name = _root_attribute(path_side, root)
+            if attr_name is not None and isinstance(literal_side, Literal):
+                found.append((attr_name, literal_side))
+    return found
 
 
 #: op -> (is_lower_bound, inclusive)
@@ -70,37 +68,22 @@ def range_conjuncts(where, root: QTNode
     loose — the selection stage re-checks the full predicate — so only
     the first lower and first upper bound per attribute are kept."""
     bounds: Dict[str, List] = {}
-
-    def note(attr_name, op, value):
+    for conjunct in conjuncts(where):
+        if not isinstance(conjunct, Binary) or conjunct.op not in _RANGE_OPS:
+            continue
+        op, value = conjunct.op, conjunct.right
+        attr_name = _root_attribute(conjunct.left, root)
+        if attr_name is None:
+            op, value = _FLIPPED[op], conjunct.left
+            attr_name = _root_attribute(conjunct.right, root)
+        if attr_name is None or not isinstance(value, Literal):
+            continue
         entry = bounds.setdefault(attr_name, [None, None, True, True])
         lower, inclusive = _RANGE_OPS[op]
         if lower and entry[0] is None:
             entry[0], entry[2] = value, inclusive
         elif not lower and entry[1] is None:
             entry[1], entry[3] = value, inclusive
-
-    def walk(expression):
-        if isinstance(expression, Binary):
-            if expression.op == "and":
-                walk(expression.left)
-                walk(expression.right)
-                return
-            if expression.op in _RANGE_OPS:
-                left, right = expression.left, expression.right
-                if (isinstance(left, Path) and isinstance(right, Literal)
-                        and left.anchor_node is root
-                        and not left.chain_nodes
-                        and left.terminal_attr is not None):
-                    note(left.terminal_attr.name, expression.op, right)
-                elif (isinstance(left, Literal) and isinstance(right, Path)
-                        and right.anchor_node is root
-                        and not right.chain_nodes
-                        and right.terminal_attr is not None):
-                    note(right.terminal_attr.name,
-                         _FLIPPED[expression.op], left)
-
-    if where is not None:
-        walk(where)
     return [(attr_name, entry[0], entry[1], entry[2], entry[3])
             for attr_name, entry in bounds.items()]
 

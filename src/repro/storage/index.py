@@ -80,10 +80,6 @@ class HashIndex(_BaseIndex):
         rids = self.lookup(key)
         return rids[0] if rids else None
 
-    def contains(self, key) -> bool:
-        self._count_probe()
-        return key in self._buckets
-
     def keys(self) -> Iterator:
         return iter(self._buckets)
 

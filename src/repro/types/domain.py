@@ -48,14 +48,6 @@ class DataType:
     def _coerce(self, value):
         raise NotImplementedError
 
-    def contains(self, value) -> bool:
-        """True when ``value`` (non-null) is a member of this domain."""
-        try:
-            self.validate(value)
-            return True
-        except TypeMismatchError:
-            return False
-
     def render(self, value) -> str:
         """Human-readable rendering used by tabular output."""
         if is_null(value):

@@ -285,10 +285,3 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "SIM303" in out
         assert dev_lint.main(["--no-concurrency", str(bad)]) == 0
-        # A pattern Python 3.9 cannot compile, spelled in a constant.
-        newer = tmp_path / "lexer.py"
-        newer.write_text('import re\nSTRING = r\'"(?:[^"]|"")*+"\'\n'
-                         "PATTERN = re.compile(STRING)\n")
-        assert dev_lint.main(["--no-concurrency", str(newer)]) == 1
-        assert f"{newer}:3: possessive quantifier '*+'" \
-            in capsys.readouterr().out

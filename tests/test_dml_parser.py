@@ -10,14 +10,20 @@ from repro.dml.ast import (
     Binary,
     DeleteStatement,
     EntitySelector,
+    Expression,
+    FunctionCall,
     InsertStatement,
     IsaTest,
     Literal,
     ModifyStatement,
     Path,
+    PathStep,
     Quantified,
     RetrieveQuery,
     Unary,
+    children,
+    conjuncts,
+    walk,
 )
 
 
@@ -217,3 +223,80 @@ class TestErrors:
             assert exc.line == 1
         else:
             pytest.fail("expected a syntax error")
+
+
+# ------------------------------------------------------------ AST traversal
+
+
+def _path(*names):
+    return Path([PathStep(name) for name in names])
+
+
+#: one instance of every Expression class, unresolved
+NODES = {
+    Path: lambda: _path("name", "advisor"),
+    Literal: lambda: Literal(7),
+    Binary: lambda: Binary("+", _path("salary"), Literal(1)),
+    Unary: lambda: Unary("not", _path("tenured")),
+    Aggregate: lambda: Aggregate("max", _path("birthdate"),
+                                 [PathStep("department")]),
+    Quantified: lambda: Quantified("some", _path("advisees")),
+    IsaTest: lambda: IsaTest(_path("advisor"), "instructor"),
+    FunctionCall: lambda: FunctionCall("year", [_path("birthdate"),
+                                                Literal(2)]),
+}
+
+
+def _resolved_aggregate():
+    """An aggregate after resolution, which adds its ``outer_path``."""
+    aggregate = NODES[Aggregate]()
+    aggregate.outer_path = _path("department")
+    return aggregate
+
+
+def _expression_fields(node):
+    """Every Expression the node holds, directly or in a list."""
+    found = []
+    for value in vars(node).values():
+        for item in value if isinstance(value, list) else [value]:
+            if isinstance(item, Expression):
+                found.append(item)
+    return found
+
+
+class TestTraversal:
+    def test_every_expression_class_has_an_instance(self):
+        assert set(Expression.__subclasses__()) == set(NODES)
+
+    @pytest.mark.parametrize(
+        "build", list(NODES.values()) + [_resolved_aggregate],
+        ids=[cls.__name__ for cls in NODES] + ["ResolvedAggregate"])
+    def test_children_are_the_expression_valued_fields(self, build):
+        node = build()
+        assert ([id(child) for child in children(node)]
+                == [id(child) for child in _expression_fields(node)])
+
+    def test_resolved_aggregate_yields_its_outer_path_last(self):
+        aggregate = _resolved_aggregate()
+        assert children(aggregate) == [aggregate.argument,
+                                        aggregate.outer_path]
+
+    def test_walk_is_pre_order_left_to_right(self):
+        expression = parse_expression(
+            "year(max(birthdate of advisees)) = 3 and not x isa y")
+        assert [type(node).__name__ for node in walk(expression)] == [
+            "Binary", "Binary", "FunctionCall", "Aggregate", "Path",
+            "Literal", "Unary", "IsaTest", "Path"]
+
+    def test_walk_skips_the_children_enter_refuses(self):
+        expression = parse_expression("max(a of b) + c")
+        visited = walk(expression,
+                       enter=lambda node: not isinstance(node, Aggregate))
+        assert [type(node).__name__ for node in visited] == [
+            "Binary", "Aggregate", "Path"]
+
+    def test_conjuncts(self):
+        expression = parse_expression("a = 1 and (b = 2 or c = 3) and d")
+        assert [node.describe() for node in conjuncts(expression)] == [
+            "(a = 1)", "((b = 2) or (c = 3))", "d"]
+        assert conjuncts(None) == []

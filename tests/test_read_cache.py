@@ -75,33 +75,49 @@ def assert_cache_matches_physical(store):
 # ---------------------------------------------------------------- unit level
 
 
+def cached_record(cache, class_name, surrogate):
+    """A one-key record lookup: ``(rid, record)`` or None."""
+    return cache.get_record_batch(class_name, [surrogate])[0].get(surrogate)
+
+
+def cached_role(cache, class_name, surrogate):
+    """A one-key role lookup: rid, None (cached negative) or MISSING."""
+    found = cache.get_role_batch(class_name, [surrogate])[0]
+    return found.get(surrogate, MISSING)
+
+
+def cached_fanout(cache, rel_id, side, surrogate):
+    """A one-key fan-out lookup: the target tuple or None."""
+    return cache.get_fanout_batch(rel_id, side, [surrogate])[0].get(surrogate)
+
+
 class TestReadCacheUnit:
     def test_record_lru_eviction(self):
         cache = ReadCache(PerfCounters(), record_capacity=2)
-        cache.put_record("a", 1, "rid1", {"x": 1}, cache.epoch)
-        cache.put_record("a", 2, "rid2", {"x": 2}, cache.epoch)
-        cache.put_record("a", 3, "rid3", {"x": 3}, cache.epoch)
-        assert cache.get_record("a", 1) is None          # evicted
-        assert cache.get_record("a", 3) == ("rid3", {"x": 3})
+        cache.put_record_batch("a", {1: ("rid1", {"x": 1})}, cache.epoch)
+        cache.put_record_batch("a", {2: ("rid2", {"x": 2})}, cache.epoch)
+        cache.put_record_batch("a", {3: ("rid3", {"x": 3})}, cache.epoch)
+        assert cached_record(cache, "a", 1) is None      # evicted
+        assert cached_record(cache, "a", 3) == ("rid3", {"x": 3})
 
     def test_lru_recency_updated_on_hit(self):
         cache = ReadCache(PerfCounters(), record_capacity=2)
-        cache.put_record("a", 1, "rid1", {}, cache.epoch)
-        cache.put_record("a", 2, "rid2", {}, cache.epoch)
-        cache.get_record("a", 1)                         # 1 is now recent
-        cache.put_record("a", 3, "rid3", {}, cache.epoch)
-        assert cache.get_record("a", 2) is None          # 2 was the LRU
-        assert cache.get_record("a", 1) is not None
+        cache.put_record_batch("a", {1: ("rid1", {})}, cache.epoch)
+        cache.put_record_batch("a", {2: ("rid2", {})}, cache.epoch)
+        cached_record(cache, "a", 1)                     # 1 is now recent
+        cache.put_record_batch("a", {3: ("rid3", {})}, cache.epoch)
+        assert cached_record(cache, "a", 2) is None      # 2 was the LRU
+        assert cached_record(cache, "a", 1) is not None
 
     def test_a_hit_never_waits_for_the_lock(self):
         """With another thread inside the cache every lookup still
         answers at once, and still counts as a use: the entry it hit
         outlives the next eviction (its second chance)."""
         cache = ReadCache(PerfCounters(), record_capacity=2)
-        cache.put_record("a", 1, "rid1", {}, cache.epoch)
-        cache.put_record("a", 2, "rid2", {}, cache.epoch)
-        cache.put_role("a", 1, "rid1", cache.epoch)
-        cache.put_fanout(7, True, 1, (2,), cache.epoch)
+        cache.put_record_batch("a", {1: ("rid1", {})}, cache.epoch)
+        cache.put_record_batch("a", {2: ("rid2", {})}, cache.epoch)
+        cache.put_role_batch("a", {1: "rid1"}, cache.epoch)
+        cache.put_fanout_batch(7, True, {1: (2,)}, cache.epoch)
         inside, leave = threading.Event(), threading.Event()
 
         def occupant():
@@ -113,8 +129,9 @@ class TestReadCacheUnit:
         assert inside.wait(10)
         answers = []
         reader = threading.Thread(target=lambda: answers.extend((
-            cache.get_record("a", 1), cache.get_record_batch("a", [1, 9]),
-            cache.get_role("a", 1), cache.get_fanout(7, True, 1),
+            cached_record(cache, "a", 1),
+            cache.get_record_batch("a", [1, 9]),
+            cached_role(cache, "a", 1), cached_fanout(cache, 7, True, 1),
             cache.get_fanout_batch(7, True, [1, 9]))))
         reader.start()
         reader.join(5)
@@ -125,9 +142,9 @@ class TestReadCacheUnit:
         assert not waited
         assert answers == [("rid1", {}), ({1: ("rid1", {})}, [9]), "rid1",
                            (2,), ({1: (2,)}, [9])]
-        cache.put_record("a", 3, "rid3", {}, cache.epoch)
-        assert cache.get_record("a", 2) is None     # the one never hit
-        assert cache.get_record("a", 1) == ("rid1", {})
+        cache.put_record_batch("a", {3: ("rid3", {})}, cache.epoch)
+        assert cached_record(cache, "a", 2) is None     # the one never hit
+        assert cached_record(cache, "a", 1) == ("rid1", {})
 
     def test_a_dropped_entry_takes_its_mark_along(self):
         """Invalidation and ``clear`` drop a hit's mark with its entry —
@@ -138,22 +155,23 @@ class TestReadCacheUnit:
 
         def fill(*surrogates):
             for surrogate in surrogates:
-                cache.put_record("a", surrogate, "rid", {}, cache.epoch)
+                cache.put_record_batch("a", {surrogate: ("rid", {})},
+                                       cache.epoch)
 
         fill(1)
-        cache.get_record("a", 1)
+        cached_record(cache, "a", 1)
         cache.invalidate_record("a", 1)
         fill(1, 2, 3)
-        assert cache.get_record("a", 1) is None
-        cache.get_record("a", 2)
+        assert cached_record(cache, "a", 1) is None
+        cached_record(cache, "a", 2)
         cache.clear()
         fill(2, 1, 3)
-        assert cache.get_record("a", 2) is None
+        assert cached_record(cache, "a", 2) is None
         marks = cache._records.marks
         size = len(marks)
         for surrogate in range(1000):
             fill(surrogate)
-            cache.get_record("a", surrogate)
+            cached_record(cache, "a", surrogate)
         assert cache._records.marks is marks and len(marks) == size
         assert len(cache._records) == 2
 
@@ -172,13 +190,15 @@ class TestReadCacheUnit:
                 while not stop.is_set():
                     step += 1
                     key = step % 24
-                    for found in (cache.get_record("a", key),
-                                  cache.get_fanout(1, True, key)):
+                    for found in (cached_record(cache, "a", key),
+                                  cached_fanout(cache, 1, True, key)):
                         if found is not None and found[0] != key:
                             errors.append((key, found))
                     cache.get_record_batch("a", [key, key + 1])
-                    cache.put_record("a", key, key, {}, cache.epoch)
-                    cache.put_fanout(1, True, key, (key,), cache.epoch)
+                    cache.put_record_batch("a", {key: (key, {})},
+                                           cache.epoch)
+                    cache.put_fanout_batch(1, True, {key: (key,)},
+                                           cache.epoch)
                     if step % 7 == 0:
                         cache.invalidate_eva(1, key)
             except Exception as exc:    # surfaced below
@@ -205,27 +225,27 @@ class TestReadCacheUnit:
 
     def test_role_negative_caching(self):
         cache = ReadCache(PerfCounters())
-        assert cache.get_role("a", 1) is MISSING
-        cache.put_role("a", 1, None, cache.epoch)
-        assert cache.get_role("a", 1) is None            # cached negative
+        assert cached_role(cache, "a", 1) is MISSING
+        cache.put_role_batch("a", {1: None}, cache.epoch)
+        assert cached_role(cache, "a", 1) is None        # cached negative
         cache.invalidate_role("a", 1)
-        assert cache.get_role("a", 1) is MISSING
+        assert cached_role(cache, "a", 1) is MISSING
 
     def test_invalidate_role_drops_record_too(self):
         cache = ReadCache(PerfCounters())
-        cache.put_record("a", 1, "rid", {}, cache.epoch)
+        cache.put_record_batch("a", {1: ("rid", {})}, cache.epoch)
         cache.invalidate_role("a", 1)
-        assert cache.get_record("a", 1) is None
+        assert cached_record(cache, "a", 1) is None
 
     def test_invalidate_eva_drops_both_sides_of_each_endpoint(self):
         cache = ReadCache(PerfCounters())
         for side in (True, False):
-            cache.put_fanout(7, side, 1, (2,), cache.epoch)
-            cache.put_fanout(7, side, 2, (1,), cache.epoch)
+            cache.put_fanout_batch(7, side, {1: (2,)}, cache.epoch)
+            cache.put_fanout_batch(7, side, {2: (1,)}, cache.epoch)
         cache.invalidate_eva(7, 1, 2)
         for side in (True, False):
-            assert cache.get_fanout(7, side, 1) is None
-            assert cache.get_fanout(7, side, 2) is None
+            assert cached_fanout(cache, 7, side, 1) is None
+            assert cached_fanout(cache, 7, side, 2) is None
 
     def test_every_invalidation_bumps_epoch(self):
         cache = ReadCache(PerfCounters())
@@ -245,12 +265,12 @@ class TestReadCacheUnit:
     def test_disabled_cache_stores_nothing(self):
         cache = ReadCache(PerfCounters())
         cache.enabled = False
-        cache.put_record("a", 1, "rid", {}, cache.epoch)
-        cache.put_role("a", 1, None, cache.epoch)
-        cache.put_fanout(7, True, 1, (2,), cache.epoch)
-        assert cache.get_record("a", 1) is None
-        assert cache.get_role("a", 1) is MISSING
-        assert cache.get_fanout(7, True, 1) is None
+        cache.put_record_batch("a", {1: ("rid", {})}, cache.epoch)
+        cache.put_role_batch("a", {1: None}, cache.epoch)
+        cache.put_fanout_batch(7, True, {1: (2,)}, cache.epoch)
+        assert cached_record(cache, "a", 1) is None
+        assert cached_role(cache, "a", 1) is MISSING
+        assert cached_fanout(cache, 7, True, 1) is None
 
 
 # ------------------------------------------------- forced-interleaving fills
@@ -420,8 +440,8 @@ class TestValidatedFills:
 
         try:
             assert read() == []             # a quiet snapshot read fills
-            assert store.read_cache.get_fanout(info.rel_id, side,
-                                               student) == ()
+            assert cached_fanout(store.read_cache, info.rel_id, side,
+                                 student) == ()
             store.read_cache.clear()
             with parked_after(info, "targets_many") as gates:
                 seen = race(read, *gates, write=lambda: store.eva_include(

@@ -34,6 +34,8 @@ REORDER_QUERY = ('From student Retrieve name'
                  ' and salary of advisor > 0')
 FACTOR_QUERY = ('From student Retrieve name, sum(credits of courses-enrolled)'
                 ' Where credits of courses-enrolled > 3')
+FUNCTION_QUERY = ('From department Retrieve name,'
+                  ' year(max(birthdate of instructors-employed))')
 
 EXTRA_QUERIES = [SUBCLASS_QUERY, EMPTY_QUERY, FLIP_QUERY, REORDER_QUERY,
                  FACTOR_QUERY]
@@ -173,6 +175,29 @@ class TestReorderAndFactor:
         off = build_university(seed=11)
         off.rewrite = False
         assert rows == off.query(FACTOR_QUERY).rows
+
+
+class TestScopesUnderAFunctionCall:
+    """The factoring pass reaches a scoped node wherever it sits: here
+    an aggregate inside a function call."""
+
+    def test_scoped_nodes_get_domain_keys(self):
+        database = build_university(seed=11)
+        query = parse_dml(FUNCTION_QUERY)
+        tree = database.qualifier.resolve_retrieve(query)
+        rewrite_query(database.store, database.schema, query, tree)
+        aggregate = query.targets[1].expression.args[0]
+        assert aggregate.scope_nodes
+        for node in aggregate.scope_nodes:
+            assert getattr(node, "domain_key", None) is not None, node
+
+    def test_rows_match_rewrite_off(self):
+        database = build_university(seed=11)
+        off = build_university(seed=11)
+        off.rewrite = False
+        rows = database.query(FUNCTION_QUERY).rows
+        assert rows == off.query(FUNCTION_QUERY).rows
+        assert rows
 
 
 class TestVerifier:

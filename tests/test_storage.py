@@ -383,12 +383,14 @@ class TestThreadSafetyHammer:
             try:
                 for step in range(300):
                     surrogate = (seed * 7 + step) % 60
-                    cache.get_record("student", surrogate)
-                    cache.put_record("student", surrogate, None,
-                                     {"step": step}, cache.epoch)
-                    cache.get_fanout(1, True, surrogate)
-                    cache.put_fanout(1, True, surrogate, (surrogate,),
-                                     cache.epoch)
+                    cache.get_record_batch("student", [surrogate])
+                    cache.put_record_batch(
+                        "student", {surrogate: (None, {"step": step})},
+                        cache.epoch)
+                    cache.get_fanout_batch(1, True, [surrogate])
+                    cache.put_fanout_batch(1, True,
+                                           {surrogate: (surrogate,)},
+                                           cache.epoch)
                     if step % 50 == 0:
                         cache.invalidate_record("student", surrogate)
             except BaseException as exc:      # pragma: no cover

@@ -10,11 +10,11 @@ lane the repository can always run.  It parses every Python file with
 * duplicate top-level definitions;
 * ``except:`` without an exception class;
 * tabs in indentation and trailing whitespace;
-* lines longer than the configured limit;
-* regex syntax newer than Python 3.9 — possessive quantifiers (``*+``,
-  ``++``, ``?+``, ``}+``) and atomic groups (``(?>``) — in the string
-  pieces of a pattern passed to ``re.compile``/``re.match``/…, module
-  constants it names included: the repository supports 3.9.
+* lines longer than the configured limit.
+
+Syntax newer than Python 3.9, the oldest version the repository
+supports — regex patterns included, which are compiled at import — is
+``make compat39``'s to catch: it imports every module under 3.9.
 
 When the paths include engine source, the SIM3xx concurrency lint
 (:mod:`repro.analysis.concurrency`) runs as part of the same sweep, so
@@ -33,7 +33,7 @@ import argparse
 import ast
 import os
 import sys
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 # Self-bootstrapping: CI and bare `python tools/dev_lint.py` runs have no
 # PYTHONPATH; the concurrency pass needs the repro package importable.
@@ -95,63 +95,6 @@ def _used_names(tree: ast.AST) -> set:
     return used
 
 
-_RE_FUNCTIONS = frozenset(("compile", "match", "fullmatch", "search",
-                           "findall", "finditer", "sub", "subn", "split"))
-
-
-def newer_regex_syntax(pattern: str) -> Optional[str]:
-    """The first construct of ``pattern`` that ``re`` reads only from
-    Python 3.11 on, outside escapes and character classes."""
-    at, in_class = 0, False
-    while at < len(pattern):
-        char = pattern[at]
-        if char == "\\":
-            at += 1
-        elif in_class:
-            in_class = char != "]"
-        elif char == "[":
-            in_class = True
-            at += pattern.startswith("^", at + 1)
-            at += pattern.startswith("]", at + 1)     # a literal ']'
-        elif pattern.startswith("(?>", at):
-            return "atomic group '(?>'"
-        elif char in "*+?}" and pattern.startswith("+", at + 1):
-            return f"possessive quantifier '{char}+'"
-        at += 1
-    return None
-
-
-def _regex_findings(path: str, tree: ast.AST) -> List[Finding]:
-    """Newer-than-3.9 regex syntax in patterns passed to ``re``."""
-    constants: Dict[str, ast.AST] = {}
-    for node in tree.body:
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    constants[target.id] = node.value
-    findings: List[Finding] = []
-    for call in ast.walk(tree):
-        if not (isinstance(call, ast.Call) and call.args
-                and isinstance(call.func, ast.Attribute)
-                and call.func.attr in _RE_FUNCTIONS
-                and getattr(call.func.value, "id", "") == "re"):
-            continue
-        pending, seen = [call.args[0]], set()
-        while pending:
-            for node in ast.walk(pending.pop()):
-                if isinstance(node, ast.Constant) \
-                        and isinstance(node.value, str):
-                    construct = newer_regex_syntax(node.value)
-                    if construct:
-                        findings.append((path, call.lineno,
-                                         f"{construct} needs Python 3.11"))
-                elif isinstance(node, ast.Name) and node.id in constants \
-                        and node.id not in seen:
-                    seen.add(node.id)
-                    pending.append(constants[node.id])
-    return findings
-
-
 def check_file(path: str, line_length: int) -> List[Finding]:
     findings: List[Finding] = []
     with open(path, encoding="utf-8") as handle:
@@ -196,7 +139,6 @@ def check_file(path: str, line_length: int) -> List[Finding]:
         if isinstance(node, ast.ExceptHandler) and node.type is None:
             findings.append((path, node.lineno,
                              "bare 'except:'; name the exception class"))
-    findings.extend(_regex_findings(path, tree))
     return findings
 
 
