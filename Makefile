@@ -64,7 +64,8 @@ simcheck:
 	python -m repro lint /tmp/university.ddl --strict
 
 # The seeded fault-injection crash-torture lane (fixed seed, ~200+ crash
-# points; see tests/test_torture.py).
+# points, and the same matrix again with the write-ahead log compacting
+# every few statements; see tests/test_torture.py).
 torture:
 	python -m pytest -q -m torture tests/test_torture.py
 

@@ -60,7 +60,6 @@ class _CompiledConstraint:
         nodes, attrs = [], []
         for expr in walk(expression):
             if isinstance(expr, Path):
-                self.chain_nodes += expr.chain_nodes
                 nodes += expr.chain_nodes
                 self.terms.update(("class", node.class_name)
                                   for node in expr.chain_nodes
@@ -68,11 +67,13 @@ class _CompiledConstraint:
                 if expr.terminal_attr is not None:
                     attrs.append(expr.terminal_attr)
             elif isinstance(expr, (Aggregate, Quantified)):
-                self.chain_nodes += [node for node in expr.scope_nodes
-                                     if node.kind != "root"]
                 nodes += expr.scope_nodes
             elif isinstance(expr, IsaTest):
                 self.terms.add(("class", expr.class_name))
+        # A scoped path's nodes are also its scope's: keep each once, so
+        # _propagate walks each chain back once.
+        self.chain_nodes = list({id(node): node for node in nodes
+                                 if node.kind != "root"}.values())
         for node in nodes:
             if node.kind == "root":
                 self.terms.add(("class", node.class_name))

@@ -1164,7 +1164,7 @@ class MapperStore:
         recovery, calling this again reboots the device and re-runs the
         whole pass, which converges to the same disk image (undo applies
         absolute before-images in a fixed order, the rebuild is a pure
-        function of the disk, and nothing appends to the log until the
+        function of the disk, and nothing touches the log until the
         final checkpoint).
         """
         self.wal.crash()
@@ -1191,12 +1191,9 @@ class MapperStore:
         simulator's equivalent and also validates that the disk image is
         self-describing.)"""
         self.writes.rollback()
-        # Seed the fresh manager's id counter past any id the durable log
-        # still mentions, so post-recovery transactions can't collide with
-        # logged ones during the window before the checkpoint truncates.
-        logged = [r.txn_id for r in self.wal.durable_records()
-                  if r.txn_id is not None]
-        self._new_pool_and_transactions(start_after=max(logged, default=0))
+        # Seed the fresh manager's id counter past every id ever logged,
+        # compacted records' included, so no id names two transactions.
+        self._new_pool_and_transactions(start_after=self.wal.txn_watermark)
         # Versions and snapshots are volatile; the epoch stays monotonic.
         self.versions.reset()
         for record_file in self._files.values():
@@ -1231,7 +1228,8 @@ class MapperStore:
     def storage_statistics(self) -> dict:
         """Durability-side counters: WAL, retries, injected faults."""
         stats = {
-            "wal_records": len(self.wal),
+            "wal_records": self.perf.wal_records,
+            "wal_records_held": len(self.wal),
             "wal_forces": self.perf.wal_forces,
             "wal_checkpoints": self.perf.wal_checkpoints,
             "commits": self.perf.commits,

@@ -262,8 +262,9 @@ def _collect_nodes(query: RetrieveQuery, tree: QueryTree) -> List[QTNode]:
 
     for root in tree.roots:
         add_subtree(root)
-    expressions = [item.expression for item in query.targets]
-    for expression in [query.where] + expressions:
+    expressions = [query.where, *(item.expression for item in query.targets),
+                   *(item.expression for item in query.order_by)]
+    for expression in expressions:
         for scoped in walk(expression):
             if isinstance(scoped, (Aggregate, Quantified)):
                 for node in scoped.scope_nodes:

@@ -75,9 +75,10 @@ _COUNTERS = (
     ("storage", "logical_reads"),         # buffer-pool block requests
     ("storage", "physical_reads"),        # of those, read off the disk
     ("storage", "physical_writes"),       # data blocks written back
+    ("storage", "wal_records"),           # log records appended
     ("storage", "wal_forces"),            # non-empty log forces
     ("storage", "wal_records_forced"),    # log records those made durable
-    ("storage", "wal_checkpoints"),       # post-recovery log resets
+    ("storage", "wal_checkpoints"),       # log compactions, recovery's too
     ("storage", "record_mutations"),      # slot writes (WAL-logged)
     ("storage", "commits"),
     ("storage", "aborts"),

@@ -6,7 +6,8 @@ processes.  A saved database file carries:
 * the schema, rendered to DDL (round-trippable, including the §6
   extensions: derived attributes, views, EVA ordering);
 * the physical design choices, as a plain dictionary;
-* the disk's block images and the durable write-ahead-log prefix;
+* the disk's block images and the durable write-ahead-log prefix, with
+  the LSN and transaction-id watermarks that stay monotonic past it;
 * the surrogate high-water mark.
 
 :func:`open_database` rebuilds everything volatile — buffer pool, every
@@ -102,7 +103,7 @@ def save_database(database, path: str) -> None:
         "schema_name": database.schema.name,
         "design": design_to_dict(store.design),
         "disk_blocks": store.disk._blocks,
-        "wal_records": store.wal.durable_records(),
+        "wal": store.wal.durable_image(),
         "constraint_mode": database.constraints.mode,
         "use_optimizer": database.use_optimizer,
         "rewrite": database.rewrite,
@@ -141,11 +142,9 @@ def open_database(path: str):
                         track_history=payload["track_history"])
     store = database.store
     store.disk._blocks = payload["disk_blocks"]
-    for record in payload["wal_records"]:
-        store.wal._records.append(record)
-    store.wal._durable_upto = len(store.wal._records)
-    if store.wal._records:
-        store.wal._next_lsn = store.wal._records[-1].lsn + 1
+    # A file saved before the log carried its counters has only records.
+    store.wal.restore(payload.get("wal")
+                      or {"records": payload["wal_records"]})
     # Opening is a restart: recover (undoing any losers the file carried)
     # and rebuild all volatile state from the disk image.
     store.simulate_crash()

@@ -5,10 +5,11 @@ provides it as one layer under the Mapper, whoever the caller is: every
 transaction belongs to a session (:mod:`repro.engine.sessions`; a
 ``Database`` statement runs on the database's own session), every
 mutating operation registers an undo closure in the transaction active
-on its thread; ABORT replays undos in reverse; COMMIT discards them and
-flushes the buffer pool.  Savepoints support partial rollback, which the
-update engine uses to make each DML statement atomic with respect to
-integrity failures (a failed VERIFY rolls back only that statement).
+on its thread; ABORT replays undos in reverse; COMMIT discards them.
+Either then flushes the buffer pool and ends with a forced log record.
+Savepoints support partial rollback, which the update engine uses to
+make each DML statement atomic with respect to integrity failures (a
+failed VERIFY rolls back only that statement).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import Callable, List, Optional, Set
 from repro.errors import TransactionError
 from repro.perf import PerfCounters
 from repro.storage.latch import ranked_lock
+from repro.storage.wal import ABORT, COMMIT
 
 
 class Transaction:
@@ -111,8 +113,8 @@ class TransactionManager:
     activated is auto-committed.  Id allocation is mutex-protected so
     concurrent sessions cannot mint duplicate ids.
 
-    ``flush_on_commit`` — when a buffer pool is attached, commit flushes
-    dirty blocks so committed state is durable on the simulated disk.
+    When a buffer pool is attached, commit and abort flush dirty blocks
+    before their end record, so what they leave is on the simulated disk.
     """
 
     def __init__(self, pool=None, wal=None, start_after: int = 0):
@@ -177,19 +179,7 @@ class TransactionManager:
         # manager must already treat the transaction as committed.
         for hook in self.commit_hooks:
             hook(transaction.transaction_id)
-        # Force policy, in crash-safe order: data pages reach disk FIRST
-        # (flush itself forces the undo log before writing, per the WAL
-        # rule), and only then is the commit record appended and forced.
-        # The durable commit record is the commit point: a crash anywhere
-        # before it leaves a loser whose flushed pages recovery undoes
-        # from before-images; a crash after it loses nothing, because
-        # everything the transaction touched is already on disk.  The
-        # reverse order (commit record first) would admit committed-
-        # effect loss with no redo pass to repair it.
-        if self._pool is not None:
-            self._pool.flush()
-        if self._wal is not None:
-            self._wal.log_commit(transaction.transaction_id)
+        self._end(transaction, COMMIT)
         self.perf.bump("commits")
 
     def abort_detached(self, transaction: Transaction) -> None:
@@ -205,6 +195,27 @@ class TransactionManager:
         for hook in self.abort_hooks:
             hook(transaction.transaction_id)
         self._fire_invalidation_hooks()
+        self._end(transaction, ABORT)
+
+    def _end(self, transaction: Transaction, kind: str) -> None:
+        """Make a commit or an abort durable, in crash-safe order: data
+        pages reach disk FIRST (flush itself forces the log before
+        writing, per the WAL rule), and only then is the end record
+        appended and forced.  The durable end record is the point past
+        which recovery leaves the transaction alone: a crash anywhere
+        before it leaves a loser whose flushed pages recovery undoes
+        from before-images; a crash after it loses nothing, because
+        everything the transaction wrote — its updates on commit, their
+        compensations on abort — is already on disk.  The reverse order
+        (end record first) would lose a commit's unflushed pages, or keep
+        an abort's uncompensated stolen page, with no redo pass to repair
+        either.  An abort takes no latch here: it publishes nothing other
+        sessions read, and the flush and the append each lock what they
+        touch."""
+        if self._pool is not None:
+            self._pool.flush()
+        if self._wal is not None:
+            self._wal.log_end(transaction.transaction_id, kind)
 
     def _fire_invalidation_hooks(self) -> None:
         for hook in self.invalidation_hooks:

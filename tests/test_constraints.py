@@ -4,7 +4,7 @@ and deferred checking, rollback on violation."""
 import pytest
 
 from repro import ConstraintViolation, Database
-from repro.workloads import UNIVERSITY_DDL
+from repro.workloads import UNIVERSITY_DDL, build_university
 
 
 @pytest.fixture()
@@ -155,6 +155,35 @@ class TestTriggerAnalysis:
         assert ("attr", "student", "courses-enrolled") in v1.terms
         assert ("attr", "course", "students-enrolled") in v1.terms
         assert ("attr", "course", "credits") in v1.terms
+
+    def test_each_chain_is_walked_back_once(self):
+        """v1's scoped path names the same EVA node as its scope; the
+        propagation walks it back once, not once per mention."""
+        db = build_university(seed=7, constraint_mode="immediate")
+        v1 = next(c for c in db.constraints.compiled
+                  if c.constraint.name == "v1")
+        assert len(v1.chain_nodes) == 1
+        store, manager = db.store, db.constraints
+        calls = []
+        propagate = manager._propagate
+
+        def counted(compiled, entities):
+            def eva_targets(*args):
+                calls.append(args)
+                return type(store).eva_targets(store, *args)
+            store.eva_targets = eva_targets
+            try:
+                return propagate(compiled, entities)
+            finally:
+                del store.eva_targets
+
+        manager._propagate = counted
+        db.execute('Insert course(course-no := 999, title := "New",'
+                   ' credits := 3)')
+        db.execute('Delete course Where course-no = 999')
+        # One back-traversal for the inserted course (the listed-twice
+        # node made it two); the deleted one is no course any more.
+        assert len(calls) == 1
 
     def test_skip_counter_grows_for_untriggered(self, db):
         before = db.perf.constraint_checks_skipped

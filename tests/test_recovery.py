@@ -198,6 +198,49 @@ class TestWalMechanics:
         assert stats["checkpoint_lsn"] == db.store.wal.last_checkpoint_lsn
 
 
+class TestAbortEndsTheTransaction:
+    """An abort flushes its compensations, then ends with an ABORT
+    record: recovery leaves an aborted transaction alone once that
+    record is durable, and undoes it as a loser until then."""
+
+    SALARY = "From instructor Retrieve salary Where employee-nbr = 1001"
+
+    def test_committed_write_after_an_abort_survives_a_crash(self):
+        db = build_university(seed=7)
+        aborted = db.session()
+        aborted.execute(
+            "Modify instructor(salary := 1) Where employee-nbr = 1001")
+        aborted.abort()
+        writer = db.session()
+        writer.execute(
+            "Modify instructor(salary := 22222) Where employee-nbr = 1001")
+        writer.commit()
+        db.simulate_crash()
+        # Without an end record the aborted update stays a loser, and
+        # its before-image overwrites the later committed salary.
+        assert db.query(self.SALARY).scalar() == 22222
+        assert db.check().ok
+
+    def test_stolen_page_whose_compensation_never_landed_is_undone(self):
+        from repro.errors import InjectedCrash
+        db = build_university(seed=7)
+        db.store.pool.flush()
+        before = db.query(self.SALARY).scalar()
+        aborted = db.session()
+        aborted.execute(
+            "Modify instructor(salary := 1) Where employee-nbr = 1001")
+        db.store.pool.flush()   # steal: the uncommitted salary is on disk
+        injector = db.install_faults(seed=3)
+        # The abort's flush is its first write: the machine dies there,
+        # so neither the compensation nor the ABORT record gets out.
+        injector.crash_after_writes(1)
+        with pytest.raises(InjectedCrash):
+            aborted.abort()
+        db.simulate_crash()
+        assert db.query(self.SALARY).scalar() == before
+        assert db.check().ok
+
+
 class TestRecoveryIdempotence:
     """Recovery must be re-runnable: a crash *during* the undo pass
     followed by a fresh recovery converges to the same disk image as an

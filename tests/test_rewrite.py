@@ -36,6 +36,8 @@ FACTOR_QUERY = ('From student Retrieve name, sum(credits of courses-enrolled)'
                 ' Where credits of courses-enrolled > 3')
 FUNCTION_QUERY = ('From department Retrieve name,'
                   ' year(max(birthdate of instructors-employed))')
+ORDER_QUERY = ('From department Retrieve name'
+               ' Order By max(salary of instructors-employed)')
 
 EXTRA_QUERIES = [SUBCLASS_QUERY, EMPTY_QUERY, FLIP_QUERY, REORDER_QUERY,
                  FACTOR_QUERY]
@@ -179,7 +181,7 @@ class TestReorderAndFactor:
 
 class TestScopesUnderAFunctionCall:
     """The factoring pass reaches a scoped node wherever it sits: here
-    an aggregate inside a function call."""
+    an aggregate inside a function call, and one in Order By."""
 
     def test_scoped_nodes_get_domain_keys(self):
         database = build_university(seed=11)
@@ -195,9 +197,20 @@ class TestScopesUnderAFunctionCall:
         database = build_university(seed=11)
         off = build_university(seed=11)
         off.rewrite = False
-        rows = database.query(FUNCTION_QUERY).rows
-        assert rows == off.query(FUNCTION_QUERY).rows
-        assert rows
+        for text in (FUNCTION_QUERY, ORDER_QUERY):
+            rows = database.query(text).rows
+            assert rows == off.query(text).rows, text
+            assert rows
+
+    def test_order_by_scopes_get_domain_keys(self):
+        database = build_university(seed=11)
+        query = parse_dml(ORDER_QUERY)
+        tree = database.qualifier.resolve_retrieve(query)
+        rewrite_query(database.store, database.schema, query, tree)
+        aggregate = query.order_by[0].expression
+        assert aggregate.scope_nodes
+        for node in aggregate.scope_nodes:
+            assert getattr(node, "domain_key", None) is not None, node
 
 
 class TestVerifier:

@@ -26,6 +26,7 @@ assignment order.  The crash-matrix tests carry ``@pytest.mark.torture``
 import pytest
 
 from repro.errors import InjectedCrash, StorageError, TransientStorageError
+from repro.storage.wal import WriteAheadLog
 from repro.workloads.university import build_university
 
 #: deliberately small population: the crash matrix rebuilds the database
@@ -211,12 +212,34 @@ def run_with_crash(script, k, seed=TORTURE_SEED):
 
 # ---------------------------------------------------------------- crash matrix
 
+#: a log threshold low enough that the write-ahead log compacts every
+#: few statements, so compactions fall between the crash points
+LOW_COMPACT_AT = 8
+#: every script as written, then again with the log compacting
+CRASH_MATRIX = (
+    [pytest.param(name, None, id=name) for name in sorted(SCRIPTS)]
+    + [pytest.param(name, LOW_COMPACT_AT, id=f"{name}-compacting")
+       for name in sorted(SCRIPTS)])
+
+
 @pytest.mark.torture
-@pytest.mark.parametrize("name", sorted(SCRIPTS))
-def test_crash_at_every_write(name):
+@pytest.mark.parametrize("name, compact_at", CRASH_MATRIX)
+def test_crash_at_every_write(name, compact_at, monkeypatch, request):
     """Crash after every possible k-th write of the script; every crash
-    point must recover to the committed prefix with a clean check()."""
+    point must recover to the committed prefix with a clean check().
+    Run once more with the log compacting every few statements (in the
+    ``-m torture`` lane only: it doubles the matrix)."""
     script = SCRIPTS[name]
+    if compact_at is not None:
+        if "torture" not in request.config.getoption("markexpr"):
+            pytest.skip("second crash matrix: `-m torture` lane only")
+        monkeypatch.setattr(WriteAheadLog, "COMPACT_AT", compact_at)
+        database = fresh_db()
+        before = database.perf.wal_checkpoints
+        for statement in script:
+            database.execute(statement)
+        compactions = database.perf.wal_checkpoints - before
+        assert compactions >= len(script) // 4, compactions
     expected = shadow_dumps(script)
     total_writes = count_writes(script)
     assert total_writes >= len(script), "script writes too little to torture"
