@@ -98,9 +98,9 @@ def first_instances(db, owner_surrs):
     touched = 0
     for owner in owner_surrs:
         store.record_of(owner, "owner")
-        rids = info.forward.lookup((info.rel_id, owner))
-        if rids:
-            info.file.read(rids[0])
+        rid = info.forward.lookup_one(owner)
+        if rid is not None:
+            info.file.read(rid)
             touched += 1
     return touched
 

@@ -525,6 +525,7 @@ class Session:
         """One statement through this session; ``parse`` is the front
         door's own ``parse_dml`` (see ``Database._compile``)."""
         database = self.database
+        database.store.transactions.ensure_running()
         with database._statement_scope(statement) as root:
             # The compile (lint included) comes before any lock: a
             # statement that is going to be rejected must never wait.
@@ -645,6 +646,7 @@ class Session:
     def begin(self) -> None:
         """Open the transaction now (a default session's statements
         then run in it until :meth:`commit` or :meth:`abort`)."""
+        self.database.store.transactions.ensure_running()
         if self.in_transaction():
             raise TransactionError("a transaction is already active")
         self._ensure_transaction()
@@ -656,6 +658,7 @@ class Session:
         database = self.database
         store = database.store
         try:
+            store.transactions.ensure_running()
             if txn is not None and txn.active:
                 with store.transactions.activate(txn):
                     try:
@@ -675,11 +678,13 @@ class Session:
             self._release()
 
     def abort(self) -> None:
-        """Roll the open transaction back, if any."""
+        """Roll the open transaction back, if any.  On a failed store it
+        only lets the transaction go: recovery undoes it from the log."""
         txn = self._transaction
         store = self.database.store
         try:
-            if txn is not None and txn.active:
+            if (txn is not None and txn.active
+                    and store.transactions.failure is None):
                 # No store-wide section: undo replay goes through the
                 # normal mutators, each latching the unit it restores,
                 # and this session's exclusive locks still cover every

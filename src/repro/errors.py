@@ -161,6 +161,14 @@ class TransactionError(StorageError):
     """Invalid transaction state transition."""
 
 
+class StoreFailedError(StorageError):
+    """The store has stopped: a commit or an abort failed past its point
+    of no return, so what memory shows may no longer be what the log
+    can recover.  Every later statement, ``begin`` and ``commit`` raises
+    this until ``recover()`` / ``simulate_crash()`` rebuilds the store
+    from the disk and the log.  ``__cause__`` is the original failure."""
+
+
 class ExecutionError(SimError):
     """Runtime failure while executing a query plan."""
 

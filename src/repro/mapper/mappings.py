@@ -296,7 +296,9 @@ class StructureEva(_RecordUnit, EvaStorage):
     """``<surr1, rel-id, surr2>`` records in a file, with a forward and a
     reverse index over them.  Common, dedicated and clustered differ only
     in ``placement``: which file, and whether a record is inserted next
-    to its owner's."""
+    to its owner's.  The indexes belong to this one EVA, so they key on
+    the surrogate alone; the record keeps its rel-id because the common
+    file is shared, and ``rebuild`` and ``check`` filter on it."""
 
     def __init__(self, store, canonical, rel_id: int, placement: str,
                  first_cost: float, next_cost: float):
@@ -341,7 +343,7 @@ class StructureEva(_RecordUnit, EvaStorage):
         for surrogate in surrogates:
             start = len(rids)
             for index, out in ways:
-                found = index.lookup((self.rel_id, surrogate))
+                found = index.lookup(surrogate)
                 rids += found
                 outs += [out] * len(found)
             spans[surrogate] = start, len(rids)
@@ -353,8 +355,7 @@ class StructureEva(_RecordUnit, EvaStorage):
     def _index(self, rid: RID, record, added: bool) -> None:
         for index, surrogate in ((self.forward, record[_SURR1]),
                                  (self.reverse, record[_SURR2])):
-            (index.insert if added else index.delete)(
-                (self.rel_id, surrogate), rid)
+            (index.insert if added else index.delete)(surrogate, rid)
 
     def include(self, domain_surr: int, range_surr: int) -> None:
         near = None
@@ -368,7 +369,7 @@ class StructureEva(_RecordUnit, EvaStorage):
 
     def exclude(self, domain_surr: int, range_surr: int) -> bool:
         with self.file.latch:
-            for rid in self.forward.lookup((self.rel_id, domain_surr)):
+            for rid in self.forward.lookup(domain_surr):
                 _, record = self.file.read(rid)
                 if record[_SURR2] == range_surr:
                     self._remove(rid, record)
@@ -396,8 +397,8 @@ class StructureEva(_RecordUnit, EvaStorage):
                                       f"instance {pair} dangles — "
                                       f"{record[end]} has no "
                                       f"{class_name!r} role")
-            forward.add(((self.rel_id, pair[0]), rid))
-            reverse.add(((self.rel_id, pair[1]), rid))
+            forward.add((pair[0], rid))
+            reverse.add((pair[1], rid))
         report.compare_index(self.forward, forward)
         report.compare_index(self.reverse, reverse)
         return count

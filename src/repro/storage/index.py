@@ -2,16 +2,19 @@
 
 §5.2: "The surrogates can be direct keys (record number), random keys
 (based on hashing) or index sequential keys."  We provide all three.
-Probe accounting: each index carries a ``probes`` counter and an estimated
-I/O cost per probe used by the optimizer's cost model (a hash probe ≈ 1
-block access; an index-sequential probe ≈ tree height; a direct key ≈ 1).
+Each index states the estimated I/O cost of one probe, which the
+optimizer's cost model reads (``probe_cost``: a hash probe ≈ 1 block
+access; an index-sequential probe ≈ tree height; a direct key ≈ 0).
+
+A hash index holds one object per entry: a key with one entry maps to
+its RID bare, and only a non-unique key with several entries maps to a
+list of them.  A unique index therefore maps each key to one RID.
 """
 
 from __future__ import annotations
 
 import bisect
-import threading
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import StorageError
 from repro.storage.records import RID
@@ -25,16 +28,7 @@ class _BaseIndex:
     def __init__(self, name: str, unique: bool = False):
         self.name = name
         self.unique = unique
-        self.probes = 0
         self.entries = 0
-        # Index *structures* only mutate on the (serial) write path, so
-        # concurrent lookups read them safely; the probes counter is the
-        # one read-path write and `+= 1` is not atomic under threads.
-        self._probe_lock = threading.Lock()
-
-    def _count_probe(self) -> None:
-        with self._probe_lock:
-            self.probes += 1
 
     def probe_cost(self) -> float:
         """Estimated block accesses for one probe (optimizer parameter)."""
@@ -46,48 +40,60 @@ class _BaseIndex:
 
 
 class HashIndex(_BaseIndex):
-    """Equality index ("random keys based on hashing")."""
+    """Equality index ("random keys based on hashing").  ``_map`` holds
+    key → RID, or key → list of RIDs once a non-unique key has two; a
+    RID is a tuple, so the type tells them apart."""
 
     kind = "hash"
 
     def __init__(self, name: str, unique: bool = False):
         super().__init__(name, unique)
-        self._buckets: Dict[object, List[RID]] = {}
+        self._map: Dict[object, Union[RID, List[RID]]] = {}
 
     def insert(self, key, rid: RID) -> None:
-        bucket = self._buckets.setdefault(key, [])
-        if self.unique and bucket:
+        held = self._map.get(key)
+        if held is None:
+            self._map[key] = rid
+        elif self.unique:
             raise StorageError(
                 f"duplicate key {key!r} in unique index {self.name!r}")
-        bucket.append(rid)
+        elif type(held) is list:
+            held.append(rid)
+        else:
+            self._map[key] = [held, rid]
         self.entries += 1
 
     def delete(self, key, rid: RID) -> None:
-        bucket = self._buckets.get(key)
-        if not bucket or rid not in bucket:
+        held = self._map.get(key)
+        if type(held) is list and rid in held:
+            held.remove(rid)
+            if len(held) == 1:
+                self._map[key] = held[0]
+        elif held is not None and held == rid:
+            del self._map[key]
+        else:
             raise StorageError(
                 f"key {key!r}/{rid} not present in index {self.name!r}")
-        bucket.remove(rid)
-        if not bucket:
-            del self._buckets[key]
         self.entries -= 1
 
     def lookup(self, key) -> List[RID]:
-        self._count_probe()
-        return list(self._buckets.get(key, ()))
+        held = self._map.get(key)
+        if held is None:
+            return []
+        return list(held) if type(held) is list else [held]
 
     def lookup_one(self, key) -> Optional[RID]:
-        rids = self.lookup(key)
-        return rids[0] if rids else None
-
-    def keys(self) -> Iterator:
-        return iter(self._buckets)
+        held = self._map.get(key)
+        return held[0] if type(held) is list else held
 
     def items(self) -> Iterator[Tuple[object, RID]]:
-        """Every (key, rid) entry — the checker's view; charges no probe."""
-        for key, bucket in self._buckets.items():
-            for rid in bucket:
-                yield key, rid
+        """Every (key, rid) entry — the checker's view."""
+        for key, held in self._map.items():
+            if type(held) is list:
+                for rid in held:
+                    yield key, rid
+            else:
+                yield key, held
 
     def probe_cost(self) -> float:
         return 1.0
@@ -134,7 +140,6 @@ class OrderedIndex(_BaseIndex):
         self.entries -= 1
 
     def lookup(self, key) -> List[RID]:
-        self._count_probe()
         pos = bisect.bisect_left(self._keys, key)
         if pos < len(self._keys) and self._keys[pos] == key:
             return list(self._rids[pos])
@@ -147,7 +152,6 @@ class OrderedIndex(_BaseIndex):
     def range(self, low=None, high=None, include_low: bool = True,
               include_high: bool = True) -> Iterator[Tuple[object, RID]]:
         """Yield (key, rid) pairs with low <= key <= high (bounds optional)."""
-        self._count_probe()
         if low is None:
             start = 0
         elif include_low:
@@ -165,7 +169,7 @@ class OrderedIndex(_BaseIndex):
                 yield key, rid
 
     def items(self) -> Iterator[Tuple[object, RID]]:
-        """Every (key, rid) entry in key order; charges no probe."""
+        """Every (key, rid) entry in key order."""
         for key, bucket in zip(self._keys, self._rids):
             for rid in bucket:
                 yield key, rid
@@ -184,47 +188,21 @@ class OrderedIndex(_BaseIndex):
         return float(self.height())
 
 
-class DirectIndex(_BaseIndex):
-    """Direct keys (record numbers): key is an integer position.
+class DirectIndex(HashIndex):
+    """Direct keys (record numbers): the key is an integer position.
 
-    Models §5.2's "direct keys (record number)" surrogate option — lookup
-    is arithmetic, cost one block access for the data block only.
-    """
+    Models §5.2's "direct keys (record number)" surrogate option: a
+    unique map whose probe costs no index block, only the data block."""
 
     kind = "direct"
 
     def __init__(self, name: str):
         super().__init__(name, unique=True)
-        self._slots: Dict[int, RID] = {}
 
     def insert(self, key, rid: RID) -> None:
         if not isinstance(key, int):
             raise StorageError(f"direct index {self.name!r} needs integer keys")
-        if key in self._slots:
-            raise StorageError(
-                f"duplicate key {key!r} in direct index {self.name!r}")
-        self._slots[key] = rid
-        self.entries += 1
-
-    def delete(self, key, rid: RID) -> None:
-        if self._slots.get(key) != rid:
-            raise StorageError(
-                f"key {key!r}/{rid} not present in index {self.name!r}")
-        del self._slots[key]
-        self.entries -= 1
-
-    def lookup(self, key) -> List[RID]:
-        self._count_probe()
-        rid = self._slots.get(key)
-        return [rid] if rid is not None else []
-
-    def lookup_one(self, key) -> Optional[RID]:
-        rids = self.lookup(key)
-        return rids[0] if rids else None
-
-    def items(self) -> Iterator[Tuple[object, RID]]:
-        """Every (key, rid) entry — the checker's view; charges no probe."""
-        return iter(self._slots.items())
+        super().insert(key, rid)
 
     def probe_cost(self) -> float:
         return 0.0

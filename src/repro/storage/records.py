@@ -5,7 +5,10 @@ variable-format records based on record types": one file holds records of
 several formats, each format corresponding to one node of the hierarchy
 tree.  A :class:`RecordFormat` names its fields and carries a fixed width
 (bytes) used to compute blocking factors; a :class:`RID` addresses a record
-by (block number, slot).
+by (block number, slot).  A RID is a tuple: the indexes hold one per
+entry, and a named tuple costs no ``__dict__``.  It therefore equals the
+plain ``(block, slot)`` tuple, so a set or dict that holds RIDs must not
+hold other pairs.
 
 A stored record is a tuple of values in its format's field order: the
 field names are schema, held once by the format (``positions``), not
@@ -14,12 +17,10 @@ data repeated in every record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class RID:
+class RID(NamedTuple):
     """Record identifier: position of a record within one file."""
 
     block: int

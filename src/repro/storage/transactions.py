@@ -6,7 +6,9 @@ transaction belongs to a session (:mod:`repro.engine.sessions`; a
 ``Database`` statement runs on the database's own session), every
 mutating operation registers an undo closure in the transaction active
 on its thread; ABORT replays undos in reverse; COMMIT discards them.
-Either then flushes the buffer pool and ends with a forced log record.
+Either then flushes the buffer pool and ends with a forced log record;
+if that cannot finish, the manager fails the store (:meth:`TransactionManager.
+ensure_running`) until recovery replaces it.
 Savepoints support partial rollback, which the update engine uses to
 make each DML statement atomic with respect to integrity failures (a
 failed VERIFY rolls back only that statement).
@@ -18,7 +20,7 @@ import threading
 from contextlib import contextmanager
 from typing import Callable, List, Optional, Set
 
-from repro.errors import TransactionError
+from repro.errors import StoreFailedError, TransactionError
 from repro.perf import PerfCounters
 from repro.storage.latch import ranked_lock
 from repro.storage.wal import ABORT, COMMIT
@@ -141,6 +143,10 @@ class TransactionManager:
         #: aborts — the version manager promotes or drops pre-images here
         self.commit_hooks: List[Callable[[int], None]] = []
         self.abort_hooks: List[Callable[[int], None]] = []
+        #: the error that stopped a commit past its in-memory commit
+        #: point, or an abort, or None.  Set once, never cleared: the
+        #: recovery pass builds a fresh manager.
+        self.failure: Optional[BaseException] = None
 
     @property
     def current(self) -> Optional[Transaction]:
@@ -179,7 +185,8 @@ class TransactionManager:
         # manager must already treat the transaction as committed.
         for hook in self.commit_hooks:
             hook(transaction.transaction_id)
-        self._end(transaction, COMMIT)
+        with self._fail_stop():
+            self._end(transaction, COMMIT)
         self.perf.bump("commits")
 
     def abort_detached(self, transaction: Transaction) -> None:
@@ -190,12 +197,35 @@ class TransactionManager:
         everything the transaction touched."""
         if not transaction.active:
             raise TransactionError("no active transaction")
-        transaction._abort()
-        self.perf.bump("aborts")
-        for hook in self.abort_hooks:
-            hook(transaction.transaction_id)
-        self._fire_invalidation_hooks()
-        self._end(transaction, ABORT)
+        with self._fail_stop():
+            transaction._abort()
+            self.perf.bump("aborts")
+            for hook in self.abort_hooks:
+                hook(transaction.transaction_id)
+            self._fire_invalidation_hooks()
+            self._end(transaction, ABORT)
+
+    @contextmanager
+    def _fail_stop(self):
+        """Fail the store if the block raises.  Past the in-memory commit
+        point (or once an abort has begun) there is no way back: the
+        transaction's writes are visible, or half undone, yet no end
+        record says so, and recovery will undo it as a loser.  A later
+        commit over those writes would be undone with it, so nothing
+        runs until recovery does."""
+        try:
+            yield
+        except BaseException as exc:
+            self.failure = exc
+            raise
+
+    def ensure_running(self) -> None:
+        """Raise :class:`StoreFailedError` once the store has failed."""
+        if self.failure is not None:
+            raise StoreFailedError(
+                f"the store stopped when a transaction could not end "
+                f"({type(self.failure).__name__}: {self.failure}); "
+                f"recover it first") from self.failure
 
     def _end(self, transaction: Transaction, kind: str) -> None:
         """Make a commit or an abort durable, in crash-safe order: data

@@ -241,6 +241,64 @@ class TestAbortEndsTheTransaction:
         assert db.check().ok
 
 
+class TestATransactionThatCannotEndStopsTheStore:
+    """A commit whose flush gives up after the in-memory commit point,
+    or an abort that cannot finish, leaves a transaction whose writes
+    memory shows but no end record closes: recovery will undo it.  So
+    the store fails: every later statement, begin or commit, on any
+    session and through the server, is refused until recovery, and no
+    later commit can be undone over."""
+
+    SALARY = "From instructor Retrieve salary Where employee-nbr = 1001"
+    WRITE = "Modify instructor(salary := 22222) Where employee-nbr = 1001"
+
+    def _with_a_doomed_end(self):
+        db = build_university(seed=7)
+        db.store.pool.flush()
+        before = db.query(self.SALARY).scalar()
+        writer = db.session()
+        writer.execute(
+            "Modify instructor(salary := 11111) Where employee-nbr = 1001")
+        # Exhausts the retry policy on the end's first page write.
+        db.install_faults(seed=3).fail_write(1, "transient", repeat=5)
+        return db, writer, before
+
+    def _refused_until_recovery(self, db, before):
+        from repro.errors import StoreFailedError
+        from repro.interfaces.server import ServerError, SimClient
+        other = db.session()
+        for refused in (lambda: db.execute(self.WRITE),
+                        lambda: db.query(self.SALARY),
+                        lambda: other.execute(self.SALARY),
+                        other.begin, other.commit):
+            with pytest.raises(StoreFailedError):
+                refused()
+        with db.serve() as server, SimClient(*server.address) as client:
+            with pytest.raises(ServerError) as refused:
+                client.execute(self.WRITE)
+            assert refused.value.remote_type == "StoreFailedError"
+        db.simulate_crash()
+        assert db.query(self.SALARY).scalar() == before
+        db.execute(self.WRITE)
+        db.simulate_crash()
+        assert db.query(self.SALARY).scalar() == 22222
+        assert db.check().ok
+
+    def test_a_commit_whose_flush_gives_up(self):
+        from repro.errors import TransientStorageError
+        db, writer, before = self._with_a_doomed_end()
+        with pytest.raises(TransientStorageError):
+            writer.commit()
+        self._refused_until_recovery(db, before)
+
+    def test_an_abort_whose_flush_gives_up(self):
+        from repro.errors import TransientStorageError
+        db, writer, before = self._with_a_doomed_end()
+        with pytest.raises(TransientStorageError):
+            writer.abort()
+        self._refused_until_recovery(db, before)
+
+
 class TestRecoveryIdempotence:
     """Recovery must be re-runnable: a crash *during* the undo pass
     followed by a fresh recovery converges to the same disk image as an

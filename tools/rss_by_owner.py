@@ -11,7 +11,10 @@ at the end, per loaded entity:
 * the read cache's decoded-record, role and fan-out LRUs;
 * the executor's memo shards (``EntityAccessor._memos``);
 * the MVCC version chains (``VersionManager``'s maps);
-* the index dicts (surrogate, unique, value, EVA and MV DVA indexes).
+* the index dicts, one row per kind below their total: the surrogate,
+  unique and value indexes, the EVA structure indexes (forward and
+  reverse), the field-mapped EVAs' reverse indexes and the MV DVA
+  indexes.
 
 An object reachable from several owners is counted once, by the first
 in that order: a record tuple the disk image, a buffer frame, the log
@@ -29,9 +32,9 @@ import sys
 import tracemalloc
 
 from repro.database import Database
+from repro.mapper.mappings import StructureEva
 from repro.storage.buffer import Block
 from repro.storage.index import _BaseIndex
-from repro.storage.records import RID
 from repro.storage.wal import LogRecord
 from repro.workloads.generators import (
     populate_scale,
@@ -50,20 +53,35 @@ from workloads import (  # noqa: E402  (benchmarks/e2e)
 
 COLD_ROUNDS = 2
 #: what the walk descends into; every other object is a leaf
-_WALKED = (dict, list, tuple, set, frozenset, Block, RID, LogRecord,
+_WALKED = (dict, list, tuple, set, frozenset, Block, LogRecord,
            _BaseIndex)
+
+
+def _indexes_of(storages):
+    return [value for storage in storages for value in vars(storage).values()
+            if isinstance(value, _BaseIndex)]
+
+
+def index_owners(store):
+    """``(kind, roots)`` for each kind of index the store keeps; they
+    claim after every owner of :func:`owners`."""
+    evas = store._evas.values()
+    return [
+        ("surrogate", list(store._surrogate_index.values())),
+        ("unique", list(store._unique_index.values())),
+        ("value", list(store._value_index.values())),
+        ("EVA structure", _indexes_of(
+            eva for eva in evas if isinstance(eva, StructureEva))),
+        ("EVA field", _indexes_of(
+            eva for eva in evas if not isinstance(eva, StructureEva))),
+        ("MV DVA", _indexes_of(store._mvs.values())),
+    ]
 
 
 def owners(database):
     """``(owner, roots)`` in claiming order."""
     store = database.store
     cache, versions = store.read_cache, store.versions
-    indexes = [*store._surrogate_index.values(),
-               *store._unique_index.values(),
-               *store._value_index.values()]
-    for storage in (*store._evas.values(), *store._mvs.values()):
-        indexes += [value for value in vars(storage).values()
-                    if isinstance(value, _BaseIndex)]
     return [
         ("disk image", [store.disk._blocks]),
         ("buffer frames", [store.pool._frames]),
@@ -75,7 +93,6 @@ def owners(database):
         ("version chains", [versions._pending, versions._txn_keys,
                             versions._chains, versions._rec_pending,
                             versions._rec_changes]),
-        ("index dicts", indexes),
     ]
 
 
@@ -116,7 +133,11 @@ def main() -> int:
     seen = set()
     rows = [(owner, claim(roots, seen))
             for owner, roots in owners(database)]
-    rows.append(("other", current - sum(size for _, size in rows)))
+    kinds = [(f"  {kind}", claim(roots, seen))
+             for kind, roots in index_owners(database.store)]
+    indexed = sum(size for _, size in kinds)
+    other = current - indexed - sum(size for _, size in rows)
+    rows += [("index dicts", indexed), *kinds, ("other", other)]
     print(f"analytic_cold database: {entities} entities, "
           f"{COLD_POOL_FRAMES} frames, {COLD_ROUNDS} cold rounds")
     print(f"{'owner':<16} {'bytes':>12} {'B/entity':>10} {'share':>7}")
