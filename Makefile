@@ -63,9 +63,10 @@ simcheck:
 	open('/tmp/university.ddl', 'w').write(UNIVERSITY_DDL)"
 	python -m repro lint /tmp/university.ddl --strict
 
-# The seeded fault-injection crash-torture lane (fixed seed, ~200+ crash
-# points, and the same matrix again with the write-ahead log compacting
-# every few statements; see tests/test_torture.py).
+# The seeded fault-injection crash-torture lane (fixed seed): a crash at
+# every page write, log force and log append of four scripts (~1 000
+# crash points), and the same matrix again with the write-ahead log
+# compacting every few statements; see tests/test_torture.py.
 torture:
 	python -m pytest -q -m torture tests/test_torture.py
 

@@ -14,7 +14,6 @@ The hierarchy (low rank = innermost / leaf, high rank = outermost)::
       < storage.buffer    (10)   BufferPool._lock
       < mapper.read_cache (20)   ReadCache._lock
       < mapper.materialized (22)  MaterializationManager._lock
-      < mapper.writes     (24)   WriteNotifier._lock
       < mapper.versions   (30)   VersionManager._mutex
       < store.commit_latch (36)  MapperStore.commit_latch
       < store.surrogates  (38)   MapperStore._surrogate_mutex
@@ -61,7 +60,6 @@ LOCK_RANKS: Dict[str, int] = {
     "storage.buffer": 10,
     "mapper.read_cache": 20,
     "mapper.materialized": 22,
-    "mapper.writes": 24,
     "mapper.versions": 30,
     "store.commit_latch": 36,
     "store.surrogates": 38,
@@ -85,7 +83,6 @@ LOCK_SITES: Dict[str, Dict[str, str]] = {
     "buffer.py": {"self._lock": "storage.buffer"},
     "read_cache.py": {"self._lock": "mapper.read_cache"},
     "materialized.py": {"self._lock": "mapper.materialized"},
-    "writes.py": {"self._lock": "mapper.writes"},
     "versions.py": {"self._mutex": "mapper.versions"},
     "store.py": {"self.commit_latch": "store.commit_latch",
                  "self._surrogate_mutex": "store.surrogates"},
@@ -118,7 +115,6 @@ THREADED_CLASSES = frozenset({
     "BufferPool",
     "ReadCache",
     "MaterializationManager",
-    "WriteNotifier",
     "VersionManager",
     "SimServer",
     "_AdmissionGate",
@@ -127,8 +123,7 @@ THREADED_CLASSES = frozenset({
 #: module basenames whose module-level ``global`` writes SIM303 checks.
 THREADED_MODULES = frozenset({
     "sessions.py", "buffer.py", "read_cache.py", "materialized.py",
-    "writes.py", "versions.py", "server.py", "transactions.py",
-    "store.py", "wal.py",
+    "versions.py", "server.py", "transactions.py", "store.py", "wal.py",
 })
 
 #: blocking-call table for SIM302: method name -> substrings that mark a

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import weakref
 from dataclasses import dataclass
 from typing import List, Optional, Union
 
@@ -126,6 +127,9 @@ class Database:
         self._lock_manager = LockManager()
         self._lock_manager.perf = self.store.perf
         self._session_ids = itertools.count(1)
+        #: every open Session, the default and server ones included, so
+        #: a crash can drop each one's transaction and locks
+        self._sessions = weakref.WeakSet()
         #: where this facade's statements run (see Session): opened with
         #: it for the same reason; its transaction opens lazily
         self._session = Session(self, _default=True)
@@ -484,12 +488,13 @@ class Database:
     def simulate_crash(self) -> dict:
         """Lose all volatile state and recover from disk + log.
 
-        Committed transactions survive; the in-flight transaction (if any)
-        is undone from the write-ahead log's before-images, and the
-        default session forgets it and its locks.  Returns recovery
-        statistics.
+        Committed transactions survive; in-flight transactions are undone
+        from the write-ahead log's before-images, and every session
+        forgets its transaction and its locks, so a later abort replays
+        nothing.  Returns recovery statistics.
         """
-        self._session._release()
+        for session in list(self._sessions):
+            session._release()
         return self.store.simulate_crash()
 
     # -- Fault injection and consistency checking -----------------------------------

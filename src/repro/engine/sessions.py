@@ -509,6 +509,7 @@ class Session:
         self.entity_locks = entity_locks
         self._transaction = None
         self._retry_rng = random.Random(self.session_id * 7919)
+        database._sessions.add(self)
 
     # -- Statements -------------------------------------------------------------
 

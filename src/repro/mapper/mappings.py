@@ -511,7 +511,7 @@ class UnitMv(_RecordUnit, _MvStorage):
             self._add((surrogate, seq, value))
         # Not cached here, but engine memos validated against the epoch
         # must still expire.
-        self.store.writes.note_write()
+        self.store.read_cache.note_write()
 
     def exclude(self, surrogate: int, value) -> bool:
         with self.file.latch:
@@ -520,12 +520,12 @@ class UnitMv(_RecordUnit, _MvStorage):
                 record = self.file.read(rid)[1]
                 if record[_VALUE] == value:
                     self._remove(rid, record)
-                    self.store.writes.note_write()
+                    self.store.read_cache.note_write()
                     return True
         return False
 
     def clear(self, surrogate: int) -> None:
-        self.store.writes.note_write()
+        self.store.read_cache.note_write()
         with self.file.latch:
             self.store._stage(self.prefix(), surrogate, self.values)
             for rid in self.index.lookup(surrogate):

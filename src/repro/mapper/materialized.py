@@ -5,15 +5,16 @@ relation (a hot EVA join like ``advisor`` of ``student``, or the
 transitive closure of ``prerequisites``) is worth storing when it is
 read far more often than its base relations change.  A
 :class:`Materialization` holds the fully-computed relation as plain
-dictionaries; the manager serves traversals from it on the read path and
-keeps it current from the Mapper's write events.
+dictionaries; the manager serves traversals from it on the read path, and
+the store keeps it current with one call per relationship change.
 
 Two kinds:
 
 * ``"join"`` — one EVA's full instance set, both directions
   (``forward``: canonical-side source -> targets, ``reverse``: the
-  inverse direction).  Maintained *incrementally*: each
-  ``eva_changed`` event applies the single-pair delta under the
+  inverse direction).  Maintained *incrementally*: the store calls
+  :meth:`MaterializationManager.eva_changed` for each instance it
+  includes or excludes, which applies the single-pair delta under the
   manager's lock.  A delta that disagrees with the stored state (the
   pair already present on add, absent on remove — possible when a
   refresh races a writer) marks the materialization stale instead of
@@ -24,21 +25,22 @@ Two kinds:
   marks it stale; the next probe refreshes it in place.
 
 Transactional story (tentpole layer 3): deltas apply at write time
-inside the owning transaction's statement.  If that transaction aborts —
-or a statement rolls back, or the store crash-recovers — the rollback
-surgery fires ``TransactionManager.invalidation_hooks``, which reaches
-:meth:`MaterializationManager.rollback` through the write notifier and
-marks *everything* stale; the next read recomputes from the recovered
-physical state, which makes maintenance idempotent through WAL replay.
+inside the owning transaction's statement.  If that transaction aborts
+or a statement rolls back, the rollback surgery fires
+``TransactionManager.invalidation_hooks``; there, and when the store
+crash-recovers, the store clears its read cache and then calls
+:meth:`MaterializationManager.mark_all_stale`.  The next read recomputes
+from the recovered physical state, which makes maintenance idempotent
+through WAL replay.
 Snapshot (MVCC) Retrieves never consult materializations at all — the
 serve paths check ``store.current_snapshot() is None`` — so epoch
 consistency is preserved trivially: snapshot readers pay the version-
 chain fold they already paid before this module existed.
 
 Locking: ``mapper.materialized`` is rank 22 — below the unit latches
-(42) whose holders publish write events into :meth:`eva_changed`, and
-above ``mapper.read_cache`` (20), which refresh acquires through the
-store's read path.  Both orders are descending, so lockdep stays green.
+(42) whose holders call :meth:`eva_changed`, and above
+``mapper.read_cache`` (20), which refresh acquires through the store's
+read path.  Both orders are descending, so lockdep stays green.
 """
 
 from __future__ import annotations
@@ -100,8 +102,9 @@ class Materialization:
 class MaterializationManager:
     """Declares, serves, and maintains a store's materializations.
 
-    Registered as a :class:`~repro.mapper.writes.WriteSubscriber`; the
-    store's hot traversal paths probe :meth:`serve_eva` /
+    The store calls :meth:`eva_changed` for every relationship change
+    and :meth:`mark_all_stale` after undo surgery; its hot traversal
+    paths probe :meth:`serve_eva` /
     :meth:`serve_closure`, which answer only from *fresh* content and
     bump the ``materialized_hits`` / ``materialized_misses`` counters
     the trace layer renders per statement.
@@ -122,7 +125,7 @@ class MaterializationManager:
         #: (rebuilt wholesale under the lock, read lock-free)
         self._closure_triggers: Dict[int, tuple] = {}
         # Rank 22: above read_cache (20), below the unit latches (42)
-        # whose holders publish the eva_changed deltas applied here.
+        # whose holders make the eva_changed calls applied here.
         self._lock = ranked_lock("mapper.materialized")
 
     # ---------------------------------------------------------------- lifecycle
@@ -344,20 +347,13 @@ class MaterializationManager:
         finally:
             self.enabled = previous  # noqa: SIM303
 
-    # -------------------------------------------------- write-event subscriber
-
-    def note_write(self) -> None:
-        """Plain DVA writes don't change any derived relation here."""
-
-    def record_changed(self, class_name: str, surrogate: int) -> None:
-        """DVA values are not part of a join/closure materialization."""
-
-    def role_changed(self, class_name: str, surrogate: int) -> None:
-        """Membership changes only matter when the entity gains pairs,
-        which arrives as its own ``eva_changed`` events."""
+    # ------------------------------------------------------------- maintenance
 
     def eva_changed(self, rel_id: int, domain_surr: int, range_surr: int,
                     added: bool) -> None:
+        """A relationship instance was included (``added``) or excluded.
+        DVA writes and role changes reach no materialization: an entity's
+        pairs arrive as calls of their own."""
         mat = self._by_rel.get(rel_id)
         if mat is not None:
             with self._lock:
@@ -392,10 +388,6 @@ class MaterializationManager:
                                              if t != range_surr)
             mat.reverse[range_surr] = tuple(t for t in reverse
                                             if t != domain_surr)
-
-    def rollback(self) -> None:
-        """Undo surgery / crash recovery invalidated incremental state."""
-        self.mark_all_stale()
 
     def __repr__(self):
         fresh = sum(1 for m in self._mats.values() if m.fresh)

@@ -29,7 +29,6 @@ from repro.mapper.mappings import (
 from repro.mapper.materialized import MaterializationManager
 from repro.mapper.read_cache import ReadCache
 from repro.mapper.physical import PhysicalDesign
-from repro.mapper.writes import ReadCacheSubscriber, WriteNotifier
 from repro.mapper.translate import canonical_eva, translate_schema
 from repro.mapper.versions import ABSENT, VersionManager
 from repro.naming import canon
@@ -109,11 +108,6 @@ class MapperStore:
         self.trace = None
         #: decoded-record / role / EVA fan-out caches (see read_cache.py)
         self.read_cache = ReadCache(self.perf)
-        #: the single write-event publication point (writes.py): every
-        #: mutation is announced once and fanned out to the read cache,
-        #: materializations, and any other registered subscriber.
-        self.writes = WriteNotifier()
-        self.writes.subscribe(ReadCacheSubscriber(self.read_cache))
         #: named materialized derived relations; attached lazily by the
         #: first declaration so undeclared stores pay one None test
         self.materialized: Optional[MaterializationManager] = None
@@ -173,7 +167,7 @@ class MapperStore:
         # Rollback surgery (abort or statement-level rollback_to) restores
         # state through raw file/index operations; the hook guarantees no
         # cached or materialized state survives it.
-        self.transactions.invalidation_hooks.append(self.writes.rollback)
+        self.transactions.invalidation_hooks.append(self._discard_derived)
         self.transactions.commit_hooks.append(self.versions.commit)
         self.transactions.abort_hooks.append(self.versions.abort)
 
@@ -601,7 +595,7 @@ class MapperStore:
             rid = record_file.insert(format_id, record, near=near)
             self._surrogate_index[class_name].insert(surrogate, rid)
             # The role check above cached a negative membership.
-            self.writes.role_changed(class_name, surrogate)
+            self.read_cache.invalidate_role(class_name, surrogate)
             self._index_record(class_name, record, rid)
 
         def undo():
@@ -668,7 +662,7 @@ class MapperStore:
                     f"entity {surrogate} has no role {class_name!r}")
             record = record_file.delete(rid)
             index.delete(surrogate, rid)
-            self.writes.role_changed(class_name, surrogate)
+            self.read_cache.invalidate_role(class_name, surrogate)
             for _, position, index in self._class_indexes[class_name]:
                 if not is_null(record[position]):
                     index.delete(record[position], rid)
@@ -690,7 +684,7 @@ class MapperStore:
         with record_file.latch:
             record_file.undelete(rid, format_id, record)
             self._surrogate_index[class_name].insert(surrogate, rid)
-            self.writes.role_changed(class_name, surrogate)
+            self.read_cache.invalidate_role(class_name, surrogate)
             self._index_record(class_name, record, rid)
 
     def insert_entity(self, class_name: str,
@@ -826,7 +820,7 @@ class MapperStore:
                     if not is_null(value):
                         value_index.insert(value, rid)
             self._class_file[class_name].update(rid, {field: value})
-            self.writes.record_changed(class_name, surrogate)
+            self.read_cache.invalidate_record(class_name, surrogate)
 
         def undo():
             self._write_field(surrogate, class_name, field, old,
@@ -844,12 +838,20 @@ class MapperStore:
     # ------------------------------------------- materialized derived relations
 
     def attach_materializations(self) -> MaterializationManager:
-        """Return the store's materialization manager, creating it (and
-        subscribing it to the write-event hub) on first use."""
+        """Return the store's materialization manager, creating it on
+        first use."""
         if self.materialized is None:
             self.materialized = MaterializationManager(self)
-            self.writes.subscribe(self.materialized)
         return self.materialized
+
+    def _discard_derived(self) -> None:
+        """Undo surgery or crash recovery rewrote state under every
+        derived representation: drop the read cache, then mark every
+        materialization stale (the cache first, so no materialization
+        refreshes from entries the cache still serves stale)."""
+        self.read_cache.clear()
+        if self.materialized is not None:
+            self.materialized.mark_all_stale()
 
     # ------------------------------------------------------------------- EVAs
 
@@ -929,15 +931,18 @@ class MapperStore:
 
     def _counted(self, info: EvaStorage, domain_surr: int, range_surr: int,
                  delta: int) -> None:
-        """Adjust the pair's instance count (an abort takes it back) and
-        publish the instance's arrival or departure."""
+        """Adjust the pair's instance count (an abort takes it back),
+        drop the cached fan-outs of both endpoints and hand the change to
+        the materializations."""
         info.instance_count += delta
 
         def undo():
             info.instance_count -= delta
         self.transactions.record_undo(undo)
-        self.writes.eva_changed(info.rel_id, domain_surr, range_surr,
-                                added=delta > 0)
+        self.read_cache.invalidate_eva(info.rel_id, domain_surr, range_surr)
+        if self.materialized is not None:
+            self.materialized.eva_changed(info.rel_id, domain_surr,
+                                          range_surr, added=delta > 0)
 
     def _require_role(self, surrogate: int, class_name: str) -> None:
         if not self.has_role(surrogate, class_name):
@@ -1190,7 +1195,7 @@ class MapperStore:
         (A real system checkpoints these; rebuilding by scan is the
         simulator's equivalent and also validates that the disk image is
         self-describing.)"""
-        self.writes.rollback()
+        self._discard_derived()
         # Seed the fresh manager's id counter past every id ever logged,
         # compacted records' included, so no id names two transactions.
         self._new_pool_and_transactions(start_after=self.wal.txn_watermark)

@@ -13,6 +13,8 @@ This module supplies the failure half of that argument:
   permanent I/O errors, torn/partial block writes (only a prefix of the
   slot directory reaches the platter), and crash triggers (the machine
   dies mid-operation and every further I/O fails until ``reboot``).
+  A crash can also be armed on a log append, which is no device
+  operation: the machine dies with the record in the log's volatile tail.
 * :class:`RetryPolicy` — the Mapper's bounded retry-with-backoff loop for
   transient faults, counting retries and give-ups into the store's
   :class:`~repro.perf.PerfCounters` (``transient_retries`` /
@@ -38,6 +40,7 @@ from repro.perf import PerfCounters
 READ = "read"
 WRITE = "write"
 FORCE = "force"
+APPEND = "append"
 
 #: fault actions
 TRANSIENT = "transient"
@@ -79,7 +82,7 @@ class FaultInjector:
         self.rng = random.Random(seed)
         self.crashed = False
         #: operations observed, by kind (monotonic across reboots)
-        self.ops: Dict[str, int] = {READ: 0, WRITE: 0, FORCE: 0}
+        self.ops: Dict[str, int] = {READ: 0, WRITE: 0, FORCE: 0, APPEND: 0}
         #: faults actually delivered, by action
         self.injected: Dict[str, int] = {a: 0 for a in _ACTIONS}
         self.reboots = 0
@@ -118,6 +121,12 @@ class FaultInjector:
         never reaches the platter."""
         self._arm(WRITE, n, CRASH)
 
+    def crash_after_appends(self, n: int) -> None:
+        """Kill the machine right after the ``n``-th log append from now
+        (and any compaction that append ran): the record is in the log,
+        but not durable unless a force already covered it."""
+        self._arm(APPEND, n, CRASH)
+
     def _arm(self, op: str, nth: int, action: str, repeat: int = 1) -> None:
         if nth < 1:
             raise StorageError(f"fault ordinal must be >= 1, got {nth}")
@@ -141,6 +150,12 @@ class FaultInjector:
 
     def on_force(self) -> None:
         self._operation(FORCE)
+
+    def on_append(self) -> None:
+        # Not a device operation: a dead machine's appends (an undo run
+        # before recovery) neither count nor fail.
+        if not self.crashed:
+            self._operation(APPEND)
 
     def _operation(self, op: str, block=None):
         if self.crashed:

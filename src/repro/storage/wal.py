@@ -90,7 +90,8 @@ class WriteAheadLog:
         self._mutex = ranked_lock("storage.wal")
         self.last_checkpoint_lsn = 0
         #: optional fault injector / retry policy applied to forces —
-        #: a force is the log device's write, so it can fail too
+        #: a force is the log device's write, so it can fail too — and
+        #: the injector to appends, where it can only crash the machine
         self.faults = None
         self.retry = None
         #: counts appends, forces and compactions (the store wires its own)
@@ -117,6 +118,8 @@ class WriteAheadLog:
         self.perf.bump("wal_records")
         if compacted:
             self.perf.bump("wal_checkpoints")
+        if self.faults is not None:
+            self.faults.on_append()
         return lsn
 
     def log_update(self, txn_id: Optional[int], file_id: int, block_no: int,

@@ -19,6 +19,8 @@ from repro.analysis.concurrency import (
 from repro.analysis.diagnostics import RULES
 from repro.analysis.lock_order import (
     LOCK_RANKS,
+    LOCK_SITES,
+    THREADED_CLASSES,
     THREADED_MODULES,
     describe_hierarchy,
 )
@@ -211,6 +213,31 @@ class TestFramework:
             < LOCK_RANKS["sessions.class_locks"]
         text = describe_hierarchy()
         assert "storage.wal" in text.splitlines()[0]
+
+    def test_hierarchy_names_only_live_locks(self):
+        """Every rank is some ``ranked_lock("<name>")`` literal, and every
+        site module, threaded module and threaded class is in the source,
+        so a deleted lock cannot leave its rank or its table rows behind."""
+        import ast
+        from repro.analysis.concurrency import _python_files
+        literals, classes, modules = set(), set(), set()
+        for path in _python_files([SRC_REPRO]):
+            modules.add(os.path.basename(path))
+            with open(path, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ClassDef):
+                    classes.add(node.name)
+                elif (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id == "ranked_lock"
+                        and node.args
+                        and isinstance(node.args[0], ast.Constant)):
+                    literals.add(node.args[0].value)
+        assert set(LOCK_RANKS) == literals, set(LOCK_RANKS) ^ literals
+        assert set(LOCK_SITES) <= modules, set(LOCK_SITES) - modules
+        assert THREADED_MODULES <= modules, THREADED_MODULES - modules
+        assert THREADED_CLASSES <= classes, THREADED_CLASSES - classes
 
     def test_syntax_error_is_reported_not_raised(self):
         diags = lint_concurrency_source("def broken(:\n", "bad.py")

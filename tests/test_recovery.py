@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import Database
+from repro.interfaces.server import SimClient
 from repro.workloads import UNIVERSITY_DDL, build_university
 
 
@@ -238,6 +239,46 @@ class TestAbortEndsTheTransaction:
             aborted.abort()
         db.simulate_crash()
         assert db.query(self.SALARY).scalar() == before
+        assert db.check().ok
+
+
+class TestACrashEndsEverySession:
+    """A crash drops every open transaction, so every session, server
+    sessions included, forgets its own and frees its locks: nothing
+    waits on a dead transaction, and aborting one replays nothing."""
+
+    def test_sessions_open_at_a_crash_hold_nothing_after_it(self):
+        db = build_university(seed=7)
+        db.store.pool.flush()
+        salary = ("From instructor Retrieve salary"
+                  " Where employee-nbr = {}").format
+        recovered = db.query(salary(1001)).scalar()
+        stale = db.session(lock_timeout=0)
+        stale.execute(
+            "Modify instructor(salary := 11111) Where employee-nbr = 1001")
+        with db.serve() as server, SimClient(*server.address) as client:
+            client.execute("Modify instructor(salary := 11112)"
+                           " Where employee-nbr = 1002", timeout=0)
+            db.simulate_crash()
+            assert db.statistics()["locks"]["tracked_keys"] == 0
+            assert not stale.in_transaction()
+            assert stale.entity_holdings() == {}
+            writer = db.session(lock_timeout=0)
+            for employee in (1001, 1002):
+                writer.execute(f"Modify instructor(salary := 22222)"
+                               f" Where employee-nbr = {employee}")
+            writer.commit()
+            # Replaying the pre-crash undos would restore the old salaries
+            # over the committed ones.
+            stale.abort()
+            client.abort()
+            client.execute("Modify instructor(salary := 33333)"
+                           " Where employee-nbr = 1003", timeout=0)
+            client.commit()
+        assert recovered == 32400
+        assert [db.query(salary(e)).scalar() for e in (1001, 1002)] \
+            == [22222, 22222]
+        assert db.query(salary(1003)).scalar() == 33333
         assert db.check().ok
 
 

@@ -1,9 +1,11 @@
-"""Randomized crash-torture: crash at every k-th physical write.
+"""Randomized crash-torture: crash at every k-th physical write, log
+force and log append.
 
 The harness replays small UNIVERSITY update workloads (inserts, DVA/EVA
 modifies, deletes, include/exclude churn) against a fault-injected
-database, crashing after every possible k-th physical write, recovering,
-and asserting three things for every crash point:
+database, crashing after every possible k-th physical write (then every
+log force, then every log append), recovering, and asserting three
+things for every crash point:
 
 * the semantic consistency checker comes back clean — EVA/inverse
   symmetry, hierarchy containment, index agreement, free-space accuracy
@@ -182,22 +184,28 @@ def shadow_dumps(script):
     return dumps
 
 
-def count_writes(script):
-    """Dry-run a script and return total physical writes it performs."""
+def count_ops(script, op="write"):
+    """Dry-run a script and return how many operations of kind ``op``
+    (physical writes, log forces or log appends) it performs."""
     database = fresh_db()
     injector = database.install_faults(seed=TORTURE_SEED)
     for statement in script:
         database.execute(statement)
-    return injector.ops["write"]
+    return injector.ops[op]
 
 
-def run_with_crash(script, k, seed=TORTURE_SEED):
-    """Execute ``script`` with a crash armed after the k-th physical
-    write, recover, and return (database, committed-statement count,
-    whether the crash actually fired)."""
+def run_with_crash(script, k, seed=TORTURE_SEED, op="write"):
+    """Execute ``script`` with a crash armed on the k-th operation of kind
+    ``op`` (physical write, log force or log append), recover, and return
+    (database, committed-statement count, whether the crash fired)."""
     database = fresh_db()
     injector = database.install_faults(seed=seed)
-    injector.crash_after_writes(k)
+    if op == "write":
+        injector.crash_after_writes(k)
+    elif op == "force":
+        injector.fail_force(k, error="crash")
+    else:
+        injector.crash_after_appends(k)
     committed = 0
     crashed = False
     try:
@@ -222,66 +230,93 @@ CRASH_MATRIX = (
        for name in sorted(SCRIPTS)])
 
 
+def torture_lane(request):
+    """Whether ``-m torture`` selected this run."""
+    return "torture" in request.config.getoption("markexpr")
+
+
+def compact_every_few_statements(script, compact_at, monkeypatch, request):
+    """With ``compact_at`` set, lower the log's compaction threshold to it
+    (``-m torture`` lane only: a second matrix doubles the time) and
+    check the script then compacts every few statements."""
+    if compact_at is None:
+        return
+    if not torture_lane(request):
+        pytest.skip("second crash matrix: `-m torture` lane only")
+    monkeypatch.setattr(WriteAheadLog, "COMPACT_AT", compact_at)
+    database = fresh_db()
+    before = database.perf.wal_checkpoints
+    for statement in script:
+        database.execute(statement)
+    compactions = database.perf.wal_checkpoints - before
+    assert compactions >= len(script) // 4, compactions
+
+
+def crash_at(name, op, points):
+    """Crash on each of ``points`` (ordinals of ``op``) in turn; every
+    crash must fire and recover to the committed prefix with a clean
+    check()."""
+    script = SCRIPTS[name]
+    expected = shadow_dumps(script)
+    for k in points:
+        database, committed, crashed = run_with_crash(script, k, op=op)
+        assert crashed, f"{name} {op}={k}: the armed crash never fired"
+        report = database.check()
+        assert report.ok, (
+            f"{name} {op}={k}: corrupt after recovery: "
+            f"{report.problems[:5]}")
+        assert dump(database) == expected[committed], (
+            f"{name} {op}={k}: recovered state is not the committed "
+            f"prefix ({committed} statements)")
+
+
 @pytest.mark.torture
 @pytest.mark.parametrize("name, compact_at", CRASH_MATRIX)
 def test_crash_at_every_write(name, compact_at, monkeypatch, request):
     """Crash after every possible k-th write of the script; every crash
     point must recover to the committed prefix with a clean check().
-    Run once more with the log compacting every few statements (in the
-    ``-m torture`` lane only: it doubles the matrix)."""
+    Run once more with the log compacting every few statements."""
     script = SCRIPTS[name]
-    if compact_at is not None:
-        if "torture" not in request.config.getoption("markexpr"):
-            pytest.skip("second crash matrix: `-m torture` lane only")
-        monkeypatch.setattr(WriteAheadLog, "COMPACT_AT", compact_at)
-        database = fresh_db()
-        before = database.perf.wal_checkpoints
-        for statement in script:
-            database.execute(statement)
-        compactions = database.perf.wal_checkpoints - before
-        assert compactions >= len(script) // 4, compactions
-    expected = shadow_dumps(script)
-    total_writes = count_writes(script)
+    compact_every_few_statements(script, compact_at, monkeypatch, request)
+    total_writes = count_ops(script)
     assert total_writes >= len(script), "script writes too little to torture"
-    fired = 0
-    for k in range(1, total_writes + 1):
-        database, committed, crashed = run_with_crash(script, k)
-        fired += crashed
-        report = database.check()
-        assert report.ok, (
-            f"{name} k={k}: corrupt after recovery: {report.problems[:5]}")
-        assert dump(database) == expected[committed], (
-            f"{name} k={k}: recovered state is not the committed prefix "
-            f"({committed} statements)")
-    assert fired == total_writes, "every armed crash point must fire"
+    crash_at(name, "write", range(1, total_writes + 1))
 
 
 @pytest.mark.torture
 def test_crash_matrix_covers_200_points():
     """Acceptance floor: the matrix spans >= 200 seeded crash points."""
-    total = sum(count_writes(script) for script in SCRIPTS.values())
+    total = sum(count_ops(script) for script in SCRIPTS.values())
     assert total >= 200, f"only {total} crash points across the matrix"
 
 
 @pytest.mark.torture
-@pytest.mark.parametrize("name", sorted(SCRIPTS))
-def test_crash_on_commit_force(name):
-    """Crash on the log force inside commit: the commit record never
-    becomes durable, so the statement must be undone even though its data
-    pages were already flushed."""
+@pytest.mark.parametrize("name, compact_at", CRASH_MATRIX)
+def test_crash_on_commit_force(name, compact_at, monkeypatch, request):
+    """Crash on a log force: the commit record never becomes durable, so
+    the statement must be undone even though its data pages were already
+    flushed.  The ``-m torture`` lane crashes at every force of the
+    script, as written and with the log compacting; elsewhere only the
+    2nd force of the script as written crashes."""
     script = SCRIPTS[name]
-    expected = shadow_dumps(script)
-    database = fresh_db()
-    injector = database.install_faults(seed=TORTURE_SEED)
-    injector.fail_force(2, error="crash")
-    committed = 0
-    with pytest.raises(InjectedCrash):
-        for statement in script:
-            database.execute(statement)
-            committed += 1
-    database.simulate_crash()
-    assert database.check().ok
-    assert dump(database) == expected[committed]
+    compact_every_few_statements(script, compact_at, monkeypatch, request)
+    crash_at(name, "force", range(1, count_ops(script, "force") + 1)
+             if torture_lane(request) else (2,))
+
+
+@pytest.mark.torture
+@pytest.mark.parametrize("name, compact_at", CRASH_MATRIX)
+def test_crash_at_every_append(name, compact_at, monkeypatch, request):
+    """Crash right after every log append of the script (``-m torture``
+    lane only).  With the log compacting, some crashes fall right after
+    an append that compacted: had it dropped the records of a transaction
+    whose end record is not yet durable, that transaction's flushed pages
+    would be left with nothing to undo them from."""
+    if not torture_lane(request):
+        pytest.skip("append crash matrix: `-m torture` lane only")
+    script = SCRIPTS[name]
+    compact_every_few_statements(script, compact_at, monkeypatch, request)
+    crash_at(name, "append", range(1, count_ops(script, "append") + 1))
 
 
 @pytest.mark.torture
