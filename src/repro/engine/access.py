@@ -11,6 +11,7 @@ Wraps the Mapper with the semantics the DML needs:
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import List, Tuple
 
 from repro.mapper.store import MapperStore
@@ -52,11 +53,14 @@ class EntityAccessor:
         self.schema = store.schema
         self.perf = store.perf
         self._memo_view = None
-        #: one memo per (kind, attribute/EVA/node identity), each mapping
-        #: an instance to its value ("dva"), its value tuple ("mv"), its
+        #: one memo per (kind, role/attribute/EVA/node identity), each
+        #: mapping an instance to its role record ("rec"), its value
+        #: ("dva", subroles and MV DVAs), its value tuple ("mv"), its
         #: target tuple ("eva") or its domain tuple ("domain")
         self._memos = {}
         self._memo_entries = 0
+        #: role -> the all-NULL record a non-holder (or the dummy) reads
+        self._null_records = {}
 
     def begin_query(self) -> None:
         """Hook for the executor at query start: revalidate the memos."""
@@ -83,11 +87,24 @@ class EntityAccessor:
         positions awaiting them, and the memo to record them in.
         Accounts one hit per cached or repeated instance and one miss
         per pending one: the totals of reading the column one instance
-        at a time."""
+        at a time.  A batch whose every instance is cached — the warm
+        path — is one ``itemgetter(*instances)(memo)``, or for a batch
+        of one (a point read) one ``memo.get``."""
         memo = self._memos.get((kind, key_id))
         if memo is None:
             memo = self._memos[(kind, key_id)] = {}
+        elif len(instances) > 1:
+            try:    # no per-instance Python
+                found = list(itemgetter(*instances)(memo))
+            except KeyError:    # a miss, the dummy or a null instance
+                pass
+            else:
+                self.perf.bump("memo_hits", len(found))
+                return found, {}, memo
         found = list(map(memo.get, instances))
+        if found and None not in found:     # a batch of one, cached
+            self.perf.bump("memo_hits", len(found))
+            return found, {}, memo
         pending = {}
         hits = len(found)
         for position, entry in enumerate(found):
@@ -120,28 +137,28 @@ class EntityAccessor:
 
     def dva_batch(self, attr, instances) -> List:
         """:meth:`dva` over a column of instances: one epoch check, and
-        the records behind all the misses decode through one
-        :meth:`MapperStore.fetch_many` call, which also tells the
-        holders of the role from the rest (subroles, MV and
-        entity-valued attributes read one by one, holders first)."""
+        the field at the attribute's position of each instance's role
+        record (:meth:`_records`; §5.2: a role is one record of its
+        unit, so every DVA of one role a statement reads, in any
+        operator, shares one memo entry per entity).  Subroles, MV
+        and entity-valued attributes are memoized per attribute and
+        read one by one, holders first."""
         if attr.is_surrogate:
             return [NULL if inst is DUMMY or is_null(inst) else inst
                     for inst in instances]
         self._sync()
+        store = self.store
+        owner = attr.owner_name
+        if not (attr.is_subrole or attr.multi_valued or attr.is_eva):
+            position = store.field_positions(owner)[attr.name]
+            return list(map(itemgetter(position),
+                            self._records(owner, instances)))
         values, pending, memo = self._lookup("dva", id(attr), instances,
                                              NULL)
         if pending:
-            store = self.store
-            owner = attr.owner_name
-            if attr.is_subrole or attr.multi_valued or attr.is_eva:
-                resolved = {surrogate: store.read_dva(surrogate, attr)
-                            for surrogate in pending
-                            if store.has_role(surrogate, owner)}
-            else:
-                records = store.fetch_many(owner, pending)
-                position = store.field_positions(owner)[attr.name]
-                resolved = {surrogate: record[position]
-                            for surrogate, (_, record) in records.items()}
+            resolved = {surrogate: store.read_dva(surrogate, attr)
+                        for surrogate in pending
+                        if store.has_role(surrogate, owner)}
             for surrogate, positions in pending.items():
                 value = resolved.get(surrogate, NULL)
                 if isinstance(value, list):
@@ -154,6 +171,41 @@ class EntityAccessor:
                 for position in positions:
                     values[position] = value
         return values
+
+    def _records(self, class_name, instances) -> List[tuple]:
+        """Each instance's role record in ``class_name`` (canonical), a
+        shared tuple — one all-NULL tuple for the dummy, null instances
+        and non-holders — the misses through one
+        :meth:`MapperStore.fetch_many`.  Callers :meth:`_sync` first."""
+        nulls = self._null_records.get(class_name)
+        if nulls is None:
+            nulls = self._null_records[class_name] = (NULL,) * len(
+                self.store.field_positions(class_name))
+        records, pending, memo = self._lookup("rec", class_name, instances,
+                                              nulls)
+        if pending:
+            fetched = self.store.fetch_many(class_name, pending)
+            for surrogate, positions in pending.items():
+                entry = fetched.get(surrogate)
+                record = memo[surrogate] = nulls if entry is None \
+                    else entry[1]
+                for position in positions:
+                    records[position] = record
+        return records
+
+    def _holders(self, class_name, instances):
+        """The ``instances`` (distinct entities) holding the role
+        ``class_name``, told by their memoized role records; None
+        unless every one is memoized."""
+        memo = self._memos.get(("rec", class_name))
+        if memo is None:
+            return None
+        records = list(map(memo.get, instances))
+        if None in records:
+            return None
+        nulls = self._null_records[class_name]
+        return [instance for instance, record in zip(instances, records)
+                if record is not nulls]
 
     def _mv_values(self, surrogate, attr) -> tuple:
         """The value multiset of an MV DVA (empty for dummy / missing role)."""
@@ -170,14 +222,18 @@ class EntityAccessor:
 
         Misses traverse the store through one
         :meth:`MapperStore.traverse_eva_batch` call, which also omits
-        the sources that do not hold the role.  An EVA declared
+        the sources that do not hold the role — known already when the
+        statement memoized their role records.  An EVA declared
         ``ordered by <attr>`` (paper §6: system-maintained ordering)
         returns its targets sorted by that range-class DVA, nulls first;
         ties fall back to surrogate order."""
         self._sync()
         results, pending, memo = self._lookup("eva", id(eva), sources, ())
         if pending:
-            traversed = self.store.traverse_eva_batch(pending, eva)
+            holders = self._holders(eva.owner_name, pending)
+            traversed = self.store.traverse_eva_batch(
+                pending if holders is None else holders, eva,
+                held=holders is not None)
             for source, positions in pending.items():
                 targets = traversed.get(source, ())
                 if eva.options.ordered_by is not None and len(targets) > 1:
@@ -256,49 +312,43 @@ class EntityAccessor:
 
     def node_domains_batch(self, node, parent_instances) -> List[tuple]:
         """The domain of ``node`` per parent instance (the parent node's
-        slot values, no env dicts).
+        slot values, no env dicts), as shared tuples the caller must not
+        mutate.
 
-        Results are materialized as tuples keyed by (node, parent
-        instance): within one query the same subtree domain — notably a
-        hoisted TYPE 2 existential re-entered per outer row — is
-        enumerated once.  Callers must not mutate the result.  Plain
-        (non-transitive) EVA nodes resolve their misses through
-        :meth:`eva_targets_batch`."""
+        A plain EVA node's domain *is* :meth:`eva_targets_batch`, whose
+        memo shares a hop across nodes and statements by (EVA, source);
+        role conversion (``as_class``) does not narrow it — attribute
+        access through the converted view yields NULL instead.  MV-DVA
+        and transitive domains are memoized by (``domain_key``, source):
+        a hoisted TYPE 2 existential re-entered per outer row, say, is
+        enumerated once."""
+        parent = node.parent
+        if parent.kind == "eva" and parent.transitive:
+            # a transitive variable's instances are (value, level) pairs
+            parent_instances = [instance[0] if isinstance(instance, tuple)
+                                else instance
+                                for instance in parent_instances]
+        if node.kind != "mvdva" and not node.transitive:
+            return self.eva_targets_batch(parent_instances, node.eva)
         self._sync()
         domains, pending, memo = self._lookup(
             "domain", getattr(node, "domain_key", node.id),
             parent_instances, ())
         if pending:
             self.perf.bump("domain_enumerations", len(pending))
-            sources = [self._unwrap(node.parent, instance)
-                       for instance in pending]
             if node.kind == "mvdva":
                 resolved = [self._mv_values(source, node.mv_attr)
-                            for source in sources]
-            elif node.transitive:
+                            for source in pending]
+            else:
                 resolved = [tuple(self.transitive(
                     source, node.transitive_evas or node.eva))
-                    for source in sources]
-            else:
-                # Role conversion (``as_class``) does not narrow the
-                # domain: the variable still ranges over all targets, and
-                # attribute access through the converted view yields NULL
-                # for entities lacking the role.
-                resolved = self.eva_targets_batch(sources, node.eva)
-            for (parent_instance, positions), domain in zip(pending.items(),
-                                                            resolved):
-                memo[parent_instance] = domain
+                    for source in pending]
+            for (source, positions), domain in zip(pending.items(),
+                                                   resolved):
+                memo[source] = domain
                 for position in positions:
                     domains[position] = domain
         return domains
 
     def root_domain(self, node) -> List[int]:
         return self.class_extent(node.class_name)
-
-    @staticmethod
-    def _unwrap(node, instance):
-        """Instance value of a node (transitive instances are (value, level))."""
-        if node is not None and node.kind == "eva" and node.transitive \
-                and isinstance(instance, tuple):
-            return instance[0]
-        return instance

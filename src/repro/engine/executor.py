@@ -135,13 +135,12 @@ class QueryExecutor:
                               for out_row in batch]
 
         columns = list(physical.columns)
-        original_nodes: List[QTNode] = []
-        for root in tree.roots:
-            original_nodes.extend(tree.loop_nodes(root))
-
         structured = None
         formats: List[str] = []
         if structured_mode:
+            original_nodes: List[QTNode] = []
+            for root in tree.roots:
+                original_nodes.extend(tree.loop_nodes(root))
             node_targets = self._targets_by_node(query, tree, original_nodes)
             structured = build_structured(original_nodes, node_targets,
                                           columns, snapshots)

@@ -370,11 +370,29 @@ class MapperStore:
         When the primitive raises (a writer reshaped a unit), the keys
         left after the second probe are read again if it resolved any
         of them; the error is the answer only when every key missed
-        both probes and nothing aborted."""
+        both probes and nothing aborted.
+
+        No writer in sight, no probe: with the version map untouched,
+        the primitive runs once, and its answer stands if the map is
+        untouched still and ``versions.aborts`` has not moved.  The
+        snapshot is registered as active, so a commit after its epoch
+        stays chained until it ends; a staged key stays visible until
+        a commit chains it or an abort counts itself; retained chains
+        are only ever added.  So a writer that staged during the read
+        is still in sight after it."""
         snap = self.current_snapshot()
         if snap is None:
             return primitive(*args, surrogates)
         versions = self.versions
+        if versions.untouched():
+            aborts = versions.aborts
+            try:
+                read = primitive(*args, surrogates)
+            except Exception:           # a writer reshaped a unit
+                read = None
+            if (read is not None and versions.untouched()
+                    and versions.aborts == aborts):
+                return read
         found = {}
         pending = surrogates
         while True:
@@ -874,21 +892,24 @@ class MapperStore:
         info = self.eva_info(eva)
         return info, bool(info.self_inverse or eva is info.canonical)
 
-    def traverse_eva_batch(self, surrogates, eva: EntityValuedAttribute
-                           ) -> Dict[int, List[int]]:
+    def traverse_eva_batch(self, surrogates, eva: EntityValuedAttribute,
+                           held: bool = False) -> Dict[int, List[int]]:
         """Batched :meth:`eva_targets` over the holders of ``eva``'s
         role among ``surrogates`` (the others omitted, as
         :meth:`fetch_many` omits them): one membership read and one
         fan-out read for the batch (:meth:`_read_many` over
         :meth:`_role_rids` and :meth:`_fanouts`).  Cache counters are
-        identical to individual calls."""
+        identical to individual calls.  ``held``: the caller read every
+        one's role record under this view and found it, so membership
+        is not read again."""
         info, side = self._eva_side(eva)
         owner = eva.owner_name
-        surrogates = list(dict.fromkeys(surrogates))
-        roles = self._read_many(("rec", owner), surrogates,
-                                self._role_rids, owner)
-        holders = [surrogate for surrogate in surrogates
-                   if roles[surrogate] is not ABSENT]
+        holders = list(dict.fromkeys(surrogates))
+        if not held:
+            roles = self._read_many(("rec", owner), holders,
+                                    self._role_rids, owner)
+            holders = [surrogate for surrogate in holders
+                       if roles[surrogate] is not ABSENT]
         fanouts = self._read_many(("fan", info.rel_id, side), holders,
                                   self._fanouts, info, side)
         return {surrogate: list(targets)

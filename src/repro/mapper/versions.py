@@ -13,7 +13,7 @@ Version granularity is the Mapper's logical read unit, not the physical
 page.  Three key shapes cover every read path:
 
 * ``("rec", class, surrogate)`` — an entity's role record: the
-  pre-image ``(rid, field dict)``, or :data:`ABSENT` when the role did
+  pre-image ``(rid, record tuple)``, or :data:`ABSENT` when the role did
   not exist (so records inserted after the snapshot disappear);
 * ``("mv", class, attr, surrogate)`` — a separate-unit MV DVA's value
   tuple;
@@ -50,9 +50,15 @@ the answer for every key no writer has touched — takes no mutex either
 (:meth:`VersionManager.lookup`, :meth:`VersionManager.changed`): a key
 is looked for among the pending entries first and the committed ones
 second, and a commit chains it before it unpends it, so a staged key is
-never in neither.  Readers probe some fifty times per statement; two
-threads meeting on a mutex that often hand it back and forth through
-the operating system until one of them blocks on I/O.
+never in neither.  Two threads meeting on a mutex per probe hand it
+back and forth through the operating system.  And with no writer in
+sight — the map :meth:`~VersionManager.untouched` — a read probes
+nothing: it keeps what it read if the map is untouched still and
+``aborts`` has not moved (``MapperStore._read_many``).  The reader's
+snapshot is registered in ``_active``, so every commit after its epoch
+stays chained until it ends; a staged key stays visible until a commit
+chains it or an abort counts itself; under ``retain`` chains are only
+ever added.  A writer that staged during the read is still in sight.
 
 Chains are pruned to the oldest active snapshot's epoch: a reader at
 ``S`` only ever selects entries with epoch ``> S``, so once no snapshot
@@ -249,6 +255,11 @@ class VersionManager:
         del self._pending[key]
 
     # -- Reader side -------------------------------------------------------------
+
+    def untouched(self) -> bool:
+        """No pending pre-image and no chain entry, tested in the order
+        a commit respects (it chains, *then* unpends), with no mutex."""
+        return not self._pending and not self._chains
 
     def lookup(self, snap: Snapshot, key: tuple) -> Tuple[bool, object]:
         """``(hit, pre_image)`` for one key under ``snap``.

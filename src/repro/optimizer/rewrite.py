@@ -276,13 +276,13 @@ def _factor_traversals(query: RetrieveQuery, tree: QueryTree,
                        applied: List[str]) -> None:
     """Give equivalent traversal nodes a shared ``domain_key``.
 
-    The accessor memoizes domains by ``(domain_key, parent instance)``
-    (falling back to the per-query node id), so equal keys make repeated
-    qualification paths — ``advisor of student`` in the target list and
-    the WHERE clause, say — enumerate once.  Signatures are built from
-    schema-object identities, which are stable for the life of the
-    database, so the sharing also spans statements while the store epoch
-    holds.
+    The accessor memoizes MV-DVA and transitive domains (only) by
+    ``(domain_key, parent instance)`` (falling back to the per-query
+    node id), so equal keys make repeated qualification paths enumerate
+    once; a plain EVA node shares its hop through the EVA's own memo.
+    Signatures are built from schema-object identities, which are
+    stable for the life of the database, so the sharing also spans
+    statements while the store epoch holds.
     """
     groups: Dict[tuple, List[QTNode]] = {}
     for node in _collect_nodes(query, tree):

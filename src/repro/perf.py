@@ -50,7 +50,7 @@ _COUNTERS = (
     ("engine", "memo_hits"),              # query-scoped memoization
     ("engine", "memo_misses"),
     ("mapper", "records_decoded"),        # records decoded into dicts
-    ("engine", "domain_enumerations"),    # node domains actually enumerated
+    ("engine", "domain_enumerations"),    # MV-DVA / transitive domains built
     ("engine", "index_selections"),       # selections served by an index
     ("mapper", "invalidations"),          # cache invalidations (incl. undo)
     ("storage", "transient_retries"),     # I/O faults absorbed by retry

@@ -12,6 +12,7 @@ configuration surface (Database ctor and IQF ``.set``).
 from __future__ import annotations
 
 import re
+from functools import partial
 
 import pytest
 
@@ -209,6 +210,48 @@ ORDERED_QUERIES = [
 
 ALL_QUERIES = UNIVERSITY_QUERIES + ORDERED_QUERIES
 
+#: a class with an MV DVA beside two single-valued ones
+TEAM_DDL = ("Class team ( name: string[10]; size: integer;"
+            " scores: integer mv );")
+
+
+def build_teams() -> Database:
+    database = Database(TEAM_DDL, constraint_mode="off")
+    for number in range(7):
+        database.execute(f'Insert team(name := "T{number}",'
+                         f' size := {number})')
+        for score in range(number % 3):     # 0, 1 or 2 scores
+            database.execute(f"Modify team(scores := include"
+                             f" {10 * number + score})"
+                             f' Where name = "T{number}"')
+    return database
+
+
+seeded_university = partial(build_university, seed=11)
+
+#: statements whose columns share one role record or one EVA hop
+ROLE_RECORD_QUERIES = [
+    # two DVAs of one role, split across the WHERE clause and targets
+    (seeded_university,
+     "From instructor Retrieve name, salary, bonus"
+     " Where employee-nbr > 1003 and salary > 0"),
+    # AS conversions: most persons lack either role, and read NULLs
+    (seeded_university,
+     "From person Retrieve name, salary of person as instructor,"
+     " student-nbr of person as student,"
+     " name of advisor of person as student"),
+    # a subrole beside an MV subrole
+    (seeded_university,
+     "From person Retrieve name, profession,"
+     " student-status of person as instructor"),
+    # an MV DVA (empty for some teams) beside two DVAs of its role
+    (build_teams, "From team Retrieve name, scores Where size > 0"),
+    # a factored traversal (tests/test_rewrite.py's FACTOR_QUERY)
+    (seeded_university,
+     "From student Retrieve name, sum(credits of courses-enrolled)"
+     " Where credits of courses-enrolled > 3"),
+]
+
 
 class TestRowIdentity:
     """Execution must be row-identical — same rows, same order — across
@@ -241,6 +284,24 @@ class TestRowIdentity:
             for batch_size in (1, 3):
                 subject.executor.batch_size = batch_size
                 assert subject.query(text).rows == expected, \
+                    f"{text} at batch size {batch_size}"
+
+    @pytest.mark.parametrize("build, text", ROLE_RECORD_QUERIES,
+                             ids=["split", "as", "subrole", "mv", "factor"])
+    def test_role_records_and_eva_hops(self, build, text):
+        """Columns projected from one memoized role record, and EVA
+        domains read through the EVA's own memo, give the rows of the
+        unrewritten statement, byte for byte, cold and warm, at every
+        batch size."""
+        off = build()
+        off.rewrite = False
+        expected = repr(off.query(text).rows)
+        subject = build()
+        for batch_size in (1, 3, 64):
+            subject.executor.batch_size = batch_size
+            subject.cold_cache()
+            for _ in range(2):      # cold, then served by the memos
+                assert repr(subject.query(text).rows) == expected, \
                     f"{text} at batch size {batch_size}"
 
     def test_repeated_queries_are_stable(self):

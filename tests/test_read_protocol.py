@@ -1006,7 +1006,11 @@ class TestWriterThatAbortsBetweenTheProbes:
     and only ``versions.aborts`` says the value in hand was never
     committed.  Forced from inside the read, each writer step run to
     completion on a thread of its own.  (A batch's control: a writer
-    that commits there is its second probe's hit.)"""
+    that commits there is its second probe's hit.)  With no writer in
+    sight when the read starts there is no first probe: the read runs
+    once and is kept only if the version map is still untouched and
+    ``versions.aborts`` has not moved — the writer's commit leaves a
+    chain entry, its abort a count."""
 
     @pytest.fixture()
     def world(self):
@@ -1045,15 +1049,20 @@ class TestWriterThatAbortsBetweenTheProbes:
         yield calls
         assert len(calls) == 1, "the read never reached the parked call"
 
-    def test_read_takes_the_unit_again(self, world):
+    @pytest.mark.parametrize("finish", ["abort", "commit"])
+    def test_read_takes_the_unit_again(self, world, finish):
+        """The read starts with the map untouched; the writer stages,
+        mutates and commits or aborts inside its one ``read_many``."""
         store, name = world.store, world.attrs["name"]
         person = world.people[1]
         pinned = store.begin_snapshot()
         store.read_cache.clear()
         try:
+            assert store.versions.untouched()
             with self.writer_inside(
                     world, store._class_file["person"], "read_many",
-                    lambda: store.write_dva(person, name, "Never")) as read:
+                    lambda: store.write_dva(person, name, "Never"),
+                    finish=finish) as read:
                 with store.snapshot_scope(pinned):
                     assert store.read_dva(person, name) == "P1"
             at = store.field_positions("person")["name"]
@@ -1061,7 +1070,8 @@ class TestWriterThatAbortsBetweenTheProbes:
             assert slot[1][at] == "Never"       # the dirty value was read
         finally:
             store.end_snapshot(pinned)
-        assert store.read_dva(person, name) == "P1"
+        assert store.read_dva(person, name) == (
+            "Never" if finish == "commit" else "P1")
         assert store.check().ok
 
     @pytest.mark.parametrize("finish", ["abort", "commit"])

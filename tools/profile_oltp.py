@@ -5,12 +5,17 @@ snapshot Session, 60/20/20 point reads / short traversals / one-statement
 write transactions), warms it up, profiles 3 000 operations and prints
 the statement front end — lexer, parser, qualifier, lint, optimizer,
 verifiers, lowering, plan cache — row by row, then what an operation
-does below it as counts per operation (versioned unit reads, lock
-acquisitions, name canonicalisations, copy-protocol copies, record reads
-off a page: the figures ``tests/test_counting_guard.py`` budgets per
-statement), then the top 25 functions by self time.  A point read is
-a batch of one, so the unit and record reads are counted at
-``MapperStore._read_many`` and ``RecordFile.read_many``.  After the
+does below it as counts per operation (versioned unit reads, role
+record fetches, per-key version probes, lock acquisitions, name
+canonicalisations, copy-protocol copies, record reads off a page: the
+unit and record reads are the figures ``tests/test_counting_guard.py``
+budgets per statement), then the top 25 functions by self time.  A
+point read is a batch of one, so the unit and record reads are counted
+at ``MapperStore._read_many`` and ``RecordFile.read_many``; the role
+record fetches at ``MapperStore.fetch_many`` (the executor memoizes a
+role's record, so one fetch serves every DVA of that role a statement
+reads) and the probes at ``VersionManager.lookup`` (a snapshot read
+with no writer in sight makes none).  After the
 plan cache only the skeleton scan and the bind remain of the front end:
 six fills, then hits, and ``tokenize`` runs on the fills alone — a hit
 whose entry carries diagnostics re-anchors them by the skeleton's
@@ -56,6 +61,8 @@ FRONT_END = (
 #: the per-operation count rows: (file suffix, function name, label)
 PER_OPERATION = (
     ("mapper/store.py", "_read_many", "MapperStore._read_many"),
+    ("mapper/store.py", "fetch_many", "MapperStore.fetch_many"),
+    ("mapper/versions.py", "lookup", "VersionManager.lookup"),
     ("engine/lockdep.py", "acquire", "RankedLock.acquire"),
     ("repro/naming.py", "canon", "naming.canon"),
     ("/copy.py", "copy", "copy.copy"),
